@@ -13,6 +13,12 @@ below, and solved by a scalar 4x4 Cholesky. The integration loop runs on
 Python floats, so one derivative evaluation is a few microseconds of
 straight-line arithmetic; there is no compiled variant.
 
+The PD error and law, the motor torque map, the Lyapunov value, the disk-2
+height and the flux/force law are implemented once, here, for the loop,
+simulate.run and the public functions of control, kinematics, model and
+magnetics. Error, torque map and height are elementwise: a state's entries
+may be floats or the equal-length columns of a recorded run.
+
 Numeric failure is a flag, never an exception: `deriv` returns ok=False for
 a non-finite stage input or result and `run_loop` stops there. No code on
 that path raises Python's float ** (OverflowError) or takes sin or cos of a
@@ -197,6 +203,23 @@ def pm_and_grad(par, q):
     return p, grad, False
 
 
+def disk2_height(par, q):
+    """Ground-relative height of disk 2's center, R1 - (R1+R2) cos(phi1+phi2)."""
+    return par[6] - (par[6] + par[7]) * np.cos(q[2] + q[3])
+
+
+def flux_density(mag, p):
+    """B = B_max (1 - p / P_max) for tip separation p, zero beyond P_max."""
+    if p > mag[2]:
+        return 0.0
+    return mag[1] * (1.0 - p / mag[2])
+
+
+def magnetic_force(mag, B):
+    """Attractive tip force F = B^2 A / (2 mu0)."""
+    return B * B * mag[3] / (2.0 * mag[4])
+
+
 def mag_torque(par, mag, q):
     # attractive tip force mapped through the tip Jacobians: Q = -F * grad p_m
     if mag[0] == 0.0:
@@ -204,25 +227,34 @@ def mag_torque(par, mag, q):
     p, grad, degenerate = pm_and_grad(par, q)
     if degenerate or p > mag[2]:
         return _ZERO4
-    B = mag[1] * (1.0 - p / mag[2])
-    F = B * B * mag[3] / (2.0 * mag[4])
+    F = magnetic_force(mag, flux_density(mag, p))
     g0, g1, g2, g3 = grad.tolist()
     return -F * g0, -F * g1, -F * g2, -F * g3
 
 
-def pd_input(Kp, Kd, tgt, y, sat, psi_rate):
-    e0 = (y[0] - y[2]) - tgt[0]
-    e1 = (y[1] - y[3]) - tgt[1]
-    e2 = y[2] - tgt[2]
-    e3 = y[3] - tgt[3]
-    if psi_rate == 1:
-        de0 = (y[4] - y[6]) - tgt[4]
-        de1 = (y[5] - y[7]) - tgt[5]
+def pd_error(tgt, y, psi_rate):
+    """PD errors (e, edot) of the state y, current minus desired.
+
+    e = (psi1, psi2, phi1, phi2) - tgt[:4] with psi_i = theta_i - phi_i. The
+    pendulum rate channel is thetadot, as printed, or psidot with psi_rate.
+    """
+    e = ((y[0] - y[2]) - tgt[0], (y[1] - y[3]) - tgt[1],
+         y[2] - tgt[2], y[3] - tgt[3])
+    if psi_rate:
+        de = ((y[4] - y[6]) - tgt[4], (y[5] - y[7]) - tgt[5])
     else:
-        de0 = y[4] - tgt[4]
-        de1 = y[5] - tgt[5]
-    de2 = y[6] - tgt[6]
-    de3 = y[7] - tgt[7]
+        de = (y[4] - tgt[4], y[5] - tgt[5])
+    return e, (*de, y[6] - tgt[6], y[7] - tgt[7])
+
+
+def saturate(u, sat):
+    """Clamp a float to [-sat, sat]."""
+    return min(max(u, -sat), sat)
+
+
+def pd_input(Kp, Kd, tgt, y, sat, psi_rate):
+    """Motor torques (u1, u2) = Kp e + Kd edot, clamped to sat when sat > 0."""
+    (e0, e1, e2, e3), (de0, de1, de2, de3) = pd_error(tgt, y, psi_rate)
     kp0, kp1 = Kp[0], Kp[1]
     kd0, kd1 = Kd[0], Kd[1]
     u1 = (kp0[0] * e0 + kp0[1] * e1 + kp0[2] * e2 + kp0[3] * e3
@@ -230,9 +262,26 @@ def pd_input(Kp, Kd, tgt, y, sat, psi_rate):
     u2 = (kp1[0] * e0 + kp1[1] * e1 + kp1[2] * e2 + kp1[3] * e3
           + kd1[0] * de0 + kd1[1] * de1 + kd1[2] * de2 + kd1[3] * de3)
     if sat > 0.0:
-        u1 = min(max(u1, -sat), sat)
-        u2 = min(max(u2, -sat), sat)
+        u1 = saturate(u1, sat)
+        u2 = saturate(u2, sat)
     return u1, u2
+
+
+def torque_map(u1, u2):
+    """Generalized force of the motor torques; see model.generalized_torque."""
+    return u1, u2, -u1, -u2
+
+
+def lyapunov(Kp, Kd, e, de, dE):
+    """Monitor value V and its (energy, Kp, Kd) terms.
+
+    e and de carry the four error components on their last axis, dE is
+    E - E_ref. Each gain entry weighs its error component squared; the Kd
+    quadratic carries no 1/2, as transcribed.
+    """
+    terms = (0.5 * (dE * dE), 0.5 * (e * e) @ np.sum(Kp, axis=0),
+             (de * de) @ np.sum(Kd, axis=0))
+    return terms[0] + terms[1] + terms[2], terms
 
 
 def deriv(par, mag, y, tau, variant):
@@ -260,20 +309,22 @@ def deriv(par, mag, y, tau, variant):
     return (*qd, *qdd), True
 
 
-def run_loop(par, mag, y0, n, dt, ctrl_on, Kp, Kd, tgt, sat, psi_rate,
-             stage_control, variant):
+def run_loop(par, mag, y0, n, dt, pd, variant):
     """Integrate n fixed RK4 steps from y0.
 
-    Controller input is evaluated at the step's start state and held over the
-    step (zero-order hold) unless stage_control is 1, in which case it is
-    re-evaluated at every stage state. Magnetic torque, being state
-    dependent physics rather than a sampled controller, is always evaluated
-    per stage.
+    pd is None for an uncontrolled run, else the pd_input arguments
+    (Kp, Kd, tgt, sat, psi_rate). The controller input is evaluated at the
+    step's start state and held over the step (zero-order hold). Magnetic
+    torque, being state dependent physics rather than a sampled controller,
+    is evaluated per stage.
 
     Returns (ys, us, n_done): samples 0..n_done are valid; n_done < n means
     the step after n_done produced a non-finite or non-solvable state.
     """
-    par, mag, Kp, Kd, tgt = (_floats(a) for a in (par, mag, Kp, Kd, tgt))
+    par, mag = _floats(par), _floats(mag)
+    if pd is not None:
+        Kp, Kd, tgt = (_floats(a) for a in pd[:3])
+        sat, psi_rate = pd[3], pd[4]
     ys = np.empty((n + 1, 8))
     us = np.zeros((n + 1, 2))
     y = _floats(y0)
@@ -282,28 +333,23 @@ def run_loop(par, mag, y0, n, dt, ctrl_on, Kp, Kd, tgt, sat, psi_rate,
     h = 0.5 * dt
     w = dt / 6.0
 
-    if stage_control == 1 and ctrl_on == 1:
-        def f(x):
-            u1, u2 = pd_input(Kp, Kd, tgt, x, sat, psi_rate)
-            return deriv(par, mag, x, (u1, u2, -u1, -u2), variant)
-    else:
-        def f(x):
-            return deriv(par, mag, x, tau, variant)
-
     for i in range(n + 1):
-        if ctrl_on == 1:
+        if pd is not None:
             u1, u2 = pd_input(Kp, Kd, tgt, y, sat, psi_rate)
             us[i] = u1, u2
-            tau = (u1, u2, -u1, -u2)
+            tau = torque_map(u1, u2)
         if i == n:
             break
-        k1, ok = f(y)
+        k1, ok = deriv(par, mag, y, tau, variant)
         if ok:
-            k2, ok = f([a + h * k for a, k in zip(y, k1)])
+            k2, ok = deriv(par, mag, [a + h * k for a, k in zip(y, k1)], tau,
+                           variant)
         if ok:
-            k3, ok = f([a + h * k for a, k in zip(y, k2)])
+            k3, ok = deriv(par, mag, [a + h * k for a, k in zip(y, k2)], tau,
+                           variant)
         if ok:
-            k4, ok = f([a + dt * k for a, k in zip(y, k3)])
+            k4, ok = deriv(par, mag, [a + dt * k for a, k in zip(y, k3)], tau,
+                           variant)
         if not ok:
             return ys, us, i
         y = [a + w * (b1 + 2.0 * b2 + 2.0 * b3 + b4)

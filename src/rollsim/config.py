@@ -31,7 +31,7 @@ class UnknownPresetError(ConfigError):
     """Scenario argument names no known preset; a usage-level mistake."""
 
 
-_SCENARIO_KEYS = {"y0_deg", "horizon", "dt", "potential", "stage_control"}
+_SCENARIO_KEYS = {"y0_deg", "horizon", "dt", "potential"}
 _TOP_KEYS = {"name", "params", "magnetics", "controller", "scenario"}
 _CONTROLLER_KEYS = {"kp", "kd", "setpoints", "saturation", "psi_rate",
                     "allow_dense"}
@@ -170,9 +170,7 @@ def load_scenario_dict(doc: dict, default_name: str):
             name=name, y0=y0, controller=controller, magnetics=mag.enabled,
             horizon=_number(sc["horizon"], "scenario.horizon") if "horizon" in sc else 10.0,
             dt=_number(sc["dt"], "scenario.dt") if "dt" in sc else 1e-3,
-            potential=potential,
-            stage_control=_bool(sc["stage_control"], "scenario.stage_control")
-            if "stage_control" in sc else False)
+            potential=potential)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
     return scenario, params, mag

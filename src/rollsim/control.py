@@ -6,6 +6,10 @@ its original printed form: u = Kp e + Kd edot with position errors taken as
 current minus desired, and the derivative channel on thetadot/phidot rather
 than psidot. A psi_rate flag switches the derivative channel to psidot for
 experiments; nothing load-bearing uses it.
+
+The errors, the law, the clamp and the Lyapunov value are computed by the
+_core functions that the simulator's run loop and post-processing call, so
+these functions return what a run records.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _core
 from .energetics import potential_energy, total_energy
 from .model import Input, RobotParams, State, ValidationError
 
@@ -75,41 +80,33 @@ class Setpoints:
 
 
 def error_vector(setpoints: Setpoints, state: State) -> np.ndarray:
-    t1, t2, p1, p2 = state.q
-    return np.array([(t1 - p1) - setpoints.theta_d[0],
-                     (t2 - p2) - setpoints.theta_d[1],
-                     p1 - setpoints.phi_d[0],
-                     p2 - setpoints.phi_d[1]])
+    """e = (psi1 - theta1d, psi2 - theta2d, phi1 - phi1d, phi2 - phi2d)."""
+    e, _ = _core.pd_error(setpoints.target_array(), state.as_array(), False)
+    return np.array(e)
 
 
 def error_rate(setpoints: Setpoints, state: State,
                psi_rate: bool = False) -> np.ndarray:
-    dt1, dt2, dp1, dp2 = state.qdot
-    if psi_rate:
-        first = (dt1 - dp1) - setpoints.dtheta_d[0]
-        second = (dt2 - dp2) - setpoints.dtheta_d[1]
-    else:
-        first = dt1 - setpoints.dtheta_d[0]
-        second = dt2 - setpoints.dtheta_d[1]
-    return np.array([first, second,
-                     dp1 - setpoints.dphi_d[0],
-                     dp2 - setpoints.dphi_d[1]])
+    """edot on (thetadot1, thetadot2, phidot1, phidot2), psidot with psi_rate."""
+    _, de = _core.pd_error(setpoints.target_array(), state.as_array(),
+                           psi_rate)
+    return np.array(de)
 
 
 def pd_control(gains: GainMatrices, setpoints: Setpoints, state: State,
                psi_rate: bool = False) -> Input:
-    e = error_vector(setpoints, state)
-    de = error_rate(setpoints, state, psi_rate)
-    u = gains.kp_array() @ e + gains.kd_array() @ de
-    return Input(tau=(float(u[0]), float(u[1])))
+    """u = Kp e + Kd edot, unsaturated; the run loop's law."""
+    u = _core.pd_input(gains.kp_array().tolist(), gains.kd_array().tolist(),
+                       setpoints.target_array().tolist(),
+                       state.as_array().tolist(), 0.0, psi_rate)
+    return Input(tau=u)
 
 
 def saturate(inp: Input, M: float) -> Input:
     """Component-wise clamp to [-M, M]; idempotent, sign preserving."""
     if not M > 0:
         raise ValidationError(f"saturation bound must be positive, got {M!r}")
-    return Input(tau=(float(np.clip(inp.tau[0], -M, M)),
-                      float(np.clip(inp.tau[1], -M, M))))
+    return Input(tau=tuple(float(_core.saturate(u, M)) for u in inp.tau))
 
 
 @dataclass(frozen=True)
@@ -153,17 +150,14 @@ def lyapunov(params: RobotParams, gains: GainMatrices, setpoints: Setpoints,
         energy = total_energy(params, state, variant)
     if e_ref is None:
         e_ref = reference_energy(params, setpoints, variant)
-    e = error_vector(setpoints, state)
-    de = error_rate(setpoints, state, psi_rate)
-    kp_term = 0.5 * float(np.sum(gains.kp_array() * (e * e)[None, :]))
-    kd_term = float(np.sum(gains.kd_array() * (de * de)[None, :]))
-    energy_term = 0.5 * (energy - e_ref) ** 2
-    V = energy_term + kp_term + kd_term
+    V, terms = _core.lyapunov(gains.kp_array(), gains.kd_array(),
+                              error_vector(setpoints, state),
+                              error_rate(setpoints, state, psi_rate),
+                              energy - e_ref)
     Vdot = None
     if prev_sample is not None:
         if not dt > 0:
             raise ValidationError("dt must be positive when chaining samples")
         Vdot = (V - prev_sample.V) / dt
     return LyapunovSample(V=float(V), Vdot=Vdot,
-                          components=(float(energy_term), float(kp_term),
-                                      float(kd_term)))
+                          components=tuple(map(float, terms)))

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _core
+from .kinematics import velocities
 from .model import RobotParams, State
 
 POTENTIAL_VARIANTS = ("paper-verbatim", "geometry-consistent")
@@ -64,17 +65,11 @@ def breakdown(params: RobotParams, state: State,
     dt1, dt2, dp1, dp2 = state.qdot
     m_p, m_s, L = params.m_p, params.m_s, params.R1 + params.R2
     g = params.g
-    vs1x = params.R1 * dp1
-    vp1 = (vs1x + params.r1 * (dp1 + dt1) * np.cos(p1 + t1),
-           params.r1 * (dp1 + dt1) * np.sin(p1 + t1))
-    vs2 = (vs1x + L * (dp1 + dp2) * np.cos(p1 + p2),
-           L * (dp1 + dp2) * np.sin(p1 + p2))
-    vp2 = (vs2[0] + params.r2 * (dp2 + dt2) * np.cos(p2 + t2),
-           vs2[1] + params.r2 * (dp2 + dt2) * np.sin(p2 + t2))
-    T_parts = (0.5 * m_s * vs1x ** 2,
-               0.5 * m_p * (vp1[0] ** 2 + vp1[1] ** 2),
-               0.5 * m_s * (vs2[0] ** 2 + vs2[1] ** 2),
-               0.5 * m_p * (vp2[0] ** 2 + vp2[1] ** 2),
+    v = velocities(params, state)
+    T_parts = (0.5 * m_s * v.v_s1[0] ** 2,
+               0.5 * m_p * (v.v_p1[0] ** 2 + v.v_p1[1] ** 2),
+               0.5 * m_s * (v.v_s2[0] ** 2 + v.v_s2[1] ** 2),
+               0.5 * m_p * (v.v_p2[0] ** 2 + v.v_p2[1] ** 2),
                0.5 * params.I_p * (dt1 ** 2 + dt2 ** 2),
                0.5 * params.I_s * (dp1 ** 2 + dp2 ** 2))
     if variant_code(variant) == _core.VARIANT_GEOMETRIC:

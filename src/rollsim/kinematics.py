@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _core
 from .model import RobotParams, State
 
 
@@ -70,7 +71,7 @@ def disk2_height(params: RobotParams, state: State) -> float:
     dips below the ground plane (the model has no ground constraint for
     disk 2; penetration is only flagged as an event).
     """
-    return params.R1 - (params.R1 + params.R2) * np.cos(state.q[2] + state.q[3])
+    return _core.disk2_height(params.as_array(), state.q)
 
 
 def pendulum_tips(params: RobotParams, state: State):

@@ -57,14 +57,12 @@ def separation(params: RobotParams, state: State) -> float:
 def flux_density(mag: MagneticParams, p_m: float) -> float:
     if p_m < 0:
         raise ValidationError(f"separation must be >= 0, got {p_m!r}")
-    if p_m > mag.P_max:
-        return 0.0
-    return mag.B_max * (1.0 - p_m / mag.P_max)
+    return _core.flux_density(mag.as_array(), p_m)
 
 
 def magnetic_force(mag: MagneticParams, B: float) -> float:
     """Attractive force magnitude F = B^2 A / (2 mu0), N."""
-    return B * B * mag.A / (2.0 * mag.mu0)
+    return _core.magnetic_force(mag.as_array(), B)
 
 
 def generalized_magnetic_torque(params: RobotParams, mag: MagneticParams,

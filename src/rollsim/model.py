@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _core
+
 
 class ValidationError(ValueError):
     """A parameter value violates a physical constraint."""
@@ -117,4 +119,4 @@ def generalized_torque(inp: Input) -> tuple[float, float, float, float]:
     t1, t2 = inp.tau
     if not (np.isfinite(t1) and np.isfinite(t2)):
         raise ValidationError(f"input torques must be finite, got {inp.tau!r}")
-    return (t1, t2, -t1, -t2)
+    return _core.torque_map(t1, t2)

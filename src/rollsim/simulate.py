@@ -2,10 +2,13 @@
 
 Fixed-step classical RK4. The controller is sampled at each step's start
 state and held across the step (zero-order hold); magnetic torque is state
-dependent physics and is evaluated at every stage. Events are detected on
-the recorded samples after integration, strictly edge-triggered: a sample
-already inside a condition at t = 0 fires nothing until the condition is
-left and re-entered.
+dependent physics and is evaluated at every stage. The recorded PD input,
+generalized torque, Lyapunov value and disk-2 height come from the same
+_core functions that pd_control, generalized_torque, lyapunov and
+disk2_height call, applied to the columns of the recorded states. Events are
+detected on the recorded samples after integration, strictly
+edge-triggered: a sample already inside a condition at t = 0 fires nothing
+until the condition is left and re-entered.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _core
-from .control import GainMatrices, LyapunovSample, Setpoints, reference_energy
+from .control import GainMatrices, Setpoints, reference_energy
 from .energetics import variant_code
 from .kinematics import upright_deviation
 from .magnetics import MagneticParams
@@ -56,7 +59,6 @@ class Scenario:
     horizon: float = 10.0
     dt: float = 1e-3
     potential: str = "paper-verbatim"
-    stage_control: bool = False
 
     def __post_init__(self):
         if len(self.y0) != 8:
@@ -151,29 +153,22 @@ def run(scenario: Scenario, params: Optional[RobotParams] = None,
     variant = variant_code(scenario.potential)
 
     ctrl = scenario.controller
+    pd = None
     if ctrl is not None:
-        ctrl_on = 1
         Kp = ctrl.gains.kp_array()
         Kd = ctrl.gains.kd_array()
         tgt = ctrl.setpoints.target_array()
         sat = float(ctrl.saturation) if ctrl.saturation else 0.0
-        psi_rate = 1 if ctrl.psi_rate else 0
-    else:
-        ctrl_on = 0
-        Kp = np.zeros((2, 4))
-        Kd = np.zeros((2, 4))
-        tgt = np.zeros(8)
-        sat = 0.0
-        psi_rate = 0
+        pd = (Kp, Kd, tgt, sat, ctrl.psi_rate)
 
     n = sample_count(scenario.horizon, scenario.dt) - 1
-    ys, us, n_done = _core.run_loop(
-        par, mag_arr, scenario.y0_array(), n, scenario.dt, ctrl_on, Kp, Kd,
-        tgt, sat, psi_rate, 1 if scenario.stage_control else 0, variant)
+    ys, us, n_done = _core.run_loop(par, mag_arr, scenario.y0_array(), n,
+                                    scenario.dt, pd, variant)
     truncated = n_done < n
     ys = ys[:n_done + 1]
     us = us[:n_done + 1]
     t = np.arange(n_done + 1) * scenario.dt
+    cols = ys.T  # the state sequence y, one array per component
 
     T, U = _core.energies_batch(par, ys, n_done, variant)
     qd = ys[:, 4:]
@@ -182,38 +177,19 @@ def run(scenario: Scenario, params: Optional[RobotParams] = None,
     with np.errstate(over="ignore"):
         P = 0.5 * (qd * qd) @ np.asarray(params.delta)
     p_m = _core.pm_batch(par, ys, n_done)
-    height = params.R1 - (params.R1 + params.R2) * np.cos(ys[:, 2] + ys[:, 3])
-
-    tau_gen = np.zeros((n_done + 1, 4))
-    tau_gen[:, 0] = us[:, 0]
-    tau_gen[:, 1] = us[:, 1]
-    tau_gen[:, 2] = -us[:, 0]
-    tau_gen[:, 3] = -us[:, 1]
+    height = _core.disk2_height(par, cols)
+    tau_gen = np.column_stack(_core.torque_map(us[:, 0], us[:, 1]))
 
     V = np.full(n_done + 1, np.nan)
     Vdot = np.full(n_done + 1, np.nan)
     if ctrl is not None:
-        e = np.empty((n_done + 1, 4))
-        e[:, 0] = (ys[:, 0] - ys[:, 2]) - tgt[0]
-        e[:, 1] = (ys[:, 1] - ys[:, 3]) - tgt[1]
-        e[:, 2] = ys[:, 2] - tgt[2]
-        e[:, 3] = ys[:, 3] - tgt[3]
-        de = np.empty((n_done + 1, 4))
-        if ctrl.psi_rate:
-            de[:, 0] = (ys[:, 4] - ys[:, 6]) - tgt[4]
-            de[:, 1] = (ys[:, 5] - ys[:, 7]) - tgt[5]
-        else:
-            de[:, 0] = ys[:, 4] - tgt[4]
-            de[:, 1] = ys[:, 5] - tgt[5]
-        de[:, 2] = ys[:, 6] - tgt[6]
-        de[:, 3] = ys[:, 7] - tgt[7]
+        e, de = (np.column_stack(c)
+                 for c in _core.pd_error(tgt, cols, ctrl.psi_rate))
         e_ref = reference_energy(params, ctrl.setpoints, scenario.potential)
-        # Kd quadratic carries no 1/2, as transcribed. A diverging run
-        # overflows V to inf; that is the honest float answer, keep it quiet.
+        # a diverging run overflows V to inf; that is the honest float
+        # answer, keep it quiet
         with np.errstate(over="ignore", invalid="ignore"):
-            V = (0.5 * (T + U - e_ref) ** 2
-                 + 0.5 * (e * e) @ np.sum(Kp, axis=0)
-                 + (de * de) @ np.sum(Kd, axis=0))
+            V, _ = _core.lyapunov(Kp, Kd, e, de, T + U - e_ref)
             Vdot[1:] = np.diff(V) / scenario.dt
 
     events = _detect_all(params, mag, t, ys, height, p_m)
@@ -270,6 +246,7 @@ def detect_events(params: RobotParams, sample, previous,
     y_cur = np.asarray(y_cur, dtype=np.float64)
     t = np.array([t_prev, t_cur])
     ys = np.stack([y_prev, y_cur])
-    height = params.R1 - (params.R1 + params.R2) * np.cos(ys[:, 2] + ys[:, 3])
-    p_m = _core.pm_batch(params.as_array(), ys, 1)
+    par = params.as_array()
+    height = _core.disk2_height(par, ys.T)
+    p_m = _core.pm_batch(par, ys, 1)
     return _detect_all(params, mag, t, ys, height, p_m)

@@ -42,7 +42,7 @@ def test_run_rejects_bad_dt(tmp_path, capsys):
 
 def test_run_multiple_scenarios_into_directory(tmp_path, capsys):
     code, _, _ = run_cli(["run", "freefall", "lifting", "--horizon", "0.5",
-                          "--out", str(tmp_path), "--jobs", "2"], capsys)
+                          "--out", str(tmp_path)], capsys)
     assert code == 0
     assert (tmp_path / "freefall.csv").exists()
     assert (tmp_path / "lifting.csv").exists()
@@ -82,6 +82,23 @@ def test_errata_deterministic_files(tmp_path, capsys):
 def test_errata_rejects_zero_samples(capsys):
     code, _, _ = run_cli(["errata", "--samples", "0"], capsys)
     assert code == 2
+
+
+def test_errata_unwritable_out_is_config_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, _, err = run_cli(["errata", "--samples", "3", "--out", str(taken)],
+                           capsys)
+    assert code == 3
+    assert err.startswith(f"cannot write {taken}")
+
+
+@pytest.mark.parametrize("option", [["--seed", "1"], ["--jobs", "2"]])
+def test_run_rejects_removed_options(option, capsys):
+    code, _, err = run_cli(["run", "freefall", "--horizon", "0.01", *option],
+                           capsys)
+    assert code == 2
+    assert "unrecognized arguments" in err
 
 
 def test_validate_default_params(capsys):

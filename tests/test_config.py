@@ -83,6 +83,8 @@ def test_path_argument_bypasses_preset_search(tmp_path):
     ({"scenario": {"y0_deg": [0] * 8},
       "controller": {"kp": [[1, 0, 0, 0], [0, 1, 0, 0]]}}, "kd"),
     ({"scenario": {"y0_deg": [0] * 8, "horizon": "ten"}}, "horizon"),
+    ({"scenario": {"y0_deg": [0] * 8, "stage_control": True}},
+     "stage_control"),
 ])
 def test_rejects_malformed_documents(doc, fragment):
     with pytest.raises(ConfigError, match=fragment):

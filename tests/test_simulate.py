@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from rollsim.config import load_scenario
-from rollsim.control import GainMatrices, Setpoints, pd_control
-from rollsim.model import RobotParams, State, ValidationError
+from rollsim.control import GainMatrices, Setpoints, lyapunov, pd_control
+from rollsim.kinematics import disk2_height
+from rollsim.model import RobotParams, State, ValidationError, generalized_torque
 from rollsim.simulate import (GROUND_PENETRATION, NON_FINITE_STATE, TOPPLE,
                               IntegrationError, PDSpec, Scenario, detect_events,
                               rk4_step, run, sample_count)
@@ -150,10 +153,46 @@ def test_magnetics_flag_changes_dynamics():
     assert not np.array_equal(t0.y, t1.y)
 
 
-def test_stage_control_differs_from_zoh():
+def test_run_loop_saturation_clamps_the_input():
     sc, p, m = load_scenario("balancing")
-    from dataclasses import replace
-    short = replace(sc, horizon=0.2)
-    zoh = run(short, p, m)
-    staged = run(replace(short, stage_control=True), p, m)
-    assert not np.array_equal(zoh.y, staged.y)
+    short = replace(sc, horizon=0.1)
+    free = run(short, p, m)
+    sat = 0.5 * float(np.max(np.abs(free.u)))
+    clamped = run(replace(short, controller=replace(sc.controller,
+                                                    saturation=sat)), p, m)
+    assert np.max(np.abs(clamped.u)) <= sat
+    assert np.any(np.abs(clamped.u) == sat)  # the clamp was active
+
+
+def test_run_loop_psi_rate_uses_the_psi_rate_law():
+    sc, p, m = load_scenario("balancing")
+    spec = replace(sc.controller, psi_rate=True)
+    traj = run(replace(sc, controller=spec, horizon=0.05), p, m)
+    for y, u in zip(traj.y, traj.u):
+        st = State.from_array(y)
+        assert tuple(u) == pd_control(spec.gains, spec.setpoints, st,
+                                      psi_rate=True).tau
+    # the disks move, so the psidot channel differs from the printed one
+    last = State.from_array(traj.y[-1])
+    assert (pd_control(spec.gains, spec.setpoints, last).tau
+            != pd_control(spec.gains, spec.setpoints, last, psi_rate=True).tau)
+
+
+def test_run_records_the_public_quantities():
+    # every recorded per-sample quantity is the public function's value
+    sc, p, m = load_scenario("lifting")
+    y0 = (0.0, 0.0, np.radians(170), 0.0, 0.0, 0.0, 0.0, 0.0)
+    sc = replace(sc, y0=y0, magnetics=True, horizon=0.1)
+    traj = run(sc, p, m)
+    spec = sc.controller
+    assert np.any(traj.p_m < m.P_max)  # the tips pull at the start
+    for i, y in enumerate(traj.y):
+        st = State.from_array(y)
+        u = pd_control(spec.gains, spec.setpoints, st)
+        V = lyapunov(p, spec.gains, spec.setpoints, st, variant=sc.potential).V
+        assert traj.u[i] == pytest.approx(u.tau, rel=1e-12, abs=0)
+        assert traj.tau_gen[i] == pytest.approx(generalized_torque(u),
+                                                rel=1e-12, abs=0)
+        assert traj.V[i] == pytest.approx(V, rel=1e-12, abs=0)
+        assert traj.height[i] == pytest.approx(disk2_height(p, st), rel=1e-12,
+                                               abs=0)
