@@ -1,23 +1,27 @@
 """Numeric kernels: energies, equations of motion and the RK4 loop.
 
-Everything in this module works on packed float sequences:
+Arguments are packed sequences:
 
     par: [m_p, m_s, I_p, I_s, r1, r2, R1, R2, g, d_th1, d_th2, d_ph1, d_ph2]
     mag: [enabled, B_max, P_max, A, mu0]
     q:   (theta1, theta2, phi1, phi2)          state y = (q, qdot), length 8
     tgt: (th1d, th2d, ph1d, ph2d, dth1d, dth2d, dph1d, dph2d)
 
-The mass matrix, bias and gravity terms are the closed forms in _eom,
-generated by tools/gen_eom.py from the energies `kinetic` and `potential`
-below, and solved by a scalar 4x4 Cholesky. The integration loop runs on
-Python floats, so one derivative evaluation is a few microseconds of
-straight-line arithmetic; there is no compiled variant.
+Each derived quantity is implemented once, here, for the run loop,
+simulate.run and the public functions of control, energetics, kinematics,
+magnetics and model. Most functions are elementwise: the entries of a state
+may be floats or the equal-length columns of a recorded run, which
+simulate.run evaluates in one call. The body geometry (`body_positions`,
+`body_velocities`) gives T and U per body (`kinetic_parts`,
+`potential_parts`; `kinetic` and `potential` are their sums) and p_m
+(`separation`). The closed forms in _eom, which tools/gen_eom.py generates
+from `kinetic` and `potential`, give M, bias and G for the loop.
 
-The PD error and law, the motor torque map, the Lyapunov value, the disk-2
-height and the flux/force law are implemented once, here, for the loop,
-simulate.run and the public functions of control, kinematics, model and
-magnetics. Error, torque map and height are elementwise: a state's entries
-may be floats or the equal-length columns of a recorded run.
+The run loop works on Python floats with math.sin and math.cos, so one
+derivative evaluation is a few microseconds of straight-line arithmetic;
+nothing is compiled. Its `mag_torque` calls `pm_and_grad`, the one scalar
+copy of the tip geometry: numpy trig on Python floats would dominate a
+magnetic stage. A test pins it to `separation`.
 
 Numeric failure is a flag, never an exception: `deriv` returns ok=False for
 a non-finite stage input or result and `run_loop` stops there. No code on
@@ -37,6 +41,10 @@ HAVE_NUMBA = False
 VARIANT_VERBATIM = 0
 VARIANT_GEOMETRIC = 1
 
+# np.errstate for elementwise evaluation: numpy warns where Python floats
+# overflow to inf or turn nan quietly, and inf or nan is the honest answer
+QUIET = {"over": "ignore", "invalid": "ignore"}
+
 _ZERO4 = (0.0, 0.0, 0.0, 0.0)
 _ZERO8 = _ZERO4 + _ZERO4
 
@@ -46,44 +54,76 @@ def _floats(a):
     return np.asarray(a, dtype=np.float64).tolist()
 
 
-def kinetic(par, q, qd):
-    m_p, m_s, I_p, I_s = par[0], par[1], par[2], par[3]
-    r1, r2, R1, R2 = par[4], par[5], par[6], par[7]
-    c1 = math.cos(q[2] + q[0])
-    s1 = math.sin(q[2] + q[0])
-    c12 = math.cos(q[2] + q[3])
-    s12 = math.sin(q[2] + q[3])
-    c2 = math.cos(q[3] + q[1])
-    s2 = math.sin(q[3] + q[1])
-    L = R1 + R2
+def body_positions(par, q):
+    """(x, y) of the disk-1 shell, bob 1, the disk-2 shell and bob 2."""
+    r1, r2, R1 = par[4], par[5], par[6]
+    L = R1 + par[7]
+    s1x = R1 * q[2]
+    rs2 = (s1x + L * np.sin(q[2] + q[3]), -L * np.cos(q[2] + q[3]))
+    return ((s1x, 0.0),
+            (s1x + r1 * np.sin(q[2] + q[0]), -r1 * np.cos(q[2] + q[0])),
+            rs2,
+            (rs2[0] + r2 * np.sin(q[3] + q[1]),
+             rs2[1] - r2 * np.cos(q[3] + q[1])))
+
+
+def body_velocities(par, q, qd):
+    """Time derivatives of body_positions, in the same order."""
+    r1, r2, R1 = par[4], par[5], par[6]
+    L = R1 + par[7]
+    w1 = qd[2] + qd[0]
+    w12 = qd[2] + qd[3]
+    w2 = qd[3] + qd[1]
     vs1x = R1 * qd[2]
-    vp1x = vs1x + r1 * (qd[2] + qd[0]) * c1
-    vp1y = r1 * (qd[2] + qd[0]) * s1
-    vs2x = vs1x + L * (qd[2] + qd[3]) * c12
-    vs2y = L * (qd[2] + qd[3]) * s12
-    vp2x = vs2x + r2 * (qd[3] + qd[1]) * c2
-    vp2y = vs2y + r2 * (qd[3] + qd[1]) * s2
-    return 0.5 * (m_s * (vs1x * vs1x)
-                  + m_p * (vp1x * vp1x + vp1y * vp1y)
-                  + m_s * (vs2x * vs2x + vs2y * vs2y)
-                  + m_p * (vp2x * vp2x + vp2y * vp2y)
-                  + I_p * (qd[0] * qd[0] + qd[1] * qd[1])
-                  + I_s * (qd[2] * qd[2] + qd[3] * qd[3]))
+    vs2 = (vs1x + L * w12 * np.cos(q[2] + q[3]), L * w12 * np.sin(q[2] + q[3]))
+    return ((vs1x, 0.0),
+            (vs1x + r1 * w1 * np.cos(q[2] + q[0]),
+             r1 * w1 * np.sin(q[2] + q[0])),
+            vs2,
+            (vs2[0] + r2 * w2 * np.cos(q[3] + q[1]),
+             vs2[1] + r2 * w2 * np.sin(q[3] + q[1])))
+
+
+def kinetic_parts(par, q, qd):
+    """Translational T of the four bodies, then the pendulum and disk spins."""
+    m_p, m_s, I_p, I_s = par[0], par[1], par[2], par[3]
+    parts = tuple(0.5 * (m * (vx * vx + vy * vy)) for m, (vx, vy)
+                  in zip((m_s, m_p, m_s, m_p), body_velocities(par, q, qd)))
+    return (*parts, 0.5 * (I_p * (qd[0] * qd[0] + qd[1] * qd[1])),
+            0.5 * (I_s * (qd[2] * qd[2] + qd[3] * qd[3])))
+
+
+def kinetic(par, q, qd):
+    return sum(kinetic_parts(par, q, qd))
+
+
+def potential_parts(par, q, variant):
+    """U of bob 1, bob 2 (verbatim: printed sin term) and the disk-2 shell."""
+    m_p, m_s, r1, r2, g = par[0], par[1], par[4], par[5], par[8]
+    L = par[6] + par[7]
+    c34 = np.cos(q[2] + q[3])
+    mid = L * (c34 if variant == VARIANT_GEOMETRIC else np.sin(q[2] + q[3]))
+    return (-m_p * r1 * g * np.cos(q[2] + q[0]),
+            -m_p * g * (mid + r2 * np.cos(q[3] + q[1])),
+            -m_s * g * L * c34)
 
 
 def potential(par, q, variant):
-    m_p, m_s, g = par[0], par[1], par[8]
-    r1, r2 = par[4], par[5]
-    L = par[6] + par[7]
-    c31 = math.cos(q[2] + q[0])
-    c42 = math.cos(q[3] + q[1])
-    if variant == VARIANT_GEOMETRIC:
-        mid = L * math.cos(q[2] + q[3])
-    else:
-        mid = L * math.sin(q[2] + q[3])
-    return (-m_p * r1 * g * c31
-            - m_p * g * (mid + r2 * c42)
-            - m_s * g * L * math.cos(q[2] + q[3]))
+    return sum(potential_parts(par, q, variant))
+
+
+def separation(par, q):
+    """Pendulum-tip separation p_m, the distance between the two bobs."""
+    _, (x1, y1), _, (x2, y2) = body_positions(par, q)
+    dx = x1 - x2
+    dy = y1 - y2
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def dissipation(par, qd):
+    """Rayleigh function P = 1/2 sum delta_i qd_i^2, summed left to right."""
+    return 0.5 * (par[9] * (qd[0] * qd[0]) + par[10] * (qd[1] * qd[1])
+                  + par[11] * (qd[2] * qd[2]) + par[12] * (qd[3] * qd[3]))
 
 
 # The array-returning wrappers below answer a non-finite q with NaN, as numpy's
@@ -172,11 +212,10 @@ def chol_solve4(M, b):
 
 
 def pm_and_grad(par, q):
-    """Pendulum-tip separation p_m and its gradient d p_m / d q.
+    """Tip separation p_m and its analytic gradient d p_m / d q, a 4-tuple.
 
-    The gradient is analytic (chain rule through the tip positions). At
-    p_m = 0 the direction is undefined; the gradient is returned as zero and
-    the degenerate flag set.
+    The run loop's scalar copy of `separation`, on math trig. At p_m = 0 the
+    direction is undefined: the gradient is zero and the degenerate flag set.
     """
     r1, r2, R1, R2 = par[4], par[5], par[6], par[7]
     L = R1 + R2
@@ -186,26 +225,21 @@ def pm_and_grad(par, q):
     c34 = math.cos(q[2] + q[3])
     s42 = math.sin(q[3] + q[1])
     c42 = math.cos(q[3] + q[1])
-    p1x = R1 * q[2] + r1 * s31
-    p1y = -r1 * c31
-    p2x = R1 * q[2] + L * s34 + r2 * s42
-    p2y = -L * c34 - r2 * c42
-    dx = p1x - p2x
-    dy = p1y - p2y
+    dx = (R1 * q[2] + r1 * s31) - (R1 * q[2] + L * s34 + r2 * s42)
+    dy = -r1 * c31 - (-L * c34 - r2 * c42)
     p = math.sqrt(dx * dx + dy * dy)
-    grad = np.zeros(4)
     if p < 1e-14:
-        return p, grad, True
-    grad[0] = (r1 * c31 * dx + r1 * s31 * dy) / p
-    grad[1] = (-r2 * c42 * dx - r2 * s42 * dy) / p
-    grad[2] = ((r1 * c31 - L * c34) * dx + (r1 * s31 - L * s34) * dy) / p
-    grad[3] = (-(L * c34 + r2 * c42) * dx - (L * s34 + r2 * s42) * dy) / p
+        return p, _ZERO4, True
+    grad = ((r1 * c31 * dx + r1 * s31 * dy) / p,
+            (-r2 * c42 * dx - r2 * s42 * dy) / p,
+            ((r1 * c31 - L * c34) * dx + (r1 * s31 - L * s34) * dy) / p,
+            (-(L * c34 + r2 * c42) * dx - (L * s34 + r2 * s42) * dy) / p)
     return p, grad, False
 
 
 def disk2_height(par, q):
     """Ground-relative height of disk 2's center, R1 - (R1+R2) cos(phi1+phi2)."""
-    return par[6] - (par[6] + par[7]) * np.cos(q[2] + q[3])
+    return par[6] + body_positions(par, q)[2][1]
 
 
 def flux_density(mag, p):
@@ -221,15 +255,17 @@ def magnetic_force(mag, B):
 
 
 def mag_torque(par, mag, q):
-    # attractive tip force mapped through the tip Jacobians: Q = -F * grad p_m
+    """(Q, degenerate): the tip attraction's generalized force -F grad p_m.
+
+    Q is exactly +0.0 when disabled, beyond P_max and at p_m = 0 (degenerate).
+    """
     if mag[0] == 0.0:
-        return _ZERO4
+        return _ZERO4, False
     p, grad, degenerate = pm_and_grad(par, q)
     if degenerate or p > mag[2]:
-        return _ZERO4
+        return _ZERO4, degenerate
     F = magnetic_force(mag, flux_density(mag, p))
-    g0, g1, g2, g3 = grad.tolist()
-    return -F * g0, -F * g1, -F * g2, -F * g3
+    return (-F * grad[0], -F * grad[1], -F * grad[2], -F * grad[3]), False
 
 
 def pd_error(tgt, y, psi_rate):
@@ -275,12 +311,17 @@ def torque_map(u1, u2):
 def lyapunov(Kp, Kd, e, de, dE):
     """Monitor value V and its (energy, Kp, Kd) terms.
 
-    e and de carry the four error components on their last axis, dE is
+    e and de are the four error components as pd_error returns them, dE is
     E - E_ref. Each gain entry weighs its error component squared; the Kd
-    quadratic carries no 1/2, as transcribed.
+    quadratic carries no 1/2, as transcribed. Sums run left to right.
     """
-    terms = (0.5 * (dE * dE), 0.5 * (e * e) @ np.sum(Kp, axis=0),
-             (de * de) @ np.sum(Kd, axis=0))
+    kp = [a + b for a, b in zip(Kp[0], Kp[1])]
+    kd = [a + b for a, b in zip(Kd[0], Kd[1])]
+    terms = (0.5 * (dE * dE),
+             0.5 * (e[0] * e[0]) * kp[0] + 0.5 * (e[1] * e[1]) * kp[1]
+             + 0.5 * (e[2] * e[2]) * kp[2] + 0.5 * (e[3] * e[3]) * kp[3],
+             (de[0] * de[0]) * kd[0] + (de[1] * de[1]) * kd[1]
+             + (de[2] * de[2]) * kd[2] + (de[3] * de[3]) * kd[3])
     return terms[0] + terms[1] + terms[2], terms
 
 
@@ -301,7 +342,7 @@ def deriv(par, mag, y, tau, variant):
     rhs = (tau[0] - b[0] - G[0], tau[1] - b[1] - G[1],
            tau[2] - b[2] - G[2], tau[3] - b[3] - G[3])
     if mag[0] != 0.0:
-        t = mag_torque(par, mag, q)
+        t, _ = mag_torque(par, mag, q)
         rhs = (rhs[0] + t[0], rhs[1] + t[1], rhs[2] + t[2], rhs[3] + t[3])
     qdd = _solve_spd4(_eom.mass_matrix(par, q), rhs)
     if qdd is None or not all(map(math.isfinite, qdd)):
@@ -360,20 +401,12 @@ def run_loop(par, mag, y0, n, dt, pd, variant):
     return ys, us, n
 
 
-def energies_batch(par, ys, n_valid, variant):
-    par = _floats(par)
-    T = np.empty(n_valid + 1)
-    U = np.empty(n_valid + 1)
-    for i in range(n_valid + 1):
-        row = ys[i].tolist()
-        T[i] = kinetic(par, row[:4], row[4:])
-        U[i] = potential(par, row[:4], variant)
-    return T, U
+def energies_batch(par, cols, variant):
+    """T and U of each recorded state (cols: the 8 state columns); a traced
+    layer of perfbench, as is pm_batch."""
+    return kinetic(par, cols[:4], cols[4:]), potential(par, cols[:4], variant)
 
 
-def pm_batch(par, ys, n_valid):
-    par = _floats(par)
-    out = np.empty(n_valid + 1)
-    for i in range(n_valid + 1):
-        out[i], _, _ = pm_and_grad(par, ys[i, :4].tolist())
-    return out
+def pm_batch(par, cols):
+    """Tip separation p_m of every recorded state."""
+    return separation(par, cols)

@@ -259,8 +259,7 @@ def _printed_vs2_norm2(params, state):
             + 2 * L * r2 * np.cos(f2 + t2) * df1 * df2)
 
 
-def _true_v_norm2(params, state, body):
-    v = getattr(velocities(params, state), body)
+def _norm2(v):
     return v[0] ** 2 + v[1] ** 2
 
 
@@ -307,10 +306,11 @@ def errata_compare(params: RobotParams, samples: int = 1000,
         for i in range(4):
             acc[f"x_{i + 1}"].append((x[i], b[i]))
             acc[f"y_{i + 1}"].append((y[i], G[i]))
+        v = velocities(params, st)
         acc["Vp2_norm2"].append((_printed_vp2_norm2(params, st),
-                                 _true_v_norm2(params, st, "v_p2")))
+                                 _norm2(v.v_p2)))
         acc["Vs2_norm2"].append((_printed_vs2_norm2(params, st),
-                                 _true_v_norm2(params, st, "v_s2")))
+                                 _norm2(v.v_s2)))
         acc["rp2_y"].append((_printed_rp2_y(params, st),
                              positions(params, st).r_p2[1]))
         gv = _core.gravity(par, qs[k], _core.VARIANT_VERBATIM)

@@ -5,6 +5,9 @@ on the ground (translation R1*phi1); disk 2 rolls on disk 1, its center at
 angle phi1+phi2 measured from straight down, so phi1+phi2 = 180 deg is the
 stacked upright configuration. Pendulum i hangs at absolute angle
 phi_i + theta_i from straight down.
+
+The functions here evaluate _core's body geometry, from which the energies
+and the tip separation are built, for a State.
 """
 
 from __future__ import annotations
@@ -36,31 +39,12 @@ class BodyVelocities:
 
 
 def positions(params: RobotParams, state: State) -> BodyPositions:
-    t1, t2, p1, p2 = state.q
-    L = params.R1 + params.R2
-    s1x = params.R1 * p1
-    rs1 = (s1x, 0.0)
-    rp1 = (s1x + params.r1 * np.sin(p1 + t1),
-           -params.r1 * np.cos(p1 + t1))
-    rs2 = (s1x + L * np.sin(p1 + p2),
-           -L * np.cos(p1 + p2))
-    rp2 = (rs2[0] + params.r2 * np.sin(p2 + t2),
-           rs2[1] - params.r2 * np.cos(p2 + t2))
-    return BodyPositions(rs1, rp1, rs2, rp2)
+    return BodyPositions(*_core.body_positions(params.as_array(), state.q))
 
 
 def velocities(params: RobotParams, state: State) -> BodyVelocities:
-    t1, t2, p1, p2 = state.q
-    dt1, dt2, dp1, dp2 = state.qdot
-    L = params.R1 + params.R2
-    vs1 = (params.R1 * dp1, 0.0)
-    vp1 = (vs1[0] + params.r1 * (dp1 + dt1) * np.cos(p1 + t1),
-           params.r1 * (dp1 + dt1) * np.sin(p1 + t1))
-    vs2 = (vs1[0] + L * (dp1 + dp2) * np.cos(p1 + p2),
-           L * (dp1 + dp2) * np.sin(p1 + p2))
-    vp2 = (vs2[0] + params.r2 * (dp2 + dt2) * np.cos(p2 + t2),
-           vs2[1] + params.r2 * (dp2 + dt2) * np.sin(p2 + t2))
-    return BodyVelocities(vs1, vp1, vs2, vp2)
+    return BodyVelocities(*_core.body_velocities(params.as_array(), state.q,
+                                                 state.qdot))
 
 
 def disk2_height(params: RobotParams, state: State) -> float:
@@ -76,8 +60,7 @@ def disk2_height(params: RobotParams, state: State) -> float:
 
 def pendulum_tips(params: RobotParams, state: State):
     """The two magnet-carrying bob positions (r_p1, r_p2)."""
-    pos = positions(params, state)
-    return pos.r_p1, pos.r_p2
+    return _core.body_positions(params.as_array(), state.q)[1::2]
 
 
 def wrap_angle(a):

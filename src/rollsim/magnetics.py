@@ -5,6 +5,9 @@ zero beyond; the attractive tip force F = B^2 A / (2 mu0) maps onto the
 generalized coordinates through the tip Jacobians (virtual work), which is
 the only mapping consistent with the Lagrangian setting. The force is
 conservative along p_m, with closed-form potential W used in tests.
+
+The functions here evaluate for a State the _core functions that a run
+uses: separation, flux_density, magnetic_force and mag_torque.
 """
 
 from __future__ import annotations
@@ -48,10 +51,9 @@ class MagneticParams:
 
 
 def separation(params: RobotParams, state: State) -> float:
-    """Euclidean distance p_m between the pendulum tips."""
-    p, _, _ = _core.pm_and_grad(params.as_array(),
-                                np.asarray(state.q, dtype=np.float64))
-    return float(p)
+    """Euclidean distance p_m between the pendulum tips; NaN if non-finite."""
+    with np.errstate(**_core.QUIET):
+        return float(_core.separation(params.as_array(), state.q))
 
 
 def flux_density(mag: MagneticParams, p_m: float) -> float:
@@ -73,17 +75,14 @@ def generalized_magnetic_torque(params: RobotParams, mag: MagneticParams,
     along the unit vector toward tip 2 and vice versa, so attraction does
     positive work while the tips approach. At p_m = 0 the direction is
     undefined; the equal-and-opposite pair then contributes nothing and Q is
-    zero with degenerate = True. Disabled coupling returns exact zeros so a
-    disabled run reproduces the uncoupled dynamics bit for bit.
+    zero with degenerate = True. Disabled coupling and separations beyond
+    P_max return exact zeros, as in the run loop, which calls the same
+    _core.mag_torque; a disabled run reproduces the uncoupled dynamics bit
+    for bit.
     """
-    if not mag.enabled:
-        return np.zeros(4), False
-    p, grad, degenerate = _core.pm_and_grad(
-        params.as_array(), np.asarray(state.q, dtype=np.float64))
-    if degenerate:
-        return np.zeros(4), True
-    F = magnetic_force(mag, flux_density(mag, p))
-    return -F * grad, False
+    Q, degenerate = _core.mag_torque(params.as_array(), mag.as_array(),
+                                     state.q)
+    return np.array(Q), degenerate
 
 
 def magnetic_potential(mag: MagneticParams, p_m: float) -> float:

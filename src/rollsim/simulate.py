@@ -3,9 +3,11 @@
 Fixed-step classical RK4. The controller is sampled at each step's start
 state and held across the step (zero-order hold); magnetic torque is state
 dependent physics and is evaluated at every stage. The recorded PD input,
-generalized torque, Lyapunov value and disk-2 height come from the same
-_core functions that pd_control, generalized_torque, lyapunov and
-disk2_height call, applied to the columns of the recorded states. Events are
+generalized torque, energies, Rayleigh function, Lyapunov value, disk-2
+height and tip separation come from the same _core functions that the
+public functions (pd_control, generalized_torque, kinetic_energy,
+potential_energy, dissipation, lyapunov, disk2_height, separation) call,
+applied once to the columns of the recorded states. Events are
 detected on the recorded samples after integration, strictly
 edge-triggered: a sample already inside a condition at t = 0 fires nothing
 until the condition is left and re-entered.
@@ -169,26 +171,21 @@ def run(scenario: Scenario, params: Optional[RobotParams] = None,
     us = us[:n_done + 1]
     t = np.arange(n_done + 1) * scenario.dt
     cols = ys.T  # the state sequence y, one array per component
-
-    T, U = _core.energies_batch(par, ys, n_done, variant)
-    qd = ys[:, 4:]
-    # a run cut short by overflow keeps its last finite samples, whose
-    # squared rates may overflow to inf: the honest float answer
-    with np.errstate(over="ignore"):
-        P = 0.5 * (qd * qd) @ np.asarray(params.delta)
-    p_m = _core.pm_batch(par, ys, n_done)
     height = _core.disk2_height(par, cols)
     tau_gen = np.column_stack(_core.torque_map(us[:, 0], us[:, 1]))
-
     V = np.full(n_done + 1, np.nan)
     Vdot = np.full(n_done + 1, np.nan)
-    if ctrl is not None:
-        e, de = (np.column_stack(c)
-                 for c in _core.pd_error(tgt, cols, ctrl.psi_rate))
-        e_ref = reference_energy(params, ctrl.setpoints, scenario.potential)
-        # a diverging run overflows V to inf; that is the honest float
-        # answer, keep it quiet
-        with np.errstate(over="ignore", invalid="ignore"):
+    # a run cut short by overflow keeps its last finite samples, whose
+    # energies, squared rates and V may overflow to inf: the honest float
+    # answer, kept quiet
+    with np.errstate(**_core.QUIET):
+        T, U = _core.energies_batch(par, cols, variant)
+        P = _core.dissipation(par, cols[4:])
+        p_m = _core.pm_batch(par, cols)
+        if ctrl is not None:
+            e, de = _core.pd_error(tgt, cols, ctrl.psi_rate)
+            e_ref = reference_energy(params, ctrl.setpoints,
+                                     scenario.potential)
             V, _ = _core.lyapunov(Kp, Kd, e, de, T + U - e_ref)
             Vdot[1:] = np.diff(V) / scenario.dt
 
@@ -248,5 +245,5 @@ def detect_events(params: RobotParams, sample, previous,
     ys = np.stack([y_prev, y_cur])
     par = params.as_array()
     height = _core.disk2_height(par, ys.T)
-    p_m = _core.pm_batch(par, ys, 1)
+    p_m = _core.pm_batch(par, ys.T)
     return _detect_all(params, mag, t, ys, height, p_m)

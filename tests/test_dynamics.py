@@ -4,7 +4,8 @@ import pytest
 from rollsim.dynamics import (SingularDynamicsError, bias_vector,
                               errata_compare, forward_dynamics, gravity_vector,
                               mass_matrix, printed_terms, terms)
-from rollsim.energetics import kinetic_energy
+from rollsim.energetics import kinetic_energy, potential_energy
+from rollsim.magnetics import separation
 from rollsim.model import RobotParams, State
 
 P = RobotParams()
@@ -107,6 +108,16 @@ def test_terms_are_nan_for_an_infinite_coordinate():
     t = terms(P, State(q=(float("inf"), 0.0, 0.0, 0.0)))
     for a in (t.M, t.bias, t.G):
         assert np.all(np.isnan(a))
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_energies_and_separation_are_nan_for_an_infinite_coordinate(k):
+    q = [0.0] * 4
+    q[k] = float("inf")
+    st = State(q=tuple(q), qdot=(0.1, 0.2, 0.3, 0.4))
+    assert np.isnan(kinetic_energy(P, st))
+    assert np.isnan(potential_energy(P, st))
+    assert np.isnan(separation(P, st))
 
 
 def test_terms_bundle_consistent():

@@ -54,6 +54,6 @@ def test_breakdown_sums_to_totals():
         b = breakdown(P, s)
         assert b.T == pytest.approx(kinetic_energy(P, s), rel=1e-12)
         assert b.U == pytest.approx(potential_energy(P, s), rel=1e-12)
-        assert sum(b.T_parts) == pytest.approx(b.T, rel=1e-9, abs=1e-12)
-        assert sum(b.U_parts) == pytest.approx(b.U, rel=1e-9)
+        assert sum(b.T_parts) == b.T
+        assert sum(b.U_parts) == b.U
         assert total_energy(P, s) == pytest.approx(b.E, rel=1e-12)

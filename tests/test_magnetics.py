@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rollsim import _core
 from rollsim.magnetics import (MagneticParams, flux_density,
                                generalized_magnetic_torque, magnetic_force,
                                magnetic_potential, separation)
@@ -66,6 +67,17 @@ def test_torque_zero_beyond_range():
     q, degenerate = generalized_magnetic_torque(
         P, MagneticParams(enabled=True), st)
     assert not degenerate and np.all(q == 0.0)
+    assert not np.any(np.signbit(q))  # +0.0, as the run loop adds
+
+
+def test_loop_separation_is_separation():
+    # the run loop's scalar tip geometry against the elementwise one
+    rng = np.random.default_rng(17)
+    par = P.as_array()
+    for _ in range(500):
+        q = rng.uniform(-2 * np.pi, 2 * np.pi, 4)
+        p, _, _ = _core.pm_and_grad(par.tolist(), q.tolist())
+        assert p == separation(P, State(q=tuple(q)))
 
 
 def test_torque_virtual_work():

@@ -5,7 +5,9 @@ import pytest
 
 from rollsim.config import load_scenario
 from rollsim.control import GainMatrices, Setpoints, lyapunov, pd_control
+from rollsim.energetics import dissipation, kinetic_energy, potential_energy
 from rollsim.kinematics import disk2_height
+from rollsim.magnetics import separation
 from rollsim.model import RobotParams, State, ValidationError, generalized_torque
 from rollsim.simulate import (GROUND_PENETRATION, NON_FINITE_STATE, TOPPLE,
                               IntegrationError, PDSpec, Scenario, detect_events,
@@ -196,3 +198,10 @@ def test_run_records_the_public_quantities():
         assert traj.V[i] == pytest.approx(V, rel=1e-12, abs=0)
         assert traj.height[i] == pytest.approx(disk2_height(p, st), rel=1e-12,
                                                abs=0)
+        assert traj.T[i] == pytest.approx(kinetic_energy(p, st), rel=1e-12,
+                                          abs=0)
+        assert traj.U[i] == pytest.approx(
+            potential_energy(p, st, sc.potential), rel=1e-12, abs=0)
+        assert traj.P[i] == pytest.approx(dissipation(p, st), rel=1e-12, abs=0)
+        assert traj.p_m[i] == pytest.approx(separation(p, st), rel=1e-12,
+                                            abs=0)
