@@ -1,11 +1,11 @@
 """rollsim: dynamics of a two-module pendulum-driven rolling robot.
 
-The equations of motion are produced from the energy functions themselves
-(symbolic differentiation into generated closed-form code, see
-tools/gen_eom.py), so the simulated dynamics cannot drift from the energies
-they claim to conserve. A verbatim transcription of the published
-coefficient tables lives alongside for comparison; see dynamics.printed_terms
-and dynamics.errata_compare.
+The equations of motion are produced from the energy functions themselves:
+tools/gen_eom.py calls _core.kinetic and _core.potential on sympy symbols
+and differentiates them into generated closed-form code, so the simulated
+dynamics cannot drift from the energies they claim to conserve. A verbatim
+transcription of the published coefficient tables lives alongside for
+comparison; see dynamics.printed_terms and dynamics.errata_compare.
 """
 
 from .control import (GainMatrices, LyapunovSample, Setpoints, lyapunov,

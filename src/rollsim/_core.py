@@ -14,8 +14,10 @@ may be floats or the equal-length columns of a recorded run, which
 simulate.run evaluates in one call. The body geometry (`body_positions`,
 `body_velocities`) gives T and U per body (`kinetic_parts`,
 `potential_parts`; `kinetic` and `potential` are their sums) and p_m
-(`separation`). The closed forms in _eom, which tools/gen_eom.py generates
-from `kinetic` and `potential`, give M, bias and G for the loop.
+(`separation`). The closed forms in _eom give M, bias and G for the loop.
+tools/gen_eom.py generates them by calling `kinetic` and `potential` on
+sympy symbols, with np.sin and np.cos bound to sympy's, so those two
+functions must stay elementwise arithmetic with no other library call.
 
 The run loop works on Python floats with math.sin and math.cos, so one
 derivative evaluation is a few microseconds of straight-line arithmetic;

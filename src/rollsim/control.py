@@ -131,9 +131,7 @@ def reference_energy(params: RobotParams, setpoints: Setpoints,
 
 def lyapunov(params: RobotParams, gains: GainMatrices, setpoints: Setpoints,
              state: State, prev_sample: Optional[LyapunovSample] = None,
-             dt: float = 0.0, energy: Optional[float] = None,
-             e_ref: Optional[float] = None,
-             psi_rate: bool = False,
+             dt: float = 0.0, psi_rate: bool = False,
              variant: str = "paper-verbatim") -> LyapunovSample:
     """Composite monitor value; diagnostic only, never fed back.
 
@@ -146,14 +144,11 @@ def lyapunov(params: RobotParams, gains: GainMatrices, setpoints: Setpoints,
     gain matrices do not define a square quadratic form; the weighting sums
     each gain entry against its error component squared.
     """
-    if energy is None:
-        energy = total_energy(params, state, variant)
-    if e_ref is None:
-        e_ref = reference_energy(params, setpoints, variant)
-    V, terms = _core.lyapunov(gains.kp_array(), gains.kd_array(),
-                              error_vector(setpoints, state),
-                              error_rate(setpoints, state, psi_rate),
-                              energy - e_ref)
+    e, de = _core.pd_error(setpoints.target_array(), state.as_array(),
+                           psi_rate)
+    dE = (total_energy(params, state, variant)
+          - reference_energy(params, setpoints, variant))
+    V, terms = _core.lyapunov(gains.kp_array(), gains.kd_array(), e, de, dE)
     Vdot = None
     if prev_sample is not None:
         if not dt > 0:

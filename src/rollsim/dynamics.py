@@ -313,9 +313,8 @@ def errata_compare(params: RobotParams, samples: int = 1000,
                                  _norm2(v.v_s2)))
         acc["rp2_y"].append((_printed_rp2_y(params, st),
                              positions(params, st).r_p2[1]))
-        gv = _core.gravity(par, qs[k], _core.VARIANT_VERBATIM)
         gg = _core.gravity(par, qs[k], _core.VARIANT_GEOMETRIC)
-        acc["U2_sin_term"].append((float(np.max(np.abs(gv - gg))), 0.0))
+        acc["U2_sin_term"].append((float(np.max(np.abs(G - gg))), 0.0))
 
     group_of = {}
     for _, _, name in names_m:

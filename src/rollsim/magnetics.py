@@ -78,8 +78,10 @@ def generalized_magnetic_torque(params: RobotParams, mag: MagneticParams,
     zero with degenerate = True. Disabled coupling and separations beyond
     P_max return exact zeros, as in the run loop, which calls the same
     _core.mag_torque; a disabled run reproduces the uncoupled dynamics bit
-    for bit.
+    for bit. With coupling enabled, a non-finite state gives NaN.
     """
+    if mag.enabled and not np.all(np.isfinite(state.q)):
+        return np.full(4, np.nan), False
     Q, degenerate = _core.mag_torque(params.as_array(), mag.as_array(),
                                      state.q)
     return np.array(Q), degenerate

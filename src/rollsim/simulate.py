@@ -232,7 +232,9 @@ def detect_events(params: RobotParams, sample, previous,
     """Events fired between two consecutive samples (t, y) -> (t', y').
 
     Edge-triggered: a condition already true at `previous` cannot fire.
-    The batch detection inside run() applies the same predicates.
+    The batch detection inside run() applies the same predicates. A
+    non-finite y' gives one NonFiniteState event at t' and nothing else, as
+    run() ends on such a state.
     """
     mag = mag if mag is not None else MagneticParams()
     t_prev, y_prev = previous
@@ -241,6 +243,9 @@ def detect_events(params: RobotParams, sample, previous,
         raise ValidationError("samples must be ordered in time")
     y_prev = np.asarray(y_prev, dtype=np.float64)
     y_cur = np.asarray(y_cur, dtype=np.float64)
+    if not np.all(np.isfinite(y_cur)):
+        return [Event(kind=NON_FINITE_STATE, time=float(t_cur),
+                      state=tuple(y_cur), details="non-finite state")]
     t = np.array([t_prev, t_cur])
     ys = np.stack([y_prev, y_cur])
     par = params.as_array()

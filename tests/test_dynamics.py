@@ -5,7 +5,8 @@ from rollsim.dynamics import (SingularDynamicsError, bias_vector,
                               errata_compare, forward_dynamics, gravity_vector,
                               mass_matrix, printed_terms, terms)
 from rollsim.energetics import kinetic_energy, potential_energy
-from rollsim.magnetics import separation
+from rollsim.magnetics import (MagneticParams, generalized_magnetic_torque,
+                               separation)
 from rollsim.model import RobotParams, State
 
 P = RobotParams()
@@ -118,6 +119,10 @@ def test_energies_and_separation_are_nan_for_an_infinite_coordinate(k):
     assert np.isnan(kinetic_energy(P, st))
     assert np.isnan(potential_energy(P, st))
     assert np.isnan(separation(P, st))
+    Q, degenerate = generalized_magnetic_torque(
+        P, MagneticParams(enabled=True), st)
+    assert np.all(np.isnan(Q)) and Q.shape == (4,)
+    assert not degenerate
 
 
 def test_terms_bundle_consistent():

@@ -138,6 +138,15 @@ def test_topple_crossing_semantics():
     assert len(topples) == crossings
 
 
+@pytest.mark.parametrize("k, value", [(2, np.inf), (5, -np.inf), (0, np.nan)])
+def test_detect_events_reports_a_nonfinite_sample(k, value):
+    # as run() does: the non-finite sample is a NonFiniteState, nothing else
+    y1 = np.zeros(8)
+    y1[k] = value
+    evs = detect_events(P, (0.1, y1), (0.0, np.zeros(8)))
+    assert [(e.kind, e.time) for e in evs] == [(NON_FINITE_STATE, 0.1)]
+
+
 def test_detect_events_requires_time_order():
     st = np.zeros(8)
     with pytest.raises(ValidationError):

@@ -1,14 +1,15 @@
 """Generate src/rollsim/_eom.py, the closed-form equations of motion.
 
-Run from the repository root (needs sympy; the generated module does not):
+Run from a checkout (needs sympy; the generated module does not):
 
     python tools/gen_eom.py              # rewrite src/rollsim/_eom.py
     python tools/gen_eom.py --out PATH   # write the module somewhere else
 
-T and U below are the expressions that rollsim._core.kinetic and
-rollsim._core.potential evaluate; tests/test_eom.py checks that the two
-agree numerically and that the checked-in module matches a fresh
-generation. From them sympy derives, for M(q) qdd + bias(q, qd) + G(q) = tau,
+T and U are rollsim._core.kinetic and rollsim._core.potential themselves:
+the generator imports rollsim from the src/ directory next to it and calls
+them on sympy symbols (see energies). tests/test_eom.py checks that the
+checked-in module matches a fresh generation. From T and U sympy derives,
+for M(q) qdd + bias(q, qd) + G(q) = tau,
 
     M    = d2T / dqd dqd
     bias = Mdot qd - dT/dq + diag(delta) qd
@@ -19,24 +20,34 @@ code. The output uses only +, -, *, /, math.sin and math.cos: integer powers
 are written as products, because Python's float ** raises OverflowError
 where a product overflows to inf, and the integrator reports a non-finite
 state by testing for inf and nan.
+
+Importing rollsim._core imports the checked-in _eom, so a syntactically
+broken _eom.py must be restored (git checkout src/rollsim/_eom.py) before
+the generator can run.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import sympy as sp
 from sympy.printing.pycode import PythonCodePrinter
 
-OUT = Path(__file__).resolve().parent.parent / "src" / "rollsim" / "_eom.py"
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+from rollsim import _core  # noqa: E402
+
+OUT = SRC / "rollsim" / "_eom.py"
 
 PAR = sp.symbols("m_p m_s I_p I_s r1 r2 R1 R2 g d_th1 d_th2 d_ph1 d_ph2")
 Q = sp.symbols("th1 th2 ph1 ph2")
 QD = sp.symbols("dth1 dth2 dph1 dph2")
 
-# potential variants, numbered as rollsim._core.VARIANT_*
-VERBATIM, GEOMETRIC = 0, 1
+VERBATIM, GEOMETRIC = _core.VARIANT_VERBATIM, _core.VARIANT_GEOMETRIC
 
 # every angle the simplified terms take a sine or cosine of, with the
 # suffix of its c*/s* name in the generated code
@@ -45,53 +56,31 @@ ANGLES = ((ph1 + th1, "31"), (ph1 + ph2, "34"), (ph2 + th2, "42"),
           (ph1 - th2, "12"))
 
 
-def kinetic():
-    """T(q, qd), term for term as rollsim._core.kinetic."""
-    m_p, m_s, I_p, I_s, r1, r2, R1, R2 = PAR[:8]
-    q, qd = Q, QD
-    c1, s1 = sp.cos(q[2] + q[0]), sp.sin(q[2] + q[0])
-    c12, s12 = sp.cos(q[2] + q[3]), sp.sin(q[2] + q[3])
-    c2, s2 = sp.cos(q[3] + q[1]), sp.sin(q[3] + q[1])
-    L = R1 + R2
-    vs1x = R1 * qd[2]
-    vp1x = vs1x + r1 * (qd[2] + qd[0]) * c1
-    vp1y = r1 * (qd[2] + qd[0]) * s1
-    vs2x = vs1x + L * (qd[2] + qd[3]) * c12
-    vs2y = L * (qd[2] + qd[3]) * s12
-    vp2x = vs2x + r2 * (qd[3] + qd[1]) * c2
-    vp2y = vs2y + r2 * (qd[3] + qd[1]) * s2
-    return sp.Rational(1, 2) * (m_s * vs1x**2
-                                + m_p * (vp1x**2 + vp1y**2)
-                                + m_s * (vs2x**2 + vs2y**2)
-                                + m_p * (vp2x**2 + vp2y**2)
-                                + I_p * (qd[0]**2 + qd[1]**2)
-                                + I_s * (qd[2]**2 + qd[3]**2))
+def energies():
+    """T and {variant: U} as sympy expressions of PAR, Q, QD.
 
-
-def potential(variant):
-    """U(q), term for term as rollsim._core.potential."""
-    m_p, m_s, r1, r2, R1, R2, g = (PAR[0], PAR[1], PAR[4], PAR[5], PAR[6],
-                                   PAR[7], PAR[8])
-    q = Q
-    L = R1 + R2
-    if variant == GEOMETRIC:
-        mid = L * sp.cos(q[2] + q[3])
-    else:
-        mid = L * sp.sin(q[2] + q[3])
-    return (-m_p * r1 * g * sp.cos(q[2] + q[0])
-            - m_p * g * (mid + r2 * sp.cos(q[3] + q[1]))
-            - m_s * g * L * sp.cos(q[2] + q[3]))
+    rollsim._core.kinetic and rollsim._core.potential themselves, called on
+    symbols. They are elementwise arithmetic whose only library calls are
+    np.sin and np.cos, which are bound to sympy's for the call. nsimplify
+    makes their float literals (0.5) exact rationals.
+    """
+    with mock.patch.object(_core, "np", SimpleNamespace(sin=sp.sin,
+                                                        cos=sp.cos)):
+        T = _core.kinetic(PAR, Q, QD)
+        U = {v: _core.potential(PAR, Q, v) for v in (VERBATIM, GEOMETRIC)}
+    return (sp.nsimplify(T, rational=True),
+            {v: sp.nsimplify(u, rational=True) for v, u in U.items()})
 
 
 def derive():
     """Symbolic (M, bias, {variant: G}) as sympy expressions of PAR, Q, QD."""
-    T = kinetic()
+    T, U = energies()
     M = sp.Matrix(4, 4, lambda i, j: sp.diff(T, QD[i], QD[j]))
     bias = [sum(sp.diff(M[i, j], Q[k]) * QD[j] * QD[k]
                 for j in range(4) for k in range(4))
             - sp.diff(T, Q[i]) + PAR[9 + i] * QD[i]
             for i in range(4)]
-    G = {v: [sp.diff(potential(v), x) for x in Q] for v in (VERBATIM, GEOMETRIC)}
+    G = {v: [sp.diff(U[v], x) for x in Q] for v in (VERBATIM, GEOMETRIC)}
     return M, bias, G
 
 
