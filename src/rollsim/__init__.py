@@ -23,8 +23,8 @@ from .magnetics import (MagneticParams, flux_density, generalized_magnetic_torqu
                         magnetic_force, magnetic_potential, separation)
 from .model import (Input, RobotParams, State, ValidationError,
                     generalized_torque, load_params)
-from .simulate import (Event, IntegrationError, PDSpec, Scenario, Trajectory,
-                       detect_events, rk4_step, run)
+from .simulate import (Event, PDSpec, Scenario, Trajectory, detect_events,
+                       run)
 
 __version__ = "0.1.0"
 
@@ -42,8 +42,7 @@ __all__ = [
     "generalized_magnetic_torque", "magnetic_potential",
     "GainMatrices", "Setpoints", "LyapunovSample", "pd_control", "saturate",
     "lyapunov",
-    "Scenario", "Trajectory", "Event", "PDSpec", "rk4_step", "run",
-    "detect_events", "IntegrationError",
+    "Scenario", "Trajectory", "Event", "PDSpec", "run", "detect_events",
     "ConfigError", "UnknownPresetError", "load_scenario", "list_presets",
     "__version__",
 ]

@@ -14,16 +14,13 @@ may be floats or the equal-length columns of a recorded run, which
 simulate.run evaluates in one call. The body geometry (`body_positions`,
 `body_velocities`) gives T and U per body (`kinetic_parts`,
 `potential_parts`; `kinetic` and `potential` are their sums) and p_m
-(`separation`). The closed forms in _eom give M, bias and G for the loop.
-tools/gen_eom.py generates them by calling `kinetic` and `potential` on
-sympy symbols, with np.sin and np.cos bound to sympy's, so those two
-functions must stay elementwise arithmetic with no other library call.
-
-The run loop works on Python floats with math.sin and math.cos, so one
-derivative evaluation is a few microseconds of straight-line arithmetic;
-nothing is compiled. Its `mag_torque` calls `pm_and_grad`, the one scalar
-copy of the tip geometry: numpy trig on Python floats would dominate a
-magnetic stage. A test pins it to `separation`.
+(`separation` of `bob_offset`). tools/gen_eom.py calls `kinetic`,
+`potential`, `bob_offset` and `separation` on sympy symbols, with np.sin,
+np.cos and np.sqrt bound to sympy's, so they must stay elementwise
+arithmetic with no other library call. It writes _eom: M, bias, G, and p_m
+with p_m grad p_m (`tip_geometry`, for `mag_torque`), as straight-line code
+on Python floats and math trig, so one derivative evaluation of the run
+loop takes a few microseconds; nothing is compiled.
 
 Numeric failure is a flag, never an exception: `deriv` returns ok=False for
 a non-finite stage input or result and `run_loop` stops there. No code on
@@ -114,11 +111,15 @@ def potential(par, q, variant):
     return sum(potential_parts(par, q, variant))
 
 
+def bob_offset(par, q):
+    """(dx, dy), the position of bob 1 relative to bob 2."""
+    _, (x1, y1), _, (x2, y2) = body_positions(par, q)
+    return x1 - x2, y1 - y2
+
+
 def separation(par, q):
     """Pendulum-tip separation p_m, the distance between the two bobs."""
-    _, (x1, y1), _, (x2, y2) = body_positions(par, q)
-    dx = x1 - x2
-    dy = y1 - y2
+    dx, dy = bob_offset(par, q)
     return np.sqrt(dx * dx + dy * dy)
 
 
@@ -213,32 +214,6 @@ def chol_solve4(M, b):
     return np.array(x), True
 
 
-def pm_and_grad(par, q):
-    """Tip separation p_m and its analytic gradient d p_m / d q, a 4-tuple.
-
-    The run loop's scalar copy of `separation`, on math trig. At p_m = 0 the
-    direction is undefined: the gradient is zero and the degenerate flag set.
-    """
-    r1, r2, R1, R2 = par[4], par[5], par[6], par[7]
-    L = R1 + R2
-    s31 = math.sin(q[2] + q[0])
-    c31 = math.cos(q[2] + q[0])
-    s34 = math.sin(q[2] + q[3])
-    c34 = math.cos(q[2] + q[3])
-    s42 = math.sin(q[3] + q[1])
-    c42 = math.cos(q[3] + q[1])
-    dx = (R1 * q[2] + r1 * s31) - (R1 * q[2] + L * s34 + r2 * s42)
-    dy = -r1 * c31 - (-L * c34 - r2 * c42)
-    p = math.sqrt(dx * dx + dy * dy)
-    if p < 1e-14:
-        return p, _ZERO4, True
-    grad = ((r1 * c31 * dx + r1 * s31 * dy) / p,
-            (-r2 * c42 * dx - r2 * s42 * dy) / p,
-            ((r1 * c31 - L * c34) * dx + (r1 * s31 - L * s34) * dy) / p,
-            (-(L * c34 + r2 * c42) * dx - (L * s34 + r2 * s42) * dy) / p)
-    return p, grad, False
-
-
 def disk2_height(par, q):
     """Ground-relative height of disk 2's center, R1 - (R1+R2) cos(phi1+phi2)."""
     return par[6] + body_positions(par, q)[2][1]
@@ -263,11 +238,12 @@ def mag_torque(par, mag, q):
     """
     if mag[0] == 0.0:
         return _ZERO4, False
-    p, grad, degenerate = pm_and_grad(par, q)
+    p, g0, g1, g2, g3 = _eom.tip_geometry(par, q)
+    degenerate = p < 1e-14
     if degenerate or p > mag[2]:
         return _ZERO4, degenerate
     F = magnetic_force(mag, flux_density(mag, p))
-    return (-F * grad[0], -F * grad[1], -F * grad[2], -F * grad[3]), False
+    return (-F * (g0 / p), -F * (g1 / p), -F * (g2 / p), -F * (g3 / p)), False
 
 
 def pd_error(tgt, y, psi_rate):

@@ -3,7 +3,9 @@
 """Closed-form equations of motion M(q) qdd + bias(q, qd) + G(q) = tau.
 
 Straight-line scalar code derived symbolically from the kinetic and
-potential energies of rollsim._core. p is the packed parameter sequence
+potential energies of rollsim._core, and the tip separation p_m with p_m
+times its gradient (tip_geometry), derived from rollsim._core.separation,
+whose p_m it repeats to the last bit. p is the packed parameter sequence
 (m_p, m_s, I_p, I_s, r1, r2, R1, R2, g, delta...), q and qd are 4-sequences
 of floats. The mass matrix is returned as its upper triangle, row by row:
 (M00, M01, M02, M03, M11, M12, M13, M22, M23, M33). variant selects the
@@ -12,7 +14,7 @@ potential: 0 paper-verbatim, 1 geometry-consistent.
 Inputs must be finite: math.sin and math.cos raise ValueError on inf.
 """
 
-from math import cos, sin
+from math import cos, sin, sqrt
 
 
 def mass_matrix(p, q):
@@ -109,3 +111,26 @@ def gravity(p, q, variant):
     if variant == 1:
         return (x1, x3, g*(x7 + x8), g*(x8 + x9))
     return (x1, x3, g*(x11 + x7), g*(x11 + x9))
+
+
+def tip_geometry(p, q):
+    """(p_m, p_m * d p_m / dq): tip separation, scaled gradient."""
+    m_p, m_s, I_p, I_s, r1, r2, R1, R2, g, d_th1, d_th2, d_ph1, d_ph2 = p
+    th1, th2, ph1, ph2 = q
+    c31 = cos(ph1 + th1)
+    s31 = sin(ph1 + th1)
+    c34 = cos(ph1 + ph2)
+    s34 = sin(ph1 + ph2)
+    c42 = cos(ph2 + th2)
+    s42 = sin(ph2 + th2)
+    dx = (R1*ph1 + r1*s31) - ((R1*ph1 + (R1 + R2)*s34) + r2*s42)
+    dy = (-r1)*c31 - ((-(R1 + R2))*c34 - r2*c42)
+    dx_th1 = c31*r1
+    dx_th2 = -c42*r2
+    dx_ph1 = c31*r1 - c34*(R1 + R2)
+    dx_ph2 = -c34*(R1 + R2) - c42*r2
+    dy_th1 = r1*s31
+    dy_th2 = -r2*s42
+    dy_ph1 = r1*s31 - s34*(R1 + R2)
+    dy_ph2 = -r2*s42 - s34*(R1 + R2)
+    return (sqrt(dx*dx + dy*dy), dx*dx_th1 + dy*dy_th1, dx*dx_th2 + dy*dy_th2, dx*dx_ph1 + dy*dy_ph1, dx*dx_ph2 + dy*dy_ph2)

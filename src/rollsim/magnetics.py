@@ -7,7 +7,8 @@ the only mapping consistent with the Lagrangian setting. The force is
 conservative along p_m, with closed-form potential W used in tests.
 
 The functions here evaluate for a State the _core functions that a run
-uses: separation, flux_density, magnetic_force and mag_torque.
+uses: separation, flux_density, magnetic_force and mag_torque, whose p_m
+and gradient tools/gen_eom.py generates from separation (_eom.tip_geometry).
 """
 
 from __future__ import annotations

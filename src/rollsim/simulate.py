@@ -16,7 +16,7 @@ until the condition is left and re-entered.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -36,10 +36,6 @@ NON_FINITE_STATE = "NonFiniteState"
 # sample count is floor(T/dt) + 1 in real arithmetic; the epsilon absorbs
 # IEEE quotients like 5/0.001 landing just under the integer
 _COUNT_EPS = 1e-6
-
-
-class IntegrationError(RuntimeError):
-    """A derivative evaluation produced a non-finite stage value."""
 
 
 @dataclass(frozen=True)
@@ -113,26 +109,6 @@ class Trajectory:
 
     def events_of(self, kind: str):
         return [e for e in self.events if e.kind == kind]
-
-
-def rk4_step(f: Callable, y, t: float, dt: float):
-    """One classical RK4 step of y' = f(t, y); reference implementation.
-
-    The production loop, _core.run_loop, runs the same Butcher tableau on
-    Python floats; this generic version exists for tests and small
-    experiments.
-    """
-    if not dt > 0:
-        raise ValidationError(f"dt must be positive, got {dt!r}")
-    y = np.asarray(y, dtype=np.float64)
-    k1 = np.asarray(f(t, y), dtype=np.float64)
-    k2 = np.asarray(f(t + 0.5 * dt, y + 0.5 * dt * k1), dtype=np.float64)
-    k3 = np.asarray(f(t + 0.5 * dt, y + 0.5 * dt * k2), dtype=np.float64)
-    k4 = np.asarray(f(t + dt, y + dt * k3), dtype=np.float64)
-    for idx, k in enumerate((k1, k2, k3, k4)):
-        if not np.all(np.isfinite(k)):
-            raise IntegrationError(f"non-finite derivative at stage {idx + 1}, t={t!r}")
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def sample_count(horizon: float, dt: float) -> int:
@@ -234,7 +210,8 @@ def detect_events(params: RobotParams, sample, previous,
     Edge-triggered: a condition already true at `previous` cannot fire.
     The batch detection inside run() applies the same predicates. A
     non-finite y' gives one NonFiniteState event at t' and nothing else, as
-    run() ends on such a state.
+    run() ends on such a state. A non-finite y is rejected: run() records
+    no sample after one.
     """
     mag = mag if mag is not None else MagneticParams()
     t_prev, y_prev = previous
@@ -243,6 +220,8 @@ def detect_events(params: RobotParams, sample, previous,
         raise ValidationError("samples must be ordered in time")
     y_prev = np.asarray(y_prev, dtype=np.float64)
     y_cur = np.asarray(y_cur, dtype=np.float64)
+    if not np.all(np.isfinite(y_prev)):
+        raise ValidationError("previous sample must be finite")
     if not np.all(np.isfinite(y_cur)):
         return [Event(kind=NON_FINITE_STATE, time=float(t_cur),
                       state=tuple(y_cur), details="non-finite state")]

@@ -115,8 +115,9 @@ def test_generated_terms_match_fd_oracle():
 
 
 def test_checked_in_module_matches_its_generator():
-    # the generator differentiates _core.kinetic and _core.potential, so
-    # this ties _eom to the runtime energies
+    # the generator differentiates _core.kinetic, _core.potential and
+    # _core.separation, so this ties _eom to the runtime energies and tip
+    # geometry
     pytest.importorskip("sympy")
     spec = importlib.util.spec_from_file_location("gen_eom", GEN_EOM)
     gen = importlib.util.module_from_spec(spec)
@@ -129,7 +130,8 @@ def test_checked_in_module_matches_its_generator():
     qs, qds = states(50, 13)
     for q, qd in zip(qs.tolist(), qds.tolist()):
         pairs = [(fresh["mass_matrix"](p, q), _eom.mass_matrix(p, q)),
-                 (fresh["bias"](p, q, qd), _eom.bias(p, q, qd))]
+                 (fresh["bias"](p, q, qd), _eom.bias(p, q, qd)),
+                 (fresh["tip_geometry"](p, q), _eom.tip_geometry(p, q))]
         pairs += [(fresh["gravity"](p, q, v), _eom.gravity(p, q, v))
                   for v in (0, 1)]
         # terms are at most ~1.4 here: 1e-14 admits only the rounding of a

@@ -16,10 +16,12 @@ for M(q) qdd + bias(q, qd) + G(q) = tau,
     G    = dU/dq          (one vector per potential variant)
 
 and common subexpression elimination turns each set into straight-line
-code. The output uses only +, -, *, /, math.sin and math.cos: integer powers
-are written as products, because Python's float ** raises OverflowError
-where a product overflows to inf, and the integrator reports a non-finite
-state by testing for inf and nan.
+code. The tip separation p_m and p_m times its gradient come from
+rollsim._core.separation the same way (see tip_geometry). The output uses
+only +, -, *, / and math's sin, cos and sqrt: integer powers are written as
+products, because Python's float ** raises OverflowError where a product
+overflows to inf, and the integrator reports a non-finite state by testing
+for inf and nan.
 
 Importing rollsim._core imports the checked-in _eom, so a syntactically
 broken _eom.py must be restored (git checkout src/rollsim/_eom.py) before
@@ -56,6 +58,10 @@ ANGLES = ((ph1 + th1, "31"), (ph1 + ph2, "34"), (ph2 + th2, "42"),
           (ph1 - th2, "12"))
 
 
+# what rollsim._core calls of numpy, bound to sympy while it runs on symbols
+SYMPY_NP = SimpleNamespace(sin=sp.sin, cos=sp.cos, sqrt=sp.sqrt)
+
+
 def energies():
     """T and {variant: U} as sympy expressions of PAR, Q, QD.
 
@@ -64,12 +70,38 @@ def energies():
     np.sin and np.cos, which are bound to sympy's for the call. nsimplify
     makes their float literals (0.5) exact rationals.
     """
-    with mock.patch.object(_core, "np", SimpleNamespace(sin=sp.sin,
-                                                        cos=sp.cos)):
+    with mock.patch.object(_core, "np", SYMPY_NP):
         T = _core.kinetic(PAR, Q, QD)
         U = {v: _core.potential(PAR, Q, v) for v in (VERBATIM, GEOMETRIC)}
     return (sp.nsimplify(T, rational=True),
             {v: sp.nsimplify(u, rational=True) for v, u in U.items()})
+
+
+def tip_geometry(trig):
+    """(pre, outputs) of the loop's tip geometry, for _function.
+
+    pre assigns dx and dy, rollsim._core.bob_offset built unevaluated:
+    printed in order, they repeat its float operations, so the p_m of them
+    is rollsim._core.separation's to the last bit. It then names their
+    partials.
+    outputs are separation's p_m and, by sympy's chain rule, p_m times its
+    gradient, which has no division to raise at p_m = 0.
+    """
+    offset = sp.symbols("dx dy")
+    calls = [sp.Function(str(s))(*Q) for s in offset]
+    with mock.patch.object(_core, "np", SYMPY_NP):
+        with sp.evaluate(False):
+            exact = _core.bob_offset(PAR, Q)
+            pre = [(s, e.xreplace(trig)) for s, e in zip(offset, exact)]
+        with mock.patch.object(_core, "bob_offset", lambda par, q: calls):
+            pm = _core.separation(PAR, Q)
+    names = dict(zip(calls, offset))
+    for call, e in zip(calls, exact):
+        for x in Q:
+            d = names[sp.Derivative(call, x)] = sp.Symbol(f"{call.func}_{x}")
+            pre.append((d, sp.diff(e, x).xreplace(trig)))
+    outputs = [pm] + [sp.diff(pm, x) * pm for x in Q]
+    return pre, [e.xreplace(names) for e in outputs]
 
 
 def derive():
@@ -110,28 +142,31 @@ def _tidy(expr, trig):
 
 
 class _Printer(PythonCodePrinter):
-    """Python source with integer powers written as products."""
+    """Python source with integer powers written as products, and sqrt."""
 
     def _print_Pow(self, expr, rational=False):
         base, exp = expr.as_base_exp()
+        if exp == sp.S.Half:
+            return f"sqrt({self._print(base)})"
         if exp.is_Integer and 1 <= exp <= 8:
             b = self.parenthesize(base, sp.printing.precedence.PRECEDENCE["Mul"])
             return "*".join([b] * int(exp))
         raise ValueError(f"unsupported power {expr}")
 
 
-def _function(name, args, doc, outputs, trig):
+def _function(name, args, doc, outputs, trig, pre=()):
     """Source of one generated function.
 
     outputs is the list of returned expressions, or a dict mapping each
-    potential variant to its list.
+    potential variant to its list. pre holds (symbol, expression)
+    assignments to print first, in argument order, keeping their grouping.
     """
     printer = _Printer()
     branches = outputs if isinstance(outputs, dict) else {None: outputs}
     exprs = [e for out in branches.values() for e in out]
     reps, reduced = sp.cse(exprs, symbols=sp.numbered_symbols("x"),
                            optimizations="basic")
-    used = set().union(*(e.free_symbols for _, e in reps),
+    used = set().union(*(e.free_symbols for _, e in [*pre, *reps]),
                        *(e.free_symbols for e in reduced))
     lines = [f"def {name}({', '.join(args)}):", f'    """{doc}"""',
              "    " + ", ".join(map(str, PAR)) + " = p",
@@ -142,6 +177,9 @@ def _function(name, args, doc, outputs, trig):
         if sym in used:
             arg = printer.doprint(func.args[0])
             lines.append(f"    {sym} = {type(func).__name__}({arg})")
+    in_order = _Printer({"order": "none"})
+    for sym, e in pre:
+        lines.append(f"    {sym} = {in_order.doprint(e)}")
     for sym, e in reps:
         lines.append(f"    {sym} = {printer.doprint(e)}")
     for i, (variant, out) in enumerate(branches.items()):
@@ -160,7 +198,9 @@ HEADER = '''\
 """Closed-form equations of motion M(q) qdd + bias(q, qd) + G(q) = tau.
 
 Straight-line scalar code derived symbolically from the kinetic and
-potential energies of rollsim._core. p is the packed parameter sequence
+potential energies of rollsim._core, and the tip separation p_m with p_m
+times its gradient (tip_geometry), derived from rollsim._core.separation,
+whose p_m it repeats to the last bit. p is the packed parameter sequence
 (m_p, m_s, I_p, I_s, r1, r2, R1, R2, g, delta...), q and qd are 4-sequences
 of floats. The mass matrix is returned as its upper triangle, row by row:
 (M00, M01, M02, M03, M11, M12, M13, M22, M23, M33). variant selects the
@@ -169,7 +209,7 @@ potential: 0 paper-verbatim, 1 geometry-consistent.
 Inputs must be finite: math.sin and math.cos raise ValueError on inf.
 """
 
-from math import cos, sin
+from math import cos, sin, sqrt
 '''
 
 
@@ -181,6 +221,7 @@ def generate() -> str:
     b = [_tidy(e, trig) for e in bias]
     gv = [_tidy(e, trig) for e in G[VERBATIM]]
     gg = [_tidy(e, trig) for e in G[GEOMETRIC]]
+    pre, tip = tip_geometry(trig)
     parts = [
         HEADER,
         _function("mass_matrix", ("p", "q"),
@@ -190,6 +231,9 @@ def generate() -> str:
         _function("gravity", ("p", "q", "variant"),
                   "dU/dq for the selected potential variant.",
                   {GEOMETRIC: gg, VERBATIM: gv}, trig),
+        _function("tip_geometry", ("p", "q"),
+                  "(p_m, p_m * d p_m / dq): tip separation, scaled gradient.",
+                  tip, trig, pre),
     ]
     return "\n\n".join(parts)
 
