@@ -20,7 +20,10 @@ np.cos and np.sqrt bound to sympy's, so they must stay elementwise
 arithmetic with no other library call. It writes _eom: M, bias, G, and p_m
 with p_m grad p_m (`tip_geometry`, for `mag_torque`), as straight-line code
 on Python floats and math trig, so one derivative evaluation of the run
-loop takes a few microseconds; nothing is compiled.
+loop takes a few microseconds; nothing is compiled. The array wrappers
+`mass_matrix`, `bias` and `gravity` run the same code objects with numpy's
+trig bound in place of math's, so they too are elementwise;
+dynamics.errata_compare evaluates all its sampled states in one call each.
 
 Numeric failure is a flag, never an exception: `deriv` returns ok=False for
 a non-finite stage input or result and `run_loop` stops there. No code on
@@ -29,6 +32,7 @@ value not known to be finite (ValueError).
 """
 
 import math
+import types
 
 import numpy as np
 
@@ -129,34 +133,49 @@ def dissipation(par, qd):
                   + par[11] * (qd[2] * qd[2]) + par[12] * (qd[3] * qd[3]))
 
 
-# The array-returning wrappers below answer a non-finite q with NaN, as numpy's
-# sin and cos would; math.sin and math.cos raise ValueError on inf instead.
+# The array wrappers below run _eom's own code objects with numpy's cos, sin
+# and sqrt bound in place of math's: the same bytecode and operation order,
+# elementwise over q and qd, which may hold floats or equal-length columns.
+# Where numpy's sin and cos agree with libm's to the last bit, a column equals
+# the scalar _eom call on its state; tests/test_eom.py pins that. A column
+# whose q has a non-finite entry comes back all NaN, quietly; math.sin and
+# math.cos would raise ValueError on inf instead.
+
+def _on_columns(fn):
+    return types.FunctionType(fn.__code__, {"cos": np.cos, "sin": np.sin,
+                                            "sqrt": np.sqrt}, fn.__name__)
+
+
+_mass_matrix_cols = _on_columns(_eom.mass_matrix)
+_bias_cols = _on_columns(_eom.bias)
+_gravity_cols = _on_columns(_eom.gravity)
+
+# rows of M as indices into _eom.mass_matrix's upper triangle
+_M_ENTRY = np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]])
+
+
+def _eom_columns(fn, par, q, *args):
+    """fn's entries stacked on a new first axis, NaN where q is non-finite."""
+    q = np.asarray(q, dtype=np.float64)
+    with np.errstate(**QUIET):
+        entries = fn(_floats(par), q, *args)
+    out = np.empty((len(entries),) + q.shape[1:])
+    for i, e in enumerate(entries):
+        out[i] = e
+    return np.where(np.isfinite(q).all(axis=0), out, np.nan)
+
 
 def mass_matrix(par, q):
-    q = _floats(q)
-    if not all(map(math.isfinite, q)):
-        return np.full((4, 4), math.nan)
-    m00, m01, m02, m03, m11, m12, m13, m22, m23, m33 = _eom.mass_matrix(
-        _floats(par), q)
-    return np.array([[m00, m01, m02, m03],
-                     [m01, m11, m12, m13],
-                     [m02, m12, m22, m23],
-                     [m03, m13, m23, m33]])
+    return _eom_columns(_mass_matrix_cols, par, q)[_M_ENTRY]
 
 
 def bias(par, q, qd):
     """Mdot*qd - dT/dq + diag(delta)*qd."""
-    q = _floats(q)
-    if not all(map(math.isfinite, q)):
-        return np.full(4, math.nan)
-    return np.array(_eom.bias(_floats(par), q, _floats(qd)))
+    return _eom_columns(_bias_cols, par, q, qd)
 
 
 def gravity(par, q, variant):
-    q = _floats(q)
-    if not all(map(math.isfinite, q)):
-        return np.full(4, math.nan)
-    return np.array(_eom.gravity(_floats(par), q, variant))
+    return _eom_columns(_gravity_cols, par, q, variant)
 
 
 def _solve_spd4(m, b):

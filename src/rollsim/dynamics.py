@@ -92,10 +92,17 @@ def forward_dynamics(params: RobotParams, state: State, tau_gen,
 # sin/cos, x_4 repeats delta_phi1*phidot1 where the phi2 row should have
 # delta_phi2*phidot2. Where the source's bracketing is broken (x_2), the
 # grouping choice is documented in errata_compare's entry notes. Diagnostic
-# reference only; never used for integration.
+# reference only; never used for integration. State entries may be floats or
+# equal-length columns. A squared rate is np.square, a product: numpy's ** 2
+# is libm's pow on a scalar but a product on an array, and the two differ in
+# the last bit for about one input in a thousand, so a column would not
+# repeat the scalar call.
 
 def printed_terms(params: RobotParams, state: State):
-    """Return (a, x, y): transcribed mass matrix, velocity and gravity rows."""
+    """Return (a, x, y): transcribed mass matrix, velocity and gravity rows.
+
+    Shapes are (4, 4) + s and (4,) + s for state entries of shape s.
+    """
     mp_, ms_ = params.m_p, params.m_s
     Ip, Is = params.I_p, params.I_s
     r1, r2, R1, R2 = params.r1, params.r2, params.R1, params.R2
@@ -112,7 +119,8 @@ def printed_terms(params: RobotParams, state: State):
     c42 = np.cos(f2 + t2)
     s42 = np.sin(f2 + t2)
 
-    a = np.zeros((4, 4))
+    shape = np.broadcast(*state.q, *state.qdot).shape
+    a = np.zeros((4, 4) + shape)
     a[0, 0] = mp_ * r1 ** 2 + Ip
     a[0, 2] = r1 ** 2 + R1 * r1 * c31
     a[1, 1] = mp_ * r2 ** 2 + Ip
@@ -129,20 +137,21 @@ def printed_terms(params: RobotParams, state: State):
     a[3, 3] = ((mp_ + ms_) * L ** 2 + mp_ * r2 ** 2 + Is
                + mp_ * L * r2 * c34 * np.cos(f1 - t2))
 
-    x = np.zeros(4)
+    x = np.zeros((4,) + shape)
     x[0] = R1 * r1 * s31 * ((mp_ - 1.0) * df1 * (df1 + dt1)) + d[0] * dt1
     x[1] = (-mp_ * (df1 * np.sin(f1 + t2) * (df1 + dt2)
-                    + L * r2 * (df1 + df2) ** 2 * np.sin(2 * f1 + f2 + t2))
+                    + L * r2 * np.square(df1 + df2) * np.sin(2 * f1 + f2 + t2))
             + d[1] * dt2
             - mp_ * (df1 * R1 * r1 * (df2 + dt2) * s42
                      + (df1 + df2) * (df2 + dt2) * L * np.sin(f1 - t2)))
-    x[2] = (-R1 * r1 * s31 * (df1 + dt1) ** 2
-            + mp_ * R1 * r1 * s31 * (df1 ** 2 + df1 * dt1)
+    x[2] = (-R1 * r1 * s31 * np.square(df1 + dt1)
+            + mp_ * R1 * r1 * s31 * (np.square(df1) + df1 * dt1)
             - mp_ * (df1 + df2) * L * r2 * (df2 + dt2) * np.sin(2 * f1 + f2 - t2)
-            - L * r2 * ((df1 + df2) ** 2 * (df2 + dt2) * np.sin(f1 - t2) * c34)
-            + ms_ * R1 * L * s34 * (df1 ** 2 + df1 * df2)
+            - L * r2 * (np.square(df1 + df2) * (df2 + dt2) * np.sin(f1 - t2)
+                        * c34)
+            + ms_ * R1 * L * s34 * (np.square(df1) + df1 * df2)
             + d[2] * df1)
-    x[3] = (-(mp_ + ms_) * R1 * L * s34 * (df1 ** 2 + df1 * df2)
+    x[3] = (-(mp_ + ms_) * R1 * L * s34 * (np.square(df1) + df1 * df2)
             - mp_ * L * r2 * s34 * (df1 + df2) * (df1 + 2 * df2 + dt2)
             - mp_ * R1 * r2 * s42 * (df1 + df2) * df1
             + mp_ * R1 * L * df1 * (df1 + df2) * s34
@@ -150,7 +159,7 @@ def printed_terms(params: RobotParams, state: State):
             - mp_ * L * r2 * (df2 + dt2) * (df1 + df2) * np.cos(f1 - t2) * s34
             + d[2] * df1)
 
-    y = np.zeros(4)
+    y = np.zeros((4,) + shape)
     y[0] = -mp_ * g * (r1 * s31 + L * np.cos(t1))
     y[1] = -mp_ * g * r2 * c42
     y[2] = mp_ * r1 * g * s31 - L * g * (-mp_ * c34 + ms_ * s34)
@@ -238,8 +247,8 @@ def _printed_vp2_norm2(params, state):
     L = params.R1 + params.R2
     t2, f1, f2 = state.q[1], state.q[2], state.q[3]
     dt2, df1, df2 = state.qdot[1], state.qdot[2], state.qdot[3]
-    return (df1 ** 2 * R1 ** 2 + (df1 + df2) ** 2 * L ** 2
-            + r2 ** 2 * (df2 + dt2) ** 2
+    return (np.square(df1) * R1 ** 2 + np.square(df1 + df2) * L ** 2
+            + r2 ** 2 * np.square(df2 + dt2)
             + 2 * df1 * R1 * (df1 + df2) * L * np.cos(f1 + f2)
             + 2 * df1 * R1 * r2 * (df2 + dt2) * np.cos(f2 + t2)
             + 2 * (df1 + df2) * L * r2 * (df2 + dt2)
@@ -254,13 +263,13 @@ def _printed_vs2_norm2(params, state):
     L = params.R1 + params.R2
     t2, f1, f2 = state.q[1], state.q[2], state.q[3]
     df1, df2 = state.qdot[2], state.qdot[3]
-    return ((R1 ** 2 + L ** 2 + 2 * R1 * L * np.cos(f1 + f2)) * df1 ** 2
-            + (L ** 2 + r2 ** 2) * df2 ** 2
+    return ((R1 ** 2 + L ** 2 + 2 * R1 * L * np.cos(f1 + f2)) * np.square(df1)
+            + (L ** 2 + r2 ** 2) * np.square(df2)
             + 2 * L * r2 * np.cos(f2 + t2) * df1 * df2)
 
 
 def _norm2(v):
-    return v[0] ** 2 + v[1] ** 2
+    return np.square(v[0]) + np.square(v[1])
 
 
 def _printed_rp2_y(params, state):
@@ -278,43 +287,36 @@ def errata_compare(params: RobotParams, samples: int = 1000,
     [-2pi, 2pi], rates uniform in [-3, 3] rad/s. An entry is MATCH when its
     worst absolute deviation stays below MATCH_REL_TOL relative to the
     larger of 1 and the entry's magnitude scale.
+
+    The sampled states are evaluated as columns: one call each to
+    printed_terms, the mass matrix, the bias, the gravity vector of each
+    potential variant, velocities and positions. Each column equals the
+    call on its state alone, so the report does not depend on the batching.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    qs = rng.uniform(-2 * np.pi, 2 * np.pi, size=(samples, 4))
-    qds = rng.uniform(-3.0, 3.0, size=(samples, 4))
+    q = rng.uniform(-2 * np.pi, 2 * np.pi, size=(samples, 4)).T
+    qd = rng.uniform(-3.0, 3.0, size=(samples, 4)).T
     par = params.as_array()
 
-    names_m = [(i, j, f"a_{i + 1}{j + 1}") for i in range(4) for j in range(4)]
-    acc = {name: [] for _, _, name in names_m}
-    acc.update({f"x_{i + 1}": [] for i in range(4)})
-    acc.update({f"y_{i + 1}": [] for i in range(4)})
-    acc["Vp2_norm2"] = []
-    acc["Vs2_norm2"] = []
-    acc["rp2_y"] = []
-    acc["U2_sin_term"] = []
+    st = State(q=tuple(q), qdot=tuple(qd))
+    a, x, y = printed_terms(params, st)
+    M = _core.mass_matrix(par, q)
+    b = _core.bias(par, q, qd)
+    G = _core.gravity(par, q, _core.VARIANT_VERBATIM)
+    gg = _core.gravity(par, q, _core.VARIANT_GEOMETRIC)
+    v = velocities(params, st)
 
-    for k in range(samples):
-        st = State(q=tuple(qs[k]), qdot=tuple(qds[k]))
-        a, x, y = printed_terms(params, st)
-        M = _core.mass_matrix(par, qs[k])
-        b = _core.bias(par, qs[k], qds[k])
-        G = _core.gravity(par, qs[k], _core.VARIANT_VERBATIM)
-        for i, j, name in names_m:
-            acc[name].append((a[i, j], M[i, j]))
-        for i in range(4):
-            acc[f"x_{i + 1}"].append((x[i], b[i]))
-            acc[f"y_{i + 1}"].append((y[i], G[i]))
-        v = velocities(params, st)
-        acc["Vp2_norm2"].append((_printed_vp2_norm2(params, st),
-                                 _norm2(v.v_p2)))
-        acc["Vs2_norm2"].append((_printed_vs2_norm2(params, st),
-                                 _norm2(v.v_s2)))
-        acc["rp2_y"].append((_printed_rp2_y(params, st),
-                             positions(params, st).r_p2[1]))
-        gg = _core.gravity(par, qs[k], _core.VARIANT_GEOMETRIC)
-        acc["U2_sin_term"].append((float(np.max(np.abs(G - gg))), 0.0))
+    names_m = [(i, j, f"a_{i + 1}{j + 1}") for i in range(4) for j in range(4)]
+    pairs = {name: (a[i, j], M[i, j]) for i, j, name in names_m}
+    pairs.update({f"x_{i + 1}": (x[i], b[i]) for i in range(4)})
+    pairs.update({f"y_{i + 1}": (y[i], G[i]) for i in range(4)})
+    pairs["Vp2_norm2"] = (_printed_vp2_norm2(params, st), _norm2(v.v_p2))
+    pairs["Vs2_norm2"] = (_printed_vs2_norm2(params, st), _norm2(v.v_s2))
+    pairs["rp2_y"] = (_printed_rp2_y(params, st),
+                      positions(params, st).r_p2[1])
+    pairs["U2_sin_term"] = (np.max(np.abs(G - gg), axis=0), np.zeros(samples))
 
     group_of = {}
     for _, _, name in names_m:
@@ -342,10 +344,9 @@ def errata_compare(params: RobotParams, samples: int = 1000,
     }
 
     entries = []
-    for name, pairs in acc.items():
-        arr = np.asarray(pairs, dtype=np.float64)
-        devs = np.abs(arr[:, 0] - arr[:, 1])
-        scale = float(np.max(np.abs(arr)))
+    for name, (printed, derived) in pairs.items():
+        devs = np.abs(printed - derived)
+        scale = float(max(np.max(np.abs(printed)), np.max(np.abs(derived))))
         max_dev = float(np.max(devs))
         classification = ("MATCH"
                           if max_dev <= MATCH_REL_TOL * max(1.0, scale)

@@ -15,6 +15,7 @@ until the condition is left and re-entered.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -61,11 +62,12 @@ class Scenario:
     def __post_init__(self):
         if len(self.y0) != 8:
             raise ValidationError(f"y0 must have 8 entries, got {len(self.y0)}")
-        if not self.dt > 0:
-            raise ValidationError(f"dt must be positive, got {self.dt!r}")
-        if not self.horizon >= self.dt:
+        if not 0.0 < self.dt < math.inf:
             raise ValidationError(
-                f"horizon {self.horizon!r} must be at least dt {self.dt!r}")
+                f"dt must be positive and finite, got {self.dt!r}")
+        if not self.dt <= self.horizon < math.inf:
+            raise ValidationError(f"horizon {self.horizon!r} must be finite "
+                                  f"and at least dt {self.dt!r}")
         variant_code(self.potential)  # validates the name
 
     def y0_array(self) -> np.ndarray:

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from rollsim.dynamics import (SingularDynamicsError, bias_vector,
-                              errata_compare, forward_dynamics, gravity_vector,
-                              mass_matrix, printed_terms, terms)
+from rollsim import _eom, dynamics
+from rollsim.dynamics import (MATCH_REL_TOL, SingularDynamicsError,
+                              bias_vector, errata_compare, forward_dynamics,
+                              gravity_vector, mass_matrix, printed_terms, terms)
 from rollsim.energetics import kinetic_energy, potential_energy
+from rollsim.kinematics import positions, velocities
 from rollsim.magnetics import (MagneticParams, generalized_magnetic_torque,
                                separation)
 from rollsim.model import RobotParams, State
@@ -169,3 +173,89 @@ def test_errata_deterministic():
     # a different seed moves the sampled deviations
     r3 = errata_compare(P, samples=120, seed=10)
     assert r3.entry("a_13").max_abs_dev != r1.entry("a_13").max_abs_dev
+
+
+def _eom_mass_matrix(par, q):
+    M = np.empty((4, 4))
+    M[np.triu_indices(4)] = M.T[np.triu_indices(4)] = _eom.mass_matrix(par, q)
+    return M
+
+
+def per_state_errata(params, samples, seed):
+    """errata_compare as one loop over the states, the scalar _eom terms of
+    each against printed_terms of that state alone; the oracle of the
+    column evaluation. Labels and notes are errata_compare's."""
+    rng = np.random.default_rng(seed)
+    qs = rng.uniform(-2 * np.pi, 2 * np.pi, size=(samples, 4))
+    qds = rng.uniform(-3.0, 3.0, size=(samples, 4))
+    par = params.as_array().tolist()
+
+    names_m = [(i, j, f"a_{i + 1}{j + 1}") for i in range(4) for j in range(4)]
+    acc = {name: [] for _, _, name in names_m}
+    acc.update({f"x_{i + 1}": [] for i in range(4)})
+    acc.update({f"y_{i + 1}": [] for i in range(4)})
+    acc["Vp2_norm2"] = []
+    acc["Vs2_norm2"] = []
+    acc["rp2_y"] = []
+    acc["U2_sin_term"] = []
+
+    for k in range(samples):
+        q, qd = qs[k].tolist(), qds[k].tolist()
+        st = State(q=tuple(qs[k]), qdot=tuple(qds[k]))
+        a, x, y = printed_terms(params, st)
+        M = _eom_mass_matrix(par, q)
+        b = _eom.bias(par, q, qd)
+        G = np.array(_eom.gravity(par, q, 0))
+        for i, j, name in names_m:
+            acc[name].append((a[i, j], M[i, j]))
+        for i in range(4):
+            acc[f"x_{i + 1}"].append((x[i], b[i]))
+            acc[f"y_{i + 1}"].append((y[i], G[i]))
+        v = velocities(params, st)
+        acc["Vp2_norm2"].append((dynamics._printed_vp2_norm2(params, st),
+                                 dynamics._norm2(v.v_p2)))
+        acc["Vs2_norm2"].append((dynamics._printed_vs2_norm2(params, st),
+                                 dynamics._norm2(v.v_s2)))
+        acc["rp2_y"].append((dynamics._printed_rp2_y(params, st),
+                             positions(params, st).r_p2[1]))
+        gg = np.array(_eom.gravity(par, q, 1))
+        acc["U2_sin_term"].append((float(np.max(np.abs(G - gg))), 0.0))
+
+    labels = errata_compare(params, 1, seed)
+    entries = []
+    for name, pairs in acc.items():
+        arr = np.asarray(pairs, dtype=np.float64)
+        devs = np.abs(arr[:, 0] - arr[:, 1])
+        scale = float(np.max(np.abs(arr)))
+        max_dev = float(np.max(devs))
+        classification = ("MATCH"
+                          if max_dev <= MATCH_REL_TOL * max(1.0, scale)
+                          else "MISMATCH")
+        entries.append(replace(
+            labels.entry(name), classification=classification,
+            max_abs_dev=max_dev, mean_abs_dev=float(np.mean(devs)),
+            scale=scale))
+    return replace(labels, samples=samples, entries=tuple(entries))
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("samples", [1, 10, 1000])
+def test_errata_on_columns_equals_the_per_state_loop(samples, seed):
+    rep = errata_compare(P, samples=samples, seed=seed)
+    oracle = per_state_errata(P, samples, seed)
+    assert rep.to_json() == oracle.to_json()
+    assert rep.to_text() == oracle.to_text()
+
+
+def test_printed_terms_on_columns_equal_the_per_state_calls():
+    # squared rates are products: with ** 2, about one state in 2000 here
+    # differs in the last bit, as an array squares by a product and a
+    # scalar by libm's pow
+    n = 10000
+    qs, qds = random_states(n, 1)
+    cols = printed_terms(P, State(q=tuple(qs.T), qdot=tuple(qds.T)))
+    assert [c.shape for c in cols] == [(4, 4, n), (4, n), (4, n)]
+    each = [printed_terms(P, State(q=tuple(q), qdot=tuple(qd)))
+            for q, qd in zip(qs, qds)]
+    for c, e in zip(cols, zip(*each)):
+        assert np.array_equal(c, np.stack(e, axis=-1))

@@ -9,6 +9,7 @@ agreement checks the symbolic differentiation and the emitted arithmetic.
 
 import importlib.util
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -163,3 +164,45 @@ def test_deriv_solves_the_generated_equations():
            + _core.bias(PAR, q, qd) + _core.gravity(PAR, q, 1))
     np.testing.assert_allclose(lhs, tau, rtol=0, atol=1e-14)
     assert list(dy[:4]) == qd.tolist()
+
+
+def _upper(M):
+    return M[np.triu_indices(4)].tolist()
+
+
+def test_columns_equal_the_scalar_calls():
+    # _core runs _eom's own code objects on columns with numpy's trig; the
+    # result must be the scalar math-trig call of each state to the last bit
+    # (numpy's sin and cos match libm's, as test_loop_separation_is_separation
+    # also relies on)
+    q, qd = (a.T.copy() for a in states(500, 29))
+    p = PAR.tolist()
+    M = _core.mass_matrix(PAR, q)
+    b = _core.bias(PAR, q, qd)
+    G = [_core.gravity(PAR, q, v) for v in (0, 1)]
+    assert M.shape == (4, 4, 500) and b.shape == G[0].shape == (4, 500)
+    assert np.array_equal(M, M.transpose(1, 0, 2))
+    for k in range(500):
+        qk, qdk = q[:, k].tolist(), qd[:, k].tolist()
+        assert _upper(M[:, :, k]) == list(_eom.mass_matrix(p, qk))
+        assert b[:, k].tolist() == list(_eom.bias(p, qk, qdk))
+        for v in (0, 1):
+            assert G[v][:, k].tolist() == list(_eom.gravity(p, qk, v))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("coord", range(4))
+def test_a_nonfinite_column_is_nan_and_leaves_the_others(bad, coord):
+    q, qd = (a.T.copy() for a in states(5, 31))
+    q[coord, 2] = bad
+    good = [0, 1, 3, 4]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = [_core.mass_matrix(PAR, q), _core.bias(PAR, q, qd),
+               _core.gravity(PAR, q, 0), _core.gravity(PAR, q, 1)]
+    ref = [_core.mass_matrix(PAR, q[:, good]),
+           _core.bias(PAR, q[:, good], qd[:, good]),
+           _core.gravity(PAR, q[:, good], 0), _core.gravity(PAR, q[:, good], 1)]
+    for a, r in zip(out, ref):
+        assert np.all(np.isnan(a[..., 2]))
+        assert np.array_equal(a[..., good], r)

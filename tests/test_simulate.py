@@ -77,6 +77,18 @@ def test_scenario_validation():
         Scenario(name="x", y0=(0.0,) * 8, potential="bogus")
 
 
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("dt,horizon", [(1e-3, INF), (INF, INF), (INF, 1.0),
+                                        (1e-3, NAN), (NAN, 1.0), (NAN, NAN)])
+def test_scenario_rejects_a_nonfinite_step_or_horizon(dt, horizon):
+    # an infinite horizon used to pass and make run's sample_count raise
+    # OverflowError (or ValueError for inf/inf) instead
+    with pytest.raises(ValidationError):
+        Scenario(name="x", y0=(0.0,) * 8, dt=dt, horizon=horizon)
+
+
 def test_run_shapes_and_determinism():
     sc, p, m = load_scenario("freefall")
     a = run(sc, p, m)
