@@ -248,9 +248,9 @@ def test_errata_on_columns_equals_the_per_state_loop(samples, seed):
 
 
 def test_printed_terms_on_columns_equal_the_per_state_calls():
-    # squared rates are products: with ** 2, about one state in 2000 here
-    # differs in the last bit, as an array squares by a product and a
-    # scalar by libm's pow
+    # squared rates are products: with ** 2, 4 of these states differ in the
+    # last bit, as numpy squares an array by a product and a scalar by
+    # libm's pow
     n = 10000
     qs, qds = random_states(n, 1)
     cols = printed_terms(P, State(q=tuple(qs.T), qdot=tuple(qds.T)))
