@@ -178,46 +178,6 @@ def gravity(par, q, variant):
     return _eom_columns(_gravity_cols, par, q, variant)
 
 
-def _solve_spd4(m, b):
-    """Solve M x = b by Cholesky; M given as its upper triangle, row by row.
-
-    Returns x as a 4-tuple, or None when a pivot is non-positive or
-    non-finite; no input makes it raise.
-    """
-    m00, m01, m02, m03, m11, m12, m13, m22, m23, m33 = m
-    b0, b1, b2, b3 = b
-    if not 0.0 < m00 < math.inf:
-        return None
-    l00 = math.sqrt(m00)
-    l10 = m01 / l00
-    l20 = m02 / l00
-    l30 = m03 / l00
-    s = m11 - l10 * l10
-    if not 0.0 < s < math.inf:
-        return None
-    l11 = math.sqrt(s)
-    l21 = (m12 - l20 * l10) / l11
-    l31 = (m13 - l30 * l10) / l11
-    s = m22 - l20 * l20 - l21 * l21
-    if not 0.0 < s < math.inf:
-        return None
-    l22 = math.sqrt(s)
-    l32 = (m23 - l30 * l20 - l31 * l21) / l22
-    s = m33 - l30 * l30 - l31 * l31 - l32 * l32
-    if not 0.0 < s < math.inf:
-        return None
-    l33 = math.sqrt(s)
-    y0 = b0 / l00
-    y1 = (b1 - l10 * y0) / l11
-    y2 = (b2 - l20 * y0 - l21 * y1) / l22
-    y3 = (b3 - l30 * y0 - l31 * y1 - l32 * y2) / l33
-    x3 = y3 / l33
-    x2 = (y2 - l32 * x3) / l22
-    x1 = (y1 - l21 * x2 - l31 * x3) / l11
-    x0 = (y0 - l10 * x1 - l20 * x2 - l30 * x3) / l00
-    return x0, x1, x2, x3
-
-
 def chol_solve4(M, b):
     """Solve M x = b for symmetric positive definite 4x4 M.
 
@@ -226,8 +186,9 @@ def chol_solve4(M, b):
     an exception, so the integrator can stop cleanly.
     """
     M = _floats(M)
-    x = _solve_spd4((M[0][0], M[0][1], M[0][2], M[0][3], M[1][1], M[1][2],
-                     M[1][3], M[2][2], M[2][3], M[3][3]), _floats(b))
+    x = _eom.solve_spd4((M[0][0], M[0][1], M[0][2], M[0][3], M[1][1],
+                         M[1][2], M[1][3], M[2][2], M[2][3], M[3][3]),
+                        _floats(b))
     if x is None:
         return np.zeros(4), False
     return np.array(x), True
@@ -328,23 +289,17 @@ def deriv(par, mag, y, tau, variant):
     Arguments are float sequences (lists are fastest). Returns (dy, ok),
     dy a tuple of 8 floats. ok is False, and dy zero, when y or the result
     is not finite or M fails the Cholesky solve; the state is tested before
-    any sine is taken, so an overflowing state never raises.
+    any sine is taken, so an overflowing state never raises. One call to
+    _eom.accel does the rest: it equals _eom.solve_spd4 of mass_matrix and
+    (tau - bias - gravity) + the magnetic torque to the last bit.
     """
     if not all(map(math.isfinite, y)):
         return _ZERO8, False
-    q = y[:4]
-    qd = y[4:]
-    b = _eom.bias(par, q, qd)
-    G = _eom.gravity(par, q, variant)
-    rhs = (tau[0] - b[0] - G[0], tau[1] - b[1] - G[1],
-           tau[2] - b[2] - G[2], tau[3] - b[3] - G[3])
-    if mag[0] != 0.0:
-        t, _ = mag_torque(par, mag, q)
-        rhs = (rhs[0] + t[0], rhs[1] + t[1], rhs[2] + t[2], rhs[3] + t[3])
-    qdd = _solve_spd4(_eom.mass_matrix(par, q), rhs)
+    t = mag_torque(par, mag, y[:4])[0] if mag[0] != 0.0 else None
+    qdd = _eom.accel(par, y, tau, t, variant)
     if qdd is None or not all(map(math.isfinite, qdd)):
         return _ZERO8, False
-    return (*qd, *qdd), True
+    return (*y[4:], *qdd), True
 
 
 def run_loop(par, mag, y0, n, dt, pd, variant):

@@ -13,11 +13,12 @@ energy-derived terms.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _core
+from . import _core, _eom
 from .energetics import variant_code
 from .kinematics import positions, velocities
 from .model import RobotParams, State
@@ -64,25 +65,29 @@ def forward_dynamics(params: RobotParams, state: State, tau_gen,
     tau_gen must already contain every external generalized force (motor
     mapping, magnetic torque if any); this function adds nothing to it.
     Raises SingularDynamicsError for a non-finite state, and with the
-    mass-matrix spectrum if the solve fails.
+    mass-matrix spectrum if the solve fails. One state on Python floats:
+    the scalar _eom terms and _eom.solve_spd4, not _core.deriv's fused
+    accel, so the RK4 oracle of tests/test_simulate.py stays independent of
+    the run loop's kernel.
     """
-    par = params.as_array()
-    q = np.asarray(state.q, dtype=np.float64)
-    qd = np.asarray(state.qdot, dtype=np.float64)
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qd))):
-        raise SingularDynamicsError(
-            f"non-finite state q={q.tolist()}, qdot={qd.tolist()}")
-    rhs = (np.asarray(tau_gen, dtype=np.float64)
-           - _core.bias(par, q, qd)
-           - _core.gravity(par, q, variant_code(variant)))
-    M = _core.mass_matrix(par, q)
-    qdd, ok = _core.chol_solve4(M, rhs)
-    if not ok:
+    par = params.as_array().tolist()
+    q = [float(v) for v in state.q]
+    qd = [float(v) for v in state.qdot]
+    if not all(map(math.isfinite, q + qd)):
+        raise SingularDynamicsError(f"non-finite state q={q}, qdot={qd}")
+    t0, t1, t2, t3 = (float(v) for v in tau_gen)
+    b = _eom.bias(par, q, qd)
+    G = _eom.gravity(par, q, variant_code(variant))
+    qdd = _eom.solve_spd4(_eom.mass_matrix(par, q),
+                          (t0 - b[0] - G[0], t1 - b[1] - G[1],
+                           t2 - b[2] - G[2], t3 - b[3] - G[3]))
+    if qdd is None:
+        M = _core.mass_matrix(par, q)
         eigs = np.linalg.eigvalsh(M) if np.all(np.isfinite(M)) else None
         raise SingularDynamicsError(
-            f"mass matrix not positive definite at q={q.tolist()}; "
+            f"mass matrix not positive definite at q={q}; "
             f"eigenvalues={None if eigs is None else eigs.tolist()}")
-    return qdd
+    return np.array(qdd)
 
 
 # --- transcribed closed-form coefficient tables -----------------------------

@@ -27,10 +27,15 @@ def _rows(traj):
     return np.column_stack(cols)
 
 
+# one % per row, on that row's Python floats; converting the whole table at
+# once would hold a float object per value beside the array
+_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS))
+
+
 def format_csv(traj) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for row in _rows(traj):
-        lines.append(",".join("%.17g" % v for v in row))
+        lines.append(_ROW % tuple(row.tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -62,6 +62,8 @@ class Scenario:
     def __post_init__(self):
         if len(self.y0) != 8:
             raise ValidationError(f"y0 must have 8 entries, got {len(self.y0)}")
+        if not all(map(math.isfinite, self.y0)):
+            raise ValidationError(f"y0 must be finite, got {tuple(self.y0)!r}")
         if not 0.0 < self.dt < math.inf:
             raise ValidationError(
                 f"dt must be positive and finite, got {self.dt!r}")

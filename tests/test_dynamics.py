@@ -108,6 +108,16 @@ def test_forward_dynamics_rejects_nonfinite_state():
             forward_dynamics(P, st, np.zeros(4))
 
 
+def test_forward_dynamics_reports_the_spectrum_of_a_singular_mass_matrix():
+    bad = RobotParams()
+    object.__setattr__(bad, "I_p", -1.0)  # past RobotParams' own validation
+    st = State(q=(0.1, 0.5, 3.0, 0.2))
+    with pytest.raises(SingularDynamicsError,
+                       match=r"not positive definite at q=\[0.1, 0.5, 3.0, "
+                             r"0.2\]; eigenvalues=\[-0.99"):
+        forward_dynamics(bad, st, np.zeros(4))
+
+
 def test_terms_are_nan_for_an_infinite_coordinate():
     # numpy's answer for sin(inf); math.sin would raise ValueError
     t = terms(P, State(q=(float("inf"), 0.0, 0.0, 0.0)))

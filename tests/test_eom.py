@@ -129,12 +129,18 @@ def test_checked_in_module_matches_its_generator():
     assert _core.np is np
     p = PAR.tolist()
     qs, qds = states(50, 13)
+    tau, t = (0.01, -0.02, -0.01, 0.02), (0.3, -0.1, 0.2, 0.05)
     for q, qd in zip(qs.tolist(), qds.tolist()):
-        pairs = [(fresh["mass_matrix"](p, q), _eom.mass_matrix(p, q)),
+        m = _eom.mass_matrix(p, q)
+        pairs = [(fresh["mass_matrix"](p, q), m),
                  (fresh["bias"](p, q, qd), _eom.bias(p, q, qd)),
-                 (fresh["tip_geometry"](p, q), _eom.tip_geometry(p, q))]
+                 (fresh["tip_geometry"](p, q), _eom.tip_geometry(p, q)),
+                 (fresh["solve_spd4"](m, tau), _eom.solve_spd4(m, tau))]
         pairs += [(fresh["gravity"](p, q, v), _eom.gravity(p, q, v))
                   for v in (0, 1)]
+        pairs += [(fresh["accel"](p, q + qd, tau, tm, v),
+                   _eom.accel(p, q + qd, tau, tm, v))
+                  for v in (0, 1) for tm in (None, t)]
         # terms are at most ~1.4 here: 1e-14 admits only the rounding of a
         # differently factored form, as another sympy version may emit
         for new, old in pairs:
@@ -144,6 +150,7 @@ def test_checked_in_module_matches_its_generator():
 @pytest.mark.parametrize("y", [
     [0.0, 0.0, math.inf, 0.0, 0.0, 0.0, 0.0, 0.0],     # sin(inf) would raise
     [0.0, 0.0, 3.0, 0.1, 0.0, 0.0, 1e200, -1e200],     # rates square to inf
+    [0.1, 0.5, 3.0, 0.2, 1e155, 1e155, 1e155, 1e155],  # bias overflows
     [0.0, math.nan, 3.0, 0.1, 0.0, 0.0, 0.0, 0.0],
     [0.0, 0.0, 3.0, 0.1, 0.0, math.inf, 0.0, 0.0],
 ])
@@ -152,6 +159,61 @@ def test_deriv_flags_nonfinite_without_raising(y):
     dy, ok = _core.deriv(PAR.tolist(), mag, y, [0.0] * 4, 0)
     assert not ok
     assert len(dy) == 8
+
+
+# tip coupling whose P_max, 0.14 m, is near the median separation of the
+# states() below (0.01 to 0.25 m), so about half of them feel a torque
+MAG_ON = [1.0, 0.05, 0.14, 0.0025, 1.257e-6]
+MAG_OFF = [0.0] * 5
+
+
+def separate_terms_qdd(p, mag, y, tau, variant):
+    """deriv's qdd from the separate scalar terms, as deriv computed it
+    before accel fused them: solve_spd4(M, (tau - bias - G) + t)."""
+    q, qd = y[:4], y[4:]
+    b = _eom.bias(p, q, qd)
+    G = _eom.gravity(p, q, variant)
+    rhs = (tau[0] - b[0] - G[0], tau[1] - b[1] - G[1],
+           tau[2] - b[2] - G[2], tau[3] - b[3] - G[3])
+    if mag[0] != 0.0:
+        t, _ = _core.mag_torque(p, mag, q)
+        rhs = (rhs[0] + t[0], rhs[1] + t[1], rhs[2] + t[2], rhs[3] + t[3])
+    return _eom.solve_spd4(_eom.mass_matrix(p, q), rhs)
+
+
+@pytest.mark.parametrize("mag", [MAG_OFF, MAG_ON], ids=["mag_off", "mag_on"])
+@pytest.mark.parametrize("variant", [0, 1])
+def test_deriv_equals_the_separate_terms(variant, mag):
+    # the fused _eom.accel must be the separate terms to the last bit
+    qs, qds = states(5000, 37)
+    taus = np.random.default_rng(41).uniform(-0.05, 0.05, (5000, 4))
+    p = PAR.tolist()
+    coupled = 0
+    for q, qd, tau in zip(qs.tolist(), qds.tolist(), taus.tolist()):
+        qdd = separate_terms_qdd(p, mag, q + qd, tau, variant)
+        assert qdd is not None
+        assert _core.deriv(p, mag, q + qd, tau, variant) == ((*qd, *qdd), True)
+        coupled += mag[0] != 0.0 and _core.mag_torque(p, mag, q)[0] != (0.0,) * 4
+    if mag[0] != 0.0:
+        assert 1000 < coupled < 4000
+
+
+@pytest.mark.parametrize("entry,value", [
+    (2, -1.0),       # I_p: the first pivot is negative
+    (3, -0.2),       # I_s: the third pivot is negative
+    (2, math.inf),   # I_p: the first pivot is not finite
+    (3, math.nan),   # I_s: the third pivot is not finite
+])
+def test_deriv_flags_a_failed_pivot(entry, value):
+    p = PAR.tolist()
+    p[entry] = value
+    y = [0.1, 0.5, 3.0, 0.2, 0.3, -0.4, 0.5, 1.0]
+    tau = [0.01, -0.02, -0.01, 0.02]
+    assert _eom.solve_spd4(_eom.mass_matrix(p, y[:4]), tau) is None
+    for variant in (0, 1):
+        for mag in (MAG_OFF, MAG_ON):
+            assert _eom.accel(p, y, tau, None, variant) is None
+            assert _core.deriv(p, mag, y, tau, variant) == ((0.0,) * 8, False)
 
 
 def test_deriv_solves_the_generated_equations():

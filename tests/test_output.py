@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -69,3 +71,36 @@ def test_read_csv_rejects_foreign_header(tmp_path):
     bad.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError):
         read_csv(bad)
+
+
+def per_value_csv(traj):
+    """format_csv as it was, one "%.17g" per value: the byte oracle."""
+    table = np.column_stack((traj.t, *traj.y.T, *traj.u.T, traj.T, traj.U,
+                             traj.E, traj.P, traj.V, traj.Vdot, traj.height,
+                             traj.p_m))
+    lines = [",".join(CSV_COLUMNS)]
+    for row in table:
+        lines.append(",".join("%.17g" % v for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_format_csv_equals_the_per_value_loop(freefall_short):
+    assert format_csv(freefall_short) == per_value_csv(freefall_short)
+
+
+def test_format_csv_bytes_for_special_values():
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2e-310,
+               1e308, -1e308, np.finfo(float).max, 0.1, -1.0 / 3.0]
+    rng = np.random.default_rng(3)
+    n = 64
+    cols = rng.choice(special, size=(n, len(CSV_COLUMNS)))
+    cols[::3] = rng.standard_normal((len(cols[::3]), len(CSV_COLUMNS)))
+    traj = SimpleNamespace(t=cols[:, 0], y=cols[:, 1:9], u=cols[:, 9:11],
+                           T=cols[:, 11], U=cols[:, 12], E=cols[:, 13],
+                           P=cols[:, 14], V=cols[:, 15], Vdot=cols[:, 16],
+                           height=cols[:, 17], p_m=cols[:, 18])
+    text = format_csv(traj)
+    assert text == per_value_csv(traj)
+    for token in ("nan", "inf", "-inf", "-0", "4.9406564584124654e-324",
+                  "1e+308", "-1e+308"):
+        assert token in text.replace("\n", ",").split(","), token

@@ -89,6 +89,17 @@ def test_scenario_rejects_a_nonfinite_step_or_horizon(dt, horizon):
         Scenario(name="x", y0=(0.0,) * 8, dt=dt, horizon=horizon)
 
 
+@pytest.mark.parametrize("bad", [INF, -INF, NAN])
+@pytest.mark.parametrize("index", range(8))
+def test_scenario_rejects_a_nonfinite_initial_state(index, bad):
+    # run used to raise "invalid value encountered in sin" from disk2_height
+    # for an infinite angle, and to record a 1-row truncated run for a NaN
+    y0 = [0.1] * 8
+    y0[index] = bad
+    with pytest.raises(ValidationError, match="y0 must be finite"):
+        Scenario(name="x", y0=tuple(y0))
+
+
 def test_run_shapes_and_determinism():
     sc, p, m = load_scenario("freefall")
     a = run(sc, p, m)

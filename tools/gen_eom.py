@@ -31,6 +31,7 @@ the generator can run.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -154,12 +155,15 @@ class _Printer(PythonCodePrinter):
         raise ValueError(f"unsupported power {expr}")
 
 
-def _function(name, args, doc, outputs, trig, pre=()):
-    """Source of one generated function.
+def _block(outputs, trig, pre=()):
+    """One term's straight-line code: (trig names used, lines, returned).
 
     outputs is the list of returned expressions, or a dict mapping each
-    potential variant to its list. pre holds (symbol, expression)
-    assignments to print first, in argument order, keeping their grouping.
+    potential variant to its list. lines are unindented assignments: pre's
+    (symbol, expression) pairs first, printed in argument order and keeping
+    their grouping, then the term's common subexpressions x0, x1, ...
+    returned maps each variant (None for a single branch) to its printed
+    expressions.
     """
     printer = _Printer()
     branches = outputs if isinstance(outputs, dict) else {None: outputs}
@@ -168,27 +172,131 @@ def _function(name, args, doc, outputs, trig, pre=()):
                            optimizations="basic")
     used = set().union(*(e.free_symbols for _, e in [*pre, *reps]),
                        *(e.free_symbols for e in reduced))
+    in_order = _Printer({"order": "none"})
+    lines = [f"{sym} = {in_order.doprint(e)}" for sym, e in pre]
+    lines += [f"{sym} = {printer.doprint(e)}" for sym, e in reps]
+    returned = {}
+    for variant, out in branches.items():
+        mine, reduced = reduced[:len(out)], reduced[len(out):]
+        returned[variant] = ["0.0" if e == 0 else printer.doprint(e)
+                             for e in mine]
+    return [sym for sym in trig.values() if sym in used], lines, returned
+
+
+def _preamble(name, args, doc, unpack, trig, used):
+    """def line, docstring, p unpacked, the (names, arg) unpackings, then
+    each used c*/s* taken once."""
+    printer = _Printer()
     lines = [f"def {name}({', '.join(args)}):", f'    """{doc}"""',
-             "    " + ", ".join(map(str, PAR)) + " = p",
-             "    " + ", ".join(map(str, Q)) + " = q"]
-    if "qd" in args:
-        lines.append("    " + ", ".join(map(str, QD)) + " = qd")
+             "    " + ", ".join(map(str, PAR)) + " = p"]
+    lines += [f"    {', '.join(map(str, names))} = {arg}"
+              for names, arg in unpack]
     for func, sym in trig.items():
         if sym in used:
             arg = printer.doprint(func.args[0])
             lines.append(f"    {sym} = {type(func).__name__}({arg})")
-    in_order = _Printer({"order": "none"})
-    for sym, e in pre:
-        lines.append(f"    {sym} = {in_order.doprint(e)}")
-    for sym, e in reps:
-        lines.append(f"    {sym} = {printer.doprint(e)}")
-    for i, (variant, out) in enumerate(branches.items()):
-        mine, reduced = reduced[:len(out)], reduced[len(out):]
-        text = ", ".join("0.0" if e == 0 else printer.doprint(e) for e in mine)
-        if i < len(branches) - 1:
+    return lines
+
+
+def _function(name, args, doc, outputs, trig, pre=()):
+    """Source of one generated term; see _block for outputs and pre."""
+    used, body, returned = _block(outputs, trig, pre)
+    unpack = [(Q, "q")] + ([(QD, "qd")] if "qd" in args else [])
+    lines = _preamble(name, args, doc, unpack, trig, used)
+    lines += ["    " + line for line in body]
+    for i, (variant, texts) in enumerate(returned.items()):
+        text = ", ".join(texts)
+        if i < len(returned) - 1:
             lines += [f"    if variant == {variant}:", f"        return ({text})"]
         else:
             lines.append(f"    return ({text})")
+    return "\n".join(lines) + "\n"
+
+
+# M x = b by Cholesky, M given as its upper triangle m00..m33 row by row:
+# one text, printed as solve_spd4 and inline in accel. A non-positive or
+# non-finite pivot returns None; no input makes it raise.
+CHOLESKY = """\
+if not 0.0 < m00 < inf:
+    return None
+l00 = sqrt(m00)
+l10 = m01 / l00
+l20 = m02 / l00
+l30 = m03 / l00
+s = m11 - l10 * l10
+if not 0.0 < s < inf:
+    return None
+l11 = sqrt(s)
+l21 = (m12 - l20 * l10) / l11
+l31 = (m13 - l30 * l10) / l11
+s = m22 - l20 * l20 - l21 * l21
+if not 0.0 < s < inf:
+    return None
+l22 = sqrt(s)
+l32 = (m23 - l30 * l20 - l31 * l21) / l22
+s = m33 - l30 * l30 - l31 * l31 - l32 * l32
+if not 0.0 < s < inf:
+    return None
+l33 = sqrt(s)
+y0 = b0 / l00
+y1 = (b1 - l10 * y0) / l11
+y2 = (b2 - l20 * y0 - l21 * y1) / l22
+y3 = (b3 - l30 * y0 - l31 * y1 - l32 * y2) / l33
+x3 = y3 / l33
+x2 = (y2 - l32 * x3) / l22
+x1 = (y1 - l21 * x2 - l31 * x3) / l11
+x0 = (y0 - l10 * x1 - l20 * x2 - l30 * x3) / l00
+return (x0, x1, x2, x3)"""
+
+M_NAMES = [f"m{i}{j}" for i in range(4) for j in range(i, 4)]
+
+
+def _solver():
+    """Source of solve_spd4, the CHOLESKY text as a function."""
+    lines = ["def solve_spd4(m, b):",
+             '    """x with M x = b, M as its upper triangle; None when a '
+             'pivot fails."""',
+             "    " + ", ".join(M_NAMES) + " = m",
+             "    b0, b1, b2, b3 = b"]
+    lines += ["    " + line for line in CHOLESKY.splitlines()]
+    return "\n".join(lines) + "\n"
+
+
+def _accel(m, b, g, trig):
+    """Source of accel: qdd = M^-1 ((tau - bias - G) + t), or None.
+
+    It prints the blocks of mass_matrix, bias and gravity as _function does,
+    each sympy cse of its own, with their x* temporaries renamed apart (xm*,
+    xb*, xg*) and their outputs assigned to names, under one unpacking of p,
+    y and tau and one evaluation of each c*/s*; then the right-hand side in
+    deriv's order and CHOLESKY inline. A joint cse over the three would
+    regroup the arithmetic and move last bits.
+    """
+    blocks = [(_block(m, trig), "xm", M_NAMES),
+              (_block(b, trig), "xb", [f"bias{i}" for i in range(4)]),
+              (_block(g, trig), "xg", [f"G{i}" for i in range(4)])]
+    used = set().union(*(blk[0] for blk, _, _ in blocks))
+    lines = _preamble(
+        "accel", ("p", "y", "tau", "t", "variant"),
+        "qdd from y = (q, qd), tau, magnetic torque t or None; None if a "
+        "pivot fails.", [(Q + QD, "y"), (("tau0", "tau1", "tau2", "tau3"),
+                                         "tau")], trig, used)
+    for (_, body, returned), prefix, names in blocks:
+        def apart(text, prefix=prefix):
+            return re.sub(r"\bx(\d+)\b", prefix + r"\1", text)
+        lines += ["    " + apart(line) for line in body]
+        for i, (variant, texts) in enumerate(returned.items()):
+            indent = "    "
+            if variant is not None:
+                indent = "        "
+                lines.append("    else:" if i == len(returned) - 1 else
+                             f"    {'if' if i == 0 else 'elif'} "
+                             f"variant == {variant}:")
+            lines += [f"{indent}{n} = {apart(t)}" for n, t in zip(names, texts)]
+    lines += [f"    b{i} = tau{i} - bias{i} - G{i}" for i in range(4)]
+    lines += ["    if t is not None:", "        t0, t1, t2, t3 = t"]
+    lines += [f"        b{i} = b{i} + t{i}" for i in range(4)]
+    lines += ["    " + line for line in CHOLESKY.splitlines()]
     return "\n".join(lines) + "\n"
 
 
@@ -197,19 +305,28 @@ HEADER = '''\
 #     python tools/gen_eom.py
 """Closed-form equations of motion M(q) qdd + bias(q, qd) + G(q) = tau.
 
-Straight-line scalar code derived symbolically from the kinetic and
-potential energies of rollsim._core, and the tip separation p_m with p_m
-times its gradient (tip_geometry), derived from rollsim._core.separation,
-whose p_m it repeats to the last bit. p is the packed parameter sequence
-(m_p, m_s, I_p, I_s, r1, r2, R1, R2, g, delta...), q and qd are 4-sequences
-of floats. The mass matrix is returned as its upper triangle, row by row:
-(M00, M01, M02, M03, M11, M12, M13, M22, M23, M33). variant selects the
-potential: 0 paper-verbatim, 1 geometry-consistent.
+Straight-line code derived symbolically from the kinetic and potential
+energies of rollsim._core, and the tip separation p_m with p_m times its
+gradient (tip_geometry), derived from rollsim._core.separation, whose p_m it
+repeats to the last bit. p is the packed parameter sequence (m_p, m_s, I_p,
+I_s, r1, r2, R1, R2, g, delta...). The mass matrix is returned as its upper
+triangle, row by row: (M00, M01, M02, M03, M11, M12, M13, M22, M23, M33).
+variant selects the potential: 0 paper-verbatim, 1 geometry-consistent.
 
-Inputs must be finite: math.sin and math.cos raise ValueError on inf.
+accel is the run loop's derivative, one call per RK4 stage: the code of
+mass_matrix, bias and gravity line for line, temporaries renamed apart and
+each sine and cosine taken once, then (tau - bias - G) + t solved by the
+Cholesky of solve_spd4, printed inline. It equals the separate calls to the
+last bit and returns None where solve_spd4 would.
+
+With floats, q and qd are 4-sequences and y is (q, qd); math.sin and
+math.cos raise ValueError on inf, so rollsim._core.deriv tests y first.
+rollsim._core also runs mass_matrix, bias and gravity on equal-length
+columns, with numpy's cos, sin and sqrt bound in place of math's, and masks
+the non-finite columns itself.
 """
 
-from math import cos, sin, sqrt
+from math import cos, inf, sin, sqrt
 '''
 
 
@@ -234,6 +351,8 @@ def generate() -> str:
         _function("tip_geometry", ("p", "q"),
                   "(p_m, p_m * d p_m / dq): tip separation, scaled gradient.",
                   tip, trig, pre),
+        _solver(),
+        _accel(m, b, {GEOMETRIC: gg, VERBATIM: gv}, trig),
     ]
     return "\n\n".join(parts)
 
