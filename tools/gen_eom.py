@@ -262,6 +262,11 @@ def _solver():
     return "\n".join(lines) + "\n"
 
 
+def _apart(text, prefix):
+    """text with the cse temporaries x0, x1, ... renamed prefix0, prefix1, ..."""
+    return re.sub(r"\bx(\d+)\b", prefix + r"\1", text)
+
+
 def _accel(m, b, g, trig):
     """Source of accel: qdd = M^-1 ((tau - bias - G) + t), or None.
 
@@ -282,9 +287,7 @@ def _accel(m, b, g, trig):
         "pivot fails.", [(Q + QD, "y"), (("tau0", "tau1", "tau2", "tau3"),
                                          "tau")], trig, used)
     for (_, body, returned), prefix, names in blocks:
-        def apart(text, prefix=prefix):
-            return re.sub(r"\bx(\d+)\b", prefix + r"\1", text)
-        lines += ["    " + apart(line) for line in body]
+        lines += ["    " + _apart(line, prefix) for line in body]
         for i, (variant, texts) in enumerate(returned.items()):
             indent = "    "
             if variant is not None:
@@ -292,7 +295,8 @@ def _accel(m, b, g, trig):
                 lines.append("    else:" if i == len(returned) - 1 else
                              f"    {'if' if i == 0 else 'elif'} "
                              f"variant == {variant}:")
-            lines += [f"{indent}{n} = {apart(t)}" for n, t in zip(names, texts)]
+            lines += [f"{indent}{n} = {_apart(t, prefix)}"
+                      for n, t in zip(names, texts)]
     lines += [f"    b{i} = tau{i} - bias{i} - G{i}" for i in range(4)]
     lines += ["    if t is not None:", "        t0, t1, t2, t3 = t"]
     lines += [f"        b{i} = b{i} + t{i}" for i in range(4)]
