@@ -19,8 +19,10 @@ simulate.run evaluates in one call. The body geometry (`body_positions`,
 np.cos and np.sqrt bound to sympy's, so they must stay elementwise
 arithmetic with no other library call. It writes _eom: M, bias, G, and p_m
 with p_m grad p_m (`tip_geometry`, for `mag_torque`), as straight-line code
-on Python floats and math trig, so one derivative evaluation of the run
-loop takes a few microseconds; nothing is compiled. The array wrappers
+on Python floats and math trig; nothing is compiled. It also writes the
+Cholesky solve (`solve_spd4`, for `chol_solve4`) and `accel`, the code of M,
+bias and G with the solve inline, so `deriv` makes one generated call per RK4
+stage, plus `mag_torque` with magnetics on. The array wrappers
 `mass_matrix`, `bias` and `gravity` run the same code objects with numpy's
 trig bound in place of math's, so they too are elementwise;
 dynamics.errata_compare evaluates all its sampled states in one call each.

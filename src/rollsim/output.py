@@ -2,7 +2,9 @@
 
 Formatting is pinned to 17 significant digits with %g, period decimal
 separator, newline row endings. Python's % formatting ignores locale, so
-identical trajectories serialize to identical bytes on any machine.
+identical trajectories serialize to identical bytes on any machine. Each
+row is one % of a 19-field format on that row's Python floats, which gives
+the bytes a "%.17g" per value would.
 """
 
 from __future__ import annotations
@@ -36,7 +38,10 @@ def format_csv(traj) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for row in _rows(traj):
         lines.append(_ROW % tuple(row.tolist()))
-    return "\n".join(lines) + "\n"
+    # the final newline comes from the join: appending it to the joined
+    # text would copy the whole file once more at the peak of memory
+    lines.append("")
+    return "\n".join(lines)
 
 
 def write_csv(traj, path) -> int:

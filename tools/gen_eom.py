@@ -17,7 +17,12 @@ for M(q) qdd + bias(q, qd) + G(q) = tau,
 
 and common subexpression elimination turns each set into straight-line
 code. The tip separation p_m and p_m times its gradient come from
-rollsim._core.separation the same way (see tip_geometry). The output uses
+rollsim._core.separation the same way (see tip_geometry). Two more
+functions are printed from those: solve_spd4, the 4x4 Cholesky written once
+as the CHOLESKY text, and accel, the run loop's one call per RK4 stage. accel
+repeats the separate cse blocks of M, bias and G with their temporaries
+renamed apart, each sine and cosine taken once, then solves with CHOLESKY
+inline, so it equals the separate calls to the last bit. The output uses
 only +, -, *, / and math's sin, cos and sqrt: integer powers are written as
 products, because Python's float ** raises OverflowError where a product
 overflows to inf, and the integrator reports a non-finite state by testing
