@@ -268,7 +268,7 @@ def _solver():
 
 
 def _apart(text, prefix):
-    """text with the cse temporaries x0, x1, ... renamed prefix0, prefix1, ..."""
+    """text with the cse temporaries x0, x1, ... renamed prefix0, ..."""
     return re.sub(r"\bx(\d+)\b", prefix + r"\1", text)
 
 
