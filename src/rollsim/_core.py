@@ -20,9 +20,11 @@ np.cos and np.sqrt bound to sympy's, so they must stay elementwise
 arithmetic with no other library call. It writes _eom: M, bias, G, and p_m
 with p_m grad p_m (`tip_geometry`, for `mag_torque`), as straight-line code
 on Python floats and math trig; nothing is compiled. It also writes the
-Cholesky solve (`solve_spd4`, for `chol_solve4`) and `accel`, the code of M,
-bias and G with the solve inline, so `deriv` makes one generated call per RK4
-stage, plus `mag_torque` with magnetics on. The array wrappers
+Cholesky solve (`solve_spd4`, for `chol_solve4`) and `accel_for`, which
+`run_loop` calls once per run: it computes what depends on the parameters
+alone and returns `accel`, the rest of the code of M, bias and G with the
+solve inline. `deriv` makes one call to it per RK4 stage, plus `mag_torque`
+with magnetics on. The array wrappers
 `mass_matrix`, `bias` and `gravity` run the same code objects with numpy's
 trig bound in place of math's, so they too are elementwise;
 dynamics.errata_compare evaluates all its sampled states in one call each.
@@ -285,20 +287,21 @@ def lyapunov(Kp, Kd, e, de, dE):
     return terms[0] + terms[1] + terms[2], terms
 
 
-def deriv(par, mag, y, tau, variant):
+def deriv(acc, par, mag, y, tau):
     """State derivative dy/dt = (qdot, qddot) under generalized force tau.
 
-    Arguments are float sequences (lists are fastest). Returns (dy, ok),
-    dy a tuple of 8 floats. ok is False, and dy zero, when y or the result
-    is not finite or M fails the Cholesky solve; the state is tested before
-    any sine is taken, so an overflowing state never raises. One call to
-    _eom.accel does the rest: it equals _eom.solve_spd4 of mass_matrix and
-    (tau - bias - gravity) + the magnetic torque to the last bit.
+    acc is _eom.accel_for(par, variant), built once per run. Arguments are
+    float sequences. Returns (dy, ok), dy a tuple of 8 floats. ok is False,
+    and dy zero, when y or the result is not finite or M fails the Cholesky
+    solve; the state is tested before any sine is taken, so an overflowing
+    state never raises. One call to acc does the rest: it equals
+    _eom.solve_spd4 of mass_matrix and (tau - bias - gravity) + the magnetic
+    torque to the last bit.
     """
     if not all(map(math.isfinite, y)):
         return _ZERO8, False
     t = mag_torque(par, mag, y[:4])[0] if mag[0] != 0.0 else None
-    qdd = _eom.accel(par, y, tau, t, variant)
+    qdd = acc(y, tau, t)
     if qdd is None or not all(map(math.isfinite, qdd)):
         return _ZERO8, False
     return (*y[4:], *qdd), True
@@ -311,12 +314,14 @@ def run_loop(par, mag, y0, n, dt, pd, variant):
     (Kp, Kd, tgt, sat, psi_rate). The controller input is evaluated at the
     step's start state and held over the step (zero-order hold). Magnetic
     torque, being state dependent physics rather than a sampled controller,
-    is evaluated per stage.
+    is evaluated per stage. The derivative is built once for the run, and
+    each stage's state and the update are formed from unpacked floats.
 
     Returns (ys, us, n_done): samples 0..n_done are valid; n_done < n means
     the step after n_done produced a non-finite or non-solvable state.
     """
     par, mag = _floats(par), _floats(mag)
+    acc = _eom.accel_for(par, variant)
     if pd is not None:
         Kp, Kd, tgt = (_floats(a) for a in pd[:3])
         sat, psi_rate = pd[3], pd[4]
@@ -335,20 +340,36 @@ def run_loop(par, mag, y0, n, dt, pd, variant):
             tau = torque_map(u1, u2)
         if i == n:
             break
-        k1, ok = deriv(par, mag, y, tau, variant)
+        # deriv is looked up per call, so a wrapper on the module's
+        # attribute sees every stage
+        s0, s1, s2, s3, s4, s5, s6, s7 = y
+        k1, ok = deriv(acc, par, mag, y, tau)
         if ok:
-            k2, ok = deriv(par, mag, [a + h * k for a, k in zip(y, k1)], tau,
-                           variant)
+            a0, a1, a2, a3, a4, a5, a6, a7 = k1
+            k2, ok = deriv(acc, par, mag, (
+                s0 + h * a0, s1 + h * a1, s2 + h * a2, s3 + h * a3,
+                s4 + h * a4, s5 + h * a5, s6 + h * a6, s7 + h * a7), tau)
         if ok:
-            k3, ok = deriv(par, mag, [a + h * k for a, k in zip(y, k2)], tau,
-                           variant)
+            b0, b1, b2, b3, b4, b5, b6, b7 = k2
+            k3, ok = deriv(acc, par, mag, (
+                s0 + h * b0, s1 + h * b1, s2 + h * b2, s3 + h * b3,
+                s4 + h * b4, s5 + h * b5, s6 + h * b6, s7 + h * b7), tau)
         if ok:
-            k4, ok = deriv(par, mag, [a + dt * k for a, k in zip(y, k3)], tau,
-                           variant)
+            c0, c1, c2, c3, c4, c5, c6, c7 = k3
+            k4, ok = deriv(acc, par, mag, (
+                s0 + dt * c0, s1 + dt * c1, s2 + dt * c2, s3 + dt * c3,
+                s4 + dt * c4, s5 + dt * c5, s6 + dt * c6, s7 + dt * c7), tau)
         if not ok:
             return ys, us, i
-        y = [a + w * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        d0, d1, d2, d3, d4, d5, d6, d7 = k4
+        y = (s0 + w * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+             s1 + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+             s2 + w * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+             s3 + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+             s4 + w * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
+             s5 + w * (a5 + 2.0 * b5 + 2.0 * c5 + d5),
+             s6 + w * (a6 + 2.0 * b6 + 2.0 * c6 + d6),
+             s7 + w * (a7 + 2.0 * b7 + 2.0 * c7 + d7))
         if not all(map(math.isfinite, y)):
             return ys, us, i
         ys[i + 1] = y

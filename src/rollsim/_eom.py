@@ -10,11 +10,14 @@ I_s, r1, r2, R1, R2, g, delta...). The mass matrix is returned as its upper
 triangle, row by row: (M00, M01, M02, M03, M11, M12, M13, M22, M23, M33).
 variant selects the potential: 0 paper-verbatim, 1 geometry-consistent.
 
-accel is the run loop's derivative, one call per RK4 stage: the code of
-mass_matrix, bias and gravity line for line, temporaries renamed apart and
-each sine and cosine taken once, then (tau - bias - G) + t solved by the
-Cholesky of solve_spd4, printed inline. It equals the separate calls to the
-last bit and returns None where solve_spd4 would.
+accel_for(p, variant) builds the run loop's derivative once per run. It
+computes what the code of mass_matrix, bias and gravity derives from p alone:
+the temporaries of p alone and, in the other lines, each operation of p
+alone as Python parses the line. It returns accel(y, tau, t), called once
+per RK4 stage: the rest of that code line for line, temporaries renamed
+apart and each sine and cosine taken once, then (tau - bias - G) + t solved
+by the Cholesky of solve_spd4, printed inline. It equals the separate calls
+to the last bit and returns None where solve_spd4 would.
 
 With floats, q and qd are 4-sequences and y is (q, qd); math.sin and
 math.cos raise ValueError on inf, so rollsim._core.deriv tests y first.
@@ -181,33 +184,17 @@ def solve_spd4(m, b):
     return (x0, x1, x2, x3)
 
 
-def accel(p, y, tau, t, variant):
-    """qdd from y = (q, qd), tau, magnetic torque t or None; None if a pivot fails."""
+def accel_for(p, variant):
+    """accel(y, tau, t) for parameters p and potential variant; what p alone
+    determines is computed here, once."""
     m_p, m_s, I_p, I_s, r1, r2, R1, R2, g, d_th1, d_th2, d_ph1, d_ph2 = p
-    th1, th2, ph1, ph2, dth1, dth2, dph1, dph2 = y
-    tau0, tau1, tau2, tau3 = tau
-    c31 = cos(ph1 + th1)
-    s31 = sin(ph1 + th1)
-    c34 = cos(ph1 + ph2)
-    s34 = sin(ph1 + ph2)
-    c42 = cos(ph2 + th2)
-    s42 = sin(ph2 + th2)
-    c12 = cos(ph1 - th2)
-    s12 = sin(ph1 - th2)
     xm0 = m_p*r1*r1
-    xm1 = R1*c31
     xm2 = m_p*r1
     xm3 = m_p*r2*r2
-    xm4 = R1*c42
-    xm5 = R1*c12
-    xm6 = R2*c12
-    xm7 = xm5 + xm6
     xm8 = m_p*r2
     xm9 = R1*R1
     xm10 = m_p*xm9
     xm11 = m_s*xm9
-    xm12 = c34*xm10
-    xm13 = c34*xm11
     xm14 = R1*R2
     xm15 = 2*xm14
     xm16 = m_p*xm15
@@ -216,105 +203,130 @@ def accel(p, y, tau, t, variant):
     xm19 = m_p*xm18
     xm20 = m_s*xm18
     xm21 = I_s + xm16 + xm17 + xm19 + xm20
-    xm22 = c34*xm14
-    xm23 = xm5*xm8
-    xm24 = xm6*xm8
     xm25 = xm10 + xm11
     m00 = I_p + xm0
     m01 = 0.0
-    m02 = xm2*(r1 + xm1)
     m03 = 0.0
     m11 = I_p + xm3
-    m12 = xm8*(xm4 + xm7)
-    m13 = xm8*(r2 + xm7)
-    m22 = c34*xm16 + c34*xm17 + xm0 + 2*xm1*xm2 + 3*xm10 + 3*xm11 + 2*xm12 + 2*xm13 + xm21
-    m23 = m_p*xm22 + m_s*xm22 + xm12 + xm13 + xm16 + xm17 + xm19 + xm20 + xm23 + xm24 + xm25 + xm4*xm8
-    m33 = xm21 + 2*xm23 + 2*xm24 + xm25 + xm3
-    xb0 = dph1*dph1
+    xp0 = 3*xm10
+    xp1 = 3*xm11
     xb1 = m_p*r2
     xb2 = R1 + R2
-    xb3 = s12*xb2
-    xb4 = xb1*xb3
-    xb5 = xb0*xb4
-    xb6 = dph2*dph2
-    xb7 = 2*dph2
-    xb8 = dph1*xb7
-    xb9 = xb4*xb8
-    xb10 = m_p*r1*s31
-    xb11 = R1*xb10
-    xb12 = R1*s34
-    xb13 = R1*s12
-    xb14 = R2*s12
-    xb15 = R1*s42
-    xb16 = xb13 + xb14 - xb15
-    xb17 = dth2*dth2
-    xb18 = m_p*xb12
-    xb19 = m_s*xb12
-    xb20 = R2*s34
-    xb21 = R1*R1*s34
-    bias0 = d_th1*dth1
-    bias1 = d_th2*dth2 - xb4*xb6 - xb5 - xb9
-    bias2 = -R1*xb0*(m_p*xb20 + m_s*xb20 + xb10 + xb18 + xb19) + d_ph1*dph1 - 2*dph1*dth1*xb11 + 2*dph2*dth2*m_p*r2*xb16 - dth1*dth1*xb11 + m_p*r2*xb16*xb17 - xb12*xb2*xb8*(m_p + m_s) - xb6*(R2*xb18 + R2*xb19 + m_p*xb21 + m_s*xb21 - xb1*xb13 - xb1*xb14 + xb1*xb15)
-    bias3 = d_ph2*dph2 + dth2*xb4*xb7 + xb1*xb17*xb3 - xb5 - xb9
-    xg0 = m_p*r1*s31
-    xg1 = g*xg0
-    xg2 = m_p*r2*s42
-    xg3 = g*xg2
-    xg4 = R1*s34
-    xg5 = R2*s34
-    xg6 = m_s*xg4 + m_s*xg5
-    xg7 = xg0 + xg6
-    xg8 = m_p*xg4 + m_p*xg5
-    xg9 = xg2 + xg6
-    xg10 = c34*m_p
-    xg11 = -R1*xg10 - R2*xg10
-    if variant == 1:
-        G0 = xg1
-        G1 = xg3
-        G2 = g*(xg7 + xg8)
-        G3 = g*(xg8 + xg9)
-    else:
-        G0 = xg1
-        G1 = xg3
-        G2 = g*(xg11 + xg7)
-        G3 = g*(xg11 + xg9)
-    b0 = tau0 - bias0 - G0
-    b1 = tau1 - bias1 - G1
-    b2 = tau2 - bias2 - G2
-    b3 = tau3 - bias3 - G3
-    if t is not None:
-        t0, t1, t2, t3 = t
-        b0 = b0 + t0
-        b1 = b1 + t1
-        b2 = b2 + t2
-        b3 = b3 + t3
-    if not 0.0 < m00 < inf:
-        return None
-    l00 = sqrt(m00)
-    l10 = m01 / l00
-    l20 = m02 / l00
-    l30 = m03 / l00
-    s = m11 - l10 * l10
-    if not 0.0 < s < inf:
-        return None
-    l11 = sqrt(s)
-    l21 = (m12 - l20 * l10) / l11
-    l31 = (m13 - l30 * l10) / l11
-    s = m22 - l20 * l20 - l21 * l21
-    if not 0.0 < s < inf:
-        return None
-    l22 = sqrt(s)
-    l32 = (m23 - l30 * l20 - l31 * l21) / l22
-    s = m33 - l30 * l30 - l31 * l31 - l32 * l32
-    if not 0.0 < s < inf:
-        return None
-    l33 = sqrt(s)
-    y0 = b0 / l00
-    y1 = (b1 - l10 * y0) / l11
-    y2 = (b2 - l20 * y0 - l21 * y1) / l22
-    y3 = (b3 - l30 * y0 - l31 * y1 - l32 * y2) / l33
-    x3 = y3 / l33
-    x2 = (y2 - l32 * x3) / l22
-    x1 = (y1 - l21 * x2 - l31 * x3) / l11
-    x0 = (y0 - l10 * x1 - l20 * x2 - l30 * x3) / l00
-    return (x0, x1, x2, x3)
+    xp2 = -R1
+    xp3 = m_p + m_s
+    def accel(y, tau, t):
+        """qdd from y = (q, qd), tau, magnetic torque t or None; None if a
+        pivot fails."""
+        th1, th2, ph1, ph2, dth1, dth2, dph1, dph2 = y
+        tau0, tau1, tau2, tau3 = tau
+        c31 = cos(ph1 + th1)
+        s31 = sin(ph1 + th1)
+        c34 = cos(ph1 + ph2)
+        s34 = sin(ph1 + ph2)
+        c42 = cos(ph2 + th2)
+        s42 = sin(ph2 + th2)
+        c12 = cos(ph1 - th2)
+        s12 = sin(ph1 - th2)
+        xm1 = R1*c31
+        xm4 = R1*c42
+        xm5 = R1*c12
+        xm6 = R2*c12
+        xm7 = xm5 + xm6
+        xm12 = c34*xm10
+        xm13 = c34*xm11
+        xm22 = c34*xm14
+        xm23 = xm5*xm8
+        xm24 = xm6*xm8
+        m02 = xm2*(r1 + xm1)
+        m12 = xm8*(xm4 + xm7)
+        m13 = xm8*(r2 + xm7)
+        m22 = c34*xm16 + c34*xm17 + xm0 + 2*xm1*xm2 + xp0 + xp1 + 2*xm12 + 2*xm13 + xm21
+        m23 = m_p*xm22 + m_s*xm22 + xm12 + xm13 + xm16 + xm17 + xm19 + xm20 + xm23 + xm24 + xm25 + xm4*xm8
+        m33 = xm21 + 2*xm23 + 2*xm24 + xm25 + xm3
+        xb0 = dph1*dph1
+        xb3 = s12*xb2
+        xb4 = xb1*xb3
+        xb5 = xb0*xb4
+        xb6 = dph2*dph2
+        xb7 = 2*dph2
+        xb8 = dph1*xb7
+        xb9 = xb4*xb8
+        xb10 = xm2*s31
+        xb11 = R1*xb10
+        xb12 = R1*s34
+        xb13 = R1*s12
+        xb14 = R2*s12
+        xb15 = R1*s42
+        xb16 = xb13 + xb14 - xb15
+        xb17 = dth2*dth2
+        xb18 = m_p*xb12
+        xb19 = m_s*xb12
+        xb20 = R2*s34
+        xb21 = xm9*s34
+        bias0 = d_th1*dth1
+        bias1 = d_th2*dth2 - xb4*xb6 - xb5 - xb9
+        bias2 = xp2*xb0*(m_p*xb20 + m_s*xb20 + xb10 + xb18 + xb19) + d_ph1*dph1 - 2*dph1*dth1*xb11 + 2*dph2*dth2*m_p*r2*xb16 - dth1*dth1*xb11 + xm8*xb16*xb17 - xb12*xb2*xb8*xp3 - xb6*(R2*xb18 + R2*xb19 + m_p*xb21 + m_s*xb21 - xb1*xb13 - xb1*xb14 + xb1*xb15)
+        bias3 = d_ph2*dph2 + dth2*xb4*xb7 + xb1*xb17*xb3 - xb5 - xb9
+        xg0 = xm2*s31
+        xg1 = g*xg0
+        xg2 = xm8*s42
+        xg3 = g*xg2
+        xg4 = R1*s34
+        xg5 = R2*s34
+        xg6 = m_s*xg4 + m_s*xg5
+        xg7 = xg0 + xg6
+        xg8 = m_p*xg4 + m_p*xg5
+        xg9 = xg2 + xg6
+        xg10 = c34*m_p
+        xg11 = xp2*xg10 - R2*xg10
+        if variant == 1:
+            G0 = xg1
+            G1 = xg3
+            G2 = g*(xg7 + xg8)
+            G3 = g*(xg8 + xg9)
+        else:
+            G0 = xg1
+            G1 = xg3
+            G2 = g*(xg11 + xg7)
+            G3 = g*(xg11 + xg9)
+        b0 = tau0 - bias0 - G0
+        b1 = tau1 - bias1 - G1
+        b2 = tau2 - bias2 - G2
+        b3 = tau3 - bias3 - G3
+        if t is not None:
+            t0, t1, t2, t3 = t
+            b0 = b0 + t0
+            b1 = b1 + t1
+            b2 = b2 + t2
+            b3 = b3 + t3
+        if not 0.0 < m00 < inf:
+            return None
+        l00 = sqrt(m00)
+        l10 = m01 / l00
+        l20 = m02 / l00
+        l30 = m03 / l00
+        s = m11 - l10 * l10
+        if not 0.0 < s < inf:
+            return None
+        l11 = sqrt(s)
+        l21 = (m12 - l20 * l10) / l11
+        l31 = (m13 - l30 * l10) / l11
+        s = m22 - l20 * l20 - l21 * l21
+        if not 0.0 < s < inf:
+            return None
+        l22 = sqrt(s)
+        l32 = (m23 - l30 * l20 - l31 * l21) / l22
+        s = m33 - l30 * l30 - l31 * l31 - l32 * l32
+        if not 0.0 < s < inf:
+            return None
+        l33 = sqrt(s)
+        y0 = b0 / l00
+        y1 = (b1 - l10 * y0) / l11
+        y2 = (b2 - l20 * y0 - l21 * y1) / l22
+        y3 = (b3 - l30 * y0 - l31 * y1 - l32 * y2) / l33
+        x3 = y3 / l33
+        x2 = (y2 - l32 * x3) / l22
+        x1 = (y1 - l21 * x2 - l31 * x3) / l11
+        x0 = (y0 - l10 * x1 - l20 * x2 - l30 * x3) / l00
+        return (x0, x1, x2, x3)
+    return accel

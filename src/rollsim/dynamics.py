@@ -66,9 +66,9 @@ def forward_dynamics(params: RobotParams, state: State, tau_gen,
     mapping, magnetic torque if any); this function adds nothing to it.
     Raises SingularDynamicsError for a non-finite state, and with the
     mass-matrix spectrum if the solve fails. One state on Python floats:
-    the scalar _eom terms and _eom.solve_spd4, not _core.deriv's fused
-    accel, so the RK4 oracle of tests/test_simulate.py stays independent of
-    the run loop's kernel.
+    the scalar _eom terms and _eom.solve_spd4, not the run loop's
+    _eom.accel_for, so the RK4 oracle of tests/test_simulate.py stays
+    independent of the run loop's kernel.
     """
     par = params.as_array().tolist()
     q = [float(v) for v in state.q]

@@ -21,6 +21,11 @@ class ValidationError(ValueError):
     """A parameter value violates a physical constraint."""
 
 
+def _is_number(v) -> bool:
+    """An int or float; bool is an int to Python but not a number here."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class RobotParams:
     """Physical constants of the two-module robot.
@@ -44,12 +49,13 @@ class RobotParams:
     def __post_init__(self):
         for name in ("m_p", "m_s", "I_p", "I_s", "r1", "r2", "R1", "R2", "g"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and np.isfinite(v) and v > 0):
+            if not (_is_number(v) and np.isfinite(v) and v > 0):
                 raise ValidationError(f"{name} must be positive and finite, got {v!r}")
-        if len(self.delta) != 4:
-            raise ValidationError("delta must have exactly 4 entries")
+        if not isinstance(self.delta, (tuple, list)) or len(self.delta) != 4:
+            raise ValidationError(
+                f"delta must be a sequence of exactly 4 entries, got {self.delta!r}")
         for i, d in enumerate(self.delta):
-            if not (np.isfinite(d) and d >= 0):
+            if not (_is_number(d) and np.isfinite(d) and d >= 0):
                 raise ValidationError(f"delta[{i}] must be non-negative, got {d!r}")
 
     def as_array(self) -> np.ndarray:
@@ -93,7 +99,7 @@ def load_params(mapping: dict | None) -> RobotParams:
     """Build RobotParams from a plain mapping (e.g. a parsed config section).
 
     Missing fields keep their defaults; unknown keys are rejected so typos
-    can't silently fall back to defaults. delta may be any 4-sequence.
+    can't silently fall back to defaults. delta is a list of 4 numbers.
     """
     if mapping is None:
         return RobotParams()
@@ -104,7 +110,11 @@ def load_params(mapping: dict | None) -> RobotParams:
         raise ValidationError(f"unknown parameter keys: {', '.join(unknown)}")
     kwargs = dict(mapping)
     if "delta" in kwargs:
-        kwargs["delta"] = tuple(float(d) for d in kwargs["delta"])
+        delta = kwargs["delta"]
+        if not (isinstance(delta, (list, tuple)) and len(delta) == 4
+                and all(map(_is_number, delta))):
+            raise ValidationError(f"delta must be a list of 4 numbers, got {delta!r}")
+        kwargs["delta"] = tuple(map(float, delta))
     return RobotParams(**kwargs)
 
 

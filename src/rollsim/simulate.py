@@ -125,7 +125,8 @@ def run(scenario: Scenario, params: Optional[RobotParams] = None,
 
     The scenario's magnetics flag decides whether coupling forces act; mag
     supplies the model constants (defaults when omitted). Deterministic:
-    identical inputs give bit-identical trajectories.
+    identical inputs give bit-identical trajectories. Raises
+    ValidationError when the samples of the run do not fit in memory.
     """
     params = params if params is not None else RobotParams()
     mag = mag if mag is not None else MagneticParams()
@@ -144,8 +145,14 @@ def run(scenario: Scenario, params: Optional[RobotParams] = None,
         pd = (Kp, Kd, tgt, sat, ctrl.psi_rate)
 
     n = sample_count(scenario.horizon, scenario.dt) - 1
-    ys, us, n_done = _core.run_loop(par, mag_arr, scenario.y0_array(), n,
-                                    scenario.dt, pd, variant)
+    try:
+        ys, us, n_done = _core.run_loop(par, mag_arr, scenario.y0_array(), n,
+                                        scenario.dt, pd, variant)
+    except MemoryError as exc:
+        # run_loop allocates every sample before the first step
+        raise ValidationError(
+            f"horizon {scenario.horizon!r} s at dt {scenario.dt!r} s needs "
+            f"{n + 1} samples, more than memory holds") from exc
     truncated = n_done < n
     ys = ys[:n_done + 1]
     us = us[:n_done + 1]

@@ -64,6 +64,26 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "m_p" in err
 
 
+@pytest.mark.parametrize("params", ["delta: 5", "delta: [a, 0.0, 0.0, 0.0]",
+                                    "m_p: true"])
+def test_malformed_params_exit_code(tmp_path, capsys, params):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("scenario:\n  y0_deg: [0,0,0,0,0,0,0,0]\n"
+                   f"params:\n  {params}\n")
+    code, _, err = run_cli(["run", str(bad)], capsys)
+    assert code == 3
+    assert err.startswith("config error:") and params.split(":")[0] in err
+
+
+def test_run_with_more_samples_than_memory_is_config_error(capsys):
+    # 5e12 samples of 8 doubles, 291 TiB: beyond a 47-bit address space, so
+    # the allocation fails at once without touching memory
+    code, _, err = run_cli(["run", "freefall", "--dt", "1e-12"], capsys)
+    assert code == 3
+    assert "horizon 5.0" in err and "dt 1e-12" in err
+    assert "5000000000001 samples" in err
+
+
 def test_errata_deterministic_files(tmp_path, capsys):
     d1 = tmp_path / "one"
     d2 = tmp_path / "two"

@@ -91,6 +91,18 @@ def test_rejects_malformed_documents(doc, fragment):
         load_scenario_dict(doc, default_name="t")
 
 
+@pytest.mark.parametrize("params,fragment", [
+    ({"delta": ["a", 0.0, 0.0, 0.0]}, "delta"),
+    ({"delta": 5}, "delta"),
+    ({"m_p": True}, "m_p"),
+    ({"delta": [0.0, True, 0.0, 0.0]}, "delta"),
+])
+def test_rejects_malformed_params(params, fragment):
+    doc = {"scenario": {"y0_deg": [0] * 8}, "params": params}
+    with pytest.raises(ConfigError, match=fragment):
+        load_scenario_dict(doc, default_name="t")
+
+
 def test_controller_section_full():
     doc = {
         "scenario": {"y0_deg": [0] * 8, "horizon": 2.0},

@@ -7,7 +7,9 @@ nothing with the generated code except _core.kinetic and _core.potential, so
 agreement checks the symbolic differentiation and the emitted arithmetic.
 """
 
+import ast
 import importlib.util
+import inspect
 import math
 import warnings
 from pathlib import Path
@@ -138,13 +140,37 @@ def test_checked_in_module_matches_its_generator():
                  (fresh["solve_spd4"](m, tau), _eom.solve_spd4(m, tau))]
         pairs += [(fresh["gravity"](p, q, v), _eom.gravity(p, q, v))
                   for v in (0, 1)]
-        pairs += [(fresh["accel"](p, q + qd, tau, tm, v),
-                   _eom.accel(p, q + qd, tau, tm, v))
+        pairs += [(fresh["accel_for"](p, v)(q + qd, tau, tm),
+                   _eom.accel_for(p, v)(q + qd, tau, tm))
                   for v in (0, 1) for tm in (None, t)]
         # terms are at most ~1.4 here: 1e-14 admits only the rounding of a
         # differently factored form, as another sympy version may emit
         for new, old in pairs:
             np.testing.assert_allclose(new, old, rtol=0, atol=1e-14)
+
+
+def test_accel_redoes_no_arithmetic_of_p_alone():
+    # accel_for computes once what p alone determines; its accel, called per
+    # RK4 stage, must not hold an operation whose names are all parameters
+    # or accel_for's own values
+    [outer] = [f for f in ast.parse(inspect.getsource(_eom)).body
+               if isinstance(f, ast.FunctionDef) and f.name == "accel_for"]
+    fixed, inner = set(), None
+    for stmt in outer.body:
+        if isinstance(stmt, ast.FunctionDef):
+            inner = stmt
+        elif isinstance(stmt, ast.Assign):
+            fixed.update(n.id for t in stmt.targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    assert inner.name == "accel"
+    assert {"m_p", "d_ph2", "m00", "xm0"} <= fixed
+    redone = []
+    for node in ast.walk(inner):
+        if isinstance(node, (ast.BinOp, ast.UnaryOp)):
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            if names and names <= fixed:
+                redone.append(ast.unparse(node))
+    assert redone == []
 
 
 @pytest.mark.parametrize("y", [
@@ -156,7 +182,8 @@ def test_checked_in_module_matches_its_generator():
 ])
 def test_deriv_flags_nonfinite_without_raising(y):
     mag = [1.0, 0.05, 0.02, 0.0025, 1.257e-6]
-    dy, ok = _core.deriv(PAR.tolist(), mag, y, [0.0] * 4, 0)
+    p = PAR.tolist()
+    dy, ok = _core.deriv(_eom.accel_for(p, 0), p, mag, y, [0.0] * 4)
     assert not ok
     assert len(dy) == 8
 
@@ -184,15 +211,16 @@ def separate_terms_qdd(p, mag, y, tau, variant):
 @pytest.mark.parametrize("mag", [MAG_OFF, MAG_ON], ids=["mag_off", "mag_on"])
 @pytest.mark.parametrize("variant", [0, 1])
 def test_deriv_equals_the_separate_terms(variant, mag):
-    # the fused _eom.accel must be the separate terms to the last bit
+    # the closure of _eom.accel_for must be the separate terms to the last bit
     qs, qds = states(5000, 37)
     taus = np.random.default_rng(41).uniform(-0.05, 0.05, (5000, 4))
     p = PAR.tolist()
+    acc = _eom.accel_for(p, variant)
     coupled = 0
     for q, qd, tau in zip(qs.tolist(), qds.tolist(), taus.tolist()):
         qdd = separate_terms_qdd(p, mag, q + qd, tau, variant)
         assert qdd is not None
-        assert _core.deriv(p, mag, q + qd, tau, variant) == ((*qd, *qdd), True)
+        assert _core.deriv(acc, p, mag, q + qd, tau) == ((*qd, *qdd), True)
         coupled += _core.mag_torque(p, mag, q)[0] != (0.0,) * 4
     if mag is MAG_ON:
         assert 1000 < coupled < 4000
@@ -211,16 +239,19 @@ def test_deriv_flags_a_failed_pivot(entry, value):
     tau = [0.01, -0.02, -0.01, 0.02]
     assert _eom.solve_spd4(_eom.mass_matrix(p, y[:4]), tau) is None
     for variant in (0, 1):
-        assert _eom.accel(p, y, tau, None, variant) is None
+        acc = _eom.accel_for(p, variant)
+        assert acc(y, tau, None) is None
         for mag in (MAG_OFF, MAG_ON):
-            assert _core.deriv(p, mag, y, tau, variant) == ((0.0,) * 8, False)
+            assert _core.deriv(acc, p, mag, y, tau) == ((0.0,) * 8, False)
 
 
 def test_deriv_solves_the_generated_equations():
     q = np.array([0.1, 0.5, 3.0, 0.2])
     qd = np.array([0.3, -0.4, 0.5, 1.0])
     tau = np.array([0.01, -0.02, -0.01, 0.02])
-    dy, ok = _core.deriv(PAR.tolist(), [0.0] * 5, [*q, *qd], tau.tolist(), 1)
+    p = PAR.tolist()
+    dy, ok = _core.deriv(_eom.accel_for(p, 1), p, [0.0] * 5, [*q, *qd],
+                         tau.tolist())
     assert ok
     lhs = (_core.mass_matrix(PAR, q) @ np.asarray(dy[4:])
            + _core.bias(PAR, q, qd) + _core.gravity(PAR, q, 1))

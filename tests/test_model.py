@@ -36,6 +36,33 @@ def test_load_params_defaults_and_overrides():
     assert p.m_s == 0.8 and p.delta == (0.0, 0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"m_p": True},                       # a bool is an int to Python
+    {"g": False},
+    {"delta": (True, 0.0, 0.0, 0.0)},
+    {"delta": ("a", 0.0, 0.0, 0.0)},
+    {"delta": 5},
+    {"delta": None},
+])
+def test_rejects_params_that_are_not_numbers(kwargs):
+    with pytest.raises(ValidationError):
+        RobotParams(**kwargs)
+
+
+@pytest.mark.parametrize("mapping,fragment", [
+    ({"m_p": True}, "m_p"),
+    ({"delta": ["a", 0.0, 0.0, 0.0]}, "delta"),   # was float()'s ValueError
+    ({"delta": 5}, "delta"),                      # was a TypeError
+    ({"delta": [False, 0.0, 0.0, 0.0]}, "delta"),
+    ({"delta": "0000"}, "delta"),
+    ({"delta": [0.1, 0.1, 0.1]}, "delta"),
+    ({"delta": {"a": 1}}, "delta"),
+])
+def test_load_params_rejects_malformed_values(mapping, fragment):
+    with pytest.raises(ValidationError, match=fragment):
+        load_params(mapping)
+
+
 def test_load_params_rejects_unknown_key():
     with pytest.raises(ValidationError, match="mass"):
         load_params({"mass": 1.0})

@@ -1,8 +1,11 @@
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rollsim import _core
 from rollsim.config import load_scenario
 from rollsim.control import GainMatrices, Setpoints, lyapunov, pd_control
 from rollsim.energetics import dissipation, kinetic_energy, potential_energy
@@ -56,6 +59,97 @@ def test_rk4_oracle_matches_run_one_step():
     one = run(Scenario(name="one", y0=sc.y0, horizon=sc.dt, dt=sc.dt), p, m)
     ref = rk4_step(f, sc.y0_array(), 0.0, sc.dt)
     assert np.allclose(one.y[1], ref, rtol=0, atol=1e-13)
+
+
+# separate_terms_qdd of tests/test_eom.py, loaded by path so the import does
+# not depend on pytest's import mode
+_spec = importlib.util.spec_from_file_location(
+    "eom_oracle", Path(__file__).with_name("test_eom.py"))
+_eom_oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_eom_oracle)
+
+
+def list_rk4(par, mag, y0, n, dt, pd, variant):
+    """(ys, us) of n RK4 steps on lists of Python floats.
+
+    The bit-exact oracle of _core.run_loop: the stages and the update are the
+    list comprehensions run_loop used before it unpacked them, and the
+    derivative is the separate _eom terms plus the magnetic torque
+    (separate_terms_qdd), not deriv. The input is pd_input at each step's
+    start state, held over the step.
+    """
+    h, w = 0.5 * dt, dt / 6.0
+    tau = (0.0,) * 4
+    y, ys, us = list(y0), [], []
+    if pd is not None:
+        Kp, Kd, tgt = (np.asarray(a).tolist() for a in pd[:3])
+
+    def f(y):
+        qdd = _eom_oracle.separate_terms_qdd(par, mag, y, tau, variant)
+        return [*y[4:], *qdd]
+
+    for i in range(n + 1):
+        ys.append(y)
+        us.append([0.0, 0.0])
+        if pd is not None:
+            us[-1] = list(_core.pd_input(Kp, Kd, tgt, y, pd[3], pd[4]))
+            tau = _core.torque_map(*us[-1])
+        if i == n:
+            break
+        k1 = f(y)
+        k2 = f([a + h * k for a, k in zip(y, k1)])
+        k3 = f([a + h * k for a, k in zip(y, k2)])
+        k4 = f([a + dt * k for a, k in zip(y, k3)])
+        y = [a + w * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    return ys, us
+
+
+@pytest.mark.parametrize("preset,changes,start", [
+    ("freefall", {}, 0),
+    # from 0.48 s of the lifting_mag run: the held PD input, and the tips
+    # couple at 0.4864 s
+    ("lifting", {"magnetics": True, "dt": 2e-4}, 2400),
+    ("balancing", {}, 0),
+])
+def test_run_loop_equals_a_list_rk4_to_the_bit(preset, changes, start,
+                                               monkeypatch):
+    sc, p, m = load_scenario(preset)
+    sc = replace(sc, **changes)
+    if start:
+        before = run(replace(sc, horizon=start * sc.dt), p, m)
+        assert len(before.t) == start + 1
+        sc = replace(sc, y0=tuple(before.y[-1]))
+    sc = replace(sc, horizon=300 * sc.dt)
+    loops, derivs = [], [0]
+    real_loop, real_deriv = _core.run_loop, _core.deriv
+
+    def loop(*args):
+        loops.append((args, real_loop(*args)))
+        return loops[-1][1]
+
+    def deriv(*args):
+        derivs[0] += 1
+        return real_deriv(*args)
+
+    # run_loop looks deriv up on the module at every stage, as the
+    # benchmark's tracer relies on: RK4 makes 4 calls per step
+    monkeypatch.setattr(_core, "run_loop", loop)
+    monkeypatch.setattr(_core, "deriv", deriv)
+    run(sc, p, m)
+    [((par, mag, y0, n, dt, pd, variant), (ys, us, n_done))] = loops
+    assert n == n_done == 300
+    assert derivs[0] == 4 * n
+    ref_ys, ref_us = list_rk4(par.tolist(), mag.tolist(), y0.tolist(), n, dt,
+                              pd, variant)
+    assert ys.tolist() == ref_ys
+    assert us.tolist() == ref_us
+    if sc.magnetics:
+        pulled = [_core.mag_torque(par.tolist(), mag.tolist(), y[:4])[0]
+                  != (0.0,) * 4 for y in ref_ys]
+        assert 0 < sum(pulled) < 300
+    if pd is not None:
+        assert np.any(us[1:] != us[:-1])
 
 
 def test_sample_count_real_arithmetic():

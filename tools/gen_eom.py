@@ -19,10 +19,14 @@ and common subexpression elimination turns each set into straight-line
 code. The tip separation p_m and p_m times its gradient come from
 rollsim._core.separation the same way (see tip_geometry). Two more
 functions are printed from those: solve_spd4, the 4x4 Cholesky written once
-as the CHOLESKY text, and accel, the run loop's one call per RK4 stage. accel
-repeats the separate cse blocks of M, bias and G with their temporaries
-renamed apart, each sine and cosine taken once, then solves with CHOLESKY
-inline, so it equals the separate calls to the last bit. The output uses
+as the CHOLESKY text, and accel_for(p, variant), which the run loop calls
+once per run. It computes every value of the separate cse blocks of M, bias
+and G that depends on p alone, found on the Python parse of the printed
+lines (see _hoist), and returns accel(y, tau, t), the loop's one call per RK4
+stage: the rest of the blocks, temporaries renamed apart, each sine and
+cosine taken once, then the solve with CHOLESKY inline. Moving whole parse
+subtrees keeps every operand and grouping, so accel equals the separate
+calls to the last bit. The output uses
 only +, -, *, / and math's sin, cos and sqrt: integer powers are written as
 products, because Python's float ** raises OverflowError where a product
 overflows to inf, and the integrator reports a non-finite state by testing
@@ -36,6 +40,8 @@ the generator can run.
 from __future__ import annotations
 
 import argparse
+import ast
+import itertools
 import re
 import sys
 from pathlib import Path
@@ -54,6 +60,7 @@ OUT = SRC / "rollsim" / "_eom.py"
 PAR = sp.symbols("m_p m_s I_p I_s r1 r2 R1 R2 g d_th1 d_th2 d_ph1 d_ph2")
 Q = sp.symbols("th1 th2 ph1 ph2")
 QD = sp.symbols("dth1 dth2 dph1 dph2")
+TAU = sp.symbols("tau0 tau1 tau2 tau3")
 
 VERBATIM, GEOMETRIC = _core.VARIANT_VERBATIM, _core.VARIANT_GEOMETRIC
 
@@ -188,25 +195,26 @@ def _block(outputs, trig, pre=()):
     return [sym for sym in trig.values() if sym in used], lines, returned
 
 
-def _preamble(name, args, doc, unpack, trig, used):
-    """def line, docstring, p unpacked, the (names, arg) unpackings, then
-    each used c*/s* taken once."""
+def _preamble(name, args, doc, unpack, trig, used, indent="    "):
+    """def line, docstring, the (names, arg) unpackings, then each used c*/s*
+    taken once; the body at indent."""
     printer = _Printer()
-    lines = [f"def {name}({', '.join(args)}):", f'    """{doc}"""',
-             "    " + ", ".join(map(str, PAR)) + " = p"]
-    lines += [f"    {', '.join(map(str, names))} = {arg}"
+    lines = [f"{indent[4:]}def {name}({', '.join(args)}):",
+             f'{indent}"""{doc}"""']
+    lines += [f"{indent}{', '.join(map(str, names))} = {arg}"
               for names, arg in unpack]
     for func, sym in trig.items():
         if sym in used:
             arg = printer.doprint(func.args[0])
-            lines.append(f"    {sym} = {type(func).__name__}({arg})")
+            lines.append(f"{indent}{sym} = {type(func).__name__}({arg})")
     return lines
 
 
 def _function(name, args, doc, outputs, trig, pre=()):
     """Source of one generated term; see _block for outputs and pre."""
     used, body, returned = _block(outputs, trig, pre)
-    unpack = [(Q, "q")] + ([(QD, "qd")] if "qd" in args else [])
+    unpack = [(PAR, "p"), (Q, "q")]
+    unpack += [(QD, "qd")] if "qd" in args else []
     lines = _preamble(name, args, doc, unpack, trig, used)
     lines += ["    " + line for line in body]
     for i, (variant, texts) in enumerate(returned.items()):
@@ -272,40 +280,118 @@ def _apart(text, prefix):
     return re.sub(r"\bx(\d+)\b", prefix + r"\1", text)
 
 
-def _accel(m, b, g, trig):
-    """Source of accel: qdd = M^-1 ((tau - bias - G) + t), or None.
+# node types of a hoisted expression: +, - and * never raise on floats
+_FIXED = (ast.BinOp, ast.UnaryOp, ast.Add, ast.Sub, ast.Mult, ast.USub,
+          ast.Constant, ast.Name, ast.Load)
+
+
+def _fixed(node, known):
+    """True if node is +, - and * of constants and the names in known."""
+    return all(isinstance(n, _FIXED)
+               and (not isinstance(n, ast.Name) or n.id in known)
+               for n in ast.walk(node))
+
+
+def _largest(node, known):
+    """The largest operations under node that are _fixed and name a value,
+    left to right."""
+    if (isinstance(node, (ast.BinOp, ast.UnaryOp)) and _fixed(node, known)
+            and any(isinstance(n, ast.Name) for n in ast.walk(node))):
+        return [node]
+    return [n for child in ast.iter_child_nodes(node)
+            for n in _largest(child, known)]
+
+
+def _hoist(lines):
+    """Split accel's block lines into (accel_for's lines, accel's lines).
+
+    lines are one assignment each, indented under a variant branch or not,
+    and the branch headers. An unindented assignment of +, - and * of
+    parameters, constants and names already hoisted moves to accel_for
+    whole. In every other line, each largest such operation, as Python
+    parses the line, moves to accel_for as xp0, xp1, ..., or under the name
+    of an equal expression hoisted before, and the line reads that name in
+    its place. The parse tree keeps its shape, so the operands, their
+    grouping and the bits of every result are unchanged.
+    """
+    known = {str(s) for s in PAR}
+    names = {}  # ast.dump of a hoisted expression -> the name it has
+    fresh = (f"xp{i}" for i in itertools.count())
+    outer, inner = [], []
+    for line in lines:
+        text = line.lstrip()
+        indent = line[:len(line) - len(text)]
+        if text.endswith(":"):
+            inner.append(line)
+            continue
+        assign = ast.parse(text).body[0]
+        if not indent and _fixed(assign.value, known):
+            outer.append(text)
+            known.add(assign.targets[0].id)
+            names.setdefault(ast.dump(assign.value), assign.targets[0].id)
+            continue
+        spans = []
+        for node in _largest(assign.value, known):
+            start, end = node.col_offset, node.end_col_offset
+            key = ast.dump(node)
+            if key not in names:
+                names[key] = next(fresh)
+                outer.append(f"{names[key]} = {text[start:end]}")
+            if text[start - 1:start] == "(" and text[end:end + 1] == ")":
+                start, end = start - 1, end + 1
+            spans.append((start, end, names[key]))
+        for start, end, name in reversed(spans):
+            text = text[:start] + name + text[end:]
+        inner.append(indent + text)
+    return outer, inner
+
+
+def _accel_for(m, b, g, trig):
+    """Source of accel_for(p, variant), which returns accel(y, tau, t):
+    qdd = M^-1 ((tau - bias - G) + t), or None.
 
     It prints the blocks of mass_matrix, bias and gravity as _function does,
     each sympy cse of its own, with their x* temporaries renamed apart (xm*,
-    xb*, xg*) and their outputs assigned to names, under one unpacking of p,
-    y and tau and one evaluation of each c*/s*; then the right-hand side in
-    deriv's order and CHOLESKY inline. A joint cse over the three would
-    regroup the arithmetic and move last bits.
+    xb*, xg*) and their outputs assigned to names; a joint cse over the three
+    would regroup the arithmetic and move last bits. _hoist moves what they
+    compute of p alone to accel_for, once per p. accel unpacks y and tau,
+    takes each c*/s* once, runs the rest of the blocks, forms the right-hand
+    side in deriv's order and solves with CHOLESKY inline.
     """
     blocks = [(_block(m, trig), "xm", M_NAMES),
               (_block(b, trig), "xb", [f"bias{i}" for i in range(4)]),
               (_block(g, trig), "xg", [f"G{i}" for i in range(4)])]
     used = set().union(*(blk[0] for blk, _, _ in blocks))
-    lines = _preamble(
-        "accel", ("p", "y", "tau", "t", "variant"),
-        "qdd from y = (q, qd), tau, magnetic torque t or None; None if a "
-        "pivot fails.", [(Q + QD, "y"), (("tau0", "tau1", "tau2", "tau3"),
-                                         "tau")], trig, used)
-    for (_, body, returned), prefix, names in blocks:
-        lines += ["    " + _apart(line, prefix) for line in body]
+    body = []
+    for (_, code, returned), prefix, names in blocks:
+        body += [_apart(line, prefix) for line in code]
         for i, (variant, texts) in enumerate(returned.items()):
-            indent = "    "
+            indent = ""
             if variant is not None:
-                indent = "        "
-                lines.append("    else:" if i == len(returned) - 1 else
-                             f"    {'if' if i == 0 else 'elif'} "
-                             f"variant == {variant}:")
-            lines += [f"{indent}{n} = {_apart(t, prefix)}"
-                      for n, t in zip(names, texts)]
-    lines += [f"    b{i} = tau{i} - bias{i} - G{i}" for i in range(4)]
-    lines += ["    if t is not None:", "        t0, t1, t2, t3 = t"]
-    lines += [f"        b{i} = b{i} + t{i}" for i in range(4)]
-    lines += ["    " + line for line in CHOLESKY.splitlines()]
+                indent = "    "
+                body.append("else:" if i == len(returned) - 1 else
+                            f"{'if' if i == 0 else 'elif'} "
+                            f"variant == {variant}:")
+            body += [f"{indent}{n} = {_apart(t, prefix)}"
+                     for n, t in zip(names, texts)]
+    outer, inner = _hoist(body)
+    lines = _preamble(
+        "accel_for", ("p", "variant"),
+        "accel(y, tau, t) for parameters p and potential variant; what p "
+        "alone\n    determines is computed here, once.", [(PAR, "p")], {},
+        set())
+    lines += ["    " + line for line in outer]
+    lines += _preamble(
+        "accel", ("y", "tau", "t"),
+        "qdd from y = (q, qd), tau, magnetic torque t or None; None if a\n"
+        "        pivot fails.", [(Q + QD, "y"), (TAU, "tau")], trig, used,
+        indent="        ")
+    lines += ["        " + line for line in inner]
+    lines += [f"        b{i} = tau{i} - bias{i} - G{i}" for i in range(4)]
+    lines += ["        if t is not None:", "            t0, t1, t2, t3 = t"]
+    lines += [f"            b{i} = b{i} + t{i}" for i in range(4)]
+    lines += ["        " + line for line in CHOLESKY.splitlines()]
+    lines.append("    return accel")
     return "\n".join(lines) + "\n"
 
 
@@ -322,11 +408,14 @@ I_s, r1, r2, R1, R2, g, delta...). The mass matrix is returned as its upper
 triangle, row by row: (M00, M01, M02, M03, M11, M12, M13, M22, M23, M33).
 variant selects the potential: 0 paper-verbatim, 1 geometry-consistent.
 
-accel is the run loop's derivative, one call per RK4 stage: the code of
-mass_matrix, bias and gravity line for line, temporaries renamed apart and
-each sine and cosine taken once, then (tau - bias - G) + t solved by the
-Cholesky of solve_spd4, printed inline. It equals the separate calls to the
-last bit and returns None where solve_spd4 would.
+accel_for(p, variant) builds the run loop's derivative once per run. It
+computes what the code of mass_matrix, bias and gravity derives from p alone:
+the temporaries of p alone and, in the other lines, each operation of p
+alone as Python parses the line. It returns accel(y, tau, t), called once
+per RK4 stage: the rest of that code line for line, temporaries renamed
+apart and each sine and cosine taken once, then (tau - bias - G) + t solved
+by the Cholesky of solve_spd4, printed inline. It equals the separate calls
+to the last bit and returns None where solve_spd4 would.
 
 With floats, q and qd are 4-sequences and y is (q, qd); math.sin and
 math.cos raise ValueError on inf, so rollsim._core.deriv tests y first.
@@ -361,7 +450,7 @@ def generate() -> str:
                   "(p_m, p_m * d p_m / dq): tip separation, scaled gradient.",
                   tip, trig, pre),
         _solver(),
-        _accel(m, b, {GEOMETRIC: gg, VERBATIM: gv}, trig),
+        _accel_for(m, b, {GEOMETRIC: gg, VERBATIM: gv}, trig),
     ]
     return "\n\n".join(parts)
 
