@@ -19,7 +19,7 @@ import yaml
 from .control import GainMatrices, Setpoints
 from .energetics import POTENTIAL_VARIANTS
 from .magnetics import MagneticParams
-from .model import RobotParams, ValidationError, load_params
+from .model import RobotParams, ValidationError, finite_number, load_params
 from .simulate import PDSpec, Scenario
 
 
@@ -54,7 +54,7 @@ def _check_keys(node, allowed, where):
 def _number(node, where):
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ConfigError(f"{where} must be a number, got {node!r}")
-    if not math.isfinite(node):
+    if not finite_number(node):
         raise ConfigError(f"{where} must be finite, got {node!r}")
     return float(node)
 

@@ -10,6 +10,7 @@ reporting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +22,15 @@ class ValidationError(ValueError):
     """A parameter value violates a physical constraint."""
 
 
-def _is_number(v) -> bool:
-    """An int or float; bool is an int to Python but not a number here."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def finite_number(v) -> bool:
+    """v is an int or float of finite value. A bool is an int to Python but
+    not a number here, and an int beyond the float range is not finite."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -49,13 +56,13 @@ class RobotParams:
     def __post_init__(self):
         for name in ("m_p", "m_s", "I_p", "I_s", "r1", "r2", "R1", "R2", "g"):
             v = getattr(self, name)
-            if not (_is_number(v) and np.isfinite(v) and v > 0):
+            if not (finite_number(v) and v > 0):
                 raise ValidationError(f"{name} must be positive and finite, got {v!r}")
         if not isinstance(self.delta, (tuple, list)) or len(self.delta) != 4:
             raise ValidationError(
                 f"delta must be a sequence of exactly 4 entries, got {self.delta!r}")
         for i, d in enumerate(self.delta):
-            if not (_is_number(d) and np.isfinite(d) and d >= 0):
+            if not (finite_number(d) and d >= 0):
                 raise ValidationError(f"delta[{i}] must be non-negative, got {d!r}")
 
     def as_array(self) -> np.ndarray:
@@ -99,7 +106,7 @@ def load_params(mapping: dict | None) -> RobotParams:
     """Build RobotParams from a plain mapping (e.g. a parsed config section).
 
     Missing fields keep their defaults; unknown keys are rejected so typos
-    can't silently fall back to defaults. delta is a list of 4 numbers.
+    can't silently fall back to defaults. delta is a list of 4 finite numbers.
     """
     if mapping is None:
         return RobotParams()
@@ -112,8 +119,9 @@ def load_params(mapping: dict | None) -> RobotParams:
     if "delta" in kwargs:
         delta = kwargs["delta"]
         if not (isinstance(delta, (list, tuple)) and len(delta) == 4
-                and all(map(_is_number, delta))):
-            raise ValidationError(f"delta must be a list of 4 numbers, got {delta!r}")
+                and all(map(finite_number, delta))):
+            raise ValidationError(
+                f"delta must be a list of 4 finite numbers, got {delta!r}")
         kwargs["delta"] = tuple(map(float, delta))
     return RobotParams(**kwargs)
 

@@ -85,20 +85,15 @@ def test_path_argument_bypasses_preset_search(tmp_path):
     ({"scenario": {"y0_deg": [0] * 8, "horizon": "ten"}}, "horizon"),
     ({"scenario": {"y0_deg": [0] * 8, "stage_control": True}},
      "stage_control"),
+    ({"scenario": {"y0_deg": [0] * 8},
+      "params": {"delta": ["a", 0.0, 0.0, 0.0]}}, "delta"),
+    ({"scenario": {"y0_deg": [0] * 8}, "params": {"delta": 5}}, "delta"),
+    ({"scenario": {"y0_deg": [0] * 8}, "params": {"m_p": True}}, "m_p"),
+    ({"scenario": {"y0_deg": [0] * 8},
+      "params": {"delta": [0.0, True, 0.0, 0.0]}}, "delta"),
+    ({"scenario": {"y0_deg": [0] * 8, "horizon": 10**400}}, "horizon"),
 ])
 def test_rejects_malformed_documents(doc, fragment):
-    with pytest.raises(ConfigError, match=fragment):
-        load_scenario_dict(doc, default_name="t")
-
-
-@pytest.mark.parametrize("params,fragment", [
-    ({"delta": ["a", 0.0, 0.0, 0.0]}, "delta"),
-    ({"delta": 5}, "delta"),
-    ({"m_p": True}, "m_p"),
-    ({"delta": [0.0, True, 0.0, 0.0]}, "delta"),
-])
-def test_rejects_malformed_params(params, fragment):
-    doc = {"scenario": {"y0_deg": [0] * 8}, "params": params}
     with pytest.raises(ConfigError, match=fragment):
         load_scenario_dict(doc, default_name="t")
 

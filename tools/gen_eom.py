@@ -60,7 +60,6 @@ OUT = SRC / "rollsim" / "_eom.py"
 PAR = sp.symbols("m_p m_s I_p I_s r1 r2 R1 R2 g d_th1 d_th2 d_ph1 d_ph2")
 Q = sp.symbols("th1 th2 ph1 ph2")
 QD = sp.symbols("dth1 dth2 dph1 dph2")
-TAU = sp.symbols("tau0 tau1 tau2 tau3")
 
 VERBATIM, GEOMETRIC = _core.VARIANT_VERBATIM, _core.VARIANT_GEOMETRIC
 
@@ -384,8 +383,9 @@ def _accel_for(m, b, g, trig):
     lines += _preamble(
         "accel", ("y", "tau", "t"),
         "qdd from y = (q, qd), tau, magnetic torque t or None; None if a\n"
-        "        pivot fails.", [(Q + QD, "y"), (TAU, "tau")], trig, used,
-        indent="        ")
+        "        pivot fails.",
+        [(Q + QD, "y"), (("tau0", "tau1", "tau2", "tau3"), "tau")], trig,
+        used, indent="        ")
     lines += ["        " + line for line in inner]
     lines += [f"        b{i} = tau{i} - bias{i} - G{i}" for i in range(4)]
     lines += ["        if t is not None:", "            t0, t1, t2, t3 = t"]
