@@ -20,18 +20,21 @@ np.cos and np.sqrt bound to sympy's, so they must stay elementwise
 arithmetic with no other library call. It writes _eom: M, bias, G, and p_m
 with p_m grad p_m (`tip_geometry`, for `mag_torque`), as straight-line code
 on Python floats and math trig; nothing is compiled. It also writes the
-Cholesky solve (`solve_spd4`, for `chol_solve4`) and `accel_for`, which
-`run_loop` calls once per run: it computes what depends on the parameters
-alone and returns `accel`, the rest of the code of M, bias and G with the
-solve inline. `deriv` makes one call to it per RK4 stage, plus `mag_torque`
-with magnetics on. The array wrappers
+Cholesky solve (`solve_spd4`, for `chol_solve4` and `deriv`) and
+`step_for`, which `run_loop` calls once per run: it computes what depends
+on the parameters alone and returns `step`, one whole RK4 step of the rest
+of the code of M, bias and G with the solve inline, a loop over the four
+stages. `run_loop` calls `step` once per step, with `mag_torque` at each stage
+when magnetics are on. `deriv`, one state's derivative from the separate
+terms, serves `dynamics.forward_dynamics`. The array wrappers
 `mass_matrix`, `bias` and `gravity` run the same code objects with numpy's
 trig bound in place of math's, so they too are elementwise;
 dynamics.errata_compare evaluates all its sampled states in one call each.
 
 Numeric failure is a flag, never an exception: `deriv` returns ok=False for
-a non-finite stage input or result and `run_loop` stops there. No code on
-that path raises Python's float ** (OverflowError) or takes sin or cos of a
+a non-finite state or result, `step` returns None for a failed pivot or a
+non-finite stage input, and `run_loop` stops there. No code on that path
+raises Python's float ** (OverflowError) or takes sin or cos of a
 value not known to be finite (ValueError).
 """
 
@@ -287,24 +290,42 @@ def lyapunov(Kp, Kd, e, de, dE):
     return terms[0] + terms[1] + terms[2], terms
 
 
-def deriv(acc, par, mag, y, tau):
+def deriv(par, mag, y, tau, variant):
     """State derivative dy/dt = (qdot, qddot) under generalized force tau.
 
-    acc is _eom.accel_for(par, variant), built once per run. Arguments are
-    float sequences. Returns (dy, ok), dy a tuple of 8 floats. ok is False,
-    and dy zero, when y or the result is not finite or M fails the Cholesky
-    solve; the state is tested before any sine is taken, so an overflowing
-    state never raises. One call to acc does the rest: it equals
-    _eom.solve_spd4 of mass_matrix and (tau - bias - gravity) + the magnetic
-    torque to the last bit.
+    Arguments are float sequences. Returns (dy, ok), dy a tuple of 8 floats.
+    ok is False, and dy zero, when y or the result is not finite or M fails
+    the Cholesky solve; the state is tested before any sine is taken, so an
+    overflowing state never raises. qddot is _eom.solve_spd4 of mass_matrix
+    and (tau - bias - gravity) + the magnetic torque, the separate _eom
+    terms; run_loop's step computes each stage's qddot with the same
+    arithmetic.
     """
     if not all(map(math.isfinite, y)):
         return _ZERO8, False
-    t = mag_torque(par, mag, y[:4])[0] if mag[0] != 0.0 else None
-    qdd = acc(y, tau, t)
+    q, qd = y[:4], y[4:]
+    b = _eom.bias(par, q, qd)
+    G = _eom.gravity(par, q, variant)
+    rhs = (tau[0] - b[0] - G[0], tau[1] - b[1] - G[1],
+           tau[2] - b[2] - G[2], tau[3] - b[3] - G[3])
+    if mag[0] != 0.0:
+        t = mag_torque(par, mag, q)[0]
+        rhs = (rhs[0] + t[0], rhs[1] + t[1], rhs[2] + t[2], rhs[3] + t[3])
+    qdd = _eom.solve_spd4(_eom.mass_matrix(par, q), rhs)
     if qdd is None or not all(map(math.isfinite, qdd)):
         return _ZERO8, False
-    return (*y[4:], *qdd), True
+    return (*qd, *qdd), True
+
+
+def _magnetic(par, mag):
+    """torque(q), the magnetic torque Q for _eom's step.
+
+    mag_torque is looked up on the module at each call, so a wrapper on the
+    module's attribute sees every RK4 stage.
+    """
+    def torque(q):
+        return mag_torque(par, mag, q)[0]
+    return torque
 
 
 def run_loop(par, mag, y0, n, dt, pd, variant):
@@ -314,14 +335,15 @@ def run_loop(par, mag, y0, n, dt, pd, variant):
     (Kp, Kd, tgt, sat, psi_rate). The controller input is evaluated at the
     step's start state and held over the step (zero-order hold). Magnetic
     torque, being state dependent physics rather than a sampled controller,
-    is evaluated per stage. The derivative is built once for the run, and
-    each stage's state and the update are formed from unpacked floats.
+    is evaluated per stage. Each step is one call of the step that
+    _eom.step_for builds once for the run.
 
     Returns (ys, us, n_done): samples 0..n_done are valid; n_done < n means
     the step after n_done produced a non-finite or non-solvable state.
     """
     par, mag = _floats(par), _floats(mag)
-    acc = _eom.accel_for(par, variant)
+    step = _eom.step_for(par, variant, dt)
+    torque = _magnetic(par, mag) if mag[0] != 0.0 else None
     if pd is not None:
         Kp, Kd, tgt = (_floats(a) for a in pd[:3])
         sat, psi_rate = pd[3], pd[4]
@@ -330,8 +352,8 @@ def run_loop(par, mag, y0, n, dt, pd, variant):
     y = _floats(y0)
     ys[0] = y
     tau = _ZERO4
-    h = 0.5 * dt
-    w = dt / 6.0
+    if not all(map(math.isfinite, y)):
+        n = 0  # no step from y0: record its input and stop, as a failed step
 
     for i in range(n + 1):
         if pd is not None:
@@ -340,37 +362,10 @@ def run_loop(par, mag, y0, n, dt, pd, variant):
             tau = torque_map(u1, u2)
         if i == n:
             break
-        # deriv is looked up per call, so a wrapper on the module's
-        # attribute sees every stage
-        s0, s1, s2, s3, s4, s5, s6, s7 = y
-        k1, ok = deriv(acc, par, mag, y, tau)
-        if ok:
-            a0, a1, a2, a3, a4, a5, a6, a7 = k1
-            k2, ok = deriv(acc, par, mag, (
-                s0 + h * a0, s1 + h * a1, s2 + h * a2, s3 + h * a3,
-                s4 + h * a4, s5 + h * a5, s6 + h * a6, s7 + h * a7), tau)
-        if ok:
-            b0, b1, b2, b3, b4, b5, b6, b7 = k2
-            k3, ok = deriv(acc, par, mag, (
-                s0 + h * b0, s1 + h * b1, s2 + h * b2, s3 + h * b3,
-                s4 + h * b4, s5 + h * b5, s6 + h * b6, s7 + h * b7), tau)
-        if ok:
-            c0, c1, c2, c3, c4, c5, c6, c7 = k3
-            k4, ok = deriv(acc, par, mag, (
-                s0 + dt * c0, s1 + dt * c1, s2 + dt * c2, s3 + dt * c3,
-                s4 + dt * c4, s5 + dt * c5, s6 + dt * c6, s7 + dt * c7), tau)
-        if not ok:
-            return ys, us, i
-        d0, d1, d2, d3, d4, d5, d6, d7 = k4
-        y = (s0 + w * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
-             s1 + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-             s2 + w * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
-             s3 + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
-             s4 + w * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
-             s5 + w * (a5 + 2.0 * b5 + 2.0 * c5 + d5),
-             s6 + w * (a6 + 2.0 * b6 + 2.0 * c6 + d6),
-             s7 + w * (a7 + 2.0 * b7 + 2.0 * c7 + d7))
-        if not all(map(math.isfinite, y)):
+        # step tests the inputs of stages 2 to 4; a non-finite stage-4 qdd
+        # makes the new y non-finite
+        y = step(y, tau, torque)
+        if y is None or not all(map(math.isfinite, y)):
             return ys, us, i
         ys[i + 1] = y
     return ys, us, n

@@ -25,7 +25,12 @@ from .model import RobotParams, State
 
 
 class SingularDynamicsError(RuntimeError):
-    """Mass matrix failed the positive-definite solve."""
+    """No finite qddot: a non-finite state or result, or a mass matrix that
+    failed the positive-definite solve."""
+
+
+# forward_dynamics' magnetic parameters: coupling disabled
+_MAG_OFF = (0.0,) * 5
 
 
 def mass_matrix(params: RobotParams, q) -> np.ndarray:
@@ -64,11 +69,12 @@ def forward_dynamics(params: RobotParams, state: State, tau_gen,
 
     tau_gen must already contain every external generalized force (motor
     mapping, magnetic torque if any); this function adds nothing to it.
-    Raises SingularDynamicsError for a non-finite state, and with the
-    mass-matrix spectrum if the solve fails. One state on Python floats:
-    the scalar _eom terms and _eom.solve_spd4, not the run loop's
-    _eom.accel_for, so the RK4 oracle of tests/test_simulate.py stays
-    independent of the run loop's kernel.
+    Raises SingularDynamicsError for a non-finite state, with the
+    mass-matrix spectrum if the solve fails, and for a non-finite qddot.
+    One state on Python floats: _core.deriv with magnetics off, the separate
+    _eom terms and _eom.solve_spd4, not the run loop's _eom.step_for, so the
+    RK4 oracle of tests/test_simulate.py stays independent of the run
+    loop's kernel.
     """
     par = params.as_array().tolist()
     q = [float(v) for v in state.q]
@@ -76,18 +82,17 @@ def forward_dynamics(params: RobotParams, state: State, tau_gen,
     if not all(map(math.isfinite, q + qd)):
         raise SingularDynamicsError(f"non-finite state q={q}, qdot={qd}")
     t0, t1, t2, t3 = (float(v) for v in tau_gen)
-    b = _eom.bias(par, q, qd)
-    G = _eom.gravity(par, q, variant_code(variant))
-    qdd = _eom.solve_spd4(_eom.mass_matrix(par, q),
-                          (t0 - b[0] - G[0], t1 - b[1] - G[1],
-                           t2 - b[2] - G[2], t3 - b[3] - G[3]))
-    if qdd is None:
-        M = _core.mass_matrix(par, q)
-        eigs = np.linalg.eigvalsh(M) if np.all(np.isfinite(M)) else None
-        raise SingularDynamicsError(
-            f"mass matrix not positive definite at q={q}; "
-            f"eigenvalues={None if eigs is None else eigs.tolist()}")
-    return np.array(qdd)
+    dy, ok = _core.deriv(par, _MAG_OFF, q + qd, (t0, t1, t2, t3),
+                         variant_code(variant))
+    if ok:
+        return np.array(dy[4:])
+    if _eom.solve_spd4(_eom.mass_matrix(par, q), (0.0,) * 4) is not None:
+        raise SingularDynamicsError(f"qddot not finite at q={q}, qdot={qd}")
+    M = _core.mass_matrix(par, q)
+    eigs = np.linalg.eigvalsh(M) if np.all(np.isfinite(M)) else None
+    raise SingularDynamicsError(
+        f"mass matrix not positive definite at q={q}; "
+        f"eigenvalues={None if eigs is None else eigs.tolist()}")
 
 
 # --- transcribed closed-form coefficient tables -----------------------------

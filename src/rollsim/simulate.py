@@ -16,6 +16,7 @@ until the condition is left and re-entered.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -37,6 +38,10 @@ NON_FINITE_STATE = "NonFiniteState"
 # sample count is floor(T/dt) + 1 in real arithmetic; the epsilon absorbs
 # IEEE quotients like 5/0.001 landing just under the integer
 _COUNT_EPS = 1e-6
+
+# samples of 8 doubles that fit in a 64-bit address space: numpy refuses a
+# larger array with ValueError, not MemoryError
+_MAX_SAMPLES = sys.maxsize // 64
 
 
 @dataclass(frozen=True)
@@ -119,6 +124,12 @@ def sample_count(horizon: float, dt: float) -> int:
     return int(np.floor(horizon / dt + _COUNT_EPS)) + 1
 
 
+def _too_many_samples(scenario, count):
+    return ValidationError(
+        f"horizon {scenario.horizon!r} s at dt {scenario.dt!r} s needs "
+        f"{count} samples, more than memory holds")
+
+
 def run(scenario: Scenario, params: Optional[RobotParams] = None,
         mag: Optional[MagneticParams] = None) -> Trajectory:
     """Integrate a scenario and return the fully populated trajectory.
@@ -144,15 +155,16 @@ def run(scenario: Scenario, params: Optional[RobotParams] = None,
         sat = float(ctrl.saturation) if ctrl.saturation else 0.0
         pd = (Kp, Kd, tgt, sat, ctrl.psi_rate)
 
+    # horizon / dt may also overflow to inf
+    if not scenario.horizon / scenario.dt < _MAX_SAMPLES:
+        raise _too_many_samples(scenario, f"over {_MAX_SAMPLES}")
     n = sample_count(scenario.horizon, scenario.dt) - 1
     try:
         ys, us, n_done = _core.run_loop(par, mag_arr, scenario.y0_array(), n,
                                         scenario.dt, pd, variant)
     except MemoryError as exc:
         # run_loop allocates every sample before the first step
-        raise ValidationError(
-            f"horizon {scenario.horizon!r} s at dt {scenario.dt!r} s needs "
-            f"{n + 1} samples, more than memory holds") from exc
+        raise _too_many_samples(scenario, n + 1) from exc
     truncated = n_done < n
     ys = ys[:n_done + 1]
     us = us[:n_done + 1]

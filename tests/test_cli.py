@@ -84,6 +84,17 @@ def test_run_with_more_samples_than_memory_is_config_error(capsys):
     assert "5000000000001 samples" in err
 
 
+@pytest.mark.parametrize("argv", [["--horizon", "1e18"],
+                                  ["--horizon", "1e300", "--dt", "1e-300"]])
+def test_run_with_more_samples_than_an_array_holds_is_config_error(argv,
+                                                                    capsys):
+    # numpy refuses 1e21 samples with ValueError, not MemoryError, and
+    # 1e300 / 1e-300 overflows the sample count to inf: both were tracebacks
+    code, _, err = run_cli(["run", "freefall", *argv], capsys)
+    assert code == 3
+    assert "samples, more than memory holds" in err
+
+
 def test_errata_deterministic_files(tmp_path, capsys):
     d1 = tmp_path / "one"
     d2 = tmp_path / "two"

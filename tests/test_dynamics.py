@@ -104,8 +104,12 @@ def test_forward_dynamics_rejects_nonfinite_state():
     inf, nan = float("inf"), float("nan")
     for st in (State(q=(nan, 0.0, 0.0, 0.0)), State(q=(inf, 0.0, 0.0, 0.0)),
                State(q=(0.0,) * 4, qdot=(0.0, -inf, 0.0, 0.0))):
-        with pytest.raises(SingularDynamicsError):
+        with pytest.raises(SingularDynamicsError, match="non-finite state"):
             forward_dynamics(P, st, np.zeros(4))
+    # a finite state whose rates square to inf in the bias
+    st = State(q=(0.1, 0.5, 3.0, 0.2), qdot=(0.0, 0.0, 1e200, -1e200))
+    with pytest.raises(SingularDynamicsError, match="qddot not finite"):
+        forward_dynamics(P, st, np.zeros(4))
 
 
 def test_forward_dynamics_reports_the_spectrum_of_a_singular_mass_matrix():

@@ -132,6 +132,7 @@ def test_checked_in_module_matches_its_generator():
     p = PAR.tolist()
     qs, qds = states(50, 13)
     tau, t = (0.01, -0.02, -0.01, 0.02), (0.3, -0.1, 0.2, 0.05)
+    torques = (None, lambda q: t)
     for q, qd in zip(qs.tolist(), qds.tolist()):
         m = _eom.mass_matrix(p, q)
         pairs = [(fresh["mass_matrix"](p, q), m),
@@ -140,9 +141,9 @@ def test_checked_in_module_matches_its_generator():
                  (fresh["solve_spd4"](m, tau), _eom.solve_spd4(m, tau))]
         pairs += [(fresh["gravity"](p, q, v), _eom.gravity(p, q, v))
                   for v in (0, 1)]
-        pairs += [(fresh["accel_for"](p, v)(q + qd, tau, tm),
-                   _eom.accel_for(p, v)(q + qd, tau, tm))
-                  for v in (0, 1) for tm in (None, t)]
+        pairs += [(fresh["step_for"](p, v, 1e-3)(q + qd, tau, tm),
+                   _eom.step_for(p, v, 1e-3)(q + qd, tau, tm))
+                  for v in (0, 1) for tm in torques]
         # terms are at most ~1.4 here: 1e-14 admits only the rounding of a
         # differently factored form, as another sympy version may emit
         for new, old in pairs:
@@ -150,23 +151,27 @@ def test_checked_in_module_matches_its_generator():
 
 
 def test_accel_redoes_no_arithmetic_of_p_alone():
-    # accel_for computes once what p alone determines; its accel, called per
-    # RK4 stage, must not hold an operation whose names are all parameters
-    # or accel_for's own values
+    # step_for computes once what p alone determines; its step, called per
+    # RK4 step, must not hold an operation, call or comparison whose names
+    # are all parameters, math's or step_for's own values, such as
+    # sqrt(m00) or the pivot test 0.0 < m00 < inf
     [outer] = [f for f in ast.parse(inspect.getsource(_eom)).body
-               if isinstance(f, ast.FunctionDef) and f.name == "accel_for"]
-    fixed, inner = set(), None
+               if isinstance(f, ast.FunctionDef) and f.name == "step_for"]
+    fixed, inner = {"cos", "inf", "sin", "sqrt"}, None
     for stmt in outer.body:
         if isinstance(stmt, ast.FunctionDef):
             inner = stmt
         elif isinstance(stmt, ast.Assign):
             fixed.update(n.id for t in stmt.targets for n in ast.walk(t)
                          if isinstance(n, ast.Name))
-    assert inner.name == "accel"
-    assert {"m_p", "d_ph2", "m00", "xm0"} <= fixed
+    assert inner.name == "step"
+    assert {"m_p", "d_ph2", "m00", "xm0", "l00", "l11", "h"} <= fixed
+    local = {n.id for n in ast.walk(inner)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    assert not local & fixed
     redone = []
     for node in ast.walk(inner):
-        if isinstance(node, (ast.BinOp, ast.UnaryOp)):
+        if isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call, ast.Compare)):
             names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
             if names and names <= fixed:
                 redone.append(ast.unparse(node))
@@ -183,9 +188,13 @@ def test_accel_redoes_no_arithmetic_of_p_alone():
 def test_deriv_flags_nonfinite_without_raising(y):
     mag = [1.0, 0.05, 0.02, 0.0025, 1.257e-6]
     p = PAR.tolist()
-    dy, ok = _core.deriv(_eom.accel_for(p, 0), p, mag, y, [0.0] * 4)
+    dy, ok = _core.deriv(p, mag, y, [0.0] * 4, 0)
     assert not ok
     assert len(dy) == 8
+    if all(map(math.isfinite, y)):
+        # the step tests a stage input before it takes a sine of it
+        step = _eom.step_for(p, 0, 1e-3)
+        assert step(y, [0.0] * 4, torque_of(p, mag)) is None
 
 
 # tip coupling whose P_max, 0.14 m, is near the median separation of the
@@ -195,8 +204,8 @@ MAG_OFF = [0.0] * 5
 
 
 def separate_terms_qdd(p, mag, y, tau, variant):
-    """deriv's qdd from the separate scalar terms, as deriv computed it
-    before accel fused them: solve_spd4(M, (tau - bias - G) + t)."""
+    """qdd from the separate scalar terms, as deriv computed it before the
+    terms were fused: solve_spd4(M, (tau - bias - G) + t)."""
     q, qd = y[:4], y[4:]
     b = _eom.bias(p, q, qd)
     G = _eom.gravity(p, q, variant)
@@ -208,19 +217,56 @@ def separate_terms_qdd(p, mag, y, tau, variant):
     return _eom.solve_spd4(_eom.mass_matrix(p, q), rhs)
 
 
+def torque_of(p, mag):
+    """The torque argument of _eom's step: None, or Q of _core.mag_torque."""
+    if mag[0] == 0.0:
+        return None
+    return lambda q: _core.mag_torque(p, mag, q)[0]
+
+
+def list_rk4_step(p, mag, y, tau, variant, dt):
+    """One RK4 step on lists of Python floats, or None where it fails.
+
+    The bit-exact oracle of _eom's step: the stages and the update are list
+    comprehensions, and the derivative is separate_terms_qdd. As deriv did
+    at each stage, it fails where a stage input or a qdd is not finite or a
+    solve fails; the new y is returned untested.
+    """
+    h, w = 0.5 * dt, dt / 6.0
+
+    def f(y):
+        if not all(map(math.isfinite, y)):
+            return None
+        qdd = separate_terms_qdd(p, mag, y, tau, variant)
+        if qdd is None or not all(map(math.isfinite, qdd)):
+            return None
+        return [*y[4:], *qdd]
+
+    k1 = f(y)
+    k2 = k1 and f([a + h * k for a, k in zip(y, k1)])
+    k3 = k2 and f([a + h * k for a, k in zip(y, k2)])
+    k4 = k3 and f([a + dt * k for a, k in zip(y, k3)])
+    if k4 is None:
+        return None
+    return [a + w * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+
+
 @pytest.mark.parametrize("mag", [MAG_OFF, MAG_ON], ids=["mag_off", "mag_on"])
 @pytest.mark.parametrize("variant", [0, 1])
 def test_deriv_equals_the_separate_terms(variant, mag):
-    # the closure of _eom.accel_for must be the separate terms to the last bit
+    # one step of _eom.step_for must be one list-RK4 step on the separate
+    # terms to the last bit
     qs, qds = states(5000, 37)
     taus = np.random.default_rng(41).uniform(-0.05, 0.05, (5000, 4))
     p = PAR.tolist()
-    acc = _eom.accel_for(p, variant)
+    dt = 1e-3
+    step, torque = _eom.step_for(p, variant, dt), torque_of(p, mag)
     coupled = 0
     for q, qd, tau in zip(qs.tolist(), qds.tolist(), taus.tolist()):
-        qdd = separate_terms_qdd(p, mag, q + qd, tau, variant)
-        assert qdd is not None
-        assert _core.deriv(acc, p, mag, q + qd, tau) == ((*qd, *qdd), True)
+        ref = list_rk4_step(p, mag, q + qd, tau, variant, dt)
+        assert ref is not None
+        assert list(step(q + qd, tau, torque)) == ref
         coupled += _core.mag_torque(p, mag, q)[0] != (0.0,) * 4
     if mag is MAG_ON:
         assert 1000 < coupled < 4000
@@ -233,16 +279,18 @@ def test_deriv_equals_the_separate_terms(variant, mag):
     (3, math.nan),   # I_s: the third pivot is not finite
 ])
 def test_deriv_flags_a_failed_pivot(entry, value):
+    # the first pivot depends on p alone and fails in step_for, the third
+    # on q too and fails at the first stage
     p = PAR.tolist()
     p[entry] = value
     y = [0.1, 0.5, 3.0, 0.2, 0.3, -0.4, 0.5, 1.0]
     tau = [0.01, -0.02, -0.01, 0.02]
     assert _eom.solve_spd4(_eom.mass_matrix(p, y[:4]), tau) is None
     for variant in (0, 1):
-        acc = _eom.accel_for(p, variant)
-        assert acc(y, tau, None) is None
+        step = _eom.step_for(p, variant, 1e-3)
         for mag in (MAG_OFF, MAG_ON):
-            assert _core.deriv(acc, p, mag, y, tau) == ((0.0,) * 8, False)
+            assert step(y, tau, torque_of(p, mag)) is None
+            assert _core.deriv(p, mag, y, tau, variant) == ((0.0,) * 8, False)
 
 
 def test_deriv_solves_the_generated_equations():
@@ -250,8 +298,7 @@ def test_deriv_solves_the_generated_equations():
     qd = np.array([0.3, -0.4, 0.5, 1.0])
     tau = np.array([0.01, -0.02, -0.01, 0.02])
     p = PAR.tolist()
-    dy, ok = _core.deriv(_eom.accel_for(p, 1), p, [0.0] * 5, [*q, *qd],
-                         tau.tolist())
+    dy, ok = _core.deriv(p, [0.0] * 5, [*q, *qd], tau.tolist(), 1)
     assert ok
     lhs = (_core.mass_matrix(PAR, q) @ np.asarray(dy[4:])
            + _core.bias(PAR, q, qd) + _core.gravity(PAR, q, 1))

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -61,8 +62,8 @@ def test_rk4_oracle_matches_run_one_step():
     assert np.allclose(one.y[1], ref, rtol=0, atol=1e-13)
 
 
-# separate_terms_qdd of tests/test_eom.py, loaded by path so the import does
-# not depend on pytest's import mode
+# list_rk4_step of tests/test_eom.py, loaded by path so the import does not
+# depend on pytest's import mode
 _spec = importlib.util.spec_from_file_location(
     "eom_oracle", Path(__file__).with_name("test_eom.py"))
 _eom_oracle = importlib.util.module_from_spec(_spec)
@@ -70,24 +71,18 @@ _spec.loader.exec_module(_eom_oracle)
 
 
 def list_rk4(par, mag, y0, n, dt, pd, variant):
-    """(ys, us) of n RK4 steps on lists of Python floats.
+    """(ys, us) of up to n RK4 steps on lists of Python floats.
 
-    The bit-exact oracle of _core.run_loop: the stages and the update are the
-    list comprehensions run_loop used before it unpacked them, and the
-    derivative is the separate _eom terms plus the magnetic torque
-    (separate_terms_qdd), not deriv. The input is pd_input at each step's
-    start state, held over the step.
+    The bit-exact oracle of _core.run_loop: each step is list_rk4_step of
+    tests/test_eom.py, on the separate _eom terms plus the magnetic torque
+    with every stage input and qdd tested, not _eom's step. It stops, as
+    run_loop does, at a step that fails or leaves a non-finite y. The input
+    is pd_input at each step's start state, held over the step.
     """
-    h, w = 0.5 * dt, dt / 6.0
     tau = (0.0,) * 4
     y, ys, us = list(y0), [], []
     if pd is not None:
         Kp, Kd, tgt = (np.asarray(a).tolist() for a in pd[:3])
-
-    def f(y):
-        qdd = _eom_oracle.separate_terms_qdd(par, mag, y, tau, variant)
-        return [*y[4:], *qdd]
-
     for i in range(n + 1):
         ys.append(y)
         us.append([0.0, 0.0])
@@ -96,13 +91,35 @@ def list_rk4(par, mag, y0, n, dt, pd, variant):
             tau = _core.torque_map(*us[-1])
         if i == n:
             break
-        k1 = f(y)
-        k2 = f([a + h * k for a, k in zip(y, k1)])
-        k3 = f([a + h * k for a, k in zip(y, k2)])
-        k4 = f([a + dt * k for a, k in zip(y, k3)])
-        y = [a + w * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        y = _eom_oracle.list_rk4_step(par, mag, y, tau, variant, dt)
+        if y is None or not all(map(math.isfinite, y)):
+            break
     return ys, us
+
+
+def loop_calls(monkeypatch):
+    """The (arguments, result) of each _core.run_loop call from now on."""
+    calls = []
+    real_loop = _core.run_loop
+
+    def loop(*args):
+        calls.append((args, real_loop(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(_core, "run_loop", loop)
+    return calls
+
+
+def assert_loop_is_list_rk4(args, result):
+    """run_loop's samples are list_rk4's, to the bit; returns n_done."""
+    par, mag, y0, n, dt, pd, variant = args
+    ys, us, n_done = result
+    ref_ys, ref_us = list_rk4(par.tolist(), mag.tolist(), y0.tolist(), n, dt,
+                              pd, variant)
+    assert len(ref_ys) == n_done + 1
+    assert ys[:n_done + 1].tolist() == ref_ys
+    assert us[:n_done + 1].tolist() == ref_us
+    return n_done
 
 
 @pytest.mark.parametrize("preset,changes,start", [
@@ -121,35 +138,58 @@ def test_run_loop_equals_a_list_rk4_to_the_bit(preset, changes, start,
         assert len(before.t) == start + 1
         sc = replace(sc, y0=tuple(before.y[-1]))
     sc = replace(sc, horizon=300 * sc.dt)
-    loops, derivs = [], [0]
-    real_loop, real_deriv = _core.run_loop, _core.deriv
+    loops, torques = loop_calls(monkeypatch), [0]
+    real_torque = _core.mag_torque
 
-    def loop(*args):
-        loops.append((args, real_loop(*args)))
-        return loops[-1][1]
+    def mag_torque(*args):
+        torques[0] += 1
+        return real_torque(*args)
 
-    def deriv(*args):
-        derivs[0] += 1
-        return real_deriv(*args)
-
-    # run_loop looks deriv up on the module at every stage, as the
+    # the step looks mag_torque up on the module at every stage, as the
     # benchmark's tracer relies on: RK4 makes 4 calls per step
-    monkeypatch.setattr(_core, "run_loop", loop)
-    monkeypatch.setattr(_core, "deriv", deriv)
+    monkeypatch.setattr(_core, "mag_torque", mag_torque)
     run(sc, p, m)
-    [((par, mag, y0, n, dt, pd, variant), (ys, us, n_done))] = loops
-    assert n == n_done == 300
-    assert derivs[0] == 4 * n
-    ref_ys, ref_us = list_rk4(par.tolist(), mag.tolist(), y0.tolist(), n, dt,
-                              pd, variant)
-    assert ys.tolist() == ref_ys
-    assert us.tolist() == ref_us
+    monkeypatch.setattr(_core, "mag_torque", real_torque)
+    [(args, result)] = loops
+    assert args[3] == assert_loop_is_list_rk4(args, result) == 300
+    assert torques[0] == (4 * 300 if sc.magnetics else 0)
+    ys, us, _ = result
     if sc.magnetics:
-        pulled = [_core.mag_torque(par.tolist(), mag.tolist(), y[:4])[0]
-                  != (0.0,) * 4 for y in ref_ys]
+        pulled = [_core.mag_torque(args[0].tolist(), args[1].tolist(), y[:4])[0]
+                  != (0.0,) * 4 for y in ys.tolist()]
         assert 0 < sum(pulled) < 300
-    if pd is not None:
+    if args[5] is not None:
         assert np.any(us[1:] != us[:-1])
+
+
+@pytest.mark.parametrize("preset,n_done", [("lifting", 1561),
+                                           ("balancing", 835)])
+def test_a_truncated_run_stops_where_a_list_rk4_does(preset, n_done,
+                                                      monkeypatch):
+    # the step tests only the inputs of stages 2 to 4 and run_loop the new
+    # y; a list RK4 that tests every stage input and qdd, as deriv did at
+    # each stage, must stop after the same step
+    sc, p, m = load_scenario(preset)
+    loops = loop_calls(monkeypatch)
+    assert run(sc, p, m).truncated
+    [(args, result)] = loops
+    assert assert_loop_is_list_rk4(args, result) == n_done < args[3]
+
+
+def test_a_nonfinite_stage_2_qdd_fails_the_step():
+    # rates of 1e100 leave stage 1's qdd (~1e300) and stage 2's input finite,
+    # and square to inf in stage 2's bias
+    par, mag = P.as_array().tolist(), [0.0] * 5
+    y = [0.1, 0.5, 3.0, 0.2, 1e100, -1e100, 1e100, 1e100]
+    dt, tau = 1e-3, (0.0,) * 4
+    qdd = _eom_oracle.separate_terms_qdd(par, mag, y, tau, 0)
+    y2 = [a + 0.5 * dt * k for a, k in zip(y, [*y[4:], *qdd])]
+    assert all(map(math.isfinite, qdd + tuple(y2)))
+    assert not all(map(math.isfinite,
+                       _eom_oracle.separate_terms_qdd(par, mag, y2, tau, 0)))
+    *_, n_done = _core.run_loop(par, mag, y, 3, dt, None, 0)
+    assert n_done == 0
+    assert list_rk4(par, mag, y, 3, dt, None, 0) == ([y], [[0.0, 0.0]])
 
 
 def test_sample_count_real_arithmetic():

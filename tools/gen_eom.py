@@ -19,14 +19,15 @@ and common subexpression elimination turns each set into straight-line
 code. The tip separation p_m and p_m times its gradient come from
 rollsim._core.separation the same way (see tip_geometry). Two more
 functions are printed from those: solve_spd4, the 4x4 Cholesky written once
-as the CHOLESKY text, and accel_for(p, variant), which the run loop calls
+as the CHOLESKY text, and step_for(p, variant, dt), which the run loop calls
 once per run. It computes every value of the separate cse blocks of M, bias
-and G that depends on p alone, found on the Python parse of the printed
-lines (see _hoist), and returns accel(y, tau, t), the loop's one call per RK4
-stage: the rest of the blocks, temporaries renamed apart, each sine and
-cosine taken once, then the solve with CHOLESKY inline. Moving whole parse
-subtrees keeps every operand and grouping, so accel equals the separate
-calls to the last bit. The output uses
+and G and of the Cholesky that depends on p alone, found on the Python parse
+of the printed lines (see _hoist), and returns step(y, tau, torque), the
+loop's one call per RK4 step: the rest of the blocks and the solve, in a
+loop over the four stages, each angle sum named and each sine and cosine
+taken once per stage. Moving whole parse subtrees keeps every operand and
+grouping, so each stage's qdd equals the separate calls to the last bit.
+The output uses
 only +, -, *, / and math's sin, cos and sqrt: integer powers are written as
 products, because Python's float ** raises OverflowError where a product
 overflows to inf, and the integrator reports a non-finite state by testing
@@ -226,8 +227,9 @@ def _function(name, args, doc, outputs, trig, pre=()):
 
 
 # M x = b by Cholesky, M given as its upper triangle m00..m33 row by row:
-# one text, printed as solve_spd4 and inline in accel. A non-positive or
-# non-finite pivot returns None; no input makes it raise.
+# one text, printed as solve_spd4 and inline in step. A non-positive or
+# non-finite pivot returns None; no input makes it raise. Every name is
+# assigned once, so the pivots of p alone can move to step_for.
 CHOLESKY = """\
 if not 0.0 < m00 < inf:
     return None
@@ -235,21 +237,21 @@ l00 = sqrt(m00)
 l10 = m01 / l00
 l20 = m02 / l00
 l30 = m03 / l00
-s = m11 - l10 * l10
-if not 0.0 < s < inf:
+d11 = m11 - l10 * l10
+if not 0.0 < d11 < inf:
     return None
-l11 = sqrt(s)
+l11 = sqrt(d11)
 l21 = (m12 - l20 * l10) / l11
 l31 = (m13 - l30 * l10) / l11
-s = m22 - l20 * l20 - l21 * l21
-if not 0.0 < s < inf:
+d22 = m22 - l20 * l20 - l21 * l21
+if not 0.0 < d22 < inf:
     return None
-l22 = sqrt(s)
+l22 = sqrt(d22)
 l32 = (m23 - l30 * l20 - l31 * l21) / l22
-s = m33 - l30 * l30 - l31 * l31 - l32 * l32
-if not 0.0 < s < inf:
+d33 = m33 - l30 * l30 - l31 * l31 - l32 * l32
+if not 0.0 < d33 < inf:
     return None
-l33 = sqrt(s)
+l33 = sqrt(d33)
 y0 = b0 / l00
 y1 = (b1 - l10 * y0) / l11
 y2 = (b2 - l20 * y0 - l21 * y1) / l22
@@ -259,6 +261,13 @@ x2 = (y2 - l32 * x3) / l22
 x1 = (y1 - l21 * x2 - l31 * x3) / l11
 x0 = (y0 - l10 * x1 - l20 * x2 - l30 * x3) / l00
 return (x0, x1, x2, x3)"""
+
+# what step_for returns when a pivot of p alone fails
+FAILED_STEP = '''\
+def _failed_step(y, tau, torque):
+    """step_for's step where a pivot of p alone fails: it fails for every y."""
+    return None
+'''
 
 M_NAMES = [f"m{i}{j}" for i in range(4) for j in range(i, 4)]
 
@@ -301,36 +310,57 @@ def _largest(node, known):
             for n in _largest(child, known)]
 
 
-def _hoist(lines):
-    """Split accel's block lines into (accel_for's lines, accel's lines).
+# math's names in the generated code: fixed, like the constants
+MATH = {"cos", "inf", "sin", "sqrt"}
 
-    lines are one assignment each, indented under a variant branch or not,
-    and the branch headers. An unindented assignment of +, - and * of
-    parameters, constants and names already hoisted moves to accel_for
-    whole. In every other line, each largest such operation, as Python
-    parses the line, moves to accel_for as xp0, xp1, ..., or under the name
-    of an equal expression hoisted before, and the line reads that name in
-    its place. The parse tree keeps its shape, so the operands, their
-    grouping and the bits of every result are unchanged.
+
+def _names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _hoist(lines):
+    """Split step's lines into (step_for's lines, step's lines).
+
+    lines are one statement each, indented under a branch or not, and the
+    branch headers. An unindented assignment whose names are all parameters,
+    math's and names already hoisted moves to step_for whole, and so does an
+    unindented pivot check of such names, its `return None` made `return
+    _failed_step`: statements keep their order, so each check still runs
+    before the sqrt and divisions it guards. In every other line, each
+    largest operation of +, - and * of such names, as Python parses the
+    line, moves to step_for as xp0, xp1, ..., or under the name of an equal
+    expression hoisted before, and the line reads that name in its place.
+    The parse tree keeps its shape, so the operands, their grouping and the
+    bits of every result are unchanged.
     """
-    known = {str(s) for s in PAR}
+    known = {str(s) for s in PAR} | MATH
     names = {}  # ast.dump of a hoisted expression -> the name it has
     fresh = (f"xp{i}" for i in itertools.count())
     outer, inner = [], []
+    lines = iter(lines)
     for line in lines:
         text = line.lstrip()
         indent = line[:len(line) - len(text)]
         if text.endswith(":"):
-            inner.append(line)
+            if (not indent and text.startswith("if not ")
+                    and _names(ast.parse(text[3:-1], mode="eval")) <= known):
+                next(lines)  # its return None
+                outer += [text, "    return _failed_step"]
+            else:
+                inner.append(line)
             continue
-        assign = ast.parse(text).body[0]
-        if not indent and _fixed(assign.value, known):
-            outer.append(text)
-            known.add(assign.targets[0].id)
-            names.setdefault(ast.dump(assign.value), assign.targets[0].id)
-            continue
+        stmt = ast.parse(text).body[0]
+        if isinstance(stmt, ast.Assign):
+            targets = _names(stmt.targets[0])
+            if targets & known:
+                raise ValueError(f"{text!r} assigns a hoisted name again")
+            if not indent and _names(stmt.value) <= known:
+                outer.append(text)
+                known |= targets
+                names.setdefault(ast.dump(stmt.value), stmt.targets[0].id)
+                continue
         spans = []
-        for node in _largest(assign.value, known):
+        for node in _largest(stmt, known):
             start, end = node.col_offset, node.end_col_offset
             key = ast.dump(node)
             if key not in names:
@@ -345,17 +375,23 @@ def _hoist(lines):
     return outer, inner
 
 
-def _accel_for(m, b, g, trig):
-    """Source of accel_for(p, variant), which returns accel(y, tau, t):
-    qdd = M^-1 ((tau - bias - G) + t), or None.
+def _step_for(m, b, g, trig):
+    """Source of step_for(p, variant, dt), which returns step(y, tau,
+    torque): one RK4 step of y' = (qd, qdd), qdd = M^-1 ((tau - bias - G) +
+    torque(q)), held tau and torque None for none; None where a stage fails.
 
     It prints the blocks of mass_matrix, bias and gravity as _function does,
     each sympy cse of its own, with their x* temporaries renamed apart (xm*,
     xb*, xg*) and their outputs assigned to names; a joint cse over the three
-    would regroup the arithmetic and move last bits. _hoist moves what they
-    compute of p alone to accel_for, once per p. accel unpacks y and tau,
-    takes each c*/s* once, runs the rest of the blocks, forms the right-hand
-    side in deriv's order and solves with CHOLESKY inline.
+    would regroup the arithmetic and move last bits. Then the right-hand side
+    in the order of the separate terms, and CHOLESKY. _hoist moves what they
+    compute of p alone to step_for, once per p, the first two pivots among
+    it. step runs the rest once per RK4 stage in a loop, each angle sum
+    named and each c*/s* taken once, and forms the next stage's input, the
+    slopes' weighted sum and the new y with the expressions and grouping of
+    tests/test_simulate.py's list RK4: k1 + 2.0 k2 + 2.0 k3 + k4 is summed
+    left to right as the stages come. A stage input of inf or nan returns
+    None before any sine is taken of it.
     """
     blocks = [(_block(m, trig), "xm", M_NAMES),
               (_block(b, trig), "xb", [f"bias{i}" for i in range(4)]),
@@ -373,25 +409,61 @@ def _accel_for(m, b, g, trig):
                             f"variant == {variant}:")
             body += [f"{indent}{n} = {_apart(t, prefix)}"
                      for n, t in zip(names, texts)]
-    outer, inner = _hoist(body)
+    body += [f"b{i} = tau{i} - bias{i} - G{i}" for i in range(4)]
+    body += ["if torque is not None:",
+             "    t0, t1, t2, t3 = torque((th1, th2, ph1, ph2))"]
+    body += [f"    b{i} = b{i} + t{i}" for i in range(4)]
+    *solve, done = CHOLESKY.splitlines()
+    assert done == "return (x0, x1, x2, x3)"
+    outer, inner = _hoist(body + solve)
+
+    printer = _Printer()
+    trig_lines = []
+    for angle, tag in ANGLES:
+        taken = [(func, sym) for func, sym in trig.items()
+                 if func.args[0] == angle and sym in used]
+        if taken:
+            trig_lines.append(f"a{tag} = {printer.doprint(angle)}")
+            trig_lines += [f"{sym} = {type(func).__name__}(a{tag})"
+                           for func, sym in taken]
+    y = [str(s) for s in Q + QD]
+    slope = [str(s) for s in QD] + ["x0", "x1", "x2", "x3"]
+    new_y = ", ".join(f"z{i} + w * (k{i} + {d})" for i, d in enumerate(slope))
+
     lines = _preamble(
-        "accel_for", ("p", "variant"),
-        "accel(y, tau, t) for parameters p and potential variant; what p "
-        "alone\n    determines is computed here, once.", [(PAR, "p")], {},
-        set())
+        "step_for", ("p", "variant", "dt"),
+        "step(y, tau, torque), one RK4 step of dt for parameters p and\n"
+        "    potential variant; what p alone determines is computed here, "
+        "once.", [(PAR, "p")], {}, set())
     lines += ["    " + line for line in outer]
-    lines += _preamble(
-        "accel", ("y", "tau", "t"),
-        "qdd from y = (q, qd), tau, magnetic torque t or None; None if a\n"
-        "        pivot fails.",
-        [(Q + QD, "y"), (("tau0", "tau1", "tau2", "tau3"), "tau")], trig,
-        used, indent="        ")
-    lines += ["        " + line for line in inner]
-    lines += [f"        b{i} = tau{i} - bias{i} - G{i}" for i in range(4)]
-    lines += ["        if t is not None:", "            t0, t1, t2, t3 = t"]
-    lines += [f"            b{i} = b{i} + t{i}" for i in range(4)]
-    lines += ["        " + line for line in CHOLESKY.splitlines()]
-    lines.append("    return accel")
+    lines += ["    h = 0.5 * dt", "    w = dt / 6.0",
+              "",
+              "    def step(y, tau, torque):",
+              '        """The y after one step from y = (q, qd) under tau, '
+              "held, plus\n"
+              "        torque(q) at each stage unless torque is None; None if "
+              "a pivot\n"
+              "        fails or the input to stage 2, 3 or 4 is not "
+              'finite."""',
+              f"        {', '.join(f'z{i}' for i in range(8))} = y",
+              f"        {', '.join(y)} = y",
+              "        tau0, tau1, tau2, tau3 = tau",
+              "        for stage in (1, 2, 3, 4):"]
+    lines += ["            " + line for line in trig_lines + inner]
+    lines += ["            if stage == 4:",
+              f"                return ({new_y})",
+              "            if stage == 1:"]
+    lines += [f"                k{i} = {d}" for i, d in enumerate(slope)]
+    lines += ["                f = h", "            else:"]
+    lines += [f"                k{i} = k{i} + 2.0 * {d}"
+              for i, d in enumerate(slope)]
+    lines += ["                if stage == 3:", "                    f = dt"]
+    lines += [f"            {v} = z{i} + f * {d}"
+              for i, (v, d) in enumerate(zip(y, slope))]
+    lines += ["            if " + " + ".join(f"0.0 * {v}" for v in y)
+              + " != 0.0:",
+              "                return None"]
+    lines.append("    return step")
     return "\n".join(lines) + "\n"
 
 
@@ -408,17 +480,22 @@ I_s, r1, r2, R1, R2, g, delta...). The mass matrix is returned as its upper
 triangle, row by row: (M00, M01, M02, M03, M11, M12, M13, M22, M23, M33).
 variant selects the potential: 0 paper-verbatim, 1 geometry-consistent.
 
-accel_for(p, variant) builds the run loop's derivative once per run. It
-computes what the code of mass_matrix, bias and gravity derives from p alone:
-the temporaries of p alone and, in the other lines, each operation of p
-alone as Python parses the line. It returns accel(y, tau, t), called once
-per RK4 stage: the rest of that code line for line, temporaries renamed
-apart and each sine and cosine taken once, then (tau - bias - G) + t solved
-by the Cholesky of solve_spd4, printed inline. It equals the separate calls
-to the last bit and returns None where solve_spd4 would.
+step_for(p, variant, dt) builds the run loop's RK4 step once per run. It
+computes what the code of mass_matrix, bias and gravity and the Cholesky of
+solve_spd4 derive from p alone: the temporaries of p alone, the first two
+pivots and, in the other lines, each operation of p alone as Python parses
+the line. It returns step(y, tau, torque), called once per step, which runs
+the rest of that code line for line in a loop over the four RK4 stages:
+temporaries renamed apart, each angle sum named and each sine and cosine
+taken once, (tau - bias - G) + torque(q) solved by the Cholesky inline. Its
+qdd at each stage equals the separate calls to the last bit, and the stage
+inputs and the update are those of a list-form RK4. It returns None where a
+solve_spd4 at some stage would, or where the input to stage 2, 3 or 4 is
+not finite; a non-finite qdd at stage 4 leaves the new y non-finite.
 
 With floats, q and qd are 4-sequences and y is (q, qd); math.sin and
-math.cos raise ValueError on inf, so rollsim._core.deriv tests y first.
+math.cos raise ValueError on inf, so rollsim._core.deriv tests y first, and
+rollsim._core.run_loop tests each y it passes to step.
 rollsim._core also runs mass_matrix, bias and gravity on equal-length
 columns, with numpy's cos, sin and sqrt bound in place of math's, and masks
 the non-finite columns itself.
@@ -450,7 +527,8 @@ def generate() -> str:
                   "(p_m, p_m * d p_m / dq): tip separation, scaled gradient.",
                   tip, trig, pre),
         _solver(),
-        _accel_for(m, b, {GEOMETRIC: gg, VERBATIM: gv}, trig),
+        FAILED_STEP,
+        _step_for(m, b, {GEOMETRIC: gg, VERBATIM: gv}, trig),
     ]
     return "\n\n".join(parts)
 
