@@ -39,8 +39,8 @@ NON_FINITE_STATE = "NonFiniteState"
 # IEEE quotients like 5/0.001 landing just under the integer
 _COUNT_EPS = 1e-6
 
-# samples of 8 doubles that fit in a 64-bit address space: numpy refuses a
-# larger array with ValueError, not MemoryError
+# the most samples of 8 doubles that numpy can index: it refuses a larger
+# array with ValueError, not MemoryError
 _MAX_SAMPLES = sys.maxsize // 64
 
 

@@ -184,6 +184,9 @@ def test_accel_redoes_no_arithmetic_of_p_alone():
     [0.1, 0.5, 3.0, 0.2, 1e155, 1e155, 1e155, 1e155],  # bias overflows
     [0.0, math.nan, 3.0, 0.1, 0.0, 0.0, 0.0, 0.0],
     [0.0, 0.0, 3.0, 0.1, 0.0, math.inf, 0.0, 0.0],
+    # stage 1's qdd has inf entries: infinite rates in stage 2's input,
+    # which would make infinite angles in stage 3's
+    [0.9, -2.4, 1.8, 2.5, 1e184, 0.3, -0.7, -0.3],
 ])
 def test_deriv_flags_nonfinite_without_raising(y):
     mag = [1.0, 0.05, 0.02, 0.0025, 1.257e-6]

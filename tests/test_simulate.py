@@ -192,6 +192,26 @@ def test_a_nonfinite_stage_2_qdd_fails_the_step():
     assert list_rk4(par, mag, y, 3, dt, None, 0) == ([y], [[0.0, 0.0]])
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_run_loop_takes_no_step_from_a_nonfinite_y0(bad):
+    # run_loop tests y0 once, after recording its input; the step would
+    # take a sine of it. Scenario rejects such a y0 before run gets it.
+    sc, p, m = load_scenario("balancing")
+    ctrl = sc.controller
+    pd = (ctrl.gains.kp_array(), ctrl.gains.kd_array(),
+          ctrl.setpoints.target_array(), 0.0, ctrl.psi_rate)
+    y0 = np.array(sc.y0)
+    y0[2] = bad
+    ys, us, n_done = _core.run_loop(p.as_array(), m.as_array(), y0, 5, sc.dt,
+                                    pd, 0)
+    assert n_done == 0
+    ref_ys, ref_us = list_rk4(p.as_array().tolist(), m.as_array().tolist(),
+                              y0.tolist(), 5, sc.dt, pd, 0)
+    np.testing.assert_array_equal(ys[:1], ref_ys)
+    np.testing.assert_array_equal(us[:1], ref_us)
+    assert not np.all(np.isfinite(us[0]))
+
+
 def test_sample_count_real_arithmetic():
     assert sample_count(5.0, 1e-3) == 5001
     assert sample_count(10.0, 5e-4) == 20001
