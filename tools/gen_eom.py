@@ -378,7 +378,8 @@ def _hoist(lines):
 def _step_for(m, b, g, trig):
     """Source of step_for(p, variant, dt), which returns step(y, tau,
     torque): one RK4 step of y' = (qd, qdd), qdd = M^-1 ((tau - bias - G) +
-    torque(q)), held tau and torque None for none; None where a stage fails.
+    torque(q)), tau held over the step and torque None for no torque; None
+    where a stage fails.
 
     It prints the blocks of mass_matrix, bias and gravity as _function does,
     each sympy cse of its own, with their x* temporaries renamed apart (xm*,
