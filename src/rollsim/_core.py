@@ -317,17 +317,6 @@ def deriv(par, mag, y, tau, variant):
     return (*qd, *qdd), True
 
 
-def _magnetic(par, mag):
-    """torque(q), the magnetic torque Q for _eom's step.
-
-    mag_torque is looked up on the module at each call, so a wrapper on the
-    module's attribute sees every RK4 stage.
-    """
-    def torque(q):
-        return mag_torque(par, mag, q)[0]
-    return torque
-
-
 def run_loop(par, mag, y0, n, dt, pd, variant):
     """Integrate n fixed RK4 steps from y0.
 
@@ -343,7 +332,12 @@ def run_loop(par, mag, y0, n, dt, pd, variant):
     """
     par, mag = _floats(par), _floats(mag)
     step = _eom.step_for(par, variant, dt)
-    torque = _magnetic(par, mag) if mag[0] != 0.0 else None
+    torque = None
+    if mag[0] != 0.0:
+        # mag_torque is looked up on the module at each call, so a wrapper
+        # on the module's attribute sees every RK4 stage
+        def torque(q):
+            return mag_torque(par, mag, q)[0]
     if pd is not None:
         Kp, Kd, tgt = (_floats(a) for a in pd[:3])
         sat, psi_rate = pd[3], pd[4]

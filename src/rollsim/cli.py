@@ -109,7 +109,7 @@ def _build_parser():
     p_run.add_argument("--out", help="output CSV path (directory when "
                        "running several scenarios)")
     p_run.add_argument("--magnetics", choices=("on", "off"),
-                       help="override the tip-coupling flag")
+                       help="override magnetics.enabled, the tip coupling")
     p_run.add_argument("--potential", choices=POTENTIAL_VARIANTS,
                        help="override the potential-energy variant")
 
@@ -125,17 +125,15 @@ def _build_parser():
     return parser
 
 
-def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    changes = {}
-    if args.dt is not None:
-        changes["dt"] = args.dt
-    if args.horizon is not None:
-        changes["horizon"] = args.horizon
+def _apply_overrides(scenario, params, mag, args):
+    """load_scenario's (scenario, params, mag) with the run options applied."""
+    changes = {key: getattr(args, key) for key in ("dt", "horizon", "potential")
+               if getattr(args, key) is not None}
+    if changes:
+        scenario = replace(scenario, **changes)
     if args.magnetics is not None:
-        changes["magnetics"] = args.magnetics == "on"
-    if args.potential is not None:
-        changes["potential"] = args.potential
-    return replace(scenario, **changes) if changes else scenario
+        mag = replace(mag, enabled=args.magnetics == "on")
+    return scenario, params, mag
 
 
 def _out_path(args, scenario_name: str, several: bool) -> Path:
@@ -148,10 +146,8 @@ def _out_path(args, scenario_name: str, several: bool) -> Path:
 
 
 def cmd_run(args) -> int:
-    loaded = []
-    for ref in args.scenarios:
-        scenario, params, mag = load_scenario(ref)
-        loaded.append((_apply_overrides(scenario, args), params, mag))
+    loaded = [_apply_overrides(*load_scenario(ref), args)
+              for ref in args.scenarios]
 
     trajectories = [run(*a) for a in loaded]
 

@@ -17,7 +17,6 @@ from pathlib import Path
 import yaml
 
 from .control import GainMatrices, Setpoints
-from .energetics import POTENTIAL_VARIANTS
 from .magnetics import MagneticParams
 from .model import RobotParams, ValidationError, finite_number, load_params
 from .simulate import PDSpec, Scenario
@@ -114,11 +113,11 @@ def _load_controller(section) -> PDSpec | None:
         vals = _number_list(sp[key], 2, f"controller.setpoints.{key}")
         return tuple(math.radians(v) for v in vals)
 
-    saturation = None
-    if section.get("saturation") is not None:
-        saturation = _number(section["saturation"], "controller.saturation")
-        if not saturation > 0:
-            raise ConfigError(f"controller.saturation must be positive, got {saturation!r}")
+    saturation = section.get("saturation")
+    if saturation is not None:
+        saturation = _number(saturation, "controller.saturation")
+    psi_rate = _bool(section["psi_rate"], "controller.psi_rate") \
+        if "psi_rate" in section else False
     try:
         gains = GainMatrices(
             Kp=_gain_matrix(section["kp"], "controller.kp"),
@@ -130,12 +129,10 @@ def _load_controller(section) -> PDSpec | None:
             phi_d=rad_pair("phi_d_deg"),
             dtheta_d=rad_pair("dtheta_d_deg", (0.0, 0.0)),
             dphi_d=rad_pair("dphi_d_deg", (0.0, 0.0)))
+        return PDSpec(gains=gains, setpoints=setpoints, saturation=saturation,
+                      psi_rate=psi_rate)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
-    psi_rate = _bool(section["psi_rate"], "controller.psi_rate") \
-        if "psi_rate" in section else False
-    return PDSpec(gains=gains, setpoints=setpoints, saturation=saturation,
-                  psi_rate=psi_rate)
 
 
 def load_scenario_dict(doc: dict, default_name: str):
@@ -161,16 +158,12 @@ def load_scenario_dict(doc: dict, default_name: str):
 
     y0 = tuple(math.radians(v)
                for v in _number_list(sc["y0_deg"], 8, "scenario.y0_deg"))
-    potential = sc.get("potential", "paper-verbatim")
-    if potential not in POTENTIAL_VARIANTS:
-        raise ConfigError(
-            f"scenario.potential must be one of {POTENTIAL_VARIANTS}, got {potential!r}")
+    given = {key: _number(sc[key], f"scenario.{key}")
+             for key in ("horizon", "dt") if key in sc}
+    if "potential" in sc:
+        given["potential"] = sc["potential"]
     try:
-        scenario = Scenario(
-            name=name, y0=y0, controller=controller, magnetics=mag.enabled,
-            horizon=_number(sc["horizon"], "scenario.horizon") if "horizon" in sc else 10.0,
-            dt=_number(sc["dt"], "scenario.dt") if "dt" in sc else 1e-3,
-            potential=potential)
+        scenario = Scenario(name=name, y0=y0, controller=controller, **given)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
     return scenario, params, mag

@@ -20,16 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _core
-from .model import RobotParams, State
+from .model import RobotParams, State, ValidationError
 
 POTENTIAL_VARIANTS = ("paper-verbatim", "geometry-consistent")
 
 
 def variant_code(name: str) -> int:
+    """Index of a potential variant name; ValidationError for another."""
     try:
         return POTENTIAL_VARIANTS.index(name)
     except ValueError:
-        raise ValueError(
+        raise ValidationError(
             f"unknown potential variant {name!r}; choose one of {POTENTIAL_VARIANTS}"
         ) from None
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _core
-from .model import RobotParams, State, ValidationError
+from .model import RobotParams, State, ValidationError, finite_number
 
 
 @dataclass(frozen=True)
@@ -38,11 +38,11 @@ class MagneticParams:
     enabled: bool = False
 
     def __post_init__(self):
-        if not (np.isfinite(self.B_max) and self.B_max >= 0):
+        if not (finite_number(self.B_max) and self.B_max >= 0):
             raise ValidationError(f"B_max must be >= 0, got {self.B_max!r}")
         for name in ("P_max", "A", "mu0"):
             v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
+            if not (finite_number(v) and v > 0):
                 raise ValidationError(f"{name} must be positive, got {v!r}")
 
     def as_array(self) -> np.ndarray:

@@ -27,7 +27,7 @@ from .control import GainMatrices, Setpoints, reference_energy
 from .energetics import variant_code
 from .kinematics import upright_deviation
 from .magnetics import MagneticParams
-from .model import RobotParams, ValidationError
+from .model import RobotParams, ValidationError, finite_number
 
 TOPPLE = "Topple"
 GROUND_PENETRATION = "GroundPenetration"
@@ -46,20 +46,30 @@ _MAX_SAMPLES = sys.maxsize // 64
 
 @dataclass(frozen=True)
 class PDSpec:
-    """Controller attachment for a scenario."""
+    """Controller attachment for a scenario; a saturation bounds each |u_i|."""
 
     gains: GainMatrices
     setpoints: Setpoints
     saturation: Optional[float] = None
     psi_rate: bool = False
 
+    def __post_init__(self):
+        if self.saturation is not None and not (
+                finite_number(self.saturation) and self.saturation > 0):
+            raise ValidationError("saturation must be None or positive and "
+                                  f"finite, got {self.saturation!r}")
+
 
 @dataclass(frozen=True)
 class Scenario:
+    """Initial state, controller, horizon, step and potential of one run.
+
+    Tip coupling is not set here but by MagneticParams.enabled, passed to run.
+    """
+
     name: str
     y0: tuple  # (theta1, theta2, phi1, phi2, rates...) radians, rad/s
     controller: Optional[PDSpec] = None
-    magnetics: bool = False
     horizon: float = 10.0
     dt: float = 1e-3
     potential: str = "paper-verbatim"
@@ -69,10 +79,10 @@ class Scenario:
             raise ValidationError(f"y0 must have 8 entries, got {len(self.y0)}")
         if not all(map(math.isfinite, self.y0)):
             raise ValidationError(f"y0 must be finite, got {tuple(self.y0)!r}")
-        if not 0.0 < self.dt < math.inf:
+        if not (finite_number(self.dt) and self.dt > 0):
             raise ValidationError(
                 f"dt must be positive and finite, got {self.dt!r}")
-        if not self.dt <= self.horizon < math.inf:
+        if not (finite_number(self.horizon) and self.horizon >= self.dt):
             raise ValidationError(f"horizon {self.horizon!r} must be finite "
                                   f"and at least dt {self.dt!r}")
         variant_code(self.potential)  # validates the name
@@ -134,16 +144,15 @@ def run(scenario: Scenario, params: Optional[RobotParams] = None,
         mag: Optional[MagneticParams] = None) -> Trajectory:
     """Integrate a scenario and return the fully populated trajectory.
 
-    The scenario's magnetics flag decides whether coupling forces act; mag
-    supplies the model constants (defaults when omitted). Deterministic:
-    identical inputs give bit-identical trajectories. Raises
-    ValidationError when the samples of the run do not fit in memory.
+    mag.enabled alone decides whether the tips couple; mag also holds the
+    flux model constants. Omitted params and mag default to RobotParams()
+    and MagneticParams(), whose coupling is off. Deterministic: identical
+    inputs give bit-identical trajectories. Raises ValidationError when the
+    samples of the run do not fit in memory.
     """
     params = params if params is not None else RobotParams()
     mag = mag if mag is not None else MagneticParams()
     par = params.as_array()
-    mag_arr = mag.as_array()
-    mag_arr[0] = 1.0 if scenario.magnetics else 0.0
     variant = variant_code(scenario.potential)
 
     ctrl = scenario.controller
@@ -160,8 +169,9 @@ def run(scenario: Scenario, params: Optional[RobotParams] = None,
         raise _too_many_samples(scenario, f"over {_MAX_SAMPLES}")
     n = sample_count(scenario.horizon, scenario.dt) - 1
     try:
-        ys, us, n_done = _core.run_loop(par, mag_arr, scenario.y0_array(), n,
-                                        scenario.dt, pd, variant)
+        ys, us, n_done = _core.run_loop(par, mag.as_array(),
+                                        scenario.y0_array(), n, scenario.dt,
+                                        pd, variant)
     except MemoryError as exc:
         # run_loop allocates every sample before the first step
         raise _too_many_samples(scenario, n + 1) from exc

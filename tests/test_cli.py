@@ -1,8 +1,12 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from rollsim.cli import main
+from rollsim.config import load_scenario
+from rollsim.output import format_csv
+from rollsim.simulate import run
 
 
 def run_cli(argv, capsys):
@@ -33,6 +37,36 @@ def test_run_dt_override_row_count(tmp_path, capsys):
                           "--horizon", "0.5", "--out", str(out)], capsys)
     assert code == 0
     assert len(out.read_text().splitlines()) == 1002
+
+
+@pytest.mark.parametrize("preset,common,switch,changes", [
+    # the tips first couple at 0.4864 s of this run
+    ("lifting", {"dt": 2e-4, "horizon": 0.5}, ("magnetics", "on", "off"),
+     ({}, {"enabled": True})),
+    ("freefall", {"horizon": 0.05},
+     ("potential", "geometry-consistent", "paper-verbatim"),
+     ({"potential": "geometry-consistent"}, {})),
+])
+def test_run_overrides_reach_the_run(tmp_path, capsys, preset, common, switch,
+                                     changes):
+    # the CSV of each setting is that of the library run with the
+    # (Scenario, MagneticParams) fields replaced, and the two CSVs differ
+    options = [arg for key, value in common.items()
+               for arg in (f"--{key}", str(value))]
+    option, on, off = switch
+    texts = []
+    for value in (on, off):
+        out = tmp_path / f"{value}.csv"
+        code, _, _ = run_cli(["run", preset, *options, f"--{option}", value,
+                              "--out", str(out)], capsys)
+        assert code == 0
+        texts.append(out.read_text())
+    sc, p, m = load_scenario(preset)
+    sc = replace(sc, **common)
+    assert texts[0] == format_csv(run(replace(sc, **changes[0]), p,
+                                      replace(m, **changes[1])))
+    assert texts[1] == format_csv(run(sc, p, m))
+    assert texts[0] != texts[1]
 
 
 def test_run_rejects_bad_dt(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from rollsim.config import (ConfigError, UnknownPresetError, list_presets,
                             load_scenario, load_scenario_dict, resolve)
+from rollsim.simulate import Scenario
 
 
 def test_bundled_presets_present():
@@ -15,7 +16,7 @@ def test_freefall_preset_contents():
     sc, params, mag = load_scenario("freefall")
     assert sc.name == "freefall"
     assert sc.controller is None
-    assert not sc.magnetics and not mag.enabled
+    assert not mag.enabled
     assert sc.horizon == 5.0 and sc.dt == 1e-3
     y0 = np.degrees(sc.y0_array())
     assert np.allclose(y0, [0, 30, 185, 0, 0, 0, 0, 0])
@@ -92,10 +93,21 @@ def test_path_argument_bypasses_preset_search(tmp_path):
     ({"scenario": {"y0_deg": [0] * 8},
       "params": {"delta": [0.0, True, 0.0, 0.0]}}, "delta"),
     ({"scenario": {"y0_deg": [0] * 8, "horizon": 10**400}}, "horizon"),
+    *(({"scenario": {"y0_deg": [0] * 8},
+        "controller": {"kp": [[0] * 4] * 2, "kd": [[0] * 4] * 2,
+                       "setpoints": {"theta_d_deg": [0, 0],
+                                     "phi_d_deg": [0, 0]},
+                       "saturation": sat}}, "saturation")
+      for sat in (-1, 0, float("nan"))),
 ])
 def test_rejects_malformed_documents(doc, fragment):
     with pytest.raises(ConfigError, match=fragment):
         load_scenario_dict(doc, default_name="t")
+
+
+def test_absent_keys_take_the_scenario_defaults():
+    sc, _, _ = load_scenario_dict({"scenario": {"y0_deg": [0] * 8}}, "d")
+    assert sc == Scenario(name="d", y0=(0.0,) * 8)
 
 
 def test_controller_section_full():
@@ -138,6 +150,6 @@ def test_magnetics_section():
         "magnetics": {"enabled": True, "B_max": 0.1, "P_max": 0.05},
     }
     sc, _, mag = load_scenario_dict(doc, default_name="m")
-    assert sc.magnetics and mag.enabled
+    assert mag.enabled and not hasattr(sc, "magnetics")  # the one switch
     assert mag.B_max == 0.1 and mag.P_max == 0.05
     assert mag.A == 0.0025  # untouched default

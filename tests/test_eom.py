@@ -206,20 +206,6 @@ MAG_ON = [1.0, 0.05, 0.14, 0.0025, 1.257e-6]
 MAG_OFF = [0.0] * 5
 
 
-def separate_terms_qdd(p, mag, y, tau, variant):
-    """qdd from the separate scalar terms, as deriv computed it before the
-    terms were fused: solve_spd4(M, (tau - bias - G) + t)."""
-    q, qd = y[:4], y[4:]
-    b = _eom.bias(p, q, qd)
-    G = _eom.gravity(p, q, variant)
-    rhs = (tau[0] - b[0] - G[0], tau[1] - b[1] - G[1],
-           tau[2] - b[2] - G[2], tau[3] - b[3] - G[3])
-    if mag[0] != 0.0:
-        t, _ = _core.mag_torque(p, mag, q)
-        rhs = (rhs[0] + t[0], rhs[1] + t[1], rhs[2] + t[2], rhs[3] + t[3])
-    return _eom.solve_spd4(_eom.mass_matrix(p, q), rhs)
-
-
 def torque_of(p, mag):
     """The torque argument of _eom's step: None, or Q of _core.mag_torque."""
     if mag[0] == 0.0:
@@ -231,19 +217,16 @@ def list_rk4_step(p, mag, y, tau, variant, dt):
     """One RK4 step on lists of Python floats, or None where it fails.
 
     The bit-exact oracle of _eom's step: the stages and the update are list
-    comprehensions, and the derivative is separate_terms_qdd. As deriv did
-    at each stage, it fails where a stage input or a qdd is not finite or a
-    solve fails; the new y is returned untested.
+    comprehensions, and the derivative is _core.deriv, which solves
+    M qdd = (tau - bias - G) + t on the separate _eom terms and shares no
+    code with step. It fails where deriv does, at a stage input or a qdd
+    that is not finite or a failed solve; the new y is returned untested.
     """
     h, w = 0.5 * dt, dt / 6.0
 
     def f(y):
-        if not all(map(math.isfinite, y)):
-            return None
-        qdd = separate_terms_qdd(p, mag, y, tau, variant)
-        if qdd is None or not all(map(math.isfinite, qdd)):
-            return None
-        return [*y[4:], *qdd]
+        dy, ok = _core.deriv(p, mag, y, tau, variant)
+        return list(dy) if ok else None
 
     k1 = f(y)
     k2 = k1 and f([a + h * k for a, k in zip(y, k1)])

@@ -132,3 +132,8 @@ def test_param_validation():
         MagneticParams(P_max=0.0)
     with pytest.raises(ValidationError):
         MagneticParams(mu0=0.0)
+    # a bool is not a number, and an int past the float range made numpy's
+    # isfinite raise TypeError
+    for bad in ({"B_max": True}, {"A": True}, {"P_max": 10**400}):
+        with pytest.raises(ValidationError):
+            MagneticParams(**bad)

@@ -123,16 +123,17 @@ def assert_loop_is_list_rk4(args, result):
 
 
 @pytest.mark.parametrize("preset,changes,start", [
-    ("freefall", {}, 0),
+    ("freefall", ({}, {}), 0),
     # from 0.48 s of the lifting_mag run: the held PD input, and the tips
     # couple at 0.4864 s
-    ("lifting", {"magnetics": True, "dt": 2e-4}, 2400),
-    ("balancing", {}, 0),
+    ("lifting", ({"dt": 2e-4}, {"enabled": True}), 2400),
+    ("balancing", ({}, {}), 0),
 ])
 def test_run_loop_equals_a_list_rk4_to_the_bit(preset, changes, start,
                                                monkeypatch):
+    # changes: the (Scenario, MagneticParams) fields to replace
     sc, p, m = load_scenario(preset)
-    sc = replace(sc, **changes)
+    sc, m = replace(sc, **changes[0]), replace(m, **changes[1])
     if start:
         before = run(replace(sc, horizon=start * sc.dt), p, m)
         assert len(before.t) == start + 1
@@ -152,9 +153,9 @@ def test_run_loop_equals_a_list_rk4_to_the_bit(preset, changes, start,
     monkeypatch.setattr(_core, "mag_torque", real_torque)
     [(args, result)] = loops
     assert args[3] == assert_loop_is_list_rk4(args, result) == 300
-    assert torques[0] == (4 * 300 if sc.magnetics else 0)
+    assert torques[0] == (4 * 300 if m.enabled else 0)
     ys, us, _ = result
-    if sc.magnetics:
+    if m.enabled:
         pulled = [_core.mag_torque(args[0].tolist(), args[1].tolist(), y[:4])[0]
                   != (0.0,) * 4 for y in ys.tolist()]
         assert 0 < sum(pulled) < 300
@@ -167,7 +168,7 @@ def test_run_loop_equals_a_list_rk4_to_the_bit(preset, changes, start,
 def test_a_truncated_run_stops_where_a_list_rk4_does(preset, n_done,
                                                       monkeypatch):
     # the step tests only the inputs of stages 2 to 4 and run_loop the new
-    # y; a list RK4 that tests every stage input and qdd, as deriv did at
+    # y; a list RK4 that tests every stage input and qdd, as deriv does at
     # each stage, must stop after the same step
     sc, p, m = load_scenario(preset)
     loops = loop_calls(monkeypatch)
@@ -182,11 +183,10 @@ def test_a_nonfinite_stage_2_qdd_fails_the_step():
     par, mag = P.as_array().tolist(), [0.0] * 5
     y = [0.1, 0.5, 3.0, 0.2, 1e100, -1e100, 1e100, 1e100]
     dt, tau = 1e-3, (0.0,) * 4
-    qdd = _eom_oracle.separate_terms_qdd(par, mag, y, tau, 0)
-    y2 = [a + 0.5 * dt * k for a, k in zip(y, [*y[4:], *qdd])]
-    assert all(map(math.isfinite, qdd + tuple(y2)))
-    assert not all(map(math.isfinite,
-                       _eom_oracle.separate_terms_qdd(par, mag, y2, tau, 0)))
+    dy, ok = _core.deriv(par, mag, y, tau, 0)
+    y2 = [a + 0.5 * dt * k for a, k in zip(y, dy)]
+    assert ok and all(map(math.isfinite, dy[4:] + tuple(y2)))
+    assert not _core.deriv(par, mag, y2, tau, 0)[1]
     *_, n_done = _core.run_loop(par, mag, y, 3, dt, None, 0)
     assert n_done == 0
     assert list_rk4(par, mag, y, 3, dt, None, 0) == ([y], [[0.0, 0.0]])
@@ -227,18 +227,21 @@ def test_scenario_validation():
         Scenario(name="x", y0=(0.0,) * 8, dt=0.0)
     with pytest.raises(ValidationError):
         Scenario(name="x", y0=(0.0,) * 8, dt=0.1, horizon=0.05)
-    with pytest.raises(Exception):
+    with pytest.raises(ValidationError, match="bogus"):
         Scenario(name="x", y0=(0.0,) * 8, potential="bogus")
 
 
 INF, NAN = float("inf"), float("nan")
 
 
-@pytest.mark.parametrize("dt,horizon", [(1e-3, INF), (INF, INF), (INF, 1.0),
-                                        (1e-3, NAN), (NAN, 1.0), (NAN, NAN)])
+@pytest.mark.parametrize("dt,horizon", [
+    (1e-3, INF), (INF, INF), (INF, 1.0), (1e-3, NAN), (NAN, 1.0), (NAN, NAN),
+    (True, 1.0), pytest.param(1e-3, 10**400, id="0.001-10**400")])
 def test_scenario_rejects_a_nonfinite_step_or_horizon(dt, horizon):
     # an infinite horizon used to pass and make run's sample_count raise
-    # OverflowError (or ValueError for inf/inf) instead
+    # OverflowError (or ValueError for inf/inf) instead; a bool step passed
+    # as 1.0, and a horizon past the float range made run raise
+    # OverflowError at horizon / dt
     with pytest.raises(ValidationError):
         Scenario(name="x", y0=(0.0,) * 8, dt=dt, horizon=horizon)
 
@@ -343,12 +346,13 @@ def test_detect_events_requires_time_order():
 
 
 def test_magnetics_flag_changes_dynamics():
+    # MagneticParams.enabled is the one coupling switch; run used to
+    # overwrite it with a Scenario flag that was off by default
     y0 = (0.0, 0.0, np.radians(170), 0.0, 0.0, 0.0, 0.0, 0.0)
-    base = Scenario(name="m0", y0=y0, horizon=0.5, dt=1e-3)
-    on = Scenario(name="m1", y0=y0, horizon=0.5, dt=1e-3, magnetics=True)
-    t0 = run(base, P)
-    t1 = run(on, P)
-    # tips start 0.0113 m apart, inside P_max = 0.02: the pull must act
+    sc = Scenario(name="m", y0=y0, horizon=0.5, dt=1e-3)
+    t0 = run(sc, P, MagneticParams(enabled=False))
+    t1 = run(sc, P, MagneticParams(enabled=True))
+    # tips start 0.0151 m apart, inside P_max = 0.02: the pull must act
     assert t1.p_m[0] < 0.02
     assert not np.array_equal(t0.y, t1.y)
 
@@ -358,12 +362,21 @@ def test_frictionless_magnetic_run_conserves_energy_plus_w():
     # closed-form potential, so without damping E + W is conserved to the
     # RK4 error (1.6e-12 J at this dt, 2.6e-11 J at dt 2e-3)
     sc, p, _ = load_scenario("freefall")
-    mag = MagneticParams(B_max=0.05, P_max=1.0)
-    traj = run(replace(sc, magnetics=True, horizon=1.0, dt=1e-3),
+    mag = MagneticParams(B_max=0.05, P_max=1.0, enabled=True)
+    traj = run(replace(sc, horizon=1.0, dt=1e-3),
                replace(p, delta=(0.0,) * 4), mag)
     total = traj.E + np.array([magnetic_potential(mag, x) for x in traj.p_m])
     assert np.max(np.abs(total - total[0])) < 1e-9
     assert np.max(np.abs(traj.E - traj.E[0])) > 0.1  # the coupling did work
+
+
+@pytest.mark.parametrize("sat", [-1.0, 0.0, NAN, INF, True, "1"])
+def test_pdspec_rejects_a_saturation_that_clamps_nothing(sat):
+    # each was accepted: -1, 0, nan and inf clamped nothing, and a bool
+    # or a string was taken as the number 1
+    sc, _, _ = load_scenario("balancing")
+    with pytest.raises(ValidationError, match="saturation"):
+        replace(sc.controller, saturation=sat)
 
 
 def test_run_loop_saturation_clamps_the_input():
@@ -395,7 +408,7 @@ def test_run_records_the_public_quantities():
     # every recorded per-sample quantity is the public function's value
     sc, p, m = load_scenario("lifting")
     y0 = (0.0, 0.0, np.radians(170), 0.0, 0.0, 0.0, 0.0, 0.0)
-    sc = replace(sc, y0=y0, magnetics=True, horizon=0.1)
+    sc, m = replace(sc, y0=y0, horizon=0.1), replace(m, enabled=True)
     traj = run(sc, p, m)
     spec = sc.controller
     assert np.any(traj.p_m < m.P_max)  # the tips pull at the start
