@@ -233,19 +233,16 @@ def mag_torque(par, mag, q):
     return (-F * (g0 / p), -F * (g1 / p), -F * (g2 / p), -F * (g3 / p)), False
 
 
-def pd_error(tgt, y, psi_rate):
+def pd_error(tgt, y):
     """PD errors (e, edot) of the state y, current minus desired.
 
     e = (psi1, psi2, phi1, phi2) - tgt[:4] with psi_i = theta_i - phi_i. The
-    pendulum rate channel is thetadot, as printed, or psidot with psi_rate.
+    rate channel is (thetadot1, thetadot2, phidot1, phidot2) - tgt[4:], as
+    printed.
     """
     e = ((y[0] - y[2]) - tgt[0], (y[1] - y[3]) - tgt[1],
          y[2] - tgt[2], y[3] - tgt[3])
-    if psi_rate:
-        de = ((y[4] - y[6]) - tgt[4], (y[5] - y[7]) - tgt[5])
-    else:
-        de = (y[4] - tgt[4], y[5] - tgt[5])
-    return e, (*de, y[6] - tgt[6], y[7] - tgt[7])
+    return e, (y[4] - tgt[4], y[5] - tgt[5], y[6] - tgt[6], y[7] - tgt[7])
 
 
 def saturate(u, sat):
@@ -253,9 +250,9 @@ def saturate(u, sat):
     return min(max(u, -sat), sat)
 
 
-def pd_input(Kp, Kd, tgt, y, sat, psi_rate):
+def pd_input(Kp, Kd, tgt, y, sat):
     """Motor torques (u1, u2) = Kp e + Kd edot, clamped to sat when sat > 0."""
-    (e0, e1, e2, e3), (de0, de1, de2, de3) = pd_error(tgt, y, psi_rate)
+    (e0, e1, e2, e3), (de0, de1, de2, de3) = pd_error(tgt, y)
     kp0, kp1 = Kp[0], Kp[1]
     kd0, kd1 = Kd[0], Kd[1]
     u1 = (kp0[0] * e0 + kp0[1] * e1 + kp0[2] * e2 + kp0[3] * e3
@@ -321,7 +318,7 @@ def run_loop(par, mag, y0, n, dt, pd, variant):
     """Integrate n fixed RK4 steps from y0.
 
     pd is None for an uncontrolled run, else the pd_input arguments
-    (Kp, Kd, tgt, sat, psi_rate). The controller input is evaluated at the
+    (Kp, Kd, tgt, sat). The controller input is evaluated at the
     step's start state and held over the step (zero-order hold). Magnetic
     torque, being state dependent physics rather than a sampled controller,
     is evaluated per stage. Each step is one call of the step that
@@ -340,7 +337,7 @@ def run_loop(par, mag, y0, n, dt, pd, variant):
             return mag_torque(par, mag, q)[0]
     if pd is not None:
         Kp, Kd, tgt = (_floats(a) for a in pd[:3])
-        sat, psi_rate = pd[3], pd[4]
+        sat = pd[3]
     ys = np.empty((n + 1, 8))
     us = np.zeros((n + 1, 2))
     y = _floats(y0)
@@ -351,7 +348,7 @@ def run_loop(par, mag, y0, n, dt, pd, variant):
 
     for i in range(n + 1):
         if pd is not None:
-            u1, u2 = pd_input(Kp, Kd, tgt, y, sat, psi_rate)
+            u1, u2 = pd_input(Kp, Kd, tgt, y, sat)
             us[i] = u1, u2
             tau = torque_map(u1, u2)
         if i == n:

@@ -17,12 +17,12 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ConfigError, UnknownPresetError, list_presets, load_scenario
+from .config import ConfigError, UnknownPresetError, load_scenario
 from .dynamics import errata_compare, gravity_vector, mass_matrix
 from .energetics import POTENTIAL_VARIANTS, kinetic_energy, potential_energy
 from .model import RobotParams, State, ValidationError
 from .output import write_outputs
-from .simulate import NON_FINITE_STATE, Scenario, Trajectory, run
+from .simulate import Scenario, Trajectory, run
 
 EXIT_OK = 0
 EXIT_USAGE = 2

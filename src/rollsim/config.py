@@ -18,7 +18,7 @@ import yaml
 
 from .control import GainMatrices, Setpoints
 from .magnetics import MagneticParams
-from .model import RobotParams, ValidationError, finite_number, load_params
+from .model import ValidationError, finite_number, load_params
 from .simulate import PDSpec, Scenario
 
 
@@ -32,8 +32,7 @@ class UnknownPresetError(ConfigError):
 
 _SCENARIO_KEYS = {"y0_deg", "horizon", "dt", "potential"}
 _TOP_KEYS = {"name", "params", "magnetics", "controller", "scenario"}
-_CONTROLLER_KEYS = {"kp", "kd", "setpoints", "saturation", "psi_rate",
-                    "allow_dense"}
+_CONTROLLER_KEYS = {"kp", "kd", "setpoints", "saturation"}
 _SETPOINT_KEYS = {"theta_d_deg", "phi_d_deg", "dtheta_d_deg", "dphi_d_deg"}
 _MAGNETIC_KEYS = {"enabled", "B_max", "P_max", "A", "mu0"}
 
@@ -116,21 +115,15 @@ def _load_controller(section) -> PDSpec | None:
     saturation = section.get("saturation")
     if saturation is not None:
         saturation = _number(saturation, "controller.saturation")
-    psi_rate = _bool(section["psi_rate"], "controller.psi_rate") \
-        if "psi_rate" in section else False
     try:
-        gains = GainMatrices(
-            Kp=_gain_matrix(section["kp"], "controller.kp"),
-            Kd=_gain_matrix(section["kd"], "controller.kd"),
-            allow_dense=_bool(section["allow_dense"], "controller.allow_dense")
-            if "allow_dense" in section else False)
+        gains = GainMatrices(Kp=_gain_matrix(section["kp"], "controller.kp"),
+                             Kd=_gain_matrix(section["kd"], "controller.kd"))
         setpoints = Setpoints(
             theta_d=rad_pair("theta_d_deg"),
             phi_d=rad_pair("phi_d_deg"),
             dtheta_d=rad_pair("dtheta_d_deg", (0.0, 0.0)),
             dphi_d=rad_pair("dphi_d_deg", (0.0, 0.0)))
-        return PDSpec(gains=gains, setpoints=setpoints, saturation=saturation,
-                      psi_rate=psi_rate)
+        return PDSpec(gains=gains, setpoints=setpoints, saturation=saturation)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
 

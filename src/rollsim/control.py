@@ -1,11 +1,10 @@
 """PD controller on the true pendulum angles, and the Lyapunov monitor.
 
 The controlled quantities are psi_i = theta_i - phi_i (pendulum orientation
-relative to its disk) and the disk angles phi_i. The control law is kept in
-its original printed form: u = Kp e + Kd edot with position errors taken as
-current minus desired, and the derivative channel on thetadot/phidot rather
-than psidot. A psi_rate flag switches the derivative channel to psidot for
-experiments; nothing load-bearing uses it.
+relative to its disk) and the disk angles phi_i. There is one control law,
+in its printed form: u = Kp e + Kd edot with position errors taken as
+current minus desired, the derivative channel on thetadot/phidot rather
+than psidot, and 2x4 gains whose cross-module slots are zero.
 
 The errors, the law, the clamp and the Lyapunov value are computed by the
 _core functions that the simulator's run loop and post-processing call, so
@@ -21,7 +20,8 @@ import numpy as np
 
 from . import _core
 from .energetics import potential_energy, total_energy
-from .model import Input, RobotParams, State, ValidationError
+from .model import (Input, RobotParams, State, ValidationError,
+                    positive_number)
 
 # zero pattern of the printed 2x4 gain matrices: row 1 couples
 # (psi1, phi1), row 2 couples (psi2, phi2)
@@ -34,14 +34,12 @@ class GainMatrices:
 
     Rows produce (u1, u2); columns weight the error vector
     (psi1 - theta1d, psi2 - theta2d, phi1 - phi1d, phi2 - phi2d). The printed
-    structure leaves cross-module slots zero; dense matrices are rejected
-    unless allow_dense is set (the flag exists for experiments and is off in
-    every shipped preset).
+    structure leaves the cross-module slots zero, so u1 sees only module 1's
+    errors and u2 only module 2's; a nonzero cross-module slot is rejected.
     """
 
     Kp: tuple = ((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0))
     Kd: tuple = ((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0))
-    allow_dense: bool = False
 
     def __post_init__(self):
         for label, m in (("Kp", self.Kp), ("Kd", self.Kd)):
@@ -50,13 +48,11 @@ class GainMatrices:
                 raise ValidationError(f"{label} must be 2x4, got shape {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"{label} must be finite")
-            if not self.allow_dense:
-                for (i, j) in _ZERO_SLOTS:
-                    if arr[i, j] != 0.0:
-                        raise ValidationError(
-                            f"{label}[{i}][{j}] must be 0 by the gain "
-                            f"structure (set allow_dense to override), got "
-                            f"{arr[i, j]!r}")
+            for (i, j) in _ZERO_SLOTS:
+                if arr[i, j] != 0.0:
+                    raise ValidationError(
+                        f"{label}[{i}][{j}] must be 0 by the gain structure, "
+                        f"got {arr[i, j]!r}")
 
     def kp_array(self) -> np.ndarray:
         return np.asarray(self.Kp, dtype=np.float64)
@@ -81,31 +77,30 @@ class Setpoints:
 
 def error_vector(setpoints: Setpoints, state: State) -> np.ndarray:
     """e = (psi1 - theta1d, psi2 - theta2d, phi1 - phi1d, phi2 - phi2d)."""
-    e, _ = _core.pd_error(setpoints.target_array(), state.as_array(), False)
+    e, _ = _core.pd_error(setpoints.target_array(), state.as_array())
     return np.array(e)
 
 
-def error_rate(setpoints: Setpoints, state: State,
-               psi_rate: bool = False) -> np.ndarray:
-    """edot on (thetadot1, thetadot2, phidot1, phidot2), psidot with psi_rate."""
-    _, de = _core.pd_error(setpoints.target_array(), state.as_array(),
-                           psi_rate)
+def error_rate(setpoints: Setpoints, state: State) -> np.ndarray:
+    """edot on (thetadot1, thetadot2, phidot1, phidot2)."""
+    _, de = _core.pd_error(setpoints.target_array(), state.as_array())
     return np.array(de)
 
 
-def pd_control(gains: GainMatrices, setpoints: Setpoints, state: State,
-               psi_rate: bool = False) -> Input:
+def pd_control(gains: GainMatrices, setpoints: Setpoints,
+               state: State) -> Input:
     """u = Kp e + Kd edot, unsaturated; the run loop's law."""
     u = _core.pd_input(gains.kp_array().tolist(), gains.kd_array().tolist(),
                        setpoints.target_array().tolist(),
-                       state.as_array().tolist(), 0.0, psi_rate)
+                       state.as_array().tolist(), 0.0)
     return Input(tau=u)
 
 
 def saturate(inp: Input, M: float) -> Input:
     """Component-wise clamp to [-M, M]; idempotent, sign preserving."""
-    if not M > 0:
-        raise ValidationError(f"saturation bound must be positive, got {M!r}")
+    if not positive_number(M):
+        raise ValidationError(
+            f"saturation bound must be positive and finite, got {M!r}")
     return Input(tau=tuple(float(_core.saturate(u, M)) for u in inp.tau))
 
 
@@ -131,7 +126,7 @@ def reference_energy(params: RobotParams, setpoints: Setpoints,
 
 def lyapunov(params: RobotParams, gains: GainMatrices, setpoints: Setpoints,
              state: State, prev_sample: Optional[LyapunovSample] = None,
-             dt: float = 0.0, psi_rate: bool = False,
+             dt: float = 0.0,
              variant: str = "paper-verbatim") -> LyapunovSample:
     """Composite monitor value; diagnostic only, never fed back.
 
@@ -144,8 +139,7 @@ def lyapunov(params: RobotParams, gains: GainMatrices, setpoints: Setpoints,
     gain matrices do not define a square quadratic form; the weighting sums
     each gain entry against its error component squared.
     """
-    e, de = _core.pd_error(setpoints.target_array(), state.as_array(),
-                           psi_rate)
+    e, de = _core.pd_error(setpoints.target_array(), state.as_array())
     dE = (total_energy(params, state, variant)
           - reference_energy(params, setpoints, variant))
     V, terms = _core.lyapunov(gains.kp_array(), gains.kd_array(), e, de, dE)

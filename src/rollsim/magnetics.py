@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _core
-from .model import RobotParams, State, ValidationError, finite_number
+from .model import (RobotParams, State, ValidationError, finite_number,
+                    positive_number)
 
 
 @dataclass(frozen=True)
@@ -38,11 +39,14 @@ class MagneticParams:
     enabled: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.enabled, bool):
+            raise ValidationError(
+                f"enabled must be True or False, got {self.enabled!r}")
         if not (finite_number(self.B_max) and self.B_max >= 0):
             raise ValidationError(f"B_max must be >= 0, got {self.B_max!r}")
         for name in ("P_max", "A", "mu0"):
             v = getattr(self, name)
-            if not (finite_number(v) and v > 0):
+            if not positive_number(v):
                 raise ValidationError(f"{name} must be positive, got {v!r}")
 
     def as_array(self) -> np.ndarray:

@@ -33,6 +33,11 @@ def finite_number(v) -> bool:
         return False
 
 
+def positive_number(v) -> bool:
+    """v is a finite_number greater than 0: a step, a bound or a constant."""
+    return finite_number(v) and v > 0
+
+
 @dataclass(frozen=True)
 class RobotParams:
     """Physical constants of the two-module robot.
@@ -56,7 +61,7 @@ class RobotParams:
     def __post_init__(self):
         for name in ("m_p", "m_s", "I_p", "I_s", "r1", "r2", "R1", "R2", "g"):
             v = getattr(self, name)
-            if not (finite_number(v) and v > 0):
+            if not positive_number(v):
                 raise ValidationError(f"{name} must be positive and finite, got {v!r}")
         if not isinstance(self.delta, (tuple, list)) or len(self.delta) != 4:
             raise ValidationError(

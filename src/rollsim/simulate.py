@@ -15,7 +15,6 @@ until the condition is left and re-entered.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -27,7 +26,8 @@ from .control import GainMatrices, Setpoints, reference_energy
 from .energetics import variant_code
 from .kinematics import upright_deviation
 from .magnetics import MagneticParams
-from .model import RobotParams, ValidationError, finite_number
+from .model import (RobotParams, ValidationError, finite_number,
+                    positive_number)
 
 TOPPLE = "Topple"
 GROUND_PENETRATION = "GroundPenetration"
@@ -51,11 +51,9 @@ class PDSpec:
     gains: GainMatrices
     setpoints: Setpoints
     saturation: Optional[float] = None
-    psi_rate: bool = False
 
     def __post_init__(self):
-        if self.saturation is not None and not (
-                finite_number(self.saturation) and self.saturation > 0):
+        if self.saturation is not None and not positive_number(self.saturation):
             raise ValidationError("saturation must be None or positive and "
                                   f"finite, got {self.saturation!r}")
 
@@ -77,9 +75,9 @@ class Scenario:
     def __post_init__(self):
         if len(self.y0) != 8:
             raise ValidationError(f"y0 must have 8 entries, got {len(self.y0)}")
-        if not all(map(math.isfinite, self.y0)):
-            raise ValidationError(f"y0 must be finite, got {tuple(self.y0)!r}")
-        if not (finite_number(self.dt) and self.dt > 0):
+        if not all(map(finite_number, self.y0)):
+            raise ValidationError(f"y0 must be finite numbers, got {tuple(self.y0)!r}")
+        if not positive_number(self.dt):
             raise ValidationError(
                 f"dt must be positive and finite, got {self.dt!r}")
         if not (finite_number(self.horizon) and self.horizon >= self.dt):
@@ -162,7 +160,7 @@ def run(scenario: Scenario, params: Optional[RobotParams] = None,
         Kd = ctrl.gains.kd_array()
         tgt = ctrl.setpoints.target_array()
         sat = float(ctrl.saturation) if ctrl.saturation else 0.0
-        pd = (Kp, Kd, tgt, sat, ctrl.psi_rate)
+        pd = (Kp, Kd, tgt, sat)
 
     # horizon / dt may also overflow to inf
     if not scenario.horizon / scenario.dt < _MAX_SAMPLES:
@@ -192,7 +190,7 @@ def run(scenario: Scenario, params: Optional[RobotParams] = None,
         P = _core.dissipation(par, cols[4:])
         p_m = _core.pm_batch(par, cols)
         if ctrl is not None:
-            e, de = _core.pd_error(tgt, cols, ctrl.psi_rate)
+            e, de = _core.pd_error(tgt, cols)
             e_ref = reference_energy(params, ctrl.setpoints,
                                      scenario.potential)
             V, _ = _core.lyapunov(Kp, Kd, e, de, T + U - e_ref)

@@ -109,6 +109,19 @@ def test_malformed_params_exit_code(tmp_path, capsys, params):
     assert err.startswith("config error:") and params.split(":")[0] in err
 
 
+@pytest.mark.parametrize("key", ["psi_rate", "allow_dense"])
+def test_removed_controller_switch_exit_code(tmp_path, capsys, key):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("scenario:\n  y0_deg: [0,0,0,0,0,0,0,0]\n"
+                   "controller:\n  kp: [[1,0,0,0],[0,1,0,0]]\n"
+                   "  kd: [[0,0,0,0],[0,0,0,0]]\n"
+                   "  setpoints: {theta_d_deg: [0,0], phi_d_deg: [0,0]}\n"
+                   f"  {key}: true\n")
+    code, _, err = run_cli(["run", str(bad)], capsys)
+    assert code == 3
+    assert f"unknown key(s) in controller: {key}" in err
+
+
 def test_run_with_more_samples_than_memory_is_config_error(capsys):
     # 5e12 samples of 8 doubles, 291 TiB: beyond a 47-bit address space, so
     # the allocation fails at once without touching memory

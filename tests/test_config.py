@@ -99,6 +99,14 @@ def test_path_argument_bypasses_preset_search(tmp_path):
                                      "phi_d_deg": [0, 0]},
                        "saturation": sat}}, "saturation")
       for sat in (-1, 0, float("nan"))),
+    # the PD law has one rate channel and one gain structure: the keys
+    # that selected others are gone
+    *(({"scenario": {"y0_deg": [0] * 8},
+        "controller": {"kp": [[0] * 4] * 2, "kd": [[0] * 4] * 2,
+                       "setpoints": {"theta_d_deg": [0, 0],
+                                     "phi_d_deg": [0, 0]},
+                       key: False}}, rf"unknown key\(s\) in controller: {key}")
+      for key in ("psi_rate", "allow_dense")),
 ])
 def test_rejects_malformed_documents(doc, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -118,12 +126,11 @@ def test_controller_section_full():
             "kd": [[0.1, 0, 0.2, 0], [0, 0.1, 0, 0.2]],
             "setpoints": {"theta_d_deg": [10, -10], "phi_d_deg": [180, 185]},
             "saturation": 5.0,
-            "psi_rate": True,
         },
     }
     sc, _, _ = load_scenario_dict(doc, default_name="c")
     c = sc.controller
-    assert c.saturation == 5.0 and c.psi_rate
+    assert c.saturation == 5.0
     assert c.setpoints.theta_d[0] == pytest.approx(np.radians(10))
     assert c.setpoints.dtheta_d == (0.0, 0.0)
 
@@ -137,11 +144,8 @@ def test_controller_gain_sparsity_enforced_through_config():
             "setpoints": {"theta_d_deg": [0, 0], "phi_d_deg": [0, 0]},
         },
     }
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"Kp\[0\]\[1\]"):
         load_scenario_dict(doc, default_name="c")
-    doc["controller"]["allow_dense"] = True
-    sc, _, _ = load_scenario_dict(doc, default_name="c")
-    assert sc.controller.gains.Kp[0][1] == 1.0
 
 
 def test_magnetics_section():

@@ -20,11 +20,12 @@ def test_gain_shape_and_sparsity():
         GainMatrices(Kp=((20, 1.0, 0.3, 0), (0, 30, 0, 0.7)), Kd=KD)
     with pytest.raises(ValidationError):
         GainMatrices(Kp=((20, 0, 0.3), (0, 30, 0)), Kd=KD)
-    # the cross-channel slots carry no physical meaning for this plant but a
-    # caller may opt in explicitly
-    dense = GainMatrices(Kp=((20, 1.0, 0.3, 0), (0, 30, 0, 0.7)), Kd=KD,
-                         allow_dense=True)
-    assert dense.Kp[0][1] == 1.0
+    # every cross-module slot of either matrix must be zero
+    for i, j in ((0, 1), (0, 3), (1, 0), (1, 2)):
+        dense = [list(row) for row in KD]
+        dense[i][j] = 0.5
+        with pytest.raises(ValidationError, match=rf"Kd\[{i}\]\[{j}\]"):
+            GainMatrices(Kp=KP, Kd=dense)
 
 
 def test_error_vector_convention():
@@ -51,18 +52,15 @@ def test_pd_control_rate_term():
     sp = Setpoints()
     st = State(q=(0.0,) * 4, qdot=(1.0, 0.0, 0.0, 0.0))
     assert pd_control(g, sp, st).tau[0] == pytest.approx(0.1, abs=1e-15)
-    # psi-rate variant differentiates psi = theta - phi instead
+    # the pendulum rate is thetadot, not psidot: phidot does not cancel it
     st2 = State(q=(0.0,) * 4, qdot=(1.0, 0.0, 1.0, 0.0))
-    assert pd_control(g, sp, st2, psi_rate=True).tau[0] == pytest.approx(
-        0.5, abs=1e-15)  # edot = (0,0,1,0) picks up the Kd phi slot
     assert pd_control(g, sp, st2).tau[0] == pytest.approx(0.6, abs=1e-15)
 
 
-def test_error_rate_psi_flag():
+def test_error_rate_is_the_thetadot_channel():
     sp = Setpoints()
     st = State(q=(0.0,) * 4, qdot=(2.0, 0.0, 0.5, 0.0))
-    assert error_rate(sp, st)[0] == 2.0
-    assert error_rate(sp, st, psi_rate=True)[0] == 1.5
+    assert error_rate(sp, st).tolist() == [2.0, 0.0, 0.5, 0.0]
 
 
 def test_saturate():
@@ -71,8 +69,11 @@ def test_saturate():
     u2 = saturate(Input(tau=(0.5, -0.5)), 2.0)
     assert u2.tau == (0.5, -0.5)
     assert saturate(u2, 2.0) == u2  # idempotent
-    with pytest.raises(ValidationError):
-        saturate(Input(tau=(1.0, 1.0)), 0.0)
+    # a bound PDSpec refuses is refused here too: True clamped to +-1 and
+    # inf clamped nothing
+    for bad in (0.0, True, float("inf")):
+        with pytest.raises(ValidationError):
+            saturate(Input(tau=(3.0, -5.0)), bad)
 
 
 def test_reference_energy_is_setpoint_configuration_energy():

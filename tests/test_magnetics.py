@@ -137,3 +137,6 @@ def test_param_validation():
     for bad in ({"B_max": True}, {"A": True}, {"P_max": 10**400}):
         with pytest.raises(ValidationError):
             MagneticParams(**bad)
+    # the coupling switch takes only a bool: "off" is truthy and coupled
+    with pytest.raises(ValidationError, match="enabled"):
+        MagneticParams(enabled="off")
