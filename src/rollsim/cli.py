@@ -20,7 +20,7 @@ import numpy as np
 from .config import ConfigError, UnknownPresetError, load_scenario
 from .dynamics import errata_compare, gravity_vector, mass_matrix
 from .energetics import POTENTIAL_VARIANTS, kinetic_energy, potential_energy
-from .model import RobotParams, State, ValidationError
+from .model import RobotParams, State, ValidationError, positive_number
 from .output import write_outputs
 from .simulate import Scenario, Trajectory, run
 
@@ -90,7 +90,7 @@ def _positive(text):
         v = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not (np.isfinite(v) and v > 0):
+    if not positive_number(v):
         raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
     return v
 

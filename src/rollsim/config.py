@@ -1,16 +1,21 @@
 """Scenario configuration: YAML files and bundled presets.
 
-Config files carry angles in degrees (y0_deg, setpoint *_deg keys) and are
-converted to radians on load. Every section rejects unknown keys so a typo
-can't silently fall back to a default. Preset names resolve against
-ROLLSIM_CONFIG_DIR first (when set), then the presets bundled with the
-package.
+This module checks the shape of a document: its sections are mappings,
+every section rejects unknown keys so a typo can't silently fall back to a
+default, and required keys are present. The values go unchanged to the
+types they build (RobotParams, MagneticParams, GainMatrices, Setpoints,
+PDSpec, Scenario), which check them; a ValidationError becomes a ConfigError
+that starts with the section name. The one value check here is on the
+degree lists (y0_deg, setpoint *_deg keys), which are converted to radians
+on load. Preset names resolve against ROLLSIM_CONFIG_DIR first (when set),
+then the presets bundled with the package.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
@@ -18,7 +23,7 @@ import yaml
 
 from .control import GainMatrices, Setpoints
 from .magnetics import MagneticParams
-from .model import ValidationError, finite_number, load_params
+from .model import ValidationError, finite_numbers, load_params
 from .simulate import PDSpec, Scenario
 
 
@@ -44,59 +49,41 @@ def _mapping(node, where):
 
 
 def _check_keys(node, allowed, where):
-    unknown = sorted(set(node) - allowed)
+    # a YAML key may be a number
+    unknown = sorted(map(str, set(node) - allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
-def _number(node, where):
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {node!r}")
-    if not finite_number(node):
-        raise ConfigError(f"{where} must be finite, got {node!r}")
-    return float(node)
+def _radians(node, count, where):
+    # checked here, not by the type that gets the radians: math.radians
+    # takes True as 1 degree
+    if not finite_numbers(node, count):
+        raise ConfigError(
+            f"{where} must be a list of {count} finite numbers, got {node!r}")
+    return tuple(map(math.radians, node))
 
 
-def _number_list(node, count, where):
-    if not isinstance(node, (list, tuple)) or len(node) != count:
-        raise ConfigError(f"{where} must be a list of {count} numbers")
-    return [_number(v, f"{where}[{i}]") for i, v in enumerate(node)]
-
-
-def _bool(node, where):
-    if not isinstance(node, bool):
-        raise ConfigError(f"{where} must be true or false, got {node!r}")
-    return node
-
-
-def _gain_matrix(node, where):
-    if not isinstance(node, (list, tuple)) or len(node) != 2:
-        raise ConfigError(f"{where} must be a 2x4 nested list")
-    return tuple(tuple(_number_list(row, 4, f"{where}[{i}]")) for i, row in enumerate(node))
+@contextmanager
+def _section(name):
+    try:
+        yield
+    except ValidationError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _load_magnetics(section) -> MagneticParams:
     if section is None:
         return MagneticParams()
-    _mapping(section, "magnetics")
-    _check_keys(section, _MAGNETIC_KEYS, "magnetics")
-    kwargs = {}
-    if "enabled" in section:
-        kwargs["enabled"] = _bool(section["enabled"], "magnetics.enabled")
-    for key in ("B_max", "P_max", "A", "mu0"):
-        if key in section:
-            kwargs[key] = _number(section[key], f"magnetics.{key}")
-    try:
-        return MagneticParams(**kwargs)
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from exc
+    _check_keys(_mapping(section, "magnetics"), _MAGNETIC_KEYS, "magnetics")
+    with _section("magnetics"):
+        return MagneticParams(**section)
 
 
 def _load_controller(section) -> PDSpec | None:
     if section is None:
         return None
-    _mapping(section, "controller")
-    _check_keys(section, _CONTROLLER_KEYS, "controller")
+    _check_keys(_mapping(section, "controller"), _CONTROLLER_KEYS, "controller")
     for key in ("kp", "kd", "setpoints"):
         if key not in section:
             raise ConfigError(f"controller section requires '{key}'")
@@ -105,33 +92,19 @@ def _load_controller(section) -> PDSpec | None:
     for key in ("theta_d_deg", "phi_d_deg"):
         if key not in sp:
             raise ConfigError(f"controller.setpoints requires '{key}'")
-
-    def rad_pair(key, default=None):
-        if key not in sp:
-            return default
-        vals = _number_list(sp[key], 2, f"controller.setpoints.{key}")
-        return tuple(math.radians(v) for v in vals)
-
-    saturation = section.get("saturation")
-    if saturation is not None:
-        saturation = _number(saturation, "controller.saturation")
-    try:
-        gains = GainMatrices(Kp=_gain_matrix(section["kp"], "controller.kp"),
-                             Kd=_gain_matrix(section["kd"], "controller.kd"))
-        setpoints = Setpoints(
-            theta_d=rad_pair("theta_d_deg"),
-            phi_d=rad_pair("phi_d_deg"),
-            dtheta_d=rad_pair("dtheta_d_deg", (0.0, 0.0)),
-            dphi_d=rad_pair("dphi_d_deg", (0.0, 0.0)))
-        return PDSpec(gains=gains, setpoints=setpoints, saturation=saturation)
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from exc
+    # theta_d_deg is Setpoints.theta_d in degrees, and so on
+    targets = {key.removesuffix("_deg"):
+               _radians(value, 2, f"controller.setpoints.{key}")
+               for key, value in sp.items()}
+    with _section("controller"):
+        return PDSpec(gains=GainMatrices(Kp=section["kp"], Kd=section["kd"]),
+                      setpoints=Setpoints(**targets),
+                      saturation=section.get("saturation"))
 
 
 def load_scenario_dict(doc: dict, default_name: str):
     """Build (Scenario, RobotParams, MagneticParams) from a parsed document."""
-    _mapping(doc, "config")
-    _check_keys(doc, _TOP_KEYS, "config")
+    _check_keys(_mapping(doc, "config"), _TOP_KEYS, "config")
     if "scenario" not in doc:
         raise ConfigError("config requires a 'scenario' section")
     sc = _mapping(doc["scenario"], "scenario")
@@ -139,26 +112,15 @@ def load_scenario_dict(doc: dict, default_name: str):
     if "y0_deg" not in sc:
         raise ConfigError("scenario requires 'y0_deg'")
 
-    name = doc.get("name", default_name)
-    if not isinstance(name, str) or not name:
-        raise ConfigError(f"name must be a non-empty string, got {name!r}")
-    try:
+    with _section("params"):
         params = load_params(doc.get("params"))
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from exc
     mag = _load_magnetics(doc.get("magnetics"))
     controller = _load_controller(doc.get("controller"))
-
-    y0 = tuple(math.radians(v)
-               for v in _number_list(sc["y0_deg"], 8, "scenario.y0_deg"))
-    given = {key: _number(sc[key], f"scenario.{key}")
-             for key in ("horizon", "dt") if key in sc}
-    if "potential" in sc:
-        given["potential"] = sc["potential"]
-    try:
-        scenario = Scenario(name=name, y0=y0, controller=controller, **given)
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from exc
+    y0 = _radians(sc["y0_deg"], 8, "scenario.y0_deg")
+    given = {key: value for key, value in sc.items() if key != "y0_deg"}
+    with _section("scenario"):
+        scenario = Scenario(name=doc.get("name", default_name), y0=y0,
+                            controller=controller, **given)
     return scenario, params, mag
 
 

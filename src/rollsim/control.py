@@ -21,7 +21,7 @@ import numpy as np
 from . import _core
 from .energetics import potential_energy, total_energy
 from .model import (Input, RobotParams, State, ValidationError,
-                    positive_number)
+                    finite_numbers, positive_number)
 
 # zero pattern of the printed 2x4 gain matrices: row 1 couples
 # (psi1, phi1), row 2 couples (psi2, phi2)
@@ -33,26 +33,30 @@ class GainMatrices:
     """2x4 proportional and derivative gains.
 
     Rows produce (u1, u2); columns weight the error vector
-    (psi1 - theta1d, psi2 - theta2d, phi1 - phi1d, phi2 - phi2d). The printed
-    structure leaves the cross-module slots zero, so u1 sees only module 1's
-    errors and u2 only module 2's; a nonzero cross-module slot is rejected.
+    (psi1 - theta1d, psi2 - theta2d, phi1 - phi1d, phi2 - phi2d). Each
+    matrix is 2 rows of 4 finite numbers, stored as a tuple of float
+    tuples. The printed structure leaves the cross-module slots zero, so u1
+    sees only module 1's errors and u2 only module 2's; a nonzero
+    cross-module slot is rejected.
     """
 
     Kp: tuple = ((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0))
     Kd: tuple = ((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0))
 
     def __post_init__(self):
-        for label, m in (("Kp", self.Kp), ("Kd", self.Kd)):
-            arr = np.asarray(m, dtype=np.float64)
-            if arr.shape != (2, 4):
-                raise ValidationError(f"{label} must be 2x4, got shape {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"{label} must be finite")
+        for label in ("Kp", "Kd"):
+            m = getattr(self, label)
+            if not (isinstance(m, (tuple, list)) and len(m) == 2
+                    and all(finite_numbers(row, 4) for row in m)):
+                raise ValidationError(
+                    f"{label} must be 2 rows of 4 finite numbers, got {m!r}")
             for (i, j) in _ZERO_SLOTS:
-                if arr[i, j] != 0.0:
+                if m[i][j] != 0.0:
                     raise ValidationError(
                         f"{label}[{i}][{j}] must be 0 by the gain structure, "
-                        f"got {arr[i, j]!r}")
+                        f"got {m[i][j]!r}")
+            object.__setattr__(self, label,
+                               tuple(tuple(map(float, row)) for row in m))
 
     def kp_array(self) -> np.ndarray:
         return np.asarray(self.Kp, dtype=np.float64)
@@ -63,12 +67,23 @@ class GainMatrices:
 
 @dataclass(frozen=True)
 class Setpoints:
-    """Targets: theta_d for the true pendulum angles psi, phi_d for disks."""
+    """Targets: theta_d for the true pendulum angles psi, phi_d for disks.
+
+    Each is a pair of finite numbers, stored as a tuple of floats.
+    """
 
     theta_d: tuple[float, float] = (0.0, 0.0)
     phi_d: tuple[float, float] = (0.0, 0.0)
     dtheta_d: tuple[float, float] = (0.0, 0.0)
     dphi_d: tuple[float, float] = (0.0, 0.0)
+
+    def __post_init__(self):
+        for name in ("theta_d", "phi_d", "dtheta_d", "dphi_d"):
+            v = getattr(self, name)
+            if not finite_numbers(v, 2):
+                raise ValidationError(
+                    f"{name} must be 2 finite numbers, got {v!r}")
+            object.__setattr__(self, name, tuple(map(float, v)))
 
     def target_array(self) -> np.ndarray:
         return np.array([*self.theta_d, *self.phi_d,

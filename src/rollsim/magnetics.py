@@ -29,7 +29,8 @@ class MagneticParams:
     B_max and P_max have no authoritative values; the shipped presets carry
     placeholders and disable the coupling. A and mu0 defaults are the
     documented interaction area and free-space permeability as used
-    throughout.
+    throughout. Each constant is checked on construction and stored as a
+    float.
     """
 
     B_max: float = 0.05
@@ -44,10 +45,12 @@ class MagneticParams:
                 f"enabled must be True or False, got {self.enabled!r}")
         if not (finite_number(self.B_max) and self.B_max >= 0):
             raise ValidationError(f"B_max must be >= 0, got {self.B_max!r}")
+        object.__setattr__(self, "B_max", float(self.B_max))
         for name in ("P_max", "A", "mu0"):
             v = getattr(self, name)
             if not positive_number(v):
                 raise ValidationError(f"{name} must be positive, got {v!r}")
+            object.__setattr__(self, name, float(v))
 
     def as_array(self) -> np.ndarray:
         return np.array([1.0 if self.enabled else 0.0,

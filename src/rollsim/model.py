@@ -11,7 +11,7 @@ reporting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,13 +38,23 @@ def positive_number(v) -> bool:
     return finite_number(v) and v > 0
 
 
+def finite_numbers(v, n) -> bool:
+    """v is a tuple, list or 1-D array of n finite_numbers; never a string."""
+    if not (isinstance(v, (tuple, list))
+            or isinstance(v, np.ndarray) and v.ndim == 1):
+        return False
+    return len(v) == n and all(map(finite_number, v))
+
+
 @dataclass(frozen=True)
 class RobotParams:
     """Physical constants of the two-module robot.
 
     Defaults are the reference prototype values. delta holds the viscous
     damping coefficients in state order (theta1, theta2, phi1, phi2).
-    Instances are immutable and safe to share across concurrent runs.
+    Each value is checked on construction and stored as a float, delta as
+    a tuple of floats, so instances are immutable, hashable and safe to
+    share across concurrent runs.
     """
 
     m_p: float = 0.262
@@ -63,12 +73,11 @@ class RobotParams:
             v = getattr(self, name)
             if not positive_number(v):
                 raise ValidationError(f"{name} must be positive and finite, got {v!r}")
-        if not isinstance(self.delta, (tuple, list)) or len(self.delta) != 4:
+            object.__setattr__(self, name, float(v))
+        if not (finite_numbers(self.delta, 4) and min(self.delta) >= 0):
             raise ValidationError(
-                f"delta must be a sequence of exactly 4 entries, got {self.delta!r}")
-        for i, d in enumerate(self.delta):
-            if not (finite_number(d) and d >= 0):
-                raise ValidationError(f"delta[{i}] must be non-negative, got {d!r}")
+                f"delta must be 4 finite numbers >= 0, got {self.delta!r}")
+        object.__setattr__(self, "delta", tuple(map(float, self.delta)))
 
     def as_array(self) -> np.ndarray:
         """Packed layout consumed by the kernels in _core."""
@@ -103,32 +112,22 @@ class Input:
     tau: tuple[float, float] = (0.0, 0.0)
 
 
-_PARAM_FIELDS = ("m_p", "m_s", "I_p", "I_s", "r1", "r2", "R1", "R2", "g",
-                 "delta")
-
-
 def load_params(mapping: dict | None) -> RobotParams:
     """Build RobotParams from a plain mapping (e.g. a parsed config section).
 
     Missing fields keep their defaults; unknown keys are rejected so typos
-    can't silently fall back to defaults. delta is a list of 4 finite numbers.
+    can't silently fall back to defaults. RobotParams checks the values.
     """
     if mapping is None:
         return RobotParams()
     if not isinstance(mapping, dict):
-        raise ValidationError(f"params section must be a mapping, got {type(mapping).__name__}")
-    unknown = sorted(set(mapping) - set(_PARAM_FIELDS))
+        raise ValidationError(
+            f"expected a mapping of parameters, got {type(mapping).__name__}")
+    known = {f.name for f in fields(RobotParams)}
+    unknown = sorted(map(str, set(mapping) - known))
     if unknown:
         raise ValidationError(f"unknown parameter keys: {', '.join(unknown)}")
-    kwargs = dict(mapping)
-    if "delta" in kwargs:
-        delta = kwargs["delta"]
-        if not (isinstance(delta, (list, tuple)) and len(delta) == 4
-                and all(map(finite_number, delta))):
-            raise ValidationError(
-                f"delta must be a list of 4 finite numbers, got {delta!r}")
-        kwargs["delta"] = tuple(map(float, delta))
-    return RobotParams(**kwargs)
+    return RobotParams(**mapping)
 
 
 def generalized_torque(inp: Input) -> tuple[float, float, float, float]:

@@ -54,6 +54,9 @@ def write_csv(traj, path) -> int:
 def gnuplot_script(csv_path) -> str:
     name = Path(csv_path).name
     deg = "(180.0/pi)"
+    # gnuplot numbers the columns from 1
+    c = {key: i + 1 for i, key in enumerate(CSV_COLUMNS)}
+    t = c["t"]
     return f"""# gnuplot -p {Path(csv_path).stem}.gp
 set datafile separator comma
 set key autotitle columnhead
@@ -61,22 +64,22 @@ set grid
 set xlabel 't [s]'
 
 set ylabel 'angle [deg]'
-plot '{name}' u 1:($2*{deg}) w l t 'theta1', \\
-     '' u 1:($3*{deg}) w l t 'theta2', \\
-     '' u 1:($4*{deg}) w l t 'phi1', \\
-     '' u 1:($5*{deg}) w l t 'phi2'
+plot '{name}' u {t}:(${c['theta1']}*{deg}) w l t 'theta1', \\
+     '' u {t}:(${c['theta2']}*{deg}) w l t 'theta2', \\
+     '' u {t}:(${c['phi1']}*{deg}) w l t 'phi1', \\
+     '' u {t}:(${c['phi2']}*{deg}) w l t 'phi2'
 pause -1 'angles; enter for height'
 
 set ylabel 'disk2 height [m]'
-plot '{name}' u 1:18 w l t 'height'
+plot '{name}' u {t}:{c['disk2_height']} w l t 'height'
 pause -1 'height; enter for energy'
 
 set ylabel 'energy [J]'
-plot '{name}' u 1:12 w l t 'T', '' u 1:13 w l t 'U', '' u 1:14 w l t 'E'
+plot '{name}' u {t}:{c['T']} w l t 'T', '' u {t}:{c['U']} w l t 'U', '' u {t}:{c['E']} w l t 'E'
 pause -1 'energy; enter for control'
 
 set ylabel 'input [N m]'
-plot '{name}' u 1:10 w l t 'u1', '' u 1:11 w l t 'u2'
+plot '{name}' u {t}:{c['u1']} w l t 'u1', '' u {t}:{c['u2']} w l t 'u2'
 pause -1 'done'
 """
 

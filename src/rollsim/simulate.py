@@ -27,7 +27,7 @@ from .energetics import variant_code
 from .kinematics import upright_deviation
 from .magnetics import MagneticParams
 from .model import (RobotParams, ValidationError, finite_number,
-                    positive_number)
+                    finite_numbers, positive_number)
 
 TOPPLE = "Topple"
 GROUND_PENETRATION = "GroundPenetration"
@@ -53,9 +53,12 @@ class PDSpec:
     saturation: Optional[float] = None
 
     def __post_init__(self):
-        if self.saturation is not None and not positive_number(self.saturation):
+        if self.saturation is None:
+            return
+        if not positive_number(self.saturation):
             raise ValidationError("saturation must be None or positive and "
                                   f"finite, got {self.saturation!r}")
+        object.__setattr__(self, "saturation", float(self.saturation))
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,8 @@ class Scenario:
     """Initial state, controller, horizon, step and potential of one run.
 
     Tip coupling is not set here but by MagneticParams.enabled, passed to run.
+    The values are checked on construction; y0 is stored as a tuple of
+    floats, dt and horizon as floats.
     """
 
     name: str
@@ -73,10 +78,12 @@ class Scenario:
     potential: str = "paper-verbatim"
 
     def __post_init__(self):
-        if len(self.y0) != 8:
-            raise ValidationError(f"y0 must have 8 entries, got {len(self.y0)}")
-        if not all(map(finite_number, self.y0)):
-            raise ValidationError(f"y0 must be finite numbers, got {tuple(self.y0)!r}")
+        if not (isinstance(self.name, str) and self.name):
+            raise ValidationError(
+                f"name must be a non-empty string, got {self.name!r}")
+        if not finite_numbers(self.y0, 8):
+            raise ValidationError(
+                f"y0 must be finite and have 8 entries, got {self.y0!r}")
         if not positive_number(self.dt):
             raise ValidationError(
                 f"dt must be positive and finite, got {self.dt!r}")
@@ -84,6 +91,9 @@ class Scenario:
             raise ValidationError(f"horizon {self.horizon!r} must be finite "
                                   f"and at least dt {self.dt!r}")
         variant_code(self.potential)  # validates the name
+        object.__setattr__(self, "y0", tuple(map(float, self.y0)))
+        object.__setattr__(self, "dt", float(self.dt))
+        object.__setattr__(self, "horizon", float(self.horizon))
 
     def y0_array(self) -> np.ndarray:
         return np.asarray(self.y0, dtype=np.float64)

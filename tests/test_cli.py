@@ -72,6 +72,37 @@ def test_run_overrides_reach_the_run(tmp_path, capsys, preset, common, switch,
 def test_run_rejects_bad_dt(tmp_path, capsys):
     code, _, _ = run_cli(["run", "freefall", "--dt", "-1"], capsys)
     assert code == 2
+    code, _, err = run_cli(["run", "freefall", "--dt", "abc"], capsys)
+    assert code == 2 and "not a number: 'abc'" in err
+
+
+def test_run_without_out_writes_to_the_working_directory(tmp_path,
+                                                         monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, text, _ = run_cli(["run", "freefall", "--horizon", "0.01"], capsys)
+    assert code == 0
+    assert "wrote freefall.csv and freefall.gp" in text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["freefall.csv",
+                                                          "freefall.gp"]
+
+
+def test_run_out_below_a_file_is_config_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "ff.csv"
+    code, _, err = run_cli(["run", "freefall", "--horizon", "0.01",
+                            "--out", str(out)], capsys)
+    assert code == 3
+    assert err.startswith(f"cannot write {out}")
+
+
+def test_run_summary_lists_the_first_eight_events(tmp_path, capsys):
+    code, text, _ = run_cli(["run", "lifting", "--out", str(tmp_path)],
+                            capsys)
+    assert code == 4
+    assert ("  events (467): Topple @ 0.084 s; GroundPenetration @ 0.084 s; "
+            in text)
+    assert "CouplingLost @ 0.488 s; ... 459 more\n" in text
 
 
 def test_run_multiple_scenarios_into_directory(tmp_path, capsys):
@@ -194,6 +225,17 @@ def test_validate_conservative_mode(tmp_path, capsys):
     code, text, _ = run_cli(["validate", str(cfg)], capsys)
     assert code == 0
     assert "conservative" in text
+
+
+def test_validate_reports_a_failed_check(tmp_path, capsys):
+    # g = 1e5 spins the 1 s run up past the power-balance tolerance
+    cfg = tmp_path / "heavy.yaml"
+    cfg.write_text("scenario:\n  y0_deg: [0,0,185,0,0,0,0,0]\n"
+                   "params: {g: 100000.0}\n")
+    code, text, _ = run_cli(["validate", str(cfg)], capsys)
+    assert code == 4
+    assert "FAIL  power balance" in text
+    assert text.endswith("1 check(s) failed\n")
 
 
 def test_validate_rejects_corrupt_config(tmp_path, capsys):

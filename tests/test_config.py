@@ -70,6 +70,13 @@ def test_path_argument_bypasses_preset_search(tmp_path):
         load_scenario(str(tmp_path / "missing.yaml"))
 
 
+def _controller(**changes):
+    section = {"kp": [[0] * 4] * 2, "kd": [[0] * 4] * 2,
+               "setpoints": {"theta_d_deg": [0, 0], "phi_d_deg": [0, 0]},
+               **changes}
+    return {"scenario": {"y0_deg": [0] * 8}, "controller": section}
+
+
 @pytest.mark.parametrize("doc,fragment", [
     ({"scenario": {"y0_deg": [0] * 8}, "bogus": 1}, "bogus"),
     ({"scenario": {"y0_deg": [0] * 8, "step": 1}}, "step"),
@@ -107,10 +114,38 @@ def test_path_argument_bypasses_preset_search(tmp_path):
                                      "phi_d_deg": [0, 0]},
                        key: False}}, rf"unknown key\(s\) in controller: {key}")
       for key in ("psi_rate", "allow_dense")),
+    # the types check the values; config names the section
+    ({"scenario": {"y0_deg": [0] * 8}, "params": 5}, "^params: "),
+    ({"scenario": {"y0_deg": [0] * 8}, "magnetics": [1]},
+     "magnetics must be a mapping"),
+    ({"scenario": {"y0_deg": [0] * 8}, "magnetics": {"enabled": "on"}},
+     "^magnetics: enabled"),
+    ({"scenario": {"y0_deg": [0] * 8}, "magnetics": {"P_max": 0}},
+     "^magnetics: P_max"),
+    (_controller(kp=[[1, 0, 0, 0]]), "^controller: Kp"),
+    (_controller(kp=[[True, 0, 0, 0], [0, 1, 0, 0]]), "^controller: Kp"),
+    (_controller(kd=[[0, 0, "x", 0], [0, 0, 0, 0]]), "^controller: Kd"),
+    (_controller(setpoints={"theta_d_deg": [0, 0]}), "phi_d_deg"),
+    (_controller(setpoints={"theta_d_deg": [True, 0], "phi_d_deg": [0, 0]}),
+     "theta_d_deg"),
+    ({"scenario": {"horizon": 1.0}}, "y0_deg"),
+    ({"scenario": {"y0_deg": [0] * 8}, "name": ""}, "^scenario: name"),
+    # a number as a key was a TypeError from joining the unknown keys
+    ({"scenario": {"y0_deg": [0] * 8}, 1: 2}, "config: 1"),
+    ({"scenario": {"y0_deg": [0] * 8}, "params": {2: 0.1}}, "keys: 2"),
 ])
 def test_rejects_malformed_documents(doc, fragment):
     with pytest.raises(ConfigError, match=fragment):
         load_scenario_dict(doc, default_name="t")
+
+
+@pytest.mark.parametrize("text,fragment", [("", "is empty"),
+                                           ("scenario: [", "invalid YAML")])
+def test_rejects_an_empty_or_unparsable_file(tmp_path, text, fragment):
+    f = tmp_path / "bad.yaml"
+    f.write_text(text)
+    with pytest.raises(ConfigError, match=fragment):
+        load_scenario(str(f))
 
 
 def test_absent_keys_take_the_scenario_defaults():

@@ -20,6 +20,9 @@ def test_gain_shape_and_sparsity():
         GainMatrices(Kp=((20, 1.0, 0.3, 0), (0, 30, 0, 0.7)), Kd=KD)
     with pytest.raises(ValidationError):
         GainMatrices(Kp=((20, 0, 0.3), (0, 30, 0)), Kd=KD)
+    # a ragged matrix was numpy's ValueError
+    with pytest.raises(ValidationError, match="Kp"):
+        GainMatrices(Kp=((20, 0, 0.3, 0), (0, 30, 0)), Kd=KD)
     # every cross-module slot of either matrix must be zero
     for i, j in ((0, 1), (0, 3), (1, 0), (1, 2)):
         dense = [list(row) for row in KD]

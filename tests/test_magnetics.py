@@ -134,7 +134,8 @@ def test_param_validation():
         MagneticParams(mu0=0.0)
     # a bool is not a number, and an int past the float range made numpy's
     # isfinite raise TypeError
-    for bad in ({"B_max": True}, {"A": True}, {"P_max": 10**400}):
+    for bad in ({"B_max": True}, {"A": True}, {"P_max": 10**400},
+                {"mu0": "1"}, {"B_max": float("inf")}):
         with pytest.raises(ValidationError):
             MagneticParams(**bad)
     # the coupling switch takes only a bool: "off" is truthy and coupled

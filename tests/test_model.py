@@ -24,6 +24,10 @@ def test_defaults_valid():
     {"delta": ("a", 0.0, 0.0, 0.0)},
     {"delta": 5},
     {"delta": None},
+    {"delta": "0000"},                   # a string is never a sequence
+    {"delta": np.array([0.1, 0.1, -0.1, 0.1])},
+    {"delta": np.zeros((1, 4))},
+    {"I_p": "1"},
 ])
 def test_rejects_bad_params(kwargs):
     with pytest.raises(ValidationError):

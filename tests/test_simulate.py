@@ -229,6 +229,12 @@ def test_scenario_validation():
         Scenario(name="x", y0=(0.0,) * 8, dt=0.1, horizon=0.05)
     with pytest.raises(ValidationError, match="bogus"):
         Scenario(name="x", y0=(0.0,) * 8, potential="bogus")
+    # config checked the name before; a string is never a y0
+    for name in ("", None, 5):
+        with pytest.raises(ValidationError, match="name"):
+            Scenario(name=name, y0=(0.0,) * 8)
+    with pytest.raises(ValidationError, match="y0"):
+        Scenario(name="x", y0="01234567")
 
 
 INF, NAN = float("inf"), float("nan")
