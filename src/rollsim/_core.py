@@ -20,13 +20,16 @@ np.cos and np.sqrt bound to sympy's, so they must stay elementwise
 arithmetic with no other library call. It writes _eom: M, bias, G, and p_m
 with p_m grad p_m (`tip_geometry`, for `mag_torque`), as straight-line code
 on Python floats and math trig; nothing is compiled. It also writes the
-Cholesky solve (`solve_spd4`, for `chol_solve4` and `deriv`) and
+Cholesky solve (`solve_spd4`, for `chol_solve4` and `deriv`), the tip force
+law (`tip_law`, for `flux_density`, `magnetic_force` and `mag_torque`) and
 `step_for`, which `run_loop` calls once per run: it computes what depends
-on the parameters alone and returns `step`, one whole RK4 step of the rest
-of the code of M, bias and G with the solve inline, a loop over the four
-stages. `run_loop` calls `step` once per step, with `mag_torque` at each stage
-when magnetics are on. `deriv`, one state's derivative from the separate
-terms, serves `dynamics.forward_dynamics`. The array wrappers
+on the parameters and the coupling alone and returns `step`, one whole RK4
+step of the rest of the code of M, bias, G and, when the tips couple, the
+tip geometry and force law, with the solve inline, a loop over the four
+stages. `run_loop` calls `step` once per step and nothing else per stage.
+`deriv`, one state's derivative from the separate terms and `mag_torque`,
+serves `dynamics.forward_dynamics` and is the tests' oracle of `step`. The
+array wrappers
 `mass_matrix`, `bias` and `gravity` run the same code objects with numpy's
 trig bound in place of math's, so they too are elementwise;
 dynamics.errata_compare evaluates all its sampled states in one call each.
@@ -56,6 +59,7 @@ VARIANT_GEOMETRIC = 1
 QUIET = {"over": "ignore", "invalid": "ignore"}
 
 _ZERO4 = (0.0, 0.0, 0.0, 0.0)
+_ZERO5 = _ZERO4 + (0.0,)
 _ZERO8 = _ZERO4 + _ZERO4
 
 
@@ -208,29 +212,28 @@ def disk2_height(par, q):
 
 def flux_density(mag, p):
     """B = B_max (1 - p / P_max) for tip separation p, zero beyond P_max."""
-    if p > mag[2]:
-        return 0.0
-    return mag[1] * (1.0 - p / mag[2])
+    return _eom.tip_law(mag, (p,) + _ZERO4)[0]
 
 
 def magnetic_force(mag, B):
-    """Attractive tip force F = B^2 A / (2 mu0)."""
-    return B * B * mag[3] / (2.0 * mag[4])
+    """Attractive tip force F = B^2 A / (2 mu0).
+
+    F depends on p_m only through B, which is B_max at contact: this is the
+    force law's F at p_m = 0 with B in place of B_max.
+    """
+    return _eom.tip_law((mag[0], B, mag[2], mag[3], mag[4]), _ZERO5)[1]
 
 
 def mag_torque(par, mag, q):
     """(Q, degenerate): the tip attraction's generalized force -F grad p_m.
 
-    Q is exactly +0.0 when disabled, beyond P_max and at p_m = 0 (degenerate).
+    Q is exactly +0.0 when disabled, beyond P_max and at p_m < 1e-14
+    (degenerate).
     """
     if mag[0] == 0.0:
         return _ZERO4, False
-    p, g0, g1, g2, g3 = _eom.tip_geometry(par, q)
-    degenerate = p < 1e-14
-    if degenerate or p > mag[2]:
-        return _ZERO4, degenerate
-    F = magnetic_force(mag, flux_density(mag, p))
-    return (-F * (g0 / p), -F * (g1 / p), -F * (g2 / p), -F * (g3 / p)), False
+    _, _, Q, degenerate = _eom.tip_law(mag, _eom.tip_geometry(par, q))
+    return Q, degenerate
 
 
 def pd_error(tgt, y):
@@ -321,20 +324,14 @@ def run_loop(par, mag, y0, n, dt, pd, variant):
     (Kp, Kd, tgt, sat). The controller input is evaluated at the
     step's start state and held over the step (zero-order hold). Magnetic
     torque, being state dependent physics rather than a sampled controller,
-    is evaluated per stage. Each step is one call of the step that
-    _eom.step_for builds once for the run.
+    is evaluated per stage, inside the step. Each step is one call of the
+    step that _eom.step_for builds once for the run from par and mag.
 
     Returns (ys, us, n_done): samples 0..n_done are valid; n_done < n means
     the step after n_done produced a non-finite or non-solvable state.
     """
     par, mag = _floats(par), _floats(mag)
-    step = _eom.step_for(par, variant, dt)
-    torque = None
-    if mag[0] != 0.0:
-        # mag_torque is looked up on the module at each call, so a wrapper
-        # on the module's attribute sees every RK4 stage
-        def torque(q):
-            return mag_torque(par, mag, q)[0]
+    step = _eom.step_for(par, variant, dt, mag)
     if pd is not None:
         Kp, Kd, tgt = (_floats(a) for a in pd[:3])
         sat = pd[3]
@@ -355,7 +352,7 @@ def run_loop(par, mag, y0, n, dt, pd, variant):
             break
         # step tests the inputs of stages 2 to 4; a non-finite stage-4 qdd
         # makes the new y non-finite
-        y = step(y, tau, torque)
+        y = step(y, tau)
         if y is None or not all(map(math.isfinite, y)):
             return ys, us, i
         ys[i + 1] = y

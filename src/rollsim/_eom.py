@@ -10,16 +10,24 @@ I_s, r1, r2, R1, R2, g, delta...). The mass matrix is returned as its upper
 triangle, row by row: (M00, M01, M02, M03, M11, M12, M13, M22, M23, M33).
 variant selects the potential: 0 paper-verbatim, 1 geometry-consistent.
 
-step_for(p, variant, dt) builds the run loop's RK4 step once per run. It
-computes what the code of mass_matrix, bias and gravity and the Cholesky of
-solve_spd4 derive from p alone: the temporaries of p alone, the first two
-pivots and, in the other lines, each operation of p alone as Python parses
-the line. It returns step(y, tau, torque), called once per step, which runs
-the rest of that code line for line in a loop over the four RK4 stages:
-temporaries renamed apart, each angle sum named and each sine and cosine
-taken once, (tau - bias - G) + torque(q) solved by the Cholesky inline. Its
-qdd at each stage equals the separate calls to the last bit, and the stage
-inputs and the update are those of a list-form RK4. It returns None where a
+tip_law(mag, tip) is the tip force law on tip_geometry's (p_m, p_m grad
+p_m): the flux density B, the force F and the generalized force t = -F grad
+p_m, exactly +0.0 beyond P_max and at p_m < 1e-14 (degenerate). mag is the
+packed coupling (enabled, B_max, P_max, A, mu0).
+
+step_for(p, variant, dt, mag) builds the run loop's RK4 step once per run.
+It computes what the code of mass_matrix, bias, gravity and tip_geometry,
+the Cholesky of solve_spd4 and the force law of tip_law derive from p and
+mag alone: the temporaries of p alone, the first two pivots, whether mag
+couples the tips and, in the other lines, each operation of p and mag alone
+as Python parses the line. It returns step(y, tau), called once per step,
+which runs the rest of that code line for line in a loop over the four RK4
+stages: temporaries renamed apart, each angle sum named and each sine and
+cosine taken once, the tip geometry and the force law under one test of the
+coupling (p_m grad p_m only where the law reads it), (tau - bias - G) + t
+solved by the Cholesky inline. Its qdd at
+each stage equals the separate calls to the last bit, and the stage inputs
+and the update are those of a list-form RK4. It returns None where a
 solve_spd4 at some stage would, or where the input to stage 2, 3 or 4 is
 not finite; a non-finite qdd at stage 4 leaves the new y non-finite.
 
@@ -153,6 +161,31 @@ def tip_geometry(p, q):
     return (sqrt(dx*dx + dy*dy), dx*dx_th1 + dy*dy_th1, dx*dx_th2 + dy*dy_th2, dx*dx_ph1 + dy*dy_ph1, dx*dx_ph2 + dy*dy_ph2)
 
 
+def tip_law(mag, tip):
+    """(B, F, t, degenerate) of the tip force law at tip = (p_m, p_m grad p_m).
+
+    t = -F grad p_m is the generalized force; B and F do not depend on
+    the gradient, and at p_m = 0 B is B_max.
+    """
+    enabled, B_max, P_max, A, mu0 = mag
+    pm, pg0, pg1, pg2, pg3 = tip
+    degenerate = pm < 1e-14
+    if pm > P_max:
+        B = F = t0 = t1 = t2 = t3 = 0.0
+    else:
+        B = B_max * (1.0 - pm / P_max)
+        F = B * B * A / (2.0 * mu0)
+        if degenerate:
+            t0 = t1 = t2 = t3 = 0.0
+        else:
+            # pg0..pg3 = p_m grad p_m
+            t0 = -F * (pg0 / pm)
+            t1 = -F * (pg1 / pm)
+            t2 = -F * (pg2 / pm)
+            t3 = -F * (pg3 / pm)
+    return (B, F, (t0, t1, t2, t3), degenerate)
+
+
 def solve_spd4(m, b):
     """x with M x = b, M as its upper triangle; None when a pivot fails."""
     m00, m01, m02, m03, m11, m12, m13, m22, m23, m33 = m
@@ -189,15 +222,17 @@ def solve_spd4(m, b):
     return (x0, x1, x2, x3)
 
 
-def _failed_step(y, tau, torque):
+def _failed_step(y, tau):
     """step_for's step where a pivot of p alone fails: it fails for every y."""
     return None
 
 
-def step_for(p, variant, dt):
-    """step(y, tau, torque), one RK4 step of dt for parameters p and
-    potential variant; what p alone determines is computed here, once."""
+def step_for(p, variant, dt, mag):
+    """step(y, tau), one RK4 step of dt for parameters p, potential
+    variant and tip coupling mag; what p and mag alone determine is
+    computed here, once."""
     m_p, m_s, I_p, I_s, r1, r2, R1, R2, g, d_th1, d_th2, d_ph1, d_ph2 = p
+    enabled, B_max, P_max, A, mu0 = mag
     xm0 = m_p*r1*r1
     xm2 = m_p*r1
     xm3 = m_p*r2*r2
@@ -224,6 +259,11 @@ def step_for(p, variant, dt):
     xb2 = R1 + R2
     xp2 = -R1
     xp3 = m_p + m_s
+    coupled = enabled != 0.0
+    xp4 = -r1
+    xp5 = -(R1 + R2)
+    xp6 = 2.0 * mu0
+    xp7 = -r2
     if not 0.0 < m00 < inf:
         return _failed_step
     l00 = sqrt(m00)
@@ -233,15 +273,15 @@ def step_for(p, variant, dt):
     if not 0.0 < d11 < inf:
         return _failed_step
     l11 = sqrt(d11)
-    xp4 = l30 * l10
-    xp5 = l30 * l30
+    xp8 = l30 * l10
+    xp9 = l30 * l30
     h = 0.5 * dt
     w = dt / 6.0
 
-    def step(y, tau, torque):
+    def step(y, tau):
         """The y after one step from y = (q, qd) under tau, held, plus
-        torque(q) at each stage unless torque is None; None if a pivot
-        fails or the input to stage 2, 3 or 4 is not finite."""
+        the tip torque at each stage when mag couples the tips; None if
+        a pivot fails or the input to stage 2, 3 or 4 is not finite."""
         z0, z1, z2, z3, z4, z5, z6, z7 = y
         th1, th2, ph1, ph2, dth1, dth2, dph1, dph2 = y
         tau0, tau1, tau2, tau3 = tau
@@ -324,21 +364,48 @@ def step_for(p, variant, dt):
             b1 = tau1 - bias1 - G1
             b2 = tau2 - bias2 - G2
             b3 = tau3 - bias3 - G3
-            if torque is not None:
-                t0, t1, t2, t3 = torque((th1, th2, ph1, ph2))
+            if coupled:
+                dx = (R1*ph1 + r1*s31) - ((R1*ph1 + xb2*s34) + r2*s42)
+                dy = xp4*c31 - (xp5*c34 - r2*c42)
+                pm = sqrt(dx*dx + dy*dy)
+                degenerate = pm < 1e-14
+                if pm > P_max:
+                    B = F = t0 = t1 = t2 = t3 = 0.0
+                else:
+                    B = B_max * (1.0 - pm / P_max)
+                    F = B * B * A / xp6
+                    if degenerate:
+                        t0 = t1 = t2 = t3 = 0.0
+                    else:
+                        dx_th1 = c31*r1
+                        dx_th2 = -c42*r2
+                        dx_ph1 = c31*r1 - c34*xb2
+                        dx_ph2 = -c34*xb2 - c42*r2
+                        dy_th1 = r1*s31
+                        dy_th2 = xp7*s42
+                        dy_ph1 = r1*s31 - s34*xb2
+                        dy_ph2 = xp7*s42 - s34*xb2
+                        pg0 = dx*dx_th1 + dy*dy_th1
+                        pg1 = dx*dx_th2 + dy*dy_th2
+                        pg2 = dx*dx_ph1 + dy*dy_ph1
+                        pg3 = dx*dx_ph2 + dy*dy_ph2
+                        t0 = -F * (pg0 / pm)
+                        t1 = -F * (pg1 / pm)
+                        t2 = -F * (pg2 / pm)
+                        t3 = -F * (pg3 / pm)
                 b0 = b0 + t0
                 b1 = b1 + t1
                 b2 = b2 + t2
                 b3 = b3 + t3
             l20 = m02 / l00
             l21 = (m12 - l20 * l10) / l11
-            l31 = (m13 - xp4) / l11
+            l31 = (m13 - xp8) / l11
             d22 = m22 - l20 * l20 - l21 * l21
             if not 0.0 < d22 < inf:
                 return None
             l22 = sqrt(d22)
             l32 = (m23 - l30 * l20 - l31 * l21) / l22
-            d33 = m33 - xp5 - l31 * l31 - l32 * l32
+            d33 = m33 - xp9 - l31 * l31 - l32 * l32
             if not 0.0 < d33 < inf:
                 return None
             l33 = sqrt(d33)

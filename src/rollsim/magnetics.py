@@ -6,9 +6,11 @@ generalized coordinates through the tip Jacobians (virtual work), which is
 the only mapping consistent with the Lagrangian setting. The force is
 conservative along p_m, with closed-form potential W used in tests.
 
-The functions here evaluate for a State the _core functions that a run
-uses: separation, flux_density, magnetic_force and mag_torque, whose p_m
-and gradient tools/gen_eom.py generates from separation (_eom.tip_geometry).
+The functions here evaluate for a State the tip geometry and force law
+that a run uses. tools/gen_eom.py generates p_m and its gradient from
+_core.separation (_eom.tip_geometry) and writes the force law once
+(_eom.tip_law), which _core.flux_density, magnetic_force and mag_torque call;
+the run loop's RK4 step holds the same two, printed inline in each stage.
 """
 
 from __future__ import annotations
@@ -84,9 +86,9 @@ def generalized_magnetic_torque(params: RobotParams, mag: MagneticParams,
     positive work while the tips approach. At p_m = 0 the direction is
     undefined; the equal-and-opposite pair then contributes nothing and Q is
     zero with degenerate = True. Disabled coupling and separations beyond
-    P_max return exact zeros, as in the run loop, which calls the same
-    _core.mag_torque; a disabled run reproduces the uncoupled dynamics bit
-    for bit. With coupling enabled, a non-finite state gives NaN.
+    P_max return exact zeros, as in the run loop, whose step prints the
+    same force law inline; a disabled run reproduces the uncoupled dynamics
+    bit for bit. With coupling enabled, a non-finite state gives NaN.
     """
     if mag.enabled and not np.all(np.isfinite(state.q)):
         return np.full(4, np.nan), False

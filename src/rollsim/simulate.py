@@ -53,6 +53,12 @@ class PDSpec:
     saturation: Optional[float] = None
 
     def __post_init__(self):
+        if not isinstance(self.gains, GainMatrices):
+            raise ValidationError(
+                f"gains must be a GainMatrices, got {self.gains!r}")
+        if not isinstance(self.setpoints, Setpoints):
+            raise ValidationError(
+                f"setpoints must be a Setpoints, got {self.setpoints!r}")
         if self.saturation is None:
             return
         if not positive_number(self.saturation):
@@ -84,6 +90,10 @@ class Scenario:
         if not finite_numbers(self.y0, 8):
             raise ValidationError(
                 f"y0 must be finite and have 8 entries, got {self.y0!r}")
+        if not (self.controller is None
+                or isinstance(self.controller, PDSpec)):
+            raise ValidationError("controller must be None or a PDSpec, "
+                                  f"got {self.controller!r}")
         if not positive_number(self.dt):
             raise ValidationError(
                 f"dt must be positive and finite, got {self.dt!r}")
@@ -155,9 +165,16 @@ def run(scenario: Scenario, params: Optional[RobotParams] = None,
     mag.enabled alone decides whether the tips couple; mag also holds the
     flux model constants. Omitted params and mag default to RobotParams()
     and MagneticParams(), whose coupling is off. Deterministic: identical
-    inputs give bit-identical trajectories. Raises ValidationError when the
-    samples of the run do not fit in memory.
+    inputs give bit-identical trajectories. Raises ValidationError when
+    params or mag is not None and not of its type, or when the samples of
+    the run do not fit in memory.
     """
+    if not (params is None or isinstance(params, RobotParams)):
+        raise ValidationError(
+            f"params must be None or a RobotParams, got {params!r}")
+    if not (mag is None or isinstance(mag, MagneticParams)):
+        raise ValidationError(
+            f"mag must be None or a MagneticParams, got {mag!r}")
     params = params if params is not None else RobotParams()
     mag = mag if mag is not None else MagneticParams()
     par = params.as_array()

@@ -131,30 +131,32 @@ def test_checked_in_module_matches_its_generator():
     assert _core.np is np
     p = PAR.tolist()
     qs, qds = states(50, 13)
-    tau, t = (0.01, -0.02, -0.01, 0.02), (0.3, -0.1, 0.2, 0.05)
-    torques = (None, lambda q: t)
+    tau = (0.01, -0.02, -0.01, 0.02)
     for q, qd in zip(qs.tolist(), qds.tolist()):
         m = _eom.mass_matrix(p, q)
+        tip = _eom.tip_geometry(p, q)
         pairs = [(fresh["mass_matrix"](p, q), m),
                  (fresh["bias"](p, q, qd), _eom.bias(p, q, qd)),
-                 (fresh["tip_geometry"](p, q), _eom.tip_geometry(p, q)),
+                 (fresh["tip_geometry"](p, q), tip),
                  (fresh["solve_spd4"](m, tau), _eom.solve_spd4(m, tau))]
         pairs += [(fresh["gravity"](p, q, v), _eom.gravity(p, q, v))
                   for v in (0, 1)]
-        pairs += [(fresh["step_for"](p, v, 1e-3)(q + qd, tau, tm),
-                   _eom.step_for(p, v, 1e-3)(q + qd, tau, tm))
-                  for v in (0, 1) for tm in torques]
+        pairs += [(fresh["step_for"](p, v, 1e-3, mag)(q + qd, tau),
+                   _eom.step_for(p, v, 1e-3, mag)(q + qd, tau))
+                  for v in (0, 1) for mag in (MAG_OFF, MAG_ON)]
         # terms are at most ~1.4 here: 1e-14 admits only the rounding of a
         # differently factored form, as another sympy version may emit
         for new, old in pairs:
             np.testing.assert_allclose(new, old, rtol=0, atol=1e-14)
+        # the force law is a fixed text, not sympy's: equal to the bit
+        assert fresh["tip_law"](MAG_ON, tip) == _eom.tip_law(MAG_ON, tip)
 
 
 def test_accel_redoes_no_arithmetic_of_p_alone():
-    # step_for computes once what p alone determines; its step, called per
-    # RK4 step, must not hold an operation, call or comparison whose names
-    # are all parameters, math's or step_for's own values, such as
-    # sqrt(m00) or the pivot test 0.0 < m00 < inf
+    # step_for computes once what p and mag alone determine; its step,
+    # called per RK4 step, must not hold an operation, call or comparison
+    # whose names are all parameters, math's or step_for's own values, such
+    # as sqrt(m00), the pivot test 0.0 < m00 < inf or 2.0 * mu0
     [outer] = [f for f in ast.parse(inspect.getsource(_eom)).body
                if isinstance(f, ast.FunctionDef) and f.name == "step_for"]
     fixed, inner = {"cos", "inf", "sin", "sqrt"}, None
@@ -165,7 +167,8 @@ def test_accel_redoes_no_arithmetic_of_p_alone():
             fixed.update(n.id for t in stmt.targets for n in ast.walk(t)
                          if isinstance(n, ast.Name))
     assert inner.name == "step"
-    assert {"m_p", "d_ph2", "m00", "xm0", "l00", "l11", "h"} <= fixed
+    assert {"m_p", "d_ph2", "m00", "xm0", "l00", "l11", "h", "R1", "R2",
+            "enabled", "B_max", "P_max", "A", "mu0"} <= fixed
     local = {n.id for n in ast.walk(inner)
              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
     assert not local & fixed
@@ -189,28 +192,25 @@ def test_accel_redoes_no_arithmetic_of_p_alone():
     [0.9, -2.4, 1.8, 2.5, 1e184, 0.3, -0.7, -0.3],
 ])
 def test_deriv_flags_nonfinite_without_raising(y):
-    mag = [1.0, 0.05, 0.02, 0.0025, 1.257e-6]
+    # with P_max = 1e3 every stage the step runs takes the tip force law
     p = PAR.tolist()
-    dy, ok = _core.deriv(p, mag, y, [0.0] * 4, 0)
-    assert not ok
-    assert len(dy) == 8
-    if all(map(math.isfinite, y)):
-        # the step tests a stage input before it takes a sine of it
-        step = _eom.step_for(p, 0, 1e-3)
-        assert step(y, [0.0] * 4, torque_of(p, mag)) is None
+    for P_max in (0.02, 1e3):
+        mag = [1.0, 0.05, P_max, 0.0025, 1.257e-6]
+        dy, ok = _core.deriv(p, mag, y, [0.0] * 4, 0)
+        assert not ok
+        assert len(dy) == 8
+        if all(map(math.isfinite, y)):
+            # the step tests a stage input before it takes a sine of it
+            step = _eom.step_for(p, 0, 1e-3, mag)
+            assert step(y, [0.0] * 4) is None
 
 
 # tip coupling whose P_max, 0.14 m, is near the median separation of the
 # states() below (0.01 to 0.25 m), so about half of them feel a torque
 MAG_ON = [1.0, 0.05, 0.14, 0.0025, 1.257e-6]
 MAG_OFF = [0.0] * 5
-
-
-def torque_of(p, mag):
-    """The torque argument of _eom's step: None, or Q of _core.mag_torque."""
-    if mag[0] == 0.0:
-        return None
-    return lambda q: _core.mag_torque(p, mag, q)[0]
+# coupled, with zero flux: every in-range torque is a signed zero
+MAG_NO_FLUX = [1.0, 0.0, 0.14, 0.0025, 1.257e-6]
 
 
 def list_rk4_step(p, mag, y, tau, variant, dt):
@@ -238,7 +238,13 @@ def list_rk4_step(p, mag, y, tau, variant, dt):
             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
-@pytest.mark.parametrize("mag", [MAG_OFF, MAG_ON], ids=["mag_off", "mag_on"])
+def bits(v):
+    """The exact bits of a float sequence: -0.0 and 0.0 differ."""
+    return [x.hex() for x in v]
+
+
+@pytest.mark.parametrize("mag", [MAG_OFF, MAG_ON, MAG_NO_FLUX],
+                         ids=["mag_off", "mag_on", "no_flux"])
 @pytest.mark.parametrize("variant", [0, 1])
 def test_deriv_equals_the_separate_terms(variant, mag):
     # one step of _eom.step_for must be one list-RK4 step on the separate
@@ -247,15 +253,56 @@ def test_deriv_equals_the_separate_terms(variant, mag):
     taus = np.random.default_rng(41).uniform(-0.05, 0.05, (5000, 4))
     p = PAR.tolist()
     dt = 1e-3
-    step, torque = _eom.step_for(p, variant, dt), torque_of(p, mag)
+    step = _eom.step_for(p, variant, dt, mag)
     coupled = 0
     for q, qd, tau in zip(qs.tolist(), qds.tolist(), taus.tolist()):
         ref = list_rk4_step(p, mag, q + qd, tau, variant, dt)
         assert ref is not None
-        assert list(step(q + qd, tau, torque)) == ref
+        assert bits(step(q + qd, tau)) == bits(ref)
         coupled += _core.mag_torque(p, mag, q)[0] != (0.0,) * 4
     if mag is MAG_ON:
         assert 1000 < coupled < 4000
+
+
+def signed_zero_states():
+    """(y, tau) pairs: one whose tau - bias - G has -0.0 entries, then others.
+
+    tau_i = -0.0 with a zero rate and a zero gravity term: a zero torque of
+    +0.0 makes the right-hand side +0.0 there, one of -0.0 leaves it -0.0.
+    """
+    y = [0.3, -0.2, -0.3, 0.2, 0.0, 0.0, 0.0, 0.0]  # ph1 + th1 = ph2 + th2 = 0
+    tau = [-0.0, -0.0, 0.0, 0.0]
+    p = PAR.tolist()
+    for variant in (0, 1):
+        b, G = _eom.bias(p, y[:4], y[4:]), _eom.gravity(p, y[:4], variant)
+        assert bits([tau[i] - b[i] - G[i] for i in (0, 1)]) == bits([-0.0] * 2)
+    rng = np.random.default_rng(43)
+    qs, qds = states(40, 47)
+    taus = rng.uniform(-0.05, 0.05, (40, 4)).tolist()
+    return [(y, tau)] + [(q + qd, t) for q, qd, t
+                         in zip(qs.tolist(), qds.tolist(), taus)]
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1],
+                         ids=["below", "equal", "above"])
+@pytest.mark.parametrize("variant", [0, 1])
+def test_tip_law_at_the_cut_off_equals_the_separate_terms(variant, shift):
+    # P_max exactly at stage 1's separation, and one ulp either side of it:
+    # the cut-off test, B of nearly zero and the torque's signed zeros
+    p = PAR.tolist()
+    dt = 1e-3
+    for y, tau in signed_zero_states():
+        pm = float(_core.separation(p, y[:4]))
+        P_max = {-1: math.nextafter(pm, 0.0), 0: pm,
+                 1: math.nextafter(pm, math.inf)}[shift]
+        mag = [1.0, 0.05, P_max, 0.0025, 1.257e-6]
+        B, F, t, degenerate = _eom.tip_law(mag, _eom.tip_geometry(p, y[:4]))
+        assert not degenerate
+        assert (B == 0.0) == (shift <= 0)
+        if shift < 0:
+            assert bits(t) == bits([0.0] * 4)  # cut off: exactly +0.0
+        ref = list_rk4_step(p, mag, y, tau, variant, dt)
+        assert bits(_eom.step_for(p, variant, dt, mag)(y, tau)) == bits(ref)
 
 
 @pytest.mark.parametrize("entry,value", [
@@ -273,9 +320,8 @@ def test_deriv_flags_a_failed_pivot(entry, value):
     tau = [0.01, -0.02, -0.01, 0.02]
     assert _eom.solve_spd4(_eom.mass_matrix(p, y[:4]), tau) is None
     for variant in (0, 1):
-        step = _eom.step_for(p, variant, 1e-3)
         for mag in (MAG_OFF, MAG_ON):
-            assert step(y, tau, torque_of(p, mag)) is None
+            assert _eom.step_for(p, variant, 1e-3, mag)(y, tau) is None
             assert _core.deriv(p, mag, y, tau, variant) == ((0.0,) * 8, False)
 
 

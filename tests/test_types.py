@@ -100,3 +100,19 @@ def test_a_float64_array_y0_runs_as_its_tuple():
     from_array = run(Scenario(name="a", y0=y0, horizon=0.05))
     from_tuple = run(Scenario(name="a", y0=tuple(y0.tolist()), horizon=0.05))
     np.testing.assert_array_equal(from_array.y, from_tuple.y)
+
+
+SC = {"name": "a", "y0": (0.0,) * 8, "horizon": 0.01}
+
+
+@pytest.mark.parametrize("make,name", [
+    (lambda: Scenario(**SC, controller=5), "controller"),
+    (lambda: PDSpec(gains=None, setpoints=Setpoints()), "gains"),
+    (lambda: PDSpec(gains=GainMatrices(), setpoints=(0.0, 0.0)), "setpoints"),
+    (lambda: run(Scenario(**SC), params=5), "params"),
+    (lambda: run(Scenario(**SC), mag={"enabled": True}), "mag"),
+], ids=["controller", "gains", "setpoints", "params", "mag"])
+def test_each_input_object_is_checked_for_its_type(make, name):
+    # these raised AttributeError inside run, or were accepted
+    with pytest.raises(ValidationError, match=name):
+        make()

@@ -17,17 +17,18 @@ for M(q) qdd + bias(q, qd) + G(q) = tau,
 
 and common subexpression elimination turns each set into straight-line
 code. The tip separation p_m and p_m times its gradient come from
-rollsim._core.separation the same way (see tip_geometry). Two more
+rollsim._core.separation the same way (see tip_geometry). Three more
 functions are printed from those: solve_spd4, the 4x4 Cholesky written once
-as the CHOLESKY text, and step_for(p, variant, dt), which the run loop calls
-once per run. It computes every value of the separate cse blocks of M, bias
-and G and of the Cholesky that depends on p alone, found on the Python parse
-of the printed lines (see _hoist), and returns step(y, tau, torque), the
-loop's one call per RK4 step: the rest of the blocks and the solve, in a
-loop over the four stages, each angle sum named and each sine and cosine
-taken once per stage. Moving whole parse subtrees keeps every operand and
-grouping, so each stage's qdd equals the separate calls to the last bit.
-The output uses
+as the CHOLESKY text; tip_law, the tip force law written once as the
+TIP_LAW text; and step_for(p, variant, dt, mag), which the run loop calls
+once per run. It computes every value of the separate cse blocks of M, bias,
+G and the tip geometry, of the Cholesky and of the force law that depends
+on p and mag alone, found on the Python parse of the printed lines (see
+_hoist), and returns step(y, tau), the loop's one call per RK4 step: the
+rest of the blocks, the force law and the solve, in a loop over the four
+stages, each angle sum named and each sine and cosine taken once per stage.
+Moving whole parse subtrees keeps every operand and grouping, so each
+stage's qdd equals the separate calls to the last bit. The output uses
 only +, -, *, / and math's sin, cos and sqrt: integer powers are written as
 products, because Python's float ** raises OverflowError where a product
 overflows to inf, and the integrator reports a non-finite state by testing
@@ -59,6 +60,9 @@ from rollsim import _core  # noqa: E402
 OUT = SRC / "rollsim" / "_eom.py"
 
 PAR = sp.symbols("m_p m_s I_p I_s r1 r2 R1 R2 g d_th1 d_th2 d_ph1 d_ph2")
+# the packed tip coupling, rollsim._core's mag, and tip_geometry's outputs
+MAG = ("enabled", "B_max", "P_max", "A", "mu0")
+TIP = ("pm", "pg0", "pg1", "pg2", "pg3")
 Q = sp.symbols("th1 th2 ph1 ph2")
 QD = sp.symbols("dth1 dth2 dph1 dph2")
 
@@ -262,9 +266,34 @@ x1 = (y1 - l21 * x2 - l31 * x3) / l11
 x0 = (y0 - l10 * x1 - l20 * x2 - l30 * x3) / l00
 return (x0, x1, x2, x3)"""
 
+# The tip attraction's generalized force t = -F grad p_m, from pm = p_m and
+# pg0..pg3 = p_m grad p_m: one text, printed as tip_law and inline in step.
+# B falls linearly from B_max at contact to zero at P_max and stays zero
+# beyond; F = B^2 A / (2 mu0). t is exactly +0.0 beyond P_max and at
+# pm < 1e-14 (degenerate: no direction). Each path assigns every name, so
+# tip_law can return them all. With P_max > 0 no input makes it raise.
+# tip_law takes pg0..pg3 as arguments; step computes them at the GRADIENT
+# line, the one path that reads them, so a stage beyond P_max skips them.
+GRADIENT = "# pg0..pg3 = p_m grad p_m"
+TIP_LAW = f"""\
+degenerate = pm < 1e-14
+if pm > P_max:
+    B = F = t0 = t1 = t2 = t3 = 0.0
+else:
+    B = B_max * (1.0 - pm / P_max)
+    F = B * B * A / (2.0 * mu0)
+    if degenerate:
+        t0 = t1 = t2 = t3 = 0.0
+    else:
+        {GRADIENT}
+        t0 = -F * (pg0 / pm)
+        t1 = -F * (pg1 / pm)
+        t2 = -F * (pg2 / pm)
+        t3 = -F * (pg3 / pm)"""
+
 # what step_for returns when a pivot of p alone fails
 FAILED_STEP = '''\
-def _failed_step(y, tau, torque):
+def _failed_step(y, tau):
     """step_for's step where a pivot of p alone fails: it fails for every y."""
     return None
 '''
@@ -280,6 +309,23 @@ def _solver():
              "    " + ", ".join(M_NAMES) + " = m",
              "    b0, b1, b2, b3 = b"]
     lines += ["    " + line for line in CHOLESKY.splitlines()]
+    return "\n".join(lines) + "\n"
+
+
+def _tip_law():
+    """Source of tip_law, the TIP_LAW text as a function."""
+    lines = ["def tip_law(mag, tip):",
+             '    """(B, F, t, degenerate) of the tip force law at tip = '
+             "(p_m, p_m grad p_m).",
+             "",
+             "    t = -F grad p_m is the generalized force; B and F do not "
+             "depend on",
+             "    the gradient, and at p_m = 0 B is B_max.",
+             '    """',
+             f"    {', '.join(MAG)} = mag",
+             f"    {', '.join(TIP)} = tip"]
+    lines += ["    " + line for line in TIP_LAW.splitlines()]
+    lines.append("    return (B, F, (t0, t1, t2, t3), degenerate)")
     return "\n".join(lines) + "\n"
 
 
@@ -322,18 +368,19 @@ def _hoist(lines):
     """Split step's lines into (step_for's lines, step's lines).
 
     lines are one statement each, indented under a branch or not, and the
-    branch headers. An unindented assignment whose names are all parameters,
-    math's and names already hoisted moves to step_for whole, and so does an
-    unindented pivot check of such names, its `return None` made `return
-    _failed_step`: statements keep their order, so each check still runs
-    before the sqrt and divisions it guards. In every other line, each
+    branch headers. An unindented assignment whose names are all parameters
+    (of p or mag), math's and names already hoisted moves to step_for whole,
+    and so does an unindented pivot check of such names, its `return None`
+    made `return _failed_step`: statements keep their order, so each check
+    still runs before the sqrt and divisions it guards. In every other line,
+    each
     largest operation of +, - and * of such names, as Python parses the
     line, moves to step_for as xp0, xp1, ..., or under the name of an equal
     expression hoisted before, and the line reads that name in its place.
     The parse tree keeps its shape, so the operands, their grouping and the
     bits of every result are unchanged.
     """
-    known = {str(s) for s in PAR} | MATH
+    known = {str(s) for s in PAR} | set(MAG) | MATH
     names = {}  # ast.dump of a hoisted expression -> the name it has
     fresh = (f"xp{i}" for i in itertools.count())
     outer, inner = [], []
@@ -351,7 +398,7 @@ def _hoist(lines):
             continue
         stmt = ast.parse(text).body[0]
         if isinstance(stmt, ast.Assign):
-            targets = _names(stmt.targets[0])
+            targets = set().union(*map(_names, stmt.targets))
             if targets & known:
                 raise ValueError(f"{text!r} assigns a hoisted name again")
             if not indent and _names(stmt.value) <= known:
@@ -375,20 +422,37 @@ def _hoist(lines):
     return outer, inner
 
 
-def _step_for(m, b, g, trig):
-    """Source of step_for(p, variant, dt), which returns step(y, tau,
-    torque): one RK4 step of y' = (qd, qdd), qdd = M^-1 ((tau - bias - G) +
-    torque(q)), tau held over the step and torque None for no torque; None
-    where a stage fails.
+def _split_needed(lines, name):
+    """(the lines that name needs, the others), each in order; lines are
+    unindented assignments."""
+    needed, mine = {name}, set()
+    for i in reversed(range(len(lines))):
+        stmt = ast.parse(lines[i]).body[0]
+        if _names(stmt.targets[0]) & needed:
+            needed |= _names(stmt.value)
+            mine.add(i)
+    return ([line for i, line in enumerate(lines) if i in mine],
+            [line for i, line in enumerate(lines) if i not in mine])
 
-    It prints the blocks of mass_matrix, bias and gravity as _function does,
-    each sympy cse of its own, with their x* temporaries renamed apart (xm*,
-    xb*, xg*) and their outputs assigned to names; a joint cse over the three
-    would regroup the arithmetic and move last bits. Then the right-hand side
-    in the order of the separate terms, and CHOLESKY. _hoist moves what they
-    compute of p alone to step_for, once per p, the first two pivots among
-    it. step runs the rest once per RK4 stage in a loop, each angle sum
-    named and each c*/s* taken once, and forms the next stage's input, the
+
+def _step_for(m, b, g, tip, trig):
+    """Source of step_for(p, variant, dt, mag), which returns step(y, tau):
+    one RK4 step of y' = (qd, qdd), qdd = M^-1 ((tau - bias - G) + t), tau
+    held over the step and t the tip torque of tip_law where mag couples the
+    tips; None where a stage fails.
+
+    It prints the blocks of mass_matrix, bias, gravity and tip_geometry
+    (tip, its (pre, outputs)) as _function does, each sympy cse of its own,
+    with their x* temporaries renamed apart (xm*, xb*, xg*, xt*) and their
+    outputs assigned to names; a joint cse over them would regroup the
+    arithmetic and move last bits. Then the right-hand side in the order of
+    the separate terms: tau - bias - G, then, under one test of mag's
+    enabled, the tip geometry's lines that p_m needs, TIP_LAW with the
+    others at its GRADIENT line, and + t; and CHOLESKY. _hoist moves
+    what they compute of p and mag alone to step_for, once per run, the
+    first two pivots among it. step runs the rest once per RK4 stage in a
+    loop, each angle sum named and each c*/s* taken once, the tip geometry's
+    among them, and forms the next stage's input, the
     slopes' weighted sum and the new y with the expressions and grouping of
     tests/test_simulate.py's list RK4: k1 + 2.0 k2 + 2.0 k3 + k4 is summed
     left to right as the stages come. A stage input of inf or nan returns
@@ -396,23 +460,34 @@ def _step_for(m, b, g, trig):
     """
     blocks = [(_block(m, trig), "xm", M_NAMES),
               (_block(b, trig), "xb", [f"bias{i}" for i in range(4)]),
-              (_block(g, trig), "xg", [f"G{i}" for i in range(4)])]
+              (_block(g, trig), "xg", [f"G{i}" for i in range(4)]),
+              (_block(tip[1], trig, tip[0]), "xt", TIP)]
     used = set().union(*(blk[0] for blk, _, _ in blocks))
-    body = []
-    for (_, code, returned), prefix, names in blocks:
-        body += [_apart(line, prefix) for line in code]
+
+    def lines_of(block, prefix, names):
+        _, code, returned = block
+        out = [_apart(line, prefix) for line in code]
         for i, (variant, texts) in enumerate(returned.items()):
             indent = ""
             if variant is not None:
                 indent = "    "
-                body.append("else:" if i == len(returned) - 1 else
-                            f"{'if' if i == 0 else 'elif'} "
-                            f"variant == {variant}:")
-            body += [f"{indent}{n} = {_apart(t, prefix)}"
-                     for n, t in zip(names, texts)]
+                out.append("else:" if i == len(returned) - 1 else
+                           f"{'if' if i == 0 else 'elif'} "
+                           f"variant == {variant}:")
+            out += [f"{indent}{n} = {_apart(t, prefix)}"
+                    for n, t in zip(names, texts)]
+        return out
+
+    body = [line for blk in blocks[:3] for line in lines_of(*blk)]
     body += [f"b{i} = tau{i} - bias{i} - G{i}" for i in range(4)]
-    body += ["if torque is not None:",
-             "    t0, t1, t2, t3 = torque((th1, th2, ph1, ph2))"]
+    separation, gradient = _split_needed(lines_of(*blocks[3]), "pm")
+    law = []
+    for line in TIP_LAW.splitlines():
+        text = line.lstrip()
+        indent = line[:len(line) - len(text)]
+        law += [indent + g for g in gradient] if text == GRADIENT else [line]
+    body += ["coupled = enabled != 0.0", "if coupled:"]
+    body += ["    " + line for line in separation + law]
     body += [f"    b{i} = b{i} + t{i}" for i in range(4)]
     *solve, done = CHOLESKY.splitlines()
     assert done == "return (x0, x1, x2, x3)"
@@ -432,19 +507,19 @@ def _step_for(m, b, g, trig):
     new_y = ", ".join(f"z{i} + w * (k{i} + {d})" for i, d in enumerate(slope))
 
     lines = _preamble(
-        "step_for", ("p", "variant", "dt"),
-        "step(y, tau, torque), one RK4 step of dt for parameters p and\n"
-        "    potential variant; what p alone determines is computed here, "
-        "once.", [(PAR, "p")], {}, set())
+        "step_for", ("p", "variant", "dt", "mag"),
+        "step(y, tau), one RK4 step of dt for parameters p, potential\n"
+        "    variant and tip coupling mag; what p and mag alone determine is\n"
+        "    computed here, once.", [(PAR, "p"), (MAG, "mag")], {}, set())
     lines += ["    " + line for line in outer]
     lines += ["    h = 0.5 * dt", "    w = dt / 6.0",
               "",
-              "    def step(y, tau, torque):",
+              "    def step(y, tau):",
               '        """The y after one step from y = (q, qd) under tau, '
               "held, plus\n"
-              "        torque(q) at each stage unless torque is None; None if "
-              "a pivot\n"
-              "        fails or the input to stage 2, 3 or 4 is not "
+              "        the tip torque at each stage when mag couples the tips; "
+              "None if\n"
+              "        a pivot fails or the input to stage 2, 3 or 4 is not "
               'finite."""',
               f"        {', '.join(f'z{i}' for i in range(8))} = y",
               f"        {', '.join(y)} = y",
@@ -481,16 +556,24 @@ I_s, r1, r2, R1, R2, g, delta...). The mass matrix is returned as its upper
 triangle, row by row: (M00, M01, M02, M03, M11, M12, M13, M22, M23, M33).
 variant selects the potential: 0 paper-verbatim, 1 geometry-consistent.
 
-step_for(p, variant, dt) builds the run loop's RK4 step once per run. It
-computes what the code of mass_matrix, bias and gravity and the Cholesky of
-solve_spd4 derive from p alone: the temporaries of p alone, the first two
-pivots and, in the other lines, each operation of p alone as Python parses
-the line. It returns step(y, tau, torque), called once per step, which runs
-the rest of that code line for line in a loop over the four RK4 stages:
-temporaries renamed apart, each angle sum named and each sine and cosine
-taken once, (tau - bias - G) + torque(q) solved by the Cholesky inline. Its
-qdd at each stage equals the separate calls to the last bit, and the stage
-inputs and the update are those of a list-form RK4. It returns None where a
+tip_law(mag, tip) is the tip force law on tip_geometry's (p_m, p_m grad
+p_m): the flux density B, the force F and the generalized force t = -F grad
+p_m, exactly +0.0 beyond P_max and at p_m < 1e-14 (degenerate). mag is the
+packed coupling (enabled, B_max, P_max, A, mu0).
+
+step_for(p, variant, dt, mag) builds the run loop's RK4 step once per run.
+It computes what the code of mass_matrix, bias, gravity and tip_geometry,
+the Cholesky of solve_spd4 and the force law of tip_law derive from p and
+mag alone: the temporaries of p alone, the first two pivots, whether mag
+couples the tips and, in the other lines, each operation of p and mag alone
+as Python parses the line. It returns step(y, tau), called once per step,
+which runs the rest of that code line for line in a loop over the four RK4
+stages: temporaries renamed apart, each angle sum named and each sine and
+cosine taken once, the tip geometry and the force law under one test of the
+coupling (p_m grad p_m only where the law reads it), (tau - bias - G) + t
+solved by the Cholesky inline. Its qdd at
+each stage equals the separate calls to the last bit, and the stage inputs
+and the update are those of a list-form RK4. It returns None where a
 solve_spd4 at some stage would, or where the input to stage 2, 3 or 4 is
 not finite; a non-finite qdd at stage 4 leaves the new y non-finite.
 
@@ -527,9 +610,10 @@ def generate() -> str:
         _function("tip_geometry", ("p", "q"),
                   "(p_m, p_m * d p_m / dq): tip separation, scaled gradient.",
                   tip, trig, pre),
+        _tip_law(),
         _solver(),
         FAILED_STEP,
-        _step_for(m, b, {GEOMETRIC: gg, VERBATIM: gv}, trig),
+        _step_for(m, b, {GEOMETRIC: gg, VERBATIM: gv}, (pre, tip), trig),
     ]
     return "\n\n".join(parts)
 
