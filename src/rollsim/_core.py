@@ -1,11 +1,18 @@
 """Numeric kernels: energies, equations of motion and the RK4 loop.
 
-Arguments are packed sequences:
+Arguments are packed sequences of Python floats, each built by the
+packed() method of the type that holds its values. Nothing here converts
+them, except that the array wrappers mass_matrix, bias and gravity stack q
+into one array:
 
-    par: [m_p, m_s, I_p, I_s, r1, r2, R1, R2, g, d_th1, d_th2, d_ph1, d_ph2]
-    mag: [enabled, B_max, P_max, A, mu0]
-    q:   (theta1, theta2, phi1, phi2)          state y = (q, qdot), length 8
-    tgt: (th1d, th2d, ph1d, ph2d, dth1d, dth2d, dph1d, dph2d)
+    par: RobotParams.packed(), (m_p, m_s, I_p, I_s, r1, r2, R1, R2, g,
+         d_th1, d_th2, d_ph1, d_ph2)
+    mag: MagneticParams.packed(), (enabled, B_max, P_max, A, mu0) with
+         enabled 1.0 or 0.0
+    y:   State.packed(), (theta1, theta2, phi1, phi2, rates...); q = y[:4]
+    tgt: Setpoints.packed(), (th1d, th2d, ph1d, ph2d, dth1d, dth2d, dph1d,
+         dph2d)
+    pd:  PDSpec.packed(), (Kp, Kd, tgt, sat) with sat 0.0 for no bound
 
 Each derived quantity is implemented once, here, for the run loop,
 simulate.run and the public functions of control, energetics, kinematics,
@@ -61,11 +68,6 @@ QUIET = {"over": "ignore", "invalid": "ignore"}
 _ZERO4 = (0.0, 0.0, 0.0, 0.0)
 _ZERO5 = _ZERO4 + (0.0,)
 _ZERO8 = _ZERO4 + _ZERO4
-
-
-def _floats(a):
-    """Nested lists of Python floats from an array or sequence."""
-    return np.asarray(a, dtype=np.float64).tolist()
 
 
 def body_positions(par, q):
@@ -169,7 +171,7 @@ def _eom_columns(fn, par, q, *args):
     """fn's entries stacked on a new first axis, NaN where q is non-finite."""
     q = np.asarray(q, dtype=np.float64)
     with np.errstate(**QUIET):
-        entries = fn(_floats(par), q, *args)
+        entries = fn(par, q, *args)
     out = np.empty((len(entries),) + q.shape[1:])
     for i, e in enumerate(entries):
         out[i] = e
@@ -193,13 +195,14 @@ def chol_solve4(M, b):
     """Solve M x = b for symmetric positive definite 4x4 M.
 
     Returns (x, ok). ok is False when a pivot is non-positive or non-finite;
-    callers must not trust x in that case. The failure path is a flag, not
-    an exception, so the integrator can stop cleanly.
+    callers must not trust x in that case. No code of the package calls
+    it: it is kept as perfbench's core.chol_solve4 layer, and takes any M
+    and b that numpy reads as floats.
     """
-    M = _floats(M)
+    M = np.asarray(M, dtype=np.float64).tolist()
     x = _eom.solve_spd4((M[0][0], M[0][1], M[0][2], M[0][3], M[1][1],
                          M[1][2], M[1][3], M[2][2], M[2][3], M[3][3]),
-                        _floats(b))
+                        np.asarray(b, dtype=np.float64).tolist())
     if x is None:
         return np.zeros(4), False
     return np.array(x), True
@@ -321,23 +324,22 @@ def run_loop(par, mag, y0, n, dt, pd, variant):
     """Integrate n fixed RK4 steps from y0.
 
     pd is None for an uncontrolled run, else the pd_input arguments
-    (Kp, Kd, tgt, sat). The controller input is evaluated at the
-    step's start state and held over the step (zero-order hold). Magnetic
-    torque, being state dependent physics rather than a sampled controller,
-    is evaluated per stage, inside the step. Each step is one call of the
-    step that _eom.step_for builds once for the run from par and mag.
+    (Kp, Kd, tgt, sat), PDSpec.packed(). The controller input is evaluated
+    at the step's start state and held over the step (zero-order hold).
+    Magnetic torque, being state dependent physics rather than a sampled
+    controller, is evaluated per stage, inside the step. Each step is one
+    call of the step that _eom.step_for builds once for the run from par
+    and mag.
 
     Returns (ys, us, n_done): samples 0..n_done are valid; n_done < n means
     the step after n_done produced a non-finite or non-solvable state.
     """
-    par, mag = _floats(par), _floats(mag)
     step = _eom.step_for(par, variant, dt, mag)
     if pd is not None:
-        Kp, Kd, tgt = (_floats(a) for a in pd[:3])
-        sat = pd[3]
+        Kp, Kd, tgt, sat = pd
     ys = np.empty((n + 1, 8))
     us = np.zeros((n + 1, 2))
-    y = _floats(y0)
+    y = y0
     ys[0] = y
     tau = _ZERO4
     if not all(map(math.isfinite, y)):

@@ -58,12 +58,6 @@ class GainMatrices:
             object.__setattr__(self, label,
                                tuple(tuple(map(float, row)) for row in m))
 
-    def kp_array(self) -> np.ndarray:
-        return np.asarray(self.Kp, dtype=np.float64)
-
-    def kd_array(self) -> np.ndarray:
-        return np.asarray(self.Kd, dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class Setpoints:
@@ -85,29 +79,28 @@ class Setpoints:
                     f"{name} must be 2 finite numbers, got {v!r}")
             object.__setattr__(self, name, tuple(map(float, v)))
 
-    def target_array(self) -> np.ndarray:
-        return np.array([*self.theta_d, *self.phi_d,
-                         *self.dtheta_d, *self.dphi_d], dtype=np.float64)
+    def packed(self) -> tuple:
+        """_core's tgt: (th1d, th2d, ph1d, ph2d) then their 4 rates."""
+        return (*self.theta_d, *self.phi_d, *self.dtheta_d, *self.dphi_d)
 
 
 def error_vector(setpoints: Setpoints, state: State) -> np.ndarray:
     """e = (psi1 - theta1d, psi2 - theta2d, phi1 - phi1d, phi2 - phi2d)."""
-    e, _ = _core.pd_error(setpoints.target_array(), state.as_array())
+    e, _ = _core.pd_error(setpoints.packed(), state.packed())
     return np.array(e)
 
 
 def error_rate(setpoints: Setpoints, state: State) -> np.ndarray:
     """edot on (thetadot1, thetadot2, phidot1, phidot2)."""
-    _, de = _core.pd_error(setpoints.target_array(), state.as_array())
+    _, de = _core.pd_error(setpoints.packed(), state.packed())
     return np.array(de)
 
 
 def pd_control(gains: GainMatrices, setpoints: Setpoints,
                state: State) -> Input:
     """u = Kp e + Kd edot, unsaturated; the run loop's law."""
-    u = _core.pd_input(gains.kp_array().tolist(), gains.kd_array().tolist(),
-                       setpoints.target_array().tolist(),
-                       state.as_array().tolist(), 0.0)
+    u = _core.pd_input(gains.Kp, gains.Kd, setpoints.packed(),
+                       state.packed(), 0.0)
     return Input(tau=u)
 
 
@@ -154,10 +147,10 @@ def lyapunov(params: RobotParams, gains: GainMatrices, setpoints: Setpoints,
     gain matrices do not define a square quadratic form; the weighting sums
     each gain entry against its error component squared.
     """
-    e, de = _core.pd_error(setpoints.target_array(), state.as_array())
+    e, de = _core.pd_error(setpoints.packed(), state.packed())
     dE = (total_energy(params, state, variant)
           - reference_energy(params, setpoints, variant))
-    V, terms = _core.lyapunov(gains.kp_array(), gains.kd_array(), e, de, dE)
+    V, terms = _core.lyapunov(gains.Kp, gains.Kd, e, de, dE)
     Vdot = None
     if prev_sample is not None:
         if not dt > 0:

@@ -21,6 +21,7 @@ import numpy as np
 from . import _core, _eom
 from .energetics import variant_code
 from .kinematics import positions, velocities
+from .magnetics import MagneticParams
 from .model import RobotParams, State
 
 
@@ -29,23 +30,17 @@ class SingularDynamicsError(RuntimeError):
     failed the positive-definite solve."""
 
 
-# forward_dynamics' magnetic parameters: coupling disabled
-_MAG_OFF = (0.0,) * 5
-
-
 def mass_matrix(params: RobotParams, q) -> np.ndarray:
-    return _core.mass_matrix(params.as_array(), np.asarray(q, dtype=np.float64))
+    return _core.mass_matrix(params.packed(), q)
 
 
 def gravity_vector(params: RobotParams, q,
                    variant: str = "paper-verbatim") -> np.ndarray:
-    return _core.gravity(params.as_array(), np.asarray(q, dtype=np.float64),
-                         variant_code(variant))
+    return _core.gravity(params.packed(), q, variant_code(variant))
 
 
 def bias_vector(params: RobotParams, state: State) -> np.ndarray:
-    return _core.bias(params.as_array(), np.asarray(state.q, dtype=np.float64),
-                      np.asarray(state.qdot, dtype=np.float64))
+    return _core.bias(params.packed(), state.q, state.qdot)
 
 
 @dataclass(frozen=True)
@@ -57,10 +52,9 @@ class DynamicsTerms:
 
 def terms(params: RobotParams, state: State,
           variant: str = "paper-verbatim") -> DynamicsTerms:
-    q = np.asarray(state.q, dtype=np.float64)
-    return DynamicsTerms(M=mass_matrix(params, q),
+    return DynamicsTerms(M=mass_matrix(params, state.q),
                          bias=bias_vector(params, state),
-                         G=gravity_vector(params, q, variant))
+                         G=gravity_vector(params, state.q, variant))
 
 
 def forward_dynamics(params: RobotParams, state: State, tau_gen,
@@ -76,14 +70,14 @@ def forward_dynamics(params: RobotParams, state: State, tau_gen,
     RK4 oracle of tests/test_simulate.py stays independent of the run
     loop's kernel.
     """
-    par = params.as_array().tolist()
+    par = params.packed()
     q = [float(v) for v in state.q]
     qd = [float(v) for v in state.qdot]
     if not all(map(math.isfinite, q + qd)):
         raise SingularDynamicsError(f"non-finite state q={q}, qdot={qd}")
     t0, t1, t2, t3 = (float(v) for v in tau_gen)
-    dy, ok = _core.deriv(par, _MAG_OFF, q + qd, (t0, t1, t2, t3),
-                         variant_code(variant))
+    dy, ok = _core.deriv(par, MagneticParams().packed(), q + qd,
+                         (t0, t1, t2, t3), variant_code(variant))
     if ok:
         return np.array(dy[4:])
     if _eom.solve_spd4(_eom.mass_matrix(par, q), (0.0,) * 4) is not None:
@@ -236,15 +230,8 @@ class ErrataReport:
             "samples": self.samples,
             "seed": self.seed,
             "match_rel_tol": MATCH_REL_TOL,
-            "entries": [{
-                "name": e.name,
-                "group": e.group,
-                "classification": e.classification,
-                "max_abs_dev": e.max_abs_dev,
-                "mean_abs_dev": e.mean_abs_dev,
-                "scale": e.scale,
-                "note": e.note,
-            } for e in self.entries],
+            # each entry's fields in order, without asdict's deep copy
+            "entries": [vars(e) for e in self.entries],
             "notes": list(self.notes),
             "mismatch_count": len(self.mismatches),
         }, indent=2) + "\n"
@@ -308,7 +295,7 @@ def errata_compare(params: RobotParams, samples: int = 1000,
     rng = np.random.default_rng(seed)
     q = rng.uniform(-2 * np.pi, 2 * np.pi, size=(samples, 4)).T
     qd = rng.uniform(-3.0, 3.0, size=(samples, 4)).T
-    par = params.as_array()
+    par = params.packed()
 
     st = State(q=tuple(q), qdot=tuple(qd))
     a, x, y = printed_terms(params, st)

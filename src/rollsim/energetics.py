@@ -47,26 +47,26 @@ class EnergyBreakdown:
 def kinetic_energy(params: RobotParams, state: State) -> float:
     """T; NaN for a non-finite state."""
     with np.errstate(**_core.QUIET):
-        return float(_core.kinetic(params.as_array(), state.q, state.qdot))
+        return float(_core.kinetic(params.packed(), state.q, state.qdot))
 
 
 def potential_energy(params: RobotParams, state: State,
                      variant: str = "paper-verbatim") -> float:
     """U; NaN for a non-finite state."""
     with np.errstate(**_core.QUIET):
-        return float(_core.potential(params.as_array(), state.q,
+        return float(_core.potential(params.packed(), state.q,
                                      variant_code(variant)))
 
 
 def dissipation(params: RobotParams, state: State) -> float:
     """Rayleigh function P = 1/2 sum delta_i qdot_i^2. Power loss is 2P."""
-    return float(_core.dissipation(params.as_array(), state.qdot))
+    return float(_core.dissipation(params.packed(), state.qdot))
 
 
 def breakdown(params: RobotParams, state: State,
               variant: str = "paper-verbatim") -> EnergyBreakdown:
     """Per-body energy terms, whose left-to-right sums are T and U."""
-    par = params.as_array()
+    par = params.packed()
     T_parts = tuple(map(float, _core.kinetic_parts(par, state.q, state.qdot)))
     U_parts = tuple(map(float, _core.potential_parts(par, state.q,
                                                      variant_code(variant))))

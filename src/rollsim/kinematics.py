@@ -39,11 +39,11 @@ class BodyVelocities:
 
 
 def positions(params: RobotParams, state: State) -> BodyPositions:
-    return BodyPositions(*_core.body_positions(params.as_array(), state.q))
+    return BodyPositions(*_core.body_positions(params.packed(), state.q))
 
 
 def velocities(params: RobotParams, state: State) -> BodyVelocities:
-    return BodyVelocities(*_core.body_velocities(params.as_array(), state.q,
+    return BodyVelocities(*_core.body_velocities(params.packed(), state.q,
                                                  state.qdot))
 
 
@@ -55,12 +55,12 @@ def disk2_height(params: RobotParams, state: State) -> float:
     dips below the ground plane (the model has no ground constraint for
     disk 2; penetration is only flagged as an event).
     """
-    return _core.disk2_height(params.as_array(), state.q)
+    return _core.disk2_height(params.packed(), state.q)
 
 
 def pendulum_tips(params: RobotParams, state: State):
     """The two magnet-carrying bob positions (r_p1, r_p2)."""
-    return _core.body_positions(params.as_array(), state.q)[1::2]
+    return _core.body_positions(params.packed(), state.q)[1::2]
 
 
 def wrap_angle(a):

@@ -54,27 +54,27 @@ class MagneticParams:
                 raise ValidationError(f"{name} must be positive, got {v!r}")
             object.__setattr__(self, name, float(v))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([1.0 if self.enabled else 0.0,
-                         self.B_max, self.P_max, self.A, self.mu0],
-                        dtype=np.float64)
+    def packed(self) -> tuple:
+        """_core's mag: enabled as 1.0 or 0.0, then the four constants."""
+        return (1.0 if self.enabled else 0.0,
+                self.B_max, self.P_max, self.A, self.mu0)
 
 
 def separation(params: RobotParams, state: State) -> float:
     """Euclidean distance p_m between the pendulum tips; NaN if non-finite."""
     with np.errstate(**_core.QUIET):
-        return float(_core.separation(params.as_array(), state.q))
+        return float(_core.separation(params.packed(), state.q))
 
 
 def flux_density(mag: MagneticParams, p_m: float) -> float:
     if p_m < 0:
         raise ValidationError(f"separation must be >= 0, got {p_m!r}")
-    return _core.flux_density(mag.as_array(), p_m)
+    return _core.flux_density(mag.packed(), p_m)
 
 
 def magnetic_force(mag: MagneticParams, B: float) -> float:
     """Attractive force magnitude F = B^2 A / (2 mu0), N."""
-    return _core.magnetic_force(mag.as_array(), B)
+    return _core.magnetic_force(mag.packed(), B)
 
 
 def generalized_magnetic_torque(params: RobotParams, mag: MagneticParams,
@@ -92,8 +92,7 @@ def generalized_magnetic_torque(params: RobotParams, mag: MagneticParams,
     """
     if mag.enabled and not np.all(np.isfinite(state.q)):
         return np.full(4, np.nan), False
-    Q, degenerate = _core.mag_torque(params.as_array(), mag.as_array(),
-                                     state.q)
+    Q, degenerate = _core.mag_torque(params.packed(), mag.packed(), state.q)
     return np.array(Q), degenerate
 
 

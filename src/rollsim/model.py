@@ -79,25 +79,35 @@ class RobotParams:
                 f"delta must be 4 finite numbers >= 0, got {self.delta!r}")
         object.__setattr__(self, "delta", tuple(map(float, self.delta)))
 
-    def as_array(self) -> np.ndarray:
-        """Packed layout consumed by the kernels in _core."""
-        return np.array([self.m_p, self.m_s, self.I_p, self.I_s,
-                         self.r1, self.r2, self.R1, self.R2, self.g,
-                         *self.delta], dtype=np.float64)
+    def packed(self) -> tuple:
+        """_core's par: the 13 floats in the order the kernels unpack."""
+        return (self.m_p, self.m_s, self.I_p, self.I_s, self.r1, self.r2,
+                self.R1, self.R2, self.g, *self.delta)
 
 
 @dataclass(frozen=True)
 class State:
     """Generalized coordinates and rates.
 
-    q = (theta1, theta2, phi1, phi2) in radians, qdot in rad/s.
+    q = (theta1, theta2, phi1, phi2) in radians, qdot in rad/s. Each is
+    stored as a tuple of its 4 entries, which may be floats or the
+    equal-length columns of recorded states. Finiteness is not checked: the
+    functions that take a State define their answer for a non-finite one.
     """
 
     q: tuple[float, float, float, float]
     qdot: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([*self.q, *self.qdot], dtype=np.float64)
+    def __post_init__(self):
+        for name in ("q", "qdot"):
+            v = getattr(self, name)
+            if isinstance(v, str) or len(v) != 4:
+                raise ValidationError(f"{name} must have 4 entries, got {v!r}")
+            object.__setattr__(self, name, tuple(v))
+
+    def packed(self) -> tuple:
+        """The state y = (*q, *qdot) as the kernels take it."""
+        return (*self.q, *self.qdot)
 
     @staticmethod
     def from_array(y) -> "State":

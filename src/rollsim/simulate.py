@@ -66,6 +66,11 @@ class PDSpec:
                                   f"finite, got {self.saturation!r}")
         object.__setattr__(self, "saturation", float(self.saturation))
 
+    def packed(self) -> tuple:
+        """_core.run_loop's pd: (Kp, Kd, tgt, sat), sat 0.0 for no bound."""
+        return (self.gains.Kp, self.gains.Kd, self.setpoints.packed(),
+                self.saturation or 0.0)
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -104,9 +109,6 @@ class Scenario:
         object.__setattr__(self, "y0", tuple(map(float, self.y0)))
         object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "horizon", float(self.horizon))
-
-    def y0_array(self) -> np.ndarray:
-        return np.asarray(self.y0, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -177,26 +179,18 @@ def run(scenario: Scenario, params: Optional[RobotParams] = None,
             f"mag must be None or a MagneticParams, got {mag!r}")
     params = params if params is not None else RobotParams()
     mag = mag if mag is not None else MagneticParams()
-    par = params.as_array()
+    par = params.packed()
     variant = variant_code(scenario.potential)
-
     ctrl = scenario.controller
-    pd = None
-    if ctrl is not None:
-        Kp = ctrl.gains.kp_array()
-        Kd = ctrl.gains.kd_array()
-        tgt = ctrl.setpoints.target_array()
-        sat = float(ctrl.saturation) if ctrl.saturation else 0.0
-        pd = (Kp, Kd, tgt, sat)
+    pd = None if ctrl is None else ctrl.packed()
 
     # horizon / dt may also overflow to inf
     if not scenario.horizon / scenario.dt < _MAX_SAMPLES:
         raise _too_many_samples(scenario, f"over {_MAX_SAMPLES}")
     n = sample_count(scenario.horizon, scenario.dt) - 1
     try:
-        ys, us, n_done = _core.run_loop(par, mag.as_array(),
-                                        scenario.y0_array(), n, scenario.dt,
-                                        pd, variant)
+        ys, us, n_done = _core.run_loop(par, mag.packed(), scenario.y0, n,
+                                        scenario.dt, pd, variant)
     except MemoryError as exc:
         # run_loop allocates every sample before the first step
         raise _too_many_samples(scenario, n + 1) from exc
@@ -217,6 +211,7 @@ def run(scenario: Scenario, params: Optional[RobotParams] = None,
         P = _core.dissipation(par, cols[4:])
         p_m = _core.pm_batch(par, cols)
         if ctrl is not None:
+            Kp, Kd, tgt, _ = pd
             e, de = _core.pd_error(tgt, cols)
             e_ref = reference_energy(params, ctrl.setpoints,
                                      scenario.potential)
@@ -285,7 +280,7 @@ def detect_events(params: RobotParams, sample, previous,
                       state=tuple(y_cur), details="non-finite state")]
     t = np.array([t_prev, t_cur])
     ys = np.stack([y_prev, y_cur])
-    par = params.as_array()
+    par = params.packed()
     height = _core.disk2_height(par, ys.T)
     p_m = _core.pm_batch(par, ys.T)
     return _detect_all(params, mag, t, ys, height, p_m)

@@ -18,7 +18,7 @@ def test_freefall_preset_contents():
     assert sc.controller is None
     assert not mag.enabled
     assert sc.horizon == 5.0 and sc.dt == 1e-3
-    y0 = np.degrees(sc.y0_array())
+    y0 = np.degrees(sc.y0)
     assert np.allclose(y0, [0, 30, 185, 0, 0, 0, 0, 0])
 
 
@@ -37,7 +37,7 @@ def test_lifting_preset_contents():
     sc, params, mag = load_scenario("lifting")
     c = sc.controller
     assert c.gains.Kp == ((1.3, 0.0, 0.3, 0.0), (0.0, 2.5, 0.0, 1.8))
-    assert np.degrees(sc.y0_array()[3]) == pytest.approx(-107.19)
+    assert np.degrees(sc.y0[3]) == pytest.approx(-107.19)
 
 
 def test_unknown_preset_lists_alternatives():

@@ -15,7 +15,7 @@ KD = ((0.1, 0.0, 0.5, 0.0), (0.0, 0.2, 0.0, 0.75))
 
 def test_gain_shape_and_sparsity():
     g = GainMatrices(Kp=KP, Kd=KD)
-    assert np.array_equal(g.kp_array(), np.asarray(KP))
+    assert g.Kp == KP and g.Kd == KD
     with pytest.raises(ValidationError, match="Kp"):
         GainMatrices(Kp=((20, 1.0, 0.3, 0), (0, 30, 0, 0.7)), Kd=KD)
     with pytest.raises(ValidationError):

@@ -16,50 +16,9 @@ from rollsim.model import RobotParams, State
 P = RobotParams()
 
 
-def analytic_gravity(params, q):
-    # hand-differentiated trig terms of the potential; the independent
-    # oracle route, deliberately not shared with the implementation
-    mp, ms, g = params.m_p, params.m_s, params.g
-    r1, r2, L = params.r1, params.r2, params.R1 + params.R2
-    s31 = np.sin(q[2] + q[0])
-    s42 = np.sin(q[3] + q[1])
-    s34 = np.sin(q[2] + q[3])
-    c34 = np.cos(q[2] + q[3])
-    return np.array([
-        mp * g * r1 * s31,
-        mp * g * r2 * s42,
-        mp * g * r1 * s31 - mp * g * L * c34 + ms * g * L * s34,
-        -mp * g * L * c34 + mp * g * r2 * s42 + ms * g * L * s34,
-    ])
-
-
 def random_states(n, seed):
     rng = np.random.default_rng(seed)
     return rng.uniform(-2 * np.pi, 2 * np.pi, (n, 4)), rng.uniform(-3, 3, (n, 4))
-
-
-def test_mass_matrix_symmetric_positive_definite():
-    qs, _ = random_states(300, 1)
-    for q in qs:
-        M = mass_matrix(P, q)
-        assert np.max(np.abs(M - M.T)) < 1e-12
-        assert np.linalg.eigvalsh(M)[0] > 0
-
-
-def test_mass_matrix_quadratic_form_is_kinetic_energy():
-    qs, qds = random_states(300, 2)
-    for q, qd in zip(qs, qds):
-        t_ref = kinetic_energy(P, State(q=tuple(q), qdot=tuple(qd)))
-        t_quad = 0.5 * qd @ mass_matrix(P, q) @ qd
-        assert abs(t_quad - t_ref) <= 1e-12 * max(1.0, abs(t_ref))
-
-
-def test_gravity_matches_analytic():
-    qs, _ = random_states(300, 3)
-    for q in qs:
-        G = gravity_vector(P, q)
-        Ga = analytic_gravity(P, q)
-        assert np.max(np.abs(G - Ga)) < 1e-8 * max(1.0, np.max(np.abs(Ga)))
 
 
 def test_bias_row1_is_pure_friction():
@@ -202,7 +161,7 @@ def per_state_errata(params, samples, seed):
     rng = np.random.default_rng(seed)
     qs = rng.uniform(-2 * np.pi, 2 * np.pi, size=(samples, 4))
     qds = rng.uniform(-3.0, 3.0, size=(samples, 4))
-    par = params.as_array().tolist()
+    par = params.packed()
 
     names_m = [(i, j, f"a_{i + 1}{j + 1}") for i in range(4) for j in range(4)]
     acc = {name: [] for _, _, name in names_m}

@@ -20,7 +20,7 @@ import pytest
 from rollsim import _core, _eom
 from rollsim.model import RobotParams
 
-PAR = RobotParams().as_array()
+PAR = RobotParams().packed()
 GEN_EOM = Path(__file__).resolve().parents[1] / "tools" / "gen_eom.py"
 
 # FD step. 1e-4 with one Richardson level keeps truncation ~1e-18 and
@@ -129,7 +129,7 @@ def test_checked_in_module_matches_its_generator():
     exec(compile(gen.generate(), "<regenerated _eom>", "exec"), fresh)
     # the sympy trig bound into _core for the derivation must not leak out
     assert _core.np is np
-    p = PAR.tolist()
+    p = PAR
     qs, qds = states(50, 13)
     tau = (0.01, -0.02, -0.01, 0.02)
     for q, qd in zip(qs.tolist(), qds.tolist()):
@@ -193,7 +193,7 @@ def test_accel_redoes_no_arithmetic_of_p_alone():
 ])
 def test_deriv_flags_nonfinite_without_raising(y):
     # with P_max = 1e3 every stage the step runs takes the tip force law
-    p = PAR.tolist()
+    p = PAR
     for P_max in (0.02, 1e3):
         mag = [1.0, 0.05, P_max, 0.0025, 1.257e-6]
         dy, ok = _core.deriv(p, mag, y, [0.0] * 4, 0)
@@ -251,7 +251,7 @@ def test_deriv_equals_the_separate_terms(variant, mag):
     # terms to the last bit
     qs, qds = states(5000, 37)
     taus = np.random.default_rng(41).uniform(-0.05, 0.05, (5000, 4))
-    p = PAR.tolist()
+    p = PAR
     dt = 1e-3
     step = _eom.step_for(p, variant, dt, mag)
     coupled = 0
@@ -272,7 +272,7 @@ def signed_zero_states():
     """
     y = [0.3, -0.2, -0.3, 0.2, 0.0, 0.0, 0.0, 0.0]  # ph1 + th1 = ph2 + th2 = 0
     tau = [-0.0, -0.0, 0.0, 0.0]
-    p = PAR.tolist()
+    p = PAR
     for variant in (0, 1):
         b, G = _eom.bias(p, y[:4], y[4:]), _eom.gravity(p, y[:4], variant)
         assert bits([tau[i] - b[i] - G[i] for i in (0, 1)]) == bits([-0.0] * 2)
@@ -289,7 +289,7 @@ def signed_zero_states():
 def test_tip_law_at_the_cut_off_equals_the_separate_terms(variant, shift):
     # P_max exactly at stage 1's separation, and one ulp either side of it:
     # the cut-off test, B of nearly zero and the torque's signed zeros
-    p = PAR.tolist()
+    p = PAR
     dt = 1e-3
     for y, tau in signed_zero_states():
         pm = float(_core.separation(p, y[:4]))
@@ -314,7 +314,7 @@ def test_tip_law_at_the_cut_off_equals_the_separate_terms(variant, shift):
 def test_deriv_flags_a_failed_pivot(entry, value):
     # the first pivot depends on p alone and fails in step_for, the third
     # on q too and fails at the first stage
-    p = PAR.tolist()
+    p = list(PAR)
     p[entry] = value
     y = [0.1, 0.5, 3.0, 0.2, 0.3, -0.4, 0.5, 1.0]
     tau = [0.01, -0.02, -0.01, 0.02]
@@ -329,7 +329,7 @@ def test_deriv_solves_the_generated_equations():
     q = np.array([0.1, 0.5, 3.0, 0.2])
     qd = np.array([0.3, -0.4, 0.5, 1.0])
     tau = np.array([0.01, -0.02, -0.01, 0.02])
-    p = PAR.tolist()
+    p = PAR
     dy, ok = _core.deriv(p, [0.0] * 5, [*q, *qd], tau.tolist(), 1)
     assert ok
     lhs = (_core.mass_matrix(PAR, q) @ np.asarray(dy[4:])
@@ -348,7 +348,7 @@ def test_columns_equal_the_scalar_calls():
     # (numpy's sin and cos match libm's, as test_loop_separation_is_separation
     # also relies on)
     q, qd = (a.T.copy() for a in states(500, 29))
-    p = PAR.tolist()
+    p = PAR
     M = _core.mass_matrix(PAR, q)
     b = _core.bias(PAR, q, qd)
     G = [_core.gravity(PAR, q, v) for v in (0, 1)]

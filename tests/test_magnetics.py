@@ -74,10 +74,9 @@ def test_loop_separation_is_separation():
     # the run loop's p_m is generated from _core.separation and repeats its
     # float operations, so the two agree to the last bit
     rng = np.random.default_rng(17)
-    par = P.as_array()
     for _ in range(500):
         q = rng.uniform(-2 * np.pi, 2 * np.pi, 4)
-        p = _eom.tip_geometry(par.tolist(), q.tolist())[0]
+        p = _eom.tip_geometry(P.packed(), q.tolist())[0]
         assert p == separation(P, State(q=tuple(q)))
 
 

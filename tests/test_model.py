@@ -1,6 +1,11 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
+from rollsim import _eom
+from rollsim.magnetics import MagneticParams
 from rollsim.model import (Input, RobotParams, State, ValidationError,
                            generalized_torque, load_params)
 
@@ -34,10 +39,23 @@ def test_rejects_bad_params(kwargs):
         RobotParams(**kwargs)
 
 
-def test_as_array_layout():
-    arr = RobotParams().as_array()
-    assert arr.shape == (13,)
-    assert arr[0] == 0.262 and arr[8] == 9.81 and arr[9] == 0.02
+def test_packed_lists_the_values_in_the_order_the_kernels_unpack():
+    # distinct values, so any two swapped entries show; the order is read
+    # from the names the generated step_for unpacks p and mag into
+    params = RobotParams(m_p=1.0, m_s=2.0, I_p=3.0, I_s=4.0, r1=5.0, r2=6.0,
+                         R1=7.0, R2=8.0, g=9.0, delta=(10.0, 11.0, 12.0, 13.0))
+    mag = MagneticParams(B_max=2.0, P_max=3.0, A=4.0, mu0=5.0, enabled=True)
+    [step_for] = ast.parse(inspect.getsource(_eom.step_for)).body
+    unpacked = {s.value.id: [n.id for n in s.targets[0].elts]
+                for s in step_for.body if isinstance(s, ast.Assign)
+                and isinstance(s.value, ast.Name)}
+    # delta is in state order (theta1, theta2, phi1, phi2)
+    values = dict(vars(params), d_th1=10.0, d_th2=11.0, d_ph1=12.0,
+                  d_ph2=13.0)
+    assert params.packed() == tuple(values[n] for n in unpacked["p"])
+    values = dict(vars(mag), enabled=1.0)
+    assert mag.packed() == tuple(values[n] for n in unpacked["mag"])
+    assert MagneticParams().packed()[0] == 0.0
 
 
 def test_load_params_defaults_and_overrides():
@@ -69,7 +87,34 @@ def test_load_params_rejects_unknown_key():
 
 def test_state_round_trip():
     s = State(q=(0.1, 0.2, 0.3, 0.4), qdot=(1.0, 2.0, 3.0, 4.0))
-    assert State.from_array(s.as_array()) == s
+    assert s.packed() == (0.1, 0.2, 0.3, 0.4, 1.0, 2.0, 3.0, 4.0)
+    assert State.from_array(s.packed()) == s
+
+
+def test_state_of_lists_is_hashable():
+    s = State(q=[0.0] * 4, qdot=[1.0] * 4)
+    assert s.q == (0.0,) * 4 and s.qdot == (1.0,) * 4
+    assert hash(s) == hash(State(q=(0.0,) * 4, qdot=(1.0,) * 4))
+
+
+def test_state_keeps_its_own_copy_of_a_list():
+    q = [0.1, 0.2, 0.3, 0.4]
+    s = State(q=q)
+    q[0] = 9.0
+    assert s.q == (0.1, 0.2, 0.3, 0.4)
+
+
+@pytest.mark.parametrize("name", ["q", "qdot"])
+def test_state_rejects_a_string(name):
+    with pytest.raises(ValidationError, match=name):
+        State(**{"q": (0.0,) * 4, name: "abcd"})
+
+
+@pytest.mark.parametrize("n", [0, 3, 5])
+@pytest.mark.parametrize("name", ["q", "qdot"])
+def test_state_rejects_a_length_other_than_4(name, n):
+    with pytest.raises(ValidationError, match=name):
+        State(**{"q": (0.0,) * 4, name: [0.0] * n})
 
 
 def test_generalized_torque_two_sided():

@@ -58,7 +58,7 @@ def test_rk4_oracle_matches_run_one_step():
         return np.concatenate([y[4:], forward_dynamics(p, st, np.zeros(4))])
 
     one = run(Scenario(name="one", y0=sc.y0, horizon=sc.dt, dt=sc.dt), p, m)
-    ref = rk4_step(f, sc.y0_array(), 0.0, sc.dt)
+    ref = rk4_step(f, np.array(sc.y0), 0.0, sc.dt)
     assert np.allclose(one.y[1], ref, rtol=0, atol=1e-13)
 
 
@@ -82,12 +82,12 @@ def list_rk4(par, mag, y0, n, dt, pd, variant):
     tau = (0.0,) * 4
     y, ys, us = list(y0), [], []
     if pd is not None:
-        Kp, Kd, tgt = (np.asarray(a).tolist() for a in pd[:3])
+        Kp, Kd, tgt, sat = pd
     for i in range(n + 1):
         ys.append(y)
         us.append([0.0, 0.0])
         if pd is not None:
-            us[-1] = list(_core.pd_input(Kp, Kd, tgt, y, pd[3]))
+            us[-1] = list(_core.pd_input(Kp, Kd, tgt, y, sat))
             tau = _core.torque_map(*us[-1])
         if i == n:
             break
@@ -114,8 +114,7 @@ def assert_loop_is_list_rk4(args, result):
     """run_loop's samples are list_rk4's, to the bit; returns n_done."""
     par, mag, y0, n, dt, pd, variant = args
     ys, us, n_done = result
-    ref_ys, ref_us = list_rk4(par.tolist(), mag.tolist(), y0.tolist(), n, dt,
-                              pd, variant)
+    ref_ys, ref_us = list_rk4(par, mag, y0, n, dt, pd, variant)
     assert len(ref_ys) == n_done + 1
     assert ys[:n_done + 1].tolist() == ref_ys
     assert us[:n_done + 1].tolist() == ref_us
@@ -147,7 +146,7 @@ def test_run_loop_equals_a_list_rk4_to_the_bit(preset, changes, start,
     # the lifting run is coupled over part of the 300 steps, so the step's
     # own tip force law is checked against the oracle's mag_torque
     if m.enabled:
-        pulled = [_core.mag_torque(args[0].tolist(), args[1].tolist(), y[:4])[0]
+        pulled = [_core.mag_torque(args[0], args[1], y[:4])[0]
                   != (0.0,) * 4 for y in ys.tolist()]
         assert 0 < sum(pulled) < 300
     if args[5] is not None:
@@ -171,7 +170,7 @@ def test_a_truncated_run_stops_where_a_list_rk4_does(preset, n_done,
 def test_a_nonfinite_stage_2_qdd_fails_the_step():
     # rates of 1e100 leave stage 1's qdd (~1e300) and stage 2's input finite,
     # and square to inf in stage 2's bias
-    par, mag = P.as_array().tolist(), [0.0] * 5
+    par, mag = P.packed(), [0.0] * 5
     y = [0.1, 0.5, 3.0, 0.2, 1e100, -1e100, 1e100, 1e100]
     dt, tau = 1e-3, (0.0,) * 4
     dy, ok = _core.deriv(par, mag, y, tau, 0)
@@ -188,16 +187,13 @@ def test_run_loop_takes_no_step_from_a_nonfinite_y0(bad):
     # run_loop tests y0 once, after recording its input; the step would
     # take a sine of it. Scenario rejects such a y0 before run gets it.
     sc, p, m = load_scenario("balancing")
-    ctrl = sc.controller
-    pd = (ctrl.gains.kp_array(), ctrl.gains.kd_array(),
-          ctrl.setpoints.target_array(), 0.0)
-    y0 = np.array(sc.y0)
+    pd = sc.controller.packed()
+    y0 = list(sc.y0)
     y0[2] = bad
-    ys, us, n_done = _core.run_loop(p.as_array(), m.as_array(), y0, 5, sc.dt,
+    ys, us, n_done = _core.run_loop(p.packed(), m.packed(), y0, 5, sc.dt,
                                     pd, 0)
     assert n_done == 0
-    ref_ys, ref_us = list_rk4(p.as_array().tolist(), m.as_array().tolist(),
-                              y0.tolist(), 5, sc.dt, pd, 0)
+    ref_ys, ref_us = list_rk4(p.packed(), m.packed(), y0, 5, sc.dt, pd, 0)
     np.testing.assert_array_equal(ys[:1], ref_ys)
     np.testing.assert_array_equal(us[:1], ref_us)
     assert not np.all(np.isfinite(us[0]))
@@ -275,7 +271,7 @@ def test_run_zero_order_hold_records_pd_input():
     sc, p, m = load_scenario("balancing")
     traj = run(sc, p, m)
     u0 = pd_control(sc.controller.gains, sc.controller.setpoints,
-                    State.from_array(sc.y0_array()))
+                    State.from_array(sc.y0))
     assert traj.u[0, 0] == pytest.approx(u0.tau[0], rel=1e-12)
     assert traj.u[0, 1] == pytest.approx(u0.tau[1], rel=1e-12)
     # generalized mapping recorded alongside

@@ -5,14 +5,15 @@ Run from a checkout (needs sympy; the generated module does not):
     python tools/gen_eom.py              # rewrite src/rollsim/_eom.py
     python tools/gen_eom.py --out PATH   # write the module somewhere else
 
-T and U are rollsim._core.kinetic and rollsim._core.potential themselves:
-the generator imports rollsim from the src/ directory next to it and calls
-them on sympy symbols (see energies). tests/test_eom.py checks that the
-checked-in module matches a fresh generation. From T and U sympy derives,
-for M(q) qdd + bias(q, qd) + G(q) = tau,
+T, U and the Rayleigh function P are rollsim._core.kinetic,
+rollsim._core.potential and rollsim._core.dissipation themselves: the
+generator imports rollsim from the src/ directory next to it and calls them
+on sympy symbols (see energies and derive). tests/test_eom.py checks that
+the checked-in module matches a fresh generation. From T, U and P sympy
+derives, for M(q) qdd + bias(q, qd) + G(q) = tau,
 
     M    = d2T / dqd dqd
-    bias = Mdot qd - dT/dq + diag(delta) qd
+    bias = Mdot qd - dT/dq + dP/dqd    (dP/dqd = diag(delta) qd)
     G    = dU/dq          (one vector per potential variant)
 
 and common subexpression elimination turns each set into straight-line
@@ -122,12 +123,17 @@ def tip_geometry(trig):
 
 
 def derive():
-    """Symbolic (M, bias, {variant: G}) as sympy expressions of PAR, Q, QD."""
+    """Symbolic (M, bias, {variant: G}) as sympy expressions of PAR, Q, QD.
+
+    The friction in the bias is dP/dqd of the Rayleigh function P,
+    rollsim._core.dissipation called on symbols as T and U are.
+    """
     T, U = energies()
+    P = sp.nsimplify(_core.dissipation(PAR, QD), rational=True)
     M = sp.Matrix(4, 4, lambda i, j: sp.diff(T, QD[i], QD[j]))
     bias = [sum(sp.diff(M[i, j], Q[k]) * QD[j] * QD[k]
                 for j in range(4) for k in range(4))
-            - sp.diff(T, Q[i]) + PAR[9 + i] * QD[i]
+            - sp.diff(T, Q[i]) + sp.diff(P, QD[i])
             for i in range(4)]
     G = {v: [sp.diff(U[v], x) for x in Q] for v in (VERBATIM, GEOMETRIC)}
     return M, bias, G
