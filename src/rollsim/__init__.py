@@ -11,20 +11,19 @@ comparison; see dynamics.printed_terms and dynamics.errata_compare.
 from .control import (GainMatrices, LyapunovSample, Setpoints, lyapunov,
                       pd_control, saturate)
 from .config import ConfigError, UnknownPresetError, list_presets, load_scenario
-from .dynamics import (DynamicsTerms, ErrataReport, SingularDynamicsError,
-                       bias_vector, errata_compare, forward_dynamics,
-                       gravity_vector, mass_matrix, printed_terms)
-from .energetics import (POTENTIAL_VARIANTS, EnergyBreakdown, dissipation,
-                         kinetic_energy, potential_energy, total_energy)
+from .dynamics import (ErrataReport, SingularDynamicsError, bias_vector,
+                       errata_compare, forward_dynamics, gravity_vector,
+                       mass_matrix, printed_terms)
+from .energetics import (POTENTIAL_VARIANTS, EnergyBreakdown, breakdown,
+                         dissipation, kinetic_energy, potential_energy,
+                         total_energy)
 from .kinematics import (BodyPositions, BodyVelocities, disk2_height,
-                         pendulum_tips, positions, upright_deviation,
-                         velocities, wrap_angle)
+                         positions, upright_deviation, velocities, wrap_angle)
 from .magnetics import (MagneticParams, flux_density, generalized_magnetic_torque,
                         magnetic_force, magnetic_potential, separation)
 from .model import (Input, RobotParams, State, ValidationError,
                     generalized_torque, load_params)
-from .simulate import (Event, PDSpec, Scenario, Trajectory, detect_events,
-                       run)
+from .simulate import Event, PDSpec, Scenario, Trajectory, run
 
 __version__ = "0.1.0"
 
@@ -32,17 +31,16 @@ __all__ = [
     "RobotParams", "State", "Input", "ValidationError", "load_params",
     "generalized_torque",
     "BodyPositions", "BodyVelocities", "positions", "velocities",
-    "disk2_height", "pendulum_tips", "wrap_angle", "upright_deviation",
-    "EnergyBreakdown", "kinetic_energy", "potential_energy", "dissipation",
-    "total_energy", "POTENTIAL_VARIANTS",
-    "DynamicsTerms", "ErrataReport", "SingularDynamicsError", "mass_matrix",
-    "gravity_vector", "bias_vector", "forward_dynamics", "printed_terms",
-    "errata_compare",
+    "disk2_height", "wrap_angle", "upright_deviation",
+    "EnergyBreakdown", "breakdown", "kinetic_energy", "potential_energy",
+    "dissipation", "total_energy", "POTENTIAL_VARIANTS",
+    "ErrataReport", "SingularDynamicsError", "mass_matrix", "gravity_vector",
+    "bias_vector", "forward_dynamics", "printed_terms", "errata_compare",
     "MagneticParams", "separation", "flux_density", "magnetic_force",
     "generalized_magnetic_torque", "magnetic_potential",
     "GainMatrices", "Setpoints", "LyapunovSample", "pd_control", "saturate",
     "lyapunov",
-    "Scenario", "Trajectory", "Event", "PDSpec", "run", "detect_events",
+    "Scenario", "Trajectory", "Event", "PDSpec", "run",
     "ConfigError", "UnknownPresetError", "load_scenario", "list_presets",
     "__version__",
 ]

@@ -148,6 +148,13 @@ def _out_path(args, scenario_name: str, several: bool) -> Path:
 def cmd_run(args) -> int:
     loaded = [_apply_overrides(*load_scenario(ref), args)
               for ref in args.scenarios]
+    # each scenario writes <name>.csv: a repeated name would overwrite
+    names = [scenario.name for scenario, _, _ in loaded]
+    repeats = sorted({name for name in names if names.count(name) > 1})
+    if repeats:
+        print("usage error: more than one scenario is named "
+              f"{', '.join(map(repr, repeats))}", file=sys.stderr)
+        return EXIT_USAGE
 
     trajectories = [run(*a) for a in loaded]
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import _core
 from .energetics import potential_energy, total_energy
 from .model import (Input, RobotParams, State, ValidationError,
@@ -82,18 +80,6 @@ class Setpoints:
     def packed(self) -> tuple:
         """_core's tgt: (th1d, th2d, ph1d, ph2d) then their 4 rates."""
         return (*self.theta_d, *self.phi_d, *self.dtheta_d, *self.dphi_d)
-
-
-def error_vector(setpoints: Setpoints, state: State) -> np.ndarray:
-    """e = (psi1 - theta1d, psi2 - theta2d, phi1 - phi1d, phi2 - phi2d)."""
-    e, _ = _core.pd_error(setpoints.packed(), state.packed())
-    return np.array(e)
-
-
-def error_rate(setpoints: Setpoints, state: State) -> np.ndarray:
-    """edot on (thetadot1, thetadot2, phidot1, phidot2)."""
-    _, de = _core.pd_error(setpoints.packed(), state.packed())
-    return np.array(de)
 
 
 def pd_control(gains: GainMatrices, setpoints: Setpoints,

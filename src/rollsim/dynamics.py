@@ -43,20 +43,6 @@ def bias_vector(params: RobotParams, state: State) -> np.ndarray:
     return _core.bias(params.packed(), state.q, state.qdot)
 
 
-@dataclass(frozen=True)
-class DynamicsTerms:
-    M: np.ndarray
-    bias: np.ndarray
-    G: np.ndarray
-
-
-def terms(params: RobotParams, state: State,
-          variant: str = "paper-verbatim") -> DynamicsTerms:
-    return DynamicsTerms(M=mass_matrix(params, state.q),
-                         bias=bias_vector(params, state),
-                         G=gravity_vector(params, state.q, variant))
-
-
 def forward_dynamics(params: RobotParams, state: State, tau_gen,
                      variant: str = "paper-verbatim") -> np.ndarray:
     """Solve for qddot given the full generalized force tau_gen.

@@ -58,11 +58,6 @@ def disk2_height(params: RobotParams, state: State) -> float:
     return _core.disk2_height(params.packed(), state.q)
 
 
-def pendulum_tips(params: RobotParams, state: State):
-    """The two magnet-carrying bob positions (r_p1, r_p2)."""
-    return _core.body_positions(params.packed(), state.q)[1::2]
-
-
 def wrap_angle(a):
     """Wrap to [-pi, pi); reporting only, never applied to stored state."""
     return (np.asarray(a) + np.pi) % (2.0 * np.pi) - np.pi

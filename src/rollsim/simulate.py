@@ -1,16 +1,19 @@
 """Closed-loop integration, scenario definitions, and event detection.
 
-Fixed-step classical RK4. The controller is sampled at each step's start
-state and held across the step (zero-order hold); magnetic torque is state
-dependent physics and is evaluated at every stage. The recorded PD input,
-generalized torque, energies, Rayleigh function, Lyapunov value, disk-2
-height and tip separation come from the same _core functions that the
-public functions (pd_control, generalized_torque, kinetic_energy,
-potential_energy, dissipation, lyapunov, disk2_height, separation) call,
-applied once to the columns of the recorded states. Events are
-detected on the recorded samples after integration, strictly
+run is the one way to simulate a scenario. Fixed-step classical RK4. The
+controller is sampled at each step's start state and held across the step
+(zero-order hold); magnetic torque is state dependent physics and is
+evaluated at every stage. The recorded PD input, energies, Rayleigh
+function, Lyapunov value, disk-2 height and tip separation come from the
+same _core functions that the public functions (pd_control,
+kinetic_energy, potential_energy, dissipation, lyapunov, disk2_height,
+separation) call, applied once to the columns of the recorded states;
+generalized_torque maps a recorded input to its generalized force.
+Events are detected on the recorded samples after integration, strictly
 edge-triggered: a sample already inside a condition at t = 0 fires nothing
-until the condition is left and re-entered.
+until the condition is left and re-entered. A run cut short by a
+non-finite state records only its finite samples and ends its event log
+with one NonFiniteState event.
 """
 
 from __future__ import annotations
@@ -124,8 +127,9 @@ class Trajectory:
     """Recorded run: one row per sample plus the event log.
 
     All arrays share the first axis. V and Vdot are NaN for controller-less
-    runs (and Vdot is NaN at the first sample); u and tau_gen are zero when
-    no controller is attached. truncated marks a run cut short by a
+    runs (and Vdot is NaN at the first sample); u is zero when no
+    controller is attached, and generalized_torque maps it to the
+    generalized force. truncated marks a run cut short by a
     non-finite state; the arrays then hold only the valid samples and the
     event log ends with a NonFiniteState entry.
     """
@@ -134,7 +138,6 @@ class Trajectory:
     t: np.ndarray
     y: np.ndarray
     u: np.ndarray
-    tau_gen: np.ndarray
     T: np.ndarray
     U: np.ndarray
     E: np.ndarray
@@ -200,7 +203,6 @@ def run(scenario: Scenario, params: Optional[RobotParams] = None,
     t = np.arange(n_done + 1) * scenario.dt
     cols = ys.T  # the state sequence y, one array per component
     height = _core.disk2_height(par, cols)
-    tau_gen = np.column_stack(_core.torque_map(us[:, 0], us[:, 1]))
     V = np.full(n_done + 1, np.nan)
     Vdot = np.full(n_done + 1, np.nan)
     # a run cut short by overflow keeps its last finite samples, whose
@@ -224,63 +226,29 @@ def run(scenario: Scenario, params: Optional[RobotParams] = None,
                             state=tuple(ys[-1]),
                             details="integration aborted after this sample"))
 
-    return Trajectory(scenario_name=scenario.name, t=t, y=ys, u=us,
-                      tau_gen=tau_gen, T=T, U=U, E=T + U, P=P, V=V, Vdot=Vdot,
-                      height=height, p_m=p_m, events=events,
-                      truncated=truncated)
+    return Trajectory(scenario_name=scenario.name, t=t, y=ys, u=us, T=T, U=U,
+                      E=T + U, P=P, V=V, Vdot=Vdot, height=height, p_m=p_m,
+                      events=events, truncated=truncated)
 
 
 def _detect_all(params, mag, t, ys, height, p_m):
+    """Edge-triggered events of the finite samples ys at times t.
+
+    An event fires at sample i when its condition holds at i and not at
+    i - 1, so a condition already true at sample 0 fires nothing. The table
+    order is the order of events at equal times: the sort is stable.
+    """
     dev = upright_deviation(ys[:, 2] + ys[:, 3])
+    table = ((TOPPLE, dev > np.pi / 2, "deviation {:.2f} deg", np.degrees(dev)),
+             (GROUND_PENETRATION, height < params.R2, "height {:.4f} m",
+              height),
+             (COUPLING_ENGAGED, p_m < mag.P_max, "p_m {:.4f} m", p_m),
+             (COUPLING_LOST, p_m > mag.P_max, "p_m {:.4f} m", p_m))
     events = []
-
-    def crossings(flags):
-        return np.nonzero(flags[1:] & ~flags[:-1])[0] + 1
-
-    for i in crossings(dev > np.pi / 2):
-        events.append(Event(kind=TOPPLE, time=float(t[i]), state=tuple(ys[i]),
-                            details=f"deviation {np.degrees(dev[i]):.2f} deg"))
-    for i in crossings(height < params.R2):
-        events.append(Event(kind=GROUND_PENETRATION, time=float(t[i]),
-                            state=tuple(ys[i]),
-                            details=f"height {height[i]:.4f} m"))
-    for i in crossings(p_m < mag.P_max):
-        events.append(Event(kind=COUPLING_ENGAGED, time=float(t[i]),
-                            state=tuple(ys[i]),
-                            details=f"p_m {p_m[i]:.4f} m"))
-    for i in crossings(p_m > mag.P_max):
-        events.append(Event(kind=COUPLING_LOST, time=float(t[i]),
-                            state=tuple(ys[i]),
-                            details=f"p_m {p_m[i]:.4f} m"))
+    for kind, inside, details, value in table:
+        for i in np.nonzero(inside[1:] & ~inside[:-1])[0] + 1:
+            events.append(Event(kind=kind, time=float(t[i]),
+                                state=tuple(ys[i]),
+                                details=details.format(value[i])))
     events.sort(key=lambda ev: ev.time)
     return events
-
-
-def detect_events(params: RobotParams, sample, previous,
-                  mag: Optional[MagneticParams] = None):
-    """Events fired between two consecutive samples (t, y) -> (t', y').
-
-    Edge-triggered: a condition already true at `previous` cannot fire.
-    The batch detection inside run() applies the same predicates. A
-    non-finite y' gives one NonFiniteState event at t' and nothing else, as
-    run() ends on such a state. A non-finite y is rejected: run() records
-    no sample after one.
-    """
-    mag = mag if mag is not None else MagneticParams()
-    t_prev, y_prev = previous
-    t_cur, y_cur = sample
-    if not t_cur > t_prev:
-        raise ValidationError("samples must be ordered in time")
-    y_prev = np.asarray(y_prev, dtype=np.float64)
-    y_cur = np.asarray(y_cur, dtype=np.float64)
-    if not np.all(np.isfinite(y_prev)):
-        raise ValidationError("previous sample must be finite")
-    if not np.all(np.isfinite(y_cur)):
-        return [Event(kind=NON_FINITE_STATE, time=float(t_cur),
-                      state=tuple(y_cur), details="non-finite state")]
-    t = np.array([t_prev, t_cur])
-    ys = np.stack([y_prev, y_cur])
-    par = params.packed()
-    height = _core.disk2_height(par, ys.T)
-    p_m = _core.pm_batch(par, ys.T)
-    return _detect_all(params, mag, t, ys, height, p_m)

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +112,22 @@ def test_run_multiple_scenarios_into_directory(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "freefall.csv").exists()
     assert (tmp_path / "lifting.csv").exists()
+
+
+def test_run_refuses_repeated_scenario_names(tmp_path, capsys):
+    # lifting renamed freefall would overwrite freefall.csv: nothing may
+    # run or be written
+    other = tmp_path / "other.yaml"
+    lifting = (Path(__file__).resolve().parent.parent / "src" / "rollsim"
+               / "presets" / "lifting.yaml")
+    other.write_text(lifting.read_text().replace("name: lifting",
+                                                 "name: freefall"))
+    out = tmp_path / "d"
+    code, text, err = run_cli(["run", "freefall", str(other), "--out",
+                               str(out)], capsys)
+    assert code == 2
+    assert text == "" and "'freefall'" in err
+    assert not out.exists()
 
 
 def test_run_determinism_bitwise(tmp_path, capsys):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from rollsim.control import (GainMatrices, Setpoints, error_rate,
-                             error_vector, lyapunov, pd_control,
+from rollsim import _core
+from rollsim.control import (GainMatrices, Setpoints, lyapunov, pd_control,
                              reference_energy, saturate)
 from rollsim.energetics import total_energy
 from rollsim.model import Input, RobotParams, State, ValidationError
@@ -31,13 +31,18 @@ def test_gain_shape_and_sparsity():
             GainMatrices(Kp=KP, Kd=dense)
 
 
+def error(sp, st):
+    """(e, edot) of the PD law, as pd_control and the run loop take them."""
+    return _core.pd_error(sp.packed(), st.packed())
+
+
 def test_error_vector_convention():
     # e = current - desired, with psi = theta - phi for the pendulum pair
     sp = Setpoints(theta_d=(0.0, 0.0), phi_d=(0.0, 0.0))
     st = State(q=(1.0, 0.0, 0.0, 0.0))
-    assert np.array_equal(error_vector(sp, st), [1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(error(sp, st)[0], [1.0, 0.0, 0.0, 0.0])
     st2 = State(q=(0.5, 0.0, 0.2, 0.0))
-    e = error_vector(sp, st2)
+    e, _ = error(sp, st2)
     assert e[0] == pytest.approx(0.3) and e[2] == pytest.approx(0.2)
 
 
@@ -63,7 +68,7 @@ def test_pd_control_rate_term():
 def test_error_rate_is_the_thetadot_channel():
     sp = Setpoints()
     st = State(q=(0.0,) * 4, qdot=(2.0, 0.0, 0.5, 0.0))
-    assert error_rate(sp, st).tolist() == [2.0, 0.0, 0.5, 0.0]
+    assert list(error(sp, st)[1]) == [2.0, 0.0, 0.5, 0.0]
 
 
 def test_saturate():

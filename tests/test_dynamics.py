@@ -6,7 +6,7 @@ import pytest
 from rollsim import _eom, dynamics
 from rollsim.dynamics import (MATCH_REL_TOL, SingularDynamicsError,
                               bias_vector, errata_compare, forward_dynamics,
-                              gravity_vector, mass_matrix, printed_terms, terms)
+                              gravity_vector, mass_matrix, printed_terms)
 from rollsim.energetics import kinetic_energy, potential_energy
 from rollsim.kinematics import positions, velocities
 from rollsim.magnetics import (MagneticParams, generalized_magnetic_torque,
@@ -83,8 +83,9 @@ def test_forward_dynamics_reports_the_spectrum_of_a_singular_mass_matrix():
 
 def test_terms_are_nan_for_an_infinite_coordinate():
     # numpy's answer for sin(inf); math.sin would raise ValueError
-    t = terms(P, State(q=(float("inf"), 0.0, 0.0, 0.0)))
-    for a in (t.M, t.bias, t.G):
+    st = State(q=(float("inf"), 0.0, 0.0, 0.0))
+    for a in (mass_matrix(P, st.q), bias_vector(P, st),
+              gravity_vector(P, st.q)):
         assert np.all(np.isnan(a))
 
 
@@ -100,14 +101,6 @@ def test_energies_and_separation_are_nan_for_an_infinite_coordinate(k):
         P, MagneticParams(enabled=True), st)
     assert np.all(np.isnan(Q)) and Q.shape == (4,)
     assert not degenerate
-
-
-def test_terms_bundle_consistent():
-    st = State(q=(0.1, 0.2, 0.3, 0.4), qdot=(0.5, 0.6, 0.7, 0.8))
-    t = terms(P, st)
-    assert np.array_equal(t.M, mass_matrix(P, np.asarray(st.q)))
-    assert np.array_equal(t.G, gravity_vector(P, np.asarray(st.q)))
-    assert np.array_equal(t.bias, bias_vector(P, st))
 
 
 def test_printed_terms_reference_values():

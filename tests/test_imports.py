@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package is used by its module, and
+the package's __all__ names each export once.
 
 An import that nothing reads is dead code that looks load-bearing. This is
 the one check of a linter's unused-import rule that the package needs, done
@@ -10,6 +11,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import rollsim
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rollsim"
 
@@ -46,3 +49,14 @@ def test_unused_imports_finds_what_it_should():
                          ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_all_names_each_attribute_once():
+    assert len(rollsim.__all__) == len(set(rollsim.__all__))
+    assert [n for n in rollsim.__all__ if not hasattr(rollsim, n)] == []
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from rollsim import *", namespace)
+    assert set(rollsim.__all__) <= set(namespace)

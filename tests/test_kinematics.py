@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from rollsim.kinematics import (disk2_height, pendulum_tips, positions,
-                                upright_deviation, velocities, wrap_angle)
+from rollsim.kinematics import (disk2_height, positions, upright_deviation,
+                                velocities, wrap_angle)
 from rollsim.model import RobotParams, State
 
 P = RobotParams()
@@ -45,13 +45,6 @@ def test_velocities_match_position_derivative():
             fd = (np.array(getattr(pp, name)) - np.array(getattr(pm, name))) / (2 * h)
             v = np.array(getattr(vel, "v" + name[1:]))
             assert np.allclose(v, fd, atol=1e-6), name
-
-
-def test_pendulum_tips_are_bob_positions():
-    s = state_deg(10, 20, 30, 40)
-    pos = positions(P, s)
-    t1, t2 = pendulum_tips(P, s)
-    assert t1 == pos.r_p1 and t2 == pos.r_p2
 
 
 def test_wrap_angle_range_and_values():

@@ -12,9 +12,10 @@ from rollsim.control import GainMatrices, Setpoints, lyapunov, pd_control
 from rollsim.energetics import dissipation, kinetic_energy, potential_energy
 from rollsim.kinematics import disk2_height
 from rollsim.magnetics import MagneticParams, magnetic_potential, separation
-from rollsim.model import RobotParams, State, ValidationError, generalized_torque
-from rollsim.simulate import (GROUND_PENETRATION, NON_FINITE_STATE, TOPPLE,
-                              PDSpec, Scenario, detect_events, run,
+from rollsim.model import RobotParams, State, ValidationError
+from rollsim.simulate import (COUPLING_ENGAGED, COUPLING_LOST,
+                              GROUND_PENETRATION, NON_FINITE_STATE, TOPPLE,
+                              PDSpec, Scenario, _detect_all, run,
                               sample_count)
 
 P = RobotParams()
@@ -264,7 +265,6 @@ def test_run_shapes_and_determinism():
     assert a.events == b.events
     # no controller: V undefined, inputs identically zero
     assert np.all(np.isnan(a.V)) and np.all(a.u == 0.0)
-    assert np.all(a.tau_gen == 0.0)
 
 
 def test_run_zero_order_hold_records_pd_input():
@@ -274,9 +274,6 @@ def test_run_zero_order_hold_records_pd_input():
                     State.from_array(sc.y0))
     assert traj.u[0, 0] == pytest.approx(u0.tau[0], rel=1e-12)
     assert traj.u[0, 1] == pytest.approx(u0.tau[1], rel=1e-12)
-    # generalized mapping recorded alongside
-    assert np.array_equal(traj.tau_gen[:, 2], -traj.u[:, 0])
-    assert np.array_equal(traj.tau_gen[:, 3], -traj.u[:, 1])
 
 
 def test_run_truncates_on_blowup():
@@ -288,15 +285,15 @@ def test_run_truncates_on_blowup():
     traj = run(sc, P)
     assert traj.truncated
     assert traj.t.shape[0] < 2001
-    assert traj.events and traj.events[-1].kind == NON_FINITE_STATE
     assert np.all(np.isfinite(traj.y))  # only valid samples are kept
+    # one NonFiniteState event, the last, at the last kept sample
+    assert [e.kind for e in traj.events].count(NON_FINITE_STATE) == 1
+    last = traj.events[-1]
+    assert last.kind == NON_FINITE_STATE and last.time == traj.t[-1]
+    assert last.state == tuple(traj.y[-1])
 
 
 def test_events_edge_triggered_not_level():
-    # held state inside every condition: no events at all
-    st = np.concatenate([np.array([0.0, 0.0, np.pi, 0.0]), np.zeros(4)])
-    evs = detect_events(P, (1e-3, st), (0.0, st))
-    assert evs == []
     # balancing starts below ground level; the initial sample must not fire
     sc, p, m = load_scenario("balancing")
     traj = run(sc, p, m)
@@ -318,27 +315,29 @@ def test_topple_crossing_semantics():
     assert len(topples) == crossings
 
 
-@pytest.mark.parametrize("k, value", [(2, np.inf), (5, -np.inf), (0, np.nan)])
-def test_detect_events_reports_a_nonfinite_sample(k, value):
-    # as run() does: the non-finite sample is a NonFiniteState, nothing else
-    y1 = np.zeros(8)
-    y1[k] = value
-    evs = detect_events(P, (0.1, y1), (0.0, np.zeros(8)))
-    assert [(e.kind, e.time) for e in evs] == [(NON_FINITE_STATE, 0.1)]
-
-
-@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
-def test_detect_events_rejects_a_nonfinite_previous_sample(value):
-    y0 = np.zeros(8)
-    y0[2] = value
-    with pytest.raises(ValidationError, match="finite"):
-        detect_events(P, (0.1, np.zeros(8)), (0.0, y0))
-
-
-def test_detect_events_requires_time_order():
-    st = np.zeros(8)
-    with pytest.raises(ValidationError):
-        detect_events(P, (0.0, st), (0.0, st))
+def test_detect_all_orders_equal_times_and_ignores_held_conditions():
+    # synthetic samples, not a run: phi1 + phi2 = 0 is a deviation of 180
+    # degrees, so Topple's condition holds wherever phi2 is 0 here
+    mag = MagneticParams()
+    t = np.array([0.0, 0.1, 0.2, 0.3, 0.4])
+    ys = np.zeros((5, 8))
+    ys[[2, 4], 3] = np.pi
+    low, high = P.R2 - 0.01, P.R2 + 0.01
+    height = np.array([low, low, high, low, high])
+    near, far = mag.P_max / 2, 2 * mag.P_max
+    p_m = np.array([near, near, near, far, near])
+    events = _detect_all(P, mag, t, ys, height, p_m)
+    # Topple, GroundPenetration and CouplingEngaged hold from sample 0 and
+    # fire only on re-entry; at t = 0.3 the kinds keep the table order
+    assert [(e.kind, e.time) for e in events] == [
+        (TOPPLE, 0.3), (GROUND_PENETRATION, 0.3), (COUPLING_LOST, 0.3),
+        (COUPLING_ENGAGED, 0.4)]
+    assert [e.details for e in events] == [
+        "deviation 180.00 deg", f"height {low:.4f} m", f"p_m {far:.4f} m",
+        f"p_m {near:.4f} m"]
+    assert events[0].state == tuple(ys[3])
+    # a condition true from the first sample and never left fires nothing
+    assert _detect_all(P, mag, t[:2], ys[:2], height[:2], p_m[:2]) == []
 
 
 def test_magnetics_flag_changes_dynamics():
@@ -399,8 +398,6 @@ def test_run_records_the_public_quantities():
         u = pd_control(spec.gains, spec.setpoints, st)
         V = lyapunov(p, spec.gains, spec.setpoints, st, variant=sc.potential).V
         assert traj.u[i] == pytest.approx(u.tau, rel=1e-12, abs=0)
-        assert traj.tau_gen[i] == pytest.approx(generalized_torque(u),
-                                                rel=1e-12, abs=0)
         assert traj.V[i] == pytest.approx(V, rel=1e-12, abs=0)
         assert traj.height[i] == pytest.approx(disk2_height(p, st), rel=1e-12,
                                                abs=0)
