@@ -9,7 +9,7 @@ comparison; see dynamics.printed_terms and dynamics.errata_compare.
 """
 
 from .control import (GainMatrices, LyapunovSample, Setpoints, lyapunov,
-                      pd_control, saturate)
+                      pd_control)
 from .config import ConfigError, UnknownPresetError, list_presets, load_scenario
 from .dynamics import (ErrataReport, SingularDynamicsError, bias_vector,
                        errata_compare, forward_dynamics, gravity_vector,
@@ -38,8 +38,7 @@ __all__ = [
     "bias_vector", "forward_dynamics", "printed_terms", "errata_compare",
     "MagneticParams", "separation", "flux_density", "magnetic_force",
     "generalized_magnetic_torque", "magnetic_potential",
-    "GainMatrices", "Setpoints", "LyapunovSample", "pd_control", "saturate",
-    "lyapunov",
+    "GainMatrices", "Setpoints", "LyapunovSample", "pd_control", "lyapunov",
     "Scenario", "Trajectory", "Event", "PDSpec", "run",
     "ConfigError", "UnknownPresetError", "load_scenario", "list_presets",
     "__version__",

@@ -10,9 +10,8 @@ into one array:
     mag: MagneticParams.packed(), (enabled, B_max, P_max, A, mu0) with
          enabled 1.0 or 0.0
     y:   State.packed(), (theta1, theta2, phi1, phi2, rates...); q = y[:4]
-    tgt: Setpoints.packed(), (th1d, th2d, ph1d, ph2d, dth1d, dth2d, dph1d,
-         dph2d)
-    pd:  PDSpec.packed(), (Kp, Kd, tgt, sat) with sat 0.0 for no bound
+    tgt: Setpoints.packed(), (th1d, th2d, ph1d, ph2d)
+    pd:  PDSpec.packed(), (Kp, Kd, tgt)
 
 Each derived quantity is implemented once, here, for the run loop,
 simulate.run and the public functions of control, energetics, kinematics,
@@ -242,22 +241,17 @@ def mag_torque(par, mag, q):
 def pd_error(tgt, y):
     """PD errors (e, edot) of the state y, current minus desired.
 
-    e = (psi1, psi2, phi1, phi2) - tgt[:4] with psi_i = theta_i - phi_i. The
-    rate channel is (thetadot1, thetadot2, phidot1, phidot2) - tgt[4:], as
-    printed.
+    e = (psi1, psi2, phi1, phi2) - tgt with psi_i = theta_i - phi_i. The
+    targets are constant, so the rate channel is (thetadot1, thetadot2,
+    phidot1, phidot2) itself, as printed.
     """
     e = ((y[0] - y[2]) - tgt[0], (y[1] - y[3]) - tgt[1],
          y[2] - tgt[2], y[3] - tgt[3])
-    return e, (y[4] - tgt[4], y[5] - tgt[5], y[6] - tgt[6], y[7] - tgt[7])
+    return e, (y[4], y[5], y[6], y[7])
 
 
-def saturate(u, sat):
-    """Clamp a float to [-sat, sat]."""
-    return min(max(u, -sat), sat)
-
-
-def pd_input(Kp, Kd, tgt, y, sat):
-    """Motor torques (u1, u2) = Kp e + Kd edot, clamped to sat when sat > 0."""
+def pd_input(Kp, Kd, tgt, y):
+    """Motor torques (u1, u2) = Kp e + Kd edot."""
     (e0, e1, e2, e3), (de0, de1, de2, de3) = pd_error(tgt, y)
     kp0, kp1 = Kp[0], Kp[1]
     kd0, kd1 = Kd[0], Kd[1]
@@ -265,9 +259,6 @@ def pd_input(Kp, Kd, tgt, y, sat):
           + kd0[0] * de0 + kd0[1] * de1 + kd0[2] * de2 + kd0[3] * de3)
     u2 = (kp1[0] * e0 + kp1[1] * e1 + kp1[2] * e2 + kp1[3] * e3
           + kd1[0] * de0 + kd1[1] * de1 + kd1[2] * de2 + kd1[3] * de3)
-    if sat > 0.0:
-        u1 = saturate(u1, sat)
-        u2 = saturate(u2, sat)
     return u1, u2
 
 
@@ -324,7 +315,7 @@ def run_loop(par, mag, y0, n, dt, pd, variant):
     """Integrate n fixed RK4 steps from y0.
 
     pd is None for an uncontrolled run, else the pd_input arguments
-    (Kp, Kd, tgt, sat), PDSpec.packed(). The controller input is evaluated
+    (Kp, Kd, tgt), PDSpec.packed(). The controller input is evaluated
     at the step's start state and held over the step (zero-order hold).
     Magnetic torque, being state dependent physics rather than a sampled
     controller, is evaluated per stage, inside the step. Each step is one
@@ -335,8 +326,6 @@ def run_loop(par, mag, y0, n, dt, pd, variant):
     the step after n_done produced a non-finite or non-solvable state.
     """
     step = _eom.step_for(par, variant, dt, mag)
-    if pd is not None:
-        Kp, Kd, tgt, sat = pd
     ys = np.empty((n + 1, 8))
     us = np.zeros((n + 1, 2))
     y = y0
@@ -347,7 +336,7 @@ def run_loop(par, mag, y0, n, dt, pd, variant):
 
     for i in range(n + 1):
         if pd is not None:
-            u1, u2 = pd_input(Kp, Kd, tgt, y, sat)
+            u1, u2 = pd_input(*pd, y)
             us[i] = u1, u2
             tau = torque_map(u1, u2)
         if i == n:

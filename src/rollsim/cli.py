@@ -29,6 +29,10 @@ EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_NUMERIC = 4
 
+# errata draws its states as (samples, 4) arrays of doubles; numpy refuses
+# an array larger than it can index with ValueError, not MemoryError
+_MAX_ERRATA_SAMPLES = sys.maxsize // 32
+
 
 @dataclass(frozen=True)
 class RunSummary:
@@ -178,8 +182,17 @@ def cmd_errata(args) -> int:
     if args.samples < 1:
         print("errata: --samples must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    report = errata_compare(RobotParams(), samples=args.samples,
-                            seed=args.seed)
+    too_many = (f"errata: --samples {args.samples} needs more than memory "
+                "holds")
+    if args.samples > _MAX_ERRATA_SAMPLES:
+        print(too_many, file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        report = errata_compare(RobotParams(), samples=args.samples,
+                                seed=args.seed)
+    except MemoryError:
+        print(too_many, file=sys.stderr)
+        return EXIT_USAGE
     out = Path(args.out)
     text = report.to_text()
     try:

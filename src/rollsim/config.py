@@ -37,8 +37,8 @@ class UnknownPresetError(ConfigError):
 
 _SCENARIO_KEYS = {"y0_deg", "horizon", "dt", "potential"}
 _TOP_KEYS = {"name", "params", "magnetics", "controller", "scenario"}
-_CONTROLLER_KEYS = {"kp", "kd", "setpoints", "saturation"}
-_SETPOINT_KEYS = {"theta_d_deg", "phi_d_deg", "dtheta_d_deg", "dphi_d_deg"}
+_CONTROLLER_KEYS = {"kp", "kd", "setpoints"}
+_SETPOINT_KEYS = {"theta_d_deg", "phi_d_deg"}
 _MAGNETIC_KEYS = {"enabled", "B_max", "P_max", "A", "mu0"}
 
 
@@ -98,8 +98,7 @@ def _load_controller(section) -> PDSpec | None:
                for key, value in sp.items()}
     with _section("controller"):
         return PDSpec(gains=GainMatrices(Kp=section["kp"], Kd=section["kd"]),
-                      setpoints=Setpoints(**targets),
-                      saturation=section.get("saturation"))
+                      setpoints=Setpoints(**targets))
 
 
 def load_scenario_dict(doc: dict, default_name: str):

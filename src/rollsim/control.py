@@ -3,10 +3,11 @@
 The controlled quantities are psi_i = theta_i - phi_i (pendulum orientation
 relative to its disk) and the disk angles phi_i. There is one control law,
 in its printed form: u = Kp e + Kd edot with position errors taken as
-current minus desired, the derivative channel on thetadot/phidot rather
-than psidot, and 2x4 gains whose cross-module slots are zero.
+current minus desired against constant angle targets, the derivative
+channel on thetadot/phidot rather than psidot, 2x4 gains whose
+cross-module slots are zero, and no clamp on u.
 
-The errors, the law, the clamp and the Lyapunov value are computed by the
+The errors, the law and the Lyapunov value are computed by the
 _core functions that the simulator's run loop and post-processing call, so
 these functions return what a run records.
 """
@@ -19,7 +20,7 @@ from typing import Optional
 from . import _core
 from .energetics import potential_energy, total_energy
 from .model import (Input, RobotParams, State, ValidationError,
-                    finite_numbers, positive_number)
+                    finite_numbers)
 
 # zero pattern of the printed 2x4 gain matrices: row 1 couples
 # (psi1, phi1), row 2 couples (psi2, phi2)
@@ -61,16 +62,15 @@ class GainMatrices:
 class Setpoints:
     """Targets: theta_d for the true pendulum angles psi, phi_d for disks.
 
-    Each is a pair of finite numbers, stored as a tuple of floats.
+    Each is a pair of finite numbers, stored as a tuple of floats. The
+    targets are constant: the rate errors are the rates themselves.
     """
 
     theta_d: tuple[float, float] = (0.0, 0.0)
     phi_d: tuple[float, float] = (0.0, 0.0)
-    dtheta_d: tuple[float, float] = (0.0, 0.0)
-    dphi_d: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        for name in ("theta_d", "phi_d", "dtheta_d", "dphi_d"):
+        for name in ("theta_d", "phi_d"):
             v = getattr(self, name)
             if not finite_numbers(v, 2):
                 raise ValidationError(
@@ -78,24 +78,16 @@ class Setpoints:
             object.__setattr__(self, name, tuple(map(float, v)))
 
     def packed(self) -> tuple:
-        """_core's tgt: (th1d, th2d, ph1d, ph2d) then their 4 rates."""
-        return (*self.theta_d, *self.phi_d, *self.dtheta_d, *self.dphi_d)
+        """_core's tgt: (th1d, th2d, ph1d, ph2d)."""
+        return (*self.theta_d, *self.phi_d)
 
 
 def pd_control(gains: GainMatrices, setpoints: Setpoints,
                state: State) -> Input:
-    """u = Kp e + Kd edot, unsaturated; the run loop's law."""
+    """u = Kp e + Kd edot; the run loop's law."""
     u = _core.pd_input(gains.Kp, gains.Kd, setpoints.packed(),
-                       state.packed(), 0.0)
+                       state.packed())
     return Input(tau=u)
-
-
-def saturate(inp: Input, M: float) -> Input:
-    """Component-wise clamp to [-M, M]; idempotent, sign preserving."""
-    if not positive_number(M):
-        raise ValidationError(
-            f"saturation bound must be positive and finite, got {M!r}")
-    return Input(tau=tuple(float(_core.saturate(u, M)) for u in inp.tau))
 
 
 @dataclass(frozen=True)

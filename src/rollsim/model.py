@@ -109,11 +109,6 @@ class State:
         """The state y = (*q, *qdot) as the kernels take it."""
         return (*self.q, *self.qdot)
 
-    @staticmethod
-    def from_array(y) -> "State":
-        y = np.asarray(y, dtype=np.float64)
-        return State(q=tuple(y[:4]), qdot=tuple(y[4:8]))
-
 
 @dataclass(frozen=True)
 class Input:

@@ -49,11 +49,10 @@ _MAX_SAMPLES = sys.maxsize // 64
 
 @dataclass(frozen=True)
 class PDSpec:
-    """Controller attachment for a scenario; a saturation bounds each |u_i|."""
+    """Controller attachment for a scenario: the gains and their targets."""
 
     gains: GainMatrices
     setpoints: Setpoints
-    saturation: Optional[float] = None
 
     def __post_init__(self):
         if not isinstance(self.gains, GainMatrices):
@@ -62,17 +61,10 @@ class PDSpec:
         if not isinstance(self.setpoints, Setpoints):
             raise ValidationError(
                 f"setpoints must be a Setpoints, got {self.setpoints!r}")
-        if self.saturation is None:
-            return
-        if not positive_number(self.saturation):
-            raise ValidationError("saturation must be None or positive and "
-                                  f"finite, got {self.saturation!r}")
-        object.__setattr__(self, "saturation", float(self.saturation))
 
     def packed(self) -> tuple:
-        """_core.run_loop's pd: (Kp, Kd, tgt, sat), sat 0.0 for no bound."""
-        return (self.gains.Kp, self.gains.Kd, self.setpoints.packed(),
-                self.saturation or 0.0)
+        """_core.run_loop's pd: (Kp, Kd, tgt)."""
+        return self.gains.Kp, self.gains.Kd, self.setpoints.packed()
 
 
 @dataclass(frozen=True)
@@ -213,11 +205,11 @@ def run(scenario: Scenario, params: Optional[RobotParams] = None,
         P = _core.dissipation(par, cols[4:])
         p_m = _core.pm_batch(par, cols)
         if ctrl is not None:
-            Kp, Kd, tgt, _ = pd
-            e, de = _core.pd_error(tgt, cols)
+            e, de = _core.pd_error(ctrl.setpoints.packed(), cols)
             e_ref = reference_energy(params, ctrl.setpoints,
                                      scenario.potential)
-            V, _ = _core.lyapunov(Kp, Kd, e, de, T + U - e_ref)
+            V, _ = _core.lyapunov(ctrl.gains.Kp, ctrl.gains.Kd, e, de,
+                                  T + U - e_ref)
             Vdot[1:] = np.diff(V) / scenario.dt
 
     events = _detect_all(params, mag, t, ys, height, p_m)
@@ -235,15 +227,18 @@ def _detect_all(params, mag, t, ys, height, p_m):
     """Edge-triggered events of the finite samples ys at times t.
 
     An event fires at sample i when its condition holds at i and not at
-    i - 1, so a condition already true at sample 0 fires nothing. The table
-    order is the order of events at equal times: the sort is stable.
+    i - 1, so a condition already true at sample 0 fires nothing. The
+    coupling events fire only when mag.enabled: uncoupled tips cross P_max
+    with no force to engage. The table order is the order of events at
+    equal times: the sort is stable.
     """
     dev = upright_deviation(ys[:, 2] + ys[:, 3])
-    table = ((TOPPLE, dev > np.pi / 2, "deviation {:.2f} deg", np.degrees(dev)),
+    table = [(TOPPLE, dev > np.pi / 2, "deviation {:.2f} deg", np.degrees(dev)),
              (GROUND_PENETRATION, height < params.R2, "height {:.4f} m",
-              height),
-             (COUPLING_ENGAGED, p_m < mag.P_max, "p_m {:.4f} m", p_m),
-             (COUPLING_LOST, p_m > mag.P_max, "p_m {:.4f} m", p_m))
+              height)]
+    if mag.enabled:
+        table += [(COUPLING_ENGAGED, p_m < mag.P_max, "p_m {:.4f} m", p_m),
+                  (COUPLING_LOST, p_m > mag.P_max, "p_m {:.4f} m", p_m)]
     events = []
     for kind, inside, details, value in table:
         for i in np.nonzero(inside[1:] & ~inside[:-1])[0] + 1:

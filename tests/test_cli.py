@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from rollsim import cli
 from rollsim.cli import main
 from rollsim.config import load_scenario
 from rollsim.output import format_csv
@@ -101,9 +102,11 @@ def test_run_summary_lists_the_first_eight_events(tmp_path, capsys):
     code, text, _ = run_cli(["run", "lifting", "--out", str(tmp_path)],
                             capsys)
     assert code == 4
-    assert ("  events (467): Topple @ 0.084 s; GroundPenetration @ 0.084 s; "
+    assert ("  events (443): Topple @ 0.084 s; GroundPenetration @ 0.084 s; "
             in text)
-    assert "CouplingLost @ 0.488 s; ... 459 more\n" in text
+    # the coupling is off: no coupling event is among them
+    assert ("Topple @ 0.553 s; GroundPenetration @ 0.553 s; ... 435 more\n"
+            in text)
 
 
 def test_run_multiple_scenarios_into_directory(tmp_path, capsys):
@@ -157,17 +160,23 @@ def test_malformed_params_exit_code(tmp_path, capsys, params):
     assert err.startswith("config error:") and params.split(":")[0] in err
 
 
-@pytest.mark.parametrize("key", ["psi_rate", "allow_dense"])
+@pytest.mark.parametrize("key", ["psi_rate", "allow_dense", "saturation",
+                                 "dtheta_d_deg", "dphi_d_deg"])
 def test_removed_controller_switch_exit_code(tmp_path, capsys, key):
+    # the rate targets were setpoints keys, the others controller keys
+    if key.endswith("_deg"):
+        where, setpoint, switch = "controller.setpoints", f", {key}: [0,0]", ""
+    else:
+        where, setpoint, switch = "controller", "", f"  {key}: 1\n"
     bad = tmp_path / "bad.yaml"
     bad.write_text("scenario:\n  y0_deg: [0,0,0,0,0,0,0,0]\n"
                    "controller:\n  kp: [[1,0,0,0],[0,1,0,0]]\n"
                    "  kd: [[0,0,0,0],[0,0,0,0]]\n"
-                   "  setpoints: {theta_d_deg: [0,0], phi_d_deg: [0,0]}\n"
-                   f"  {key}: true\n")
+                   "  setpoints: {theta_d_deg: [0,0], phi_d_deg: [0,0]"
+                   f"{setpoint}}}\n" + switch)
     code, _, err = run_cli(["run", str(bad)], capsys)
     assert code == 3
-    assert f"unknown key(s) in controller: {key}" in err
+    assert f"unknown key(s) in {where}: {key}" in err
 
 
 def test_run_with_more_samples_than_memory_is_config_error(capsys):
@@ -208,6 +217,33 @@ def test_errata_deterministic_files(tmp_path, capsys):
 def test_errata_rejects_zero_samples(capsys):
     code, _, _ = run_cli(["errata", "--samples", "0"], capsys)
     assert code == 2
+
+
+def test_errata_with_more_samples_than_an_array_holds_is_usage_error(
+        tmp_path, capsys):
+    # numpy refuses 1e18 states of 4 doubles with ValueError before it
+    # allocates anything
+    out = tmp_path / "e"
+    code, text, err = run_cli(["errata", "--samples", str(10**18), "--out",
+                               str(out)], capsys)
+    assert code == 2
+    assert text == "" and f"--samples {10**18} needs more" in err
+    assert not out.exists()
+
+
+def test_errata_that_runs_out_of_memory_is_usage_error(tmp_path, capsys,
+                                                       monkeypatch):
+    # a size numpy indexes but cannot allocate raises MemoryError; raised
+    # here without allocating
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli, "errata_compare", no_memory)
+    out = tmp_path / "e"
+    code, text, err = run_cli(["errata", "--samples", "100000000000",
+                               "--out", str(out)], capsys)
+    assert code == 2
+    assert text == "" and "--samples 100000000000 needs more" in err
+    assert not out.exists()
 
 
 def test_errata_unwritable_out_is_config_error(tmp_path, capsys):

@@ -100,6 +100,7 @@ def _controller(**changes):
     ({"scenario": {"y0_deg": [0] * 8},
       "params": {"delta": [0.0, True, 0.0, 0.0]}}, "delta"),
     ({"scenario": {"y0_deg": [0] * 8, "horizon": 10**400}}, "horizon"),
+    # a saturation of any value is refused: the law has no clamp
     *(({"scenario": {"y0_deg": [0] * 8},
         "controller": {"kp": [[0] * 4] * 2, "kd": [[0] * 4] * 2,
                        "setpoints": {"theta_d_deg": [0, 0],
@@ -133,6 +134,20 @@ def _controller(**changes):
     # a number as a key was a TypeError from joining the unknown keys
     ({"scenario": {"y0_deg": [0] * 8}, 1: 2}, "config: 1"),
     ({"scenario": {"y0_deg": [0] * 8}, "params": {2: 0.1}}, "keys: 2"),
+    # the law has no clamp and constant targets: the keys that set a
+    # saturation or rate targets are gone
+    ({"scenario": {"y0_deg": [0] * 8},
+      "controller": {"kp": [[0] * 4] * 2, "kd": [[0] * 4] * 2,
+                     "setpoints": {"theta_d_deg": [0, 0],
+                                   "phi_d_deg": [0, 0]},
+                     "saturation": 5.0}},
+     r"unknown key\(s\) in controller: saturation"),
+    *(({"scenario": {"y0_deg": [0] * 8},
+        "controller": {"kp": [[0] * 4] * 2, "kd": [[0] * 4] * 2,
+                       "setpoints": {"theta_d_deg": [0, 0],
+                                     "phi_d_deg": [0, 0], key: [0, 0]}}},
+       rf"unknown key\(s\) in controller.setpoints: {key}")
+      for key in ("dtheta_d_deg", "dphi_d_deg")),
 ])
 def test_rejects_malformed_documents(doc, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -160,14 +175,12 @@ def test_controller_section_full():
             "kp": [[1, 0, 0.5, 0], [0, 2, 0, 0.5]],
             "kd": [[0.1, 0, 0.2, 0], [0, 0.1, 0, 0.2]],
             "setpoints": {"theta_d_deg": [10, -10], "phi_d_deg": [180, 185]},
-            "saturation": 5.0,
         },
     }
     sc, _, _ = load_scenario_dict(doc, default_name="c")
     c = sc.controller
-    assert c.saturation == 5.0
     assert c.setpoints.theta_d[0] == pytest.approx(np.radians(10))
-    assert c.setpoints.dtheta_d == (0.0, 0.0)
+    assert c.setpoints.phi_d[1] == pytest.approx(np.radians(185))
 
 
 def test_controller_gain_sparsity_enforced_through_config():

@@ -3,9 +3,9 @@ import pytest
 
 from rollsim import _core
 from rollsim.control import (GainMatrices, Setpoints, lyapunov, pd_control,
-                             reference_energy, saturate)
+                             reference_energy)
 from rollsim.energetics import total_energy
-from rollsim.model import Input, RobotParams, State, ValidationError
+from rollsim.model import RobotParams, State, ValidationError
 
 P = RobotParams()
 
@@ -69,19 +69,6 @@ def test_error_rate_is_the_thetadot_channel():
     sp = Setpoints()
     st = State(q=(0.0,) * 4, qdot=(2.0, 0.0, 0.5, 0.0))
     assert list(error(sp, st)[1]) == [2.0, 0.0, 0.5, 0.0]
-
-
-def test_saturate():
-    u = saturate(Input(tau=(3.0, -5.0)), 2.0)
-    assert u.tau == (2.0, -2.0)
-    u2 = saturate(Input(tau=(0.5, -0.5)), 2.0)
-    assert u2.tau == (0.5, -0.5)
-    assert saturate(u2, 2.0) == u2  # idempotent
-    # a bound PDSpec refuses is refused here too: True clamped to +-1 and
-    # inf clamped nothing
-    for bad in (0.0, True, float("inf")):
-        with pytest.raises(ValidationError):
-            saturate(Input(tau=(3.0, -5.0)), bad)
 
 
 def test_reference_energy_is_setpoint_configuration_energy():

@@ -82,13 +82,11 @@ def list_rk4(par, mag, y0, n, dt, pd, variant):
     """
     tau = (0.0,) * 4
     y, ys, us = list(y0), [], []
-    if pd is not None:
-        Kp, Kd, tgt, sat = pd
     for i in range(n + 1):
         ys.append(y)
         us.append([0.0, 0.0])
         if pd is not None:
-            us[-1] = list(_core.pd_input(Kp, Kd, tgt, y, sat))
+            us[-1] = list(_core.pd_input(*pd, y))
             tau = _core.torque_map(*us[-1])
         if i == n:
             break
@@ -271,7 +269,7 @@ def test_run_zero_order_hold_records_pd_input():
     sc, p, m = load_scenario("balancing")
     traj = run(sc, p, m)
     u0 = pd_control(sc.controller.gains, sc.controller.setpoints,
-                    State.from_array(sc.y0))
+                    State(q=sc.y0[:4], qdot=sc.y0[4:]))
     assert traj.u[0, 0] == pytest.approx(u0.tau[0], rel=1e-12)
     assert traj.u[0, 1] == pytest.approx(u0.tau[1], rel=1e-12)
 
@@ -318,7 +316,7 @@ def test_topple_crossing_semantics():
 def test_detect_all_orders_equal_times_and_ignores_held_conditions():
     # synthetic samples, not a run: phi1 + phi2 = 0 is a deviation of 180
     # degrees, so Topple's condition holds wherever phi2 is 0 here
-    mag = MagneticParams()
+    mag = MagneticParams(enabled=True)
     t = np.array([0.0, 0.1, 0.2, 0.3, 0.4])
     ys = np.zeros((5, 8))
     ys[[2, 4], 3] = np.pi
@@ -338,6 +336,20 @@ def test_detect_all_orders_equal_times_and_ignores_held_conditions():
     assert events[0].state == tuple(ys[3])
     # a condition true from the first sample and never left fires nothing
     assert _detect_all(P, mag, t[:2], ys[:2], height[:2], p_m[:2]) == []
+
+
+def test_an_uncoupled_run_logs_no_coupling_event():
+    # lifting ships with coupling off; its tips still pass inside P_max and
+    # out again before 0.5 s, where no force engages and none is lost
+    sc, p, m = load_scenario("lifting")
+    assert not m.enabled
+    traj = run(replace(sc, horizon=0.5), p, m)
+    inside = traj.p_m < m.P_max
+    assert np.any(inside[1:] & ~inside[:-1])
+    assert np.any(~inside[1:] & inside[:-1])
+    assert not traj.events_of(COUPLING_ENGAGED)
+    assert not traj.events_of(COUPLING_LOST)
+    assert traj.events_of(TOPPLE)  # the other kinds are still detected
 
 
 def test_magnetics_flag_changes_dynamics():
@@ -365,26 +377,6 @@ def test_frictionless_magnetic_run_conserves_energy_plus_w():
     assert np.max(np.abs(traj.E - traj.E[0])) > 0.1  # the coupling did work
 
 
-@pytest.mark.parametrize("sat", [-1.0, 0.0, NAN, INF, True, "1"])
-def test_pdspec_rejects_a_saturation_that_clamps_nothing(sat):
-    # each was accepted: -1, 0, nan and inf clamped nothing, and a bool
-    # or a string was taken as the number 1
-    sc, _, _ = load_scenario("balancing")
-    with pytest.raises(ValidationError, match="saturation"):
-        replace(sc.controller, saturation=sat)
-
-
-def test_run_loop_saturation_clamps_the_input():
-    sc, p, m = load_scenario("balancing")
-    short = replace(sc, horizon=0.1)
-    free = run(short, p, m)
-    sat = 0.5 * float(np.max(np.abs(free.u)))
-    clamped = run(replace(short, controller=replace(sc.controller,
-                                                    saturation=sat)), p, m)
-    assert np.max(np.abs(clamped.u)) <= sat
-    assert np.any(np.abs(clamped.u) == sat)  # the clamp was active
-
-
 def test_run_records_the_public_quantities():
     # every recorded per-sample quantity is the public function's value
     sc, p, m = load_scenario("lifting")
@@ -394,7 +386,7 @@ def test_run_records_the_public_quantities():
     spec = sc.controller
     assert np.any(traj.p_m < m.P_max)  # the tips pull at the start
     for i, y in enumerate(traj.y):
-        st = State.from_array(y)
+        st = State(q=tuple(y[:4]), qdot=tuple(y[4:]))
         u = pd_control(spec.gains, spec.setpoints, st)
         V = lyapunov(p, spec.gains, spec.setpoints, st, variant=sc.potential).V
         assert traj.u[i] == pytest.approx(u.tau, rel=1e-12, abs=0)

@@ -19,8 +19,7 @@ VALID = {
     RobotParams: {},
     MagneticParams: {},
     Scenario: {"name": "s", "y0": (0.1,) * 8},
-    PDSpec: {"gains": GainMatrices(), "setpoints": Setpoints(),
-             "saturation": 2.0},
+    PDSpec: {"gains": GainMatrices(), "setpoints": Setpoints()},
     GainMatrices: {},
     Setpoints: {},
 }
@@ -57,10 +56,9 @@ def replaced(value, path, new):
 
 def test_the_table_covers_every_numeric_field():
     names = {f"{cls.__name__}.{name}" for cls, name, _ in numeric_fields()}
-    assert len(names) == 24
+    assert len(names) == 21
     assert {"RobotParams.delta", "MagneticParams.mu0", "Scenario.y0",
-            "Scenario.dt", "PDSpec.saturation", "GainMatrices.Kd",
-            "Setpoints.dphi_d"} <= names
+            "Scenario.dt", "GainMatrices.Kd", "Setpoints.phi_d"} <= names
 
 
 @pytest.mark.parametrize("bad", [True, "1", float("inf"), float("nan"),
