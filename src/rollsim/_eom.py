@@ -65,7 +65,7 @@ def mass_matrix(p, q):
     x12 = c34*x10
     x13 = c34*x11
     x14 = R1*R2
-    x15 = 2*x14
+    x15 = 2.0*x14
     x16 = m_p*x15
     x17 = m_s*x15
     x18 = R2*R2
@@ -76,7 +76,7 @@ def mass_matrix(p, q):
     x23 = x5*x8
     x24 = x6*x8
     x25 = x10 + x11
-    return (I_p + x0, 0.0, x2*(r1 + x1), 0.0, I_p + x3, x8*(x4 + x7), x8*(r2 + x7), c34*x16 + c34*x17 + x0 + 2*x1*x2 + 3*x10 + 3*x11 + 2*x12 + 2*x13 + x21, m_p*x22 + m_s*x22 + x12 + x13 + x16 + x17 + x19 + x20 + x23 + x24 + x25 + x4*x8, x21 + 2*x23 + 2*x24 + x25 + x3)
+    return (I_p + x0, 0.0, x2*(r1 + x1), 0.0, I_p + x3, x8*(x4 + x7), x8*(r2 + x7), c34*x16 + c34*x17 + x0 + 2.0*x1*x2 + 3.0*x10 + 3.0*x11 + 2.0*x12 + 2.0*x13 + x21, m_p*x22 + m_s*x22 + x12 + x13 + x16 + x17 + x19 + x20 + x23 + x24 + x25 + x4*x8, x21 + 2.0*x23 + 2.0*x24 + x25 + x3)
 
 
 def bias(p, q, qd):
@@ -95,7 +95,7 @@ def bias(p, q, qd):
     x4 = x1*x3
     x5 = x0*x4
     x6 = dph2*dph2
-    x7 = 2*dph2
+    x7 = 2.0*dph2
     x8 = dph1*x7
     x9 = x4*x8
     x10 = m_p*r1*s31
@@ -110,7 +110,7 @@ def bias(p, q, qd):
     x19 = m_s*x12
     x20 = R2*s34
     x21 = R1*R1*s34
-    return (d_th1*dth1, d_th2*dth2 - x4*x6 - x5 - x9, -R1*x0*(m_p*x20 + m_s*x20 + x10 + x18 + x19) + d_ph1*dph1 - 2*dph1*dth1*x11 + 2*dph2*dth2*m_p*r2*x16 - dth1*dth1*x11 + m_p*r2*x16*x17 - x12*x2*x8*(m_p + m_s) - x6*(R2*x18 + R2*x19 + m_p*x21 + m_s*x21 - x1*x13 - x1*x14 + x1*x15), d_ph2*dph2 + dth2*x4*x7 + x1*x17*x3 - x5 - x9)
+    return (d_th1*dth1, d_th2*dth2 - x4*x6 - x5 - x9, -R1*x0*(m_p*x20 + m_s*x20 + x10 + x18 + x19) + d_ph1*dph1 - 2.0*dph1*dth1*x11 + 2.0*dph2*dth2*m_p*r2*x16 - dth1*dth1*x11 + m_p*r2*x16*x17 - x12*x2*x8*(m_p + m_s) - x6*(R2*x18 + R2*x19 + m_p*x21 + m_s*x21 - x1*x13 - x1*x14 + x1*x15), d_ph2*dph2 + dth2*x4*x7 + x1*x17*x3 - x5 - x9)
 
 
 def gravity(p, q, variant):
@@ -241,7 +241,7 @@ def step_for(p, variant, dt, mag):
     xm10 = m_p*xm9
     xm11 = m_s*xm9
     xm14 = R1*R2
-    xm15 = 2*xm14
+    xm15 = 2.0*xm14
     xm16 = m_p*xm15
     xm17 = m_s*xm15
     xm18 = R2*R2
@@ -253,8 +253,8 @@ def step_for(p, variant, dt, mag):
     m01 = 0.0
     m03 = 0.0
     m11 = I_p + xm3
-    xp0 = 3*xm10
-    xp1 = 3*xm11
+    xp0 = 3.0*xm10
+    xp1 = 3.0*xm11
     xb1 = m_p*r2
     xb2 = R1 + R2
     xp2 = -R1
@@ -311,15 +311,15 @@ def step_for(p, variant, dt, mag):
             m02 = xm2*(r1 + xm1)
             m12 = xm8*(xm4 + xm7)
             m13 = xm8*(r2 + xm7)
-            m22 = c34*xm16 + c34*xm17 + xm0 + 2*xm1*xm2 + xp0 + xp1 + 2*xm12 + 2*xm13 + xm21
+            m22 = c34*xm16 + c34*xm17 + xm0 + 2.0*xm1*xm2 + xp0 + xp1 + 2.0*xm12 + 2.0*xm13 + xm21
             m23 = m_p*xm22 + m_s*xm22 + xm12 + xm13 + xm16 + xm17 + xm19 + xm20 + xm23 + xm24 + xm25 + xm4*xm8
-            m33 = xm21 + 2*xm23 + 2*xm24 + xm25 + xm3
+            m33 = xm21 + 2.0*xm23 + 2.0*xm24 + xm25 + xm3
             xb0 = dph1*dph1
             xb3 = s12*xb2
             xb4 = xb1*xb3
             xb5 = xb0*xb4
             xb6 = dph2*dph2
-            xb7 = 2*dph2
+            xb7 = 2.0*dph2
             xb8 = dph1*xb7
             xb9 = xb4*xb8
             xb10 = xm2*s31
@@ -336,7 +336,7 @@ def step_for(p, variant, dt, mag):
             xb21 = xm9*s34
             bias0 = d_th1*dth1
             bias1 = d_th2*dth2 - xb4*xb6 - xb5 - xb9
-            bias2 = xp2*xb0*(m_p*xb20 + m_s*xb20 + xb10 + xb18 + xb19) + d_ph1*dph1 - 2*dph1*dth1*xb11 + 2*dph2*dth2*m_p*r2*xb16 - dth1*dth1*xb11 + xm8*xb16*xb17 - xb12*xb2*xb8*xp3 - xb6*(R2*xb18 + R2*xb19 + m_p*xb21 + m_s*xb21 - xb1*xb13 - xb1*xb14 + xb1*xb15)
+            bias2 = xp2*xb0*(m_p*xb20 + m_s*xb20 + xb10 + xb18 + xb19) + d_ph1*dph1 - 2.0*dph1*dth1*xb11 + 2.0*dph2*dth2*m_p*r2*xb16 - dth1*dth1*xb11 + xm8*xb16*xb17 - xb12*xb2*xb8*xp3 - xb6*(R2*xb18 + R2*xb19 + m_p*xb21 + m_s*xb21 - xb1*xb13 - xb1*xb14 + xb1*xb15)
             bias3 = d_ph2*dph2 + dth2*xb4*xb7 + xb1*xb17*xb3 - xb5 - xb9
             xg0 = xm2*s31
             xg1 = g*xg0

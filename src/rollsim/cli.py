@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 usage, 3 config or unwritable output, 4 numeric
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -110,8 +111,8 @@ def _build_parser():
                        help="preset name or path to a config file")
     p_run.add_argument("--dt", type=_positive, help="override step size [s]")
     p_run.add_argument("--horizon", type=_positive, help="override horizon [s]")
-    p_run.add_argument("--out", help="output CSV path (directory when "
-                       "running several scenarios)")
+    p_run.add_argument("--out", help="output CSV path (a directory when it "
+                       "exists, ends in a separator or several scenarios run)")
     p_run.add_argument("--magnetics", choices=("on", "off"),
                        help="override magnetics.enabled, the tip coupling")
     p_run.add_argument("--potential", choices=POTENTIAL_VARIANTS,
@@ -144,7 +145,8 @@ def _out_path(args, scenario_name: str, several: bool) -> Path:
     if args.out is None:
         return Path(f"{scenario_name}.csv")
     out = Path(args.out)
-    if several or out.is_dir():
+    # Path drops a trailing separator, which names a directory
+    if several or args.out[-1:] in (os.sep, os.altsep) or out.is_dir():
         return out / f"{scenario_name}.csv"
     return out
 
@@ -181,6 +183,9 @@ def cmd_run(args) -> int:
 def cmd_errata(args) -> int:
     if args.samples < 1:
         print("errata: --samples must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.seed < 0:
+        print("errata: --seed must be at least 0", file=sys.stderr)
         return EXIT_USAGE
     too_many = (f"errata: --samples {args.samples} needs more than memory "
                 "holds")

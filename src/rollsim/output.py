@@ -5,6 +5,10 @@ separator, newline row endings. Python's % formatting ignores locale, so
 identical trajectories serialize to identical bytes on any machine. Each
 row is one % of a 19-field format on that row's Python floats, which gives
 the bytes a "%.17g" per value would.
+
+Rows are formatted and written in blocks of _BLOCK_ROWS, so writing a file
+holds one block's text, not the whole file's. format_csv is the same
+blocks joined.
 """
 
 from __future__ import annotations
@@ -19,35 +23,32 @@ CSV_COLUMNS = ("t", "theta1", "theta2", "phi1", "phi2",
                "disk2_height", "p_m")
 
 
-def _rows(traj):
-    cols = (traj.t,
-            traj.y[:, 0], traj.y[:, 1], traj.y[:, 2], traj.y[:, 3],
-            traj.y[:, 4], traj.y[:, 5], traj.y[:, 6], traj.y[:, 7],
-            traj.u[:, 0], traj.u[:, 1],
+_BLOCK_ROWS = 256
+
+# one % per row, on that row's Python floats; the block's tolist() holds a
+# float object per value of one block, not of the whole table
+_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
+
+
+def _blocks(traj):
+    """The CSV text in order: the header line, then one string per block."""
+    yield ",".join(CSV_COLUMNS) + "\n"
+    cols = (traj.t, *traj.y.T, *traj.u.T,
             traj.T, traj.U, traj.E, traj.P, traj.V, traj.Vdot,
             traj.height, traj.p_m)
-    return np.column_stack(cols)
-
-
-# one % per row, on that row's Python floats; converting the whole table at
-# once would hold a float object per value beside the array
-_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS))
+    for start in range(0, traj.t.shape[0], _BLOCK_ROWS):
+        block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in cols])
+        yield "".join([_ROW % tuple(row) for row in block.tolist()])
 
 
 def format_csv(traj) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for row in _rows(traj):
-        lines.append(_ROW % tuple(row.tolist()))
-    # the final newline comes from the join: appending it to the joined
-    # text would copy the whole file once more at the peak of memory
-    lines.append("")
-    return "\n".join(lines)
+    return "".join(_blocks(traj))
 
 
 def write_csv(traj, path) -> int:
     """Write the trajectory; returns the number of data rows."""
-    path = Path(path)
-    path.write_text(format_csv(traj), newline="\n")
+    with Path(path).open("w", newline="\n") as fh:
+        fh.writelines(_blocks(traj))
     return traj.t.shape[0]
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -117,6 +118,15 @@ def test_run_multiple_scenarios_into_directory(tmp_path, capsys):
     assert (tmp_path / "lifting.csv").exists()
 
 
+def test_run_out_ending_in_a_separator_is_a_directory(tmp_path, capsys):
+    # the directory does not exist yet, so only the separator says what it is
+    out = tmp_path / "newdir"
+    code, _, _ = run_cli(["run", "freefall", "--horizon", "0.1",
+                          "--out", str(out) + os.sep], capsys)
+    assert code == 0
+    assert (out / "freefall.csv").is_file() and (out / "freefall.gp").is_file()
+
+
 def test_run_refuses_repeated_scenario_names(tmp_path, capsys):
     # lifting renamed freefall would overwrite freefall.csv: nothing may
     # run or be written
@@ -217,6 +227,16 @@ def test_errata_deterministic_files(tmp_path, capsys):
 def test_errata_rejects_zero_samples(capsys):
     code, _, _ = run_cli(["errata", "--samples", "0"], capsys)
     assert code == 2
+
+
+def test_errata_rejects_a_negative_seed(tmp_path, capsys):
+    # numpy's default_rng refuses it with a ValueError traceback
+    out = tmp_path / "e"
+    code, text, err = run_cli(["errata", "--seed", "-1", "--out", str(out)],
+                              capsys)
+    assert code == 2
+    assert text == "" and "--seed must be at least 0" in err
+    assert not out.exists()
 
 
 def test_errata_with_more_samples_than_an_array_holds_is_usage_error(

@@ -1,3 +1,5 @@
+import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,15 +7,14 @@ import pytest
 
 from rollsim.cli import summarize
 from rollsim.config import load_scenario
-from rollsim.output import (CSV_COLUMNS, format_csv, gnuplot_script, read_csv,
-                            write_csv, write_outputs)
+from rollsim.output import (_BLOCK_ROWS, CSV_COLUMNS, format_csv,
+                            gnuplot_script, read_csv, write_csv, write_outputs)
 from rollsim.simulate import run
 
 
 @pytest.fixture(scope="module")
 def freefall_short():
     sc, p, m = load_scenario("freefall")
-    from dataclasses import replace
     return run(replace(sc, horizon=1.0), p, m)
 
 
@@ -116,3 +117,38 @@ def test_format_csv_bytes_for_special_values():
     for token in ("nan", "inf", "-inf", "-0", "4.9406564584124654e-324",
                   "1e+308", "-1e+308"):
         assert token in text.replace("\n", ",").split(","), token
+
+
+def first_rows(traj, n):
+    """The CSV's columns of traj cut to their first n rows."""
+    return SimpleNamespace(t=traj.t[:n], y=traj.y[:n], u=traj.u[:n],
+                           T=traj.T[:n], U=traj.U[:n], E=traj.E[:n],
+                           P=traj.P[:n], V=traj.V[:n], Vdot=traj.Vdot[:n],
+                           height=traj.height[:n], p_m=traj.p_m[:n])
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS,
+                               _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1, None])
+def test_write_csv_bytes_equal_the_per_value_loop(freefall_short, tmp_path,
+                                                  n):
+    # at and around the block boundaries, and the whole 1001-row run
+    traj = freefall_short if n is None else first_rows(freefall_short, n)
+    path = tmp_path / "t.csv"
+    assert write_csv(traj, path) == traj.t.shape[0]
+    assert first_difference(path.read_bytes().decode("ascii"),
+                            per_value_csv(traj)) is None
+
+
+def test_write_csv_holds_one_block_not_the_file(tmp_path):
+    # the 5 s run's text is 1.56 MB, more than the bound, so a writer that
+    # builds it whole fails (4.16 MB when it was a list of rows joined)
+    sc, p, m = load_scenario("freefall")
+    traj = run(sc, p, m)
+    tracemalloc.start()
+    try:
+        write_csv(traj, tmp_path / "t.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "t.csv").stat().st_size > 1_000_000
+    assert peak < 1_000_000

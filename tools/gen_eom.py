@@ -165,7 +165,14 @@ def _tidy(expr, trig):
 
 
 class _Printer(PythonCodePrinter):
-    """Python source with integer powers written as products, and sqrt."""
+    """Python source with integer powers written as products, and sqrt.
+
+    Integers print as floats: CPython specialises float * float, not
+    int * float, and small integers convert to doubles exactly.
+    """
+
+    def _print_Integer(self, expr):
+        return f"{expr.p}.0"
 
     def _print_Pow(self, expr, rational=False):
         base, exp = expr.as_base_exp()
