@@ -141,7 +141,7 @@ def test_write_csv_bytes_equal_the_per_value_loop(freefall_short, tmp_path,
 
 def test_write_csv_holds_one_block_not_the_file(tmp_path):
     # the 5 s run's text is 1.56 MB, more than the bound, so a writer that
-    # builds it whole fails (4.16 MB when it was a list of rows joined)
+    # builds the whole text fails
     sc, p, m = load_scenario("freefall")
     traj = run(sc, p, m)
     tracemalloc.start()
