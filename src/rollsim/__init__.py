@@ -21,15 +21,13 @@ from .kinematics import (BodyPositions, BodyVelocities, disk2_height,
                          positions, upright_deviation, velocities, wrap_angle)
 from .magnetics import (MagneticParams, flux_density, generalized_magnetic_torque,
                         magnetic_force, magnetic_potential, separation)
-from .model import (Input, RobotParams, State, ValidationError,
-                    generalized_torque, load_params)
+from .model import Input, RobotParams, State, ValidationError, generalized_torque
 from .simulate import Event, PDSpec, Scenario, Trajectory, run
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "RobotParams", "State", "Input", "ValidationError", "load_params",
-    "generalized_torque",
+    "RobotParams", "State", "Input", "ValidationError", "generalized_torque",
     "BodyPositions", "BodyVelocities", "positions", "velocities",
     "disk2_height", "wrap_angle", "upright_deviation",
     "EnergyBreakdown", "breakdown", "kinetic_energy", "potential_energy",

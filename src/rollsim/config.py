@@ -1,14 +1,15 @@
 """Scenario configuration: YAML files and bundled presets.
 
-This module checks the shape of a document: its sections are mappings,
-every section rejects unknown keys so a typo can't silently fall back to a
-default, and required keys are present. The values go unchanged to the
-types they build (RobotParams, MagneticParams, GainMatrices, Setpoints,
-PDSpec, Scenario), which check them; a ValidationError becomes a ConfigError
-that starts with the section name. The one value check here is on the
-degree lists (y0_deg, setpoint *_deg keys), which are converted to radians
-on load. Preset names resolve against ROLLSIM_CONFIG_DIR first (when set),
-then the presets bundled with the package.
+This module checks the shape of a document with one check per section: a
+mapping with no unknown key, so a typo can't silently fall back to a
+default, and with its required keys. The keys of params and magnetics are
+the fields of RobotParams and MagneticParams. The values go unchanged to
+the types they build (RobotParams, MagneticParams, GainMatrices,
+Setpoints, PDSpec, Scenario), which check them; a ValidationError becomes
+a ConfigError that starts with the section name. The one value check here
+is on the degree lists (y0_deg, setpoint *_deg keys), which are converted
+to radians on load. Preset names resolve against ROLLSIM_CONFIG_DIR first
+(when set), then the presets bundled with the package.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ from __future__ import annotations
 import math
 import os
 from contextlib import contextmanager
-from importlib import resources
+from dataclasses import fields
 from pathlib import Path
 
 import yaml
 
 from .control import GainMatrices, Setpoints
 from .magnetics import MagneticParams
-from .model import ValidationError, finite_numbers, load_params
+from .model import RobotParams, ValidationError, finite_numbers
 from .simulate import PDSpec, Scenario
 
 
@@ -37,22 +38,23 @@ class UnknownPresetError(ConfigError):
 
 _SCENARIO_KEYS = {"y0_deg", "horizon", "dt", "potential"}
 _TOP_KEYS = {"name", "params", "magnetics", "controller", "scenario"}
-_CONTROLLER_KEYS = {"kp", "kd", "setpoints"}
-_SETPOINT_KEYS = {"theta_d_deg", "phi_d_deg"}
-_MAGNETIC_KEYS = {"enabled", "B_max", "P_max", "A", "mu0"}
+# every controller and setpoints key is required, in this order
+_CONTROLLER_KEYS = ("kp", "kd", "setpoints")
+_SETPOINT_KEYS = ("theta_d_deg", "phi_d_deg")
 
 
-def _mapping(node, where):
+def _mapping(node, where, allowed, required=()):
+    """node, if a mapping with keys from allowed and each key of required."""
     if not isinstance(node, dict):
         raise ConfigError(f"{where} must be a mapping, got {type(node).__name__}")
-    return node
-
-
-def _check_keys(node, allowed, where):
     # a YAML key may be a number
-    unknown = sorted(map(str, set(node) - allowed))
+    unknown = sorted(map(str, set(node).difference(allowed)))
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    for key in required:
+        if key not in node:
+            raise ConfigError(f"{where} requires '{key}'")
+    return node
 
 
 def _radians(node, count, where):
@@ -72,26 +74,22 @@ def _section(name):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _load_magnetics(section) -> MagneticParams:
+def _load_fields(cls, doc, name):
+    """cls from doc's section name, keyed by cls's fields; default if absent."""
+    section = doc.get(name)
     if section is None:
-        return MagneticParams()
-    _check_keys(_mapping(section, "magnetics"), _MAGNETIC_KEYS, "magnetics")
-    with _section("magnetics"):
-        return MagneticParams(**section)
+        return cls()
+    _mapping(section, name, {f.name for f in fields(cls)})
+    with _section(name):
+        return cls(**section)
 
 
 def _load_controller(section) -> PDSpec | None:
     if section is None:
         return None
-    _check_keys(_mapping(section, "controller"), _CONTROLLER_KEYS, "controller")
-    for key in ("kp", "kd", "setpoints"):
-        if key not in section:
-            raise ConfigError(f"controller section requires '{key}'")
-    sp = _mapping(section["setpoints"], "controller.setpoints")
-    _check_keys(sp, _SETPOINT_KEYS, "controller.setpoints")
-    for key in ("theta_d_deg", "phi_d_deg"):
-        if key not in sp:
-            raise ConfigError(f"controller.setpoints requires '{key}'")
+    _mapping(section, "controller", _CONTROLLER_KEYS, _CONTROLLER_KEYS)
+    sp = _mapping(section["setpoints"], "controller.setpoints",
+                  _SETPOINT_KEYS, _SETPOINT_KEYS)
     # theta_d_deg is Setpoints.theta_d in degrees, and so on
     targets = {key.removesuffix("_deg"):
                _radians(value, 2, f"controller.setpoints.{key}")
@@ -103,17 +101,10 @@ def _load_controller(section) -> PDSpec | None:
 
 def load_scenario_dict(doc: dict, default_name: str):
     """Build (Scenario, RobotParams, MagneticParams) from a parsed document."""
-    _check_keys(_mapping(doc, "config"), _TOP_KEYS, "config")
-    if "scenario" not in doc:
-        raise ConfigError("config requires a 'scenario' section")
-    sc = _mapping(doc["scenario"], "scenario")
-    _check_keys(sc, _SCENARIO_KEYS, "scenario")
-    if "y0_deg" not in sc:
-        raise ConfigError("scenario requires 'y0_deg'")
-
-    with _section("params"):
-        params = load_params(doc.get("params"))
-    mag = _load_magnetics(doc.get("magnetics"))
+    _mapping(doc, "config", _TOP_KEYS, ("scenario",))
+    sc = _mapping(doc["scenario"], "scenario", _SCENARIO_KEYS, ("y0_deg",))
+    params = _load_fields(RobotParams, doc, "params")
+    mag = _load_fields(MagneticParams, doc, "magnetics")
     controller = _load_controller(doc.get("controller"))
     y0 = _radians(sc["y0_deg"], 8, "scenario.y0_deg")
     given = {key: value for key, value in sc.items() if key != "y0_deg"}
@@ -123,21 +114,16 @@ def load_scenario_dict(doc: dict, default_name: str):
     return scenario, params, mag
 
 
-def preset_dir_override() -> Path | None:
+def _preset_dirs() -> list[Path]:
+    """Where bare preset names are found: ROLLSIM_CONFIG_DIR first, if set."""
     override = os.environ.get("ROLLSIM_CONFIG_DIR")
-    return Path(override) if override else None
+    bundled = Path(__file__).with_name("presets")
+    return [Path(override), bundled] if override else [bundled]
 
 
 def list_presets() -> list[str]:
     """Preset names currently resolvable, override directory included."""
-    names = set()
-    override = preset_dir_override()
-    if override is not None and override.is_dir():
-        names.update(p.stem for p in override.glob("*.yaml"))
-    pkg_dir = resources.files(__package__) / "presets"
-    names.update(p.name[:-5] for p in pkg_dir.iterdir()
-                 if p.name.endswith(".yaml"))
-    return sorted(names)
+    return sorted({p.stem for d in _preset_dirs() for p in d.glob("*.yaml")})
 
 
 def resolve(source: str) -> Path:
@@ -152,17 +138,10 @@ def resolve(source: str) -> Path:
         if not p.is_file():
             raise ConfigError(f"config file not found: {source}")
         return p
-    override = preset_dir_override()
-    if override is not None:
-        candidate = override / f"{source}.yaml"
+    for d in _preset_dirs():
+        candidate = d / f"{source}.yaml"
         if candidate.is_file():
             return candidate
-    packaged = resources.files(__package__) / "presets" / f"{source}.yaml"
-    try:
-        if packaged.is_file():
-            return Path(str(packaged))
-    except OSError:
-        pass
     raise UnknownPresetError(
         f"unknown preset {source!r}; available: {', '.join(list_presets())}")
 

@@ -67,9 +67,11 @@ def breakdown(params: RobotParams, state: State,
               variant: str = "paper-verbatim") -> EnergyBreakdown:
     """Per-body energy terms, whose left-to-right sums are T and U."""
     par = params.packed()
-    T_parts = tuple(map(float, _core.kinetic_parts(par, state.q, state.qdot)))
-    U_parts = tuple(map(float, _core.potential_parts(par, state.q,
-                                                     variant_code(variant))))
+    with np.errstate(**_core.QUIET):
+        T_parts = tuple(map(float, _core.kinetic_parts(par, state.q,
+                                                       state.qdot)))
+        U_parts = tuple(map(float, _core.potential_parts(
+            par, state.q, variant_code(variant))))
     T, U = sum(T_parts), sum(U_parts)
     return EnergyBreakdown(T=T, U=U, E=T + U, T_parts=T_parts, U_parts=U_parts)
 

@@ -7,7 +7,8 @@ stacked upright configuration. Pendulum i hangs at absolute angle
 phi_i + theta_i from straight down.
 
 The functions here evaluate _core's body geometry, from which the energies
-and the tip separation are built, for a State.
+and the tip separation are built, for a State; a non-finite coordinate
+gives NaN where it enters, without a warning.
 """
 
 from __future__ import annotations
@@ -39,12 +40,14 @@ class BodyVelocities:
 
 
 def positions(params: RobotParams, state: State) -> BodyPositions:
-    return BodyPositions(*_core.body_positions(params.packed(), state.q))
+    with np.errstate(**_core.QUIET):
+        return BodyPositions(*_core.body_positions(params.packed(), state.q))
 
 
 def velocities(params: RobotParams, state: State) -> BodyVelocities:
-    return BodyVelocities(*_core.body_velocities(params.packed(), state.q,
-                                                 state.qdot))
+    with np.errstate(**_core.QUIET):
+        return BodyVelocities(*_core.body_velocities(params.packed(), state.q,
+                                                     state.qdot))
 
 
 def disk2_height(params: RobotParams, state: State) -> float:
@@ -55,7 +58,8 @@ def disk2_height(params: RobotParams, state: State) -> float:
     dips below the ground plane (the model has no ground constraint for
     disk 2; penetration is only flagged as an event).
     """
-    return _core.disk2_height(params.packed(), state.q)
+    with np.errstate(**_core.QUIET):
+        return _core.disk2_height(params.packed(), state.q)
 
 
 def wrap_angle(a):

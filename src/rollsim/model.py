@@ -11,7 +11,7 @@ reporting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,24 +115,6 @@ class Input:
     """Motor torque pair (tau1, tau2) in N*m."""
 
     tau: tuple[float, float] = (0.0, 0.0)
-
-
-def load_params(mapping: dict | None) -> RobotParams:
-    """Build RobotParams from a plain mapping (e.g. a parsed config section).
-
-    Missing fields keep their defaults; unknown keys are rejected so typos
-    can't silently fall back to defaults. RobotParams checks the values.
-    """
-    if mapping is None:
-        return RobotParams()
-    if not isinstance(mapping, dict):
-        raise ValidationError(
-            f"expected a mapping of parameters, got {type(mapping).__name__}")
-    known = {f.name for f in fields(RobotParams)}
-    unknown = sorted(map(str, set(mapping) - known))
-    if unknown:
-        raise ValidationError(f"unknown parameter keys: {', '.join(unknown)}")
-    return RobotParams(**mapping)
 
 
 def generalized_torque(inp: Input) -> tuple[float, float, float, float]:

@@ -18,6 +18,7 @@ with one NonFiniteState event.
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -87,6 +88,10 @@ class Scenario:
         if not (isinstance(self.name, str) and self.name):
             raise ValidationError(
                 f"name must be a non-empty string, got {self.name!r}")
+        # `rollsim run` writes <name>.csv into its output directory
+        if self.name in (".", "..") or {os.sep, os.altsep} & set(self.name):
+            raise ValidationError(
+                f"name must be a file name, not a path, got {self.name!r}")
         if not finite_numbers(self.y0, 8):
             raise ValidationError(
                 f"y0 must be finite and have 8 entries, got {self.y0!r}")

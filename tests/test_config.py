@@ -3,6 +3,8 @@ import pytest
 
 from rollsim.config import (ConfigError, UnknownPresetError, list_presets,
                             load_scenario, load_scenario_dict, resolve)
+from rollsim.magnetics import MagneticParams
+from rollsim.model import RobotParams
 from rollsim.simulate import Scenario
 
 
@@ -61,6 +63,19 @@ scenario:
     assert resolve("freefall")
 
 
+@pytest.mark.parametrize("override", ["missing", ""])
+def test_bundled_presets_resolve_without_an_override_directory(
+        tmp_path, monkeypatch, override):
+    # a directory that does not exist, or an empty value, adds no preset
+    # and hides none
+    monkeypatch.setenv("ROLLSIM_CONFIG_DIR",
+                       str(tmp_path / override) if override else "")
+    assert list_presets() == ["balancing", "freefall", "lifting"]
+    for name in list_presets():
+        assert resolve(name).parent.name == "presets"
+        assert load_scenario(name)[0].name == name
+
+
 def test_path_argument_bypasses_preset_search(tmp_path):
     f = tmp_path / "direct.yaml"
     f.write_text("scenario:\n  y0_deg: [0,0,0,0,0,0,0,0]\n")
@@ -116,7 +131,8 @@ def _controller(**changes):
                        key: False}}, rf"unknown key\(s\) in controller: {key}")
       for key in ("psi_rate", "allow_dense")),
     # the types check the values; config names the section
-    ({"scenario": {"y0_deg": [0] * 8}, "params": 5}, "^params: "),
+    ({"scenario": {"y0_deg": [0] * 8}, "params": 5},
+     "^params must be a mapping, got int"),
     ({"scenario": {"y0_deg": [0] * 8}, "magnetics": [1]},
      "magnetics must be a mapping"),
     ({"scenario": {"y0_deg": [0] * 8}, "magnetics": {"enabled": "on"}},
@@ -133,7 +149,8 @@ def _controller(**changes):
     ({"scenario": {"y0_deg": [0] * 8}, "name": ""}, "^scenario: name"),
     # a number as a key was a TypeError from joining the unknown keys
     ({"scenario": {"y0_deg": [0] * 8}, 1: 2}, "config: 1"),
-    ({"scenario": {"y0_deg": [0] * 8}, "params": {2: 0.1}}, "keys: 2"),
+    ({"scenario": {"y0_deg": [0] * 8}, "params": {2: 0.1}},
+     r"unknown key\(s\) in params: 2"),
     # the law has no clamp and constant targets: the keys that set a
     # saturation or rate targets are gone
     ({"scenario": {"y0_deg": [0] * 8},
@@ -148,6 +165,22 @@ def _controller(**changes):
                                      "phi_d_deg": [0, 0], key: [0, 0]}}},
        rf"unknown key\(s\) in controller.setpoints: {key}")
       for key in ("dtheta_d_deg", "dphi_d_deg")),
+    # RobotParams refuses these values, and config names the section
+    *(({"scenario": {"y0_deg": [0] * 8}, "params": {"delta": delta}},
+       "^params: delta")
+      for delta in ("0000", [0.1, 0.1, 0.1], {"a": 1}, [0, 10**400, 0, 0])),
+    ({"scenario": {"y0_deg": [0] * 8}, "params": {"m_s": 10**400}},
+     "^params: m_s"),
+    # the name is the stem of the files run writes into its directory
+    *(({"scenario": {"y0_deg": [0] * 8}, "name": name}, "^scenario: name")
+      for name in ("../escaped", "/tmp/x", "a/b", ".", "..")),
+    # the required keys are reported in order
+    ({"scenario": {"y0_deg": [0] * 8}, "controller": {"setpoints": {}}},
+     "^controller requires 'kp'$"),
+    ({"scenario": {"y0_deg": [0] * 8},
+      "controller": {"kp": [[1, 0, 0, 0], [0, 1, 0, 0]]}},
+     "^controller requires 'kd'$"),
+    ({"name": "x"}, "^config requires 'scenario'$"),
 ])
 def test_rejects_malformed_documents(doc, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -164,8 +197,18 @@ def test_rejects_an_empty_or_unparsable_file(tmp_path, text, fragment):
 
 
 def test_absent_keys_take_the_scenario_defaults():
-    sc, _, _ = load_scenario_dict({"scenario": {"y0_deg": [0] * 8}}, "d")
+    sc, params, mag = load_scenario_dict({"scenario": {"y0_deg": [0] * 8}},
+                                         "d")
     assert sc == Scenario(name="d", y0=(0.0,) * 8)
+    assert params == RobotParams()
+    assert mag == MagneticParams()
+
+
+def test_params_section():
+    doc = {"scenario": {"y0_deg": [0] * 8},
+           "params": {"m_s": 0.8, "delta": [0, 0, 0, 0]}}
+    _, params, _ = load_scenario_dict(doc, default_name="p")
+    assert params == RobotParams(m_s=0.8, delta=(0.0, 0.0, 0.0, 0.0))
 
 
 def test_controller_section_full():

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -7,8 +7,8 @@ from rollsim import _eom, dynamics
 from rollsim.dynamics import (MATCH_REL_TOL, SingularDynamicsError,
                               bias_vector, errata_compare, forward_dynamics,
                               gravity_vector, mass_matrix, printed_terms)
-from rollsim.energetics import kinetic_energy, potential_energy
-from rollsim.kinematics import positions, velocities
+from rollsim.energetics import breakdown, kinetic_energy, potential_energy
+from rollsim.kinematics import disk2_height, positions, velocities
 from rollsim.magnetics import (MagneticParams, generalized_magnetic_torque,
                                separation)
 from rollsim.model import RobotParams, State
@@ -97,6 +97,12 @@ def test_energies_and_separation_are_nan_for_an_infinite_coordinate(k):
     assert np.isnan(kinetic_energy(P, st))
     assert np.isnan(potential_energy(P, st))
     assert np.isnan(separation(P, st))
+    energies = breakdown(P, st)
+    assert np.isnan([energies.T, energies.U, energies.E]).all()
+    assert np.isnan(astuple(positions(P, st))).any()
+    assert np.isnan(astuple(velocities(P, st))).any()
+    # the height of disk 2 depends on phi1 + phi2 alone
+    assert np.isnan(disk2_height(P, st)) == (k >= 2)
     Q, degenerate = generalized_magnetic_torque(
         P, MagneticParams(enabled=True), st)
     assert np.all(np.isnan(Q)) and Q.shape == (4,)
