@@ -204,13 +204,6 @@ def test_absent_keys_take_the_scenario_defaults():
     assert mag == MagneticParams()
 
 
-def test_params_section():
-    doc = {"scenario": {"y0_deg": [0] * 8},
-           "params": {"m_s": 0.8, "delta": [0, 0, 0, 0]}}
-    _, params, _ = load_scenario_dict(doc, default_name="p")
-    assert params == RobotParams(m_s=0.8, delta=(0.0, 0.0, 0.0, 0.0))
-
-
 def test_controller_section_full():
     doc = {
         "scenario": {"y0_deg": [0] * 8, "horizon": 2.0},

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rollsim import _eom
+from rollsim.config import ConfigError, load_scenario_dict
 from rollsim.magnetics import MagneticParams
 from rollsim.model import (Input, RobotParams, State, ValidationError,
                            generalized_torque)
@@ -56,6 +57,41 @@ def test_packed_lists_the_values_in_the_order_the_kernels_unpack():
     values = dict(vars(mag), enabled=1.0)
     assert mag.packed() == tuple(values[n] for n in unpacked["mag"])
     assert MagneticParams().packed()[0] == 0.0
+
+
+def _load_params(mapping):
+    """RobotParams from a config document whose params section is mapping."""
+    doc = {"scenario": {"y0_deg": [0] * 8}}
+    if mapping is not None:
+        doc["params"] = mapping
+    return load_scenario_dict(doc, default_name="p")[1]
+
+
+def test_load_params_defaults_and_overrides():
+    assert _load_params(None) == RobotParams()
+    p = _load_params({"m_s": 0.8, "delta": [0, 0, 0, 0]})
+    assert p.m_s == 0.8 and p.delta == (0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("mapping,fragment", [
+    ({"m_p": True}, "m_p"),
+    ({"delta": ["a", 0.0, 0.0, 0.0]}, "delta"),   # was float()'s ValueError
+    ({"delta": 5}, "delta"),                      # was a TypeError
+    ({"delta": [False, 0.0, 0.0, 0.0]}, "delta"),
+    ({"delta": "0000"}, "delta"),
+    ({"delta": [0.1, 0.1, 0.1]}, "delta"),
+    ({"delta": {"a": 1}}, "delta"),
+    ({"m_s": 10**400}, "m_s"),                    # was np.isfinite's TypeError
+    ({"delta": [0.0, 10**400, 0.0, 0.0]}, "delta"),  # was an OverflowError
+])
+def test_load_params_rejects_malformed_values(mapping, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        _load_params(mapping)
+
+
+def test_load_params_rejects_unknown_key():
+    with pytest.raises(ConfigError, match="mass"):
+        _load_params({"mass": 1.0})
 
 
 def test_state_round_trip():
