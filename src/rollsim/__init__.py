@@ -8,8 +8,7 @@ transcription of the published coefficient tables lives alongside for
 comparison; see dynamics.printed_terms and dynamics.errata_compare.
 """
 
-from .control import (GainMatrices, LyapunovSample, Setpoints, lyapunov,
-                      pd_control)
+from .control import GainMatrices, Setpoints, lyapunov, pd_control
 from .config import ConfigError, UnknownPresetError, list_presets, load_scenario
 from .dynamics import (ErrataReport, SingularDynamicsError, bias_vector,
                        errata_compare, forward_dynamics, gravity_vector,
@@ -21,13 +20,13 @@ from .kinematics import (BodyPositions, BodyVelocities, disk2_height,
                          positions, upright_deviation, velocities, wrap_angle)
 from .magnetics import (MagneticParams, flux_density, generalized_magnetic_torque,
                         magnetic_force, magnetic_potential, separation)
-from .model import Input, RobotParams, State, ValidationError, generalized_torque
+from .model import RobotParams, State, ValidationError, generalized_torque
 from .simulate import Event, PDSpec, Scenario, Trajectory, run
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "RobotParams", "State", "Input", "ValidationError", "generalized_torque",
+    "RobotParams", "State", "ValidationError", "generalized_torque",
     "BodyPositions", "BodyVelocities", "positions", "velocities",
     "disk2_height", "wrap_angle", "upright_deviation",
     "EnergyBreakdown", "breakdown", "kinetic_energy", "potential_energy",
@@ -36,7 +35,7 @@ __all__ = [
     "bias_vector", "forward_dynamics", "printed_terms", "errata_compare",
     "MagneticParams", "separation", "flux_density", "magnetic_force",
     "generalized_magnetic_torque", "magnetic_potential",
-    "GainMatrices", "Setpoints", "LyapunovSample", "pd_control", "lyapunov",
+    "GainMatrices", "Setpoints", "pd_control", "lyapunov",
     "Scenario", "Trajectory", "Event", "PDSpec", "run",
     "ConfigError", "UnknownPresetError", "load_scenario", "list_presets",
     "__version__",

@@ -267,21 +267,20 @@ def torque_map(u1, u2):
     return u1, u2, -u1, -u2
 
 
-def lyapunov(Kp, Kd, e, de, dE):
-    """Monitor value V and its (energy, Kp, Kd) terms.
+def lyapunov(Kp, Kd, tgt, y, dE):
+    """Monitor value V of y: pd_input's arguments, and dE = E - E_ref.
 
-    e and de are the four error components as pd_error returns them, dE is
-    E - E_ref. Each gain entry weighs its error component squared; the Kd
-    quadratic carries no 1/2, as transcribed. Sums run left to right.
+    Each gain entry weighs its pd_error component squared; the Kd quadratic
+    carries no 1/2, as transcribed. Sums run left to right.
     """
+    e, de = pd_error(tgt, y)
     kp = [a + b for a, b in zip(Kp[0], Kp[1])]
     kd = [a + b for a, b in zip(Kd[0], Kd[1])]
-    terms = (0.5 * (dE * dE),
-             0.5 * (e[0] * e[0]) * kp[0] + 0.5 * (e[1] * e[1]) * kp[1]
-             + 0.5 * (e[2] * e[2]) * kp[2] + 0.5 * (e[3] * e[3]) * kp[3],
-             (de[0] * de[0]) * kd[0] + (de[1] * de[1]) * kd[1]
-             + (de[2] * de[2]) * kd[2] + (de[3] * de[3]) * kd[3])
-    return terms[0] + terms[1] + terms[2], terms
+    return (0.5 * (dE * dE)
+            + (0.5 * (e[0] * e[0]) * kp[0] + 0.5 * (e[1] * e[1]) * kp[1]
+               + 0.5 * (e[2] * e[2]) * kp[2] + 0.5 * (e[3] * e[3]) * kp[3])
+            + ((de[0] * de[0]) * kd[0] + (de[1] * de[1]) * kd[1]
+               + (de[2] * de[2]) * kd[2] + (de[3] * de[3]) * kd[3]))
 
 
 def deriv(par, mag, y, tau, variant):

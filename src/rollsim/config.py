@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
@@ -35,6 +36,17 @@ class ConfigError(Exception):
 class UnknownPresetError(ConfigError):
     """Scenario argument names no known preset; a usage-level mistake."""
 
+
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that reads an exponent float with no dot or no exponent
+    sign (1e-3, 1.0e5, 1E+5) as a float, as YAML 1.2 does; YAML 1.1 leaves
+    it a string. A quoted "1e-3" stays a string."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
 
 _SCENARIO_KEYS = {"y0_deg", "horizon", "dt", "potential"}
 _TOP_KEYS = {"name", "params", "magnetics", "controller", "scenario"}
@@ -154,7 +166,7 @@ def load_scenario(source: str):
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     if doc is None:

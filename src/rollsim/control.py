@@ -9,18 +9,16 @@ cross-module slots are zero, and no clamp on u.
 
 The errors, the law and the Lyapunov value are computed by the
 _core functions that the simulator's run loop and post-processing call, so
-these functions return what a run records.
+these functions return the numbers a run records: (u1, u2) and V.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from . import _core
 from .energetics import potential_energy, total_energy
-from .model import (Input, RobotParams, State, ValidationError,
-                    finite_numbers)
+from .model import RobotParams, State, ValidationError, finite_numbers
 
 # zero pattern of the printed 2x4 gain matrices: row 1 couples
 # (psi1, phi1), row 2 couples (psi2, phi2)
@@ -83,18 +81,10 @@ class Setpoints:
 
 
 def pd_control(gains: GainMatrices, setpoints: Setpoints,
-               state: State) -> Input:
-    """u = Kp e + Kd edot; the run loop's law."""
-    u = _core.pd_input(gains.Kp, gains.Kd, setpoints.packed(),
-                       state.packed())
-    return Input(tau=u)
-
-
-@dataclass(frozen=True)
-class LyapunovSample:
-    V: float
-    Vdot: Optional[float]
-    components: tuple[float, float, float]  # energy, Kp, Kd terms
+               state: State) -> tuple[float, float]:
+    """Motor torques (u1, u2) = Kp e + Kd edot; the run loop's law."""
+    return _core.pd_input(gains.Kp, gains.Kd, setpoints.packed(),
+                          state.packed())
 
 
 def reference_energy(params: RobotParams, setpoints: Setpoints,
@@ -111,28 +101,19 @@ def reference_energy(params: RobotParams, setpoints: Setpoints,
 
 
 def lyapunov(params: RobotParams, gains: GainMatrices, setpoints: Setpoints,
-             state: State, prev_sample: Optional[LyapunovSample] = None,
-             dt: float = 0.0,
-             variant: str = "paper-verbatim") -> LyapunovSample:
-    """Composite monitor value; diagnostic only, never fed back.
+             state: State, variant: str = "paper-verbatim") -> float:
+    """Composite monitor value V; diagnostic only, never fed back.
 
     V = 1/2 (E - E_ref)^2 + 1/2 sum_rc Kp[r][c] e[c]^2
       + sum_rc Kd[r][c] edot[c]^2
     with E shifted by the setpoint-configuration energy so V is zero at the
     target equilibrium. The derivative-gain quadratic deliberately carries no
     1/2: the composite is kept as transcribed (see the errata report notes).
-    Vdot is a backward difference against prev_sample when given. The 2x4
-    gain matrices do not define a square quadratic form; the weighting sums
-    each gain entry against its error component squared.
+    The 2x4 gain matrices do not define a square quadratic form; the
+    weighting sums each gain entry against its error component squared.
+    Its rate is Trajectory.Vdot, a backward difference along a run.
     """
-    e, de = _core.pd_error(setpoints.packed(), state.packed())
     dE = (total_energy(params, state, variant)
           - reference_energy(params, setpoints, variant))
-    V, terms = _core.lyapunov(gains.Kp, gains.Kd, e, de, dE)
-    Vdot = None
-    if prev_sample is not None:
-        if not dt > 0:
-            raise ValidationError("dt must be positive when chaining samples")
-        Vdot = (V - prev_sample.V) / dt
-    return LyapunovSample(V=float(V), Vdot=Vdot,
-                          components=tuple(map(float, terms)))
+    return float(_core.lyapunov(gains.Kp, gains.Kd, setpoints.packed(),
+                                state.packed(), dE))

@@ -67,13 +67,17 @@ def separation(params: RobotParams, state: State) -> float:
 
 
 def flux_density(mag: MagneticParams, p_m: float) -> float:
-    if p_m < 0:
-        raise ValidationError(f"separation must be >= 0, got {p_m!r}")
+    """Flux density B at a finite tip separation p_m >= 0, T."""
+    if not (finite_number(p_m) and p_m >= 0):
+        raise ValidationError(
+            f"separation must be finite and >= 0, got {p_m!r}")
     return _core.flux_density(mag.packed(), p_m)
 
 
 def magnetic_force(mag: MagneticParams, B: float) -> float:
-    """Attractive force magnitude F = B^2 A / (2 mu0), N."""
+    """Attractive force magnitude F = B^2 A / (2 mu0) for a finite B, N."""
+    if not finite_number(B):
+        raise ValidationError(f"flux density must be finite, got {B!r}")
     return _core.magnetic_force(mag.packed(), B)
 
 

@@ -110,22 +110,15 @@ class State:
         return (*self.q, *self.qdot)
 
 
-@dataclass(frozen=True)
-class Input:
-    """Motor torque pair (tau1, tau2) in N*m."""
+def generalized_torque(tau) -> tuple[float, float, float, float]:
+    """Map motor torques tau = (u1, u2) onto the generalized coordinates.
 
-    tau: tuple[float, float] = (0.0, 0.0)
-
-
-def generalized_torque(inp: Input) -> tuple[float, float, float, float]:
-    """Map motor torques onto the generalized coordinates.
-
+    tau is a pair of finite numbers: pd_control's or a row of Trajectory.u.
     Each motor acts between its pendulum and its disk shell, so the reaction
-    is two sided: (tau1, tau2, -tau1, -tau2) in state order. The theta and
-    phi components sum to zero exactly; internal actuation imparts no net
-    external torque.
+    is two sided: (u1, u2, -u1, -u2) in state order, as floats. The theta
+    and phi components sum to zero exactly; internal actuation imparts no
+    net external torque.
     """
-    t1, t2 = inp.tau
-    if not (np.isfinite(t1) and np.isfinite(t2)):
-        raise ValidationError(f"input torques must be finite, got {inp.tau!r}")
-    return _core.torque_map(t1, t2)
+    if not finite_numbers(tau, 2):
+        raise ValidationError(f"input torques must be finite, got {tau!r}")
+    return _core.torque_map(float(tau[0]), float(tau[1]))

@@ -8,7 +8,7 @@ function, Lyapunov value, disk-2 height and tip separation come from the
 same _core functions that the public functions (pd_control,
 kinetic_energy, potential_energy, dissipation, lyapunov, disk2_height,
 separation) call, applied once to the columns of the recorded states;
-generalized_torque maps a recorded input to its generalized force.
+generalized_torque maps a recorded input pair to its generalized force.
 Events are detected on the recorded samples after integration, strictly
 edge-triggered: a sample already inside a condition at t = 0 fires nothing
 until the condition is left and re-entered. A run cut short by a
@@ -124,9 +124,9 @@ class Trajectory:
     """Recorded run: one row per sample plus the event log.
 
     All arrays share the first axis. V and Vdot are NaN for controller-less
-    runs (and Vdot is NaN at the first sample); u is zero when no
-    controller is attached, and generalized_torque maps it to the
-    generalized force. truncated marks a run cut short by a
+    runs; Vdot, the backward difference of V, is NaN at the first sample.
+    u holds the (u1, u2) pairs, zero when no controller is attached, and
+    generalized_torque maps a row to the generalized force. truncated marks a run cut short by a
     non-finite state; the arrays then hold only the valid samples and the
     event log ends with a NonFiniteState entry.
     """
@@ -210,11 +210,9 @@ def run(scenario: Scenario, params: Optional[RobotParams] = None,
         P = _core.dissipation(par, cols[4:])
         p_m = _core.pm_batch(par, cols)
         if ctrl is not None:
-            e, de = _core.pd_error(ctrl.setpoints.packed(), cols)
             e_ref = reference_energy(params, ctrl.setpoints,
                                      scenario.potential)
-            V, _ = _core.lyapunov(ctrl.gains.Kp, ctrl.gains.Kd, e, de,
-                                  T + U - e_ref)
+            V = _core.lyapunov(*pd, cols, T + U - e_ref)
             Vdot[1:] = np.diff(V) / scenario.dt
 
     events = _detect_all(params, mag, t, ys, height, p_m)

@@ -85,6 +85,33 @@ def test_path_argument_bypasses_preset_search(tmp_path):
         load_scenario(str(tmp_path / "missing.yaml"))
 
 
+# YAML 1.1 read an exponent float with no dot or no exponent sign as a
+# string, so `dt: 1e-3` was refused
+@pytest.mark.parametrize("line,section,key,value", [
+    ("  dt: 1e-3", "scenario", "dt", 1e-3),
+    ("  horizon: 2E+0", "scenario", "horizon", 2.0),
+    ("params:\n  g: 1.0e5", "params", "g", 1e5),
+    ("params:\n  g: 1E+5", "params", "g", 1e5),
+    ("params:\n  m_s: .5e1", "params", "m_s", 5.0),
+    ("params:\n  g: 1.0e+5", "params", "g", 1e5),
+], ids=["dt_1e-3", "horizon_2E+0", "g_1.0e5", "g_1E+5", "m_s_.5e1",
+        "g_1.0e+5"])
+def test_reads_exponent_floats(tmp_path, line, section, key, value):
+    f = tmp_path / "exp.yaml"
+    f.write_text(f"scenario:\n  y0_deg: [0, 0, 0, 0, 0, 0, 0, 0]\n{line}\n")
+    sc, params, _ = load_scenario(str(f))
+    got = getattr(sc if section == "scenario" else params, key)
+    assert type(got) is float and got == value
+
+
+def test_a_quoted_exponent_float_stays_a_string(tmp_path):
+    f = tmp_path / "quoted.yaml"
+    f.write_text('scenario:\n  y0_deg: [0, 0, 0, 0, 0, 0, 0, 0]\n'
+                 '  dt: "1e-3"\n')
+    with pytest.raises(ConfigError, match="^scenario: dt .*'1e-3'"):
+        load_scenario(str(f))
+
+
 def _controller(**changes):
     section = {"kp": [[0] * 4] * 2, "kd": [[0] * 4] * 2,
                "setpoints": {"theta_d_deg": [0, 0], "phi_d_deg": [0, 0]},

@@ -50,19 +50,19 @@ def test_pd_control_unit_error_example():
     g = GainMatrices(Kp=KP, Kd=KD)
     sp = Setpoints(theta_d=(0.0, 0.0), phi_d=(0.0, 0.0))
     st = State(q=(1.0, 0.0, 0.0, 0.0))  # e = (1,0,0,0), edot = 0
-    u = pd_control(g, sp, st)
-    assert u.tau[0] == pytest.approx(20.0, abs=1e-15)
-    assert u.tau[1] == pytest.approx(0.0, abs=1e-15)
+    u1, u2 = pd_control(g, sp, st)
+    assert u1 == pytest.approx(20.0, abs=1e-15)
+    assert u2 == pytest.approx(0.0, abs=1e-15)
 
 
 def test_pd_control_rate_term():
     g = GainMatrices(Kp=KP, Kd=KD)
     sp = Setpoints()
     st = State(q=(0.0,) * 4, qdot=(1.0, 0.0, 0.0, 0.0))
-    assert pd_control(g, sp, st).tau[0] == pytest.approx(0.1, abs=1e-15)
+    assert pd_control(g, sp, st)[0] == pytest.approx(0.1, abs=1e-15)
     # the pendulum rate is thetadot, not psidot: phidot does not cancel it
     st2 = State(q=(0.0,) * 4, qdot=(1.0, 0.0, 1.0, 0.0))
-    assert pd_control(g, sp, st2).tau[0] == pytest.approx(0.6, abs=1e-15)
+    assert pd_control(g, sp, st2)[0] == pytest.approx(0.6, abs=1e-15)
 
 
 def test_error_rate_is_the_thetadot_channel():
@@ -80,23 +80,34 @@ def test_reference_energy_is_setpoint_configuration_energy():
     assert e_ref == pytest.approx(total_energy(P, State(q=q_ref)), abs=1e-12)
 
 
+def setpoint_state(sp):
+    """The setpoint configuration at rest: psi_i = theta_id, phi_i = phi_id."""
+    return State(q=(sp.theta_d[0] + sp.phi_d[0], sp.theta_d[1] + sp.phi_d[1],
+                    sp.phi_d[0], sp.phi_d[1]))
+
+
+def lyapunov_oracle(g, sp, st):
+    """V by the formula of control.lyapunov's docstring: every gain entry of
+    both rows weighs its error component squared, Kd with no 1/2."""
+    e = (st.q[0] - st.q[2] - sp.theta_d[0], st.q[1] - st.q[3] - sp.theta_d[1],
+         st.q[2] - sp.phi_d[0], st.q[3] - sp.phi_d[1])
+    de = st.qdot
+    dE = total_energy(P, st) - total_energy(P, setpoint_state(sp))
+    return (0.5 * dE ** 2
+            + sum(0.5 * row[c] * e[c] ** 2 for row in g.Kp for c in range(4))
+            + sum(row[c] * de[c] ** 2 for row in g.Kd for c in range(4)))
+
+
 def test_lyapunov_nonnegative_and_components():
+    # V against its energy, Kp and Kd components, summed by the oracle
     g = GainMatrices(Kp=KP, Kd=KD)
     sp = Setpoints(theta_d=(0.1, -0.2), phi_d=(np.pi, 0.5))
     rng = np.random.default_rng(21)
     for _ in range(50):
         st = State(q=tuple(rng.uniform(-4, 4, 4)), qdot=tuple(rng.uniform(-2, 2, 4)))
-        sample = lyapunov(P, g, sp, st)
-        assert sample.V >= 0.0
-        assert sample.Vdot is None
-        assert all(c >= 0.0 for c in sample.components)
-        assert sample.V == pytest.approx(sum(sample.components), rel=1e-12)
-
-
-def test_lyapunov_backward_difference():
-    g = GainMatrices(Kp=KP, Kd=KD)
-    sp = Setpoints()
-    s1 = lyapunov(P, g, sp, State(q=(0.1, 0.0, 0.0, 0.0)))
-    s2 = lyapunov(P, g, sp, State(q=(0.2, 0.0, 0.0, 0.0)),
-                  prev_sample=s1, dt=0.5)
-    assert s2.Vdot == pytest.approx((s2.V - s1.V) / 0.5, rel=1e-12)
+        V = lyapunov(P, g, sp, st)
+        assert type(V) is float and V >= 0.0
+        assert V == pytest.approx(lyapunov_oracle(g, sp, st), rel=1e-12)
+    # zero at the target equilibrium
+    assert lyapunov(P, g, sp, setpoint_state(sp)) == pytest.approx(0.0,
+                                                                   abs=1e-24)

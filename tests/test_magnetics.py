@@ -42,6 +42,19 @@ def test_force_quadratic_in_flux():
     assert magnetic_force(MAG, 0.1) == pytest.approx(9.944311853619732, rel=1e-15)
 
 
+# True was taken as a 1 m separation or a 1 T flux (994.43 N), and a
+# string raised TypeError
+@pytest.mark.parametrize("value", [True, False, "0.01", None, float("nan"),
+                                   float("inf"), -float("inf"), 10 ** 400],
+                         ids=["True", "False", "str", "None", "nan", "inf",
+                              "-inf", "int_past_float"])
+def test_flux_and_force_refuse_what_is_not_a_finite_number(value):
+    with pytest.raises(ValidationError, match="separation"):
+        flux_density(MAG, value)
+    with pytest.raises(ValidationError, match="flux density"):
+        magnetic_force(MAG, value)
+
+
 def test_potential_matches_force():
     m = MagneticParams(B_max=0.05, P_max=1.0)
     # -dW/dp reproduces -F inside the range; W vanishes smoothly at P_max

@@ -7,7 +7,7 @@ import pytest
 from rollsim import _eom
 from rollsim.config import ConfigError, load_scenario_dict
 from rollsim.magnetics import MagneticParams
-from rollsim.model import (Input, RobotParams, State, ValidationError,
+from rollsim.model import (RobotParams, State, ValidationError,
                            generalized_torque)
 
 
@@ -128,7 +128,7 @@ def test_state_rejects_a_length_other_than_4(name, n):
 
 
 def test_generalized_torque_two_sided():
-    tau = generalized_torque(Input(tau=(1.5, -0.25)))
+    tau = generalized_torque((1.5, -0.25))
     assert tau == (1.5, -0.25, -1.5, 0.25)
     # reaction pairs cancel: no net external torque from internal motors
     assert tau[0] + tau[2] == 0.0 and tau[1] + tau[3] == 0.0
@@ -136,4 +136,12 @@ def test_generalized_torque_two_sided():
 
 def test_generalized_torque_rejects_nonfinite():
     with pytest.raises(ValidationError):
-        generalized_torque(Input(tau=(float("nan"), 0.0)))
+        generalized_torque((float("nan"), 0.0))
+
+
+# a bool was taken as 1 or 0 and a string raised numpy's TypeError
+@pytest.mark.parametrize("tau", [(True, 0.0), ("1", 0.0), (1.0, 0.0, 0.0),
+                                 (1.0,), "12", None])
+def test_generalized_torque_refuses_what_is_not_a_pair(tau):
+    with pytest.raises(ValidationError, match="input torques"):
+        generalized_torque(tau)

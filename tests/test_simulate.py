@@ -12,7 +12,8 @@ from rollsim.control import GainMatrices, Setpoints, lyapunov, pd_control
 from rollsim.energetics import dissipation, kinetic_energy, potential_energy
 from rollsim.kinematics import disk2_height
 from rollsim.magnetics import MagneticParams, magnetic_potential, separation
-from rollsim.model import RobotParams, State, ValidationError
+from rollsim.model import (RobotParams, State, ValidationError,
+                           generalized_torque)
 from rollsim.simulate import (COUPLING_ENGAGED, COUPLING_LOST,
                               GROUND_PENETRATION, NON_FINITE_STATE, TOPPLE,
                               PDSpec, Scenario, _detect_all, run,
@@ -270,8 +271,12 @@ def test_run_zero_order_hold_records_pd_input():
     traj = run(sc, p, m)
     u0 = pd_control(sc.controller.gains, sc.controller.setpoints,
                     State(q=sc.y0[:4], qdot=sc.y0[4:]))
-    assert traj.u[0, 0] == pytest.approx(u0.tau[0], rel=1e-12)
-    assert traj.u[0, 1] == pytest.approx(u0.tau[1], rel=1e-12)
+    assert traj.u[0, 0] == pytest.approx(u0[0], rel=1e-12)
+    assert traj.u[0, 1] == pytest.approx(u0[1], rel=1e-12)
+    # a recorded row maps to the two-sided generalized force, as floats
+    tau = generalized_torque(traj.u[0])
+    assert all(type(x) is float for x in tau)
+    assert tau == pytest.approx((u0[0], u0[1], -u0[0], -u0[1]), rel=1e-12)
 
 
 def test_run_truncates_on_blowup():
@@ -388,8 +393,8 @@ def test_run_records_the_public_quantities():
     for i, y in enumerate(traj.y):
         st = State(q=tuple(y[:4]), qdot=tuple(y[4:]))
         u = pd_control(spec.gains, spec.setpoints, st)
-        V = lyapunov(p, spec.gains, spec.setpoints, st, variant=sc.potential).V
-        assert traj.u[i] == pytest.approx(u.tau, rel=1e-12, abs=0)
+        V = lyapunov(p, spec.gains, spec.setpoints, st, variant=sc.potential)
+        assert traj.u[i] == pytest.approx(u, rel=1e-12, abs=0)
         assert traj.V[i] == pytest.approx(V, rel=1e-12, abs=0)
         assert traj.height[i] == pytest.approx(disk2_height(p, st), rel=1e-12,
                                                abs=0)
