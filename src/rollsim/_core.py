@@ -27,24 +27,28 @@ arithmetic with no other library call. It writes _eom: M, bias, G, and p_m
 with p_m grad p_m (`tip_geometry`, for `mag_torque`), as straight-line code
 on Python floats and math trig; nothing is compiled. It also writes the
 Cholesky solve (`solve_spd4`, for `chol_solve4` and `deriv`), the tip force
-law (`tip_law`, for `flux_density`, `magnetic_force` and `mag_torque`) and
-`step_for`, which `run_loop` calls once per run: it computes what depends
-on the parameters and the coupling alone and returns `step`, one whole RK4
-step of the rest of the code of M, bias, G and, when the tips couple, the
-tip geometry and force law, with the solve inline, a loop over the four
-stages. `run_loop` calls `step` once per step and nothing else per stage.
+law (`tip_law`, for `flux_density`, `magnetic_force` and `mag_torque`), the
+PD law (`pd_error` and `pd_input`, bound here under those names) and
+`loop_for`, which `run_loop` calls once per run: it computes what depends
+on the parameters, the coupling and the controller alone and returns
+`loop`, which `run_loop` calls once for all the steps. `loop` keeps the
+state in locals, computes each step's held PD input with pd_input's code
+inline and runs one whole RK4 step of the rest of the code of M, bias, G
+and, when the tips couple, the tip geometry and force law, with the solve
+inline, in a loop over the four stages; it calls back into nothing.
 `deriv`, one state's derivative from the separate terms and `mag_torque`,
-serves `dynamics.forward_dynamics` and is the tests' oracle of `step`. The
-array wrappers
-`mass_matrix`, `bias` and `gravity` run the same code objects with numpy's
-trig bound in place of math's, so they too are elementwise;
-dynamics.errata_compare evaluates all its sampled states in one call each.
+serves `dynamics.forward_dynamics` and is the tests' oracle of `loop`. The
+array wrappers `mass_matrix`, `bias` and `gravity` run the same code
+objects with numpy's trig bound in place of math's, so they too are
+elementwise; dynamics.errata_compare evaluates all its sampled states in
+one call each.
 
 Numeric failure is a flag, never an exception: `deriv` returns ok=False for
-a non-finite state or result, `step` returns None for a failed pivot or a
-non-finite stage input, and `run_loop` stops there. No code on that path
-raises Python's float ** (OverflowError) or takes sin or cos of a
-value not known to be finite (ValueError).
+a non-finite state or result, and `loop` stops at a failed pivot, a
+non-finite stage input or a non-finite new state, which `run_loop` reports
+as the number of steps taken. No code on that path raises Python's
+float ** (OverflowError) or takes sin or cos of a value not known to be
+finite (ValueError).
 """
 
 import math
@@ -238,28 +242,10 @@ def mag_torque(par, mag, q):
     return Q, degenerate
 
 
-def pd_error(tgt, y):
-    """PD errors (e, edot) of the state y, current minus desired.
-
-    e = (psi1, psi2, phi1, phi2) - tgt with psi_i = theta_i - phi_i. The
-    targets are constant, so the rate channel is (thetadot1, thetadot2,
-    phidot1, phidot2) itself, as printed.
-    """
-    e = ((y[0] - y[2]) - tgt[0], (y[1] - y[3]) - tgt[1],
-         y[2] - tgt[2], y[3] - tgt[3])
-    return e, (y[4], y[5], y[6], y[7])
-
-
-def pd_input(Kp, Kd, tgt, y):
-    """Motor torques (u1, u2) = Kp e + Kd edot."""
-    (e0, e1, e2, e3), (de0, de1, de2, de3) = pd_error(tgt, y)
-    kp0, kp1 = Kp[0], Kp[1]
-    kd0, kd1 = Kd[0], Kd[1]
-    u1 = (kp0[0] * e0 + kp0[1] * e1 + kp0[2] * e2 + kp0[3] * e3
-          + kd0[0] * de0 + kd0[1] * de1 + kd0[2] * de2 + kd0[3] * de3)
-    u2 = (kp1[0] * e0 + kp1[1] * e1 + kp1[2] * e2 + kp1[3] * e3
-          + kd1[0] * de0 + kd1[1] * de1 + kd1[2] * de2 + kd1[3] * de3)
-    return u1, u2
+# the PD law, printed by tools/gen_eom.py from one text that the run loop
+# also holds inline; elementwise, so y may be the columns of a recorded run
+pd_error = _eom.pd_error
+pd_input = _eom.pd_input
 
 
 def torque_map(u1, u2):
@@ -291,8 +277,8 @@ def deriv(par, mag, y, tau, variant):
     the Cholesky solve; the state is tested before any sine is taken, so an
     overflowing state never raises. qddot is _eom.solve_spd4 of mass_matrix
     and (tau - bias - gravity) + the magnetic torque, the separate _eom
-    terms; run_loop's step computes each stage's qddot with the same
-    arithmetic.
+    terms; the loop of _eom.loop_for computes each stage's qddot with the
+    same arithmetic.
     """
     if not all(map(math.isfinite, y)):
         return _ZERO8, False
@@ -317,36 +303,27 @@ def run_loop(par, mag, y0, n, dt, pd, variant):
     (Kp, Kd, tgt), PDSpec.packed(). The controller input is evaluated
     at the step's start state and held over the step (zero-order hold).
     Magnetic torque, being state dependent physics rather than a sampled
-    controller, is evaluated per stage, inside the step. Each step is one
-    call of the step that _eom.step_for builds once for the run from par
-    and mag.
+    controller, is evaluated per stage, inside the step. The steps are one
+    call of the loop that _eom.loop_for builds for the run from par, mag
+    and pd, which computes the PD input inline; us is then pd_input of the
+    recorded states, in one call on their columns.
 
     Returns (ys, us, n_done): samples 0..n_done are valid; n_done < n means
     the step after n_done produced a non-finite or non-solvable state.
     """
-    step = _eom.step_for(par, variant, dt, mag)
+    loop = _eom.loop_for(par, variant, dt, mag, pd)
     ys = np.empty((n + 1, 8))
     us = np.zeros((n + 1, 2))
-    y = y0
-    ys[0] = y
-    tau = _ZERO4
-    if not all(map(math.isfinite, y)):
-        n = 0  # no step from y0: record its input and stop, as a failed step
-
-    for i in range(n + 1):
-        if pd is not None:
-            u1, u2 = pd_input(*pd, y)
-            us[i] = u1, u2
-            tau = torque_map(u1, u2)
-        if i == n:
-            break
-        # step tests the inputs of stages 2 to 4; a non-finite stage-4 qdd
-        # makes the new y non-finite
-        y = step(y, tau)
-        if y is None or not all(map(math.isfinite, y)):
-            return ys, us, i
-        ys[i + 1] = y
-    return ys, us, n
+    ys[0] = y0
+    # no step from a non-finite y0, whose sines would raise: it is recorded
+    # with its input, as a failed first step
+    n_done = loop(ys, n) if all(map(math.isfinite, y0)) else 0
+    if pd is not None:
+        # the input of a non-finite y0, or of the last samples of a run cut
+        # short, may be inf or nan, quietly, as on floats
+        with np.errstate(**QUIET):
+            us[:n_done + 1] = np.transpose(pd_input(*pd, ys[:n_done + 1].T))
+    return ys, us, n_done
 
 
 def energies_batch(par, cols, variant):

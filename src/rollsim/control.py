@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import _core
 from .energetics import potential_energy, total_energy
 from .model import RobotParams, State, ValidationError, finite_numbers
@@ -82,9 +84,14 @@ class Setpoints:
 
 def pd_control(gains: GainMatrices, setpoints: Setpoints,
                state: State) -> tuple[float, float]:
-    """Motor torques (u1, u2) = Kp e + Kd edot; the run loop's law."""
-    return _core.pd_input(gains.Kp, gains.Kd, setpoints.packed(),
-                          state.packed())
+    """Motor torques (u1, u2) = Kp e + Kd edot; the run loop's law.
+
+    A state of numpy floats gives what Python floats give, quietly: inf and
+    nan where the law overflows or multiplies an infinite error by 0.
+    """
+    with np.errstate(**_core.QUIET):
+        return _core.pd_input(gains.Kp, gains.Kd, setpoints.packed(),
+                              state.packed())
 
 
 def reference_energy(params: RobotParams, setpoints: Setpoints,

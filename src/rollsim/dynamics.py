@@ -52,7 +52,7 @@ def forward_dynamics(params: RobotParams, state: State, tau_gen,
     Raises SingularDynamicsError for a non-finite state, with the
     mass-matrix spectrum if the solve fails, and for a non-finite qddot.
     One state on Python floats: _core.deriv with magnetics off, the separate
-    _eom terms and _eom.solve_spd4, not the run loop's _eom.step_for, so the
+    _eom terms and _eom.solve_spd4, not the run loop's _eom.loop_for, so the
     RK4 oracle of tests/test_simulate.py stays independent of the run
     loop's kernel.
     """

@@ -10,7 +10,8 @@ The functions here evaluate for a State the tip geometry and force law
 that a run uses. tools/gen_eom.py generates p_m and its gradient from
 _core.separation (_eom.tip_geometry) and writes the force law once
 (_eom.tip_law), which _core.flux_density, magnetic_force and mag_torque call;
-the run loop's RK4 step holds the same two, printed inline in each stage.
+the run loop (_eom.loop_for) holds the same two, printed inline in each
+RK4 stage.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def generalized_magnetic_torque(params: RobotParams, mag: MagneticParams,
     positive work while the tips approach. At p_m = 0 the direction is
     undefined; the equal-and-opposite pair then contributes nothing and Q is
     zero with degenerate = True. Disabled coupling and separations beyond
-    P_max return exact zeros, as in the run loop, whose step prints the
+    P_max return exact zeros, as in the run loop, which prints the
     same force law inline; a disabled run reproduces the uncoupled dynamics
     bit for bit. With coupling enabled, a non-finite state gives NaN.
     """
@@ -103,11 +104,16 @@ def generalized_magnetic_torque(params: RobotParams, mag: MagneticParams,
 def magnetic_potential(mag: MagneticParams, p_m: float) -> float:
     """Potential W(p) with -dW/dp = -F(p), zero at and beyond P_max.
 
+    p_m must be a finite number >= 0, as for flux_density.
+
     Integrating F = (A B_max^2 / (2 mu0)) (1 - p/P_max)^2 from p to P_max
     gives W(p) = -(A B_max^2 P_max / (6 mu0)) (1 - p/P_max)^3, so the
     generalized force -grad_q W equals -F grad_q p_m. Test oracle; the
     simulator integrates the force directly.
     """
+    if not (finite_number(p_m) and p_m >= 0):
+        raise ValidationError(
+            f"separation must be finite and >= 0, got {p_m!r}")
     if p_m >= mag.P_max:
         return 0.0
     c = mag.A * mag.B_max ** 2 * mag.P_max / (6.0 * mag.mu0)

@@ -36,6 +36,15 @@ def error(sp, st):
     return _core.pd_error(sp.packed(), st.packed())
 
 
+def test_pd_control_is_quiet_on_a_numpy_float_state():
+    # an infinite np.float64 error times a zero gain raised numpy's
+    # RuntimeWarning; Python floats give (inf, nan) quietly, and so must it
+    g = GainMatrices(Kp=KP, Kd=KD)
+    for inf in (float("inf"), np.float64("inf")):
+        u1, u2 = pd_control(g, Setpoints(), State(q=(inf, 0.0, 0.0, 0.0)))
+        assert u1 == np.inf and np.isnan(u2)
+
+
 def test_error_vector_convention():
     # e = current - desired, with psi = theta - phi for the pendulum pair
     sp = Setpoints(theta_d=(0.0, 0.0), phi_d=(0.0, 0.0))

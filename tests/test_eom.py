@@ -132,7 +132,7 @@ def test_checked_in_module_matches_its_generator():
     p = PAR
     qs, qds = states(50, 13)
     tau = (0.01, -0.02, -0.01, 0.02)
-    for q, qd in zip(qs.tolist(), qds.tolist()):
+    for (q, qd), pd in zip(zip(qs.tolist(), qds.tolist()), controllers(50, 17)):
         m = _eom.mass_matrix(p, q)
         tip = _eom.tip_geometry(p, q)
         pairs = [(fresh["mass_matrix"](p, q), m),
@@ -141,34 +141,42 @@ def test_checked_in_module_matches_its_generator():
                  (fresh["solve_spd4"](m, tau), _eom.solve_spd4(m, tau))]
         pairs += [(fresh["gravity"](p, q, v), _eom.gravity(p, q, v))
                   for v in (0, 1)]
-        pairs += [(fresh["step_for"](p, v, 1e-3, mag)(q + qd, tau),
-                   _eom.step_for(p, v, 1e-3, mag)(q + qd, tau))
+        pairs += [(loop_step(fresh["loop_for"], p, v, 1e-3, mag, pd, q + qd),
+                   loop_step(_eom.loop_for, p, v, 1e-3, mag, pd, q + qd))
                   for v in (0, 1) for mag in (MAG_OFF, MAG_ON)]
         # terms are at most ~1.4 here: 1e-14 admits only the rounding of a
         # differently factored form, as another sympy version may emit
         for new, old in pairs:
             np.testing.assert_allclose(new, old, rtol=0, atol=1e-14)
-        # the force law is a fixed text, not sympy's: equal to the bit
+        # the force law and the PD law are fixed texts, not sympy's: equal
+        # to the bit
         assert fresh["tip_law"](MAG_ON, tip) == _eom.tip_law(MAG_ON, tip)
+        assert fresh["pd_input"](*pd, q + qd) == _eom.pd_input(*pd, q + qd)
+        assert (fresh["pd_error"](pd[2], q + qd)
+                == _eom.pd_error(pd[2], q + qd))
 
 
 def test_accel_redoes_no_arithmetic_of_p_alone():
-    # step_for computes once what p and mag alone determine; its step,
-    # called per RK4 step, must not hold an operation, call or comparison
-    # whose names are all parameters, math's or step_for's own values, such
-    # as sqrt(m00), the pivot test 0.0 < m00 < inf or 2.0 * mu0
+    # loop_for computes once what p, mag and pd alone determine; its loop
+    # must not hold an operation, call or comparison whose names are all
+    # parameters, gains, targets, math's or loop_for's own values, such as
+    # sqrt(m00), the pivot test 0.0 < m00 < inf or 2.0 * mu0
     [outer] = [f for f in ast.parse(inspect.getsource(_eom)).body
-               if isinstance(f, ast.FunctionDef) and f.name == "step_for"]
+               if isinstance(f, ast.FunctionDef) and f.name == "loop_for"]
     fixed, inner = {"cos", "inf", "sin", "sqrt"}, None
-    for stmt in outer.body:
+    stmts = list(outer.body)
+    for stmt in stmts:
         if isinstance(stmt, ast.FunctionDef):
             inner = stmt
+        elif isinstance(stmt, ast.If):
+            stmts += stmt.body  # the unpacking of pd's gains and targets
         elif isinstance(stmt, ast.Assign):
             fixed.update(n.id for t in stmt.targets for n in ast.walk(t)
                          if isinstance(n, ast.Name))
-    assert inner.name == "step"
+    assert inner.name == "loop"
     assert {"m_p", "d_ph2", "m00", "xm0", "l00", "l11", "h", "R1", "R2",
-            "enabled", "B_max", "P_max", "A", "mu0"} <= fixed
+            "enabled", "B_max", "P_max", "A", "mu0", "controlled",
+            "kp00", "kp13", "kd00", "kd13", "th1d", "ph2d"} <= fixed
     local = {n.id for n in ast.walk(inner)
              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
     assert not local & fixed
@@ -200,9 +208,8 @@ def test_deriv_flags_nonfinite_without_raising(y):
         assert not ok
         assert len(dy) == 8
         if all(map(math.isfinite, y)):
-            # the step tests a stage input before it takes a sine of it
-            step = _eom.step_for(p, 0, 1e-3, mag)
-            assert step(y, [0.0] * 4) is None
+            # the loop tests a stage input before it takes a sine of it
+            assert loop_step(_eom.loop_for, p, 0, 1e-3, mag, None, y) is None
 
 
 # tip coupling whose P_max, 0.14 m, is near the median separation of the
@@ -216,10 +223,10 @@ MAG_NO_FLUX = [1.0, 0.0, 0.14, 0.0025, 1.257e-6]
 def list_rk4_step(p, mag, y, tau, variant, dt):
     """One RK4 step on lists of Python floats, or None where it fails.
 
-    The bit-exact oracle of _eom's step: the stages and the update are list
-    comprehensions, and the derivative is _core.deriv, which solves
+    The bit-exact oracle of a step of _eom's loop: the stages and the update
+    are list comprehensions, and the derivative is _core.deriv, which solves
     M qdd = (tau - bias - G) + t on the separate _eom terms and shares no
-    code with step. It fails where deriv does, at a stage input or a qdd
+    code with the loop. It fails where deriv does, at a stage input or a qdd
     that is not finite or a failed solve; the new y is returned untested.
     """
     h, w = 0.5 * dt, dt / 6.0
@@ -243,44 +250,76 @@ def bits(v):
     return [x.hex() for x in v]
 
 
+def controllers(n, seed):
+    """n PD controllers (Kp, Kd, tgt) of random gains and targets.
+
+    Every gain entry is drawn, the cross-module ones too: pd_input weighs
+    all of them.
+    """
+    rng = np.random.default_rng(seed)
+    Kp = rng.uniform(-0.01, 0.01, (n, 2, 4)).tolist()
+    Kd = rng.uniform(-0.01, 0.01, (n, 2, 4)).tolist()
+    return list(zip(Kp, Kd, rng.uniform(-np.pi, np.pi, (n, 4)).tolist()))
+
+
+def held(pd, y):
+    """The generalized force the run holds over a step from y under pd."""
+    if pd is None:
+        return (0.0,) * 4
+    return _core.torque_map(*_core.pd_input(*pd, y))
+
+
+def loop_step(loop_for, p, variant, dt, mag, pd, y):
+    """The y after one step of loop_for's loop from y, or None where the
+    loop takes no step."""
+    ys = np.empty((2, 8))
+    ys[0] = y
+    taken = loop_for(p, variant, dt, mag, pd)(ys, 1)
+    return ys[1].tolist() if taken else None
+
+
 @pytest.mark.parametrize("mag", [MAG_OFF, MAG_ON, MAG_NO_FLUX],
                          ids=["mag_off", "mag_on", "no_flux"])
 @pytest.mark.parametrize("variant", [0, 1])
 def test_deriv_equals_the_separate_terms(variant, mag):
-    # one step of _eom.step_for must be one list-RK4 step on the separate
-    # terms to the last bit
+    # one step of _eom.loop_for's loop, its PD input inline, must be one
+    # list-RK4 step on the separate terms under pd_input to the last bit
     qs, qds = states(5000, 37)
-    taus = np.random.default_rng(41).uniform(-0.05, 0.05, (5000, 4))
+    pds = controllers(5000, 41)
     p = PAR
     dt = 1e-3
-    step = _eom.step_for(p, variant, dt, mag)
     coupled = 0
-    for q, qd, tau in zip(qs.tolist(), qds.tolist(), taus.tolist()):
-        ref = list_rk4_step(p, mag, q + qd, tau, variant, dt)
+    for q, qd, pd in zip(qs.tolist(), qds.tolist(), pds):
+        ref = list_rk4_step(p, mag, q + qd, held(pd, q + qd), variant, dt)
         assert ref is not None
-        assert bits(step(q + qd, tau)) == bits(ref)
+        got = loop_step(_eom.loop_for, p, variant, dt, mag, pd, q + qd)
+        assert bits(got) == bits(ref)
         coupled += _core.mag_torque(p, mag, q)[0] != (0.0,) * 4
     if mag is MAG_ON:
         assert 1000 < coupled < 4000
 
 
 def signed_zero_states():
-    """(y, tau) pairs: one whose tau - bias - G has -0.0 entries, then others.
+    """(y, pd) pairs: one whose held tau - bias - G has -0.0 entries, then
+    others.
 
     tau_i = -0.0 with a zero rate and a zero gravity term: a zero torque of
     +0.0 makes the right-hand side +0.0 there, one of -0.0 leaves it -0.0.
+    Gains of -0.0 on errors of +0.6, +0.6, +0.7, +0.2 and rates of +0.0
+    give u1 = u2 = -0.0.
     """
     y = [0.3, -0.2, -0.3, 0.2, 0.0, 0.0, 0.0, 0.0]  # ph1 + th1 = ph2 + th2 = 0
-    tau = [-0.0, -0.0, 0.0, 0.0]
+    negative_zero = ((-0.0,) * 4,) * 2
+    pd = (negative_zero, negative_zero, (0.0, -1.0, -1.0, 0.0))
+    tau = held(pd, y)
+    assert bits(tau) == bits([-0.0, -0.0, 0.0, 0.0])
     p = PAR
     for variant in (0, 1):
         b, G = _eom.bias(p, y[:4], y[4:]), _eom.gravity(p, y[:4], variant)
         assert bits([tau[i] - b[i] - G[i] for i in (0, 1)]) == bits([-0.0] * 2)
-    rng = np.random.default_rng(43)
     qs, qds = states(40, 47)
-    taus = rng.uniform(-0.05, 0.05, (40, 4)).tolist()
-    return [(y, tau)] + [(q + qd, t) for q, qd, t
-                         in zip(qs.tolist(), qds.tolist(), taus)]
+    return [(y, pd)] + [(q + qd, c) for q, qd, c
+                        in zip(qs.tolist(), qds.tolist(), controllers(40, 43))]
 
 
 @pytest.mark.parametrize("shift", [-1, 0, 1],
@@ -291,7 +330,7 @@ def test_tip_law_at_the_cut_off_equals_the_separate_terms(variant, shift):
     # the cut-off test, B of nearly zero and the torque's signed zeros
     p = PAR
     dt = 1e-3
-    for y, tau in signed_zero_states():
+    for y, pd in signed_zero_states():
         pm = float(_core.separation(p, y[:4]))
         P_max = {-1: math.nextafter(pm, 0.0), 0: pm,
                  1: math.nextafter(pm, math.inf)}[shift]
@@ -301,8 +340,9 @@ def test_tip_law_at_the_cut_off_equals_the_separate_terms(variant, shift):
         assert (B == 0.0) == (shift <= 0)
         if shift < 0:
             assert bits(t) == bits([0.0] * 4)  # cut off: exactly +0.0
-        ref = list_rk4_step(p, mag, y, tau, variant, dt)
-        assert bits(_eom.step_for(p, variant, dt, mag)(y, tau)) == bits(ref)
+        ref = list_rk4_step(p, mag, y, held(pd, y), variant, dt)
+        got = loop_step(_eom.loop_for, p, variant, dt, mag, pd, y)
+        assert bits(got) == bits(ref)
 
 
 @pytest.mark.parametrize("entry,value", [
@@ -312,16 +352,18 @@ def test_tip_law_at_the_cut_off_equals_the_separate_terms(variant, shift):
     (3, math.nan),   # I_s: the third pivot is not finite
 ])
 def test_deriv_flags_a_failed_pivot(entry, value):
-    # the first pivot depends on p alone and fails in step_for, the third
+    # the first pivot depends on p alone and fails in loop_for, the third
     # on q too and fails at the first stage
     p = list(PAR)
     p[entry] = value
     y = [0.1, 0.5, 3.0, 0.2, 0.3, -0.4, 0.5, 1.0]
-    tau = [0.01, -0.02, -0.01, 0.02]
+    [pd] = controllers(1, 53)
+    tau = held(pd, y)
     assert _eom.solve_spd4(_eom.mass_matrix(p, y[:4]), tau) is None
     for variant in (0, 1):
         for mag in (MAG_OFF, MAG_ON):
-            assert _eom.step_for(p, variant, 1e-3, mag)(y, tau) is None
+            assert loop_step(_eom.loop_for, p, variant, 1e-3, mag, pd,
+                             y) is None
             assert _core.deriv(p, mag, y, tau, variant) == ((0.0,) * 8, False)
 
 

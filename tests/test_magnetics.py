@@ -53,6 +53,17 @@ def test_flux_and_force_refuse_what_is_not_a_finite_number(value):
         flux_density(MAG, value)
     with pytest.raises(ValidationError, match="flux density"):
         magnetic_force(MAG, value)
+    # W took True for a 1 m separation (-0.2072 with P_max = 2) and a
+    # string raised TypeError
+    with pytest.raises(ValidationError, match="separation"):
+        magnetic_potential(MagneticParams(P_max=2.0), value)
+
+
+def test_potential_refuses_a_negative_separation():
+    for p_m in (-1e-3, -2.0):
+        with pytest.raises(ValidationError, match="separation"):
+            magnetic_potential(MagneticParams(P_max=2.0), p_m)
+    assert magnetic_potential(MagneticParams(P_max=2.0), 0.0) < 0.0
 
 
 def test_potential_matches_force():

@@ -42,13 +42,13 @@ def test_rejects_bad_params(kwargs):
 
 def test_packed_lists_the_values_in_the_order_the_kernels_unpack():
     # distinct values, so any two swapped entries show; the order is read
-    # from the names the generated step_for unpacks p and mag into
+    # from the names the generated loop_for unpacks p and mag into
     params = RobotParams(m_p=1.0, m_s=2.0, I_p=3.0, I_s=4.0, r1=5.0, r2=6.0,
                          R1=7.0, R2=8.0, g=9.0, delta=(10.0, 11.0, 12.0, 13.0))
     mag = MagneticParams(B_max=2.0, P_max=3.0, A=4.0, mu0=5.0, enabled=True)
-    [step_for] = ast.parse(inspect.getsource(_eom.step_for)).body
+    [loop_for] = ast.parse(inspect.getsource(_eom.loop_for)).body
     unpacked = {s.value.id: [n.id for n in s.targets[0].elts]
-                for s in step_for.body if isinstance(s, ast.Assign)
+                for s in loop_for.body if isinstance(s, ast.Assign)
                 and isinstance(s.value, ast.Name)}
     # delta is in state order (theta1, theta2, phi1, phi2)
     values = dict(vars(params), d_th1=10.0, d_th2=11.0, d_ph1=12.0,

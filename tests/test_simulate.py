@@ -77,7 +77,7 @@ def list_rk4(par, mag, y0, n, dt, pd, variant):
 
     The bit-exact oracle of _core.run_loop: each step is list_rk4_step of
     tests/test_eom.py, on the separate _eom terms plus the magnetic torque
-    with every stage input and qdd tested, not _eom's step. It stops, as
+    with every stage input and qdd tested, not _eom's loop. It stops, as
     run_loop does, at a step that fails or leaves a non-finite y. The input
     is pd_input at each step's start state, held over the step.
     """
@@ -111,13 +111,17 @@ def loop_calls(monkeypatch):
 
 
 def assert_loop_is_list_rk4(args, result):
-    """run_loop's samples are list_rk4's, to the bit; returns n_done."""
+    """run_loop's samples are list_rk4's, to the bit; returns n_done.
+
+    The bytes are compared, so -0.0 in place of 0.0 fails: a zero input
+    recorded as -0.0 would print -0 in the CSV.
+    """
     par, mag, y0, n, dt, pd, variant = args
     ys, us, n_done = result
     ref_ys, ref_us = list_rk4(par, mag, y0, n, dt, pd, variant)
     assert len(ref_ys) == n_done + 1
-    assert ys[:n_done + 1].tolist() == ref_ys
-    assert us[:n_done + 1].tolist() == ref_us
+    assert ys[:n_done + 1].tobytes() == np.array(ref_ys).tobytes()
+    assert us[:n_done + 1].tobytes() == np.array(ref_us).tobytes()
     return n_done
 
 
@@ -143,7 +147,7 @@ def test_run_loop_equals_a_list_rk4_to_the_bit(preset, changes, start,
     [(args, result)] = loops
     assert args[3] == assert_loop_is_list_rk4(args, result) == 300
     ys, us, _ = result
-    # the lifting run is coupled over part of the 300 steps, so the step's
+    # the lifting run is coupled over part of the 300 steps, so the loop's
     # own tip force law is checked against the oracle's mag_torque
     if m.enabled:
         pulled = [_core.mag_torque(args[0], args[1], y[:4])[0]
@@ -157,9 +161,9 @@ def test_run_loop_equals_a_list_rk4_to_the_bit(preset, changes, start,
                                            ("balancing", 835)])
 def test_a_truncated_run_stops_where_a_list_rk4_does(preset, n_done,
                                                       monkeypatch):
-    # the step tests only the inputs of stages 2 to 4 and run_loop the new
-    # y; a list RK4 that tests every stage input and qdd, as deriv does at
-    # each stage, must stop after the same step
+    # the loop tests only the inputs of stages 2 to 4 and the new y; a list
+    # RK4 that tests every stage input and qdd, as deriv does at each
+    # stage, must stop after the same step
     sc, p, m = load_scenario(preset)
     loops = loop_calls(monkeypatch)
     assert run(sc, p, m).truncated
@@ -184,7 +188,7 @@ def test_a_nonfinite_stage_2_qdd_fails_the_step():
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_run_loop_takes_no_step_from_a_nonfinite_y0(bad):
-    # run_loop tests y0 once, after recording its input; the step would
+    # run_loop tests y0 once, and records its input; the loop would
     # take a sine of it. Scenario rejects such a y0 before run gets it.
     sc, p, m = load_scenario("balancing")
     pd = sc.controller.packed()

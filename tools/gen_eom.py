@@ -18,22 +18,25 @@ derives, for M(q) qdd + bias(q, qd) + G(q) = tau,
 
 and common subexpression elimination turns each set into straight-line
 code. The tip separation p_m and p_m times its gradient come from
-rollsim._core.separation the same way (see tip_geometry). Three more
-functions are printed from those: solve_spd4, the 4x4 Cholesky written once
-as the CHOLESKY text; tip_law, the tip force law written once as the
-TIP_LAW text; and step_for(p, variant, dt, mag), which the run loop calls
-once per run. It computes every value of the separate cse blocks of M, bias,
-G and the tip geometry, of the Cholesky and of the force law that depends
-on p and mag alone, found on the Python parse of the printed lines (see
-_hoist), and returns step(y, tau), the loop's one call per RK4 step: the
-rest of the blocks, the force law and the solve, in a loop over the four
-stages, each angle sum named and each sine and cosine taken once per stage.
-Moving whole parse subtrees keeps every operand and grouping, so each
-stage's qdd equals the separate calls to the last bit. The output uses
-only +, -, *, / and math's sin, cos and sqrt: integer powers are written as
-products, because Python's float ** raises OverflowError where a product
-overflows to inf, and the integrator reports a non-finite state by testing
-for inf and nan.
+rollsim._core.separation the same way (see tip_geometry). More functions
+are printed from fixed texts: solve_spd4, the 4x4 Cholesky written once as
+the CHOLESKY text; tip_law, the tip force law written once as the TIP_LAW
+text; pd_error and pd_input, the PD law written once as the PD_LAW text;
+and loop_for(p, variant, dt, mag, pd), which the run loop calls once per
+run. It computes every value of the separate cse blocks of M, bias, G and
+the tip geometry, of the Cholesky and of the force law that depends on p
+and mag alone, found on the Python parse of the printed lines (see
+_hoist), unpacks the gains and targets of pd, and returns loop(ys, n), the
+run's one call: up to n RK4 steps with the state in locals, each step the
+PD law inline on its start state, held as tau = _core.torque_map(u1, u2),
+then the rest of the blocks, the force law and the solve, in a loop over
+the four stages, each angle sum named and each sine and cosine taken once
+per stage. Moving whole parse subtrees keeps every operand and grouping,
+so each stage's qdd equals the separate calls to the last bit. The output
+uses only +, -, *, / and math's sin, cos and sqrt: integer powers are
+written as products, because Python's float ** raises OverflowError where
+a product overflows to inf, and the integrator reports a non-finite state
+by testing for inf and nan.
 
 Importing rollsim._core imports the checked-in _eom, so a syntactically
 broken _eom.py must be restored (git checkout src/rollsim/_eom.py) before
@@ -244,9 +247,9 @@ def _function(name, args, doc, outputs, trig, pre=()):
 
 
 # M x = b by Cholesky, M given as its upper triangle m00..m33 row by row:
-# one text, printed as solve_spd4 and inline in step. A non-positive or
+# one text, printed as solve_spd4 and inline in loop. A non-positive or
 # non-finite pivot returns None; no input makes it raise. Every name is
-# assigned once, so the pivots of p alone can move to step_for.
+# assigned once, so the pivots of p alone can move to loop_for.
 CHOLESKY = """\
 if not 0.0 < m00 < inf:
     return None
@@ -280,12 +283,12 @@ x0 = (y0 - l10 * x1 - l20 * x2 - l30 * x3) / l00
 return (x0, x1, x2, x3)"""
 
 # The tip attraction's generalized force t = -F grad p_m, from pm = p_m and
-# pg0..pg3 = p_m grad p_m: one text, printed as tip_law and inline in step.
+# pg0..pg3 = p_m grad p_m: one text, printed as tip_law and inline in loop.
 # B falls linearly from B_max at contact to zero at P_max and stays zero
 # beyond; F = B^2 A / (2 mu0). t is exactly +0.0 beyond P_max and at
 # pm < 1e-14 (degenerate: no direction). Each path assigns every name, so
 # tip_law can return them all. With P_max > 0 no input makes it raise.
-# tip_law takes pg0..pg3 as arguments; step computes them at the GRADIENT
+# tip_law takes pg0..pg3 as arguments; loop computes them at the GRADIENT
 # line, the one path that reads them, so a stage beyond P_max skips them.
 GRADIENT = "# pg0..pg3 = p_m grad p_m"
 TIP_LAW = f"""\
@@ -304,11 +307,34 @@ else:
         t2 = -F * (pg2 / pm)
         t3 = -F * (pg3 / pm)"""
 
-# what step_for returns when a pivot of p alone fails
-FAILED_STEP = '''\
-def _failed_step(y, tau):
-    """step_for's step where a pivot of p alone fails: it fails for every y."""
-    return None
+# The PD law u = Kp e + Kd edot on the state th1..dph2, with the gains and
+# targets of PD_ARGS: one text, printed as pd_error (its error lines),
+# pd_input and inline in loop, once per step. e is (psi1, psi2, phi1, phi2)
+# - tgt with psi_i = theta_i - phi_i, current minus desired; the targets are
+# constant, so the rate channel is (thetadot1, thetadot2, phidot1, phidot2)
+# itself, as printed. Each sum runs left to right over every gain entry.
+# It is + and * alone, so pd_error and pd_input are elementwise: the state
+# may be floats or the columns of a recorded run.
+PD_ARGS = """\
+(kp00, kp01, kp02, kp03), (kp10, kp11, kp12, kp13) = Kp
+(kd00, kd01, kd02, kd03), (kd10, kd11, kd12, kd13) = Kd
+th1d, th2d, ph1d, ph2d = tgt"""
+PD_ERROR = """\
+e0 = (th1 - ph1) - th1d
+e1 = (th2 - ph2) - th2d
+e2 = ph1 - ph1d
+e3 = ph2 - ph2d"""
+PD_LAW = PD_ERROR + """
+u1 = (kp00 * e0 + kp01 * e1 + kp02 * e2 + kp03 * e3
+      + kd00 * dth1 + kd01 * dth2 + kd02 * dph1 + kd03 * dph2)
+u2 = (kp10 * e0 + kp11 * e1 + kp12 * e2 + kp13 * e3
+      + kd10 * dth1 + kd11 * dth2 + kd12 * dph1 + kd13 * dph2)"""
+
+# what loop_for returns when a pivot of p alone fails
+FAILED_LOOP = '''\
+def _failed_loop(ys, n):
+    """loop_for's loop where a pivot of p alone fails: it takes no step."""
+    return 0
 '''
 
 M_NAMES = [f"m{i}{j}" for i in range(4) for j in range(i, 4)]
@@ -339,6 +365,32 @@ def _tip_law():
              f"    {', '.join(TIP)} = tip"]
     lines += ["    " + line for line in TIP_LAW.splitlines()]
     lines.append("    return (B, F, (t0, t1, t2, t3), degenerate)")
+    return "\n".join(lines) + "\n"
+
+
+def _pd_law():
+    """Source of pd_error and pd_input, the PD_LAW text as functions."""
+    y = f"    {', '.join(map(str, Q + QD))} = y"
+    tgt = PD_ARGS.splitlines()[-1]
+    lines = ["def pd_error(tgt, y):",
+             '    """PD errors (e, edot) of the state y, current minus '
+             "desired.",
+             "",
+             "    e = (psi1, psi2, phi1, phi2) - tgt with psi_i = theta_i - "
+             "phi_i. The",
+             "    targets are constant, so the rate channel is (thetadot1, "
+             "thetadot2,",
+             '    phidot1, phidot2) itself, as printed."""',
+             "    " + tgt, y]
+    lines += ["    " + line for line in PD_ERROR.splitlines()]
+    lines += ["    return ((e0, e1, e2, e3), (dth1, dth2, dph1, dph2))",
+              "", "",
+              "def pd_input(Kp, Kd, tgt, y):",
+              '    """Motor torques (u1, u2) = Kp e + Kd edot of the state y; '
+              'see pd_error."""']
+    lines += ["    " + line for line in PD_ARGS.splitlines()] + [y]
+    lines += ["    " + line for line in PD_LAW.splitlines()]
+    lines.append("    return (u1, u2)")
     return "\n".join(lines) + "\n"
 
 
@@ -378,17 +430,16 @@ def _names(node):
 
 
 def _hoist(lines):
-    """Split step's lines into (step_for's lines, step's lines).
+    """Split the stage's lines into (loop_for's lines, the stage's lines).
 
     lines are one statement each, indented under a branch or not, and the
     branch headers. An unindented assignment whose names are all parameters
-    (of p or mag), math's and names already hoisted moves to step_for whole,
+    (of p or mag), math's and names already hoisted moves to loop_for whole,
     and so does an unindented pivot check of such names, its `return None`
-    made `return _failed_step`: statements keep their order, so each check
+    made `return _failed_loop`: statements keep their order, so each check
     still runs before the sqrt and divisions it guards. In every other line,
-    each
-    largest operation of +, - and * of such names, as Python parses the
-    line, moves to step_for as xp0, xp1, ..., or under the name of an equal
+    each largest operation of +, - and * of such names, as Python parses the
+    line, moves to loop_for as xp0, xp1, ..., or under the name of an equal
     expression hoisted before, and the line reads that name in its place.
     The parse tree keeps its shape, so the operands, their grouping and the
     bits of every result are unchanged.
@@ -405,7 +456,7 @@ def _hoist(lines):
             if (not indent and text.startswith("if not ")
                     and _names(ast.parse(text[3:-1], mode="eval")) <= known):
                 next(lines)  # its return None
-                outer += [text, "    return _failed_step"]
+                outer += [text, "    return _failed_loop"]
             else:
                 inner.append(line)
             continue
@@ -448,11 +499,14 @@ def _split_needed(lines, name):
             [line for i, line in enumerate(lines) if i not in mine])
 
 
-def _step_for(m, b, g, tip, trig):
-    """Source of step_for(p, variant, dt, mag), which returns step(y, tau):
-    one RK4 step of y' = (qd, qdd), qdd = M^-1 ((tau - bias - G) + t), tau
-    held over the step and t the tip torque of tip_law where mag couples the
-    tips; None where a stage fails.
+def _loop_for(m, b, g, tip, trig):
+    """Source of loop_for(p, variant, dt, mag, pd), which returns loop(ys,
+    n): up to n RK4 steps of y' = (qd, qdd) from ys[0], each new y written
+    to the next row of ys, qdd = M^-1 ((tau - bias - G) + t) with tau the
+    PD input at the step's start state, held over the step (zero where pd is
+    None), and t the tip torque of tip_law where mag couples the tips. loop
+    returns the number of steps it took; it stops where a stage fails or
+    the new y is not finite.
 
     It prints the blocks of mass_matrix, bias, gravity and tip_geometry
     (tip, its (pre, outputs)) as _function does, each sympy cse of its own,
@@ -462,14 +516,18 @@ def _step_for(m, b, g, tip, trig):
     the separate terms: tau - bias - G, then, under one test of mag's
     enabled, the tip geometry's lines that p_m needs, TIP_LAW with the
     others at its GRADIENT line, and + t; and CHOLESKY. _hoist moves
-    what they compute of p and mag alone to step_for, once per run, the
-    first two pivots among it. step runs the rest once per RK4 stage in a
-    loop, each angle sum named and each c*/s* taken once, the tip geometry's
-    among them, and forms the next stage's input, the
-    slopes' weighted sum and the new y with the expressions and grouping of
+    what they compute of p and mag alone to loop_for, once per run, the
+    first two pivots among it; loop_for also unpacks pd's gains and targets
+    once. loop keeps the state in z0..z7 between steps. Each step copies it
+    to the stage input, runs PD_LAW on it under one test of pd and forms
+    tau as _core.torque_map does, then runs the rest once per RK4 stage in
+    a loop, each angle sum named and each c*/s* taken once, the tip
+    geometry's among them, and forms the next stage's input, the slopes'
+    weighted sum and the new y with the expressions and grouping of
     tests/test_simulate.py's list RK4: k1 + 2.0 k2 + 2.0 k3 + k4 is summed
-    left to right as the stages come. A stage input of inf or nan returns
-    None before any sine is taken of it.
+    left to right as the stages come. A stage input of inf or nan stops
+    the loop before any sine is taken of it, and so does a new y of inf or
+    nan before it is written.
     """
     blocks = [(_block(m, trig), "xm", M_NAMES),
               (_block(b, trig), "xb", [f"bias{i}" for i in range(4)]),
@@ -516,43 +574,62 @@ def _step_for(m, b, g, tip, trig):
             trig_lines += [f"{sym} = {type(func).__name__}(a{tag})"
                            for func, sym in taken]
     y = [str(s) for s in Q + QD]
+    z = [f"z{i}" for i in range(8)]
     slope = [str(s) for s in QD] + ["x0", "x1", "x2", "x3"]
-    new_y = ", ".join(f"z{i} + w * (k{i} + {d})" for i, d in enumerate(slope))
+    tau = map(printer.doprint, _core.torque_map(*sp.symbols("u1 u2")))
+    finite = " + ".join(f"0.0 * {v}" for v in z) + " != 0.0"
 
     lines = _preamble(
-        "step_for", ("p", "variant", "dt", "mag"),
-        "step(y, tau), one RK4 step of dt for parameters p, potential\n"
-        "    variant and tip coupling mag; what p and mag alone determine is\n"
-        "    computed here, once.", [(PAR, "p"), (MAG, "mag")], {}, set())
+        "loop_for", ("p", "variant", "dt", "mag", "pd"),
+        "loop(ys, n), up to n RK4 steps of dt for parameters p, potential\n"
+        "    variant, tip coupling mag and PD controller pd, (Kp, Kd, tgt) or "
+        "None;\n"
+        "    what p, mag and pd alone determine is computed here, once.",
+        [(PAR, "p"), (MAG, "mag")], {}, set())
+    lines += ["    controlled = pd is not None", "    if controlled:",
+              "        Kp, Kd, tgt = pd"]
+    lines += ["        " + line for line in PD_ARGS.splitlines()]
     lines += ["    " + line for line in outer]
     lines += ["    h = 0.5 * dt", "    w = dt / 6.0",
               "",
-              "    def step(y, tau):",
-              '        """The y after one step from y = (q, qd) under tau, '
-              "held, plus\n"
-              "        the tip torque at each stage when mag couples the tips; "
-              "None if\n"
-              "        a pivot fails or the input to stage 2, 3 or 4 is not "
-              'finite."""',
-              f"        {', '.join(f'z{i}' for i in range(8))} = y",
-              f"        {', '.join(y)} = y",
-              "        tau0, tau1, tau2, tau3 = tau",
-              "        for stage in (1, 2, 3, 4):"]
-    lines += ["            " + line for line in trig_lines + inner]
-    lines += ["            if stage == 4:",
-              f"                return ({new_y})",
-              "            if stage == 1:"]
-    lines += [f"                k{i} = {d}" for i, d in enumerate(slope)]
-    lines += ["                f = h", "            else:"]
-    lines += [f"                k{i} = k{i} + 2.0 * {d}"
+              "    def loop(ys, n):",
+              '        """Up to n RK4 steps from y = ys[0], each new y '
+              "written to the next\n"
+              "        row of ys, under the PD input at each step's start, "
+              "held, plus the tip\n"
+              "        torque at each stage when mag couples the tips. "
+              "Returns the number\n"
+              "        of steps taken, fewer than n where a pivot fails or "
+              "the input to\n"
+              '        stage 2, 3 or 4 or the new y is not finite."""',
+              f"        {', '.join(z)} = ys[0].tolist()",
+              "        tau0 = tau1 = tau2 = tau3 = 0.0",
+              "        for i in range(n):"]
+    lines += [f"            {v} = {zi}" for v, zi in zip(y, z)]
+    lines += ["            if controlled:"]
+    lines += ["                " + line for line in PD_LAW.splitlines()]
+    lines += [f"                tau{i} = {t}" for i, t in enumerate(tau)]
+    lines += ["            for stage in (1, 2, 3, 4):"]
+    lines += ["                " + line.replace("return None", "return i")
+              for line in trig_lines + inner]
+    lines += ["                if stage == 4:", "                    break",
+              "                if stage == 1:"]
+    lines += [f"                    k{i} = {d}" for i, d in enumerate(slope)]
+    lines += ["                    f = h", "                else:"]
+    lines += [f"                    k{i} = k{i} + 2.0 * {d}"
               for i, d in enumerate(slope)]
-    lines += ["                if stage == 3:", "                    f = dt"]
-    lines += [f"            {v} = z{i} + f * {d}"
+    lines += ["                    if stage == 3:",
+              "                        f = dt"]
+    lines += [f"                {v} = z{i} + f * {d}"
               for i, (v, d) in enumerate(zip(y, slope))]
-    lines += ["            if " + " + ".join(f"0.0 * {v}" for v in y)
+    lines += ["                if " + " + ".join(f"0.0 * {v}" for v in y)
               + " != 0.0:",
-              "                return None"]
-    lines.append("    return step")
+              "                    return i"]
+    lines += [f"            z{i} = z{i} + w * (k{i} + {d})"
+              for i, d in enumerate(slope)]
+    lines += [f"            if {finite}:", "                return i",
+              f"            ys[i + 1] = ({', '.join(z)})"]
+    lines += ["        return n", "    return loop"]
     return "\n".join(lines) + "\n"
 
 
@@ -574,25 +651,35 @@ p_m): the flux density B, the force F and the generalized force t = -F grad
 p_m, exactly +0.0 beyond P_max and at p_m < 1e-14 (degenerate). mag is the
 packed coupling (enabled, B_max, P_max, A, mu0).
 
-step_for(p, variant, dt, mag) builds the run loop's RK4 step once per run.
-It computes what the code of mass_matrix, bias, gravity and tip_geometry,
-the Cholesky of solve_spd4 and the force law of tip_law derive from p and
-mag alone: the temporaries of p alone, the first two pivots, whether mag
+pd_error(tgt, y) and pd_input(Kp, Kd, tgt, y) are the PD law: the errors
+(e, edot) of the state y against the targets tgt = (th1d, th2d, ph1d, ph2d)
+and the motor torques (u1, u2) = Kp e + Kd edot, Kp and Kd 2x4. They are
+elementwise arithmetic, so y may be floats or the columns of a recorded run.
+
+loop_for(p, variant, dt, mag, pd) builds the run loop once per run. It
+computes what the code of mass_matrix, bias, gravity and tip_geometry, the
+Cholesky of solve_spd4 and the force law of tip_law derive from p and mag
+alone: the temporaries of p alone, the first two pivots, whether mag
 couples the tips and, in the other lines, each operation of p and mag alone
-as Python parses the line. It returns step(y, tau), called once per step,
-which runs the rest of that code line for line in a loop over the four RK4
-stages: temporaries renamed apart, each angle sum named and each sine and
-cosine taken once, the tip geometry and the force law under one test of the
-coupling (p_m grad p_m only where the law reads it), (tau - bias - G) + t
-solved by the Cholesky inline. Its qdd at
-each stage equals the separate calls to the last bit, and the stage inputs
-and the update are those of a list-form RK4. It returns None where a
-solve_spd4 at some stage would, or where the input to stage 2, 3 or 4 is
-not finite; a non-finite qdd at stage 4 leaves the new y non-finite.
+as Python parses the line. It unpacks the gains and targets of pd, (Kp, Kd,
+tgt) or None. It returns loop(ys, n), called once per run, which takes up
+to n RK4 steps from ys[0] with the state in eight locals between steps. Each
+step computes the PD input from the step's start state by the code of
+pd_input, inline, and holds tau = (u1, u2, -u1, -u2) over the step (zero
+where pd is None). It then runs the rest of the code above line for line in
+a loop over the four RK4 stages: temporaries renamed apart, each angle sum
+named and each sine and cosine taken once, the tip geometry and the force
+law under one test of the coupling (p_m grad p_m only where the law reads
+it), (tau - bias - G) + t solved by the Cholesky inline. Its qdd at each
+stage equals the separate calls to the last bit, and the stage inputs and
+the update are those of a list-form RK4. loop writes each new y to the next
+row of ys and returns the number of steps taken: it stops where
+solve_spd4 at some stage would return None, or where the input to stage 2,
+3 or 4 or the new y is not finite.
 
 With floats, q and qd are 4-sequences and y is (q, qd); math.sin and
 math.cos raise ValueError on inf, so rollsim._core.deriv tests y first, and
-rollsim._core.run_loop tests each y it passes to step.
+rollsim._core.run_loop tests ys[0] before it calls loop.
 rollsim._core also runs mass_matrix, bias and gravity on equal-length
 columns, with numpy's cos, sin and sqrt bound in place of math's, and masks
 the non-finite columns itself.
@@ -625,8 +712,9 @@ def generate() -> str:
                   tip, trig, pre),
         _tip_law(),
         _solver(),
-        FAILED_STEP,
-        _step_for(m, b, {GEOMETRIC: gg, VERBATIM: gv}, (pre, tip), trig),
+        _pd_law(),
+        FAILED_LOOP,
+        _loop_for(m, b, {GEOMETRIC: gg, VERBATIM: gv}, (pre, tip), trig),
     ]
     return "\n\n".join(parts)
 
