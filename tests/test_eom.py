@@ -132,7 +132,7 @@ def test_checked_in_module_matches_its_generator():
     p = PAR
     qs, qds = states(50, 13)
     tau = (0.01, -0.02, -0.01, 0.02)
-    for (q, qd), pd in zip(zip(qs.tolist(), qds.tolist()), controllers(50, 17)):
+    for q, qd, pd in zip(qs.tolist(), qds.tolist(), controllers(50, 17)):
         m = _eom.mass_matrix(p, q)
         tip = _eom.tip_geometry(p, q)
         pairs = [(fresh["mass_matrix"](p, q), m),

@@ -5,22 +5,26 @@ Run from a checkout; nothing is installed and the working tree is not read:
     python tools/bench_pairs.py --parent HEAD~1 --change HEAD \\
         --scratch /tmp/pairs --label prN \\
         --pairs lifting_mag=31-40 --pairs freefall=31-35 --pairs errata=31-33 \\
-        --trace-seed 31 --about about.json --out BENCH_prN.json
+        --traced lifting_mag=31-35 --about about.json --out BENCH_prN.json
 
 Each commit is exported with `git archive` into its own directory under
 --scratch, and perfbench/run.py runs there from the exported files, one run
 at a time with the same settings on both sides. For each workload the pairs
 share a seed; odd seeds run the parent first and even seeds the change
-first. --trace-seed adds one traced run (--trace 1) per side and workload
-for the per-layer records. --about names a JSON object whose keys (such as
-"change" and "claim") head the record.
+first. --traced runs traced pairs (--trace 1) the same way for the
+per-layer records: a layer's time is in seconds, not in units of the
+reference loop, so one traced run per side shows the host's speed at the
+time as much as the change. --about names a JSON object whose keys (such
+as "change" and "claim") head the record.
 
 The record has the layout of BENCH_pr14.json. Per workload and side it
 gives the run medians of wall_ref and setup_s, their median, the quartiles
 of the wall_ref run medians and each run's peak_rss_mb; per workload the
 pairs the change won on wall_ref (ties count for neither side), the
-parent's quartile spread and the difference of the medians. "runs" holds
-each run's record without its per-sample values.
+parent's quartile spread and the difference of the medians. "traced" holds
+per workload and side the median of each layer metric over the traced
+runs, and each run's layers. "runs" holds each run's record without its
+per-sample values.
 """
 
 from __future__ import annotations
@@ -123,11 +127,29 @@ def workload_summary(parent, change, seed_list, change_commit):
             "change_commit": change_commit}
 
 
-def traced_entry(commit, rec):
-    return {"seed": rec["seed"], "absent": rec["absent"],
-            "hidden": rec["hidden"], "failed": rec["failed"],
-            "tracing_overhead_pct": rec["tracing_overhead_pct"],
-            "layers": rec["layers"], "git_commit": commit}
+def traced_summary(commit, recs):
+    """Each layer metric's median over the traced runs recs of one side."""
+    runs = [r["layers"] for r in recs]
+    return {"seeds": [r["seed"] for r in recs],
+            "absent": sorted({a for r in recs for a in r["absent"]}),
+            "hidden": sorted({h for r in recs for h in r["hidden"]}),
+            "failed": sum(r["failed"] for r in recs),
+            "layers": {name: statistics.median(run[name] for run in runs)
+                       for name in runs[0]},
+            "layers_of_runs": runs, "git_commit": commit}
+
+
+def alternate(trees, workload, seed_list, seconds, trace, report):
+    """{side: records} of pairs of runs that share a seed, odd seeds
+    parent first."""
+    recs = {"parent": [], "change": []}
+    for seed in seed_list:
+        order = ("parent", "change") if seed % 2 else ("change", "parent")
+        for side in order:
+            rec = bench(trees[side], workload, seed, seconds, trace)
+            report(side, rec)
+            recs[side].append(rec)
+    return recs
 
 
 def parse_args(argv):
@@ -136,11 +158,13 @@ def parse_args(argv):
     p.add_argument("--change", required=True, help="changed commit")
     p.add_argument("--scratch", type=Path, required=True,
                    help="new directory for the two exports")
-    p.add_argument("--pairs", action="append", required=True,
+    p.add_argument("--pairs", action="append", default=[],
                    metavar="WORKLOAD=SEEDS",
                    help="a workload and its seeds, as 31-40 or 31,33")
+    p.add_argument("--traced", action="append", default=[],
+                   metavar="WORKLOAD=SEEDS",
+                   help="the same for traced pairs")
     p.add_argument("--seconds", type=float, default=35.0)
-    p.add_argument("--trace-seed", type=int)
     p.add_argument("--label", required=True)
     p.add_argument("--about", type=Path)
     p.add_argument("--out", type=Path, required=True)
@@ -156,7 +180,9 @@ def main(argv=None):
     trees = {side: args.scratch / side for side in commits}
     for side, tree in trees.items():
         export(commits[side], tree)
-    plan = [(w, seeds(s)) for w, s in (p.split("=", 1) for p in args.pairs)]
+
+    def plan(specs):
+        return [(w, seeds(s)) for w, s in (p.split("=", 1) for p in specs)]
 
     record = json.loads(args.about.read_text()) if args.about else {}
     record = {"label": args.label, **record,
@@ -166,34 +192,35 @@ def main(argv=None):
               "method": "tools/bench_pairs.py: each side from a `git archive` "
                         "export of its commit into its own directory, one "
                         "run at a time. Pairs share a seed; odd seeds ran "
-                        "parent first, even seeds change first. Traced runs "
-                        "(trace 1) at the --trace-seed. The exports are not "
-                        "git checkouts, so the commits are filled in here. "
+                        "parent first, even seeds change first, traced "
+                        "pairs (trace 1) too. The exports are not git "
+                        "checkouts, so the commits are filled in here. "
                         "Per-sample value lists are left out.",
               "parent_commit": commits["parent"],
               "change_commit": commits["change"]}
-    summary, traced, runs, env = {}, {}, [], None
-    for workload, seed_list in plan:
-        recs = {"parent": [], "change": []}
-        for seed in seed_list:
-            order = ("parent", "change") if seed % 2 else ("change", "parent")
-            for side in order:
-                rec = bench(trees[side], workload, seed, args.seconds, 0)
-                print(f"{workload} seed {seed} {side}: wall_ref "
-                      f"{rec['wall_ref']['median']:.2f} setup_s "
-                      f"{rec['setup_s']['median']:.4f}", file=sys.stderr)
-                recs[side].append(rec)
-                runs.append(run_entry(side, commits[side], rec))
-                env = env or {k: v for k, v in rec["environment"].items()
-                              if k != "git_commit"}
+    summary, traced, runs, env = {}, {}, [], {}
+
+    def report(side, rec):
+        env.update((k, v) for k, v in rec["environment"].items()
+                   if k != "git_commit")
+        if rec["trace"]:
+            print(f"{rec['workload']} seed {rec['seed']} {side} traced: "
+                  f"core.run_loop.s {rec['layers']['core.run_loop.s']:.4f}",
+                  file=sys.stderr)
+            return
+        print(f"{rec['workload']} seed {rec['seed']} {side}: wall_ref "
+              f"{rec['wall_ref']['median']:.2f} setup_s "
+              f"{rec['setup_s']['median']:.4f}", file=sys.stderr)
+        runs.append(run_entry(side, commits[side], rec))
+
+    for workload, seed_list in plan(args.pairs):
+        recs = alternate(trees, workload, seed_list, args.seconds, 0, report)
         summary[workload] = workload_summary(recs["parent"], recs["change"],
                                              seed_list, commits["change"])
-        if args.trace_seed is not None:
-            traced[workload] = {
-                side: traced_entry(commits[side],
-                                   bench(trees[side], workload,
-                                         args.trace_seed, args.seconds, 1))
-                for side in ("parent", "change")}
+    for workload, seed_list in plan(args.traced):
+        recs = alternate(trees, workload, seed_list, args.seconds, 1, report)
+        traced[workload] = {side: traced_summary(commits[side], recs[side])
+                            for side in recs}
     record.update(environment=env, summary=summary, traced=traced, runs=runs)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
