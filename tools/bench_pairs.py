@@ -9,9 +9,10 @@ Run from a checkout; nothing is installed and the working tree is not read:
 
 Each commit is exported with `git archive` into its own directory under
 --scratch, and perfbench/run.py runs there from the exported files, one run
-at a time with the same settings on both sides. For each workload the pairs
-share a seed; odd seeds run the parent first and even seeds the change
-first. --traced runs traced pairs (--trace 1) the same way for the
+at a time with the same settings on both sides; each run lasts the
+run_seconds that the change's BENCHMARK.json fixes. For each workload the
+pairs share a seed; odd seeds run the parent first and even seeds the
+change first. --traced runs traced pairs (--trace 1) the same way for the
 per-layer records: a layer's time is in seconds, not in units of the
 reference loop, so one traced run per side shows the host's speed at the
 time as much as the change. --about names a JSON object whose keys (such
@@ -59,6 +60,11 @@ def seeds(text):
         first, last = map(int, text.split("-"))
         return list(range(first, last + 1))
     return [int(s) for s in text.split(",")]
+
+
+def run_seconds(tree):
+    """The run length BENCHMARK.json in the exported tree fixes."""
+    return json.loads((tree / "BENCHMARK.json").read_text())["run_seconds"]
 
 
 def bench(tree, workload, seed, seconds, trace):
@@ -164,7 +170,6 @@ def parse_args(argv):
     p.add_argument("--traced", action="append", default=[],
                    metavar="WORKLOAD=SEEDS",
                    help="the same for traced pairs")
-    p.add_argument("--seconds", type=float, default=35.0)
     p.add_argument("--label", required=True)
     p.add_argument("--about", type=Path)
     p.add_argument("--out", type=Path, required=True)
@@ -180,6 +185,7 @@ def main(argv=None):
     trees = {side: args.scratch / side for side in commits}
     for side, tree in trees.items():
         export(commits[side], tree)
+    seconds = run_seconds(trees["change"])
 
     def plan(specs):
         return [(w, seeds(s)) for w, s in (p.split("=", 1) for p in specs)]
@@ -187,7 +193,7 @@ def main(argv=None):
     record = json.loads(args.about.read_text()) if args.about else {}
     record = {"label": args.label, **record,
               "command": "python3 perfbench/run.py --workload <w> --seed <s> "
-                         f"--seconds {args.seconds:g} --trace 0 (trace 1 for "
+                         f"--seconds {seconds:g} --trace 0 (trace 1 for "
                          "the per-layer records)",
               "method": "tools/bench_pairs.py: each side from a `git archive` "
                         "export of its commit into its own directory, one "
@@ -214,11 +220,11 @@ def main(argv=None):
         runs.append(run_entry(side, commits[side], rec))
 
     for workload, seed_list in plan(args.pairs):
-        recs = alternate(trees, workload, seed_list, args.seconds, 0, report)
+        recs = alternate(trees, workload, seed_list, seconds, 0, report)
         summary[workload] = workload_summary(recs["parent"], recs["change"],
                                              seed_list, commits["change"])
     for workload, seed_list in plan(args.traced):
-        recs = alternate(trees, workload, seed_list, args.seconds, 1, report)
+        recs = alternate(trees, workload, seed_list, seconds, 1, report)
         traced[workload] = {side: traced_summary(commits[side], recs[side])
                             for side in recs}
     record.update(environment=env, summary=summary, traced=traced, runs=runs)
