@@ -92,6 +92,11 @@ class Scenario:
         if self.name in (".", "..") or {os.sep, os.altsep} & set(self.name):
             raise ValidationError(
                 f"name must be a file name, not a path, got {self.name!r}")
+        # and it is printed in the summary and the gnuplot script's comment,
+        # where a newline would end the line early
+        if not self.name.isprintable():
+            raise ValidationError(
+                f"name must be printable, got {self.name!r}")
         if not finite_numbers(self.y0, 8):
             raise ValidationError(
                 f"y0 must be finite and have 8 entries, got {self.y0!r}")

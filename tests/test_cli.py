@@ -159,6 +159,16 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "m_p" in err
 
 
+def test_run_refuses_a_name_that_is_not_printable(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text('name: "a\\nb"\nscenario:\n  y0_deg: [0,0,0,0,0,0,0,0]\n')
+    code, _, err = run_cli(["run", str(bad), "--out", str(tmp_path)],
+                             capsys)
+    assert code == 3
+    assert err.startswith("config error:") and "printable" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.yaml"]
+
+
 @pytest.mark.parametrize("params", ["delta: 5", "delta: [a, 0.0, 0.0, 0.0]",
                                     "m_p: true"])
 def test_malformed_params_exit_code(tmp_path, capsys, params):

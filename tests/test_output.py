@@ -1,3 +1,9 @@
+import errno
+import io
+import os
+import pathlib
+import signal
+import threading
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -5,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from rollsim import output
 from rollsim.cli import summarize
 from rollsim.config import load_scenario
 from rollsim.output import (_BLOCK_ROWS, CSV_COLUMNS, format_csv,
@@ -65,6 +72,16 @@ def test_gnuplot_script_references_csv(freefall_short, tmp_path):
     script = gp_path.read_text()
     assert "ff.csv" in script
     assert "separator comma" in script
+
+
+def test_gnuplot_script_quotes_a_name_with_an_apostrophe(tmp_path):
+    script = gnuplot_script(tmp_path / "it's.csv")
+    # gnuplot reads '' inside single quotes as one '
+    assert "plot 'it''s.csv' u 1:" in script
+    assert "it's.csv" not in script.replace("# gnuplot -p it's.gp", "")
+    # outside the comment line every quoted string is closed
+    for line in script.splitlines()[1:]:
+        assert line.count("'") % 2 == 0, line
 
 
 def test_read_csv_rejects_foreign_header(tmp_path):
@@ -152,3 +169,177 @@ def test_write_csv_holds_one_block_not_the_file(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "t.csv").stat().st_size > 1_000_000
     assert peak < 1_000_000
+
+
+@pytest.fixture(scope="module")
+def freefall_full():
+    sc, p, m = load_scenario("freefall")
+    return run(sc, p, m)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Fails a test that would hang, with TimeoutError after 60 s."""
+    def expire(signum, frame):
+        raise TimeoutError("write_csv did not return")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The children os.fork made while the test ran. One still running at
+    the end is killed, so a failing test leaves no process behind."""
+    pids = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    yield pids
+    for pid in pids:
+        try:
+            if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        except ChildProcessError:
+            pass  # reaped, as it should be
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["serial", "forked"])
+@pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS,
+                               _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1, None])
+def test_write_csv_bytes_on_both_paths(freefall_short, tmp_path, monkeypatch,
+                                       forks, deadline, forked, n):
+    # the helper is forced either way, so a one-block table forks too and
+    # the child sends nothing
+    monkeypatch.setattr(output, "_two_processes", lambda nblocks: forked)
+    traj = freefall_short if n is None else first_rows(freefall_short, n)
+    path = tmp_path / "t.csv"
+    assert write_csv(traj, path) == traj.t.shape[0]
+    assert first_difference(path.read_bytes().decode("ascii"),
+                            per_value_csv(traj)) is None
+    assert len(forks) == forked
+    assert_no_child_left()
+
+
+def test_write_csv_writes_the_blocks_joined(freefall_full, tmp_path, forks):
+    # on a host with one usable CPU this takes the serial path
+    path = tmp_path / "t.csv"
+    write_csv(freefall_full, path)
+    assert path.read_bytes() == "".join(output._blocks(freefall_full)).encode()
+    assert len(forks) == output._two_processes(20)
+    assert_no_child_left()
+
+
+def test_two_processes_needs_two_blocks_and_no_other_thread():
+    assert not output._two_processes(0)
+    assert not output._two_processes(1)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert not output._two_processes(20)
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
+@pytest.mark.parametrize("sent", [0, 1, 5])
+def test_write_csv_survives_a_failing_child(freefall_full, tmp_path,
+                                            monkeypatch, capfd, forks,
+                                            deadline, sent):
+    # the child formats `sent` blocks and then raises; the caller formats
+    # the rest and writes each block once
+    monkeypatch.setattr(output, "_two_processes", lambda nblocks: True)
+    caller, real, formatted = os.getpid(), output._block, []
+
+    def block(cols, start):
+        if os.getpid() != caller:
+            formatted.append(start)
+            if len(formatted) > sent:
+                raise RuntimeError("the child fails")
+        return real(cols, start)
+
+    monkeypatch.setattr(output, "_block", block)
+    path = tmp_path / "t.csv"
+    write_csv(freefall_full, path)
+    assert path.read_bytes() == format_csv(freefall_full).encode()
+    assert formatted == []  # the child's list is its own
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert capfd.readouterr().err == ""
+
+
+def test_write_csv_formats_every_block_when_fork_fails(freefall_short,
+                                                       tmp_path, monkeypatch):
+    def fork():
+        raise OSError(errno.EAGAIN, "no process")
+
+    monkeypatch.setattr(output, "_two_processes", lambda nblocks: True)
+    monkeypatch.setattr(os, "fork", fork)
+    fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else []
+    path = tmp_path / "t.csv"
+    write_csv(freefall_short, path)
+    assert path.read_bytes() == format_csv(freefall_short).encode()
+    # the pipe is closed again
+    if fds:
+        assert len(os.listdir("/proc/self/fd")) == len(fds)
+
+
+def test_a_failed_file_write_reaches_the_caller(freefall_full, tmp_path,
+                                                monkeypatch, forks, deadline):
+    # the child is still sending when the caller's write fails; closing the
+    # pipe ends it, so the wait returns
+    monkeypatch.setattr(output, "_two_processes", lambda nblocks: True)
+    real_open = pathlib.Path.open
+
+    class FullDisk:
+        """The file, whose writes fail after the header and first block."""
+
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > 2:
+                raise OSError(errno.ENOSPC, "disk full")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(pathlib.Path, "open",
+                        lambda self, *a, **k: FullDisk(real_open(self, *a,
+                                                                 **k)))
+    with pytest.raises(OSError, match="disk full"):
+        write_csv(freefall_full, tmp_path / "t.csv")
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("stream", [b"", b"\x05\x00",
+                                    (10).to_bytes(8, "little") + b"abc"])
+def test_received_reads_a_cut_stream_as_its_end(stream):
+    assert output._received(io.BytesIO(stream)) is None
+    whole = (3).to_bytes(8, "little") + b"abc"
+    assert output._received(io.BytesIO(whole)) == b"abc"

@@ -226,6 +226,12 @@ def test_scenario_validation():
             Scenario(name=name, y0=(0.0,) * 8)
     with pytest.raises(ValidationError, match="y0"):
         Scenario(name="x", y0="01234567")
+    # the name is printed in the summary and the gnuplot script
+    for name in ("a\nb", "a\rb", "tab\there", "nul\x00", "del\x7f",
+                 "line\u2028sep"):
+        with pytest.raises(ValidationError, match="printable"):
+            Scenario(name=name, y0=(0.0,) * 8)
+    assert Scenario(name="it's ok", y0=(0.0,) * 8).name == "it's ok"
 
 
 INF, NAN = float("inf"), float("nan")

@@ -19,10 +19,13 @@ time as much as the change. --about names a JSON object whose keys (such
 as "change" and "claim") head the record.
 
 The record has the layout of BENCH_pr14.json. Per workload and side it
-gives the run medians of wall_ref and setup_s, their median, the quartiles
-of the wall_ref run medians and each run's peak_rss_mb; per workload the
-pairs the change won on wall_ref (ties count for neither side), the
-parent's quartile spread and the difference of the medians. "traced" holds
+gives the run medians of wall_ref, of the raw wall_s and of setup_s, their
+median, the quartiles of the wall_ref run medians and each run's
+peak_rss_mb; per workload the pairs the change won on wall_ref (ties count
+for neither side), the parent's quartile spread, the difference of the
+medians and the parent/change ratio of the medians in both units. wall_ref
+divides by a reference loop timed in the calling process, so a change that
+moves work to another CPU shows in wall_s as well. "traced" holds
 per workload and side the median of each layer metric over the traced
 runs, and each run's layers. "runs" holds each run's record without its
 per-sample values.
@@ -103,6 +106,7 @@ def run_entry(side, commit, rec):
 
 def side_summary(recs):
     walls = [round(r["wall_ref"]["median"], 2) for r in recs]
+    seconds = [round(r["wall_s"]["median"], 5) for r in recs]
     setups = [round(r["setup_s"]["median"], 4) for r in recs]
     rss = [r["peak_rss_mb"] for r in recs]
     return {"runs": len(recs),
@@ -110,6 +114,8 @@ def side_summary(recs):
             "wall_ref_quartiles_of_runs": [round(q, 2)
                                            for q in quartiles(walls)],
             "wall_ref_run_medians": walls,
+            "wall_s_median_of_runs": round(statistics.median(seconds), 5),
+            "wall_s_run_medians": seconds,
             "setup_s_run_medians": setups,
             "setup_s_median_of_runs": round(statistics.median(setups), 4),
             "peak_rss_mb": rss,
@@ -130,6 +136,8 @@ def workload_summary(parent, change, seed_list, change_commit):
             "parent_wall_ref_quartile_spread": round(q3 - q1, 2),
             "median_difference": round(pm - cm, 2),
             "wall_ref_ratio_parent_over_change": round(pm / cm, 3),
+            "wall_s_ratio_parent_over_change": round(
+                p["wall_s_median_of_runs"] / c["wall_s_median_of_runs"], 3),
             "change_commit": change_commit}
 
 
@@ -215,7 +223,8 @@ def main(argv=None):
                   file=sys.stderr)
             return
         print(f"{rec['workload']} seed {rec['seed']} {side}: wall_ref "
-              f"{rec['wall_ref']['median']:.2f} setup_s "
+              f"{rec['wall_ref']['median']:.2f} wall_s "
+              f"{rec['wall_s']['median']:.4f} setup_s "
               f"{rec['setup_s']['median']:.4f}", file=sys.stderr)
         runs.append(run_entry(side, commits[side], rec))
 
