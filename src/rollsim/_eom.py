@@ -56,37 +56,51 @@ def mass_matrix(p, q):
     """Upper triangle of M(q), 10 entries."""
     m_p, m_s, I_p, I_s, r1, r2, R1, R2, g, d_th1, d_th2, d_ph1, d_ph2 = p
     th1, th2, ph1, ph2 = q
-    c31 = cos(ph1 + th1)
-    c34 = cos(ph1 + ph2)
-    c42 = cos(ph2 + th2)
-    c12 = cos(ph1 - th2)
-    x0 = m_p*r1*r1
-    x1 = R1*c31
-    x2 = m_p*r1
-    x3 = m_p*r2*r2
-    x4 = R1*c42
-    x5 = R1*c12
-    x6 = R2*c12
-    x7 = x5 + x6
-    x8 = m_p*r2
-    x9 = R1*R1
-    x10 = m_p*x9
-    x11 = m_s*x9
-    x12 = c34*x10
-    x13 = c34*x11
-    x14 = R1*R2
-    x15 = 2.0*x14
-    x16 = m_p*x15
-    x17 = m_s*x15
-    x18 = R2*R2
-    x19 = m_p*x18
-    x20 = m_s*x18
-    x21 = I_s + x16 + x17 + x19 + x20
-    x22 = c34*x14
-    x23 = x5*x8
-    x24 = x6*x8
-    x25 = x10 + x11
-    return (I_p + x0, 0.0, x2*(r1 + x1), 0.0, I_p + x3, x8*(x4 + x7), x8*(r2 + x7), c34*x16 + c34*x17 + x0 + 2.0*x1*x2 + 3.0*x10 + 3.0*x11 + 2.0*x12 + 2.0*x13 + x21, m_p*x22 + m_s*x22 + x12 + x13 + x16 + x17 + x19 + x20 + x23 + x24 + x25 + x4*x8, x21 + 2.0*x23 + 2.0*x24 + x25 + x3)
+    a31 = ph1 + th1
+    c31 = cos(a31)
+    a34 = ph1 + ph2
+    c34 = cos(a34)
+    a42 = ph2 + th2
+    c42 = cos(a42)
+    a12 = ph1 - th2
+    c12 = cos(a12)
+    xm0 = m_p*r1*r1
+    xm1 = R1*c31
+    xm2 = m_p*r1
+    xm3 = m_p*r2*r2
+    xm4 = R1*c42
+    xm5 = R1*c12
+    xm6 = R2*c12
+    xm7 = xm5 + xm6
+    xm8 = m_p*r2
+    xm9 = R1*R1
+    xm10 = m_p*xm9
+    xm11 = m_s*xm9
+    xm12 = c34*xm10
+    xm13 = c34*xm11
+    xm14 = R1*R2
+    xm15 = 2.0*xm14
+    xm16 = m_p*xm15
+    xm17 = m_s*xm15
+    xm18 = R2*R2
+    xm19 = m_p*xm18
+    xm20 = m_s*xm18
+    xm21 = I_s + xm16 + xm17 + xm19 + xm20
+    xm22 = c34*xm14
+    xm23 = xm5*xm8
+    xm24 = xm6*xm8
+    xm25 = xm10 + xm11
+    m00 = I_p + xm0
+    m01 = 0.0
+    m02 = xm2*(r1 + xm1)
+    m03 = 0.0
+    m11 = I_p + xm3
+    m12 = xm8*(xm4 + xm7)
+    m13 = xm8*(r2 + xm7)
+    m22 = c34*xm16 + c34*xm17 + xm0 + 2.0*xm1*xm2 + 3.0*xm10 + 3.0*xm11 + 2.0*xm12 + 2.0*xm13 + xm21
+    m23 = m_p*xm22 + m_s*xm22 + xm12 + xm13 + xm16 + xm17 + xm19 + xm20 + xm23 + xm24 + xm25 + xm4*xm8
+    m33 = xm21 + 2.0*xm23 + 2.0*xm24 + xm25 + xm3
+    return (m00, m01, m02, m03, m11, m12, m13, m22, m23, m33)
 
 
 def bias(p, q, qd):
@@ -94,70 +108,92 @@ def bias(p, q, qd):
     m_p, m_s, I_p, I_s, r1, r2, R1, R2, g, d_th1, d_th2, d_ph1, d_ph2 = p
     th1, th2, ph1, ph2 = q
     dth1, dth2, dph1, dph2 = qd
-    s31 = sin(ph1 + th1)
-    s34 = sin(ph1 + ph2)
-    s42 = sin(ph2 + th2)
-    s12 = sin(ph1 - th2)
-    x0 = dph1*dph1
-    x1 = m_p*r2
-    x2 = R1 + R2
-    x3 = s12*x2
-    x4 = x1*x3
-    x5 = x0*x4
-    x6 = dph2*dph2
-    x7 = 2.0*dph2
-    x8 = dph1*x7
-    x9 = x4*x8
-    x10 = m_p*r1*s31
-    x11 = R1*x10
-    x12 = R1*s34
-    x13 = R1*s12
-    x14 = R2*s12
-    x15 = R1*s42
-    x16 = x13 + x14 - x15
-    x17 = dth2*dth2
-    x18 = m_p*x12
-    x19 = m_s*x12
-    x20 = R2*s34
-    x21 = R1*R1*s34
-    return (d_th1*dth1, d_th2*dth2 - x4*x6 - x5 - x9, -R1*x0*(m_p*x20 + m_s*x20 + x10 + x18 + x19) + d_ph1*dph1 - 2.0*dph1*dth1*x11 + 2.0*dph2*dth2*m_p*r2*x16 - dth1*dth1*x11 + m_p*r2*x16*x17 - x12*x2*x8*(m_p + m_s) - x6*(R2*x18 + R2*x19 + m_p*x21 + m_s*x21 - x1*x13 - x1*x14 + x1*x15), d_ph2*dph2 + dth2*x4*x7 + x1*x17*x3 - x5 - x9)
+    a31 = ph1 + th1
+    s31 = sin(a31)
+    a34 = ph1 + ph2
+    s34 = sin(a34)
+    a42 = ph2 + th2
+    s42 = sin(a42)
+    a12 = ph1 - th2
+    s12 = sin(a12)
+    xb0 = dph1*dph1
+    xb1 = m_p*r2
+    xb2 = R1 + R2
+    xb3 = s12*xb2
+    xb4 = xb1*xb3
+    xb5 = xb0*xb4
+    xb6 = dph2*dph2
+    xb7 = 2.0*dph2
+    xb8 = dph1*xb7
+    xb9 = xb4*xb8
+    xb10 = m_p*r1*s31
+    xb11 = R1*xb10
+    xb12 = R1*s34
+    xb13 = R1*s12
+    xb14 = R2*s12
+    xb15 = R1*s42
+    xb16 = xb13 + xb14 - xb15
+    xb17 = dth2*dth2
+    xb18 = m_p*xb12
+    xb19 = m_s*xb12
+    xb20 = R2*s34
+    xb21 = R1*R1*s34
+    bias0 = d_th1*dth1
+    bias1 = d_th2*dth2 - xb4*xb6 - xb5 - xb9
+    bias2 = -R1*xb0*(m_p*xb20 + m_s*xb20 + xb10 + xb18 + xb19) + d_ph1*dph1 - 2.0*dph1*dth1*xb11 + 2.0*dph2*dth2*m_p*r2*xb16 - dth1*dth1*xb11 + m_p*r2*xb16*xb17 - xb12*xb2*xb8*(m_p + m_s) - xb6*(R2*xb18 + R2*xb19 + m_p*xb21 + m_s*xb21 - xb1*xb13 - xb1*xb14 + xb1*xb15)
+    bias3 = d_ph2*dph2 + dth2*xb4*xb7 + xb1*xb17*xb3 - xb5 - xb9
+    return (bias0, bias1, bias2, bias3)
 
 
 def gravity(p, q, variant):
     """dU/dq for the selected potential variant."""
     m_p, m_s, I_p, I_s, r1, r2, R1, R2, g, d_th1, d_th2, d_ph1, d_ph2 = p
     th1, th2, ph1, ph2 = q
-    s31 = sin(ph1 + th1)
-    c34 = cos(ph1 + ph2)
-    s34 = sin(ph1 + ph2)
-    s42 = sin(ph2 + th2)
-    x0 = m_p*r1*s31
-    x1 = g*x0
-    x2 = m_p*r2*s42
-    x3 = g*x2
-    x4 = R1*s34
-    x5 = R2*s34
-    x6 = m_s*x4 + m_s*x5
-    x7 = x0 + x6
-    x8 = m_p*x4 + m_p*x5
-    x9 = x2 + x6
-    x10 = c34*m_p
-    x11 = -R1*x10 - R2*x10
+    a31 = ph1 + th1
+    s31 = sin(a31)
+    a34 = ph1 + ph2
+    c34 = cos(a34)
+    s34 = sin(a34)
+    a42 = ph2 + th2
+    s42 = sin(a42)
+    xg0 = m_p*r1*s31
+    xg1 = g*xg0
+    xg2 = m_p*r2*s42
+    xg3 = g*xg2
+    xg4 = R1*s34
+    xg5 = R2*s34
+    xg6 = m_s*xg4 + m_s*xg5
+    xg7 = xg0 + xg6
+    xg8 = m_p*xg4 + m_p*xg5
+    xg9 = xg2 + xg6
+    xg10 = c34*m_p
+    xg11 = -R1*xg10 - R2*xg10
     if variant == 1:
-        return (x1, x3, g*(x7 + x8), g*(x8 + x9))
-    return (x1, x3, g*(x11 + x7), g*(x11 + x9))
+        G0 = xg1
+        G1 = xg3
+        G2 = g*(xg7 + xg8)
+        G3 = g*(xg8 + xg9)
+    else:
+        G0 = xg1
+        G1 = xg3
+        G2 = g*(xg11 + xg7)
+        G3 = g*(xg11 + xg9)
+    return (G0, G1, G2, G3)
 
 
 def tip_geometry(p, q):
     """(p_m, p_m * d p_m / dq): tip separation, scaled gradient."""
     m_p, m_s, I_p, I_s, r1, r2, R1, R2, g, d_th1, d_th2, d_ph1, d_ph2 = p
     th1, th2, ph1, ph2 = q
-    c31 = cos(ph1 + th1)
-    s31 = sin(ph1 + th1)
-    c34 = cos(ph1 + ph2)
-    s34 = sin(ph1 + ph2)
-    c42 = cos(ph2 + th2)
-    s42 = sin(ph2 + th2)
+    a31 = ph1 + th1
+    c31 = cos(a31)
+    s31 = sin(a31)
+    a34 = ph1 + ph2
+    c34 = cos(a34)
+    s34 = sin(a34)
+    a42 = ph2 + th2
+    c42 = cos(a42)
+    s42 = sin(a42)
     dx = (R1*ph1 + r1*s31) - ((R1*ph1 + (R1 + R2)*s34) + r2*s42)
     dy = (-r1)*c31 - ((-(R1 + R2))*c34 - r2*c42)
     dx_th1 = c31*r1
@@ -168,7 +204,12 @@ def tip_geometry(p, q):
     dy_th2 = -r2*s42
     dy_ph1 = r1*s31 - s34*(R1 + R2)
     dy_ph2 = -r2*s42 - s34*(R1 + R2)
-    return (sqrt(dx*dx + dy*dy), dx*dx_th1 + dy*dy_th1, dx*dx_th2 + dy*dy_th2, dx*dx_ph1 + dy*dy_ph1, dx*dx_ph2 + dy*dy_ph2)
+    pm = sqrt(dx*dx + dy*dy)
+    pg0 = dx*dx_th1 + dy*dy_th1
+    pg1 = dx*dx_th2 + dy*dy_th2
+    pg2 = dx*dx_ph1 + dy*dy_ph1
+    pg3 = dx*dx_ph2 + dy*dy_ph2
+    return (pm, pg0, pg1, pg2, pg3)
 
 
 def tip_law(mag, tip):

@@ -140,7 +140,10 @@ def write_csv(traj, path) -> int:
             if child:
                 pid, pipe = child
                 pipe.close()
-                os.waitpid(pid, 0)
+                try:
+                    os.waitpid(pid, 0)
+                except ChildProcessError:
+                    pass  # SIGCHLD is ignored: the kernel has reaped it
     return traj.t.shape[0]
 
 

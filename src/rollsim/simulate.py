@@ -131,9 +131,11 @@ class Trajectory:
     All arrays share the first axis. V and Vdot are NaN for controller-less
     runs; Vdot, the backward difference of V, is NaN at the first sample.
     u holds the (u1, u2) pairs, zero when no controller is attached, and
-    generalized_torque maps a row to the generalized force. truncated marks a run cut short by a
-    non-finite state; the arrays then hold only the valid samples and the
-    event log ends with a NonFiniteState entry.
+    model.generalized_torque maps a row to the generalized force.
+
+    truncated marks a run cut short by a non-finite state; the arrays then
+    hold only the valid samples, and the event log ends with a
+    NonFiniteState entry.
     """
 
     scenario_name: str

@@ -11,6 +11,7 @@ import ast
 import importlib.util
 import inspect
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -188,6 +189,32 @@ def test_accel_redoes_no_arithmetic_of_p_alone():
                 redone.append(ast.unparse(node))
     assert redone == []
 
+
+
+def temporaries(stmts):
+    """{name: value} of the cse temporaries xm*, xb*, xg* and xt* that the
+    statements assign, at any depth."""
+    return {t.id: node.value for stmt in stmts for node in ast.walk(stmt)
+            if isinstance(node, ast.Assign) for t in node.targets
+            if isinstance(t, ast.Name) and re.fullmatch(r"x[mbgt]\d+", t.id)}
+
+
+def test_the_terms_and_the_loop_share_their_temporaries():
+    # each term's cse block is printed once, into its function and into
+    # loop_for; the temporaries _hoist moved whole keep their right-hand side
+    funcs = {f.name: f for f in ast.parse(inspect.getsource(_eom)).body
+             if isinstance(f, ast.FunctionDef)}
+    terms = {}
+    for name in ("mass_matrix", "bias", "gravity", "tip_geometry"):
+        terms.update(temporaries(funcs[name].body))
+    looped = temporaries(funcs["loop_for"].body)
+    assert {"xm", "xb", "xg"} <= {n[:2] for n in terms}
+    assert sorted(looped) == sorted(terms)
+    whole = temporaries(s for s in funcs["loop_for"].body
+                        if isinstance(s, ast.Assign))
+    assert {"xm0", "xm21", "xb1", "xb2"} <= set(whole)
+    for name, value in whole.items():
+        assert ast.dump(value) == ast.dump(terms[name]), name
 
 @pytest.mark.parametrize("y", [
     [0.0, 0.0, math.inf, 0.0, 0.0, 0.0, 0.0, 0.0],     # sin(inf) would raise

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rollsim import output
+from rollsim import cli, output
 from rollsim.cli import summarize
 from rollsim.config import load_scenario
 from rollsim.output import (_BLOCK_ROWS, CSV_COLUMNS, format_csv,
@@ -260,6 +260,37 @@ def test_two_processes_needs_two_blocks_and_no_other_thread():
         other.join(timeout=10)
     assert not other.is_alive()
 
+
+
+@pytest.mark.parametrize("count, two", [(4, True), (1, False), (None, False)])
+def test_two_processes_counts_cpus_without_sched_getaffinity(monkeypatch,
+                                                             count, two):
+    # as on macOS: no os.sched_getaffinity, and os.cpu_count() may be None
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    assert output._two_processes(20) is two
+
+
+def test_write_csv_where_sigchld_is_ignored(freefall_full, tmp_path,
+                                            monkeypatch, capsys, forks,
+                                            deadline):
+    # the kernel reaps each child itself, so the wait for it finds none;
+    # an ignored SIGCHLD is inherited across exec from any parent
+    monkeypatch.setattr(output, "_two_processes", lambda nblocks: True)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        path = tmp_path / "t.csv"
+        write_csv(freefall_full, path)
+        code = cli.main(["run", "freefall", "--out", str(tmp_path / "ff.csv")])
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert path.read_bytes() == format_csv(freefall_full).encode()
+    assert code == 0
+    assert (tmp_path / "ff.gp").exists()
+    assert "cannot write" not in capsys.readouterr().err
+    assert len(forks) == 2
+    assert_no_child_left()
 
 @pytest.mark.parametrize("sent", [0, 1, 5])
 def test_write_csv_survives_a_failing_child(freefall_full, tmp_path,

@@ -19,13 +19,15 @@ time as much as the change. --about names a JSON object whose keys (such
 as "change" and "claim") head the record.
 
 The record has the layout of BENCH_pr14.json. Per workload and side it
-gives the run medians of wall_ref, of the raw wall_s and of setup_s, their
-median, the quartiles of the wall_ref run medians and each run's
-peak_rss_mb; per workload the pairs the change won on wall_ref (ties count
-for neither side), the parent's quartile spread, the difference of the
-medians and the parent/change ratio of the medians in both units. wall_ref
-divides by a reference loop timed in the calling process, so a change that
-moves work to another CPU shows in wall_s as well. "traced" holds
+gives the run medians of wall_ref, of the raw wall_s, of setup_s and of
+the reference loop's time (reference_loop_s), their median, the quartiles
+of the wall_ref run medians and each run's peak_rss_mb; per workload the
+pairs the change won on wall_ref (ties count for neither side), the
+parent's quartile spread, the difference of the medians and the
+parent/change ratio of the medians in both units. wall_ref divides by a
+reference loop timed in the calling process, so a change that moves work
+to another CPU shows in wall_s as well, and a wall_ref that moves with
+reference_loop_s alone shows the host, not the program. "traced" holds
 per workload and side the median of each layer metric over the traced
 runs, and each run's layers. "runs" holds each run's record without its
 per-sample values.
@@ -99,6 +101,7 @@ def run_entry(side, commit, rec):
             "failed": rec["failed"], "error_rate": rec["error_rate"],
             "wall_ref": timing(rec["wall_ref"]),
             "setup_s": timing(rec["setup_s"]),
+            "reference_loop_s": timing(rec["reference_loop_s"]),
             "peak_rss_mb": rec["peak_rss_mb"],
             "wall_s_median": rec["wall_s"]["median"],
             "throughput": rec["throughput"]}
@@ -108,6 +111,7 @@ def side_summary(recs):
     walls = [round(r["wall_ref"]["median"], 2) for r in recs]
     seconds = [round(r["wall_s"]["median"], 5) for r in recs]
     setups = [round(r["setup_s"]["median"], 4) for r in recs]
+    loops = [round(r["reference_loop_s"]["median"], 7) for r in recs]
     rss = [r["peak_rss_mb"] for r in recs]
     return {"runs": len(recs),
             "wall_ref_median_of_runs": round(statistics.median(walls), 2),
@@ -118,6 +122,9 @@ def side_summary(recs):
             "wall_s_run_medians": seconds,
             "setup_s_run_medians": setups,
             "setup_s_median_of_runs": round(statistics.median(setups), 4),
+            "reference_loop_s_run_medians": loops,
+            "reference_loop_s_median_of_runs": round(
+                statistics.median(loops), 7),
             "peak_rss_mb": rss,
             "peak_rss_mb_median_of_runs": statistics.median(rss),
             "attempted": sum(r["attempted"] for r in recs),

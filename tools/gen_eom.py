@@ -17,26 +17,31 @@ derives, for M(q) qdd + bias(q, qd) + G(q) = tau,
     G    = dU/dq          (one vector per potential variant)
 
 and common subexpression elimination turns each set into straight-line
-code. The tip separation p_m and p_m times its gradient come from
-rollsim._core.separation the same way (see tip_geometry). More functions
-are printed from fixed texts: solve_spd4, the 4x4 Cholesky written once as
-the CHOLESKY text; tip_law, the tip force law written once as the TIP_LAW
-text; pd_error and pd_input, the PD law written once as the PD_LAW text;
-and loop_for(p, variant, dt, mag, pd), which the run loop calls once per
-run. It computes every value of the separate cse blocks of M, bias, G and
-the tip geometry, of the Cholesky and of the force law that depends on p
-and mag alone, found on the Python parse of the printed lines (see
-_hoist), unpacks the gains and targets of pd, and returns loop(ys, n), the
-run's one call: up to n RK4 steps with the state in locals, each step the
-PD law inline on its start state, held as tau = _core.torque_map(u1, u2),
-then the rest of the blocks, the force law and the solve, in a loop over
-the four stages, each angle sum named and each sine and cosine taken once
-per stage. Moving whole parse subtrees keeps every operand and grouping,
-so each stage's qdd equals the separate calls to the last bit. The output
-uses only +, -, *, / and math's sin, cos and sqrt: integer powers are
-written as products, because Python's float ** raises OverflowError where
-a product overflows to inf, and the integrator reports a non-finite state
-by testing for inf and nan.
+code, one _block per term. The tip separation p_m and p_m times its
+gradient come from rollsim._core.separation the same way (see
+tip_geometry). A block's temporaries are named for its term (xm*, xb*,
+xg*, xt*) and its outputs are assigned to names, and the same lines are
+printed twice: as the term's function (mass_matrix, bias, gravity,
+tip_geometry), and inside loop_for. More functions are printed from fixed
+texts: solve_spd4, the 4x4 Cholesky written once as the CHOLESKY text;
+tip_law, the tip force law written once as the TIP_LAW text; pd_error and
+pd_input, the PD law written once as the PD_LAW text; and loop_for(p,
+variant, dt, mag, pd), which the run loop calls once per run. _def prints
+every generated function, loop_for's nested loop included. loop_for
+computes every value of the four blocks, of the Cholesky and of the force
+law that depends on p and mag alone, found on the Python parse of the
+printed lines (see _hoist), unpacks the gains and targets of pd, and
+returns loop(ys, n), the run's one call: up to n RK4 steps with the state
+in locals, each step the PD law inline on its start state, held as tau =
+_core.torque_map(u1, u2), then the rest of the blocks, the force law and
+the solve, in a loop over the four stages. There, as in the term
+functions, each angle sum is named and each sine and cosine taken once
+(_trig_lines). Moving whole parse subtrees keeps every operand and
+grouping, so each stage's qdd equals the separate calls to the last bit.
+The output uses only +, -, *, / and math's sin, cos and sqrt: integer
+powers are written as products, because Python's float ** raises
+OverflowError where a product overflows to inf, and the integrator reports
+a non-finite state by testing for inf and nan.
 
 Importing rollsim._core imports the checked-in _eom, so a syntactically
 broken _eom.py must be restored (git checkout src/rollsim/_eom.py) before
@@ -48,7 +53,6 @@ from __future__ import annotations
 import argparse
 import ast
 import itertools
-import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -99,7 +103,7 @@ def energies():
 
 
 def tip_geometry(trig):
-    """(pre, outputs) of the loop's tip geometry, for _function.
+    """(pre, outputs) of the tip geometry, for _block.
 
     pre assigns dx and dy, rollsim._core.bob_offset built unevaluated:
     printed in order, they repeat its float operations, so the p_m of them
@@ -187,69 +191,70 @@ class _Printer(PythonCodePrinter):
         raise ValueError(f"unsupported power {expr}")
 
 
-def _block(outputs, trig, pre=()):
-    """One term's straight-line code: (trig names used, lines, returned).
+def _block(outputs, names, prefix, trig, pre=()):
+    """One term's straight-line code: (the c*/s* names it reads, its lines).
 
-    outputs is the list of returned expressions, or a dict mapping each
-    potential variant to its list. lines are unindented assignments: pre's
-    (symbol, expression) pairs first, printed in argument order and keeping
-    their grouping, then the term's common subexpressions x0, x1, ...
-    returned maps each variant (None for a single branch) to its printed
-    expressions.
+    outputs is the list of the term's expressions, or a dict mapping each
+    potential variant to its list. The lines are unindented assignments
+    and branch headers: pre's (symbol, expression) pairs first, printed in
+    argument order and keeping their grouping, then the term's common
+    subexpressions prefix0, prefix1, ..., then the outputs assigned to
+    names, under one if/else branch per variant.
     """
     printer = _Printer()
     branches = outputs if isinstance(outputs, dict) else {None: outputs}
     exprs = [e for out in branches.values() for e in out]
-    reps, reduced = sp.cse(exprs, symbols=sp.numbered_symbols("x"),
+    reps, reduced = sp.cse(exprs, symbols=sp.numbered_symbols(prefix),
                            optimizations="basic")
     used = set().union(*(e.free_symbols for _, e in [*pre, *reps]),
                        *(e.free_symbols for e in reduced))
     in_order = _Printer({"order": "none"})
     lines = [f"{sym} = {in_order.doprint(e)}" for sym, e in pre]
     lines += [f"{sym} = {printer.doprint(e)}" for sym, e in reps]
-    returned = {}
-    for variant, out in branches.items():
+    for i, (variant, out) in enumerate(branches.items()):
         mine, reduced = reduced[:len(out)], reduced[len(out):]
-        returned[variant] = ["0.0" if e == 0 else printer.doprint(e)
-                             for e in mine]
-    return [sym for sym in trig.values() if sym in used], lines, returned
+        indent = ""
+        if variant is not None:
+            indent = "    "
+            lines.append("else:" if i == len(branches) - 1 else
+                         f"{'if' if i == 0 else 'elif'} variant == {variant}:")
+        lines += [f"{indent}{n} = {printer.doprint(e)}"
+                  for n, e in zip(names, mine)]
+    return {sym for sym in trig.values() if sym in used}, lines
 
 
-def _preamble(name, args, doc, unpack, trig, used, indent="    "):
-    """def line, docstring, the (names, arg) unpackings, then each used c*/s*
-    taken once; the body at indent."""
-    printer = _Printer()
-    lines = [f"{indent[4:]}def {name}({', '.join(args)}):",
-             f'{indent}"""{doc}"""']
-    lines += [f"{indent}{', '.join(map(str, names))} = {arg}"
-              for names, arg in unpack]
-    for func, sym in trig.items():
-        if sym in used:
-            arg = printer.doprint(func.args[0])
-            lines.append(f"{indent}{sym} = {type(func).__name__}({arg})")
+def _trig_lines(trig, used):
+    """Each angle sum that a used c*/s* name reads, named a*, then those
+    names taken of it once."""
+    lines = []
+    for angle, tag in ANGLES:
+        taken = [(func, sym) for func, sym in trig.items()
+                 if func.args[0] == angle and sym in used]
+        if taken:
+            lines.append(f"a{tag} = {_Printer().doprint(angle)}")
+            lines += [f"{sym} = {type(func).__name__}(a{tag})"
+                      for func, sym in taken]
     return lines
 
 
-def _function(name, args, doc, outputs, trig, pre=()):
-    """Source of one generated term; see _block for outputs and pre."""
-    used, body, returned = _block(outputs, trig, pre)
-    unpack = [(PAR, "p"), (Q, "q")]
-    unpack += [(QD, "qd")] if "qd" in args else []
-    lines = _preamble(name, args, doc, unpack, trig, used)
-    lines += ["    " + line for line in body]
-    for i, (variant, texts) in enumerate(returned.items()):
-        text = ", ".join(texts)
-        if i < len(returned) - 1:
-            lines += [f"    if variant == {variant}:", f"        return ({text})"]
-        else:
-            lines.append(f"    return ({text})")
+def _unpack(names, value):
+    return f"{', '.join(map(str, names))} = {value}"
+
+
+def _def(name, args, doc, body, returned):
+    """Source of the function name(args) with docstring doc, the unindented
+    lines of body, then `return returned`; blank lines stay blank, so a
+    function printed here can be part of another's body."""
+    lines = [*f'"""{doc}"""'.splitlines(), *body, f"return {returned}"]
+    lines = [f"def {name}({', '.join(args)}):"] + [
+        f"    {line}" if line else "" for line in lines]
     return "\n".join(lines) + "\n"
 
 
-# M x = b by Cholesky, M given as its upper triangle m00..m33 row by row:
-# one text, printed as solve_spd4 and inline in loop. A non-positive or
-# non-finite pivot returns None; no input makes it raise. Every name is
-# assigned once, so the pivots of p alone can move to loop_for.
+# M x = b by Cholesky, M given as its upper triangle m00..m33 row by row,
+# into x0..x3: one text, printed as solve_spd4 and inline in loop. A
+# non-positive or non-finite pivot returns None; no input makes it raise.
+# Every name is assigned once, so the pivots of p alone can move to loop_for.
 CHOLESKY = """\
 if not 0.0 < m00 < inf:
     return None
@@ -279,8 +284,7 @@ y3 = (b3 - l30 * y0 - l31 * y1 - l32 * y2) / l33
 x3 = y3 / l33
 x2 = (y2 - l32 * x3) / l22
 x1 = (y1 - l21 * x2 - l31 * x3) / l11
-x0 = (y0 - l10 * x1 - l20 * x2 - l30 * x3) / l00
-return (x0, x1, x2, x3)"""
+x0 = (y0 - l10 * x1 - l20 * x2 - l30 * x3) / l00"""
 
 # The tip attraction's generalized force t = -F grad p_m, from pm = p_m and
 # pg0..pg3 = p_m grad p_m: one text, printed as tip_law and inline in loop.
@@ -330,73 +334,34 @@ u1 = (kp00 * e0 + kp01 * e1 + kp02 * e2 + kp03 * e3
 u2 = (kp10 * e0 + kp11 * e1 + kp12 * e2 + kp13 * e3
       + kd10 * dth1 + kd11 * dth2 + kd12 * dph1 + kd13 * dph2)"""
 
-# what loop_for returns when a pivot of p alone fails
-FAILED_LOOP = '''\
-def _failed_loop(ys, n):
-    """loop_for's loop where a pivot of p alone fails: it takes no step."""
-    return 0
-'''
-
+# the output names of mass_matrix, bias and gravity
 M_NAMES = [f"m{i}{j}" for i in range(4) for j in range(i, 4)]
+BIAS = [f"bias{i}" for i in range(4)]
+GRAVITY = [f"G{i}" for i in range(4)]
 
+# the docstrings of the generated functions that take more than one line
+TIP_LAW_DOC = """\
+(B, F, t, degenerate) of the tip force law at tip = (p_m, p_m grad p_m).
 
-def _solver():
-    """Source of solve_spd4, the CHOLESKY text as a function."""
-    lines = ["def solve_spd4(m, b):",
-             '    """x with M x = b, M as its upper triangle; None when a '
-             'pivot fails."""',
-             "    " + ", ".join(M_NAMES) + " = m",
-             "    b0, b1, b2, b3 = b"]
-    lines += ["    " + line for line in CHOLESKY.splitlines()]
-    return "\n".join(lines) + "\n"
+t = -F grad p_m is the generalized force; B and F do not depend on
+the gradient, and at p_m = 0 B is B_max.
+"""
+PD_ERROR_DOC = """\
+PD errors (e, edot) of the state y, current minus desired.
 
-
-def _tip_law():
-    """Source of tip_law, the TIP_LAW text as a function."""
-    lines = ["def tip_law(mag, tip):",
-             '    """(B, F, t, degenerate) of the tip force law at tip = '
-             "(p_m, p_m grad p_m).",
-             "",
-             "    t = -F grad p_m is the generalized force; B and F do not "
-             "depend on",
-             "    the gradient, and at p_m = 0 B is B_max.",
-             '    """',
-             f"    {', '.join(MAG)} = mag",
-             f"    {', '.join(TIP)} = tip"]
-    lines += ["    " + line for line in TIP_LAW.splitlines()]
-    lines.append("    return (B, F, (t0, t1, t2, t3), degenerate)")
-    return "\n".join(lines) + "\n"
-
-
-def _pd_law():
-    """Source of pd_error and pd_input, the PD_LAW text as functions."""
-    y = f"    {', '.join(map(str, Q + QD))} = y"
-    tgt = PD_ARGS.splitlines()[-1]
-    lines = ["def pd_error(tgt, y):",
-             '    """PD errors (e, edot) of the state y, current minus '
-             "desired.",
-             "",
-             "    e = (psi1, psi2, phi1, phi2) - tgt with psi_i = theta_i - "
-             "phi_i. The",
-             "    targets are constant, so the rate channel is (thetadot1, "
-             "thetadot2,",
-             '    phidot1, phidot2) itself, as printed."""',
-             "    " + tgt, y]
-    lines += ["    " + line for line in PD_ERROR.splitlines()]
-    lines += ["    return ((e0, e1, e2, e3), (dth1, dth2, dph1, dph2))",
-              "", "",
-              "def pd_input(Kp, Kd, tgt, y):",
-              '    """Motor torques (u1, u2) = Kp e + Kd edot of the state y; '
-              'see pd_error."""']
-    lines += ["    " + line for line in PD_ARGS.splitlines()] + [y]
-    lines += ["    " + line for line in PD_LAW.splitlines()]
-    lines.append("    return (u1, u2)")
-    return "\n".join(lines) + "\n"
-
-
-def _apart(text, prefix):
-    """text with the cse temporaries x0, x1, ... renamed prefix0, ..."""
-    return re.sub(r"\bx(\d+)\b", prefix + r"\1", text)
+e = (psi1, psi2, phi1, phi2) - tgt with psi_i = theta_i - phi_i. The
+targets are constant, so the rate channel is (thetadot1, thetadot2,
+phidot1, phidot2) itself, as printed."""
+LOOP_FOR_DOC = """\
+loop(ys, n), up to n RK4 steps of dt for parameters p, potential
+variant, tip coupling mag and PD controller pd, (Kp, Kd, tgt) or None;
+what p, mag and pd alone determine is computed here, once."""
+LOOP_DOC = """\
+Up to n RK4 steps from y = ys[0], each new y written to the next
+row of ys, under the PD input at each step's start, held, plus the tip
+torque at each stage when mag couples the tips. Returns the number
+of steps taken, fewer than n where a pivot fails or the input to
+stage 2, 3 or 4 or the new y is not finite."""
 
 
 # node types of a hoisted expression: +, - and * never raise on floats
@@ -499,7 +464,7 @@ def _split_needed(lines, name):
             [line for i, line in enumerate(lines) if i not in mine])
 
 
-def _loop_for(m, b, g, tip, trig):
+def _loop_for(blocks, trig):
     """Source of loop_for(p, variant, dt, mag, pd), which returns loop(ys,
     n): up to n RK4 steps of y' = (qd, qdd) from ys[0], each new y written
     to the next row of ys, qdd = M^-1 ((tau - bias - G) + t) with tau the
@@ -508,50 +473,29 @@ def _loop_for(m, b, g, tip, trig):
     returns the number of steps it took; it stops where a stage fails or
     the new y is not finite.
 
-    It prints the blocks of mass_matrix, bias, gravity and tip_geometry
-    (tip, its (pre, outputs)) as _function does, each sympy cse of its own,
-    with their x* temporaries renamed apart (xm*, xb*, xg*, xt*) and their
-    outputs assigned to names; a joint cse over them would regroup the
-    arithmetic and move last bits. Then the right-hand side in the order of
-    the separate terms: tau - bias - G, then, under one test of mag's
-    enabled, the tip geometry's lines that p_m needs, TIP_LAW with the
-    others at its GRADIENT line, and + t; and CHOLESKY. _hoist moves
-    what they compute of p and mag alone to loop_for, once per run, the
-    first two pivots among it; loop_for also unpacks pd's gains and targets
-    once. loop keeps the state in z0..z7 between steps. Each step copies it
-    to the stage input, runs PD_LAW on it under one test of pd and forms
-    tau as _core.torque_map does, then runs the rest once per RK4 stage in
-    a loop, each angle sum named and each c*/s* taken once, the tip
-    geometry's among them, and forms the next stage's input, the slopes'
-    weighted sum and the new y with the expressions and grouping of
-    tests/test_simulate.py's list RK4: k1 + 2.0 k2 + 2.0 k3 + k4 is summed
-    left to right as the stages come. A stage input of inf or nan stops
-    the loop before any sine is taken of it, and so does a new y of inf or
-    nan before it is written.
+    blocks are the _block results of mass_matrix, bias, gravity and
+    tip_geometry, the lines their functions print: each its own sympy cse,
+    its temporaries named apart (xm*, xb*, xg*, xt*) and its outputs
+    assigned to names; a joint cse over them would regroup the arithmetic
+    and move last bits. The right-hand side follows in the order of the
+    separate terms: tau - bias - G, then, under one test of mag's enabled,
+    the tip geometry's lines that p_m needs, TIP_LAW with the others at its
+    GRADIENT line, and + t; and CHOLESKY. _hoist moves what they compute of
+    p and mag alone to loop_for, once per run, the first two pivots among
+    it; loop_for also unpacks pd's gains and targets once. loop keeps the
+    state in z0..z7 between steps. Each step copies it to the stage input,
+    runs PD_LAW on it under one test of pd and forms tau as
+    _core.torque_map does, then runs the rest once per RK4 stage in a loop,
+    after _trig_lines of every c*/s* the blocks read, and forms the next
+    stage's input, the slopes' weighted sum and the new y with the
+    expressions and grouping of tests/test_simulate.py's list RK4: k1 +
+    2.0 k2 + 2.0 k3 + k4 is summed left to right as the stages come. A
+    stage input of inf or nan stops the loop before any sine is taken of
+    it, and so does a new y of inf or nan before it is written.
     """
-    blocks = [(_block(m, trig), "xm", M_NAMES),
-              (_block(b, trig), "xb", [f"bias{i}" for i in range(4)]),
-              (_block(g, trig), "xg", [f"G{i}" for i in range(4)]),
-              (_block(tip[1], trig, tip[0]), "xt", TIP)]
-    used = set().union(*(blk[0] for blk, _, _ in blocks))
-
-    def lines_of(block, prefix, names):
-        _, code, returned = block
-        out = [_apart(line, prefix) for line in code]
-        for i, (variant, texts) in enumerate(returned.items()):
-            indent = ""
-            if variant is not None:
-                indent = "    "
-                out.append("else:" if i == len(returned) - 1 else
-                           f"{'if' if i == 0 else 'elif'} "
-                           f"variant == {variant}:")
-            out += [f"{indent}{n} = {_apart(t, prefix)}"
-                    for n, t in zip(names, texts)]
-        return out
-
-    body = [line for blk in blocks[:3] for line in lines_of(*blk)]
+    body = [line for _, lines in blocks[:3] for line in lines]
     body += [f"b{i} = tau{i} - bias{i} - G{i}" for i in range(4)]
-    separation, gradient = _split_needed(lines_of(*blocks[3]), "pm")
+    separation, gradient = _split_needed(blocks[3][1], "pm")
     law = []
     for line in TIP_LAW.splitlines():
         text = line.lstrip()
@@ -560,77 +504,48 @@ def _loop_for(m, b, g, tip, trig):
     body += ["coupled = enabled != 0.0", "if coupled:"]
     body += ["    " + line for line in separation + law]
     body += [f"    b{i} = b{i} + t{i}" for i in range(4)]
-    *solve, done = CHOLESKY.splitlines()
-    assert done == "return (x0, x1, x2, x3)"
-    outer, inner = _hoist(body + solve)
+    outer, inner = _hoist(body + CHOLESKY.splitlines())
 
-    printer = _Printer()
-    trig_lines = []
-    for angle, tag in ANGLES:
-        taken = [(func, sym) for func, sym in trig.items()
-                 if func.args[0] == angle and sym in used]
-        if taken:
-            trig_lines.append(f"a{tag} = {printer.doprint(angle)}")
-            trig_lines += [f"{sym} = {type(func).__name__}(a{tag})"
-                           for func, sym in taken]
+    used = set().union(*(u for u, _ in blocks))
     y = [str(s) for s in Q + QD]
     z = [f"z{i}" for i in range(8)]
     slope = [str(s) for s in QD] + ["x0", "x1", "x2", "x3"]
-    tau = map(printer.doprint, _core.torque_map(*sp.symbols("u1 u2")))
-    finite = " + ".join(f"0.0 * {v}" for v in z) + " != 0.0"
-
-    lines = _preamble(
-        "loop_for", ("p", "variant", "dt", "mag", "pd"),
-        "loop(ys, n), up to n RK4 steps of dt for parameters p, potential\n"
-        "    variant, tip coupling mag and PD controller pd, (Kp, Kd, tgt) or "
-        "None;\n"
-        "    what p, mag and pd alone determine is computed here, once.",
-        [(PAR, "p"), (MAG, "mag")], {}, set())
-    lines += ["    controlled = pd is not None", "    if controlled:",
-              "        Kp, Kd, tgt = pd"]
-    lines += ["        " + line for line in PD_ARGS.splitlines()]
-    lines += ["    " + line for line in outer]
-    lines += ["    h = 0.5 * dt", "    w = dt / 6.0",
-              "",
-              "    def loop(ys, n):",
-              '        """Up to n RK4 steps from y = ys[0], each new y '
-              "written to the next\n"
-              "        row of ys, under the PD input at each step's start, "
-              "held, plus the tip\n"
-              "        torque at each stage when mag couples the tips. "
-              "Returns the number\n"
-              "        of steps taken, fewer than n where a pivot fails or "
-              "the input to\n"
-              '        stage 2, 3 or 4 or the new y is not finite."""',
-              f"        {', '.join(z)} = ys[0].tolist()",
-              "        tau0 = tau1 = tau2 = tau3 = 0.0",
-              "        for i in range(n):"]
-    lines += [f"            {v} = {zi}" for v, zi in zip(y, z)]
-    lines += ["            if controlled:"]
-    lines += ["                " + line for line in PD_LAW.splitlines()]
-    lines += [f"                tau{i} = {t}" for i, t in enumerate(tau)]
-    lines += ["            for stage in (1, 2, 3, 4):"]
-    lines += ["                " + line.replace("return None", "return i")
-              for line in trig_lines + inner]
-    lines += ["                if stage == 4:", "                    break",
-              "                if stage == 1:"]
-    lines += [f"                    k{i} = {d}" for i, d in enumerate(slope)]
-    lines += ["                    f = h", "                else:"]
-    lines += [f"                    k{i} = k{i} + 2.0 * {d}"
+    tau = map(_Printer().doprint, _core.torque_map(*sp.symbols("u1 u2")))
+    lines = [_unpack(z, "ys[0].tolist()"),
+             "tau0 = tau1 = tau2 = tau3 = 0.0",
+             "for i in range(n):"]
+    lines += [f"    {v} = {zi}" for v, zi in zip(y, z)]
+    lines += ["    if controlled:"]
+    lines += ["        " + line for line in PD_LAW.splitlines()]
+    lines += [f"        tau{i} = {t}" for i, t in enumerate(tau)]
+    lines += ["    for stage in (1, 2, 3, 4):"]
+    lines += ["        " + line.replace("return None", "return i")
+              for line in _trig_lines(trig, used) + inner]
+    lines += ["        if stage == 4:", "            break",
+              "        if stage == 1:"]
+    lines += [f"            k{i} = {d}" for i, d in enumerate(slope)]
+    lines += ["            f = h", "        else:"]
+    lines += [f"            k{i} = k{i} + 2.0 * {d}"
               for i, d in enumerate(slope)]
-    lines += ["                    if stage == 3:",
-              "                        f = dt"]
-    lines += [f"                {v} = z{i} + f * {d}"
+    lines += ["            if stage == 3:", "                f = dt"]
+    lines += [f"        {v} = z{i} + f * {d}"
               for i, (v, d) in enumerate(zip(y, slope))]
-    lines += ["                if " + " + ".join(f"0.0 * {v}" for v in y)
-              + " != 0.0:",
-              "                    return i"]
-    lines += [f"            z{i} = z{i} + w * (k{i} + {d})"
+    lines += ["        if " + " + ".join(f"0.0 * {v}" for v in y) + " != 0.0:",
+              "            return i"]
+    lines += [f"    z{i} = z{i} + w * (k{i} + {d})"
               for i, d in enumerate(slope)]
-    lines += [f"            if {finite}:", "                return i",
-              f"            ys[i + 1] = ({', '.join(z)})"]
-    lines += ["        return n", "    return loop"]
-    return "\n".join(lines) + "\n"
+    lines += ["    if " + " + ".join(f"0.0 * {v}" for v in z) + " != 0.0:",
+              "        return i",
+              f"    ys[i + 1] = ({', '.join(z)})"]
+    loop = _def("loop", ("ys", "n"), LOOP_DOC, lines, "n")
+
+    lines = [_unpack(PAR, "p"), _unpack(MAG, "mag"),
+             "controlled = pd is not None", "if controlled:",
+             "    Kp, Kd, tgt = pd"]
+    lines += ["    " + line for line in PD_ARGS.splitlines()]
+    lines += outer + ["h = 0.5 * dt", "w = dt / 6.0", ""] + loop.splitlines()
+    return _def("loop_for", ("p", "variant", "dt", "mag", "pd"),
+                LOOP_FOR_DOC, lines, "loop")
 
 
 HEADER = '''\
@@ -693,28 +608,54 @@ def generate() -> str:
     """Source text of the _eom module."""
     M, bias, G = derive()
     trig = _trig_symbols()
-    m = [_tidy(M[i, j], trig) for i in range(4) for j in range(i, 4)]
-    b = [_tidy(e, trig) for e in bias]
-    gv = [_tidy(e, trig) for e in G[VERBATIM]]
-    gg = [_tidy(e, trig) for e in G[GEOMETRIC]]
     pre, tip = tip_geometry(trig)
-    parts = [
-        HEADER,
-        _function("mass_matrix", ("p", "q"),
-                  "Upper triangle of M(q), 10 entries.", m, trig),
-        _function("bias", ("p", "q", "qd"),
-                  "Mdot qd - dT/dq + diag(delta) qd.", b, trig),
-        _function("gravity", ("p", "q", "variant"),
-                  "dU/dq for the selected potential variant.",
-                  {GEOMETRIC: gg, VERBATIM: gv}, trig),
-        _function("tip_geometry", ("p", "q"),
-                  "(p_m, p_m * d p_m / dq): tip separation, scaled gradient.",
-                  tip, trig, pre),
-        _tip_law(),
-        _solver(),
-        _pd_law(),
-        FAILED_LOOP,
-        _loop_for(m, b, {GEOMETRIC: gg, VERBATIM: gv}, (pre, tip), trig),
+    blocks = [
+        _block([_tidy(M[i, j], trig) for i in range(4) for j in range(i, 4)],
+               M_NAMES, "xm", trig),
+        _block([_tidy(e, trig) for e in bias], BIAS, "xb", trig),
+        _block({v: [_tidy(e, trig) for e in G[v]]
+                for v in (GEOMETRIC, VERBATIM)}, GRAVITY, "xg", trig),
+        _block(tip, TIP, "xt", trig, pre),
+    ]
+    terms = [
+        ("mass_matrix", ("p", "q"), "Upper triangle of M(q), 10 entries.",
+         M_NAMES),
+        ("bias", ("p", "q", "qd"), "Mdot qd - dT/dq + diag(delta) qd.", BIAS),
+        ("gravity", ("p", "q", "variant"),
+         "dU/dq for the selected potential variant.", GRAVITY),
+        ("tip_geometry", ("p", "q"),
+         "(p_m, p_m * d p_m / dq): tip separation, scaled gradient.", TIP),
+    ]
+    parts = [HEADER]
+    for (name, args, doc, names), (used, lines) in zip(terms, blocks):
+        unpack = [_unpack(s, a) for s, a in ((PAR, "p"), (Q, "q"), (QD, "qd"))
+                  if a in args]
+        parts.append(_def(name, args, doc,
+                          unpack + _trig_lines(trig, used) + lines,
+                          f"({', '.join(names)})"))
+    y = _unpack(Q + QD, "y")
+    parts += [
+        _def("tip_law", ("mag", "tip"), TIP_LAW_DOC,
+             [_unpack(MAG, "mag"), _unpack(TIP, "tip"),
+              *TIP_LAW.splitlines()],
+             "(B, F, (t0, t1, t2, t3), degenerate)"),
+        _def("solve_spd4", ("m", "b"),
+             "x with M x = b, M as its upper triangle; None when a pivot "
+             "fails.",
+             [_unpack(M_NAMES, "m"), "b0, b1, b2, b3 = b",
+              *CHOLESKY.splitlines()],
+             "(x0, x1, x2, x3)"),
+        _def("pd_error", ("tgt", "y"), PD_ERROR_DOC,
+             [PD_ARGS.splitlines()[-1], y, *PD_ERROR.splitlines()],
+             "((e0, e1, e2, e3), (dth1, dth2, dph1, dph2))"),
+        _def("pd_input", ("Kp", "Kd", "tgt", "y"),
+             "Motor torques (u1, u2) = Kp e + Kd edot of the state y; see "
+             "pd_error.",
+             [*PD_ARGS.splitlines(), y, *PD_LAW.splitlines()], "(u1, u2)"),
+        _def("_failed_loop", ("ys", "n"),
+             "loop_for's loop where a pivot of p alone fails: it takes no "
+             "step.", [], "0"),
+        _loop_for(blocks, trig),
     ]
     return "\n\n".join(parts)
 
