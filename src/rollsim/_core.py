@@ -31,11 +31,12 @@ law (`tip_law`, for `flux_density`, `magnetic_force` and `mag_torque`), the
 PD law (`pd_error` and `pd_input`, bound here under those names) and
 `loop_for`, which `run_loop` calls once per run: it computes what depends
 on the parameters, the coupling and the controller alone and returns
-`loop`, which `run_loop` calls once for all the steps. `loop` keeps the
-state in locals, computes each step's held PD input with pd_input's code
-inline and runs one whole RK4 step of the rest of the code of M, bias, G
-and, when the tips couple, the tip geometry and force law, with the solve
-inline, in a loop over the four stages; it calls back into nothing.
+`loop`, which `run_loop` calls once per chunk of CHUNK_STEPS steps.
+`loop` keeps the state in locals, computes each step's held PD input with
+pd_input's code inline and runs one whole RK4 step of the rest of the code
+of M, bias, G and, when the tips couple, the tip geometry and force law,
+with the solve inline, in a loop over the four stages; it calls back into
+nothing.
 `deriv`, one state's derivative from the separate terms and `mag_torque`,
 serves `dynamics.forward_dynamics` and is the tests' oracle of `loop`. The
 array wrappers `mass_matrix`, `bias` and `gravity` run the same code
@@ -296,34 +297,64 @@ def deriv(par, mag, y, tau, variant):
     return (*qd, *qdd), True
 
 
-def run_loop(par, mag, y0, n, dt, pd, variant):
+# run_loop hands the steps to loop in chunks of this many, each chunk
+# starting from the last row of the one before
+CHUNK_STEPS = 256
+
+
+def run_loop(par, mag, y0, n, dt, pd, variant, sink=None):
     """Integrate n fixed RK4 steps from y0.
 
     pd is None for an uncontrolled run, else the pd_input arguments
     (Kp, Kd, tgt), PDSpec.packed(). The controller input is evaluated
     at the step's start state and held over the step (zero-order hold).
     Magnetic torque, being state dependent physics rather than a sampled
-    controller, is evaluated per stage, inside the step. The steps are one
-    call of the loop that _eom.loop_for builds for the run from par, mag
-    and pd, which computes the PD input inline; us is then pd_input of the
-    recorded states, in one call on their columns.
+    controller, is evaluated per stage, inside the step. The steps are
+    calls of the loop that _eom.loop_for builds for the run from par, mag
+    and pd, which computes the PD input inline: one call per CHUNK_STEPS
+    steps, on the view of ys that starts at the chunk's first state, so the
+    samples are those of one call for all the steps, to the bit. After each
+    chunk, sink(ys, rows) sees that rows 0..rows - 1 of ys are final, so
+    a caller can stream them while the next chunk runs. us is held_inputs
+    of the recorded states, computed after the last chunk.
 
     Returns (ys, us, n_done): samples 0..n_done are valid; n_done < n means
     the step after n_done produced a non-finite or non-solvable state.
     """
     loop = _eom.loop_for(par, variant, dt, mag, pd)
-    ys = np.empty((n + 1, 8))
-    us = np.zeros((n + 1, 2))
+    ys, us = sample_arrays(n)
     ys[0] = y0
+    n_done = 0
     # no step from a non-finite y0, whose sines would raise: it is recorded
     # with its input, as a failed first step
-    n_done = loop(ys, n) if all(map(math.isfinite, y0)) else 0
-    if pd is not None:
-        # the input of a non-finite y0, or of the last samples of a run cut
-        # short, may be inf or nan, quietly, as on floats
-        with np.errstate(**QUIET):
-            us[:n_done + 1] = np.transpose(pd_input(*pd, ys[:n_done + 1].T))
+    if all(map(math.isfinite, y0)):
+        while n_done < n:
+            steps = min(CHUNK_STEPS, n - n_done)
+            taken = loop(ys[n_done:n_done + steps + 1], steps)
+            n_done += taken
+            if sink is not None:
+                sink(ys, n_done + 1)
+            if taken < steps:
+                break
+    us[:n_done + 1] = held_inputs(pd, ys[:n_done + 1])
     return ys, us, n_done
+
+
+def sample_arrays(n):
+    """run_loop's (ys, us) for n steps, allocated before the first step:
+    the states, empty, and the inputs, zero."""
+    return np.empty((n + 1, 8)), np.zeros((n + 1, 2))
+
+
+def held_inputs(pd, ys):
+    """The held input (u1, u2) of each state row of ys: pd_input of their
+    columns, or zero without a controller (pd None). The input of a
+    non-finite state, such as the last samples of a run cut short, may be
+    inf or nan, quietly, as on floats."""
+    if pd is None:
+        return np.zeros((ys.shape[0], 2))
+    with np.errstate(**QUIET):
+        return np.transpose(pd_input(*pd, ys.T))
 
 
 def energies_batch(par, cols, variant):

@@ -23,7 +23,7 @@ from .dynamics import errata_compare, gravity_vector, mass_matrix
 from .energetics import POTENTIAL_VARIANTS, kinetic_energy, potential_energy
 from .model import RobotParams, State, ValidationError, positive_number
 from .output import write_outputs
-from .simulate import Scenario, Trajectory, run
+from .simulate import Scenario, Trajectory, reserve, run
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -162,15 +162,28 @@ def cmd_run(args) -> int:
               f"{', '.join(map(repr, repeats))}", file=sys.stderr)
         return EXIT_USAGE
 
-    trajectories = [run(*a) for a in loaded]
+    several = len(loaded) > 1
+    outs = [_out_path(args, name, several) for name in names]
+    for out in outs:
+        # the script is written next to the CSV, and names it in a comment
+        # line and in its plot commands
+        if out.with_suffix(".gp") == out or not out.name.isprintable():
+            print(f"usage error: --out {str(out)!r} must be a printable file "
+                  "name that does not end in .gp", file=sys.stderr)
+            return EXIT_USAGE
+
+    # each run writes its CSV while it runs, so every run's samples must
+    # fit before the first: a run refused for its size then writes nothing
+    reserves = [reserve(scenario) for scenario, _, _ in loaded]
 
     status = EXIT_OK
-    several = len(loaded) > 1
-    for traj in trajectories:
-        out = _out_path(args, traj.scenario_name, several)
+    for i, (scenario, params, mag) in enumerate(loaded):
+        reserves[i] = None  # run allocates them again
+        out = outs[i]
         try:
             out.parent.mkdir(parents=True, exist_ok=True)
-            csv_path, script_path = write_outputs(traj, out)
+            traj = run(scenario, params, mag, out)
+            csv_path, script_path = write_outputs(out)
         except OSError as exc:
             print(f"cannot write {out}: {exc}", file=sys.stderr)
             return EXIT_CONFIG

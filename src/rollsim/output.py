@@ -8,13 +8,16 @@ the bytes a "%.17g" per value would.
 
 Rows are formatted and written in blocks of _BLOCK_ROWS, so writing a file
 holds one block's text, not the whole file's. format_csv is the same
-blocks joined.
+blocks joined, and write_csv writes them in one process.
 
-write_csv formats the blocks on two CPUs where os.fork exists, more than
-one CPU is usable and only one thread runs: a forked child formats the odd
-blocks and sends each down a pipe, the caller formats the even ones and
-writes every block in order. Otherwise, or if the child fails, the caller
-formats the blocks itself. The bytes are the same either way.
+CsvStream writes a run's CSV while the run's loop computes it, where
+os.fork exists, more than one CPU is usable and only one thread runs: a
+child forked before the loop receives the rows of each block as soon as
+they are final, computes the block's columns and formats them, and sends
+the text back down a pipe; the caller writes every block in order, so
+after the loop only the last block is left to write. Otherwise, or for the
+blocks a failed child did not send, the caller formats the blocks from the
+finished trajectory, as write_csv does. The bytes are the same either way.
 """
 
 from __future__ import annotations
@@ -39,8 +42,10 @@ _ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
 
 _HEADER = ",".join(CSV_COLUMNS) + "\n"
 
-# the byte length of a block the child sends, ahead of the block
+# the byte length of a message down a pipe, ahead of the message
 _PREFIX = 8
+
+_V = CSV_COLUMNS.index("V")
 
 
 def _columns(traj):
@@ -67,11 +72,27 @@ def format_csv(traj) -> str:
     return "".join(_blocks(traj))
 
 
+def _write_blocks(fh, traj, first):
+    """Format the blocks first, first + 1, ... of traj and write each to fh."""
+    cols = _columns(traj)
+    for start in range(first * _BLOCK_ROWS, traj.t.shape[0], _BLOCK_ROWS):
+        fh.write(_block(cols, start).encode("ascii"))
+
+
+def write_csv(traj, path) -> int:
+    """Write the trajectory; returns the number of data rows."""
+    with Path(path).open("wb") as fh:
+        fh.write(_HEADER.encode("ascii"))
+        _write_blocks(fh, traj, 0)
+    return traj.t.shape[0]
+
+
 def _two_processes(nblocks):
-    """Whether write_csv forks a child to format every other block: there
-    are two blocks to share and a second CPU to share them on, and no other
-    thread runs, since a fork copies only the calling thread and a lock
-    another thread holds stays locked in the child."""
+    """Whether a CsvStream forks a child to format the blocks: there are two
+    blocks, so one can be formatted while the next is computed, and a
+    second CPU to format on, and no other thread runs, since a fork copies
+    only the calling thread and a lock another thread holds stays locked in
+    the child."""
     if nblocks < 2 or not hasattr(os, "fork") or threading.active_count() != 1:
         return False
     try:
@@ -81,38 +102,14 @@ def _two_processes(nblocks):
     return cpus > 1
 
 
-def _fork_odd_blocks(cols, starts):
-    """(pid, pipe) of a forked child that formats the odd blocks and sends
-    each down the pipe after its byte length, or None if the fork fails.
-    The child only formats and sends: it never touches the caller's file
-    and never returns into the caller."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            # without the read end here, a closed one in the caller fails
-            # the child's next write, so it cannot block on a full pipe
-            os.close(r)
-            with open(w, "wb") as pipe:
-                for start in starts[1::2]:
-                    data = _block(cols, start).encode("ascii")
-                    pipe.write(len(data).to_bytes(_PREFIX, "little"))
-                    pipe.write(data)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    return pid, open(r, "rb")
+def _send(pipe, data):
+    pipe.write(len(data).to_bytes(_PREFIX, "little"))
+    pipe.write(data)
+    pipe.flush()
 
 
 def _received(pipe):
-    """The child's next block, or None once its stream has ended."""
+    """The next message, or None once the stream has ended."""
     prefix = pipe.read(_PREFIX)
     if len(prefix) < _PREFIX:
         return None
@@ -121,30 +118,146 @@ def _received(pipe):
     return data if len(data) == size else None
 
 
-def write_csv(traj, path) -> int:
-    """Write the trajectory; returns the number of data rows."""
-    cols = _columns(traj)
-    starts = range(0, traj.t.shape[0], _BLOCK_ROWS)
-    with Path(path).open("wb") as fh:
-        fh.write(_HEADER.encode("ascii"))
-        child = (_fork_odd_blocks(cols, starts)
-                 if _two_processes(len(starts)) else None)
+def _format_blocks(rows_in, text_out, columns):
+    """The child's work: each message of rows_in is the rows of the next
+    block, as doubles; send the text of that block's columns to text_out.
+    Returns when rows_in ends."""
+    first, V_before = 0, np.nan
+    while (data := _received(rows_in)) is not None:
+        rows = np.frombuffer(data).reshape(-1, 8)
+        cols = columns(rows, first, V_before)
+        _send(text_out, _block(cols, 0).encode("ascii"))
+        first += rows.shape[0]
+        V_before = cols[_V][-1]
+
+
+def _fork_formatter(columns):
+    """(pid, rows pipe, text pipe) of a forked child that runs
+    _format_blocks between the two pipes, or None if a pipe or the fork
+    fails. The child only formats and sends: it never touches the caller's
+    file and never returns into the caller."""
+    fds = []
+    try:
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    rows_r, rows_w, text_r, text_w = fds
+    if pid == 0:
+        status = 1
         try:
-            for i, start in enumerate(starts):
-                data = _received(child[1]) if child and i % 2 else None
-                if data is None:
-                    # an even block, the serial path, or a failed child
-                    data = _block(cols, start).encode("ascii")
-                fh.write(data)
+            # without the caller's ends here, the rows pipe ends when the
+            # caller closes it, and a closed text pipe fails the child's next
+            # write, so the child cannot block on it
+            os.close(rows_w)
+            os.close(text_r)
+            with open(rows_r, "rb") as rows_in, open(text_w, "wb") as text_out:
+                _format_blocks(rows_in, text_out, columns)
+            status = 0
         finally:
-            if child:
-                pid, pipe = child
+            os._exit(status)
+    os.close(rows_r)
+    os.close(text_w)
+    return pid, open(rows_w, "wb"), open(text_r, "rb")
+
+
+class CsvStream:
+    """The CSV of one run, written to path while the run's loop runs.
+
+    samples is the run's sample count before the loop, which decides with
+    _two_processes whether a child is forked; columns(rows, first, V_before)
+    gives the CSV's columns of the samples first, first + 1, ... whose
+    states are rows, with V_before the V of sample first - 1 (NaN at the
+    first sample). After each chunk of the loop, send(ys, rows) hands the
+    child each block that rows 0..rows - 1 of ys complete, and writes the
+    block before it; the first send opens the file and forks the child, so
+    a run that fails to allocate its samples leaves no file. end(ys, rows)
+    after the loop sends the rest; finish(traj) writes what the child has
+    not sent from the finished trajectory and closes the file. The caller
+    never sends more than one block ahead of what it has read, so neither
+    process can block the other for good. close() ends the child on every
+    path, and is what finish and an exception in between must reach.
+    """
+
+    def __init__(self, path, samples, columns):
+        self.path, self.columns = Path(path), columns
+        self.forking = _two_processes(-(-samples // _BLOCK_ROWS))
+        self.fh = self.child = None
+        self.sent = self.written = 0  # blocks
+
+    def send(self, ys, rows):
+        if self.forking and self.fh is None:
+            self.fh = self.path.open("wb")
+            self.fh.write(_HEADER.encode("ascii"))
+            self.child = _fork_formatter(self.columns)
+        while self.child and (self.sent + 1) * _BLOCK_ROWS <= rows:
+            self._send_block(ys, rows)
+            while self.child and self.written < self.sent - 1:
+                self._write_received()
+
+    def end(self, ys, rows):
+        self.send(ys, rows)
+        if self.child and self.sent * _BLOCK_ROWS < rows:
+            self._send_block(ys, rows)
+        if self.child:
+            self.child[1].close()
+
+    def finish(self, traj):
+        """Write the blocks the child has not, and close."""
+        try:
+            if self.fh is None:
+                write_csv(traj, self.path)
+                return
+            while self.child and self.written < self.sent:
+                self._write_received()
+            _write_blocks(self.fh, traj, self.written)
+        finally:
+            self.close()
+
+    def _send_block(self, ys, rows):
+        """Send the child the rows of the next block, up to rows."""
+        start = self.sent * _BLOCK_ROWS
+        try:
+            _send(self.child[1], ys[start:min(start + _BLOCK_ROWS, rows)]
+                  .tobytes())
+        except OSError:  # the child has gone: the pipe is broken
+            self._end_child()
+        else:
+            self.sent += 1
+
+    def _write_received(self):
+        data = _received(self.child[2])
+        if data is None:  # the child failed or was killed
+            self._end_child()
+        else:
+            self.fh.write(data)
+            self.written += 1
+
+    def _end_child(self):
+        """Close the pipes and reap the child; the blocks it has not sent
+        are then formatted here."""
+        pid, rows_out, text_in = self.child
+        self.child = None
+        for pipe in (rows_out, text_in):
+            try:
                 pipe.close()
-                try:
-                    os.waitpid(pid, 0)
-                except ChildProcessError:
-                    pass  # SIGCHLD is ignored: the kernel has reaped it
-    return traj.t.shape[0]
+            except OSError:
+                pass  # rows left in the buffer of a broken pipe
+        try:
+            os.waitpid(pid, 0)
+        except ChildProcessError:
+            pass  # SIGCHLD is ignored: the kernel has reaped it
+
+    def close(self):
+        try:
+            if self.child:
+                self._end_child()
+        finally:
+            if self.fh is not None:
+                self.fh.close()
 
 
 def gnuplot_script(csv_path) -> str:
@@ -181,11 +294,11 @@ pause -1 'done'
 """
 
 
-def write_outputs(traj, out_path):
-    """CSV plus sibling .gp script; returns both paths."""
+def write_outputs(out_path):
+    """The gnuplot script next to the CSV at out_path, which
+    simulate.run(..., csv=out_path) has written; returns both paths."""
     csv_path = Path(out_path)
     script_path = csv_path.with_suffix(".gp")
-    write_csv(traj, csv_path)
     script_path.write_text(gnuplot_script(csv_path), newline="\n")
     return csv_path, script_path
 

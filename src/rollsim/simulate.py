@@ -32,6 +32,7 @@ from .kinematics import upright_deviation
 from .magnetics import MagneticParams
 from .model import (RobotParams, ValidationError, finite_number,
                     finite_numbers, positive_number)
+from .output import CsvStream
 
 TOPPLE = "Topple"
 GROUND_PENETRATION = "GroundPenetration"
@@ -161,22 +162,71 @@ def sample_count(horizon: float, dt: float) -> int:
     return int(np.floor(horizon / dt + _COUNT_EPS)) + 1
 
 
+def _steps(scenario):
+    """The scenario's RK4 step count, n, with n + 1 samples."""
+    # horizon / dt may also overflow to inf
+    if not scenario.horizon / scenario.dt < _MAX_SAMPLES:
+        raise _too_many_samples(scenario, f"over {_MAX_SAMPLES}")
+    return sample_count(scenario.horizon, scenario.dt) - 1
+
+
 def _too_many_samples(scenario, count):
     return ValidationError(
         f"horizon {scenario.horizon!r} s at dt {scenario.dt!r} s needs "
         f"{count} samples, more than memory holds")
 
 
+def reserve(scenario: Scenario):
+    """The empty sample arrays that run allocates for scenario, for a
+    caller that must know before its first run that the samples of every
+    run fit in memory at once. Each run allocates its own again, so the
+    caller drops a run's reserve just before the run. Raises
+    ValidationError when they do not fit."""
+    n = _steps(scenario)
+    try:
+        return _core.sample_arrays(n)
+    except MemoryError as exc:
+        raise _too_many_samples(scenario, n + 1) from exc
+
+
+def _columns(par, variant, pd, e_ref, dt, ys, us, first, V_before):
+    """The CSV's columns of the samples first, first + 1, ..., whose states
+    are the rows of ys and whose inputs are the rows of us: t, the 8 of y,
+    u1, u2, T, U, E, P, V, Vdot, disk-2 height and p_m. V_before is the V of
+    sample first - 1, NaN at the first sample. Every column is elementwise
+    in the samples, and Vdot takes the V before, so the columns of a block
+    of samples equal, to the bit, the same rows of the whole run's."""
+    cols = ys.T  # the state sequence y, one array per component
+    t = np.arange(first, first + ys.shape[0]) * dt
+    height = _core.disk2_height(par, cols)
+    V = np.full(ys.shape[0], np.nan)
+    Vdot = np.full(ys.shape[0], np.nan)
+    # a run cut short by overflow keeps its last finite samples, whose
+    # energies, squared rates and V may overflow to inf: the honest float
+    # answer, kept quiet
+    with np.errstate(**_core.QUIET):
+        T, U = _core.energies_batch(par, cols, variant)
+        P = _core.dissipation(par, cols[4:])
+        p_m = _core.pm_batch(par, cols)
+        if pd is not None:
+            V = _core.lyapunov(*pd, cols, T + U - e_ref)
+            Vdot = np.diff(V, prepend=V_before) / dt
+    return (t, *cols, *us.T, T, U, T + U, P, V, Vdot, height, p_m)
+
+
 def run(scenario: Scenario, params: Optional[RobotParams] = None,
-        mag: Optional[MagneticParams] = None) -> Trajectory:
+        mag: Optional[MagneticParams] = None, csv=None) -> Trajectory:
     """Integrate a scenario and return the fully populated trajectory.
 
     mag.enabled alone decides whether the tips couple; mag also holds the
     flux model constants. Omitted params and mag default to RobotParams()
     and MagneticParams(), whose coupling is off. Deterministic: identical
-    inputs give bit-identical trajectories. Raises ValidationError when
-    params or mag is not None and not of its type, or when the samples of
-    the run do not fit in memory.
+    inputs give bit-identical trajectories. With csv, a path, the
+    trajectory's CSV is also written there, as output.write_csv would
+    write it, while the loop runs (output.CsvStream). Raises
+    ValidationError when params or mag is not None and not of its type,
+    or when the samples of the run do not fit in memory, and OSError when
+    the CSV cannot be written.
     """
     if not (params is None or isinstance(params, RobotParams)):
         raise ValidationError(
@@ -190,47 +240,47 @@ def run(scenario: Scenario, params: Optional[RobotParams] = None,
     variant = variant_code(scenario.potential)
     ctrl = scenario.controller
     pd = None if ctrl is None else ctrl.packed()
+    e_ref = None if ctrl is None else reference_energy(
+        params, ctrl.setpoints, scenario.potential)
+    dt = scenario.dt
+    n = _steps(scenario)
 
-    # horizon / dt may also overflow to inf
-    if not scenario.horizon / scenario.dt < _MAX_SAMPLES:
-        raise _too_many_samples(scenario, f"over {_MAX_SAMPLES}")
-    n = sample_count(scenario.horizon, scenario.dt) - 1
+    def columns(ys, first, V_before):
+        """The child's columns of a CSV block, inputs included."""
+        return _columns(par, variant, pd, e_ref, dt, ys,
+                        _core.held_inputs(pd, ys), first, V_before)
+
+    stream = None if csv is None else CsvStream(csv, n + 1, columns)
+    sink = () if stream is None else (stream.send,)
     try:
-        ys, us, n_done = _core.run_loop(par, mag.packed(), scenario.y0, n,
-                                        scenario.dt, pd, variant)
-    except MemoryError as exc:
-        # run_loop allocates every sample before the first step
-        raise _too_many_samples(scenario, n + 1) from exc
-    truncated = n_done < n
-    ys = ys[:n_done + 1]
-    us = us[:n_done + 1]
-    t = np.arange(n_done + 1) * scenario.dt
-    cols = ys.T  # the state sequence y, one array per component
-    height = _core.disk2_height(par, cols)
-    V = np.full(n_done + 1, np.nan)
-    Vdot = np.full(n_done + 1, np.nan)
-    # a run cut short by overflow keeps its last finite samples, whose
-    # energies, squared rates and V may overflow to inf: the honest float
-    # answer, kept quiet
-    with np.errstate(**_core.QUIET):
-        T, U = _core.energies_batch(par, cols, variant)
-        P = _core.dissipation(par, cols[4:])
-        p_m = _core.pm_batch(par, cols)
-        if ctrl is not None:
-            e_ref = reference_energy(params, ctrl.setpoints,
-                                     scenario.potential)
-            V = _core.lyapunov(*pd, cols, T + U - e_ref)
-            Vdot[1:] = np.diff(V) / scenario.dt
-
-    events = _detect_all(params, mag, t, ys, height, p_m)
-    if truncated:
-        events.append(Event(kind=NON_FINITE_STATE, time=float(t[-1]),
-                            state=tuple(ys[-1]),
-                            details="integration aborted after this sample"))
-
-    return Trajectory(scenario_name=scenario.name, t=t, y=ys, u=us, T=T, U=U,
-                      E=T + U, P=P, V=V, Vdot=Vdot, height=height, p_m=p_m,
-                      events=events, truncated=truncated)
+        try:
+            ys, us, n_done = _core.run_loop(par, mag.packed(), scenario.y0, n,
+                                            dt, pd, variant, *sink)
+        except MemoryError as exc:
+            # run_loop allocates every sample before the first step
+            raise _too_many_samples(scenario, n + 1) from exc
+        ys = ys[:n_done + 1]
+        us = us[:n_done + 1]
+        if stream is not None:
+            stream.end(ys, n_done + 1)
+        t, *_, T, U, E, P, V, Vdot, height, p_m = _columns(
+            par, variant, pd, e_ref, dt, ys, us, 0, np.nan)
+        truncated = n_done < n
+        events = _detect_all(params, mag, t, ys, height, p_m)
+        if truncated:
+            events.append(Event(kind=NON_FINITE_STATE, time=float(t[-1]),
+                                state=tuple(ys[-1]),
+                                details="integration aborted after this "
+                                "sample"))
+        traj = Trajectory(scenario_name=scenario.name, t=t, y=ys, u=us, T=T,
+                          U=U, E=E, P=P, V=V, Vdot=Vdot, height=height,
+                          p_m=p_m, events=events, truncated=truncated)
+        if stream is not None:
+            stream.finish(traj)
+    finally:
+        if stream is not None:
+            stream.close()
+    return traj
 
 
 def _detect_all(params, mag, t, ys, height, p_m):

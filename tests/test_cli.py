@@ -219,6 +219,53 @@ def test_run_with_more_samples_than_an_array_holds_is_config_error(argv,
     assert "samples, more than memory holds" in err
 
 
+FREEFALL = (Path(__file__).resolve().parent.parent / "src" / "rollsim"
+            / "presets" / "freefall.yaml")
+
+
+@pytest.mark.parametrize("field,size", [("horizon: 5.0", "horizon: 1.0e18"),
+                                        ("dt: 0.001", "dt: 1e-12")])
+def test_run_refused_for_a_later_scenario_writes_nothing(tmp_path, capsys,
+                                                         field, size):
+    # freefall would stream its CSV while it runs; the second scenario's
+    # samples, too many for an array or for memory, are refused first
+    big = tmp_path / "big.yaml"
+    text = FREEFALL.read_text().replace("name: freefall", "name: big")
+    big.write_text(text.replace(field, size))
+    out = tmp_path / "d"
+    code, text, err = run_cli(["run", "freefall", str(big), "--out",
+                               str(out)], capsys)
+    assert code == 3
+    assert text == "" and "samples, more than memory holds" in err
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.yaml"]
+
+
+@pytest.mark.parametrize("name", ["res.gp", "a\nb.csv", "tab\t.csv"])
+def test_run_refuses_an_out_the_script_would_break(tmp_path, capsys, name):
+    # res.gp: the script would overwrite the CSV; a newline would end the
+    # script's comment line early and split its plot commands
+    out = tmp_path / name
+    code, text, err = run_cli(["run", "freefall", "--horizon", "0.01",
+                               "--out", str(out)], capsys)
+    assert code == 2
+    assert text == "" and err.startswith("usage error: --out")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_streams_the_csv_of_each_scenario(tmp_path, capsys):
+    # cmd_run hands each run its CSV path and writes only the script after
+    code, _, _ = run_cli(["run", "freefall", "lifting", "--horizon", "0.6",
+                          "--out", str(tmp_path)], capsys)
+    assert code == 0
+    for name in ("freefall", "lifting"):
+        sc, p, m = load_scenario(name)
+        traj = run(replace(sc, horizon=0.6), p, m)
+        assert (tmp_path / f"{name}.csv").read_bytes() == \
+            format_csv(traj).encode()
+        assert (tmp_path / f"{name}.gp").is_file()
+
+
 def test_errata_deterministic_files(tmp_path, capsys):
     d1 = tmp_path / "one"
     d2 = tmp_path / "two"

@@ -5,15 +5,16 @@ import pathlib
 import signal
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from rollsim import cli, output
+from rollsim import _core, cli, output
 from rollsim.cli import summarize
 from rollsim.config import load_scenario
+from rollsim.model import ValidationError
 from rollsim.output import (_BLOCK_ROWS, CSV_COLUMNS, format_csv,
                             gnuplot_script, read_csv, write_csv, write_outputs)
 from rollsim.simulate import run
@@ -66,8 +67,10 @@ def test_summary_recomputable_from_csv(freefall_short, tmp_path):
                            np.max(np.abs(cols["u2"])))
 
 
-def test_gnuplot_script_references_csv(freefall_short, tmp_path):
-    csv_path, gp_path = write_outputs(freefall_short, tmp_path / "ff.csv")
+def test_gnuplot_script_references_csv(tmp_path):
+    sc, p, m = load_scenario("freefall")
+    run(replace(sc, horizon=0.01), p, m, tmp_path / "ff.csv")
+    csv_path, gp_path = write_outputs(tmp_path / "ff.csv")
     assert csv_path.exists() and gp_path.exists()
     script = gp_path.read_text()
     assert "ff.csv" in script
@@ -221,30 +224,133 @@ def forks(monkeypatch):
             pass  # reaped, as it should be
 
 
+def stream_rows(traj, path):
+    """traj's CSV through a CsvStream, fed as run feeds it: after each chunk
+    of the loop the rows so far, then all of them. The child's columns are
+    traj's, with y taken from the rows it receives."""
+    cols = output._columns(traj)
+    n = traj.t.shape[0]
+
+    def columns(rows, first, V_before):
+        block = [c[first:first + rows.shape[0]] for c in cols]
+        block[1:9] = rows.T
+        return block
+
+    stream = output.CsvStream(path, n, columns)
+    try:
+        for rows in range(_core.CHUNK_STEPS + 1, n, _core.CHUNK_STEPS):
+            stream.send(traj.y, rows)
+        stream.end(traj.y, n)
+        stream.finish(traj)
+    finally:
+        stream.close()
+
+
 @pytest.mark.parametrize("forked", [False, True], ids=["serial", "forked"])
 @pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS,
                                _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1, None])
 def test_write_csv_bytes_on_both_paths(freefall_short, tmp_path, monkeypatch,
                                        forks, deadline, forked, n):
-    # the helper is forced either way, so a one-block table forks too and
-    # the child sends nothing
+    # the run's streamed writer; the helper is forced either way, so a
+    # one-block table forks too
     monkeypatch.setattr(output, "_two_processes", lambda nblocks: forked)
     traj = freefall_short if n is None else first_rows(freefall_short, n)
     path = tmp_path / "t.csv"
-    assert write_csv(traj, path) == traj.t.shape[0]
+    stream_rows(traj, path)
     assert first_difference(path.read_bytes().decode("ascii"),
                             per_value_csv(traj)) is None
     assert len(forks) == forked
     assert_no_child_left()
 
 
-def test_write_csv_writes_the_blocks_joined(freefall_full, tmp_path, forks):
-    # on a host with one usable CPU this takes the serial path
+# (preset, Scenario fields, MagneticParams fields) of the streamed runs:
+# freefall's around one and two blocks; lifting and balancing are cut short
+# by overflow at steps 1561 and 835 and their Vdot crosses every block edge;
+# lifting_mag is the benchmark's command
+STREAMED = {
+    **{f"freefall-{h}": ("freefall", {"horizon": h}, {})
+       for h in (0.001, 0.255, 0.256, 0.257, 0.511, 0.512)},
+    "freefall": ("freefall", {}, {}),
+    "lifting": ("lifting", {}, {}),
+    "balancing": ("balancing", {}, {}),
+    "lifting_mag": ("lifting", {"dt": 2e-4, "horizon": 0.8},
+                    {"enabled": True}),
+}
+
+
+def streamed_run(name):
+    preset, fields, mag_fields = STREAMED[name]
+    sc, p, m = load_scenario(preset)
+    return replace(sc, **fields), p, replace(m, **mag_fields)
+
+
+def assert_same_trajectory(a, b):
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.tobytes() == y.tobytes(), f.name
+        else:
+            assert x == y, f.name
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["serial", "forked"])
+@pytest.mark.parametrize("name", list(STREAMED))
+def test_a_streamed_run_writes_its_trajectory_csv(tmp_path, monkeypatch,
+                                                  forks, deadline, forked,
+                                                  name):
+    monkeypatch.setattr(output, "_two_processes", lambda nblocks: forked)
+    sc, p, m = streamed_run(name)
     path = tmp_path / "t.csv"
-    write_csv(freefall_full, path)
+    traj = run(sc, p, m, path)
+    text = path.read_bytes().decode("ascii")
+    assert text == format_csv(traj)
+    assert first_difference(text, per_value_csv(traj)) is None
+    assert_same_trajectory(traj, run(sc, p, m))
+    assert len(forks) == forked
+    assert_no_child_left()
+
+
+def test_write_csv_writes_the_blocks_joined(freefall_full, tmp_path, forks):
+    # the streamed run as the host has it: on one usable CPU it writes
+    # from the trajectory in one process
+    sc, p, m = load_scenario("freefall")
+    path = tmp_path / "t.csv"
+    run(sc, p, m, path)
     assert path.read_bytes() == "".join(output._blocks(freefall_full)).encode()
     assert len(forks) == output._two_processes(20)
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["serial", "forked"])
+def test_a_streamed_run_writes_one_block_at_a_time(freefall_full, tmp_path,
+                                                   monkeypatch, forks,
+                                                   deadline, forked):
+    monkeypatch.setattr(output, "_two_processes", lambda nblocks: forked)
+    sc, p, m = load_scenario("freefall")
+    real_open, writes = pathlib.Path.open, []
+
+    class Recorded:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            writes.append(bytes(data))
+            return self.fh.write(data)
+
+        def close(self):
+            self.fh.close()
+
+    monkeypatch.setattr(pathlib.Path, "open",
+                        lambda self, *a, **k: Recorded(real_open(self, *a,
+                                                                 **k)))
+    run(sc, p, m, tmp_path / "t.csv")
+    assert writes == [b.encode() for b in output._blocks(freefall_full)]
 
 
 def test_two_processes_needs_two_blocks_and_no_other_thread():
@@ -259,7 +365,6 @@ def test_two_processes_needs_two_blocks_and_no_other_thread():
         release.set()
         other.join(timeout=10)
     assert not other.is_alive()
-
 
 
 @pytest.mark.parametrize("count, two", [(4, True), (1, False), (None, False)])
@@ -278,10 +383,11 @@ def test_write_csv_where_sigchld_is_ignored(freefall_full, tmp_path,
     # the kernel reaps each child itself, so the wait for it finds none;
     # an ignored SIGCHLD is inherited across exec from any parent
     monkeypatch.setattr(output, "_two_processes", lambda nblocks: True)
+    sc, p, m = load_scenario("freefall")
     previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
         path = tmp_path / "t.csv"
-        write_csv(freefall_full, path)
+        run(sc, p, m, path)
         code = cli.main(["run", "freefall", "--out", str(tmp_path / "ff.csv")])
     finally:
         signal.signal(signal.SIGCHLD, previous)
@@ -292,12 +398,14 @@ def test_write_csv_where_sigchld_is_ignored(freefall_full, tmp_path,
     assert len(forks) == 2
     assert_no_child_left()
 
+
 @pytest.mark.parametrize("sent", [0, 1, 5])
 def test_write_csv_survives_a_failing_child(freefall_full, tmp_path,
                                             monkeypatch, capfd, forks,
                                             deadline, sent):
-    # the child formats `sent` blocks and then raises; the caller formats
-    # the rest and writes each block once
+    # the child of a streamed run formats `sent` blocks and then raises;
+    # the caller formats the rest from the trajectory and writes each block
+    # once
     monkeypatch.setattr(output, "_two_processes", lambda nblocks: True)
     caller, real, formatted = os.getpid(), output._block, []
 
@@ -309,8 +417,9 @@ def test_write_csv_survives_a_failing_child(freefall_full, tmp_path,
         return real(cols, start)
 
     monkeypatch.setattr(output, "_block", block)
+    sc, p, m = load_scenario("freefall")
     path = tmp_path / "t.csv"
-    write_csv(freefall_full, path)
+    run(sc, p, m, path)
     assert path.read_bytes() == format_csv(freefall_full).encode()
     assert formatted == []  # the child's list is its own
     assert len(forks) == 1
@@ -318,27 +427,99 @@ def test_write_csv_survives_a_failing_child(freefall_full, tmp_path,
     assert capfd.readouterr().err == ""
 
 
+@pytest.mark.parametrize("chunks", [1, 5, 20])
+def test_a_streamed_run_survives_a_killed_child(freefall_full, tmp_path,
+                                                monkeypatch, forks, deadline,
+                                                chunks):
+    # SIGKILL after `chunks` chunks of the loop: at 20, the last, the child
+    # dies with the last blocks' rows sent and their text not read
+    monkeypatch.setattr(output, "_two_processes", lambda nblocks: True)
+    real, calls = output.CsvStream.send, []
+
+    def send(self, ys, rows):
+        real(self, ys, rows)
+        calls.append(rows)
+        if len(calls) == chunks:
+            os.kill(self.child[0], signal.SIGKILL)
+
+    monkeypatch.setattr(output.CsvStream, "send", send)
+    sc, p, m = load_scenario("freefall")
+    path = tmp_path / "t.csv"
+    run(sc, p, m, path)
+    assert path.read_bytes() == format_csv(freefall_full).encode()
+    # 20 chunks, then end's call
+    assert calls[19:] == [5001, 5001]
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_an_exception_in_the_loop_leaves_no_child(tmp_path, monkeypatch,
+                                                  forks, deadline):
+    monkeypatch.setattr(output, "_two_processes", lambda nblocks: True)
+    real, calls = output.CsvStream.send, []
+
+    def send(self, ys, rows):
+        calls.append(rows)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        real(self, ys, rows)
+
+    monkeypatch.setattr(output.CsvStream, "send", send)
+    sc, p, m = load_scenario("freefall")
+    with pytest.raises(KeyboardInterrupt):
+        run(sc, p, m, tmp_path / "t.csv")
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_a_run_refused_for_its_size_writes_no_file(tmp_path, monkeypatch,
+                                                    forks):
+    monkeypatch.setattr(output, "_two_processes", lambda nblocks: True)
+    sc, p, m = load_scenario("freefall")
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValidationError, match="more than memory holds"):
+        run(replace(sc, dt=1e-12), p, m, path)
+    assert not path.exists() and forks == []
+
+
+def open_fds():
+    return os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else []
+
+
+@pytest.mark.parametrize("fails", ["fork", "pipe"])
 def test_write_csv_formats_every_block_when_fork_fails(freefall_short,
-                                                       tmp_path, monkeypatch):
+                                                       tmp_path, monkeypatch,
+                                                       fails):
+    # the streamed run of freefall_short, whose fork or second pipe fails
+    real_pipe, pipes = os.pipe, []
+
+    def pipe():
+        pipes.append(1)
+        if len(pipes) == 2:
+            raise OSError(errno.EMFILE, "too many open files")
+        return real_pipe()
+
     def fork():
         raise OSError(errno.EAGAIN, "no process")
 
     monkeypatch.setattr(output, "_two_processes", lambda nblocks: True)
-    monkeypatch.setattr(os, "fork", fork)
-    fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else []
+    monkeypatch.setattr(os, fails, fork if fails == "fork" else pipe)
+    fds = open_fds()
+    sc, p, m = load_scenario("freefall")
     path = tmp_path / "t.csv"
-    write_csv(freefall_short, path)
+    run(replace(sc, horizon=1.0), p, m, path)
     assert path.read_bytes() == format_csv(freefall_short).encode()
-    # the pipe is closed again
+    # the pipes are closed again
     if fds:
-        assert len(os.listdir("/proc/self/fd")) == len(fds)
+        assert len(open_fds()) == len(fds)
 
 
 def test_a_failed_file_write_reaches_the_caller(freefall_full, tmp_path,
                                                 monkeypatch, forks, deadline):
-    # the child is still sending when the caller's write fails; closing the
-    # pipe ends it, so the wait returns
+    # the child is still sending when the caller's write fails during the
+    # loop; closing the pipes ends it, so the wait returns
     monkeypatch.setattr(output, "_two_processes", lambda nblocks: True)
+    sc, p, m = load_scenario("freefall")
     real_open = pathlib.Path.open
 
     class FullDisk:
@@ -359,11 +540,14 @@ def test_a_failed_file_write_reaches_the_caller(freefall_full, tmp_path,
                 raise OSError(errno.ENOSPC, "disk full")
             return self.fh.write(data)
 
+        def close(self):
+            self.fh.close()
+
     monkeypatch.setattr(pathlib.Path, "open",
                         lambda self, *a, **k: FullDisk(real_open(self, *a,
                                                                  **k)))
     with pytest.raises(OSError, match="disk full"):
-        write_csv(freefall_full, tmp_path / "t.csv")
+        run(sc, p, m, tmp_path / "t.csv")
     assert len(forks) == 1
     assert_no_child_left()
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rollsim import _core
+from rollsim import _core, _eom
 from rollsim.config import load_scenario
 from rollsim.control import GainMatrices, Setpoints, lyapunov, pd_control
 from rollsim.energetics import dissipation, kinetic_energy, potential_energy
@@ -169,6 +169,34 @@ def test_a_truncated_run_stops_where_a_list_rk4_does(preset, n_done,
     assert run(sc, p, m).truncated
     [(args, result)] = loops
     assert assert_loop_is_list_rk4(args, result) == n_done < args[3]
+
+
+@pytest.mark.parametrize("preset,changes,n_done", [
+    ("freefall", ({}, {}), 5000),
+    ("lifting", ({}, {}), 1561),
+    ("balancing", ({}, {}), 835),
+    ("lifting", ({"dt": 2e-4, "horizon": 0.8}, {"enabled": True}), 4000),
+])
+def test_run_loop_in_chunks_equals_one_loop_call(preset, changes, n_done):
+    # each chunk starts from the last row of the one before, read back from
+    # ys; the sink sees the rows of each chunk as it ends
+    sc, p, m = load_scenario(preset)
+    sc, m = replace(sc, **changes[0]), replace(m, **changes[1])
+    par, mag, pd = p.packed(), m.packed(), sc.controller and \
+        sc.controller.packed()
+    n = sample_count(sc.horizon, sc.dt) - 1
+    seen = []
+    ys, us, done = _core.run_loop(par, mag, sc.y0, n, sc.dt, pd, 0,
+                                  lambda ys, rows: seen.append(rows))
+    whole = np.empty((n + 1, 8))
+    whole[0] = sc.y0
+    assert _eom.loop_for(par, 0, sc.dt, mag, pd)(whole, n) == done == n_done
+    assert ys[:done + 1].tobytes() == whole[:done + 1].tobytes()
+    # none of these runs stops at a chunk's first step
+    assert seen == [*range(_core.CHUNK_STEPS + 1, done + 1,
+                           _core.CHUNK_STEPS), done + 1]
+    assert us[:done + 1].tobytes() == _core.held_inputs(pd, ys[:done + 1]) \
+        .tobytes()
 
 
 def test_a_nonfinite_stage_2_qdd_fails_the_step():

@@ -18,16 +18,24 @@ reference loop, so one traced run per side shows the host's speed at the
 time as much as the change. --about names a JSON object whose keys (such
 as "change" and "claim") head the record.
 
+An A/A round pairs a commit with itself, --parent X --change X: the two
+sides then differ only by the host, so its pairs_past_bound counts how
+often this host alone puts an unchanged commit past a bound, and a claim's
+record can show that round beside its own pairs.
+
 The record has the layout of BENCH_pr14.json. Per workload and side it
 gives the run medians of wall_ref, of the raw wall_s, of setup_s and of
 the reference loop's time (reference_loop_s), their median, the quartiles
 of the wall_ref run medians and each run's peak_rss_mb; per workload the
 pairs the change won on wall_ref (ties count for neither side), the
 parent's quartile spread, the difference of the medians and the
-parent/change ratio of the medians in both units. wall_ref divides by a
-reference loop timed in the calling process, so a change that moves work
-to another CPU shows in wall_s as well, and a wall_ref that moves with
-reference_loop_s alone shows the host, not the program. "traced" holds
+parent/change ratio of the medians in both units, the change/parent
+ratio of setup_s and of peak_rss_mb in each pair, and per end-to-end
+metric of the change's BENCHMARK.json the number of pairs whose change run
+is worse than its parent run by more than the metric's bound. wall_ref
+divides by a reference loop timed in the calling process, so a change
+that moves work to another CPU shows in wall_s as well, and a wall_ref
+that moves with reference_loop_s alone shows the host, not the program. "traced" holds
 per workload and side the median of each layer metric over the traced
 runs, and each run's layers. "runs" holds each run's record without its
 per-sample values.
@@ -70,6 +78,19 @@ def seeds(text):
 def run_seconds(tree):
     """The run length BENCHMARK.json in the exported tree fixes."""
     return json.loads((tree / "BENCHMARK.json").read_text())["run_seconds"]
+
+
+def bounds(tree):
+    """{metric: (bound, better)} of the end_to_end metrics BENCHMARK.json
+    in the exported tree fixes."""
+    spec = json.loads((tree / "BENCHMARK.json").read_text())
+    return {m["name"]: (m["bound"], m["better"]) for m in spec["end_to_end"]}
+
+
+# each end-to-end metric's run values in side_summary, one per run
+RUN_VALUES = {"wall_ref": "wall_ref_run_medians",
+              "setup_s": "setup_s_run_medians",
+              "peak_rss_mb": "peak_rss_mb"}
 
 
 def bench(tree, workload, seed, seconds, trace):
@@ -131,12 +152,27 @@ def side_summary(recs):
             "failed": sum(r["failed"] for r in recs)}
 
 
-def workload_summary(parent, change, seed_list, change_commit):
+def past_bound(parent, change, bound, better):
+    """Whether change is worse than parent by more than the relative bound."""
+    if better == "lower":
+        return change > parent * (1.0 + bound)
+    return change < parent * (1.0 - bound)
+
+
+def workload_summary(parent, change, seed_list, change_commit, limits):
+    """The pairs of one workload; limits is bounds() of the change's tree.
+    Per pair it gives the change/parent ratio of setup_s and peak_rss_mb,
+    and per end-to-end metric the pairs whose change run is worse than its
+    parent run by more than the metric's bound."""
     p, c = side_summary(parent), side_summary(change)
     q1, q3 = p["wall_ref_quartiles_of_runs"]
     won = sum(b < a for a, b in zip(p["wall_ref_run_medians"],
                                     c["wall_ref_run_medians"]))
     pm, cm = p["wall_ref_median_of_runs"], c["wall_ref_median_of_runs"]
+
+    def pairs(metric):
+        return list(zip(p[RUN_VALUES[metric]], c[RUN_VALUES[metric]]))
+
     return {"parent": p, "change": c, "seeds": seed_list,
             "pairs": len(seed_list),
             "change_wall_ref_lower_in_pairs": won,
@@ -145,6 +181,14 @@ def workload_summary(parent, change, seed_list, change_commit):
             "wall_ref_ratio_parent_over_change": round(pm / cm, 3),
             "wall_s_ratio_parent_over_change": round(
                 p["wall_s_median_of_runs"] / c["wall_s_median_of_runs"], 3),
+            **{f"{metric}_ratio_change_over_parent_per_pair":
+               [round(b / a, 3) for a, b in pairs(metric)]
+               for metric in ("setup_s", "peak_rss_mb")},
+            "pairs_past_bound": {
+                metric: sum(past_bound(a, b, bound, better)
+                            for a, b in pairs(metric))
+                for metric, (bound, better) in limits.items()},
+            "bounds": {metric: bound for metric, (bound, _) in limits.items()},
             "change_commit": change_commit}
 
 
@@ -201,6 +245,7 @@ def main(argv=None):
     for side, tree in trees.items():
         export(commits[side], tree)
     seconds = run_seconds(trees["change"])
+    limits = bounds(trees["change"])
 
     def plan(specs):
         return [(w, seeds(s)) for w, s in (p.split("=", 1) for p in specs)]
@@ -238,7 +283,8 @@ def main(argv=None):
     for workload, seed_list in plan(args.pairs):
         recs = alternate(trees, workload, seed_list, seconds, 0, report)
         summary[workload] = workload_summary(recs["parent"], recs["change"],
-                                             seed_list, commits["change"])
+                                             seed_list, commits["change"],
+                                             limits)
     for workload, seed_list in plan(args.traced):
         recs = alternate(trees, workload, seed_list, seconds, 1, report)
         traced[workload] = {side: traced_summary(commits[side], recs[side])
