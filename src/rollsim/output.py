@@ -12,9 +12,9 @@ blocks joined, and write_csv writes them in one process.
 
 CsvStream writes a run's CSV while the run's loop computes it, where
 os.fork exists, more than one CPU is usable and only one thread runs: a
-child forked before the loop receives the rows of each block as soon as
-they are final, computes the block's columns and formats them, and sends
-the text back down a pipe; the caller writes every block in order, so
+child forked when the loop's first chunk is done receives the rows of each
+block as soon as they are final, computes the block's columns and formats
+them, and sends the text back down a pipe; the caller writes every block in order, so
 after the loop only the last block is left to write. Otherwise, or for the
 blocks a failed child did not send, the caller formats the blocks from the
 finished trajectory, as write_csv does. The bytes are the same either way.

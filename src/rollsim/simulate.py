@@ -9,6 +9,10 @@ same _core functions that the public functions (pd_control,
 kinetic_energy, potential_energy, dissipation, lyapunov, disk2_height,
 separation) call, applied once to the columns of the recorded states;
 generalized_torque maps a recorded input pair to its generalized force.
+One function, _columns, computes these columns for any run of samples:
+run applies it to the whole run, and with a CSV path run also streams
+the CSV while the loop integrates (output.CsvStream), whose child applies
+it to each 256-row block as soon as the loop has finished the block.
 Events are detected on the recorded samples after integration, strictly
 edge-triggered: a sample already inside a condition at t = 0 fires nothing
 until the condition is left and re-entered. A run cut short by a

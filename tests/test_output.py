@@ -486,29 +486,38 @@ def open_fds():
     return os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else []
 
 
-@pytest.mark.parametrize("fails", ["fork", "pipe"])
 def test_write_csv_formats_every_block_when_fork_fails(freefall_short,
-                                                       tmp_path, monkeypatch,
-                                                       fails):
-    # the streamed run of freefall_short, whose fork or second pipe fails
-    real_pipe, pipes = os.pipe, []
+                                                       tmp_path, monkeypatch):
+    # the streamed run of freefall_short, whose fork fails
+    def fork():
+        raise OSError(errno.EAGAIN, "no process")
+
+    assert_formats_every_block(freefall_short, tmp_path, monkeypatch, "fork",
+                               fork)
+
+
+def test_a_streamed_run_formats_every_block_when_a_pipe_fails(
+        freefall_short, tmp_path, monkeypatch):
+    real, pipes = os.pipe, []
 
     def pipe():
         pipes.append(1)
         if len(pipes) == 2:
             raise OSError(errno.EMFILE, "too many open files")
-        return real_pipe()
+        return real()
 
-    def fork():
-        raise OSError(errno.EAGAIN, "no process")
+    assert_formats_every_block(freefall_short, tmp_path, monkeypatch, "pipe",
+                               pipe)
 
+
+def assert_formats_every_block(traj, tmp_path, monkeypatch, name, failing):
     monkeypatch.setattr(output, "_two_processes", lambda nblocks: True)
-    monkeypatch.setattr(os, fails, fork if fails == "fork" else pipe)
-    fds = open_fds()
     sc, p, m = load_scenario("freefall")
+    monkeypatch.setattr(os, name, failing)
+    fds = open_fds()
     path = tmp_path / "t.csv"
     run(replace(sc, horizon=1.0), p, m, path)
-    assert path.read_bytes() == format_csv(freefall_short).encode()
+    assert path.read_bytes() == format_csv(traj).encode()
     # the pipes are closed again
     if fds:
         assert len(open_fds()) == len(fds)
