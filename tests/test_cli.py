@@ -253,19 +253,6 @@ def test_run_refuses_an_out_the_script_would_break(tmp_path, capsys, name):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_run_streams_the_csv_of_each_scenario(tmp_path, capsys):
-    # cmd_run hands each run its CSV path and writes only the script after
-    code, _, _ = run_cli(["run", "freefall", "lifting", "--horizon", "0.6",
-                          "--out", str(tmp_path)], capsys)
-    assert code == 0
-    for name in ("freefall", "lifting"):
-        sc, p, m = load_scenario(name)
-        traj = run(replace(sc, horizon=0.6), p, m)
-        assert (tmp_path / f"{name}.csv").read_bytes() == \
-            format_csv(traj).encode()
-        assert (tmp_path / f"{name}.gp").is_file()
-
-
 def test_errata_deterministic_files(tmp_path, capsys):
     d1 = tmp_path / "one"
     d2 = tmp_path / "two"

@@ -453,25 +453,6 @@ def test_a_streamed_run_survives_a_killed_child(freefall_full, tmp_path,
     assert_no_child_left()
 
 
-def test_an_exception_in_the_loop_leaves_no_child(tmp_path, monkeypatch,
-                                                  forks, deadline):
-    monkeypatch.setattr(output, "_two_processes", lambda nblocks: True)
-    real, calls = output.CsvStream.send, []
-
-    def send(self, ys, rows):
-        calls.append(rows)
-        if len(calls) == 3:
-            raise KeyboardInterrupt
-        real(self, ys, rows)
-
-    monkeypatch.setattr(output.CsvStream, "send", send)
-    sc, p, m = load_scenario("freefall")
-    with pytest.raises(KeyboardInterrupt):
-        run(sc, p, m, tmp_path / "t.csv")
-    assert len(forks) == 1
-    assert_no_child_left()
-
-
 def test_a_run_refused_for_its_size_writes_no_file(tmp_path, monkeypatch,
                                                     forks):
     monkeypatch.setattr(output, "_two_processes", lambda nblocks: True)
