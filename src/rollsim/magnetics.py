@@ -116,5 +116,8 @@ def magnetic_potential(mag: MagneticParams, p_m: float) -> float:
             f"separation must be finite and >= 0, got {p_m!r}")
     if p_m >= mag.P_max:
         return 0.0
-    c = mag.A * mag.B_max ** 2 * mag.P_max / (6.0 * mag.mu0)
-    return -c * (1.0 - p_m / mag.P_max) ** 3
+    # products, as in the generated force law: a float ** 2 past the
+    # largest double raises OverflowError, where a product is inf
+    c = mag.A * (mag.B_max * mag.B_max) * mag.P_max / (6.0 * mag.mu0)
+    s = 1.0 - p_m / mag.P_max
+    return -c * (s * s * s)

@@ -11,13 +11,16 @@ holds one block's text, not the whole file's. format_csv is the same
 blocks joined, and write_csv writes them in one process.
 
 CsvStream writes a run's CSV while the run's loop computes it, where
-os.fork exists, more than one CPU is usable and only one thread runs: a
-child forked when the loop's first chunk is done receives the rows of each
-block as soon as they are final, computes the block's columns and formats
-them, and sends the text back down a pipe; the caller writes every block in order, so
-after the loop only the last block is left to write. Otherwise, or for the
-blocks a failed child did not send, the caller formats the blocks from the
-finished trajectory, as write_csv does. The bytes are the same either way.
+os.fork exists, more than one CPU is usable and only one thread runs: the
+caller opens the file and forks a child when the loop's first chunk is
+done, and from then on the child alone writes the file. One pipe carries
+the rows of each block from the caller to the child as soon as they are
+final; the child computes the block's columns, formats them and writes
+them, and nothing comes back but its exit status. So after the loop only
+the last block is left to write. Otherwise, and whenever the child did
+not write every block, the caller writes the whole file from the finished
+trajectory with write_csv, after the child has been reaped, so only one
+process writes the file at any time. The bytes are the same either way.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ _ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
 
 _HEADER = ",".join(CSV_COLUMNS) + "\n"
 
-# the byte length of a message down a pipe, ahead of the message
-_PREFIX = 8
+# the bytes of one sample's state, 8 doubles, down the rows pipe
+_STATE_BYTES = 64
 
 _V = CSV_COLUMNS.index("V")
 
@@ -72,23 +75,16 @@ def format_csv(traj) -> str:
     return "".join(_blocks(traj))
 
 
-def _write_blocks(fh, traj, first):
-    """Format the blocks first, first + 1, ... of traj and write each to fh."""
-    cols = _columns(traj)
-    for start in range(first * _BLOCK_ROWS, traj.t.shape[0], _BLOCK_ROWS):
-        fh.write(_block(cols, start).encode("ascii"))
-
-
 def write_csv(traj, path) -> int:
     """Write the trajectory; returns the number of data rows."""
     with Path(path).open("wb") as fh:
-        fh.write(_HEADER.encode("ascii"))
-        _write_blocks(fh, traj, 0)
+        for text in _blocks(traj):
+            fh.write(text.encode("ascii"))
     return traj.t.shape[0]
 
 
 def _two_processes(nblocks):
-    """Whether a CsvStream forks a child to format the blocks: there are two
+    """Whether a CsvStream forks a child to write the blocks: there are two
     blocks, so one can be formatted while the next is computed, and a
     second CPU to format on, and no other thread runs, since a fork copies
     only the calling thread and a lock another thread holds stays locked in
@@ -102,66 +98,48 @@ def _two_processes(nblocks):
     return cpus > 1
 
 
-def _send(pipe, data):
-    pipe.write(len(data).to_bytes(_PREFIX, "little"))
-    pipe.write(data)
-    pipe.flush()
-
-
-def _received(pipe):
-    """The next message, or None once the stream has ended."""
-    prefix = pipe.read(_PREFIX)
-    if len(prefix) < _PREFIX:
-        return None
-    size = int.from_bytes(prefix, "little")
-    data = pipe.read(size)
-    return data if len(data) == size else None
-
-
-def _format_blocks(rows_in, text_out, columns):
-    """The child's work: each message of rows_in is the rows of the next
-    block, as doubles; send the text of that block's columns to text_out.
-    Returns when rows_in ends."""
+def _format_blocks(rows_in, fh, columns):
+    """The child's work: write the header to fh, then the text of each block
+    whose states rows_in carries as doubles, one block per read; the short
+    last read is the partial block. Returns when rows_in ends, and raises
+    when it ends inside a sample."""
+    fh.write(_HEADER.encode("ascii"))
     first, V_before = 0, np.nan
-    while (data := _received(rows_in)) is not None:
+    while data := rows_in.read(_BLOCK_ROWS * _STATE_BYTES):
         rows = np.frombuffer(data).reshape(-1, 8)
         cols = columns(rows, first, V_before)
-        _send(text_out, _block(cols, 0).encode("ascii"))
+        fh.write(_block(cols, 0).encode("ascii"))
         first += rows.shape[0]
         V_before = cols[_V][-1]
 
 
-def _fork_formatter(columns):
-    """(pid, rows pipe, text pipe) of a forked child that runs
-    _format_blocks between the two pipes, or None if a pipe or the fork
-    fails. The child only formats and sends: it never touches the caller's
-    file and never returns into the caller."""
+def _fork_writer(fh, columns):
+    """(pid, rows pipe) of a forked child that runs _format_blocks from the
+    pipe to fh and closes fh, or None if the pipe or the fork fails. The
+    child exits 0 once the pipe has ended and fh is closed, and never
+    returns into the caller."""
     fds = []
     try:
-        fds += os.pipe()
         fds += os.pipe()
         pid = os.fork()
     except OSError:
         for fd in fds:
             os.close(fd)
         return None
-    rows_r, rows_w, text_r, text_w = fds
+    rows_r, rows_w = fds
     if pid == 0:
         status = 1
         try:
-            # without the caller's ends here, the rows pipe ends when the
-            # caller closes it, and a closed text pipe fails the child's next
-            # write, so the child cannot block on it
+            # without the caller's end here, the pipe ends when the caller
+            # closes it
             os.close(rows_w)
-            os.close(text_r)
-            with open(rows_r, "rb") as rows_in, open(text_w, "wb") as text_out:
-                _format_blocks(rows_in, text_out, columns)
+            with open(rows_r, "rb") as rows_in, fh:
+                _format_blocks(rows_in, fh, columns)
             status = 0
         finally:
             os._exit(status)
     os.close(rows_r)
-    os.close(text_w)
-    return pid, open(rows_w, "wb"), open(text_r, "rb")
+    return pid, open(rows_w, "wb")
 
 
 class CsvStream:
@@ -172,92 +150,75 @@ class CsvStream:
     gives the CSV's columns of the samples first, first + 1, ... whose
     states are rows, with V_before the V of sample first - 1 (NaN at the
     first sample). After each chunk of the loop, send(ys, rows) hands the
-    child each block that rows 0..rows - 1 of ys complete, and writes the
-    block before it; the first send opens the file and forks the child, so
-    a run that fails to allocate its samples leaves no file. end(ys, rows)
-    after the loop sends the rest; finish(traj) writes what the child has
-    not sent from the finished trajectory and closes the file. The caller
-    never sends more than one block ahead of what it has read, so neither
-    process can block the other for good. close() ends the child on every
-    path, and is what finish and an exception in between must reach.
+    child each block that rows 0..rows - 1 of ys complete. The first send
+    opens the file, so an unwritable path fails before the loop goes on,
+    and forks the child, which owns the file from then on: the caller
+    writes nothing to it, and a run that fails to allocate its samples
+    leaves no file. end(ys, rows) after the loop sends the rest and closes
+    the pipe. finish(traj) reaps the child and, unless the child exited 0
+    with every row sent, writes the whole file from the finished
+    trajectory: after a failed fork or pipe, a broken pipe, a child that
+    failed or was killed, or an ignored SIGCHLD, whose exit status is
+    lost. close() ends the child on every path, and is what an exception
+    between the first send and finish must reach.
     """
 
     def __init__(self, path, samples, columns):
         self.path, self.columns = Path(path), columns
         self.forking = _two_processes(-(-samples // _BLOCK_ROWS))
-        self.fh = self.child = None
-        self.sent = self.written = 0  # blocks
+        self.child = None
+        self.sent = 0  # rows
 
     def send(self, ys, rows):
-        if self.forking and self.fh is None:
-            self.fh = self.path.open("wb")
-            self.fh.write(_HEADER.encode("ascii"))
-            self.child = _fork_formatter(self.columns)
-        while self.child and (self.sent + 1) * _BLOCK_ROWS <= rows:
-            self._send_block(ys, rows)
-            while self.child and self.written < self.sent - 1:
-                self._write_received()
+        if self.forking:
+            self.forking = False
+            with self.path.open("wb") as fh:
+                self.child = _fork_writer(fh, self.columns)
+        while self.child and self.sent + _BLOCK_ROWS <= rows:
+            self._send_rows(ys, self.sent + _BLOCK_ROWS)
 
     def end(self, ys, rows):
         self.send(ys, rows)
-        if self.child and self.sent * _BLOCK_ROWS < rows:
-            self._send_block(ys, rows)
+        if self.child and self.sent < rows:
+            self._send_rows(ys, rows)
         if self.child:
+            # each send flushed, so closing writes nothing
             self.child[1].close()
 
     def finish(self, traj):
-        """Write the blocks the child has not, and close."""
-        try:
-            if self.fh is None:
-                write_csv(traj, self.path)
-                return
-            while self.child and self.written < self.sent:
-                self._write_received()
-            _write_blocks(self.fh, traj, self.written)
-        finally:
-            self.close()
+        """Reap the child; write the file here unless it wrote every row."""
+        if self._reap() != 0 or self.sent < traj.t.shape[0]:
+            write_csv(traj, self.path)
 
-    def _send_block(self, ys, rows):
-        """Send the child the rows of the next block, up to rows."""
-        start = self.sent * _BLOCK_ROWS
+    def _send_rows(self, ys, stop):
+        """Send the child the rows of ys from the first unsent one to stop."""
+        pipe = self.child[1]
         try:
-            _send(self.child[1], ys[start:min(start + _BLOCK_ROWS, rows)]
-                  .tobytes())
+            pipe.write(ys[self.sent:stop].tobytes())
+            pipe.flush()
         except OSError:  # the child has gone: the pipe is broken
-            self._end_child()
+            self._reap()
         else:
-            self.sent += 1
+            self.sent = stop
 
-    def _write_received(self):
-        data = _received(self.child[2])
-        if data is None:  # the child failed or was killed
-            self._end_child()
-        else:
-            self.fh.write(data)
-            self.written += 1
-
-    def _end_child(self):
-        """Close the pipes and reap the child; the blocks it has not sent
-        are then formatted here."""
-        pid, rows_out, text_in = self.child
+    def _reap(self):
+        """Close the pipe and wait for the child; its exit code, or None
+        when no child runs or its exit status is lost."""
+        if self.child is None:
+            return None
+        pid, rows_out = self.child
         self.child = None
-        for pipe in (rows_out, text_in):
-            try:
-                pipe.close()
-            except OSError:
-                pass  # rows left in the buffer of a broken pipe
         try:
-            os.waitpid(pid, 0)
+            rows_out.close()
+        except OSError:
+            pass  # rows left in the buffer of a broken pipe
+        try:
+            return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         except ChildProcessError:
-            pass  # SIGCHLD is ignored: the kernel has reaped it
+            return None  # SIGCHLD is ignored: the kernel has reaped it
 
     def close(self):
-        try:
-            if self.child:
-                self._end_child()
-        finally:
-            if self.fh is not None:
-                self.fh.close()
+        self._reap()
 
 
 def gnuplot_script(csv_path) -> str:
@@ -308,7 +269,7 @@ def read_csv(path) -> dict:
     path = Path(path)
     with path.open() as fh:
         header = fh.readline().strip().split(",")
+        if tuple(header) != CSV_COLUMNS:
+            raise ValueError(f"unexpected CSV columns in {path}: {header}")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if tuple(header) != CSV_COLUMNS:
-        raise ValueError(f"unexpected CSV columns in {path}: {header}")
     return {name: data[:, i] for i, name in enumerate(header)}

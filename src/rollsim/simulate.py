@@ -11,8 +11,9 @@ separation) call, applied once to the columns of the recorded states;
 generalized_torque maps a recorded input pair to its generalized force.
 One function, _columns, computes these columns for any run of samples:
 run applies it to the whole run, and with a CSV path run also streams
-the CSV while the loop integrates (output.CsvStream), whose child applies
-it to each 256-row block as soon as the loop has finished the block.
+the CSV while the loop integrates (output.CsvStream): a forked child,
+the file's one writer while it runs, applies it to each 256-row block as
+soon as the loop has finished the block and writes the block's text.
 Events are detected on the recorded samples after integration, strictly
 edge-triggered: a sample already inside a condition at t = 0 fires nothing
 until the condition is left and re-entered. A run cut short by a
@@ -227,10 +228,11 @@ def run(scenario: Scenario, params: Optional[RobotParams] = None,
     and MagneticParams(), whose coupling is off. Deterministic: identical
     inputs give bit-identical trajectories. With csv, a path, the
     trajectory's CSV is also written there, as output.write_csv would
-    write it, while the loop runs (output.CsvStream). Raises
-    ValidationError when params or mag is not None and not of its type,
-    or when the samples of the run do not fit in memory, and OSError when
-    the CSV cannot be written.
+    write it: by a forked child while the loop runs (output.CsvStream), or
+    from the finished trajectory where no child runs or the child did not
+    write every block. Raises ValidationError when params or mag is not
+    None and not of its type, or when the samples of the run do not fit in
+    memory, and OSError when the CSV cannot be written.
     """
     if not (params is None or isinstance(params, RobotParams)):
         raise ValidationError(

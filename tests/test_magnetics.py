@@ -79,6 +79,15 @@ def test_potential_matches_force():
     assert magnetic_potential(m, 0.5) < 0.0
 
 
+def test_potential_overflows_to_minus_inf_as_the_force_does():
+    # B_max ** 2 raised OverflowError where the force's B * B gives inf
+    huge = MagneticParams(B_max=1e200)
+    assert magnetic_force(huge, huge.B_max) == np.inf
+    assert magnetic_potential(huge, 0.0) == -np.inf
+    assert magnetic_potential(huge, 0.01) == -np.inf
+    assert magnetic_potential(huge, huge.P_max) == 0.0
+
+
 def test_torque_disabled_is_exactly_zero():
     st = State(q=(0.0, 0.0, np.pi, 0.0))
     q, degenerate = generalized_magnetic_torque(P, MagneticParams(enabled=False), st)

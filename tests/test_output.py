@@ -3,6 +3,7 @@ import io
 import os
 import pathlib
 import signal
+import struct
 import threading
 import tracemalloc
 from dataclasses import fields, replace
@@ -92,6 +93,16 @@ def test_read_csv_rejects_foreign_header(tmp_path):
     bad.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError):
         read_csv(bad)
+
+
+def test_read_csv_checks_the_header_before_the_rows(tmp_path, recwarn):
+    # loadtxt warned "input contained no data" on an empty file before the
+    # header was checked
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with pytest.raises(ValueError, match="unexpected CSV columns"):
+        read_csv(empty)
+    assert len(recwarn) == 0
 
 
 def per_value_csv(traj):
@@ -299,9 +310,20 @@ def test_a_streamed_run_writes_its_trajectory_csv(tmp_path, monkeypatch,
                                                   forks, deadline, forked,
                                                   name):
     monkeypatch.setattr(output, "_two_processes", lambda nblocks: forked)
+    caller, real_block, formatted = os.getpid(), output._block, []
+
+    def block(cols, start):
+        formatted.append(os.getpid())
+        return real_block(cols, start)
+
+    monkeypatch.setattr(output, "_block", block)
     sc, p, m = streamed_run(name)
     path = tmp_path / "t.csv"
     traj = run(sc, p, m, path)
+    # the child of a healthy run writes every block, so the caller formats
+    # none: a rewrite from the trajectory on every run would show here
+    nblocks = -(-traj.t.shape[0] // _BLOCK_ROWS)
+    assert formatted == ([] if forked else [caller] * nblocks)
     text = path.read_bytes().decode("ascii")
     assert text == format_csv(traj)
     assert first_difference(text, per_value_csv(traj)) is None
@@ -325,9 +347,13 @@ def test_write_csv_writes_the_blocks_joined(freefall_full, tmp_path, forks):
 def test_a_streamed_run_writes_one_block_at_a_time(freefall_full, tmp_path,
                                                    monkeypatch, forks,
                                                    deadline, forked):
+    # each write to the file, from whichever process makes it, goes to a
+    # log opened before the fork: the writer's pid, the length, the bytes
     monkeypatch.setattr(output, "_two_processes", lambda nblocks: forked)
     sc, p, m = load_scenario("freefall")
-    real_open, writes = pathlib.Path.open, []
+    real_open = pathlib.Path.open
+    log_path = tmp_path / "writes"
+    log = os.open(log_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
     class Recorded:
         def __init__(self, fh):
@@ -340,7 +366,8 @@ def test_a_streamed_run_writes_one_block_at_a_time(freefall_full, tmp_path,
             self.fh.close()
 
         def write(self, data):
-            writes.append(bytes(data))
+            data = bytes(data)
+            os.write(log, struct.pack("<qq", os.getpid(), len(data)) + data)
             return self.fh.write(data)
 
         def close(self):
@@ -349,8 +376,23 @@ def test_a_streamed_run_writes_one_block_at_a_time(freefall_full, tmp_path,
     monkeypatch.setattr(pathlib.Path, "open",
                         lambda self, *a, **k: Recorded(real_open(self, *a,
                                                                  **k)))
-    run(sc, p, m, tmp_path / "t.csv")
+    try:
+        run(sc, p, m, tmp_path / "t.csv")
+    finally:
+        os.close(log)
+    with open(log_path, "rb") as fh:
+        raw = fh.read()
+    pids, writes, at = [], [], 0
+    while at < len(raw):
+        pid, size = struct.unpack_from("<qq", raw, at)
+        at += 16
+        pids.append(pid)
+        writes.append(raw[at:at + size])
+        at += size
     assert writes == [b.encode() for b in output._blocks(freefall_full)]
+    # the child of a forked run is the one writer of the file
+    caller = os.getpid()
+    assert all((pid != caller) is forked for pid in pids)
 
 
 def test_two_processes_needs_two_blocks_and_no_other_thread():
@@ -404,10 +446,21 @@ def test_write_csv_survives_a_failing_child(freefall_full, tmp_path,
                                             monkeypatch, capfd, forks,
                                             deadline, sent):
     # the child of a streamed run formats `sent` blocks and then raises;
-    # the caller formats the rest from the trajectory and writes each block
-    # once
+    # once it is reaped, the caller writes the file again from the
+    # trajectory
     monkeypatch.setattr(output, "_two_processes", lambda nblocks: True)
     caller, real, formatted = os.getpid(), output._block, []
+    real_write, rewrites = output.write_csv, []
+
+    def write_csv(traj, path):
+        # the child has been reaped when the caller's rewrite starts, so
+        # only one process writes the file at any time
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+        rewrites.append(path)
+        return real_write(traj, path)
+
+    monkeypatch.setattr(output, "write_csv", write_csv)
 
     def block(cols, start):
         if os.getpid() != caller:
@@ -421,6 +474,7 @@ def test_write_csv_survives_a_failing_child(freefall_full, tmp_path,
     path = tmp_path / "t.csv"
     run(sc, p, m, path)
     assert path.read_bytes() == format_csv(freefall_full).encode()
+    assert rewrites == [path]
     assert formatted == []  # the child's list is its own
     assert len(forks) == 1
     assert_no_child_left()
@@ -432,7 +486,7 @@ def test_a_streamed_run_survives_a_killed_child(freefall_full, tmp_path,
                                                 monkeypatch, forks, deadline,
                                                 chunks):
     # SIGKILL after `chunks` chunks of the loop: at 20, the last, the child
-    # dies with the last blocks' rows sent and their text not read
+    # dies before the last block's rows are sent
     monkeypatch.setattr(output, "_two_processes", lambda nblocks: True)
     real, calls = output.CsvStream.send, []
 
@@ -506,8 +560,10 @@ def assert_formats_every_block(traj, tmp_path, monkeypatch, name, failing):
 
 def test_a_failed_file_write_reaches_the_caller(freefall_full, tmp_path,
                                                 monkeypatch, forks, deadline):
-    # the child is still sending when the caller's write fails during the
-    # loop; closing the pipes ends it, so the wait returns
+    # the child's write fails during the loop, so the child exits 1 and
+    # the caller's next send finds the pipe broken; the caller's rewrite
+    # from the trajectory fails the same way, and its error is the one
+    # that reaches the caller
     monkeypatch.setattr(output, "_two_processes", lambda nblocks: True)
     sc, p, m = load_scenario("freefall")
     real_open = pathlib.Path.open
@@ -542,9 +598,60 @@ def test_a_failed_file_write_reaches_the_caller(freefall_full, tmp_path,
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("stream", [b"", b"\x05\x00",
-                                    (10).to_bytes(8, "little") + b"abc"])
-def test_received_reads_a_cut_stream_as_its_end(stream):
-    assert output._received(io.BytesIO(stream)) is None
-    whole = (3).to_bytes(8, "little") + b"abc"
-    assert output._received(io.BytesIO(whole)) == b"abc"
+def test_a_rows_stream_cut_inside_a_sample_is_refused(freefall_full,
+                                                     tmp_path, monkeypatch,
+                                                     forks, deadline):
+    def zeros(rows, first, V_before):
+        return [np.zeros(rows.shape[0])] * len(CSV_COLUMNS)
+
+    cut = freefall_full.y[:300].tobytes()[:-3]
+    with pytest.raises(ValueError):
+        output._format_blocks(io.BytesIO(cut), io.BytesIO(), zeros)
+
+    class Cut:
+        """The rows pipe less the last 3 bytes of the run's stream: each
+        write's last 3 bytes wait for the next write, and the last are
+        dropped."""
+
+        def __init__(self, pipe):
+            self.pipe, self.held = pipe, b""
+
+        def write(self, data):
+            self.pipe.write(self.held + data[:-3])
+            self.held = data[-3:]
+
+        def flush(self):
+            self.pipe.flush()
+
+        def close(self):
+            self.pipe.close()
+
+    real_fork_writer, real_reap = output._fork_writer, output.CsvStream._reap
+    codes, real_write, rewrites = [], output.write_csv, []
+
+    def fork_writer(fh, columns):
+        pid, pipe = real_fork_writer(fh, columns)
+        return pid, Cut(pipe)
+
+    def reap(self):
+        codes.append(real_reap(self))
+        return codes[-1]
+
+    def write_csv(traj, path):
+        rewrites.append(path)
+        return real_write(traj, path)
+
+    monkeypatch.setattr(output, "_two_processes", lambda nblocks: True)
+    monkeypatch.setattr(output, "_fork_writer", fork_writer)
+    monkeypatch.setattr(output.CsvStream, "_reap", reap)
+    monkeypatch.setattr(output, "write_csv", write_csv)
+    sc, p, m = load_scenario("freefall")
+    path = tmp_path / "t.csv"
+    run(sc, p, m, path)
+    # the child's last read ends inside a sample: it raises and exits 1,
+    # and the caller writes the file from the trajectory
+    assert codes[0] == 1
+    assert rewrites == [path]
+    assert path.read_bytes() == format_csv(freefall_full).encode()
+    assert len(forks) == 1
+    assert_no_child_left()
