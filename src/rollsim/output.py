@@ -17,8 +17,9 @@ done, and from then on the child alone writes the file. One pipe carries
 the rows of each block from the caller to the child as soon as they are
 final; the child computes the block's columns, formats them and writes
 them, and nothing comes back but its exit status. So after the loop only
-the last block is left to write. Otherwise, and whenever the child did
-not write every block, the caller writes the whole file from the finished
+the last block is left to write. Otherwise, and whenever the child's exit
+status does not show every block written (where SIGCHLD is ignored it is
+lost, so always), the caller writes the whole file from the finished
 trajectory with write_csv, after the child has been reaped, so only one
 process writes the file at any time. The bytes are the same either way.
 """
@@ -155,12 +156,16 @@ class CsvStream:
     and forks the child, which owns the file from then on: the caller
     writes nothing to it, and a run that fails to allocate its samples
     leaves no file. end(ys, rows) after the loop sends the rest and closes
-    the pipe. finish(traj) reaps the child and, unless the child exited 0
-    with every row sent, writes the whole file from the finished
-    trajectory: after a failed fork or pipe, a broken pipe, a child that
-    failed or was killed, or an ignored SIGCHLD, whose exit status is
-    lost. close() ends the child on every path, and is what an exception
-    between the first send and finish must reach.
+    the pipe. finish(traj) reaps the child with close() and, unless the
+    child exited 0 with every row sent, writes the whole file again from
+    the finished trajectory: after a failed fork or pipe, a broken pipe or
+    a child that failed or was killed. Where SIGCHLD is ignored, the kernel
+    reaps the child itself and its exit status is lost, so every run
+    writes the file twice: the child's bytes are replaced by the same
+    bytes, and the run takes the time of the whole write_csv after its
+    loop on top of the streamed run's. close() ends the child on every
+    path, and is what an exception between the first send and finish must
+    reach.
     """
 
     def __init__(self, path, samples, columns):
@@ -187,7 +192,7 @@ class CsvStream:
 
     def finish(self, traj):
         """Reap the child; write the file here unless it wrote every row."""
-        if self._reap() != 0 or self.sent < traj.t.shape[0]:
+        if self.close() != 0 or self.sent < traj.t.shape[0]:
             write_csv(traj, self.path)
 
     def _send_rows(self, ys, stop):
@@ -197,11 +202,11 @@ class CsvStream:
             pipe.write(ys[self.sent:stop].tobytes())
             pipe.flush()
         except OSError:  # the child has gone: the pipe is broken
-            self._reap()
+            self.close()
         else:
             self.sent = stop
 
-    def _reap(self):
+    def close(self):
         """Close the pipe and wait for the child; its exit code, or None
         when no child runs or its exit status is lost."""
         if self.child is None:
@@ -216,9 +221,6 @@ class CsvStream:
             return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         except ChildProcessError:
             return None  # SIGCHLD is ignored: the kernel has reaped it
-
-    def close(self):
-        self._reap()
 
 
 def gnuplot_script(csv_path) -> str:

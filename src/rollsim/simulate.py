@@ -229,8 +229,9 @@ def run(scenario: Scenario, params: Optional[RobotParams] = None,
     inputs give bit-identical trajectories. With csv, a path, the
     trajectory's CSV is also written there, as output.write_csv would
     write it: by a forked child while the loop runs (output.CsvStream), or
-    from the finished trajectory where no child runs or the child did not
-    write every block. Raises ValidationError when params or mag is not
+    from the finished trajectory where no child runs or its exit status
+    does not show every block written, which includes every run where
+    SIGCHLD is ignored. Raises ValidationError when params or mag is not
     None and not of its type, or when the samples of the run do not fit in
     memory, and OSError when the CSV cannot be written.
     """

@@ -532,17 +532,14 @@ def test_write_csv_formats_every_block_when_fork_fails(freefall_short,
 
 
 def test_a_streamed_run_formats_every_block_when_a_pipe_fails(
-        freefall_short, tmp_path, monkeypatch):
-    real, pipes = os.pipe, []
-
+        freefall_short, tmp_path, monkeypatch, forks):
+    # the rows pipe, the only one, fails, so no child is forked
     def pipe():
-        pipes.append(1)
-        if len(pipes) == 2:
-            raise OSError(errno.EMFILE, "too many open files")
-        return real()
+        raise OSError(errno.EMFILE, "too many open files")
 
     assert_formats_every_block(freefall_short, tmp_path, monkeypatch, "pipe",
                                pipe)
+    assert forks == []
 
 
 def assert_formats_every_block(traj, tmp_path, monkeypatch, name, failing):
@@ -553,7 +550,7 @@ def assert_formats_every_block(traj, tmp_path, monkeypatch, name, failing):
     path = tmp_path / "t.csv"
     run(replace(sc, horizon=1.0), p, m, path)
     assert path.read_bytes() == format_csv(traj).encode()
-    # the pipes are closed again
+    # no descriptor is left open
     if fds:
         assert len(open_fds()) == len(fds)
 
@@ -626,15 +623,15 @@ def test_a_rows_stream_cut_inside_a_sample_is_refused(freefall_full,
         def close(self):
             self.pipe.close()
 
-    real_fork_writer, real_reap = output._fork_writer, output.CsvStream._reap
+    real_fork_writer, real_close = output._fork_writer, output.CsvStream.close
     codes, real_write, rewrites = [], output.write_csv, []
 
     def fork_writer(fh, columns):
         pid, pipe = real_fork_writer(fh, columns)
         return pid, Cut(pipe)
 
-    def reap(self):
-        codes.append(real_reap(self))
+    def close(self):
+        codes.append(real_close(self))
         return codes[-1]
 
     def write_csv(traj, path):
@@ -643,7 +640,7 @@ def test_a_rows_stream_cut_inside_a_sample_is_refused(freefall_full,
 
     monkeypatch.setattr(output, "_two_processes", lambda nblocks: True)
     monkeypatch.setattr(output, "_fork_writer", fork_writer)
-    monkeypatch.setattr(output.CsvStream, "_reap", reap)
+    monkeypatch.setattr(output.CsvStream, "close", close)
     monkeypatch.setattr(output, "write_csv", write_csv)
     sc, p, m = load_scenario("freefall")
     path = tmp_path / "t.csv"
