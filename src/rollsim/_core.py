@@ -315,14 +315,14 @@ def run_loop(par, mag, y0, n, dt, pd, variant, sink=None):
     steps, on the view of ys that starts at the chunk's first state, so the
     samples are those of one call for all the steps, to the bit. After each
     chunk, sink(ys, rows) sees that rows 0..rows - 1 of ys are final, so
-    a caller can stream them while the next chunk runs. us is held_inputs
-    of the recorded states, computed after the last chunk.
+    a caller can stream them while the next chunk runs.
 
-    Returns (ys, us, n_done): samples 0..n_done are valid; n_done < n means
-    the step after n_done produced a non-finite or non-solvable state.
+    Returns (ys, us, n_done): samples 0..n_done of ys are valid, and us is
+    held_inputs of those states, computed after the last chunk; n_done < n
+    means the step after n_done produced a non-finite or non-solvable state.
     """
     loop = _eom.loop_for(par, variant, dt, mag, pd)
-    ys, us = sample_arrays(n)
+    ys = sample_arrays(n)
     ys[0] = y0
     n_done = 0
     # no step from a non-finite y0, whose sines would raise: it is recorded
@@ -336,14 +336,13 @@ def run_loop(par, mag, y0, n, dt, pd, variant, sink=None):
                 sink(ys, n_done + 1)
             if taken < steps:
                 break
-    us[:n_done + 1] = held_inputs(pd, ys[:n_done + 1])
-    return ys, us, n_done
+    return ys, held_inputs(pd, ys[:n_done + 1]), n_done
 
 
 def sample_arrays(n):
-    """run_loop's (ys, us) for n steps, allocated before the first step:
-    the states, empty, and the inputs, zero."""
-    return np.empty((n + 1, 8)), np.zeros((n + 1, 2))
+    """run_loop's states for n steps, empty, allocated before the first
+    step."""
+    return np.empty((n + 1, 8))
 
 
 def held_inputs(pd, ys):

@@ -10,18 +10,15 @@ Rows are formatted and written in blocks of _BLOCK_ROWS, so writing a file
 holds one block's text, not the whole file's. format_csv is the same
 blocks joined, and write_csv writes them in one process.
 
-CsvStream writes a run's CSV while the run's loop computes it, where
-os.fork exists, more than one CPU is usable and only one thread runs: the
-caller opens the file and forks a child when the loop's first chunk is
-done, and from then on the child alone writes the file. One pipe carries
-the rows of each block from the caller to the child as soon as they are
-final; the child computes the block's columns, formats them and writes
-them, and nothing comes back but its exit status. So after the loop only
-the last block is left to write. Otherwise, and whenever the child's exit
-status does not show every block written (where SIGCHLD is ignored it is
-lost, so always), the caller writes the whole file from the finished
-trajectory with write_csv, after the child has been reaped, so only one
-process writes the file at any time. The bytes are the same either way.
+CsvStream writes a run's CSV while the run's loop computes it. The caller
+opens the file when the loop's first chunk is done; where os.fork exists,
+more than one CPU is usable and only one thread runs, it then forks a child
+that alone writes the file from then on. One pipe carries each block's rows
+to the child as soon as they are final; the child computes the block's
+columns, formats and writes them, and after closing the file sends one byte
+down a second pipe. Unless that byte comes with every row sent, the caller
+writes the whole file from the trajectory with write_csv once the child is
+reaped, so one process writes the file at a time; the bytes are the same.
 """
 
 from __future__ import annotations
@@ -115,32 +112,33 @@ def _format_blocks(rows_in, fh, columns):
 
 
 def _fork_writer(fh, columns):
-    """(pid, rows pipe) of a forked child that runs _format_blocks from the
-    pipe to fh and closes fh, or None if the pipe or the fork fails. The
-    child exits 0 once the pipe has ended and fh is closed, and never
-    returns into the caller."""
+    """(pid, rows pipe, done pipe) of a forked child, or None if a pipe or
+    the fork fails. The child runs _format_blocks from the rows pipe to fh,
+    closes fh, writes one byte down the done pipe and exits; it exits at
+    the first exception, without the byte."""
     fds = []
     try:
+        fds += os.pipe()
         fds += os.pipe()
         pid = os.fork()
     except OSError:
         for fd in fds:
             os.close(fd)
         return None
-    rows_r, rows_w = fds
+    rows_r, rows_w, done_r, done_w = fds
     if pid == 0:
-        status = 1
         try:
-            # without the caller's end here, the pipe ends when the caller
-            # closes it
+            # without the caller's end here, the rows pipe ends when the
+            # caller closes it
             os.close(rows_w)
             with open(rows_r, "rb") as rows_in, fh:
                 _format_blocks(rows_in, fh, columns)
-            status = 0
+            os.write(done_w, b"\0")
         finally:
-            os._exit(status)
+            os._exit(0)
     os.close(rows_r)
-    return pid, open(rows_w, "wb")
+    os.close(done_w)
+    return pid, open(rows_w, "wb"), open(done_r, "rb", buffering=0)
 
 
 class CsvStream:
@@ -152,33 +150,29 @@ class CsvStream:
     states are rows, with V_before the V of sample first - 1 (NaN at the
     first sample). After each chunk of the loop, send(ys, rows) hands the
     child each block that rows 0..rows - 1 of ys complete. The first send
-    opens the file, so an unwritable path fails before the loop goes on,
-    and forks the child, which owns the file from then on: the caller
-    writes nothing to it, and a run that fails to allocate its samples
-    leaves no file. end(ys, rows) after the loop sends the rest and closes
-    the pipe. finish(traj) reaps the child with close() and, unless the
-    child exited 0 with every row sent, writes the whole file again from
-    the finished trajectory: after a failed fork or pipe, a broken pipe or
-    a child that failed or was killed. Where SIGCHLD is ignored, the kernel
-    reaps the child itself and its exit status is lost, so every run
-    writes the file twice: the child's bytes are replaced by the same
-    bytes, and the run takes the time of the whole write_csv after its
-    loop on top of the streamed run's. close() ends the child on every
-    path, and is what an exception between the first send and finish must
-    reach.
+    opens the file on every path, so an unwritable path fails at the first
+    chunk, then forks the child, which owns the file from then on; a run
+    that fails to allocate its samples leaves no file. end(ys, rows) after
+    the loop sends the rest and closes the rows pipe. finish(traj) reaps
+    the child with close() and, unless its done byte came with every row
+    sent, writes the whole file from the trajectory: on the serial path,
+    and after a failed fork or pipe, a broken pipe or a failed or killed
+    child. close() ends the child on every path, and is what an exception
+    between the first send and finish must reach.
     """
 
     def __init__(self, path, samples, columns):
-        self.path, self.columns = Path(path), columns
-        self.forking = _two_processes(-(-samples // _BLOCK_ROWS))
+        self.path, self.columns, self.samples = Path(path), columns, samples
+        self.opened = False
         self.child = None
         self.sent = 0  # rows
 
     def send(self, ys, rows):
-        if self.forking:
-            self.forking = False
+        if not self.opened:
+            self.opened = True
             with self.path.open("wb") as fh:
-                self.child = _fork_writer(fh, self.columns)
+                if _two_processes(-(-self.samples // _BLOCK_ROWS)):
+                    self.child = _fork_writer(fh, self.columns)
         while self.child and self.sent + _BLOCK_ROWS <= rows:
             self._send_rows(ys, self.sent + _BLOCK_ROWS)
 
@@ -192,7 +186,7 @@ class CsvStream:
 
     def finish(self, traj):
         """Reap the child; write the file here unless it wrote every row."""
-        if self.close() != 0 or self.sent < traj.t.shape[0]:
+        if not self.close() or self.sent < traj.t.shape[0]:
             write_csv(traj, self.path)
 
     def _send_rows(self, ys, stop):
@@ -207,20 +201,23 @@ class CsvStream:
             self.sent = stop
 
     def close(self):
-        """Close the pipe and wait for the child; its exit code, or None
-        when no child runs or its exit status is lost."""
+        """Close the rows pipe, read the child's done byte and reap the
+        child; whether the byte came, False when no child runs."""
         if self.child is None:
-            return None
-        pid, rows_out = self.child
+            return False
+        pid, rows_out, done_in = self.child
         self.child = None
         try:
             rows_out.close()
         except OSError:
             pass  # rows left in the buffer of a broken pipe
+        with done_in:  # at EOF when the child ended without the byte
+            done = done_in.read(1) == b"\0"
         try:
-            return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.waitpid(pid, 0)
         except ChildProcessError:
-            return None  # SIGCHLD is ignored: the kernel has reaped it
+            pass  # SIGCHLD is ignored: the kernel has reaped it
+        return done
 
 
 def gnuplot_script(csv_path) -> str:
@@ -273,5 +270,11 @@ def read_csv(path) -> dict:
         header = fh.readline().strip().split(",")
         if tuple(header) != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV columns in {path}: {header}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        text = fh.read()
+    # loadtxt warns on no rows, and reads short rows as fewer columns
+    if not text.strip():
+        raise ValueError(f"no rows in {path}")
+    data = np.loadtxt(text.splitlines(), delimiter=",", ndmin=2)
+    if data.shape[1] != len(CSV_COLUMNS):
+        raise ValueError(f"rows of {data.shape[1]} fields in {path}")
     return {name: data[:, i] for i, name in enumerate(header)}

@@ -10,10 +10,9 @@ kinetic_energy, potential_energy, dissipation, lyapunov, disk2_height,
 separation) call, applied once to the columns of the recorded states;
 generalized_torque maps a recorded input pair to its generalized force.
 One function, _columns, computes these columns for any run of samples:
-run applies it to the whole run, and with a CSV path run also streams
-the CSV while the loop integrates (output.CsvStream): a forked child,
-the file's one writer while it runs, applies it to each 256-row block as
-soon as the loop has finished the block and writes the block's text.
+run applies it to the whole run, and with a CSV path the child that
+output.CsvStream forks applies it to each 256-row block as soon as the
+loop has finished the block, and writes the block's text.
 Events are detected on the recorded samples after integration, strictly
 edge-triggered: a sample already inside a condition at t = 0 fires nothing
 until the condition is left and re-entered. A run cut short by a
@@ -182,7 +181,7 @@ def _too_many_samples(scenario, count):
 
 
 def reserve(scenario: Scenario):
-    """The empty sample arrays that run allocates for scenario, for a
+    """The empty state array that run allocates for scenario, for a
     caller that must know before its first run that the samples of every
     run fit in memory at once. Each run allocates its own again, so the
     caller drops a run's reserve just before the run. Raises
@@ -228,12 +227,12 @@ def run(scenario: Scenario, params: Optional[RobotParams] = None,
     and MagneticParams(), whose coupling is off. Deterministic: identical
     inputs give bit-identical trajectories. With csv, a path, the
     trajectory's CSV is also written there, as output.write_csv would
-    write it: by a forked child while the loop runs (output.CsvStream), or
-    from the finished trajectory where no child runs or its exit status
-    does not show every block written, which includes every run where
-    SIGCHLD is ignored. Raises ValidationError when params or mag is not
-    None and not of its type, or when the samples of the run do not fit in
-    memory, and OSError when the CSV cannot be written.
+    write it: opened at the loop's first chunk, then written by a forked
+    child while the loop runs, or from the finished trajectory where no
+    child runs or it does not report every block (output.CsvStream).
+    Raises ValidationError when params or mag is not None and not of its
+    type, or when the samples of the run do not fit in memory, and OSError
+    when the CSV cannot be written.
     """
     if not (params is None or isinstance(params, RobotParams)):
         raise ValidationError(
@@ -267,7 +266,6 @@ def run(scenario: Scenario, params: Optional[RobotParams] = None,
             # run_loop allocates every sample before the first step
             raise _too_many_samples(scenario, n + 1) from exc
         ys = ys[:n_done + 1]
-        us = us[:n_done + 1]
         if stream is not None:
             stream.end(ys, n_done + 1)
         t, *_, T, U, E, P, V, Vdot, height, p_m = _columns(

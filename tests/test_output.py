@@ -95,13 +95,21 @@ def test_read_csv_rejects_foreign_header(tmp_path):
         read_csv(bad)
 
 
-def test_read_csv_checks_the_header_before_the_rows(tmp_path, recwarn):
+@pytest.mark.parametrize("text, message", [
+    ("", "unexpected CSV columns"),
+    (",".join(CSV_COLUMNS) + "\n", "no rows"),
+    (",".join(CSV_COLUMNS) + "\n1,2,3\n4,5,6\n", "rows of 3 fields"),
+], ids=["empty", "header-only", "short-rows"])
+def test_read_csv_checks_the_header_before_the_rows(tmp_path, recwarn, text,
+                                                     message):
     # loadtxt warned "input contained no data" on an empty file before the
-    # header was checked
-    empty = tmp_path / "empty.csv"
-    empty.write_text("")
-    with pytest.raises(ValueError, match="unexpected CSV columns"):
-        read_csv(empty)
+    # header was checked, and on a header with no rows; those and rows of
+    # too few fields then failed with IndexError
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    with pytest.raises(ValueError, match=message) as raised:
+        read_csv(bad)
+    assert str(bad) in str(raised.value)
     assert len(recwarn) == 0
 
 
@@ -422,9 +430,18 @@ def test_two_processes_counts_cpus_without_sched_getaffinity(monkeypatch,
 def test_write_csv_where_sigchld_is_ignored(freefall_full, tmp_path,
                                             monkeypatch, capsys, forks,
                                             deadline):
-    # the kernel reaps each child itself, so the wait for it finds none;
-    # an ignored SIGCHLD is inherited across exec from any parent
+    # the kernel reaps each child itself, so the wait for it finds none,
+    # but the child's done byte still shows every block written, so the
+    # caller formats none; an ignored SIGCHLD is inherited across exec from
+    # any parent
     monkeypatch.setattr(output, "_two_processes", lambda nblocks: True)
+    real_block, formatted = output._block, []
+
+    def block(cols, start):
+        formatted.append(os.getpid())
+        return real_block(cols, start)
+
+    monkeypatch.setattr(output, "_block", block)
     sc, p, m = load_scenario("freefall")
     previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
@@ -433,6 +450,7 @@ def test_write_csv_where_sigchld_is_ignored(freefall_full, tmp_path,
         code = cli.main(["run", "freefall", "--out", str(tmp_path / "ff.csv")])
     finally:
         signal.signal(signal.SIGCHLD, previous)
+    assert formatted == []  # the children's lists are their own
     assert path.read_bytes() == format_csv(freefall_full).encode()
     assert code == 0
     assert (tmp_path / "ff.gp").exists()
@@ -441,13 +459,15 @@ def test_write_csv_where_sigchld_is_ignored(freefall_full, tmp_path,
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("sent", [0, 1, 5])
+@pytest.mark.parametrize("sent", [0, 1, 5, 19])
 def test_write_csv_survives_a_failing_child(freefall_full, tmp_path,
                                             monkeypatch, capfd, forks,
                                             deadline, sent):
     # the child of a streamed run formats `sent` blocks and then raises;
     # once it is reaped, the caller writes the file again from the
-    # trajectory
+    # trajectory. At 19 it raises on the last of the 20 blocks, after every
+    # row was sent and the rows pipe closed, so only the missing done byte
+    # shows the failure
     monkeypatch.setattr(output, "_two_processes", lambda nblocks: True)
     caller, real, formatted = os.getpid(), output._block, []
     real_write, rewrites = output.write_csv, []
@@ -533,12 +553,49 @@ def test_write_csv_formats_every_block_when_fork_fails(freefall_short,
 
 def test_a_streamed_run_formats_every_block_when_a_pipe_fails(
         freefall_short, tmp_path, monkeypatch, forks):
-    # the rows pipe, the only one, fails, so no child is forked
+    # the rows pipe, the first, fails, so no child is forked
     def pipe():
         raise OSError(errno.EMFILE, "too many open files")
 
     assert_formats_every_block(freefall_short, tmp_path, monkeypatch, "pipe",
                                pipe)
+    assert forks == []
+
+
+def test_a_streamed_run_formats_every_block_when_the_done_pipe_fails(
+        freefall_short, tmp_path, monkeypatch, forks):
+    # the done pipe, the second, fails, so no child is forked and the rows
+    # pipe is closed again
+    real, pipes = os.pipe, []
+
+    def pipe():
+        pipes.append(None)
+        if len(pipes) == 2:
+            raise OSError(errno.EMFILE, "too many open files")
+        return real()
+
+    assert_formats_every_block(freefall_short, tmp_path, monkeypatch, "pipe",
+                               pipe)
+    assert forks == [] and len(pipes) == 2
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["serial", "forked"])
+def test_a_csv_path_that_is_a_directory_fails_at_the_first_chunk(
+        tmp_path, monkeypatch, forks, forked):
+    # the first send opens the file on either path, so the loop stops
+    # after its first chunk, before any child is forked
+    monkeypatch.setattr(output, "_two_processes", lambda nblocks: forked)
+    real, calls = output.CsvStream.send, []
+
+    def send(self, ys, rows):
+        calls.append(rows)
+        real(self, ys, rows)
+
+    monkeypatch.setattr(output.CsvStream, "send", send)
+    sc, p, m = load_scenario("freefall")
+    with pytest.raises(IsADirectoryError):
+        run(sc, p, m, tmp_path)
+    assert calls == [_core.CHUNK_STEPS + 1]
     assert forks == []
 
 
@@ -627,8 +684,8 @@ def test_a_rows_stream_cut_inside_a_sample_is_refused(freefall_full,
     codes, real_write, rewrites = [], output.write_csv, []
 
     def fork_writer(fh, columns):
-        pid, pipe = real_fork_writer(fh, columns)
-        return pid, Cut(pipe)
+        pid, pipe, done = real_fork_writer(fh, columns)
+        return pid, Cut(pipe), done
 
     def close(self):
         codes.append(real_close(self))
@@ -645,9 +702,9 @@ def test_a_rows_stream_cut_inside_a_sample_is_refused(freefall_full,
     sc, p, m = load_scenario("freefall")
     path = tmp_path / "t.csv"
     run(sc, p, m, path)
-    # the child's last read ends inside a sample: it raises and exits 1,
-    # and the caller writes the file from the trajectory
-    assert codes[0] == 1
+    # the child's last read ends inside a sample: it raises before its
+    # done byte, and the caller writes the file from the trajectory
+    assert codes[0] is False
     assert rewrites == [path]
     assert path.read_bytes() == format_csv(freefall_full).encode()
     assert len(forks) == 1

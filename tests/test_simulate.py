@@ -169,6 +169,8 @@ def test_a_truncated_run_stops_where_a_list_rk4_does(preset, n_done,
     assert run(sc, p, m).truncated
     [(args, result)] = loops
     assert assert_loop_is_list_rk4(args, result) == n_done < args[3]
+    # the inputs of the valid samples only
+    assert result[1].shape == (n_done + 1, 2)
 
 
 @pytest.mark.parametrize("preset,changes,n_done", [
