@@ -3,7 +3,7 @@
 Arguments are packed sequences of Python floats, each built by the
 packed() method of the type that holds its values. Nothing here converts
 them, except that the array wrappers mass_matrix, bias and gravity stack q
-into one array:
+into one array, and chol_solve4 reads M and b as floats:
 
     par: RobotParams.packed(), (m_p, m_s, I_p, I_s, r1, r2, R1, R2, g,
          d_th1, d_th2, d_ph1, d_ph2)
@@ -302,8 +302,9 @@ def deriv(par, mag, y, tau, variant):
 CHUNK_STEPS = 256
 
 
-def run_loop(par, mag, y0, n, dt, pd, variant, sink=None):
-    """Integrate n fixed RK4 steps from y0.
+def run_loop(par, mag, ys, dt, pd, variant, sink=None):
+    """Integrate n = ys.shape[0] - 1 fixed RK4 steps from ys[0] into ys,
+    the caller's (n + 1, 8) array.
 
     pd is None for an uncontrolled run, else the pd_input arguments
     (Kp, Kd, tgt), PDSpec.packed(). The controller input is evaluated
@@ -314,35 +315,28 @@ def run_loop(par, mag, y0, n, dt, pd, variant, sink=None):
     and pd, which computes the PD input inline: one call per CHUNK_STEPS
     steps, on the view of ys that starts at the chunk's first state, so the
     samples are those of one call for all the steps, to the bit. After each
-    chunk, sink(ys, rows) sees that rows 0..rows - 1 of ys are final, so
-    a caller can stream them while the next chunk runs.
+    chunk, sink(rows) sees that rows 0..rows - 1 of ys are final, so a
+    caller can stream them while the next chunk runs.
 
     Returns (ys, us, n_done): samples 0..n_done of ys are valid, and us is
     held_inputs of those states, computed after the last chunk; n_done < n
     means the step after n_done produced a non-finite or non-solvable state.
     """
     loop = _eom.loop_for(par, variant, dt, mag, pd)
-    ys = sample_arrays(n)
-    ys[0] = y0
+    n = ys.shape[0] - 1
     n_done = 0
-    # no step from a non-finite y0, whose sines would raise: it is recorded
-    # with its input, as a failed first step
-    if all(map(math.isfinite, y0)):
+    # no step from a non-finite ys[0], whose sines would raise: it is
+    # recorded with its input, as a failed first step
+    if np.isfinite(ys[0]).all():
         while n_done < n:
             steps = min(CHUNK_STEPS, n - n_done)
             taken = loop(ys[n_done:n_done + steps + 1], steps)
             n_done += taken
             if sink is not None:
-                sink(ys, n_done + 1)
+                sink(n_done + 1)
             if taken < steps:
                 break
     return ys, held_inputs(pd, ys[:n_done + 1]), n_done
-
-
-def sample_arrays(n):
-    """run_loop's states for n steps, empty, allocated before the first
-    step."""
-    return np.empty((n + 1, 8))
 
 
 def held_inputs(pd, ys):

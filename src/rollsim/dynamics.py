@@ -22,7 +22,7 @@ from . import _core, _eom
 from .energetics import variant_code
 from .kinematics import positions, velocities
 from .magnetics import MagneticParams
-from .model import RobotParams, State
+from .model import RobotParams, State, ValidationError, finite_numbers
 
 
 class SingularDynamicsError(RuntimeError):
@@ -50,7 +50,8 @@ def forward_dynamics(params: RobotParams, state: State, tau_gen,
     tau_gen must already contain every external generalized force (motor
     mapping, magnetic torque if any); this function adds nothing to it.
     Raises SingularDynamicsError for a non-finite state, with the
-    mass-matrix spectrum if the solve fails, and for a non-finite qddot.
+    mass-matrix spectrum if the solve fails, and for a non-finite qddot;
+    ValidationError when tau_gen is not 4 finite numbers.
     One state on Python floats: _core.deriv with magnetics off, the separate
     _eom terms and _eom.solve_spd4, not the run loop's _eom.loop_for, so the
     RK4 oracle of tests/test_simulate.py stays independent of the run
@@ -61,9 +62,11 @@ def forward_dynamics(params: RobotParams, state: State, tau_gen,
     qd = [float(v) for v in state.qdot]
     if not all(map(math.isfinite, q + qd)):
         raise SingularDynamicsError(f"non-finite state q={q}, qdot={qd}")
-    t0, t1, t2, t3 = (float(v) for v in tau_gen)
+    if not finite_numbers(tau_gen, 4):
+        raise ValidationError(
+            f"tau_gen must be 4 finite numbers, got {tau_gen!r}")
     dy, ok = _core.deriv(par, MagneticParams().packed(), q + qd,
-                         (t0, t1, t2, t3), variant_code(variant))
+                         tuple(map(float, tau_gen)), variant_code(variant))
     if ok:
         return np.array(dy[4:])
     if _eom.solve_spd4(_eom.mass_matrix(par, q), (0.0,) * 4) is not None:

@@ -10,15 +10,16 @@ Rows are formatted and written in blocks of _BLOCK_ROWS, so writing a file
 holds one block's text, not the whole file's. format_csv is the same
 blocks joined, and write_csv writes them in one process.
 
-CsvStream writes a run's CSV while the run's loop computes it. The caller
-opens the file when the loop's first chunk is done; where os.fork exists,
-more than one CPU is usable and only one thread runs, it then forks a child
-that alone writes the file from then on. One pipe carries each block's rows
-to the child as soon as they are final; the child computes the block's
-columns, formats and writes them, and after closing the file sends one byte
-down a second pipe. Unless that byte comes with every row sent, the caller
-writes the whole file from the trajectory with write_csv once the child is
-reaped, so one process writes the file at a time; the bytes are the same.
+CsvStream writes a run's CSV while the run's loop computes it. It opens
+the file when it is made, before the loop's first step; where os.fork
+exists, more than one CPU is usable, only one thread runs and the run has
+two blocks, it then forks a child that alone writes the file from then on.
+One pipe carries each chunk's rows to the child as soon as they are final;
+the child cuts them into blocks, computes each block's columns, formats and
+writes them, and after closing the file sends one byte down a second pipe.
+Unless that byte comes with every row sent, the caller writes the whole
+file from the trajectory with write_csv once the child is reaped, so one
+process writes the file at a time; the bytes are the same.
 """
 
 from __future__ import annotations
@@ -98,9 +99,10 @@ def _two_processes(nblocks):
 
 def _format_blocks(rows_in, fh, columns):
     """The child's work: write the header to fh, then the text of each block
-    whose states rows_in carries as doubles, one block per read; the short
-    last read is the partial block. Returns when rows_in ends, and raises
-    when it ends inside a sample."""
+    whose states rows_in carries as doubles. Rows come in chunks of any
+    size; each read waits for one whole block, and the short last read is
+    the partial block. Returns when rows_in ends, and raises when it ends
+    inside a sample."""
     fh.write(_HEADER.encode("ascii"))
     first, V_before = 0, np.nan
     while data := rows_in.read(_BLOCK_ROWS * _STATE_BYTES):
@@ -144,42 +146,44 @@ def _fork_writer(fh, columns):
 class CsvStream:
     """The CSV of one run, written to path while the run's loop runs.
 
-    samples is the run's sample count before the loop, which decides with
-    _two_processes whether a child is forked; columns(rows, first, V_before)
-    gives the CSV's columns of the samples first, first + 1, ... whose
-    states are rows, with V_before the V of sample first - 1 (NaN at the
-    first sample). After each chunk of the loop, send(ys, rows) hands the
-    child each block that rows 0..rows - 1 of ys complete. The first send
-    opens the file on every path, so an unwritable path fails at the first
-    chunk, then forks the child, which owns the file from then on; a run
-    that fails to allocate its samples leaves no file. end(ys, rows) after
-    the loop sends the rest and closes the rows pipe. finish(traj) reaps
-    the child with close() and, unless its done byte came with every row
-    sent, writes the whole file from the trajectory: on the serial path,
-    and after a failed fork or pipe, a broken pipe or a failed or killed
-    child. close() ends the child on every path, and is what an exception
-    between the first send and finish must reach.
+    ys is the run's (n + 1, 8) state array, allocated before the loop;
+    its row count decides with _two_processes whether a child is forked.
+    columns(rows, first, V_before) gives the CSV's columns of the samples
+    first, first + 1, ... whose states are rows, with V_before the V of
+    sample first - 1 (NaN at the first sample). The constructor opens the
+    file on every path, so an unwritable path fails before the first step,
+    then forks the child, which owns the file from then on. After each chunk
+    of the loop, send(rows) sends the child every row of ys up to rows that
+    it has not been sent; end() after the loop closes the rows pipe.
+    finish(traj) reaps the child with close() and, unless its done byte came
+    with every row sent, writes the whole file from the trajectory: on the
+    serial path, and after a failed fork or pipe, a broken pipe or a failed
+    or killed child. close() ends the child on every path, and is what an
+    exception between the constructor and finish must reach.
     """
 
-    def __init__(self, path, samples, columns):
-        self.path, self.columns, self.samples = Path(path), columns, samples
-        self.opened = False
+    def __init__(self, path, ys, columns):
+        self.path, self.ys = Path(path), ys
         self.child = None
         self.sent = 0  # rows
+        with self.path.open("wb") as fh:
+            if _two_processes(-(-ys.shape[0] // _BLOCK_ROWS)):
+                self.child = _fork_writer(fh, columns)
 
-    def send(self, ys, rows):
-        if not self.opened:
-            self.opened = True
-            with self.path.open("wb") as fh:
-                if _two_processes(-(-self.samples // _BLOCK_ROWS)):
-                    self.child = _fork_writer(fh, self.columns)
-        while self.child and self.sent + _BLOCK_ROWS <= rows:
-            self._send_rows(ys, self.sent + _BLOCK_ROWS)
+    def send(self, rows):
+        """Send the child the rows of ys from the first unsent one to rows."""
+        if self.child is None:
+            return
+        pipe = self.child[1]
+        try:
+            pipe.write(self.ys[self.sent:rows].tobytes())
+            pipe.flush()
+        except OSError:  # the child has gone: the pipe is broken
+            self.close()
+        else:
+            self.sent = rows
 
-    def end(self, ys, rows):
-        self.send(ys, rows)
-        if self.child and self.sent < rows:
-            self._send_rows(ys, rows)
+    def end(self):
         if self.child:
             # each send flushed, so closing writes nothing
             self.child[1].close()
@@ -188,17 +192,6 @@ class CsvStream:
         """Reap the child; write the file here unless it wrote every row."""
         if not self.close() or self.sent < traj.t.shape[0]:
             write_csv(traj, self.path)
-
-    def _send_rows(self, ys, stop):
-        """Send the child the rows of ys from the first unsent one to stop."""
-        pipe = self.child[1]
-        try:
-            pipe.write(ys[self.sent:stop].tobytes())
-            pipe.flush()
-        except OSError:  # the child has gone: the pipe is broken
-            self.close()
-        else:
-            self.sent = stop
 
     def close(self):
         """Close the rows pipe, read the child's done byte and reap the
@@ -261,20 +254,3 @@ def write_outputs(out_path):
     script_path = csv_path.with_suffix(".gp")
     script_path.write_text(gnuplot_script(csv_path), newline="\n")
     return csv_path, script_path
-
-
-def read_csv(path) -> dict:
-    """Columns back as float arrays, keyed by header name."""
-    path = Path(path)
-    with path.open() as fh:
-        header = fh.readline().strip().split(",")
-        if tuple(header) != CSV_COLUMNS:
-            raise ValueError(f"unexpected CSV columns in {path}: {header}")
-        text = fh.read()
-    # loadtxt warns on no rows, and reads short rows as fewer columns
-    if not text.strip():
-        raise ValueError(f"no rows in {path}")
-    data = np.loadtxt(text.splitlines(), delimiter=",", ndmin=2)
-    if data.shape[1] != len(CSV_COLUMNS):
-        raise ValueError(f"rows of {data.shape[1]} fields in {path}")
-    return {name: data[:, i] for i, name in enumerate(header)}

@@ -181,14 +181,14 @@ def _too_many_samples(scenario, count):
 
 
 def reserve(scenario: Scenario):
-    """The empty state array that run allocates for scenario, for a
-    caller that must know before its first run that the samples of every
-    run fit in memory at once. Each run allocates its own again, so the
-    caller drops a run's reserve just before the run. Raises
+    """The empty (n + 1, 8) state array of scenario's n steps, which run
+    allocates before the first step. A caller that must know before its
+    first run that the samples of every run fit in memory at once reserves
+    them all, and drops a run's reserve just before the run. Raises
     ValidationError when they do not fit."""
     n = _steps(scenario)
     try:
-        return _core.sample_arrays(n)
+        return np.empty((n + 1, 8))
     except MemoryError as exc:
         raise _too_many_samples(scenario, n + 1) from exc
 
@@ -227,9 +227,10 @@ def run(scenario: Scenario, params: Optional[RobotParams] = None,
     and MagneticParams(), whose coupling is off. Deterministic: identical
     inputs give bit-identical trajectories. With csv, a path, the
     trajectory's CSV is also written there, as output.write_csv would
-    write it: opened at the loop's first chunk, then written by a forked
-    child while the loop runs, or from the finished trajectory where no
-    child runs or it does not report every block (output.CsvStream).
+    write it: opened once the samples are allocated, before the first step,
+    then written by a forked child while the loop runs, or from the
+    finished trajectory where no child runs or it does not report every
+    block (output.CsvStream).
     Raises ValidationError when params or mag is not None and not of its
     type, or when the samples of the run do not fit in memory, and OSError
     when the CSV cannot be written.
@@ -249,25 +250,24 @@ def run(scenario: Scenario, params: Optional[RobotParams] = None,
     e_ref = None if ctrl is None else reference_energy(
         params, ctrl.setpoints, scenario.potential)
     dt = scenario.dt
-    n = _steps(scenario)
 
     def columns(ys, first, V_before):
         """The child's columns of a CSV block, inputs included."""
         return _columns(par, variant, pd, e_ref, dt, ys,
                         _core.held_inputs(pd, ys), first, V_before)
 
-    stream = None if csv is None else CsvStream(csv, n + 1, columns)
-    sink = () if stream is None else (stream.send,)
+    ys = reserve(scenario)
+    ys[0] = scenario.y0
+    n = ys.shape[0] - 1
+    # a run refused for its size has raised by now, so it leaves no file
+    stream = None if csv is None else CsvStream(csv, ys, columns)
     try:
-        try:
-            ys, us, n_done = _core.run_loop(par, mag.packed(), scenario.y0, n,
-                                            dt, pd, variant, *sink)
-        except MemoryError as exc:
-            # run_loop allocates every sample before the first step
-            raise _too_many_samples(scenario, n + 1) from exc
+        ys, us, n_done = _core.run_loop(
+            par, mag.packed(), ys, dt, pd, variant,
+            None if stream is None else stream.send)
         ys = ys[:n_done + 1]
         if stream is not None:
-            stream.end(ys, n_done + 1)
+            stream.end()
         t, *_, T, U, E, P, V, Vdot, height, p_m = _columns(
             par, variant, pd, e_ref, dt, ys, us, 0, np.nan)
         truncated = n_done < n

@@ -11,7 +11,7 @@ from rollsim.energetics import breakdown, kinetic_energy, potential_energy
 from rollsim.kinematics import disk2_height, positions, velocities
 from rollsim.magnetics import (MagneticParams, generalized_magnetic_torque,
                                separation)
-from rollsim.model import RobotParams, State
+from rollsim.model import RobotParams, State, ValidationError
 
 P = RobotParams()
 
@@ -69,6 +69,23 @@ def test_forward_dynamics_rejects_nonfinite_state():
     st = State(q=(0.1, 0.5, 3.0, 0.2), qdot=(0.0, 0.0, 1e200, -1e200))
     with pytest.raises(SingularDynamicsError, match="qddot not finite"):
         forward_dynamics(P, st, np.zeros(4))
+
+
+@pytest.mark.parametrize("tau", [
+    (0.0, 0.0, 0.0),
+    (0.0, float("inf"), 0.0, 0.0),
+    (0.0, 0.0, float("nan"), 0.0),
+    ("0", 0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, True),
+], ids=["three", "inf", "nan", "string", "bool"])
+def test_forward_dynamics_refuses_a_tau_that_is_not_4_finite_numbers(tau):
+    # three entries raised a bare unpacking ValueError, and inf blamed the
+    # dynamics with "qddot not finite"
+    with pytest.raises(ValidationError, match="tau_gen must be 4 finite"):
+        forward_dynamics(P, State(q=(0.1, 0.5, 3.0, 0.2)), tau)
+    # the state is checked first
+    with pytest.raises(SingularDynamicsError, match="non-finite state"):
+        forward_dynamics(P, State(q=(float("nan"), 0.0, 0.0, 0.0)), tau)
 
 
 def test_forward_dynamics_reports_the_spectrum_of_a_singular_mass_matrix():

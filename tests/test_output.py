@@ -2,6 +2,7 @@ import errno
 import io
 import os
 import pathlib
+import select
 import signal
 import struct
 import threading
@@ -17,7 +18,7 @@ from rollsim.cli import summarize
 from rollsim.config import load_scenario
 from rollsim.model import ValidationError
 from rollsim.output import (_BLOCK_ROWS, CSV_COLUMNS, format_csv,
-                            gnuplot_script, read_csv, write_csv, write_outputs)
+                            gnuplot_script, write_csv, write_outputs)
 from rollsim.simulate import run
 
 
@@ -39,10 +40,16 @@ def test_bit_identical_serialization(freefall_short):
     assert format_csv(freefall_short) == format_csv(freefall_short)
 
 
+def load_csv(path):
+    """The file's columns back as float arrays, keyed by header name."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return dict(zip(CSV_COLUMNS, data.T))
+
+
 def test_round_trip_exact(freefall_short, tmp_path):
     path = tmp_path / "t.csv"
     write_csv(freefall_short, path)
-    cols = read_csv(path)
+    cols = load_csv(path)
     # 17 significant digits reproduce every double exactly
     assert np.array_equal(cols["t"], freefall_short.t)
     assert np.array_equal(cols["theta1"], freefall_short.y[:, 0])
@@ -55,7 +62,7 @@ def test_round_trip_exact(freefall_short, tmp_path):
 def test_summary_recomputable_from_csv(freefall_short, tmp_path):
     path = tmp_path / "t.csv"
     write_csv(freefall_short, path)
-    cols = read_csv(path)
+    cols = load_csv(path)
     s = summarize(freefall_short)
     assert s.height_min == np.min(cols["disk2_height"])
     assert s.height_max == np.max(cols["disk2_height"])
@@ -86,31 +93,6 @@ def test_gnuplot_script_quotes_a_name_with_an_apostrophe(tmp_path):
     # outside the comment line every quoted string is closed
     for line in script.splitlines()[1:]:
         assert line.count("'") % 2 == 0, line
-
-
-def test_read_csv_rejects_foreign_header(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError):
-        read_csv(bad)
-
-
-@pytest.mark.parametrize("text, message", [
-    ("", "unexpected CSV columns"),
-    (",".join(CSV_COLUMNS) + "\n", "no rows"),
-    (",".join(CSV_COLUMNS) + "\n1,2,3\n4,5,6\n", "rows of 3 fields"),
-], ids=["empty", "header-only", "short-rows"])
-def test_read_csv_checks_the_header_before_the_rows(tmp_path, recwarn, text,
-                                                     message):
-    # loadtxt warned "input contained no data" on an empty file before the
-    # header was checked, and on a header with no rows; those and rows of
-    # too few fields then failed with IndexError
-    bad = tmp_path / "bad.csv"
-    bad.write_text(text)
-    with pytest.raises(ValueError, match=message) as raised:
-        read_csv(bad)
-    assert str(bad) in str(raised.value)
-    assert len(recwarn) == 0
 
 
 def per_value_csv(traj):
@@ -255,11 +237,15 @@ def stream_rows(traj, path):
         block[1:9] = rows.T
         return block
 
-    stream = output.CsvStream(path, n, columns)
+    stream = output.CsvStream(path, traj.y, columns)
     try:
         for rows in range(_core.CHUNK_STEPS + 1, n, _core.CHUNK_STEPS):
-            stream.send(traj.y, rows)
-        stream.end(traj.y, n)
+            stream.send(rows)
+        stream.send(n)
+        stream.end()
+        if stream.child:
+            # the closed rows pipe lets the child finish before close()
+            assert select.select([stream.child[2]], [], [], 30)[0]
         stream.finish(traj)
     finally:
         stream.close()
@@ -336,6 +322,35 @@ def test_a_streamed_run_writes_its_trajectory_csv(tmp_path, monkeypatch,
     assert text == format_csv(traj)
     assert first_difference(text, per_value_csv(traj)) is None
     assert_same_trajectory(traj, run(sc, p, m))
+    assert len(forks) == forked
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["serial", "forked"])
+@pytest.mark.parametrize("chunk", [1, 100, 300, 5000])
+def test_a_streamed_run_with_chunks_unlike_blocks(freefall_full, tmp_path,
+                                                  monkeypatch, forks,
+                                                  deadline, forked, chunk):
+    # the caller sends each chunk's rows as they come and the child alone
+    # cuts them into blocks, so chunks shorter or longer than a block give
+    # the same bytes; a caller that sent only whole blocks would leave the
+    # last rows unsent and format the whole file itself
+    monkeypatch.setattr(_core, "CHUNK_STEPS", chunk)
+    monkeypatch.setattr(output, "_two_processes", lambda nblocks: forked)
+    expected = format_csv(freefall_full).encode()
+    caller, real_block, formatted = os.getpid(), output._block, []
+
+    def block(cols, start):
+        formatted.append(os.getpid())
+        return real_block(cols, start)
+
+    monkeypatch.setattr(output, "_block", block)
+    sc, p, m = load_scenario("freefall")
+    path = tmp_path / "t.csv"
+    traj = run(sc, p, m, path)
+    assert formatted == ([] if forked else [caller] * 20)
+    assert path.read_bytes() == expected
+    assert_same_trajectory(traj, freefall_full)
     assert len(forks) == forked
     assert_no_child_left()
 
@@ -505,13 +520,13 @@ def test_write_csv_survives_a_failing_child(freefall_full, tmp_path,
 def test_a_streamed_run_survives_a_killed_child(freefall_full, tmp_path,
                                                 monkeypatch, forks, deadline,
                                                 chunks):
-    # SIGKILL after `chunks` chunks of the loop: at 20, the last, the child
-    # dies before the last block's rows are sent
+    # SIGKILL after `chunks` chunks of the loop: at 20, the last, every row
+    # has been sent and the child dies before its done byte
     monkeypatch.setattr(output, "_two_processes", lambda nblocks: True)
     real, calls = output.CsvStream.send, []
 
-    def send(self, ys, rows):
-        real(self, ys, rows)
+    def send(self, rows):
+        real(self, rows)
         calls.append(rows)
         if len(calls) == chunks:
             os.kill(self.child[0], signal.SIGKILL)
@@ -521,8 +536,8 @@ def test_a_streamed_run_survives_a_killed_child(freefall_full, tmp_path,
     path = tmp_path / "t.csv"
     run(sc, p, m, path)
     assert path.read_bytes() == format_csv(freefall_full).encode()
-    # 20 chunks, then end's call
-    assert calls[19:] == [5001, 5001]
+    # 20 chunks, the last ending at the last row
+    assert calls[19:] == [5001]
     assert len(forks) == 1
     assert_no_child_left()
 
@@ -582,20 +597,20 @@ def test_a_streamed_run_formats_every_block_when_the_done_pipe_fails(
 @pytest.mark.parametrize("forked", [False, True], ids=["serial", "forked"])
 def test_a_csv_path_that_is_a_directory_fails_at_the_first_chunk(
         tmp_path, monkeypatch, forks, forked):
-    # the first send opens the file on either path, so the loop stops
-    # after its first chunk, before any child is forked
+    # the stream opens the file when it is made, on either path, so the
+    # run fails before its first chunk and before any child is forked
     monkeypatch.setattr(output, "_two_processes", lambda nblocks: forked)
     real, calls = output.CsvStream.send, []
 
-    def send(self, ys, rows):
+    def send(self, rows):
         calls.append(rows)
-        real(self, ys, rows)
+        real(self, rows)
 
     monkeypatch.setattr(output.CsvStream, "send", send)
     sc, p, m = load_scenario("freefall")
     with pytest.raises(IsADirectoryError):
         run(sc, p, m, tmp_path)
-    assert calls == [_core.CHUNK_STEPS + 1]
+    assert calls == []
     assert forks == []
 
 

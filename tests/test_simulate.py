@@ -116,9 +116,10 @@ def assert_loop_is_list_rk4(args, result):
     The bytes are compared, so -0.0 in place of 0.0 fails: a zero input
     recorded as -0.0 would print -0 in the CSV.
     """
-    par, mag, y0, n, dt, pd, variant = args
+    par, mag, ys, dt, pd, variant, _ = args
     ys, us, n_done = result
-    ref_ys, ref_us = list_rk4(par, mag, y0, n, dt, pd, variant)
+    ref_ys, ref_us = list_rk4(par, mag, ys[0].tolist(), ys.shape[0] - 1, dt,
+                              pd, variant)
     assert len(ref_ys) == n_done + 1
     assert ys[:n_done + 1].tobytes() == np.array(ref_ys).tobytes()
     assert us[:n_done + 1].tobytes() == np.array(ref_us).tobytes()
@@ -145,7 +146,7 @@ def test_run_loop_equals_a_list_rk4_to_the_bit(preset, changes, start,
     loops = loop_calls(monkeypatch)
     run(sc, p, m)
     [(args, result)] = loops
-    assert args[3] == assert_loop_is_list_rk4(args, result) == 300
+    assert assert_loop_is_list_rk4(args, result) == 300 == len(args[2]) - 1
     ys, us, _ = result
     # the lifting run is coupled over part of the 300 steps, so the loop's
     # own tip force law is checked against the oracle's mag_torque
@@ -153,7 +154,7 @@ def test_run_loop_equals_a_list_rk4_to_the_bit(preset, changes, start,
         pulled = [_core.mag_torque(args[0], args[1], y[:4])[0]
                   != (0.0,) * 4 for y in ys.tolist()]
         assert 0 < sum(pulled) < 300
-    if args[5] is not None:
+    if args[4] is not None:
         assert np.any(us[1:] != us[:-1])
 
 
@@ -168,7 +169,7 @@ def test_a_truncated_run_stops_where_a_list_rk4_does(preset, n_done,
     loops = loop_calls(monkeypatch)
     assert run(sc, p, m).truncated
     [(args, result)] = loops
-    assert assert_loop_is_list_rk4(args, result) == n_done < args[3]
+    assert assert_loop_is_list_rk4(args, result) == n_done < len(args[2]) - 1
     # the inputs of the valid samples only
     assert result[1].shape == (n_done + 1, 2)
 
@@ -188,10 +189,12 @@ def test_run_loop_in_chunks_equals_one_loop_call(preset, changes, n_done):
         sc.controller.packed()
     n = sample_count(sc.horizon, sc.dt) - 1
     seen = []
-    ys, us, done = _core.run_loop(par, mag, sc.y0, n, sc.dt, pd, 0,
-                                  lambda ys, rows: seen.append(rows))
-    whole = np.empty((n + 1, 8))
-    whole[0] = sc.y0
+    ys = np.empty((n + 1, 8))
+    ys[0] = sc.y0
+    whole = ys.copy()
+    out, us, done = _core.run_loop(par, mag, ys, sc.dt, pd, 0, seen.append)
+    # the samples are written into the caller's array
+    assert out is ys
     assert _eom.loop_for(par, 0, sc.dt, mag, pd)(whole, n) == done == n_done
     assert ys[:done + 1].tobytes() == whole[:done + 1].tobytes()
     # none of these runs stops at a chunk's first step
@@ -211,7 +214,9 @@ def test_a_nonfinite_stage_2_qdd_fails_the_step():
     y2 = [a + 0.5 * dt * k for a, k in zip(y, dy)]
     assert ok and all(map(math.isfinite, dy[4:] + tuple(y2)))
     assert not _core.deriv(par, mag, y2, tau, 0)[1]
-    *_, n_done = _core.run_loop(par, mag, y, 3, dt, None, 0)
+    ys = np.empty((4, 8))
+    ys[0] = y
+    *_, n_done = _core.run_loop(par, mag, ys, dt, None, 0)
     assert n_done == 0
     assert list_rk4(par, mag, y, 3, dt, None, 0) == ([y], [[0.0, 0.0]])
 
@@ -224,8 +229,9 @@ def test_run_loop_takes_no_step_from_a_nonfinite_y0(bad):
     pd = sc.controller.packed()
     y0 = list(sc.y0)
     y0[2] = bad
-    ys, us, n_done = _core.run_loop(p.packed(), m.packed(), y0, 5, sc.dt,
-                                    pd, 0)
+    ys = np.empty((6, 8))
+    ys[0] = y0
+    ys, us, n_done = _core.run_loop(p.packed(), m.packed(), ys, sc.dt, pd, 0)
     assert n_done == 0
     ref_ys, ref_us = list_rk4(p.packed(), m.packed(), y0, 5, sc.dt, pd, 0)
     np.testing.assert_array_equal(ys[:1], ref_ys)
