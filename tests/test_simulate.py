@@ -97,6 +97,13 @@ def list_rk4(par, mag, y0, n, dt, pd, variant):
     return ys, us
 
 
+def samples(y0, n):
+    """run_loop's array for n steps from y0, as run allocates it."""
+    ys = np.empty((n + 1, 8))
+    ys[0] = y0
+    return ys
+
+
 def loop_calls(monkeypatch):
     """The (arguments, result) of each _core.run_loop call from now on."""
     calls = []
@@ -189,8 +196,7 @@ def test_run_loop_in_chunks_equals_one_loop_call(preset, changes, n_done):
         sc.controller.packed()
     n = sample_count(sc.horizon, sc.dt) - 1
     seen = []
-    ys = np.empty((n + 1, 8))
-    ys[0] = sc.y0
+    ys = samples(sc.y0, n)
     whole = ys.copy()
     out, us, done = _core.run_loop(par, mag, ys, sc.dt, pd, 0, seen.append)
     # the samples are written into the caller's array
@@ -214,9 +220,7 @@ def test_a_nonfinite_stage_2_qdd_fails_the_step():
     y2 = [a + 0.5 * dt * k for a, k in zip(y, dy)]
     assert ok and all(map(math.isfinite, dy[4:] + tuple(y2)))
     assert not _core.deriv(par, mag, y2, tau, 0)[1]
-    ys = np.empty((4, 8))
-    ys[0] = y
-    *_, n_done = _core.run_loop(par, mag, ys, dt, None, 0)
+    *_, n_done = _core.run_loop(par, mag, samples(y, 3), dt, None, 0)
     assert n_done == 0
     assert list_rk4(par, mag, y, 3, dt, None, 0) == ([y], [[0.0, 0.0]])
 
@@ -229,9 +233,8 @@ def test_run_loop_takes_no_step_from_a_nonfinite_y0(bad):
     pd = sc.controller.packed()
     y0 = list(sc.y0)
     y0[2] = bad
-    ys = np.empty((6, 8))
-    ys[0] = y0
-    ys, us, n_done = _core.run_loop(p.packed(), m.packed(), ys, sc.dt, pd, 0)
+    ys, us, n_done = _core.run_loop(p.packed(), m.packed(), samples(y0, 5),
+                                    sc.dt, pd, 0)
     assert n_done == 0
     ref_ys, ref_us = list_rk4(p.packed(), m.packed(), y0, 5, sc.dt, pd, 0)
     np.testing.assert_array_equal(ys[:1], ref_ys)
