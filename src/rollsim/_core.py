@@ -47,9 +47,11 @@ one call each.
 Numeric failure is a flag, never an exception: `deriv` returns ok=False for
 a non-finite state or result, and `loop` stops at a failed pivot, a
 non-finite stage input or a non-finite new state, which `run_loop` reports
-as the number of steps taken. No code on that path raises Python's
-float ** (OverflowError) or takes sin or cos of a value not known to be
-finite (ValueError).
+as the number of steps taken. `loop` tests only the new state: math's cos
+of an inf stage angle raises ValueError, which `loop` catches and returns
+as its stop, a NaN angle fails a pivot, and a non-finite rate or qddot
+makes the new state non-finite. No code on that path raises Python's
+float ** (OverflowError), and no ValueError leaves `loop`.
 """
 
 import math
@@ -325,8 +327,8 @@ def run_loop(par, mag, ys, dt, pd, variant, sink=None):
     loop = _eom.loop_for(par, variant, dt, mag, pd)
     n = ys.shape[0] - 1
     n_done = 0
-    # no step from a non-finite ys[0], whose sines would raise: it is
-    # recorded with its input, as a failed first step
+    # no step from a non-finite ys[0]: it is recorded with its input, as a
+    # failed first step
     if np.isfinite(ys[0]).all():
         while n_done < n:
             steps = min(CHUNK_STEPS, n - n_done)

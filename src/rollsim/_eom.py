@@ -36,14 +36,17 @@ named and each sine and cosine taken once, the tip geometry and the force
 law under one test of the coupling (p_m grad p_m only where the law reads
 it), (tau - bias - G) + t solved by the Cholesky inline. Its qdd at each
 stage equals the separate calls to the last bit, and the stage inputs and
-the update are those of a list-form RK4. loop writes each new y to the next
-row of ys and returns the number of steps taken: it stops where
-solve_spd4 at some stage would return None, or where the input to stage 2,
-3 or 4 or the new y is not finite.
+the update are those of a list-form RK4. loop reads loop_for's values and
+math's cos, sin, sqrt and inf as keyword-only defaults, locals bound once
+per call. It writes each new y to the next row of ys and returns the
+number of steps taken: it stops where solve_spd4 at some stage would
+return None, or where a stage input or the new y is not finite. Only the
+new y is tested: an inf angle makes math.cos raise ValueError, which loop
+catches and returns as its stop, a NaN angle fails a pivot, and a
+non-finite rate or qdd makes the new y non-finite.
 
 With floats, q and qd are 4-sequences and y is (q, qd); math.sin and
-math.cos raise ValueError on inf, so rollsim._core.deriv tests y first, and
-rollsim._core.run_loop tests ys[0] before it calls loop.
+math.cos raise ValueError on inf, so rollsim._core.deriv tests y first.
 rollsim._core also runs mass_matrix, bias and gravity on equal-length
 columns, with numpy's cos, sin and sqrt bound in place of math's, and masks
 the non-finite columns itself.
@@ -322,6 +325,11 @@ def loop_for(p, variant, dt, mag, pd):
         (kp00, kp01, kp02, kp03), (kp10, kp11, kp12, kp13) = Kp
         (kd00, kd01, kd02, kd03), (kd10, kd11, kd12, kd13) = Kd
         th1d, th2d, ph1d, ph2d = tgt
+    else:
+        # loop binds them; an uncontrolled run never reads them
+        kp00 = kp01 = kp02 = kp03 = kp10 = kp11 = kp12 = kp13 = 0.0
+        kd00 = kd01 = kd02 = kd03 = kd10 = kd11 = kd12 = kd13 = 0.0
+        th1d = th2d = ph1d = ph2d = 0.0
     xm0 = m_p*r1*r1
     xm2 = m_p*r1
     xm3 = m_p*r2*r2
@@ -367,211 +375,226 @@ def loop_for(p, variant, dt, mag, pd):
     h = 0.5 * dt
     w = dt / 6.0
 
-    def loop(ys, n):
+    def loop(ys, n, *, A=A, B_max=B_max, P_max=P_max, R1=R1, R2=R2,
+             controlled=controlled, cos=cos, coupled=coupled, d_ph1=d_ph1,
+             d_ph2=d_ph2, d_th1=d_th1, d_th2=d_th2, dt=dt, g=g, h=h,
+             inf=inf, kd00=kd00, kd01=kd01, kd02=kd02, kd03=kd03, kd10=kd10,
+             kd11=kd11, kd12=kd12, kd13=kd13, kp00=kp00, kp01=kp01,
+             kp02=kp02, kp03=kp03, kp10=kp10, kp11=kp11, kp12=kp12,
+             kp13=kp13, l00=l00, l10=l10, l11=l11, l30=l30, m_p=m_p,
+             m_s=m_s, ph1d=ph1d, ph2d=ph2d, r1=r1, r2=r2, sin=sin,
+             sqrt=sqrt, th1d=th1d, th2d=th2d, variant=variant, w=w, xb1=xb1,
+             xb2=xb2, xm0=xm0, xm10=xm10, xm11=xm11, xm14=xm14, xm16=xm16,
+             xm17=xm17, xm19=xm19, xm2=xm2, xm20=xm20, xm21=xm21, xm25=xm25,
+             xm3=xm3, xm8=xm8, xm9=xm9, xp0=xp0, xp1=xp1, xp2=xp2, xp3=xp3,
+             xp4=xp4, xp5=xp5, xp6=xp6, xp7=xp7, xp8=xp8, xp9=xp9):
         """Up to n RK4 steps from y = ys[0], each new y written to the next
         row of ys, under the PD input at each step's start, held, plus the tip
         torque at each stage when mag couples the tips. Returns the number
-        of steps taken, fewer than n where a pivot fails or the input to
-        stage 2, 3 or 4 or the new y is not finite."""
+        of steps taken, fewer than n where a pivot fails or a stage input or
+        the new y is not finite. The keyword-only defaults are loop_for's
+        values and math's, bound as locals once per call."""
         z0, z1, z2, z3, z4, z5, z6, z7 = ys[0].tolist()
         tau0 = tau1 = tau2 = tau3 = 0.0
-        for i in range(n):
-            th1 = z0
-            th2 = z1
-            ph1 = z2
-            ph2 = z3
-            dth1 = z4
-            dth2 = z5
-            dph1 = z6
-            dph2 = z7
-            if controlled:
-                e0 = (th1 - ph1) - th1d
-                e1 = (th2 - ph2) - th2d
-                e2 = ph1 - ph1d
-                e3 = ph2 - ph2d
-                u1 = (kp00 * e0 + kp01 * e1 + kp02 * e2 + kp03 * e3
-                      + kd00 * dth1 + kd01 * dth2 + kd02 * dph1 + kd03 * dph2)
-                u2 = (kp10 * e0 + kp11 * e1 + kp12 * e2 + kp13 * e3
-                      + kd10 * dth1 + kd11 * dth2 + kd12 * dph1 + kd13 * dph2)
-                tau0 = u1
-                tau1 = u2
-                tau2 = -u1
-                tau3 = -u2
-            for stage in (1, 2, 3, 4):
-                a31 = ph1 + th1
-                c31 = cos(a31)
-                s31 = sin(a31)
-                a34 = ph1 + ph2
-                c34 = cos(a34)
-                s34 = sin(a34)
-                a42 = ph2 + th2
-                c42 = cos(a42)
-                s42 = sin(a42)
-                a12 = ph1 - th2
-                c12 = cos(a12)
-                s12 = sin(a12)
-                xm1 = R1*c31
-                xm4 = R1*c42
-                xm5 = R1*c12
-                xm6 = R2*c12
-                xm7 = xm5 + xm6
-                xm12 = c34*xm10
-                xm13 = c34*xm11
-                xm22 = c34*xm14
-                xm23 = xm5*xm8
-                xm24 = xm6*xm8
-                m02 = xm2*(r1 + xm1)
-                m12 = xm8*(xm4 + xm7)
-                m13 = xm8*(r2 + xm7)
-                m22 = c34*xm16 + c34*xm17 + xm0 + 2.0*xm1*xm2 + xp0 + xp1 + 2.0*xm12 + 2.0*xm13 + xm21
-                m23 = m_p*xm22 + m_s*xm22 + xm12 + xm13 + xm16 + xm17 + xm19 + xm20 + xm23 + xm24 + xm25 + xm4*xm8
-                m33 = xm21 + 2.0*xm23 + 2.0*xm24 + xm25 + xm3
-                xb0 = dph1*dph1
-                xb3 = s12*xb2
-                xb4 = xb1*xb3
-                xb5 = xb0*xb4
-                xb6 = dph2*dph2
-                xb7 = 2.0*dph2
-                xb8 = dph1*xb7
-                xb9 = xb4*xb8
-                xb10 = xm2*s31
-                xb11 = R1*xb10
-                xb12 = R1*s34
-                xb13 = R1*s12
-                xb14 = R2*s12
-                xb15 = R1*s42
-                xb16 = xb13 + xb14 - xb15
-                xb17 = dth2*dth2
-                xb18 = m_p*xb12
-                xb19 = m_s*xb12
-                xb20 = R2*s34
-                xb21 = xm9*s34
-                bias0 = d_th1*dth1
-                bias1 = d_th2*dth2 - xb4*xb6 - xb5 - xb9
-                bias2 = xp2*xb0*(m_p*xb20 + m_s*xb20 + xb10 + xb18 + xb19) + d_ph1*dph1 - 2.0*dph1*dth1*xb11 + 2.0*dph2*dth2*m_p*r2*xb16 - dth1*dth1*xb11 + xm8*xb16*xb17 - xb12*xb2*xb8*xp3 - xb6*(R2*xb18 + R2*xb19 + m_p*xb21 + m_s*xb21 - xb1*xb13 - xb1*xb14 + xb1*xb15)
-                bias3 = d_ph2*dph2 + dth2*xb4*xb7 + xb1*xb17*xb3 - xb5 - xb9
-                xg0 = xm2*s31
-                xg1 = g*xg0
-                xg2 = xm8*s42
-                xg3 = g*xg2
-                xg4 = R1*s34
-                xg5 = R2*s34
-                xg6 = m_s*xg4 + m_s*xg5
-                xg7 = xg0 + xg6
-                xg8 = m_p*xg4 + m_p*xg5
-                xg9 = xg2 + xg6
-                xg10 = c34*m_p
-                xg11 = xp2*xg10 - R2*xg10
-                if variant == 1:
-                    G0 = xg1
-                    G1 = xg3
-                    G2 = g*(xg7 + xg8)
-                    G3 = g*(xg8 + xg9)
-                else:
-                    G0 = xg1
-                    G1 = xg3
-                    G2 = g*(xg11 + xg7)
-                    G3 = g*(xg11 + xg9)
-                b0 = tau0 - bias0 - G0
-                b1 = tau1 - bias1 - G1
-                b2 = tau2 - bias2 - G2
-                b3 = tau3 - bias3 - G3
-                if coupled:
-                    dx = (R1*ph1 + r1*s31) - ((R1*ph1 + xb2*s34) + r2*s42)
-                    dy = xp4*c31 - (xp5*c34 - r2*c42)
-                    pm = sqrt(dx*dx + dy*dy)
-                    degenerate = pm < 1e-14
-                    if pm > P_max:
-                        B = F = t0 = t1 = t2 = t3 = 0.0
+        try:
+            for i in range(n):
+                th1 = z0
+                th2 = z1
+                ph1 = z2
+                ph2 = z3
+                dth1 = z4
+                dth2 = z5
+                dph1 = z6
+                dph2 = z7
+                if controlled:
+                    e0 = (th1 - ph1) - th1d
+                    e1 = (th2 - ph2) - th2d
+                    e2 = ph1 - ph1d
+                    e3 = ph2 - ph2d
+                    u1 = (kp00 * e0 + kp01 * e1 + kp02 * e2 + kp03 * e3
+                          + kd00 * dth1 + kd01 * dth2 + kd02 * dph1 + kd03 * dph2)
+                    u2 = (kp10 * e0 + kp11 * e1 + kp12 * e2 + kp13 * e3
+                          + kd10 * dth1 + kd11 * dth2 + kd12 * dph1 + kd13 * dph2)
+                    tau0 = u1
+                    tau1 = u2
+                    tau2 = -u1
+                    tau3 = -u2
+                for stage in (1, 2, 3, 4):
+                    a31 = ph1 + th1
+                    c31 = cos(a31)
+                    s31 = sin(a31)
+                    a34 = ph1 + ph2
+                    c34 = cos(a34)
+                    s34 = sin(a34)
+                    a42 = ph2 + th2
+                    c42 = cos(a42)
+                    s42 = sin(a42)
+                    a12 = ph1 - th2
+                    c12 = cos(a12)
+                    s12 = sin(a12)
+                    xm1 = R1*c31
+                    xm4 = R1*c42
+                    xm5 = R1*c12
+                    xm6 = R2*c12
+                    xm7 = xm5 + xm6
+                    xm12 = c34*xm10
+                    xm13 = c34*xm11
+                    xm22 = c34*xm14
+                    xm23 = xm5*xm8
+                    xm24 = xm6*xm8
+                    m02 = xm2*(r1 + xm1)
+                    m12 = xm8*(xm4 + xm7)
+                    m13 = xm8*(r2 + xm7)
+                    m22 = c34*xm16 + c34*xm17 + xm0 + 2.0*xm1*xm2 + xp0 + xp1 + 2.0*xm12 + 2.0*xm13 + xm21
+                    m23 = m_p*xm22 + m_s*xm22 + xm12 + xm13 + xm16 + xm17 + xm19 + xm20 + xm23 + xm24 + xm25 + xm4*xm8
+                    m33 = xm21 + 2.0*xm23 + 2.0*xm24 + xm25 + xm3
+                    xb0 = dph1*dph1
+                    xb3 = s12*xb2
+                    xb4 = xb1*xb3
+                    xb5 = xb0*xb4
+                    xb6 = dph2*dph2
+                    xb7 = 2.0*dph2
+                    xb8 = dph1*xb7
+                    xb9 = xb4*xb8
+                    xb10 = xm2*s31
+                    xb11 = R1*xb10
+                    xb12 = R1*s34
+                    xb13 = R1*s12
+                    xb14 = R2*s12
+                    xb15 = R1*s42
+                    xb16 = xb13 + xb14 - xb15
+                    xb17 = dth2*dth2
+                    xb18 = m_p*xb12
+                    xb19 = m_s*xb12
+                    xb20 = R2*s34
+                    xb21 = xm9*s34
+                    bias0 = d_th1*dth1
+                    bias1 = d_th2*dth2 - xb4*xb6 - xb5 - xb9
+                    bias2 = xp2*xb0*(m_p*xb20 + m_s*xb20 + xb10 + xb18 + xb19) + d_ph1*dph1 - 2.0*dph1*dth1*xb11 + 2.0*dph2*dth2*m_p*r2*xb16 - dth1*dth1*xb11 + xm8*xb16*xb17 - xb12*xb2*xb8*xp3 - xb6*(R2*xb18 + R2*xb19 + m_p*xb21 + m_s*xb21 - xb1*xb13 - xb1*xb14 + xb1*xb15)
+                    bias3 = d_ph2*dph2 + dth2*xb4*xb7 + xb1*xb17*xb3 - xb5 - xb9
+                    xg0 = xm2*s31
+                    xg1 = g*xg0
+                    xg2 = xm8*s42
+                    xg3 = g*xg2
+                    xg4 = R1*s34
+                    xg5 = R2*s34
+                    xg6 = m_s*xg4 + m_s*xg5
+                    xg7 = xg0 + xg6
+                    xg8 = m_p*xg4 + m_p*xg5
+                    xg9 = xg2 + xg6
+                    xg10 = c34*m_p
+                    xg11 = xp2*xg10 - R2*xg10
+                    if variant == 1:
+                        G0 = xg1
+                        G1 = xg3
+                        G2 = g*(xg7 + xg8)
+                        G3 = g*(xg8 + xg9)
                     else:
-                        B = B_max * (1.0 - pm / P_max)
-                        F = B * B * A / xp6
-                        if degenerate:
-                            t0 = t1 = t2 = t3 = 0.0
+                        G0 = xg1
+                        G1 = xg3
+                        G2 = g*(xg11 + xg7)
+                        G3 = g*(xg11 + xg9)
+                    b0 = tau0 - bias0 - G0
+                    b1 = tau1 - bias1 - G1
+                    b2 = tau2 - bias2 - G2
+                    b3 = tau3 - bias3 - G3
+                    if coupled:
+                        dx = (R1*ph1 + r1*s31) - ((R1*ph1 + xb2*s34) + r2*s42)
+                        dy = xp4*c31 - (xp5*c34 - r2*c42)
+                        pm = sqrt(dx*dx + dy*dy)
+                        degenerate = pm < 1e-14
+                        if pm > P_max:
+                            B = F = t0 = t1 = t2 = t3 = 0.0
                         else:
-                            dx_th1 = c31*r1
-                            dx_th2 = -c42*r2
-                            dx_ph1 = c31*r1 - c34*xb2
-                            dx_ph2 = -c34*xb2 - c42*r2
-                            dy_th1 = r1*s31
-                            dy_th2 = xp7*s42
-                            dy_ph1 = r1*s31 - s34*xb2
-                            dy_ph2 = xp7*s42 - s34*xb2
-                            pg0 = dx*dx_th1 + dy*dy_th1
-                            pg1 = dx*dx_th2 + dy*dy_th2
-                            pg2 = dx*dx_ph1 + dy*dy_ph1
-                            pg3 = dx*dx_ph2 + dy*dy_ph2
-                            t0 = -F * (pg0 / pm)
-                            t1 = -F * (pg1 / pm)
-                            t2 = -F * (pg2 / pm)
-                            t3 = -F * (pg3 / pm)
-                    b0 = b0 + t0
-                    b1 = b1 + t1
-                    b2 = b2 + t2
-                    b3 = b3 + t3
-                l20 = m02 / l00
-                l21 = (m12 - l20 * l10) / l11
-                l31 = (m13 - xp8) / l11
-                d22 = m22 - l20 * l20 - l21 * l21
-                if not 0.0 < d22 < inf:
+                            B = B_max * (1.0 - pm / P_max)
+                            F = B * B * A / xp6
+                            if degenerate:
+                                t0 = t1 = t2 = t3 = 0.0
+                            else:
+                                dx_th1 = c31*r1
+                                dx_th2 = -c42*r2
+                                dx_ph1 = c31*r1 - c34*xb2
+                                dx_ph2 = -c34*xb2 - c42*r2
+                                dy_th1 = r1*s31
+                                dy_th2 = xp7*s42
+                                dy_ph1 = r1*s31 - s34*xb2
+                                dy_ph2 = xp7*s42 - s34*xb2
+                                pg0 = dx*dx_th1 + dy*dy_th1
+                                pg1 = dx*dx_th2 + dy*dy_th2
+                                pg2 = dx*dx_ph1 + dy*dy_ph1
+                                pg3 = dx*dx_ph2 + dy*dy_ph2
+                                t0 = -F * (pg0 / pm)
+                                t1 = -F * (pg1 / pm)
+                                t2 = -F * (pg2 / pm)
+                                t3 = -F * (pg3 / pm)
+                        b0 = b0 + t0
+                        b1 = b1 + t1
+                        b2 = b2 + t2
+                        b3 = b3 + t3
+                    l20 = m02 / l00
+                    l21 = (m12 - l20 * l10) / l11
+                    l31 = (m13 - xp8) / l11
+                    d22 = m22 - l20 * l20 - l21 * l21
+                    if not 0.0 < d22 < inf:
+                        return i
+                    l22 = sqrt(d22)
+                    l32 = (m23 - l30 * l20 - l31 * l21) / l22
+                    d33 = m33 - xp9 - l31 * l31 - l32 * l32
+                    if not 0.0 < d33 < inf:
+                        return i
+                    l33 = sqrt(d33)
+                    y0 = b0 / l00
+                    y1 = (b1 - l10 * y0) / l11
+                    y2 = (b2 - l20 * y0 - l21 * y1) / l22
+                    y3 = (b3 - l30 * y0 - l31 * y1 - l32 * y2) / l33
+                    x3 = y3 / l33
+                    x2 = (y2 - l32 * x3) / l22
+                    x1 = (y1 - l21 * x2 - l31 * x3) / l11
+                    x0 = (y0 - l10 * x1 - l20 * x2 - l30 * x3) / l00
+                    if stage == 4:
+                        break
+                    if stage == 1:
+                        k0 = dth1
+                        k1 = dth2
+                        k2 = dph1
+                        k3 = dph2
+                        k4 = x0
+                        k5 = x1
+                        k6 = x2
+                        k7 = x3
+                        f = h
+                    else:
+                        k0 = k0 + 2.0 * dth1
+                        k1 = k1 + 2.0 * dth2
+                        k2 = k2 + 2.0 * dph1
+                        k3 = k3 + 2.0 * dph2
+                        k4 = k4 + 2.0 * x0
+                        k5 = k5 + 2.0 * x1
+                        k6 = k6 + 2.0 * x2
+                        k7 = k7 + 2.0 * x3
+                        if stage == 3:
+                            f = dt
+                    th1 = z0 + f * dth1
+                    th2 = z1 + f * dth2
+                    ph1 = z2 + f * dph1
+                    ph2 = z3 + f * dph2
+                    dth1 = z4 + f * x0
+                    dth2 = z5 + f * x1
+                    dph1 = z6 + f * x2
+                    dph2 = z7 + f * x3
+                z0 = z0 + w * (k0 + dth1)
+                z1 = z1 + w * (k1 + dth2)
+                z2 = z2 + w * (k2 + dph1)
+                z3 = z3 + w * (k3 + dph2)
+                z4 = z4 + w * (k4 + x0)
+                z5 = z5 + w * (k5 + x1)
+                z6 = z6 + w * (k6 + x2)
+                z7 = z7 + w * (k7 + x3)
+                if 0.0 * z0 + 0.0 * z1 + 0.0 * z2 + 0.0 * z3 + 0.0 * z4 + 0.0 * z5 + 0.0 * z6 + 0.0 * z7 != 0.0:
                     return i
-                l22 = sqrt(d22)
-                l32 = (m23 - l30 * l20 - l31 * l21) / l22
-                d33 = m33 - xp9 - l31 * l31 - l32 * l32
-                if not 0.0 < d33 < inf:
-                    return i
-                l33 = sqrt(d33)
-                y0 = b0 / l00
-                y1 = (b1 - l10 * y0) / l11
-                y2 = (b2 - l20 * y0 - l21 * y1) / l22
-                y3 = (b3 - l30 * y0 - l31 * y1 - l32 * y2) / l33
-                x3 = y3 / l33
-                x2 = (y2 - l32 * x3) / l22
-                x1 = (y1 - l21 * x2 - l31 * x3) / l11
-                x0 = (y0 - l10 * x1 - l20 * x2 - l30 * x3) / l00
-                if stage == 4:
-                    break
-                if stage == 1:
-                    k0 = dth1
-                    k1 = dth2
-                    k2 = dph1
-                    k3 = dph2
-                    k4 = x0
-                    k5 = x1
-                    k6 = x2
-                    k7 = x3
-                    f = h
-                else:
-                    k0 = k0 + 2.0 * dth1
-                    k1 = k1 + 2.0 * dth2
-                    k2 = k2 + 2.0 * dph1
-                    k3 = k3 + 2.0 * dph2
-                    k4 = k4 + 2.0 * x0
-                    k5 = k5 + 2.0 * x1
-                    k6 = k6 + 2.0 * x2
-                    k7 = k7 + 2.0 * x3
-                    if stage == 3:
-                        f = dt
-                th1 = z0 + f * dth1
-                th2 = z1 + f * dth2
-                ph1 = z2 + f * dph1
-                ph2 = z3 + f * dph2
-                dth1 = z4 + f * x0
-                dth2 = z5 + f * x1
-                dph1 = z6 + f * x2
-                dph2 = z7 + f * x3
-                if 0.0 * th1 + 0.0 * th2 + 0.0 * ph1 + 0.0 * ph2 + 0.0 * dth1 + 0.0 * dth2 + 0.0 * dph1 + 0.0 * dph2 != 0.0:
-                    return i
-            z0 = z0 + w * (k0 + dth1)
-            z1 = z1 + w * (k1 + dth2)
-            z2 = z2 + w * (k2 + dph1)
-            z3 = z3 + w * (k3 + dph2)
-            z4 = z4 + w * (k4 + x0)
-            z5 = z5 + w * (k5 + x1)
-            z6 = z6 + w * (k6 + x2)
-            z7 = z7 + w * (k7 + x3)
-            if 0.0 * z0 + 0.0 * z1 + 0.0 * z2 + 0.0 * z3 + 0.0 * z4 + 0.0 * z5 + 0.0 * z6 + 0.0 * z7 != 0.0:
-                return i
-            ys[i + 1] = (z0, z1, z2, z3, z4, z5, z6, z7)
+                ys[i + 1] = (z0, z1, z2, z3, z4, z5, z6, z7)
+        except ValueError:
+            # math.cos or math.sin of an inf stage angle
+            return i
         return n
     return loop

@@ -72,14 +72,14 @@ def flux_density(mag: MagneticParams, p_m: float) -> float:
     if not (finite_number(p_m) and p_m >= 0):
         raise ValidationError(
             f"separation must be finite and >= 0, got {p_m!r}")
-    return _core.flux_density(mag.packed(), p_m)
+    return _core.flux_density(mag.packed(), float(p_m))
 
 
 def magnetic_force(mag: MagneticParams, B: float) -> float:
     """Attractive force magnitude F = B^2 A / (2 mu0) for a finite B, N."""
     if not finite_number(B):
         raise ValidationError(f"flux density must be finite, got {B!r}")
-    return _core.magnetic_force(mag.packed(), B)
+    return _core.magnetic_force(mag.packed(), float(B))
 
 
 def generalized_magnetic_torque(params: RobotParams, mag: MagneticParams,
@@ -114,6 +114,7 @@ def magnetic_potential(mag: MagneticParams, p_m: float) -> float:
     if not (finite_number(p_m) and p_m >= 0):
         raise ValidationError(
             f"separation must be finite and >= 0, got {p_m!r}")
+    p_m = float(p_m)
     if p_m >= mag.P_max:
         return 0.0
     # products, as in the generated force law: a float ** 2 past the

@@ -11,6 +11,7 @@ reporting.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +24,10 @@ class ValidationError(ValueError):
 
 
 def finite_number(v) -> bool:
-    """v is an int or float of finite value. A bool is an int to Python but
-    not a number here, and an int beyond the float range is not finite."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    """v is a real number of finite value: a Python or numpy int or float.
+    A bool (Python's or numpy's) is not a number here, and an int beyond
+    the float range is not finite."""
+    if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
         return False
     try:
         return math.isfinite(v)

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -59,3 +60,36 @@ def test_bounds_are_the_end_to_end_metrics_of_the_tree(bench_pairs):
     limits = bench_pairs.bounds(root)
     assert set(limits) == set(bench_pairs.RUN_VALUES)
     assert all(better in ("lower", "higher") for _, better in limits.values())
+
+
+def test_writes_bytecode_reads_pythondontwritebytecode(bench_pairs):
+    assert bench_pairs.writes_bytecode({})
+    assert bench_pairs.writes_bytecode({"PYTHONDONTWRITEBYTECODE": ""})
+    assert not bench_pairs.writes_bytecode({"PYTHONDONTWRITEBYTECODE": "1"})
+
+
+@pytest.mark.parametrize("flag,writes", [(None, True), ("1", False)])
+def test_the_record_says_whether_the_runs_write_bytecode(
+        bench_pairs, monkeypatch, tmp_path, flag, writes):
+    if flag is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", flag)
+
+    def bench(tree, workload, seed, seconds, trace):
+        return {**record(200.0, 0.1, 38.0), "workload": workload,
+                "seed": seed, "trace": trace, "error_rate": 0.0,
+                "throughput": 1.0, "environment": {"python": "3.x"}}
+
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: b"abc\n")
+    monkeypatch.setattr(bench_pairs, "export", lambda commit, into: None)
+    monkeypatch.setattr(bench_pairs, "run_seconds", lambda tree: 1)
+    monkeypatch.setattr(bench_pairs, "bounds",
+                        lambda tree: {"wall_ref": (0.25, "lower")})
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    out = tmp_path / "bench.json"
+    bench_pairs.main(["--parent", "a", "--change", "b", "--scratch",
+                      str(tmp_path / "trees"), "--pairs", "freefall=1-2",
+                      "--label", "t", "--out", str(out)])
+    env = json.loads(out.read_text())["environment"]
+    assert env == {"writes_bytecode": writes, "python": "3.x"}

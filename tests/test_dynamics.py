@@ -77,7 +77,10 @@ def test_forward_dynamics_rejects_nonfinite_state():
     (0.0, 0.0, float("nan"), 0.0),
     ("0", 0.0, 0.0, 0.0),
     (0.0, 0.0, 0.0, True),
-], ids=["three", "inf", "nan", "string", "bool"])
+    np.array([0.0, 0.0, 0.0, np.inf], dtype=np.float32),
+    np.array([False, False, False, True]),
+], ids=["three", "inf", "nan", "string", "bool", "float32_inf",
+        "bool_array"])
 def test_forward_dynamics_refuses_a_tau_that_is_not_4_finite_numbers(tau):
     # three entries raised a bare unpacking ValueError, and inf blamed the
     # dynamics with "qddot not finite"
@@ -86,6 +89,15 @@ def test_forward_dynamics_refuses_a_tau_that_is_not_4_finite_numbers(tau):
     # the state is checked first
     with pytest.raises(SingularDynamicsError, match="non-finite state"):
         forward_dynamics(P, State(q=(float("nan"), 0.0, 0.0, 0.0)), tau)
+
+
+def test_forward_dynamics_takes_a_numpy_int_or_float32_tau():
+    # refused as not 4 finite numbers, though float() reads them exactly
+    st = State(q=(0.1, 0.5, 3.0, 0.2))
+    ref = forward_dynamics(P, st, [1.0, 0.0, -1.0, 0.0])
+    for tau in (np.array([1, 0, -1, 0]),
+                np.array([1.0, 0.0, -1.0, 0.0], dtype=np.float32)):
+        assert forward_dynamics(P, st, tau).tobytes() == ref.tobytes()
 
 
 def test_forward_dynamics_reports_the_spectrum_of_a_singular_mass_matrix():

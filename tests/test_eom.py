@@ -8,6 +8,7 @@ agreement checks the symbolic differentiation and the emitted arithmetic.
 """
 
 import ast
+import dis
 import importlib.util
 import inspect
 import math
@@ -190,6 +191,19 @@ def test_accel_redoes_no_arithmetic_of_p_alone():
     assert redone == []
 
 
+def test_loop_reads_its_constants_as_fast_locals():
+    # loop_for hands loop every value it reads, math's cos, sin, sqrt and
+    # inf among them, as keyword-only defaults: no closure cell, and no
+    # global lookup inside the step loop
+    loop = _eom.loop_for(PAR, 0, 1e-3, MAG_ON, controllers(1, 3)[0])
+    assert loop.__code__.co_freevars == ()
+    ops = list(dis.get_instructions(loop))
+    assert [i for i in ops if i.opname == "LOAD_DEREF"] == []
+    # the first loop is the one over the steps
+    steps = next(i for i in ops if i.opname == "FOR_ITER")
+    assert [i.argval for i in ops if i.opname == "LOAD_GLOBAL"
+            and steps.offset < i.offset < steps.argval] == []
+
 
 def temporaries(stmts):
     """{name: value} of the cse temporaries xm*, xb*, xg* and xt* that the
@@ -235,7 +249,8 @@ def test_deriv_flags_nonfinite_without_raising(y):
         assert not ok
         assert len(dy) == 8
         if all(map(math.isfinite, y)):
-            # the loop tests a stage input before it takes a sine of it
+            # no stage input is tested: math.cos of an inf angle raises
+            # ValueError, which the loop turns into its stop
             assert loop_step(_eom.loop_for, p, 0, 1e-3, mag, None, y) is None
 
 

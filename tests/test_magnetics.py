@@ -59,6 +59,21 @@ def test_flux_and_force_refuse_what_is_not_a_finite_number(value):
         magnetic_potential(MagneticParams(P_max=2.0), value)
 
 
+def test_flux_force_and_potential_read_numpy_scalars_as_floats():
+    mag = MagneticParams(B_max=0.05, P_max=2.0)
+    for p_m in (np.float32(0.5), np.int64(1)):
+        assert type(flux_density(mag, p_m)) is float
+        assert flux_density(mag, p_m) == flux_density(mag, float(p_m))
+        assert magnetic_potential(mag, p_m) == magnetic_potential(
+            mag, float(p_m))
+    assert magnetic_force(MAG, np.float32(0.25)) == magnetic_force(MAG, 0.25)
+    for value in (np.bool_(True), np.float32("nan"), np.float32("inf")):
+        with pytest.raises(ValidationError, match="separation"):
+            flux_density(mag, value)
+        with pytest.raises(ValidationError, match="flux density"):
+            magnetic_force(mag, value)
+
+
 def test_potential_refuses_a_negative_separation():
     for p_m in (-1e-3, -2.0):
         with pytest.raises(ValidationError, match="separation"):

@@ -139,9 +139,25 @@ def test_generalized_torque_rejects_nonfinite():
         generalized_torque((float("nan"), 0.0))
 
 
+def test_generalized_torque_takes_numpy_ints_and_float32():
+    # a numpy int or float32 array was refused, though float() reads it
+    # exactly
+    assert generalized_torque(np.array([1, 2])) == (1.0, 2.0, -1.0, -2.0)
+    assert generalized_torque(np.array([1.5, -0.25], dtype=np.float32)) \
+        == (1.5, -0.25, -1.5, 0.25)
+    assert generalized_torque((np.int8(3), np.float16(0.5))) \
+        == (3.0, 0.5, -3.0, -0.5)
+    assert all(type(v) is float
+               for v in generalized_torque(np.array([1, 2], dtype=np.uint8)))
+
+
 # a bool was taken as 1 or 0 and a string raised numpy's TypeError
-@pytest.mark.parametrize("tau", [(True, 0.0), ("1", 0.0), (1.0, 0.0, 0.0),
-                                 (1.0,), "12", None])
+@pytest.mark.parametrize("tau", [
+    (True, 0.0), ("1", 0.0), (1.0, 0.0, 0.0), (1.0,), "12", None,
+    (np.bool_(True), 0.0), np.array([True, False]),
+    (np.float32("inf"), 0.0), np.array([np.nan, 0.0], dtype=np.float32),
+    (np.float64("-inf"), 0.0), (1 + 0j, 0.0),
+])
 def test_generalized_torque_refuses_what_is_not_a_pair(tau):
     with pytest.raises(ValidationError, match="input torques"):
         generalized_torque(tau)

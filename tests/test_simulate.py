@@ -169,9 +169,9 @@ def test_run_loop_equals_a_list_rk4_to_the_bit(preset, changes, start,
                                            ("balancing", 835)])
 def test_a_truncated_run_stops_where_a_list_rk4_does(preset, n_done,
                                                       monkeypatch):
-    # the loop tests only the inputs of stages 2 to 4 and the new y; a list
-    # RK4 that tests every stage input and qdd, as deriv does at each
-    # stage, must stop after the same step
+    # the loop tests only the new y, and stops where math.cos of an inf
+    # angle raises or a pivot fails; a list RK4 that tests every stage input
+    # and qdd, as deriv does at each stage, must stop after the same step
     sc, p, m = load_scenario(preset)
     loops = loop_calls(monkeypatch)
     assert run(sc, p, m).truncated
@@ -225,10 +225,81 @@ def test_a_nonfinite_stage_2_qdd_fails_the_step():
     assert list_rk4(par, mag, y, 3, dt, None, 0) == ([y], [[0.0, 0.0]])
 
 
+def stage_inputs(par, y, dt, tau=(0.0,) * 4):
+    """The stage inputs of one uncoupled list RK4 step from y under the held
+    tau, up to the first that is not finite. Each qdd is solve_spd4 of the
+    separate _eom terms, as deriv's, but kept where it is not finite."""
+    ins = [list(y)]
+    for f in (0.5 * dt, 0.5 * dt, dt):
+        q, qd = ins[-1][:4], ins[-1][4:]
+        b, G = _eom.bias(par, q, qd), _eom.gravity(par, q, 0)
+        qdd = _eom.solve_spd4(_eom.mass_matrix(par, q),
+                              [t - bi - gi for t, bi, gi in zip(tau, b, G)])
+        ins.append([a + f * d for a, d in zip(y, [*qd, *qdd])])
+        if not all(map(math.isfinite, ins[-1])):
+            break
+    return ins
+
+
+def nonfinite_kind(y):
+    """'inf angle' where an angle sum the loop takes cos and sin of is inf
+    (math.cos raises ValueError), else 'nan' or 'inf rate'."""
+    th1, th2, ph1, ph2 = y[:4]
+    if any(map(math.isinf, (ph1 + th1, ph1 + ph2, ph2 + th2, ph1 - th2))):
+        return "inf angle"
+    return "nan" if any(map(math.isnan, y)) else "inf rate"
+
+
+AT_REST = [0.1, 0.5, 3.0, 0.2, 0.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("y,dt,stage,kind", [
+    (AT_REST[:4] + [1e10, 0.0, 0.0, 0.0], 1e300, 2, "inf angle"),
+    (AT_REST[:4] + [1e10, 0.0, 0.0, 0.0], 1e295, 2, "inf rate"),
+    (AT_REST[:4] + [1e155, 0.0, 0.0, 0.0], 1e-3, 2, "nan"),
+    (AT_REST, 1e160, 3, "inf angle"),
+    (AT_REST, 1e105, 3, "inf rate"),
+    (AT_REST, 1e154, 3, "nan"),
+    (AT_REST, 1e80, 4, "inf angle"),
+    (AT_REST, 1e48, 4, "inf rate"),
+    (AT_REST, 1e60, 4, "nan"),
+])
+def test_a_nonfinite_stage_input_stops_where_a_list_rk4_does(y, dt, stage,
+                                                             kind):
+    # the loop tests no stage input: an inf angle makes math.cos raise
+    # ValueError, which the loop turns into its stop; a NaN angle fails the
+    # d22 pivot; a non-finite rate or qdd reaches the new y through the
+    # slopes' sums, and the new y's test stops the step
+    par, mag = P.packed(), [0.0] * 5
+    ins = stage_inputs(par, y, dt)
+    assert (len(ins), nonfinite_kind(ins[-1])) == (stage, kind)
+    args = (par, mag, samples(y, 3), dt, None, 0, None)
+    assert assert_loop_is_list_rk4(args, _core.run_loop(*args)) == 0
+
+
+def test_a_chunk_stops_at_its_last_step_where_the_new_y_overflows():
+    # balancing at this dt first fails a step whose four stage inputs are
+    # finite: its stage 4 qdd is not, so neither is its new y, and the new
+    # y's test stops the loop. Started 255 steps before that step, the run
+    # stops at the last step of its first chunk.
+    sc, p, m = load_scenario("balancing")
+    assert not m.enabled
+    par, mag, pd, dt = p.packed(), m.packed(), sc.controller.packed(), 0.00102
+    ref_ys, _ = list_rk4(par, mag, sc.y0, 1000, dt, pd, 0)
+    assert len(ref_ys) - 1 < 1000
+    tau = _core.torque_map(*_core.pd_input(*pd, ref_ys[-1]))
+    ins = stage_inputs(par, ref_ys[-1], dt, tau)
+    assert len(ins) == 4 and all(map(math.isfinite, ins[-1]))
+    args = (par, mag, samples(ref_ys[-_core.CHUNK_STEPS], 300), dt, pd, 0,
+            None)
+    assert (assert_loop_is_list_rk4(args, _core.run_loop(*args))
+            == _core.CHUNK_STEPS - 1)
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_run_loop_takes_no_step_from_a_nonfinite_y0(bad):
-    # run_loop tests y0 once, and records its input; the loop would
-    # take a sine of it. Scenario rejects such a y0 before run gets it.
+    # run_loop tests y0 once, and records its input; the loop is not
+    # called. Scenario rejects such a y0 before run gets it.
     sc, p, m = load_scenario("balancing")
     pd = sc.controller.packed()
     y0 = list(sc.y0)

@@ -35,10 +35,14 @@ metric of the change's BENCHMARK.json the number of pairs whose change run
 is worse than its parent run by more than the metric's bound. wall_ref
 divides by a reference loop timed in the calling process, so a change
 that moves work to another CPU shows in wall_s as well, and a wall_ref
-that moves with reference_loop_s alone shows the host, not the program. "traced" holds
-per workload and side the median of each layer metric over the traced
-runs, and each run's layers. "runs" holds each run's record without its
-per-sample values.
+that moves with reference_loop_s alone shows the host, not the program.
+"environment" holds perfbench's report of the interpreter and its
+libraries, and writes_bytecode: whether the interpreters of the runs write
+.pyc files, which they do not where PYTHONDONTWRITEBYTECODE is set. Where
+they do not, each run's setup_s includes compiling rollsim from source.
+"traced" holds per workload and side the median of each layer metric over
+the traced runs, and each run's layers. "runs" holds each run's record
+without its per-sample values.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -65,6 +70,13 @@ def export(commit, into):
     into.mkdir(parents=True)
     with tarfile.open(fileobj=io.BytesIO(git("archive", commit))) as tar:
         tar.extractall(into, filter="data")
+
+
+def writes_bytecode(environ):
+    """Whether an interpreter started with environ writes .pyc files:
+    Python writes none where PYTHONDONTWRITEBYTECODE is a non-empty
+    string. perfbench/run.py and its workers inherit the environment."""
+    return not environ.get("PYTHONDONTWRITEBYTECODE")
 
 
 def seeds(text):
@@ -264,7 +276,8 @@ def main(argv=None):
                         "Per-sample value lists are left out.",
               "parent_commit": commits["parent"],
               "change_commit": commits["change"]}
-    summary, traced, runs, env = {}, {}, [], {}
+    summary, traced, runs = {}, {}, []
+    env = {"writes_bytecode": writes_bytecode(os.environ)}
 
     def report(side, rec):
         env.update((k, v) for k, v in rec["environment"].items()

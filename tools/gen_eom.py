@@ -52,8 +52,12 @@ from __future__ import annotations
 
 import argparse
 import ast
+import builtins
 import itertools
+import re
+import symtable
 import sys
+import textwrap
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -244,9 +248,16 @@ def _unpack(names, value):
 def _def(name, args, doc, body, returned):
     """Source of the function name(args) with docstring doc, the unindented
     lines of body, then `return returned`; blank lines stay blank, so a
-    function printed here can be part of another's body."""
+    function printed here can be part of another's body. A long argument
+    list is wrapped under its opening parenthesis."""
+    head = f"def {name}("
+    signature = textwrap.wrap(", ".join(args), 72 - len(head),
+                              break_long_words=False,
+                              break_on_hyphens=False) or [""]
+    signature = "\n".join(
+        [head + signature[0]] + [" " * len(head) + a for a in signature[1:]])
     lines = [*f'"""{doc}"""'.splitlines(), *body, f"return {returned}"]
-    lines = [f"def {name}({', '.join(args)}):"] + [
+    lines = [f"{signature}):"] + [
         f"    {line}" if line else "" for line in lines]
     return "\n".join(lines) + "\n"
 
@@ -360,8 +371,9 @@ LOOP_DOC = """\
 Up to n RK4 steps from y = ys[0], each new y written to the next
 row of ys, under the PD input at each step's start, held, plus the tip
 torque at each stage when mag couples the tips. Returns the number
-of steps taken, fewer than n where a pivot fails or the input to
-stage 2, 3 or 4 or the new y is not finite."""
+of steps taken, fewer than n where a pivot fails or a stage input or
+the new y is not finite. The keyword-only defaults are loop_for's
+values and math's, bound as locals once per call."""
 
 
 # node types of a hoisted expression: +, - and * never raise on floats
@@ -451,6 +463,13 @@ def _hoist(lines):
     return outer, inner
 
 
+def _reads(source):
+    """The names the one function of source reads and does not bind."""
+    [table] = symtable.symtable(source, "<loop>", "exec").get_children()
+    return {s.get_name() for s in table.get_symbols()
+            if s.is_global() and not hasattr(builtins, s.get_name())}
+
+
 def _split_needed(lines, name):
     """(the lines that name needs, the others), each in order; lines are
     unindented assignments."""
@@ -489,9 +508,18 @@ def _loop_for(blocks, trig):
     after _trig_lines of every c*/s* the blocks read, and forms the next
     stage's input, the slopes' weighted sum and the new y with the
     expressions and grouping of tests/test_simulate.py's list RK4: k1 +
-    2.0 k2 + 2.0 k3 + k4 is summed left to right as the stages come. A
-    stage input of inf or nan stops the loop before any sine is taken of
-    it, and so does a new y of inf or nan before it is written.
+    2.0 k2 + 2.0 k3 + k4 is summed left to right as the stages come.
+
+    loop takes every value it reads of loop_for, and math's cos, sin, sqrt
+    and inf, as a keyword-only default (_reads finds them), so each is a
+    local, not a closure cell or a global. A new y of inf or nan stops the
+    loop before it is written. No stage input is tested: an inf angle makes
+    math.cos raise ValueError, which one try around the steps turns into
+    the stop; a NaN angle fails the d22 pivot; and a non-finite rate or qdd
+    reaches the new y through the slopes' sums. Nothing else in the step
+    raises: it has no **, and every divisor is a tested pivot or positive.
+    So the loop stops after the step where a list RK4 that tests every
+    stage input stops.
     """
     body = [line for _, lines in blocks[:3] for line in lines]
     body += [f"b{i} = tau{i} - bias{i} - G{i}" for i in range(4)]
@@ -511,41 +539,48 @@ def _loop_for(blocks, trig):
     z = [f"z{i}" for i in range(8)]
     slope = [str(s) for s in QD] + ["x0", "x1", "x2", "x3"]
     tau = map(_Printer().doprint, _core.torque_map(*sp.symbols("u1 u2")))
+    step = [f"{v} = {zi}" for v, zi in zip(y, z)]
+    step += ["if controlled:"]
+    step += ["    " + line for line in PD_LAW.splitlines()]
+    step += [f"    tau{i} = {t}" for i, t in enumerate(tau)]
+    step += ["for stage in (1, 2, 3, 4):"]
+    step += ["    " + line.replace("return None", "return i")
+             for line in _trig_lines(trig, used) + inner]
+    step += ["    if stage == 4:", "        break", "    if stage == 1:"]
+    step += [f"        k{i} = {d}" for i, d in enumerate(slope)]
+    step += ["        f = h", "    else:"]
+    step += [f"        k{i} = k{i} + 2.0 * {d}" for i, d in enumerate(slope)]
+    step += ["        if stage == 3:", "            f = dt"]
+    step += [f"    {v} = z{i} + f * {d}"
+             for i, (v, d) in enumerate(zip(y, slope))]
+    step += [f"z{i} = z{i} + w * (k{i} + {d})" for i, d in enumerate(slope)]
+    step += ["if " + " + ".join(f"0.0 * {v}" for v in z) + " != 0.0:",
+             "    return i",
+             f"ys[i + 1] = ({', '.join(z)})"]
     lines = [_unpack(z, "ys[0].tolist()"),
              "tau0 = tau1 = tau2 = tau3 = 0.0",
-             "for i in range(n):"]
-    lines += [f"    {v} = {zi}" for v, zi in zip(y, z)]
-    lines += ["    if controlled:"]
-    lines += ["        " + line for line in PD_LAW.splitlines()]
-    lines += [f"        tau{i} = {t}" for i, t in enumerate(tau)]
-    lines += ["    for stage in (1, 2, 3, 4):"]
-    lines += ["        " + line.replace("return None", "return i")
-              for line in _trig_lines(trig, used) + inner]
-    lines += ["        if stage == 4:", "            break",
-              "        if stage == 1:"]
-    lines += [f"            k{i} = {d}" for i, d in enumerate(slope)]
-    lines += ["            f = h", "        else:"]
-    lines += [f"            k{i} = k{i} + 2.0 * {d}"
-              for i, d in enumerate(slope)]
-    lines += ["            if stage == 3:", "                f = dt"]
-    lines += [f"        {v} = z{i} + f * {d}"
-              for i, (v, d) in enumerate(zip(y, slope))]
-    lines += ["        if " + " + ".join(f"0.0 * {v}" for v in y) + " != 0.0:",
-              "            return i"]
-    lines += [f"    z{i} = z{i} + w * (k{i} + {d})"
-              for i, d in enumerate(slope)]
-    lines += ["    if " + " + ".join(f"0.0 * {v}" for v in z) + " != 0.0:",
-              "        return i",
-              f"    ys[i + 1] = ({', '.join(z)})"]
-    loop = _def("loop", ("ys", "n"), LOOP_DOC, lines, "n")
+             "try:",
+             "    for i in range(n):"]
+    lines += ["        " + line for line in step]
+    lines += ["except ValueError:",
+              "    # math.cos or math.sin of an inf stage angle",
+              "    return i"]
 
-    lines = [_unpack(PAR, "p"), _unpack(MAG, "mag"),
-             "controlled = pd is not None", "if controlled:",
-             "    Kp, Kd, tgt = pd"]
-    lines += ["    " + line for line in PD_ARGS.splitlines()]
-    lines += outer + ["h = 0.5 * dt", "w = dt / 6.0", ""] + loop.splitlines()
-    return _def("loop_for", ("p", "variant", "dt", "mag", "pd"),
-                LOOP_FOR_DOC, lines, "loop")
+    args = ("p", "variant", "dt", "mag", "pd")
+    lines_for = [_unpack(PAR, "p"), _unpack(MAG, "mag"),
+                 "controlled = pd is not None", "if controlled:",
+                 "    Kp, Kd, tgt = pd"]
+    lines_for += ["    " + line for line in PD_ARGS.splitlines()]
+    lines_for += ["else:", "    # loop binds them; an uncontrolled run never "
+                  "reads them"]
+    lines_for += ["    " + " = ".join(re.findall(r"\w+", line.split("=")[0]))
+                  + " = 0.0" for line in PD_ARGS.splitlines()]
+    lines_for += outer + ["h = 0.5 * dt", "w = dt / 6.0"]
+    read = _reads(_def("loop", ("ys", "n"), LOOP_DOC, lines, "n"))
+    loop = _def("loop", ("ys", "n", "*", *(f"{x}={x}" for x in sorted(read))),
+                LOOP_DOC, lines, "n")
+    lines = lines_for + [""] + loop.splitlines()
+    return _def("loop_for", args, LOOP_FOR_DOC, lines, "loop")
 
 
 HEADER = '''\
@@ -587,14 +622,17 @@ named and each sine and cosine taken once, the tip geometry and the force
 law under one test of the coupling (p_m grad p_m only where the law reads
 it), (tau - bias - G) + t solved by the Cholesky inline. Its qdd at each
 stage equals the separate calls to the last bit, and the stage inputs and
-the update are those of a list-form RK4. loop writes each new y to the next
-row of ys and returns the number of steps taken: it stops where
-solve_spd4 at some stage would return None, or where the input to stage 2,
-3 or 4 or the new y is not finite.
+the update are those of a list-form RK4. loop reads loop_for's values and
+math's cos, sin, sqrt and inf as keyword-only defaults, locals bound once
+per call. It writes each new y to the next row of ys and returns the
+number of steps taken: it stops where solve_spd4 at some stage would
+return None, or where a stage input or the new y is not finite. Only the
+new y is tested: an inf angle makes math.cos raise ValueError, which loop
+catches and returns as its stop, a NaN angle fails a pivot, and a
+non-finite rate or qdd makes the new y non-finite.
 
 With floats, q and qd are 4-sequences and y is (q, qd); math.sin and
-math.cos raise ValueError on inf, so rollsim._core.deriv tests y first, and
-rollsim._core.run_loop tests ys[0] before it calls loop.
+math.cos raise ValueError on inf, so rollsim._core.deriv tests y first.
 rollsim._core also runs mass_matrix, bias and gravity on equal-length
 columns, with numpy's cos, sin and sqrt bound in place of math's, and masks
 the non-finite columns itself.
