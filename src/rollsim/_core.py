@@ -51,7 +51,8 @@ as the number of steps taken. `loop` tests only the new state: math's cos
 of an inf stage angle raises ValueError, which `loop` catches and returns
 as its stop, a NaN angle fails a pivot, and a non-finite rate or qddot
 makes the new state non-finite. No code on that path raises Python's
-float ** (OverflowError), and no ValueError leaves `loop`.
+float ** (OverflowError), and no ValueError leaves `loop`. That rule is the
+only stop test, also of a non-finite ys[0], from which `loop` takes no step.
 """
 
 import math
@@ -323,21 +324,19 @@ def run_loop(par, mag, ys, dt, pd, variant, sink=None):
     Returns (ys, us, n_done): samples 0..n_done of ys are valid, and us is
     held_inputs of those states, computed after the last chunk; n_done < n
     means the step after n_done produced a non-finite or non-solvable state.
+    A non-finite ys[0] gives n_done 0 by the loop's own stop rule.
     """
     loop = _eom.loop_for(par, variant, dt, mag, pd)
     n = ys.shape[0] - 1
     n_done = 0
-    # no step from a non-finite ys[0]: it is recorded with its input, as a
-    # failed first step
-    if np.isfinite(ys[0]).all():
-        while n_done < n:
-            steps = min(CHUNK_STEPS, n - n_done)
-            taken = loop(ys[n_done:n_done + steps + 1], steps)
-            n_done += taken
-            if sink is not None:
-                sink(n_done + 1)
-            if taken < steps:
-                break
+    while n_done < n:
+        steps = min(CHUNK_STEPS, n - n_done)
+        taken = loop(ys[n_done:n_done + steps + 1], steps)
+        n_done += taken
+        if sink is not None:
+            sink(n_done + 1)
+        if taken < steps:
+            break
     return ys, held_inputs(pd, ys[:n_done + 1]), n_done
 
 

@@ -1,7 +1,9 @@
 """Command-line front end: run, errata and validate.
 
-validate checks M and T, G against a central difference of U for both
-potential variants, and the power balance of a 1 s run.
+validate checks M and T, and G against a central difference of U for both
+potential variants, on 200 states drawn by dynamics.sample_states and
+evaluated as columns, one _core call per check; then the power balance of a
+1 s run.
 
 Exit codes: 0 success, 2 usage, 3 config or unwritable output, 4 numeric
 (truncated run or failed validation check).
@@ -18,10 +20,11 @@ from typing import Optional
 
 import numpy as np
 
+from . import _core
 from .config import ConfigError, UnknownPresetError, load_scenario
-from .dynamics import errata_compare, gravity_vector, mass_matrix
-from .energetics import POTENTIAL_VARIANTS, kinetic_energy, potential_energy
-from .model import RobotParams, State, ValidationError, positive_number
+from .dynamics import errata_compare, sample_states
+from .energetics import POTENTIAL_VARIANTS
+from .model import RobotParams, ValidationError, positive_number
 from .output import write_outputs
 from .simulate import Scenario, Trajectory, reserve, run
 
@@ -225,40 +228,30 @@ def cmd_errata(args) -> int:
     return EXIT_OK
 
 
-def _gravity_fd_error(params: RobotParams, q, variant: str) -> float:
-    """Relative error of G against a central difference of U, h = 1e-5."""
-    h = 1e-5
-    fd = np.empty(4)
-    for k in range(4):
-        dq = np.zeros(4)
-        dq[k] = h
-        fd[k] = (potential_energy(params, State(q=tuple(q + dq)), variant)
-                 - potential_energy(params, State(q=tuple(q - dq)), variant)
-                 ) / (2.0 * h)
-    G = gravity_vector(params, q, variant)
-    return float(np.max(np.abs(G - fd))) / max(1.0, float(np.max(np.abs(fd))))
-
-
 def _validation_checks(params: RobotParams):
-    rng = np.random.default_rng(2024)
-    n = 200
-    qs = rng.uniform(-2 * np.pi, 2 * np.pi, size=(n, 4))
-    qds = rng.uniform(-3.0, 3.0, size=(n, 4))
-
-    asym = 0.0
-    min_eig = np.inf
-    quad_err = 0.0
+    # 200 sampled states as (4, n) columns: one _core call per check and
+    # potential variant
+    q, qd = sample_states(200, 2024)
+    par = params.packed()
+    M = _core.mass_matrix(par, q).transpose(2, 0, 1)  # (n, 4, 4)
+    asym = float(np.max(np.abs(M - M.transpose(0, 2, 1))))
+    min_eig = float(np.min(np.linalg.eigvalsh(M)[:, 0]))
+    t_quad = (0.5 * qd.T[:, None, :] @ M @ qd.T[:, :, None])[:, 0, 0]
+    t_ref = _core.kinetic(par, q, qd)
+    quad_err = float(np.max(np.abs(t_quad - t_ref)
+                            / np.maximum(1.0, np.abs(t_ref))))
+    # G against a central difference of U, h = 1e-5: row k of the (4, 4, n)
+    # stack moves q_k
+    h = 1e-5
+    step = h * np.eye(4)[:, :, None]
     grav_err = 0.0
-    for q, qd in zip(qs, qds):
-        state = State(q=tuple(q), qdot=tuple(qd))
-        M = mass_matrix(params, q)
-        asym = max(asym, float(np.max(np.abs(M - M.T))))
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(M)[0]))
-        t_quad = 0.5 * qd @ M @ qd
-        t_ref = kinetic_energy(params, state)
-        quad_err = max(quad_err, abs(t_quad - t_ref) / max(1.0, abs(t_ref)))
-        grav_err = max(grav_err, *(_gravity_fd_error(params, q, v)
-                                   for v in POTENTIAL_VARIANTS))
+    for variant in (_core.VARIANT_VERBATIM, _core.VARIANT_GEOMETRIC):
+        fd = (_core.potential(par, q[:, None] + step, variant)
+              - _core.potential(par, q[:, None] - step, variant)) / (2.0 * h)
+        G = _core.gravity(par, q, variant)
+        err = (np.max(np.abs(G - fd), axis=0)
+               / np.maximum(1.0, np.max(np.abs(fd), axis=0)))
+        grav_err = max(grav_err, float(np.max(err)))
 
     yield ("mass matrix symmetric", asym < 1e-12, f"max asymmetry {asym:.3e}")
     yield ("mass matrix positive definite", min_eig > 0.0,

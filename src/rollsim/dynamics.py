@@ -265,14 +265,25 @@ def _printed_rp2_y(params, state):
     return -L * np.sin(f1 + f2) - params.r2 * np.cos(f2 + t2)
 
 
+def sample_states(samples: int, seed: int):
+    """(q, qd), each (4, samples): the angles of samples states drawn
+    uniform in [-2pi, 2pi], then their rates uniform in [-3, 3] rad/s, from
+    numpy's default_rng(seed). errata_compare and the CLI's validate draw
+    the states they check here."""
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(-2 * np.pi, 2 * np.pi, size=(samples, 4)).T
+    qd = rng.uniform(-3.0, 3.0, size=(samples, 4)).T
+    return q, qd
+
+
 def errata_compare(params: RobotParams, samples: int = 1000,
                    seed: int = 42) -> ErrataReport:
     """Classify every transcribed term against the energy-derived dynamics.
 
-    Deterministic for a fixed seed: states are drawn once, angles uniform in
-    [-2pi, 2pi], rates uniform in [-3, 3] rad/s. An entry is MATCH when its
-    worst absolute deviation stays below MATCH_REL_TOL relative to the
-    larger of 1 and the entry's magnitude scale.
+    Deterministic for a fixed seed: the states are sample_states(samples,
+    seed), drawn once. An entry is MATCH when its worst absolute deviation
+    stays below MATCH_REL_TOL relative to the larger of 1 and the entry's
+    magnitude scale.
 
     The sampled states are evaluated as columns: one call each to
     printed_terms, the mass matrix, the bias, the gravity vector of each
@@ -281,9 +292,7 @@ def errata_compare(params: RobotParams, samples: int = 1000,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    q = rng.uniform(-2 * np.pi, 2 * np.pi, size=(samples, 4)).T
-    qd = rng.uniform(-3.0, 3.0, size=(samples, 4)).T
+    q, qd = sample_states(samples, seed)
     par = params.packed()
 
     st = State(q=tuple(q), qdot=tuple(qd))
@@ -294,24 +303,21 @@ def errata_compare(params: RobotParams, samples: int = 1000,
     gg = _core.gravity(par, q, _core.VARIANT_GEOMETRIC)
     v = velocities(params, st)
 
-    names_m = [(i, j, f"a_{i + 1}{j + 1}") for i in range(4) for j in range(4)]
-    pairs = {name: (a[i, j], M[i, j]) for i, j, name in names_m}
-    pairs.update({f"x_{i + 1}": (x[i], b[i]) for i in range(4)})
-    pairs.update({f"y_{i + 1}": (y[i], G[i]) for i in range(4)})
-    pairs["Vp2_norm2"] = (_printed_vp2_norm2(params, st), _norm2(v.v_p2))
-    pairs["Vs2_norm2"] = (_printed_vs2_norm2(params, st), _norm2(v.v_s2))
-    pairs["rp2_y"] = (_printed_rp2_y(params, st),
-                      positions(params, st).r_p2[1])
-    pairs["U2_sin_term"] = (np.max(np.abs(G - gg), axis=0), np.zeros(samples))
-
-    group_of = {}
-    for _, _, name in names_m:
-        group_of[name] = "mass"
-    for i in range(4):
-        group_of[f"x_{i + 1}"] = "velocity"
-        group_of[f"y_{i + 1}"] = "gravity"
-    group_of.update(Vp2_norm2="expansion", Vs2_norm2="expansion",
-                    rp2_y="position", U2_sin_term="potential")
+    # (name, group, printed, derived), in the report's order
+    table = [(f"a_{i + 1}{j + 1}", "mass", a[i, j], M[i, j])
+             for i in range(4) for j in range(4)]
+    table += [(f"x_{i + 1}", "velocity", x[i], b[i]) for i in range(4)]
+    table += [(f"y_{i + 1}", "gravity", y[i], G[i]) for i in range(4)]
+    table += [
+        ("Vp2_norm2", "expansion", _printed_vp2_norm2(params, st),
+         _norm2(v.v_p2)),
+        ("Vs2_norm2", "expansion", _printed_vs2_norm2(params, st),
+         _norm2(v.v_s2)),
+        ("rp2_y", "position", _printed_rp2_y(params, st),
+         positions(params, st).r_p2[1]),
+        ("U2_sin_term", "potential", np.max(np.abs(G - gg), axis=0),
+         np.zeros(samples)),
+    ]
     notes_of = {
         "a_13": "transcription lacks the m_p factor of the derived entry",
         "x_1": "carries a spurious (m_p - 1) factor; derived row is "
@@ -330,7 +336,7 @@ def errata_compare(params: RobotParams, samples: int = 1000,
     }
 
     entries = []
-    for name, (printed, derived) in pairs.items():
+    for name, group, printed, derived in table:
         devs = np.abs(printed - derived)
         scale = float(max(np.max(np.abs(printed)), np.max(np.abs(derived))))
         max_dev = float(np.max(devs))
@@ -338,7 +344,7 @@ def errata_compare(params: RobotParams, samples: int = 1000,
                           if max_dev <= MATCH_REL_TOL * max(1.0, scale)
                           else "MISMATCH")
         entries.append(ErrataEntry(
-            name=name, group=group_of[name], classification=classification,
+            name=name, group=group, classification=classification,
             max_abs_dev=max_dev, mean_abs_dev=float(np.mean(devs)),
             scale=scale, note=notes_of.get(name, "")))
     notes = (

@@ -166,14 +166,6 @@ def sample_count(horizon: float, dt: float) -> int:
     return int(np.floor(horizon / dt + _COUNT_EPS)) + 1
 
 
-def _steps(scenario):
-    """The scenario's RK4 step count, n, with n + 1 samples."""
-    # horizon / dt may also overflow to inf
-    if not scenario.horizon / scenario.dt < _MAX_SAMPLES:
-        raise _too_many_samples(scenario, f"over {_MAX_SAMPLES}")
-    return sample_count(scenario.horizon, scenario.dt) - 1
-
-
 def _too_many_samples(scenario, count):
     return ValidationError(
         f"horizon {scenario.horizon!r} s at dt {scenario.dt!r} s needs "
@@ -186,11 +178,14 @@ def reserve(scenario: Scenario):
     first run that the samples of every run fit in memory at once reserves
     them all, and drops a run's reserve just before the run. Raises
     ValidationError when they do not fit."""
-    n = _steps(scenario)
+    # horizon / dt may also overflow to inf
+    if not scenario.horizon / scenario.dt < _MAX_SAMPLES:
+        raise _too_many_samples(scenario, f"over {_MAX_SAMPLES}")
+    count = sample_count(scenario.horizon, scenario.dt)
     try:
-        return np.empty((n + 1, 8))
+        return np.empty((count, 8))
     except MemoryError as exc:
-        raise _too_many_samples(scenario, n + 1) from exc
+        raise _too_many_samples(scenario, count) from exc
 
 
 def _columns(par, variant, pd, e_ref, dt, ys, us, first, V_before):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from rollsim import cli
+from rollsim import _core, cli
 from rollsim.cli import main
 from rollsim.config import load_scenario
 from rollsim.output import format_csv
@@ -353,6 +353,33 @@ def test_validate_reports_a_failed_check(tmp_path, capsys):
     assert code == 4
     assert "FAIL  power balance" in text
     assert text.endswith("1 check(s) failed\n")
+
+
+def _skewed(M):
+    # an antisymmetric change: qd M qd and the spectrum keep their values
+    M[0, 1] += 1e-6
+    M[1, 0] -= 1e-6
+    return M
+
+
+@pytest.mark.parametrize("name,check,broken", [
+    ("mass_matrix", "mass matrix symmetric",
+     lambda f: lambda par, q: _skewed(f(par, q))),
+    ("mass_matrix", "mass matrix positive definite",
+     lambda f: lambda par, q: -f(par, q)),
+    ("kinetic", "kinetic energy quadratic form",
+     lambda f: lambda par, q, qd: f(par, q, qd) * (1.0 + 1e-9)),
+    ("gravity", "gravity vs difference of potential",
+     lambda f: lambda par, q, variant: f(par, q, variant) + 1e-6),
+], ids=["asymmetric", "indefinite", "kinetic", "gravity"])
+def test_validate_fails_each_sampled_state_check(monkeypatch, capsys, name,
+                                                  check, broken):
+    # each check of the sampled states can fail: one _core function broken
+    monkeypatch.setattr(_core, name, broken(getattr(_core, name)))
+    code, text, _ = run_cli(["validate"], capsys)
+    assert code == 4
+    assert f"FAIL  {check}  (" in text
+    assert "PASS  power balance" in text
 
 
 def test_validate_rejects_corrupt_config(tmp_path, capsys):

@@ -296,21 +296,35 @@ def test_a_chunk_stops_at_its_last_step_where_the_new_y_overflows():
             == _core.CHUNK_STEPS - 1)
 
 
-@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def y0_cases():
+    """(par, mag, y0, dt, pd) of freefall, lifting with the tips coupled and
+    balancing with them coupled and not."""
+    for name, coupled in (("freefall", False), ("lifting", True),
+                          ("balancing", True), ("balancing", False)):
+        sc, p, m = load_scenario(name)
+        pd = None if sc.controller is None else sc.controller.packed()
+        yield (p.packed(), replace(m, enabled=coupled).packed(), sc.y0,
+               sc.dt, pd)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_run_loop_takes_no_step_from_a_nonfinite_y0(bad):
-    # run_loop tests y0 once, and records its input; the loop is not
-    # called. Scenario rejects such a y0 before run gets it.
-    sc, p, m = load_scenario("balancing")
-    pd = sc.controller.packed()
-    y0 = list(sc.y0)
-    y0[2] = bad
-    ys, us, n_done = _core.run_loop(p.packed(), m.packed(), samples(y0, 5),
-                                    sc.dt, pd, 0)
-    assert n_done == 0
-    ref_ys, ref_us = list_rk4(p.packed(), m.packed(), y0, 5, sc.dt, pd, 0)
-    np.testing.assert_array_equal(ys[:1], ref_ys)
-    np.testing.assert_array_equal(us[:1], ref_us)
-    assert not np.all(np.isfinite(us[0]))
+    # run_loop has no test of its own for y0: the loop's stop rule takes no
+    # step from it (an inf angle raises in math.cos, a NaN angle fails the
+    # d22 pivot, a non-finite rate makes the new y non-finite), and y0 is
+    # recorded with its input. Scenario rejects such a y0 before run gets it.
+    for par, mag, y0, dt, pd in y0_cases():
+        for variant in (_core.VARIANT_VERBATIM, _core.VARIANT_GEOMETRIC):
+            for k in range(8):
+                y = list(y0)
+                y[k] = bad
+                rows = []
+                ys, us, n_done = _core.run_loop(par, mag, samples(y, 5), dt,
+                                                pd, variant, rows.append)
+                assert (n_done, rows) == (0, [1])
+                ref_ys, ref_us = list_rk4(par, mag, y, 5, dt, pd, variant)
+                assert ys[:1].tobytes() == np.array(ref_ys).tobytes()
+                assert us.tobytes() == np.array(ref_us).tobytes()
 
 
 def test_sample_count_real_arithmetic():
