@@ -5,6 +5,9 @@ potential variants, on 200 states drawn by dynamics.sample_states and
 evaluated as columns, one _core call per check; then the power balance of a
 1 s run.
 
+main builds its argparse parser once per process and reuses it for every
+later in-process call.
+
 Exit codes: 0 success, 2 usage, 3 config or unwritable output, 4 numeric
 (truncated run or failed validation check).
 """
@@ -12,6 +15,7 @@ Exit codes: 0 success, 2 usage, 3 config or unwritable output, 4 numeric
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -103,7 +107,10 @@ def _positive(text):
     return v
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parse_args keeps no state between calls, so
+    # each in-process main call parses into a fresh namespace
     parser = argparse.ArgumentParser(
         prog="rollsim",
         description="Simulate the two-module pendulum-driven rolling robot.")

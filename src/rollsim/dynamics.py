@@ -111,24 +111,28 @@ def printed_terms(params: RobotParams, state: State):
     s34 = np.sin(f1 + f2)
     c42 = np.cos(f2 + t2)
     s42 = np.sin(f2 + t2)
+    # cd32 and sd32 take f1 - t2, the difference
+    c32 = np.cos(f1 + t2)
+    cd32 = np.cos(f1 - t2)
+    sd32 = np.sin(f1 - t2)
 
     shape = np.broadcast(*state.q, *state.qdot).shape
     a = np.zeros((4, 4) + shape)
     a[0, 0] = mp_ * r1 ** 2 + Ip
     a[0, 2] = r1 ** 2 + R1 * r1 * c31
     a[1, 1] = mp_ * r2 ** 2 + Ip
-    a[1, 2] = mp_ * (r2 + np.cos(f1 + t2) + L * r2 * c34 * np.cos(f1 + t2))
-    a[1, 3] = mp_ * L * r2 * c34 * np.cos(f1 + t2)
+    a[1, 2] = mp_ * (r2 + c32 + L * r2 * c34 * c32)
+    a[1, 3] = mp_ * L * r2 * c34 * c32
     a[2, 0] = mp_ * (R1 * r1 * c31 - R1 * L * c34) + ms_ * (R1 * L * c34)
     a[2, 1] = mp_ * L * r2 * (c42 - s34) - ms_ * R1 * L * s34
     a[2, 2] = ms_ * R1 ** 2 + Is + mp_ * (2 * R1 ** 2 + L ** 2 + R1 * L * c34)
-    a[2, 3] = (mp_ * (L * r2 * c34 - L * np.cos(f1 - t2))
+    a[2, 3] = (mp_ * (L * r2 * c34 - L * cd32)
                + ms_ * (L ** 2 + R1 * L) * c34)
-    a[3, 1] = mp_ * r2 ** 2 + mp_ * L * r2 * c34 * np.cos(f1 - t2)
+    a[3, 1] = mp_ * r2 ** 2 + mp_ * L * r2 * c34 * cd32
     a[3, 2] = ((mp_ + ms_) * L ** 2 + mp_ * R1 * L * c34
-               + mp_ * L * r2 * c34 * np.cos(f1 - t2))
+               + mp_ * L * r2 * c34 * cd32)
     a[3, 3] = ((mp_ + ms_) * L ** 2 + mp_ * r2 ** 2 + Is
-               + mp_ * L * r2 * c34 * np.cos(f1 - t2))
+               + mp_ * L * r2 * c34 * cd32)
 
     x = np.zeros((4,) + shape)
     x[0] = R1 * r1 * s31 * ((mp_ - 1.0) * df1 * (df1 + dt1)) + d[0] * dt1
@@ -136,12 +140,11 @@ def printed_terms(params: RobotParams, state: State):
                     + L * r2 * np.square(df1 + df2) * np.sin(2 * f1 + f2 + t2))
             + d[1] * dt2
             - mp_ * (df1 * R1 * r1 * (df2 + dt2) * s42
-                     + (df1 + df2) * (df2 + dt2) * L * np.sin(f1 - t2)))
+                     + (df1 + df2) * (df2 + dt2) * L * sd32))
     x[2] = (-R1 * r1 * s31 * np.square(df1 + dt1)
             + mp_ * R1 * r1 * s31 * (np.square(df1) + df1 * dt1)
             - mp_ * (df1 + df2) * L * r2 * (df2 + dt2) * np.sin(2 * f1 + f2 - t2)
-            - L * r2 * (np.square(df1 + df2) * (df2 + dt2) * np.sin(f1 - t2)
-                        * c34)
+            - L * r2 * (np.square(df1 + df2) * (df2 + dt2) * sd32 * c34)
             + ms_ * R1 * L * s34 * (np.square(df1) + df1 * df2)
             + d[2] * df1)
     x[3] = (-(mp_ + ms_) * R1 * L * s34 * (np.square(df1) + df1 * df2)
@@ -149,7 +152,7 @@ def printed_terms(params: RobotParams, state: State):
             - mp_ * R1 * r2 * s42 * (df1 + df2) * df1
             + mp_ * R1 * L * df1 * (df1 + df2) * s34
             + mp_ * R1 * r2 * df1 * (df2 + dt2) * s42
-            - mp_ * L * r2 * (df2 + dt2) * (df1 + df2) * np.cos(f1 - t2) * s34
+            - mp_ * L * r2 * (df2 + dt2) * (df1 + df2) * cd32 * s34
             + d[2] * df1)
 
     y = np.zeros((4,) + shape)
@@ -289,6 +292,9 @@ def errata_compare(params: RobotParams, samples: int = 1000,
     printed_terms, the mass matrix, the bias, the gravity vector of each
     potential variant, velocities and positions. Each column equals the
     call on its state alone, so the report does not depend on the batching.
+    The 28 entries reduce in four row blocks, one abs-difference, max, mean
+    and scale per block along the sample axis; each row's figures equal
+    the per-entry reductions to the bit.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -303,21 +309,23 @@ def errata_compare(params: RobotParams, samples: int = 1000,
     gg = _core.gravity(par, q, _core.VARIANT_GEOMETRIC)
     v = velocities(params, st)
 
-    # (name, group, printed, derived), in the report's order
-    table = [(f"a_{i + 1}{j + 1}", "mass", a[i, j], M[i, j])
-             for i in range(4) for j in range(4)]
-    table += [(f"x_{i + 1}", "velocity", x[i], b[i]) for i in range(4)]
-    table += [(f"y_{i + 1}", "gravity", y[i], G[i]) for i in range(4)]
-    table += [
-        ("Vp2_norm2", "expansion", _printed_vp2_norm2(params, st),
-         _norm2(v.v_p2)),
-        ("Vs2_norm2", "expansion", _printed_vs2_norm2(params, st),
-         _norm2(v.v_s2)),
-        ("rp2_y", "position", _printed_rp2_y(params, st),
-         positions(params, st).r_p2[1]),
-        ("U2_sin_term", "potential", np.max(np.abs(G - gg), axis=0),
-         np.zeros(samples)),
-    ]
+    # the entries' labels in the report's order, then their (printed,
+    # derived) rows as four blocks in that order: a against M as (16, n)
+    # views, x against b, y against G and the four expansion rows stacked
+    labels = [(f"a_{i + 1}{j + 1}", "mass")
+              for i in range(4) for j in range(4)]
+    labels += [(f"x_{i + 1}", "velocity") for i in range(4)]
+    labels += [(f"y_{i + 1}", "gravity") for i in range(4)]
+    labels += [("Vp2_norm2", "expansion"), ("Vs2_norm2", "expansion"),
+               ("rp2_y", "position"), ("U2_sin_term", "potential")]
+    expansion = (np.stack([_printed_vp2_norm2(params, st),
+                           _printed_vs2_norm2(params, st),
+                           _printed_rp2_y(params, st),
+                           np.max(np.abs(G - gg), axis=0)]),
+                 np.stack([_norm2(v.v_p2), _norm2(v.v_s2),
+                           positions(params, st).r_p2[1], np.zeros(samples)]))
+    blocks = [(a.reshape(16, samples), M.reshape(16, samples)), (x, b),
+              (y, G), expansion]
     notes_of = {
         "a_13": "transcription lacks the m_p factor of the derived entry",
         "x_1": "carries a spurious (m_p - 1) factor; derived row is "
@@ -335,18 +343,24 @@ def errata_compare(params: RobotParams, samples: int = 1000,
                      "factor",
     }
 
-    entries = []
-    for name, group, printed, derived in table:
+    # each row's max, mean and scale reduce along axis 1: a contiguous row
+    # sums pairwise, as np.mean of that row alone does
+    stats = []
+    for printed, derived in blocks:
         devs = np.abs(printed - derived)
-        scale = float(max(np.max(np.abs(printed)), np.max(np.abs(derived))))
-        max_dev = float(np.max(devs))
+        scale = np.maximum(np.max(np.abs(printed), axis=1),
+                           np.max(np.abs(derived), axis=1))
+        stats += zip(np.max(devs, axis=1).tolist(),
+                     np.mean(devs, axis=1).tolist(), scale.tolist())
+    entries = []
+    for (name, group), (max_dev, mean_dev, scale) in zip(labels, stats):
         classification = ("MATCH"
                           if max_dev <= MATCH_REL_TOL * max(1.0, scale)
                           else "MISMATCH")
         entries.append(ErrataEntry(
             name=name, group=group, classification=classification,
-            max_abs_dev=max_dev, mean_abs_dev=float(np.mean(devs)),
-            scale=scale, note=notes_of.get(name, "")))
+            max_abs_dev=max_dev, mean_abs_dev=mean_dev, scale=scale,
+            note=notes_of.get(name, "")))
     notes = (
         "Lyapunov monitor keeps the derivative-gain quadratic without the "
         "1/2 factor, matching the transcribed composite function.",

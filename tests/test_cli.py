@@ -268,6 +268,35 @@ def test_errata_deterministic_files(tmp_path, capsys):
     assert j1["entries"][0]["name"] == "a_11"
 
 
+def test_in_process_calls_stay_independent(tmp_path, capsys):
+    # main builds one parser per process; no option, default or error of
+    # one call reaches the next
+    assert cli._build_parser() is cli._build_parser()
+    out = tmp_path / "ff.csv"
+    rows = []
+    for dt in (["--dt", "2e-3"], []):
+        code, _, _ = run_cli(["run", "freefall", *dt, "--horizon", "0.01",
+                              "--out", str(out)], capsys)
+        assert code == 0
+        rows.append(len(out.read_text().splitlines()) - 1)
+    assert rows == [6, 11]
+
+    seeds = []
+    for name, seed in (("seven", ["--seed", "7"]), ("default", [])):
+        code, _, _ = run_cli(["errata", *seed, "--out", str(tmp_path / name)],
+                             capsys)
+        assert code == 0
+        report = json.loads((tmp_path / name / "errata.json").read_text())
+        seeds.append(report["seed"])
+    assert seeds == [7, 42]
+
+    code, _, err = run_cli(["run", "freefall", "--dt", "-1"], capsys)
+    assert code == 2 and "must be positive" in err
+    code, _, _ = run_cli(["run", "freefall", "--horizon", "0.01", "--out",
+                          str(out)], capsys)
+    assert code == 0
+
+
 def test_errata_rejects_zero_samples(capsys):
     code, _, _ = run_cli(["errata", "--samples", "0"], capsys)
     assert code == 2

@@ -1,3 +1,4 @@
+import math
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -146,6 +147,27 @@ def test_printed_terms_reference_values():
     assert a[0, 0] == pytest.approx(mass_matrix(P, np.zeros(4))[0, 0], abs=1e-15)
     assert x.shape == (4,) and y.shape == (4,)
 
+    # a state where f1 + t2 and f1 - t2 differ: the entries that read
+    # cos(f1 + t2), cos(f1 - t2) and sin(f1 - t2), as printed, written out
+    t1, t2, f1, f2 = 0.3, 0.7, 1.1, -0.4
+    dt1, dt2, df1, df2 = 0.5, -0.2, 0.9, 1.3
+    a, x, _ = printed_terms(P, State(q=(t1, t2, f1, f2),
+                                     qdot=(dt1, dt2, df1, df2)))
+    mp, r1, r2, R1 = P.m_p, P.r1, P.r2, P.R1
+    L = P.R1 + P.R2
+    c34 = math.cos(f1 + f2)
+    a23 = mp * (r2 + math.cos(f1 + t2)
+                + L * r2 * c34 * math.cos(f1 + t2))
+    a42 = mp * r2 ** 2 + mp * L * r2 * c34 * math.cos(f1 - t2)
+    x2 = (-mp * (df1 * math.sin(f1 + t2) * (df1 + dt2)
+                 + L * r2 * (df1 + df2) ** 2 * math.sin(2 * f1 + f2 + t2))
+          + P.delta[1] * dt2
+          - mp * (df1 * R1 * r1 * (df2 + dt2) * math.sin(f2 + t2)
+                  + (df1 + df2) * (df2 + dt2) * L * math.sin(f1 - t2)))
+    assert a[1, 2] == pytest.approx(a23, rel=1e-12)
+    assert a[3, 1] == pytest.approx(a42, rel=1e-12)
+    assert x[1] == pytest.approx(x2, rel=1e-12)
+
 
 def test_errata_expected_classifications():
     rep = errata_compare(P, samples=300, seed=42)
@@ -240,7 +262,7 @@ def per_state_errata(params, samples, seed):
 
 
 @pytest.mark.parametrize("seed", [42, 7])
-@pytest.mark.parametrize("samples", [1, 10, 1000])
+@pytest.mark.parametrize("samples", [1, 10, 257, 1000])
 def test_errata_on_columns_equals_the_per_state_loop(samples, seed):
     rep = errata_compare(P, samples=samples, seed=seed)
     oracle = per_state_errata(P, samples, seed)
