@@ -176,8 +176,9 @@ def cmd_run(args) -> int:
     outs = [_out_path(args, name, several) for name in names]
     for out in outs:
         # the script is written next to the CSV, and names it in a comment
-        # line and in its plot commands
-        if out.with_suffix(".gp") == out or not out.name.isprintable():
+        # line and in its plot commands; x.GP and x.gp are one file where
+        # names ignore case
+        if out.suffix.lower() == ".gp" or not out.name.isprintable():
             print(f"usage error: --out {str(out)!r} must be a printable file "
                   "name that does not end in .gp", file=sys.stderr)
             return EXIT_USAGE

@@ -229,43 +229,33 @@ class ErrataReport:
         }, indent=2) + "\n"
 
 
-def _printed_vp2_norm2(params, state):
-    # transcribed |V_p2|^2 expansion; its final cross term carries an extra
-    # cos(phi1+phi2) factor relative to the expansion of the velocity vector
+def _printed_expansion(params, state):
+    """The transcribed expansion rows (|V_p2|^2, |V_s2|^2, r_p2's y), each
+    sine and cosine taken once. |V_p2|^2's final cross term carries an extra
+    cos(phi1+phi2) factor relative to the expansion of the velocity vector.
+    |V_s2|^2's bracketing in the source is broken; grouping adopted:
+    [R1^2 + L^2 + 2 R1 L cos] dphi1^2 + [L^2 + r2^2] dphi2^2
+    + 2 L r2 cos(phi2+theta2) dphi1 dphi2. r_p2's y is as printed: sin where
+    the vector composition forces cos."""
     r2, R1 = params.r2, params.R1
     L = params.R1 + params.R2
     t2, f1, f2 = state.q[1], state.q[2], state.q[3]
     dt2, df1, df2 = state.qdot[1], state.qdot[2], state.qdot[3]
-    return (np.square(df1) * R1 ** 2 + np.square(df1 + df2) * L ** 2
-            + r2 ** 2 * np.square(df2 + dt2)
-            + 2 * df1 * R1 * (df1 + df2) * L * np.cos(f1 + f2)
-            + 2 * df1 * R1 * r2 * (df2 + dt2) * np.cos(f2 + t2)
-            + 2 * (df1 + df2) * L * r2 * (df2 + dt2)
-            * np.cos(f1 + f2) * np.cos(f1 - t2))
-
-
-def _printed_vs2_norm2(params, state):
-    # transcribed |V_s2|^2; bracketing in the source is broken, grouping
-    # adopted: [R1^2 + L^2 + 2 R1 L cos] dphi1^2 + [L^2 + r2^2] dphi2^2
-    # + 2 L r2 cos(phi2+theta2) dphi1 dphi2
-    r2, R1 = params.r2, params.R1
-    L = params.R1 + params.R2
-    t2, f1, f2 = state.q[1], state.q[2], state.q[3]
-    df1, df2 = state.qdot[2], state.qdot[3]
-    return ((R1 ** 2 + L ** 2 + 2 * R1 * L * np.cos(f1 + f2)) * np.square(df1)
-            + (L ** 2 + r2 ** 2) * np.square(df2)
-            + 2 * L * r2 * np.cos(f2 + t2) * df1 * df2)
+    c34, s34 = np.cos(f1 + f2), np.sin(f1 + f2)
+    c42, cd32 = np.cos(f2 + t2), np.cos(f1 - t2)
+    vp2 = (np.square(df1) * R1 ** 2 + np.square(df1 + df2) * L ** 2
+           + r2 ** 2 * np.square(df2 + dt2)
+           + 2 * df1 * R1 * (df1 + df2) * L * c34
+           + 2 * df1 * R1 * r2 * (df2 + dt2) * c42
+           + 2 * (df1 + df2) * L * r2 * (df2 + dt2) * c34 * cd32)
+    vs2 = ((R1 ** 2 + L ** 2 + 2 * R1 * L * c34) * np.square(df1)
+           + (L ** 2 + r2 ** 2) * np.square(df2)
+           + 2 * L * r2 * c42 * df1 * df2)
+    return vp2, vs2, -L * s34 - r2 * c42
 
 
 def _norm2(v):
     return np.square(v[0]) + np.square(v[1])
-
-
-def _printed_rp2_y(params, state):
-    # position row as printed: sin where the vector composition forces cos
-    L = params.R1 + params.R2
-    t2, f1, f2 = state.q[1], state.q[2], state.q[3]
-    return -L * np.sin(f1 + f2) - params.r2 * np.cos(f2 + t2)
 
 
 def sample_states(samples: int, seed: int):
@@ -318,9 +308,7 @@ def errata_compare(params: RobotParams, samples: int = 1000,
     labels += [(f"y_{i + 1}", "gravity") for i in range(4)]
     labels += [("Vp2_norm2", "expansion"), ("Vs2_norm2", "expansion"),
                ("rp2_y", "position"), ("U2_sin_term", "potential")]
-    expansion = (np.stack([_printed_vp2_norm2(params, st),
-                           _printed_vs2_norm2(params, st),
-                           _printed_rp2_y(params, st),
+    expansion = (np.stack([*_printed_expansion(params, st),
                            np.max(np.abs(G - gg), axis=0)]),
                  np.stack([_norm2(v.v_p2), _norm2(v.v_s2),
                            positions(params, st).r_p2[1], np.zeros(samples)]))

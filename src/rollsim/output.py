@@ -15,11 +15,11 @@ the file when it is made, before the loop's first step; where os.fork
 exists, more than one CPU is usable, only one thread runs and the run has
 two blocks, it then forks a child that alone writes the file from then on.
 One pipe carries each chunk's rows to the child as soon as they are final;
-the child cuts them into blocks, computes each block's columns, formats and
-writes them, and after closing the file sends one byte down a second pipe.
-Unless that byte comes with every row sent, the caller writes the whole
-file from the trajectory with write_csv once the child is reaped, so one
-process writes the file at a time; the bytes are the same.
+the child cuts them into blocks, computes the Trajectory of each block,
+formats and writes it, and after closing the file sends one byte down a
+second pipe. Unless that byte comes with every row sent, the caller writes
+the whole file from the trajectory with write_csv once the child is
+reaped, so one process writes the file at a time; the bytes are the same.
 """
 
 from __future__ import annotations
@@ -47,10 +47,9 @@ _HEADER = ",".join(CSV_COLUMNS) + "\n"
 # the bytes of one sample's state, 8 doubles, down the rows pipe
 _STATE_BYTES = 64
 
-_V = CSV_COLUMNS.index("V")
-
 
 def _columns(traj):
+    """traj's arrays in CSV_COLUMNS order, the one map of field to column."""
     return (traj.t, *traj.y.T, *traj.u.T,
             traj.T, traj.U, traj.E, traj.P, traj.V, traj.Vdot,
             traj.height, traj.p_m)
@@ -97,23 +96,24 @@ def _two_processes(nblocks):
     return cpus > 1
 
 
-def _format_blocks(rows_in, fh, columns):
+def _format_blocks(rows_in, fh, samples):
     """The child's work: write the header to fh, then the text of each block
     whose states rows_in carries as doubles. Rows come in chunks of any
     size; each read waits for one whole block, and the short last read is
-    the partial block. Returns when rows_in ends, and raises when it ends
-    inside a sample."""
+    the partial block. samples(rows, first, before) is the Trajectory of
+    the block's samples first, first + 1, ..., given the Trajectory of the
+    block before it (None for the first block). Returns when rows_in ends,
+    and raises when it ends inside a sample."""
     fh.write(_HEADER.encode("ascii"))
-    first, V_before = 0, np.nan
+    first, before = 0, None
     while data := rows_in.read(_BLOCK_ROWS * _STATE_BYTES):
         rows = np.frombuffer(data).reshape(-1, 8)
-        cols = columns(rows, first, V_before)
-        fh.write(_block(cols, 0).encode("ascii"))
-        first += rows.shape[0]
-        V_before = cols[_V][-1]
+        block = samples(rows, first, before)
+        fh.write(_block(_columns(block), 0).encode("ascii"))
+        first, before = first + rows.shape[0], block
 
 
-def _fork_writer(fh, columns):
+def _fork_writer(fh, samples):
     """(pid, rows pipe, done pipe) of a forked child, or None if a pipe or
     the fork fails. The child runs _format_blocks from the rows pipe to fh,
     closes fh, writes one byte down the done pipe and exits; it exits at
@@ -134,7 +134,7 @@ def _fork_writer(fh, columns):
             # caller closes it
             os.close(rows_w)
             with open(rows_r, "rb") as rows_in, fh:
-                _format_blocks(rows_in, fh, columns)
+                _format_blocks(rows_in, fh, samples)
             os.write(done_w, b"\0")
         finally:
             os._exit(0)
@@ -148,9 +148,10 @@ class CsvStream:
 
     ys is the run's (n + 1, 8) state array, allocated before the loop;
     its row count decides with _two_processes whether a child is forked.
-    columns(rows, first, V_before) gives the CSV's columns of the samples
-    first, first + 1, ... whose states are rows, with V_before the V of
-    sample first - 1 (NaN at the first sample). The constructor opens the
+    samples(rows, first, before) gives the Trajectory of the samples first,
+    first + 1, ... whose states are rows, where before is the Trajectory
+    that samples gave for the block before (None for the first block); the
+    child formats it with the CSV's columns. The constructor opens the
     file on every path, so an unwritable path fails before the first step,
     then forks the child, which owns the file from then on. After each chunk
     of the loop, send(rows) sends the child every row of ys up to rows that
@@ -162,13 +163,13 @@ class CsvStream:
     exception between the constructor and finish must reach.
     """
 
-    def __init__(self, path, ys, columns):
+    def __init__(self, path, ys, samples):
         self.path, self.ys = Path(path), ys
         self.child = None
         self.sent = 0  # rows
         with self.path.open("wb") as fh:
             if _two_processes(-(-ys.shape[0] // _BLOCK_ROWS)):
-                self.child = _fork_writer(fh, columns)
+                self.child = _fork_writer(fh, samples)
 
     def send(self, rows):
         """Send the child the rows of ys from the first unsent one to rows."""

@@ -9,10 +9,12 @@ same _core functions that the public functions (pd_control,
 kinetic_energy, potential_energy, dissipation, lyapunov, disk2_height,
 separation) call, applied once to the columns of the recorded states;
 generalized_torque maps a recorded input pair to its generalized force.
-One function, _columns, computes these columns for any run of samples:
-run applies it to the whole run, and with a CSV path the child that
-output.CsvStream forks applies it to each 256-row block as soon as the
-loop has finished the block, and writes the block's text.
+One function, _samples, computes these for any run of samples as a
+Trajectory with no events: run applies it to the whole run, and with a
+CSV path the child that output.CsvStream forks applies it to each 256-row
+block as soon as the loop has finished the block, passing the Trajectory
+of the block before for Vdot's first difference, and writes the block's
+text.
 Events are detected on the recorded samples after integration, strictly
 edge-triggered: a sample already inside a condition at t = 0 fires nothing
 until the condition is left and re-entered. A run cut short by a
@@ -131,10 +133,12 @@ class Event:
 
 @dataclass
 class Trajectory:
-    """Recorded run: one row per sample plus the event log.
+    """Recorded samples, one row each, plus the event log: a whole run, or
+    one CSV block of a run with no events.
 
     All arrays share the first axis. V and Vdot are NaN for controller-less
-    runs; Vdot, the backward difference of V, is NaN at the first sample.
+    runs; Vdot, the backward difference of V, is NaN at the run's first
+    sample.
     u holds the (u1, u2) pairs, zero when no controller is attached, and
     model.generalized_torque maps a row to the generalized force.
 
@@ -188,13 +192,13 @@ def reserve(scenario: Scenario):
         raise _too_many_samples(scenario, count) from exc
 
 
-def _columns(par, variant, pd, e_ref, dt, ys, us, first, V_before):
-    """The CSV's columns of the samples first, first + 1, ..., whose states
-    are the rows of ys and whose inputs are the rows of us: t, the 8 of y,
-    u1, u2, T, U, E, P, V, Vdot, disk-2 height and p_m. V_before is the V of
-    sample first - 1, NaN at the first sample. Every column is elementwise
-    in the samples, and Vdot takes the V before, so the columns of a block
-    of samples equal, to the bit, the same rows of the whole run's."""
+def _samples(name, par, variant, pd, e_ref, dt, ys, us, first, before):
+    """The Trajectory, with no events, of the samples first, first + 1, ...
+    whose states are the rows of ys and whose inputs are the rows of us.
+    before is the Trajectory of the samples just before first, None at the
+    first sample: Vdot takes its last V. Every field is elementwise in the
+    samples, so a block's Trajectory equals, to the bit, the same rows of
+    the whole run's."""
     cols = ys.T  # the state sequence y, one array per component
     t = np.arange(first, first + ys.shape[0]) * dt
     height = _core.disk2_height(par, cols)
@@ -209,8 +213,10 @@ def _columns(par, variant, pd, e_ref, dt, ys, us, first, V_before):
         p_m = _core.pm_batch(par, cols)
         if pd is not None:
             V = _core.lyapunov(*pd, cols, T + U - e_ref)
-            Vdot = np.diff(V, prepend=V_before) / dt
-    return (t, *cols, *us.T, T, U, T + U, P, V, Vdot, height, p_m)
+            Vdot = np.diff(V, prepend=np.nan if before is None
+                           else before.V[-1]) / dt
+    return Trajectory(scenario_name=name, t=t, y=ys, u=us, T=T, U=U,
+                      E=T + U, P=P, V=V, Vdot=Vdot, height=height, p_m=p_m)
 
 
 def run(scenario: Scenario, params: Optional[RobotParams] = None,
@@ -246,16 +252,16 @@ def run(scenario: Scenario, params: Optional[RobotParams] = None,
         params, ctrl.setpoints, scenario.potential)
     dt = scenario.dt
 
-    def columns(ys, first, V_before):
-        """The child's columns of a CSV block, inputs included."""
-        return _columns(par, variant, pd, e_ref, dt, ys,
-                        _core.held_inputs(pd, ys), first, V_before)
+    def samples(ys, first, before):
+        """The child's Trajectory of a CSV block, inputs included."""
+        return _samples(scenario.name, par, variant, pd, e_ref, dt, ys,
+                        _core.held_inputs(pd, ys), first, before)
 
     ys = reserve(scenario)
     ys[0] = scenario.y0
     n = ys.shape[0] - 1
     # a run refused for its size has raised by now, so it leaves no file
-    stream = None if csv is None else CsvStream(csv, ys, columns)
+    stream = None if csv is None else CsvStream(csv, ys, samples)
     try:
         ys, us, n_done = _core.run_loop(
             par, mag.packed(), ys, dt, pd, variant,
@@ -263,18 +269,16 @@ def run(scenario: Scenario, params: Optional[RobotParams] = None,
         ys = ys[:n_done + 1]
         if stream is not None:
             stream.end()
-        t, *_, T, U, E, P, V, Vdot, height, p_m = _columns(
-            par, variant, pd, e_ref, dt, ys, us, 0, np.nan)
-        truncated = n_done < n
-        events = _detect_all(params, mag, t, ys, height, p_m)
-        if truncated:
-            events.append(Event(kind=NON_FINITE_STATE, time=float(t[-1]),
-                                state=tuple(ys[-1]),
-                                details="integration aborted after this "
-                                "sample"))
-        traj = Trajectory(scenario_name=scenario.name, t=t, y=ys, u=us, T=T,
-                          U=U, E=E, P=P, V=V, Vdot=Vdot, height=height,
-                          p_m=p_m, events=events, truncated=truncated)
+        traj = _samples(scenario.name, par, variant, pd, e_ref, dt, ys, us,
+                        0, None)
+        traj.events = _detect_all(params, mag, traj.t, ys, traj.height,
+                                  traj.p_m)
+        traj.truncated = n_done < n
+        if traj.truncated:
+            traj.events.append(Event(
+                kind=NON_FINITE_STATE, time=float(traj.t[-1]),
+                state=tuple(ys[-1]),
+                details="integration aborted after this sample"))
         if stream is not None:
             stream.finish(traj)
     finally:

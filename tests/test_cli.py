@@ -241,9 +241,11 @@ def test_run_refused_for_a_later_scenario_writes_nothing(tmp_path, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.yaml"]
 
 
-@pytest.mark.parametrize("name", ["res.gp", "a\nb.csv", "tab\t.csv"])
+@pytest.mark.parametrize("name", ["res.gp", "res.GP", "a\nb.csv",
+                                  "tab\t.csv"])
 def test_run_refuses_an_out_the_script_would_break(tmp_path, capsys, name):
-    # res.gp: the script would overwrite the CSV; a newline would end the
+    # res.gp: the script would overwrite the CSV, and so would res.gp next
+    # to res.GP where file names ignore case; a newline would end the
     # script's comment line early and split its plot commands
     out = tmp_path / name
     code, text, err = run_cli(["run", "freefall", "--horizon", "0.01",

@@ -235,12 +235,10 @@ def per_state_errata(params, samples, seed):
             acc[f"x_{i + 1}"].append((x[i], b[i]))
             acc[f"y_{i + 1}"].append((y[i], G[i]))
         v = velocities(params, st)
-        acc["Vp2_norm2"].append((dynamics._printed_vp2_norm2(params, st),
-                                 dynamics._norm2(v.v_p2)))
-        acc["Vs2_norm2"].append((dynamics._printed_vs2_norm2(params, st),
-                                 dynamics._norm2(v.v_s2)))
-        acc["rp2_y"].append((dynamics._printed_rp2_y(params, st),
-                             positions(params, st).r_p2[1]))
+        vp2, vs2, rp2_y = dynamics._printed_expansion(params, st)
+        acc["Vp2_norm2"].append((vp2, dynamics._norm2(v.v_p2)))
+        acc["Vs2_norm2"].append((vs2, dynamics._norm2(v.v_s2)))
+        acc["rp2_y"].append((rp2_y, positions(params, st).r_p2[1]))
         gg = np.array(_eom.gravity(par, q, 1))
         acc["U2_sin_term"].append((float(np.max(np.abs(G - gg))), 0.0))
 

@@ -59,6 +59,36 @@ def test_round_trip_exact(freefall_short, tmp_path):
     assert np.all(np.isnan(cols["V"]))
 
 
+# the Trajectory field of each CSV column, written out here rather than
+# taken from output, whose order it checks
+STATE_COLUMNS = ("theta1", "theta2", "phi1", "phi2",
+                 "dtheta1", "dtheta2", "dphi1", "dphi2")
+
+
+def field_of(traj, name):
+    if name in STATE_COLUMNS:
+        return traj.y[:, STATE_COLUMNS.index(name)]
+    if name in ("u1", "u2"):
+        return traj.u[:, ("u1", "u2").index(name)]
+    return getattr(traj, "height" if name == "disk2_height" else name)
+
+
+@pytest.fixture(scope="module")
+def lifting_csv(tmp_path_factory):
+    """A controlled run's Trajectory and the columns of the CSV that run
+    wrote while it ran."""
+    sc, p, m = load_scenario("lifting")
+    path = tmp_path_factory.mktemp("lifting") / "lifting.csv"
+    traj = run(replace(sc, horizon=0.3), p, m, path)
+    return traj, load_csv(path)
+
+
+@pytest.mark.parametrize("name", CSV_COLUMNS)
+def test_every_column_round_trips_by_name(lifting_csv, name):
+    traj, cols = lifting_csv
+    assert np.array_equal(cols[name], field_of(traj, name), equal_nan=True)
+
+
 def test_summary_recomputable_from_csv(freefall_short, tmp_path):
     path = tmp_path / "t.csv"
     write_csv(freefall_short, path)
@@ -140,12 +170,11 @@ def test_format_csv_bytes_for_special_values():
         assert token in text.replace("\n", ",").split(","), token
 
 
-def first_rows(traj, n):
-    """The CSV's columns of traj cut to their first n rows."""
-    return SimpleNamespace(t=traj.t[:n], y=traj.y[:n], u=traj.u[:n],
-                           T=traj.T[:n], U=traj.U[:n], E=traj.E[:n],
-                           P=traj.P[:n], V=traj.V[:n], Vdot=traj.Vdot[:n],
-                           height=traj.height[:n], p_m=traj.p_m[:n])
+def first_rows(traj, n, start=0):
+    """traj's samples start, start + 1, ..., n - 1, with no events."""
+    arrays = {f.name: getattr(traj, f.name) for f in fields(traj)}
+    return replace(traj, events=[], **{k: a[start:n] for k, a in arrays.items()
+                                       if isinstance(a, np.ndarray)})
 
 
 @pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS,
@@ -227,17 +256,16 @@ def forks(monkeypatch):
 
 def stream_rows(traj, path):
     """traj's CSV through a CsvStream, fed as run feeds it: after each chunk
-    of the loop the rows so far, then all of them. The child's columns are
-    traj's, with y taken from the rows it receives."""
-    cols = output._columns(traj)
+    of the loop the rows so far, then all of them. The child's Trajectory
+    of a block is traj's rows of it, with y the rows it receives."""
     n = traj.t.shape[0]
 
-    def columns(rows, first, V_before):
-        block = [c[first:first + rows.shape[0]] for c in cols]
-        block[1:9] = rows.T
+    def samples(rows, first, before):
+        block = first_rows(traj, first + rows.shape[0], first)
+        block.y = rows
         return block
 
-    stream = output.CsvStream(path, traj.y, columns)
+    stream = output.CsvStream(path, traj.y, samples)
     try:
         for rows in range(_core.CHUNK_STEPS + 1, n, _core.CHUNK_STEPS):
             stream.send(rows)
@@ -670,12 +698,12 @@ def test_a_failed_file_write_reaches_the_caller(freefall_full, tmp_path,
 def test_a_rows_stream_cut_inside_a_sample_is_refused(freefall_full,
                                                      tmp_path, monkeypatch,
                                                      forks, deadline):
-    def zeros(rows, first, V_before):
-        return [np.zeros(rows.shape[0])] * len(CSV_COLUMNS)
+    def samples(rows, first, before):
+        return first_rows(freefall_full, first + rows.shape[0], first)
 
     cut = freefall_full.y[:300].tobytes()[:-3]
     with pytest.raises(ValueError):
-        output._format_blocks(io.BytesIO(cut), io.BytesIO(), zeros)
+        output._format_blocks(io.BytesIO(cut), io.BytesIO(), samples)
 
     class Cut:
         """The rows pipe less the last 3 bytes of the run's stream: each
@@ -698,8 +726,8 @@ def test_a_rows_stream_cut_inside_a_sample_is_refused(freefall_full,
     real_fork_writer, real_close = output._fork_writer, output.CsvStream.close
     codes, real_write, rewrites = [], output.write_csv, []
 
-    def fork_writer(fh, columns):
-        pid, pipe, done = real_fork_writer(fh, columns)
+    def fork_writer(fh, samples):
+        pid, pipe, done = real_fork_writer(fh, samples)
         return pid, Cut(pipe), done
 
     def close(self):
