@@ -40,7 +40,22 @@ class UnknownPresetError(ConfigError):
 class _Loader(yaml.SafeLoader):
     """SafeLoader that reads an exponent float with no dot or no exponent
     sign (1e-3, 1.0e5, 1E+5) as a float, as YAML 1.2 does; YAML 1.1 leaves
-    it a string. A quoted "1e-3" stays a string."""
+    it a string. A quoted "1e-3" stays a string. A key given twice in one
+    mapping is an error, where SafeLoader keeps the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        # a list, as a key may be unhashable, which SafeLoader then reports
+        keys = []
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue  # a << merge key, which SafeLoader expands
+            key = self.construct_object(key_node, deep=deep)
+            if key in keys:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found repeated key {key!r}", key_node.start_mark)
+            keys.append(key)
+        return super().construct_mapping(node, deep=deep)
 
 
 _Loader.add_implicit_resolver(
@@ -146,7 +161,7 @@ def resolve(source: str) -> Path:
     presets.
     """
     p = Path(source)
-    if p.suffix in (".yaml", ".yml") or os.sep in source:
+    if p.suffix.lower() in (".yaml", ".yml") or os.sep in source:
         if not p.is_file():
             raise ConfigError(f"config file not found: {source}")
         return p
@@ -162,11 +177,13 @@ def load_scenario(source: str):
     """Resolve, parse, and validate one scenario argument."""
     path = resolve(source)
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = yaml.load(text, Loader=_Loader)
+        # from bytes, PyYAML decodes UTF-8 or UTF-16 as the YAML spec says,
+        # and refuses other bytes with a YAMLError
+        doc = yaml.load(data, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     if doc is None:

@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import states
 from rollsim.cli import main, summarize
 from rollsim.config import load_scenario
 from rollsim.dynamics import errata_compare, gravity_vector, mass_matrix
@@ -30,14 +31,9 @@ FREEFALL_TOPPLE_T = 0.698           # s, dt = 1e-3
 LIFTING_MARGIN = 0.091579620412388249  # m, dt = 1e-3
 
 
-def _states(n, seed, q_lo=-2 * np.pi, q_hi=2 * np.pi):
-    rng = np.random.default_rng(seed)
-    return (rng.uniform(q_lo, q_hi, (n, 4)), rng.uniform(-3.0, 3.0, (n, 4)))
-
-
 def test_criterion_01_mass_matrix_properties():
     t0 = time.perf_counter()
-    qs, _ = _states(10_000, 101)
+    qs, _ = states(10_000, 101)
     worst_asym = 0.0
     min_eig = np.inf
     for q in qs:
@@ -51,7 +47,7 @@ def test_criterion_01_mass_matrix_properties():
 
 
 def test_criterion_02_kinetic_quadratic_form():
-    qs, qds = _states(10_000, 102)
+    qs, qds = states(10_000, 102)
     worst = 0.0
     for q, qd in zip(qs, qds):
         t_ref = kinetic_energy(PARAMS, State(q=tuple(q), qdot=tuple(qd)))
@@ -78,7 +74,7 @@ def _analytic_gravity(params, q):
 
 
 def test_criterion_03_gravity_gradient():
-    qs, _ = _states(1_000, 103)
+    qs, _ = states(1_000, 103)
     worst = 0.0
     for q in qs:
         G = gravity_vector(PARAMS, q)
@@ -182,7 +178,7 @@ def test_criterion_09_magnetic_model():
     # h balances FD truncation against cancellation in W (order 0.1 J)
     # for generalized forces down to the 1e-5 N m range
     wide = MagneticParams(B_max=0.05, P_max=1.0, enabled=True)
-    qs, _ = _states(1_000, 109)
+    qs, _ = states(1_000, 109)
     h = 1e-4
     worst = 0.0
     for q in qs:

@@ -38,6 +38,9 @@ def test_workload_summary_counts_the_pairs_past_each_bound(bench_pairs):
     s = bench_pairs.workload_summary(parent, change, [1, 2, 3], "abc", limits)
     assert s["pairs"] == 3
     assert s["change_wall_ref_lower_in_pairs"] == 2
+    # wall_s is wall_ref / 1000 here, rounded as side_summary rounds it
+    assert s["wall_s_ratio_change_over_parent_per_pair"] == [0.75, 0.762,
+                                                             1.301]
     assert s["setup_s_ratio_change_over_parent_per_pair"] == [1.3, 1.2, 1.0]
     assert s["peak_rss_mb_ratio_change_over_parent_per_pair"] == [
         1.0, 1.105, 1.045]

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,63 @@ def test_rejects_an_empty_or_unparsable_file(tmp_path, text, fragment):
     f = tmp_path / "bad.yaml"
     f.write_text(text)
     with pytest.raises(ConfigError, match=fragment):
+        load_scenario(str(f))
+
+
+def test_a_yaml_suffix_in_any_letter_case_is_a_path(tmp_path, monkeypatch):
+    # a bare name has no suffix, so My.YAML is the file, not a preset
+    (tmp_path / "My.YAML").write_bytes(resolve("freefall").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    assert resolve("My.YAML") == Path("My.YAML")
+    assert load_scenario("My.YAML")[0].name == "freefall"
+
+
+def test_a_file_is_decoded_as_yaml_says(tmp_path):
+    # UTF-16 with its byte order mark is YAML; bytes that are no encoding
+    # YAML allows are invalid YAML, not a decoding traceback
+    text = "scenario:\n  # \u00b0\n  y0_deg: [0, 0, 0, 0, 0, 0, 0, 0]\n"
+    f = tmp_path / "wide.yaml"
+    f.write_bytes(text.encode("utf-16"))
+    assert load_scenario(str(f))[0].name == "wide"
+    f = tmp_path / "bad.yaml"
+    f.write_bytes(text.encode().replace("\u00b0".encode(), b"\xff\xfe"))
+    with pytest.raises(ConfigError, match="^invalid YAML in .*bad.yaml"):
+        load_scenario(str(f))
+
+
+def test_an_unreadable_file_is_a_config_error(tmp_path, monkeypatch):
+    # root reads any file whatever its mode, so the read itself fails here
+    f = tmp_path / "locked.yaml"
+    f.write_text("scenario:\n  y0_deg: [0, 0, 0, 0, 0, 0, 0, 0]\n")
+
+    def read_bytes(self):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_bytes", read_bytes)
+    with pytest.raises(ConfigError, match="^cannot read .*locked.yaml"):
+        load_scenario(str(f))
+
+
+Y0 = "  y0_deg: [0, 0, 0, 0, 0, 0, 0, 0]\n"
+CONTROLLER = ("controller:\n  kp: [[0, 0, 0, 0], [0, 0, 0, 0]]\n"
+              "  kd: [[0, 0, 0, 0], [0, 0, 0, 0]]\n  setpoints:\n"
+              "    theta_d_deg: [0, 0]\n    phi_d_deg: [0, 0]\n")
+
+
+# PyYAML keeps the last of two equal keys, so a repeat would silently win
+@pytest.mark.parametrize("text,key,line", [
+    ("name: a\nname: b\nscenario:\n" + Y0, "name", 2),
+    ("scenario:\n" + Y0 + "  horizon: 0.01\n  horizon: 0.05\n", "horizon",
+     4),
+    ("scenario:\n" + Y0 + "params:\n  g: 9.81\n  g: 1.0\n", "g", 5),
+    ("scenario:\n" + Y0 + CONTROLLER + "    phi_d_deg: [1, 1]\n",
+     "phi_d_deg", 9),
+], ids=["top", "scenario", "params", "setpoints"])
+def test_refuses_a_repeated_key(tmp_path, text, key, line):
+    f = tmp_path / "twice.yaml"
+    f.write_text(text)
+    with pytest.raises(ConfigError,
+                       match=rf"repeated key '{key}'\n.*, line {line},"):
         load_scenario(str(f))
 
 

@@ -4,6 +4,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
+from oracles import states
 from rollsim import _eom, dynamics
 from rollsim.dynamics import (MATCH_REL_TOL, SingularDynamicsError,
                               bias_vector, errata_compare, forward_dynamics,
@@ -17,15 +18,10 @@ from rollsim.model import RobotParams, State, ValidationError
 P = RobotParams()
 
 
-def random_states(n, seed):
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-2 * np.pi, 2 * np.pi, (n, 4)), rng.uniform(-3, 3, (n, 4))
-
-
 def test_bias_row1_is_pure_friction():
     # the theta1 Coriolis row vanishes identically: r_p1 depends on q only
     # through phi1+theta1, which kills the cross terms
-    qs, qds = random_states(100, 4)
+    qs, qds = states(100, 4)
     for q, qd in zip(qs, qds):
         b = bias_vector(P, State(q=tuple(q), qdot=tuple(qd)))
         assert b[0] == pytest.approx(P.delta[0] * qd[0], abs=5e-8)
@@ -41,7 +37,7 @@ def test_bias_regression_vector():
 
 
 def test_forward_dynamics_reconstructs_torque():
-    qs, qds = random_states(50, 5)
+    qs, qds = states(50, 5)
     rng = np.random.default_rng(6)
     for q, qd in zip(qs, qds):
         st = State(q=tuple(q), qdot=tuple(qd))
@@ -198,6 +194,17 @@ def test_errata_deterministic():
     assert r3.entry("a_13").max_abs_dev != r1.entry("a_13").max_abs_dev
 
 
+def test_errata_compare_refuses_no_samples():
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        errata_compare(P, samples=0)
+
+
+def test_errata_entry_of_an_unknown_name_is_a_key_error():
+    rep = errata_compare(P, samples=1)
+    with pytest.raises(KeyError, match="a_55"):
+        rep.entry("a_55")
+
+
 def _eom_mass_matrix(par, q):
     M = np.empty((4, 4))
     M[np.triu_indices(4)] = M.T[np.triu_indices(4)] = _eom.mass_matrix(par, q)
@@ -208,9 +215,7 @@ def per_state_errata(params, samples, seed):
     """errata_compare as one loop over the states, the scalar _eom terms of
     each against printed_terms of that state alone; the oracle of the
     column evaluation. Labels and notes are errata_compare's."""
-    rng = np.random.default_rng(seed)
-    qs = rng.uniform(-2 * np.pi, 2 * np.pi, size=(samples, 4))
-    qds = rng.uniform(-3.0, 3.0, size=(samples, 4))
+    qs, qds = states(samples, seed)
     par = params.packed()
 
     names_m = [(i, j, f"a_{i + 1}{j + 1}") for i in range(4) for j in range(4)]
@@ -273,7 +278,7 @@ def test_printed_terms_on_columns_equal_the_per_state_calls():
     # last bit, as numpy squares an array by a product and a scalar by
     # libm's pow
     n = 10000
-    qs, qds = random_states(n, 1)
+    qs, qds = states(n, 1)
     cols = printed_terms(P, State(q=tuple(qs.T), qdot=tuple(qds.T)))
     assert [c.shape for c in cols] == [(4, 4, n), (4, n), (4, n)]
     each = [printed_terms(P, State(q=tuple(q), qdot=tuple(qd)))

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import list_rk4_step, states
 from rollsim import _core, _eom
 from rollsim.model import RobotParams
 
@@ -94,12 +95,6 @@ def fd_gravity(par, q, variant):
     return np.array([
         fd_derivative(lambda s: _core.potential(par, q + s * e, variant), H)
         for e in np.eye(4)])
-
-
-def states(n, seed):
-    rng = np.random.default_rng(seed)
-    return (rng.uniform(-2 * np.pi, 2 * np.pi, (n, 4)),
-            rng.uniform(-3.0, 3.0, (n, 4)))
 
 
 def test_generated_terms_match_fd_oracle():
@@ -255,36 +250,11 @@ def test_deriv_flags_nonfinite_without_raising(y):
 
 
 # tip coupling whose P_max, 0.14 m, is near the median separation of the
-# states() below (0.01 to 0.25 m), so about half of them feel a torque
+# states() drawn below (0.01 to 0.25 m), so about half of them feel a torque
 MAG_ON = [1.0, 0.05, 0.14, 0.0025, 1.257e-6]
 MAG_OFF = [0.0] * 5
 # coupled, with zero flux: every in-range torque is a signed zero
 MAG_NO_FLUX = [1.0, 0.0, 0.14, 0.0025, 1.257e-6]
-
-
-def list_rk4_step(p, mag, y, tau, variant, dt):
-    """One RK4 step on lists of Python floats, or None where it fails.
-
-    The bit-exact oracle of a step of _eom's loop: the stages and the update
-    are list comprehensions, and the derivative is _core.deriv, which solves
-    M qdd = (tau - bias - G) + t on the separate _eom terms and shares no
-    code with the loop. It fails where deriv does, at a stage input or a qdd
-    that is not finite or a failed solve; the new y is returned untested.
-    """
-    h, w = 0.5 * dt, dt / 6.0
-
-    def f(y):
-        dy, ok = _core.deriv(p, mag, y, tau, variant)
-        return list(dy) if ok else None
-
-    k1 = f(y)
-    k2 = k1 and f([a + h * k for a, k in zip(y, k1)])
-    k3 = k2 and f([a + h * k for a, k in zip(y, k2)])
-    k4 = k3 and f([a + dt * k for a, k in zip(y, k3)])
-    if k4 is None:
-        return None
-    return [a + w * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
 def bits(v):

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import first_difference, per_value_csv
 from rollsim import _core, cli, output
 from rollsim.cli import summarize
 from rollsim.config import load_scenario
@@ -36,8 +37,11 @@ def test_header_and_row_count(freefall_short, tmp_path):
     assert len(lines) == rows + 1 == 1002
 
 
-def test_bit_identical_serialization(freefall_short):
-    assert format_csv(freefall_short) == format_csv(freefall_short)
+def test_bit_identical_serialization(freefall_short, tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_csv(freefall_short, a)
+    write_csv(freefall_short, b)
+    assert a.read_bytes() == b.read_bytes()
 
 
 def load_csv(path):
@@ -125,26 +129,9 @@ def test_gnuplot_script_quotes_a_name_with_an_apostrophe(tmp_path):
         assert line.count("'") % 2 == 0, line
 
 
-def per_value_csv(traj):
-    """format_csv as it was, one "%.17g" per value: the byte oracle."""
-    table = np.column_stack((traj.t, *traj.y.T, *traj.u.T, traj.T, traj.U,
-                             traj.E, traj.P, traj.V, traj.Vdot, traj.height,
-                             traj.p_m))
-    lines = [",".join(CSV_COLUMNS)]
-    for row in table:
-        lines.append(",".join("%.17g" % v for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def first_difference(a, b):
-    """(line number, line of a, line of b) where two texts first differ, or
-    None; pytest's own diff of two large strings would take minutes."""
-    if a == b:
-        return None
-    la, lb = a.split("\n"), b.split("\n")
-    i = next((i for i, (x, y) in enumerate(zip(la, lb)) if x != y),
-             min(len(la), len(lb)))
-    return i, la[i:i + 1], lb[i:i + 1]
+def assert_holds(path, text):
+    """The file at path holds the ASCII bytes of text."""
+    assert first_difference(path.read_bytes().decode("ascii"), text) is None
 
 
 def test_format_csv_equals_the_per_value_loop(freefall_short):
@@ -152,7 +139,7 @@ def test_format_csv_equals_the_per_value_loop(freefall_short):
                             per_value_csv(freefall_short)) is None
 
 
-def test_format_csv_bytes_for_special_values():
+def test_format_csv_bytes_for_special_values(tmp_path):
     special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2e-310,
                1e308, -1e308, np.finfo(float).max, 0.1, -1.0 / 3.0]
     rng = np.random.default_rng(3)
@@ -163,7 +150,9 @@ def test_format_csv_bytes_for_special_values():
                            T=cols[:, 11], U=cols[:, 12], E=cols[:, 13],
                            P=cols[:, 14], V=cols[:, 15], Vdot=cols[:, 16],
                            height=cols[:, 17], p_m=cols[:, 18])
-    text = format_csv(traj)
+    path = tmp_path / "t.csv"
+    write_csv(traj, path)
+    text = path.read_bytes().decode("ascii")
     assert first_difference(text, per_value_csv(traj)) is None
     for token in ("nan", "inf", "-inf", "-0", "4.9406564584124654e-324",
                   "1e+308", "-1e+308"):
@@ -185,8 +174,7 @@ def test_write_csv_bytes_equal_the_per_value_loop(freefall_short, tmp_path,
     traj = freefall_short if n is None else first_rows(freefall_short, n)
     path = tmp_path / "t.csv"
     assert write_csv(traj, path) == traj.t.shape[0]
-    assert first_difference(path.read_bytes().decode("ascii"),
-                            per_value_csv(traj)) is None
+    assert_holds(path, per_value_csv(traj))
 
 
 def test_write_csv_holds_one_block_not_the_file(tmp_path):
@@ -210,9 +198,22 @@ def freefall_full():
     return run(sc, p, m)
 
 
+@pytest.fixture(scope="module")
+def freefall_text(freefall_full):
+    """The oracle's CSV text of freefall_full."""
+    return per_value_csv(freefall_full)
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def assert_wrote(path, text, forks, count):
+    """path holds text, the run forked count children and none is left."""
+    assert_holds(path, text)
+    assert len(forks) == count
+    assert_no_child_left()
 
 
 @pytest.fixture
@@ -254,6 +255,20 @@ def forks(monkeypatch):
             pass  # reaped, as it should be
 
 
+@pytest.fixture
+def formatted(monkeypatch):
+    """The pid of the process that formatted each block, as this process
+    saw it: a child's list is its own."""
+    real, pids = output._block, []
+
+    def block(cols, start):
+        pids.append(os.getpid())
+        return real(cols, start)
+
+    monkeypatch.setattr(output, "_block", block)
+    return pids
+
+
 def stream_rows(traj, path):
     """traj's CSV through a CsvStream, fed as run feeds it: after each chunk
     of the loop the rows so far, then all of them. The child's Trajectory
@@ -290,10 +305,7 @@ def test_write_csv_bytes_on_both_paths(freefall_short, tmp_path, monkeypatch,
     traj = freefall_short if n is None else first_rows(freefall_short, n)
     path = tmp_path / "t.csv"
     stream_rows(traj, path)
-    assert first_difference(path.read_bytes().decode("ascii"),
-                            per_value_csv(traj)) is None
-    assert len(forks) == forked
-    assert_no_child_left()
+    assert_wrote(path, per_value_csv(traj), forks, forked)
 
 
 # (preset, Scenario fields, MagneticParams fields) of the streamed runs:
@@ -329,73 +341,52 @@ def assert_same_trajectory(a, b):
 @pytest.mark.parametrize("forked", [False, True], ids=["serial", "forked"])
 @pytest.mark.parametrize("name", list(STREAMED))
 def test_a_streamed_run_writes_its_trajectory_csv(tmp_path, monkeypatch,
-                                                  forks, deadline, forked,
-                                                  name):
+                                                  forks, formatted, deadline,
+                                                  forked, name):
     monkeypatch.setattr(output, "_two_processes", lambda nblocks: forked)
-    caller, real_block, formatted = os.getpid(), output._block, []
-
-    def block(cols, start):
-        formatted.append(os.getpid())
-        return real_block(cols, start)
-
-    monkeypatch.setattr(output, "_block", block)
     sc, p, m = streamed_run(name)
     path = tmp_path / "t.csv"
     traj = run(sc, p, m, path)
     # the child of a healthy run writes every block, so the caller formats
     # none: a rewrite from the trajectory on every run would show here
     nblocks = -(-traj.t.shape[0] // _BLOCK_ROWS)
-    assert formatted == ([] if forked else [caller] * nblocks)
-    text = path.read_bytes().decode("ascii")
-    assert text == format_csv(traj)
-    assert first_difference(text, per_value_csv(traj)) is None
+    assert formatted == ([] if forked else [os.getpid()] * nblocks)
     assert_same_trajectory(traj, run(sc, p, m))
-    assert len(forks) == forked
-    assert_no_child_left()
+    assert_wrote(path, per_value_csv(traj), forks, forked)
 
 
 @pytest.mark.parametrize("forked", [False, True], ids=["serial", "forked"])
 @pytest.mark.parametrize("chunk", [1, 100, 300, 5000])
-def test_a_streamed_run_with_chunks_unlike_blocks(freefall_full, tmp_path,
+def test_a_streamed_run_with_chunks_unlike_blocks(freefall_full,
+                                                  freefall_text, tmp_path,
                                                   monkeypatch, forks,
-                                                  deadline, forked, chunk):
+                                                  formatted, deadline, forked,
+                                                  chunk):
     # the caller sends each chunk's rows as they come and the child alone
     # cuts them into blocks, so chunks shorter or longer than a block give
     # the same bytes; a caller that sent only whole blocks would leave the
     # last rows unsent and format the whole file itself
     monkeypatch.setattr(_core, "CHUNK_STEPS", chunk)
     monkeypatch.setattr(output, "_two_processes", lambda nblocks: forked)
-    expected = format_csv(freefall_full).encode()
-    caller, real_block, formatted = os.getpid(), output._block, []
-
-    def block(cols, start):
-        formatted.append(os.getpid())
-        return real_block(cols, start)
-
-    monkeypatch.setattr(output, "_block", block)
     sc, p, m = load_scenario("freefall")
     path = tmp_path / "t.csv"
     traj = run(sc, p, m, path)
-    assert formatted == ([] if forked else [caller] * 20)
-    assert path.read_bytes() == expected
+    assert formatted == ([] if forked else [os.getpid()] * 20)
     assert_same_trajectory(traj, freefall_full)
-    assert len(forks) == forked
-    assert_no_child_left()
+    assert_wrote(path, freefall_text, forks, forked)
 
 
-def test_write_csv_writes_the_blocks_joined(freefall_full, tmp_path, forks):
+def test_write_csv_writes_the_blocks_joined(freefall_text, tmp_path, forks):
     # the streamed run as the host has it: on one usable CPU it writes
     # from the trajectory in one process
     sc, p, m = load_scenario("freefall")
     path = tmp_path / "t.csv"
     run(sc, p, m, path)
-    assert path.read_bytes() == "".join(output._blocks(freefall_full)).encode()
-    assert len(forks) == output._two_processes(20)
-    assert_no_child_left()
+    assert_wrote(path, freefall_text, forks, output._two_processes(20))
 
 
 @pytest.mark.parametrize("forked", [False, True], ids=["serial", "forked"])
-def test_a_streamed_run_writes_one_block_at_a_time(freefall_full, tmp_path,
+def test_a_streamed_run_writes_one_block_at_a_time(freefall_text, tmp_path,
                                                    monkeypatch, forks,
                                                    deadline, forked):
     # each write to the file, from whichever process makes it, goes to a
@@ -440,7 +431,10 @@ def test_a_streamed_run_writes_one_block_at_a_time(freefall_full, tmp_path,
         pids.append(pid)
         writes.append(raw[at:at + size])
         at += size
-    assert writes == [b.encode() for b in output._blocks(freefall_full)]
+    # the header, then each block of _BLOCK_ROWS lines
+    lines = freefall_text.encode().splitlines(keepends=True)
+    assert writes == lines[:1] + [b"".join(lines[i:i + _BLOCK_ROWS])
+                                  for i in range(1, len(lines), _BLOCK_ROWS)]
     # the child of a forked run is the one writer of the file
     caller = os.getpid()
     assert all((pid != caller) is forked for pid in pids)
@@ -470,21 +464,14 @@ def test_two_processes_counts_cpus_without_sched_getaffinity(monkeypatch,
     assert output._two_processes(20) is two
 
 
-def test_write_csv_where_sigchld_is_ignored(freefall_full, tmp_path,
+def test_write_csv_where_sigchld_is_ignored(freefall_text, tmp_path,
                                             monkeypatch, capsys, forks,
-                                            deadline):
+                                            formatted, deadline):
     # the kernel reaps each child itself, so the wait for it finds none,
     # but the child's done byte still shows every block written, so the
     # caller formats none; an ignored SIGCHLD is inherited across exec from
     # any parent
     monkeypatch.setattr(output, "_two_processes", lambda nblocks: True)
-    real_block, formatted = output._block, []
-
-    def block(cols, start):
-        formatted.append(os.getpid())
-        return real_block(cols, start)
-
-    monkeypatch.setattr(output, "_block", block)
     sc, p, m = load_scenario("freefall")
     previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
@@ -494,16 +481,14 @@ def test_write_csv_where_sigchld_is_ignored(freefall_full, tmp_path,
     finally:
         signal.signal(signal.SIGCHLD, previous)
     assert formatted == []  # the children's lists are their own
-    assert path.read_bytes() == format_csv(freefall_full).encode()
     assert code == 0
     assert (tmp_path / "ff.gp").exists()
     assert "cannot write" not in capsys.readouterr().err
-    assert len(forks) == 2
-    assert_no_child_left()
+    assert_wrote(path, freefall_text, forks, 2)
 
 
 @pytest.mark.parametrize("sent", [0, 1, 5, 19])
-def test_write_csv_survives_a_failing_child(freefall_full, tmp_path,
+def test_write_csv_survives_a_failing_child(freefall_text, tmp_path,
                                             monkeypatch, capfd, forks,
                                             deadline, sent):
     # the child of a streamed run formats `sent` blocks and then raises;
@@ -536,16 +521,14 @@ def test_write_csv_survives_a_failing_child(freefall_full, tmp_path,
     sc, p, m = load_scenario("freefall")
     path = tmp_path / "t.csv"
     run(sc, p, m, path)
-    assert path.read_bytes() == format_csv(freefall_full).encode()
     assert rewrites == [path]
     assert formatted == []  # the child's list is its own
-    assert len(forks) == 1
-    assert_no_child_left()
+    assert_wrote(path, freefall_text, forks, 1)
     assert capfd.readouterr().err == ""
 
 
 @pytest.mark.parametrize("chunks", [1, 5, 20])
-def test_a_streamed_run_survives_a_killed_child(freefall_full, tmp_path,
+def test_a_streamed_run_survives_a_killed_child(freefall_text, tmp_path,
                                                 monkeypatch, forks, deadline,
                                                 chunks):
     # SIGKILL after `chunks` chunks of the loop: at 20, the last, every row
@@ -563,11 +546,9 @@ def test_a_streamed_run_survives_a_killed_child(freefall_full, tmp_path,
     sc, p, m = load_scenario("freefall")
     path = tmp_path / "t.csv"
     run(sc, p, m, path)
-    assert path.read_bytes() == format_csv(freefall_full).encode()
     # 20 chunks, the last ending at the last row
     assert calls[19:] == [5001]
-    assert len(forks) == 1
-    assert_no_child_left()
+    assert_wrote(path, freefall_text, forks, 1)
 
 
 def test_a_run_refused_for_its_size_writes_no_file(tmp_path, monkeypatch,
@@ -649,7 +630,7 @@ def assert_formats_every_block(traj, tmp_path, monkeypatch, name, failing):
     fds = open_fds()
     path = tmp_path / "t.csv"
     run(replace(sc, horizon=1.0), p, m, path)
-    assert path.read_bytes() == format_csv(traj).encode()
+    assert_holds(path, per_value_csv(traj))
     # no descriptor is left open
     if fds:
         assert len(open_fds()) == len(fds)
@@ -696,8 +677,9 @@ def test_a_failed_file_write_reaches_the_caller(freefall_full, tmp_path,
 
 
 def test_a_rows_stream_cut_inside_a_sample_is_refused(freefall_full,
-                                                     tmp_path, monkeypatch,
-                                                     forks, deadline):
+                                                     freefall_text, tmp_path,
+                                                     monkeypatch, forks,
+                                                     deadline):
     def samples(rows, first, before):
         return first_rows(freefall_full, first + rows.shape[0], first)
 
@@ -749,6 +731,4 @@ def test_a_rows_stream_cut_inside_a_sample_is_refused(freefall_full,
     # done byte, and the caller writes the file from the trajectory
     assert codes[0] is False
     assert rewrites == [path]
-    assert path.read_bytes() == format_csv(freefall_full).encode()
-    assert len(forks) == 1
-    assert_no_child_left()
+    assert_wrote(path, freefall_text, forks, 1)

@@ -1,11 +1,10 @@
-import importlib.util
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import list_rk4_step
 from rollsim import _core, _eom
 from rollsim.config import load_scenario
 from rollsim.control import GainMatrices, Setpoints, lyapunov, pd_control
@@ -64,20 +63,12 @@ def test_rk4_oracle_matches_run_one_step():
     assert np.allclose(one.y[1], ref, rtol=0, atol=1e-13)
 
 
-# list_rk4_step of tests/test_eom.py, loaded by path so the import does not
-# depend on pytest's import mode
-_spec = importlib.util.spec_from_file_location(
-    "eom_oracle", Path(__file__).with_name("test_eom.py"))
-_eom_oracle = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_eom_oracle)
-
-
 def list_rk4(par, mag, y0, n, dt, pd, variant):
     """(ys, us) of up to n RK4 steps on lists of Python floats.
 
-    The bit-exact oracle of _core.run_loop: each step is list_rk4_step of
-    tests/test_eom.py, on the separate _eom terms plus the magnetic torque
-    with every stage input and qdd tested, not _eom's loop. It stops, as
+    The bit-exact oracle of _core.run_loop: each step is list_rk4_step, on
+    the separate _eom terms plus the magnetic torque with every stage input
+    and qdd tested, not _eom's loop. It stops, as
     run_loop does, at a step that fails or leaves a non-finite y. The input
     is pd_input at each step's start state, held over the step.
     """
@@ -91,7 +82,7 @@ def list_rk4(par, mag, y0, n, dt, pd, variant):
             tau = _core.torque_map(*us[-1])
         if i == n:
             break
-        y = _eom_oracle.list_rk4_step(par, mag, y, tau, variant, dt)
+        y = list_rk4_step(par, mag, y, tau, variant, dt)
         if y is None or not all(map(math.isfinite, y)):
             break
     return ys, us

@@ -30,12 +30,13 @@ of the wall_ref run medians and each run's peak_rss_mb; per workload the
 pairs the change won on wall_ref (ties count for neither side), the
 parent's quartile spread, the difference of the medians and the
 parent/change ratio of the medians in both units, the change/parent
-ratio of setup_s and of peak_rss_mb in each pair, and per end-to-end
-metric of the change's BENCHMARK.json the number of pairs whose change run
-is worse than its parent run by more than the metric's bound. wall_ref
-divides by a reference loop timed in the calling process, so a change
-that moves work to another CPU shows in wall_s as well, and a wall_ref
-that moves with reference_loop_s alone shows the host, not the program.
+ratio of wall_s, of setup_s and of peak_rss_mb in each pair, and per
+end-to-end metric of the change's BENCHMARK.json the number of pairs whose
+change run is worse than its parent run by more than the metric's bound.
+wall_ref divides by a reference loop timed in the calling process, so a
+change that moves work to another CPU shows in wall_s as well, and a
+wall_ref that moves with reference_loop_s alone shows the host, not the
+program.
 "environment" holds perfbench's report of the interpreter and its
 libraries, and writes_bytecode: whether the interpreters of the runs write
 .pyc files, which they do not where PYTHONDONTWRITEBYTECODE is set. Where
@@ -173,17 +174,17 @@ def past_bound(parent, change, bound, better):
 
 def workload_summary(parent, change, seed_list, change_commit, limits):
     """The pairs of one workload; limits is bounds() of the change's tree.
-    Per pair it gives the change/parent ratio of setup_s and peak_rss_mb,
-    and per end-to-end metric the pairs whose change run is worse than its
-    parent run by more than the metric's bound."""
+    Per pair it gives the change/parent ratio of wall_s, setup_s and
+    peak_rss_mb, and per end-to-end metric the pairs whose change run is
+    worse than its parent run by more than the metric's bound."""
     p, c = side_summary(parent), side_summary(change)
     q1, q3 = p["wall_ref_quartiles_of_runs"]
     won = sum(b < a for a, b in zip(p["wall_ref_run_medians"],
                                     c["wall_ref_run_medians"]))
     pm, cm = p["wall_ref_median_of_runs"], c["wall_ref_median_of_runs"]
 
-    def pairs(metric):
-        return list(zip(p[RUN_VALUES[metric]], c[RUN_VALUES[metric]]))
+    def pairs(values):
+        return list(zip(p[values], c[values]))
 
     return {"parent": p, "change": c, "seeds": seed_list,
             "pairs": len(seed_list),
@@ -194,11 +195,13 @@ def workload_summary(parent, change, seed_list, change_commit, limits):
             "wall_s_ratio_parent_over_change": round(
                 p["wall_s_median_of_runs"] / c["wall_s_median_of_runs"], 3),
             **{f"{metric}_ratio_change_over_parent_per_pair":
-               [round(b / a, 3) for a, b in pairs(metric)]
-               for metric in ("setup_s", "peak_rss_mb")},
+               [round(b / a, 3) for a, b in pairs(values)]
+               for metric, values in (("wall_s", "wall_s_run_medians"),
+                                      ("setup_s", "setup_s_run_medians"),
+                                      ("peak_rss_mb", "peak_rss_mb"))},
             "pairs_past_bound": {
                 metric: sum(past_bound(a, b, bound, better)
-                            for a, b in pairs(metric))
+                            for a, b in pairs(RUN_VALUES[metric]))
                 for metric, (bound, better) in limits.items()},
             "bounds": {metric: bound for metric, (bound, _) in limits.items()},
             "change_commit": change_commit}
