@@ -1,4 +1,5 @@
-# Generated by tools/gen_eom.py; do not edit. Regenerate with
+# Generated by tools/gen_eom.py with sympy 1.14.0; do not edit. Regenerate
+# with
 #     python tools/gen_eom.py
 """Closed-form equations of motion M(q) qdd + bias(q, qd) + G(q) = tau.
 
@@ -30,12 +31,20 @@ tgt) or None. It returns loop(ys, n), called once per run, which takes up
 to n RK4 steps from ys[0] with the state in eight locals between steps. Each
 step computes the PD input from the step's start state by the code of
 pd_input, inline, and holds tau = (u1, u2, -u1, -u2) over the step (zero
-where pd is None). It then runs the rest of the code above line for line in
-a loop over the four RK4 stages: temporaries renamed apart, each angle sum
-named and each sine and cosine taken once, the tip geometry and the force
-law under one test of the coupling (p_m grad p_m only where the law reads
-it), (tau - bias - G) + t solved by the Cholesky inline. Its qdd at each
-stage equals the separate calls to the last bit, and the stage inputs and
+where pd is None). It then runs the rest of the code above in a loop over
+the four RK4 stages: each angle sum named and each sine and cosine taken
+once, the tip geometry and the force law under one test of the coupling
+(p_m grad p_m only where the law reads it), and (tau - bias - G) + t solved
+by the Cholesky inline, less every term that the structural zeros M01 =
+M03 = 0 make a product with +0.0. A value the stage would compute more than
+once is computed once, and the later places read its name (an xv* name
+where no line held it whole) wherever the first runs on every path to
+them; a * b and b * a count as one value, as do a + b and b + a, since
+IEEE 754 gives them the same bits. Every other operand and grouping is the
+separate functions', and a dropped term is +-0.0 wherever its other factor
+is finite, so each stage's qdd equals the separate calls to the last bit
+but for the sign of a zero; where that factor is not finite, the stage
+fails a pivot or the new y is not finite either way. The stage inputs and
 the update are those of a list-form RK4. loop reads loop_for's values and
 math's cos, sin, sqrt and inf as keyword-only defaults, locals bound once
 per call. It writes each new y to the next row of ys and returns the
@@ -347,8 +356,6 @@ def loop_for(p, variant, dt, mag, pd):
     xm21 = I_s + xm16 + xm17 + xm19 + xm20
     xm25 = xm10 + xm11
     m00 = I_p + xm0
-    m01 = 0.0
-    m03 = 0.0
     m11 = I_p + xm3
     xp0 = 3.0*xm10
     xp1 = 3.0*xm11
@@ -364,14 +371,9 @@ def loop_for(p, variant, dt, mag, pd):
     if not 0.0 < m00 < inf:
         return _failed_loop
     l00 = sqrt(m00)
-    l10 = m01 / l00
-    l30 = m03 / l00
-    d11 = m11 - l10 * l10
-    if not 0.0 < d11 < inf:
+    if not 0.0 < m11 < inf:
         return _failed_loop
-    l11 = sqrt(d11)
-    xp8 = l30 * l10
-    xp9 = l30 * l30
+    l11 = sqrt(m11)
     h = 0.5 * dt
     w = dt / 6.0
 
@@ -381,13 +383,13 @@ def loop_for(p, variant, dt, mag, pd):
              inf=inf, kd00=kd00, kd01=kd01, kd02=kd02, kd03=kd03, kd10=kd10,
              kd11=kd11, kd12=kd12, kd13=kd13, kp00=kp00, kp01=kp01,
              kp02=kp02, kp03=kp03, kp10=kp10, kp11=kp11, kp12=kp12,
-             kp13=kp13, l00=l00, l10=l10, l11=l11, l30=l30, m_p=m_p,
-             m_s=m_s, ph1d=ph1d, ph2d=ph2d, r1=r1, r2=r2, sin=sin,
-             sqrt=sqrt, th1d=th1d, th2d=th2d, variant=variant, w=w, xb1=xb1,
-             xb2=xb2, xm0=xm0, xm10=xm10, xm11=xm11, xm14=xm14, xm16=xm16,
-             xm17=xm17, xm19=xm19, xm2=xm2, xm20=xm20, xm21=xm21, xm25=xm25,
-             xm3=xm3, xm8=xm8, xm9=xm9, xp0=xp0, xp1=xp1, xp2=xp2, xp3=xp3,
-             xp4=xp4, xp5=xp5, xp6=xp6, xp7=xp7, xp8=xp8, xp9=xp9):
+             kp13=kp13, l00=l00, l11=l11, m_p=m_p, m_s=m_s, ph1d=ph1d,
+             ph2d=ph2d, r1=r1, r2=r2, sin=sin, sqrt=sqrt, th1d=th1d,
+             th2d=th2d, variant=variant, w=w, xb1=xb1, xb2=xb2, xm0=xm0,
+             xm10=xm10, xm11=xm11, xm14=xm14, xm16=xm16, xm17=xm17,
+             xm19=xm19, xm2=xm2, xm20=xm20, xm21=xm21, xm25=xm25, xm3=xm3,
+             xm8=xm8, xm9=xm9, xp0=xp0, xp1=xp1, xp2=xp2, xp3=xp3, xp4=xp4,
+             xp5=xp5, xp6=xp6, xp7=xp7):
         """Up to n RK4 steps from y = ys[0], each new y written to the next
         row of ys, under the PD input at each step's start, held, plus the tip
         torque at each stage when mag couples the tips. Returns the number
@@ -470,17 +472,17 @@ def loop_for(p, variant, dt, mag, pd):
                     xb21 = xm9*s34
                     bias0 = d_th1*dth1
                     bias1 = d_th2*dth2 - xb4*xb6 - xb5 - xb9
-                    bias2 = xp2*xb0*(m_p*xb20 + m_s*xb20 + xb10 + xb18 + xb19) + d_ph1*dph1 - 2.0*dph1*dth1*xb11 + 2.0*dph2*dth2*m_p*r2*xb16 - dth1*dth1*xb11 + xm8*xb16*xb17 - xb12*xb2*xb8*xp3 - xb6*(R2*xb18 + R2*xb19 + m_p*xb21 + m_s*xb21 - xb1*xb13 - xb1*xb14 + xb1*xb15)
+                    xv0 = m_p*xb20
+                    xv1 = m_s*xb20
+                    xv2 = 2.0*dph1
+                    bias2 = xp2*xb0*(xv0 + xv1 + xb10 + xb18 + xb19) + d_ph1*dph1 - xv2*dth1*xb11 + xb7*dth2*m_p*r2*xb16 - dth1*dth1*xb11 + xm8*xb16*xb17 - xb12*xb2*xb8*xp3 - xb6*(R2*xb18 + R2*xb19 + m_p*xb21 + m_s*xb21 - xb1*xb13 - xb1*xb14 + xb1*xb15)
                     bias3 = d_ph2*dph2 + dth2*xb4*xb7 + xb1*xb17*xb3 - xb5 - xb9
-                    xg0 = xm2*s31
-                    xg1 = g*xg0
+                    xg1 = g*xb10
                     xg2 = xm8*s42
                     xg3 = g*xg2
-                    xg4 = R1*s34
-                    xg5 = R2*s34
-                    xg6 = m_s*xg4 + m_s*xg5
-                    xg7 = xg0 + xg6
-                    xg8 = m_p*xg4 + m_p*xg5
+                    xg6 = xb19 + xv1
+                    xg7 = xb10 + xg6
+                    xg8 = xb18 + xv0
                     xg9 = xg2 + xg6
                     xg10 = c34*m_p
                     xg11 = xp2*xg10 - R2*xg10
@@ -499,8 +501,12 @@ def loop_for(p, variant, dt, mag, pd):
                     b2 = tau2 - bias2 - G2
                     b3 = tau3 - bias3 - G3
                     if coupled:
-                        dx = (R1*ph1 + r1*s31) - ((R1*ph1 + xb2*s34) + r2*s42)
-                        dy = xp4*c31 - (xp5*c34 - r2*c42)
+                        xv3 = R1*ph1
+                        xv4 = r1*s31
+                        xv5 = xb2*s34
+                        dx = (xv3 + xv4) - ((xv3 + xv5) + r2*s42)
+                        xv6 = r2*c42
+                        dy = xp4*c31 - (xp5*c34 - xv6)
                         pm = sqrt(dx*dx + dy*dy)
                         degenerate = pm < 1e-14
                         if pm > P_max:
@@ -513,44 +519,44 @@ def loop_for(p, variant, dt, mag, pd):
                             else:
                                 dx_th1 = c31*r1
                                 dx_th2 = -c42*r2
-                                dx_ph1 = c31*r1 - c34*xb2
-                                dx_ph2 = -c34*xb2 - c42*r2
-                                dy_th1 = r1*s31
+                                dx_ph1 = dx_th1 - c34*xb2
+                                dx_ph2 = -c34*xb2 - xv6
                                 dy_th2 = xp7*s42
-                                dy_ph1 = r1*s31 - s34*xb2
-                                dy_ph2 = xp7*s42 - s34*xb2
-                                pg0 = dx*dx_th1 + dy*dy_th1
+                                dy_ph1 = xv4 - xv5
+                                dy_ph2 = dy_th2 - xv5
+                                pg0 = dx*dx_th1 + dy*xv4
                                 pg1 = dx*dx_th2 + dy*dy_th2
                                 pg2 = dx*dx_ph1 + dy*dy_ph1
                                 pg3 = dx*dx_ph2 + dy*dy_ph2
-                                t0 = -F * (pg0 / pm)
-                                t1 = -F * (pg1 / pm)
-                                t2 = -F * (pg2 / pm)
-                                t3 = -F * (pg3 / pm)
+                                xv7 = -F
+                                t0 = xv7 * (pg0 / pm)
+                                t1 = xv7 * (pg1 / pm)
+                                t2 = xv7 * (pg2 / pm)
+                                t3 = xv7 * (pg3 / pm)
                         b0 = b0 + t0
                         b1 = b1 + t1
                         b2 = b2 + t2
                         b3 = b3 + t3
                     l20 = m02 / l00
-                    l21 = (m12 - l20 * l10) / l11
-                    l31 = (m13 - xp8) / l11
+                    l21 = m12 / l11
+                    l31 = m13 / l11
                     d22 = m22 - l20 * l20 - l21 * l21
                     if not 0.0 < d22 < inf:
                         return i
                     l22 = sqrt(d22)
-                    l32 = (m23 - l30 * l20 - l31 * l21) / l22
-                    d33 = m33 - xp9 - l31 * l31 - l32 * l32
+                    l32 = (m23 - l31 * l21) / l22
+                    d33 = m33 - l31 * l31 - l32 * l32
                     if not 0.0 < d33 < inf:
                         return i
                     l33 = sqrt(d33)
                     y0 = b0 / l00
-                    y1 = (b1 - l10 * y0) / l11
+                    y1 = b1 / l11
                     y2 = (b2 - l20 * y0 - l21 * y1) / l22
-                    y3 = (b3 - l30 * y0 - l31 * y1 - l32 * y2) / l33
+                    y3 = (b3 - l31 * y1 - l32 * y2) / l33
                     x3 = y3 / l33
                     x2 = (y2 - l32 * x3) / l22
                     x1 = (y1 - l21 * x2 - l31 * x3) / l11
-                    x0 = (y0 - l10 * x1 - l20 * x2 - l30 * x3) / l00
+                    x0 = (y0 - l20 * x2) / l00
                     if stage == 4:
                         break
                     if stage == 1:
@@ -566,8 +572,8 @@ def loop_for(p, variant, dt, mag, pd):
                     else:
                         k0 = k0 + 2.0 * dth1
                         k1 = k1 + 2.0 * dth2
-                        k2 = k2 + 2.0 * dph1
-                        k3 = k3 + 2.0 * dph2
+                        k2 = k2 + xv2
+                        k3 = k3 + xb7
                         k4 = k4 + 2.0 * x0
                         k5 = k5 + 2.0 * x1
                         k6 = k6 + 2.0 * x2

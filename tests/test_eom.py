@@ -11,6 +11,7 @@ import ast
 import dis
 import importlib.util
 import inspect
+import itertools
 import math
 import re
 import warnings
@@ -25,6 +26,7 @@ from rollsim.model import RobotParams
 
 PAR = RobotParams().packed()
 GEN_EOM = Path(__file__).resolve().parents[1] / "tools" / "gen_eom.py"
+EOM = Path(_eom.__file__)
 
 # FD step. 1e-4 with one Richardson level keeps truncation ~1e-18 and
 # rounding ~1e-12 in the derivatives.
@@ -118,12 +120,22 @@ def test_checked_in_module_matches_its_generator():
     # the generator differentiates _core.kinetic, _core.potential and
     # _core.separation, so this ties _eom to the runtime energies and tip
     # geometry
-    pytest.importorskip("sympy")
+    sympy = pytest.importorskip("sympy")
     spec = importlib.util.spec_from_file_location("gen_eom", GEN_EOM)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
+    text = gen.generate()
+    # under the sympy that wrote it, the generator gives the checked-in text
+    # byte for byte, so a hand edit of _eom.py fails here; another sympy may
+    # factor the terms otherwise, and only the values below can be compared
+    checked_in = EOM.read_text()
+    wrote = re.match(r"# Generated by tools/gen_eom\.py with sympy (\S+);",
+                     checked_in)
+    assert wrote, "the header names no sympy version"
+    if sympy.__version__ == wrote[1]:
+        assert text == checked_in
     fresh = {}
-    exec(compile(gen.generate(), "<regenerated _eom>", "exec"), fresh)
+    exec(compile(text, "<regenerated _eom>", "exec"), fresh)
     # the sympy trig bound into _core for the derivation must not leak out
     assert _core.np is np
     p = PAR
@@ -208,9 +220,66 @@ def temporaries(stmts):
             if isinstance(t, ast.Name) and re.fullmatch(r"x[mbgt]\d+", t.id)}
 
 
+def assigned_once(func):
+    """{name: value} of each name that func, nested functions included,
+    assigns once, by a statement name = value."""
+    stores = [n.id for n in ast.walk(func)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    return {node.targets[0].id: node.value for node in ast.walk(func)
+            if isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and stores.count(node.targets[0].id) == 1}
+
+
+class ValueNumbers:
+    """Value numbers of expressions, each name of a definitions dict read
+    as its value: equal numbers are the same operations on the same
+    operands, to the bit. a + b and b + a are one value, as are a * b and
+    b * a: IEEE 754 rounds the exact result, which is the same."""
+
+    def __init__(self):
+        self.table, self.names = {}, {}
+
+    def of(self, node, defs):
+        if isinstance(node, ast.Name) and node.id in defs:
+            at = (id(defs), node.id)
+            if at not in self.names:
+                self.names[at] = self.of(defs[node.id], defs)
+            return self.names[at]
+        if isinstance(node, ast.Name):
+            key = ("name", node.id)
+        elif isinstance(node, ast.Constant):
+            key = ("constant", repr(node.value))
+        elif isinstance(node, ast.BinOp):
+            operands = [self.of(node.left, defs), self.of(node.right, defs)]
+            if isinstance(node.op, (ast.Add, ast.Mult)):
+                operands.sort()
+            key = (type(node.op).__name__, *operands)
+        elif isinstance(node, ast.UnaryOp):
+            key = (type(node.op).__name__, self.of(node.operand, defs))
+        elif isinstance(node, ast.Call):
+            key = ("call", node.func.id,
+                   *(self.of(a, defs) for a in node.args))
+        else:
+            key = ("node", id(node))
+        return self.table.setdefault(key, len(self.table))
+
+
+def operations(node):
+    """The arithmetic operations and calls under node that read a name."""
+    return [n for n in ast.walk(node)
+            if (isinstance(n, (ast.BinOp, ast.Call))
+                or isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.USub))
+            and any(isinstance(m, ast.Name) for m in ast.walk(n))]
+
+
 def test_the_terms_and_the_loop_share_their_temporaries():
-    # each term's cse block is printed once, into its function and into
-    # loop_for; the temporaries _hoist moved whole keep their right-hand side
+    # each term's cse block is printed into its function and into loop_for,
+    # where the temporaries _hoist moved whole keep their right-hand side,
+    # the solve drops the terms of M's structural zeros and the stage
+    # computes each value it would repeat once: every temporary the loop
+    # keeps has its term's value, each one it drops the value of one it
+    # keeps, and no two operations of the stage have one value
     funcs = {f.name: f for f in ast.parse(inspect.getsource(_eom)).body
              if isinstance(f, ast.FunctionDef)}
     terms = {}
@@ -218,12 +287,40 @@ def test_the_terms_and_the_loop_share_their_temporaries():
         terms.update(temporaries(funcs[name].body))
     looped = temporaries(funcs["loop_for"].body)
     assert {"xm", "xb", "xg"} <= {n[:2] for n in terms}
-    assert sorted(looped) == sorted(terms)
+    assert set(looped) <= set(terms)
     whole = temporaries(s for s in funcs["loop_for"].body
                         if isinstance(s, ast.Assign))
     assert {"xm0", "xm21", "xb1", "xb2"} <= set(whole)
     for name, value in whole.items():
         assert ast.dump(value) == ast.dump(terms[name]), name
+
+    numbers = ValueNumbers()
+    loop = assigned_once(funcs["loop_for"])
+    assert set(looped) <= set(loop)
+    kept = {numbers.of(value, loop) for value in loop.values()}
+    dropped = []
+    for term in ("mass_matrix", "bias", "gravity", "tip_geometry"):
+        defs = assigned_once(funcs[term])
+        for name, value in defs.items():
+            if name in loop:
+                # a temporary, an output or a tip partial of both: one value
+                assert numbers.of(loop[name], loop) == numbers.of(value, defs)
+            elif isinstance(value, ast.Constant):
+                assert name in ("m01", "m03") and value.value == 0.0
+            else:
+                assert numbers.of(value, defs) in kept, name
+                dropped.append(name)
+    assert {"xg0", "xg4", "xg5"} <= set(dropped)
+
+    [stage] = [n for n in ast.walk(funcs["loop_for"])
+               if isinstance(n, ast.For) and n.target.id == "stage"]
+    values = [numbers.of(n, loop) for s in stage.body
+              for n in operations(s)]
+    repeated = {v for v in values if values.count(v) > 1}
+    assert repeated == set()
+    assert not {"l10", "l30"} & {n.id for n in ast.walk(funcs["loop_for"])
+                                 if isinstance(n, ast.Name)}
+
 
 @pytest.mark.parametrize("y", [
     [0.0, 0.0, math.inf, 0.0, 0.0, 0.0, 0.0, 0.0],     # sin(inf) would raise
@@ -332,6 +429,51 @@ def signed_zero_states():
     qs, qds = states(40, 47)
     return [(y, pd)] + [(q + qd, c) for q, qd, c
                         in zip(qs.tolist(), qds.tolist(), controllers(40, 43))]
+
+
+def kinds_of_states(n, seed):
+    """(y, pd) pairs, five per seeded state: as drawn; at rest; at rest at
+    pd's setpoint under gains of one sign, so u1 = u2 = -0.0; and with the
+    rates 1e8 and 1e150 times, which overflow in the second step and in
+    the first."""
+    qs, qds = states(n, seed)
+    out = []
+    for q, qd, pd in zip(qs.tolist(), qds.tolist(), controllers(n, seed)):
+        Kp, Kd, _ = pd
+        setpoint = [q[0] - q[2], q[1] - q[3], q[2], q[3]]
+        negative = [[[-abs(k) for k in row] for row in K] for K in (Kp, Kd)]
+        out += [(q + qd, pd), (q + [0.0] * 4, pd),
+                (q + [0.0] * 4, (*negative, setpoint)),
+                (q + [1e8 * v for v in qd], pd),
+                (q + [1e150 * v for v in qd], pd)]
+    return out
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.5])
+def test_loop_steps_are_a_list_rk4_byte_for_byte(dt):
+    # two steps of the loop against two list-RK4 steps on the separate
+    # terms, compared by tobytes(), so a -0.0 for a +0.0 fails too; where
+    # the list RK4 fails or its new y is not finite, the loop stops there
+    p = PAR
+    far = [1.0, 0.05, 1e3, 0.0025, 1.257e-6]  # every stage takes the law
+    taken_counts = []
+    for y, pd in kinds_of_states(80, 59):
+        for variant, mag, control in itertools.product(
+                (0, 1), (MAG_OFF, far), (None, pd)):
+            ref = [y]
+            while len(ref) < 3:
+                new = list_rk4_step(p, mag, ref[-1], held(control, ref[-1]),
+                                    variant, dt)
+                if new is None or not all(map(math.isfinite, new)):
+                    break
+                ref.append(new)
+            ys = np.zeros((3, 8))
+            ys[0] = y
+            taken = _eom.loop_for(p, variant, dt, mag, control)(ys, 2)
+            assert taken == len(ref) - 1
+            assert ys[:taken + 1].tobytes() == np.array(ref).tobytes()
+            taken_counts.append(taken)
+    assert {0, 1, 2} <= set(taken_counts)
 
 
 @pytest.mark.parametrize("shift", [-1, 0, 1],

@@ -36,8 +36,13 @@ in locals, each step the PD law inline on its start state, held as tau =
 _core.torque_map(u1, u2), then the rest of the blocks, the force law and
 the solve, in a loop over the four stages. There, as in the term
 functions, each angle sum is named and each sine and cosine taken once
-(_trig_lines). Moving whole parse subtrees keeps every operand and
-grouping, so each stage's qdd equals the separate calls to the last bit.
+(_trig_lines). The stage's solve leaves out every term that M's structural
+zeros, M01 = M03 = 0, make a product with +0.0 (_fold), and each value the
+stage's lines compute more than once is computed once and read by name
+after (_number). Moving whole parse subtrees and reading a name in place of
+an equal operation keep every operand and grouping, and a dropped term
+changes at most the sign of a zero, so each stage's qdd equals the separate
+calls to the last bit but for such a sign; the tests pin the bytes.
 The output uses only +, -, *, / and math's sin, cos and sqrt: integer
 powers are written as products, because Python's float ** raises
 OverflowError where a product overflows to inf, and the integrator reports
@@ -263,9 +268,11 @@ def _def(name, args, doc, body, returned):
 
 
 # M x = b by Cholesky, M given as its upper triangle m00..m33 row by row,
-# into x0..x3: one text, printed as solve_spd4 and inline in loop. A
-# non-positive or non-finite pivot returns None; no input makes it raise.
-# Every name is assigned once, so the pivots of p alone can move to loop_for.
+# into x0..x3: one text, printed whole as solve_spd4, which takes any M, and
+# inline in loop without the terms that M's structural zeros make zero
+# (_fold). A non-positive or non-finite pivot returns None; no input makes it
+# raise. Every name is assigned once, so the pivots of p alone can move to
+# loop_for.
 CHOLESKY = """\
 if not 0.0 < m00 < inf:
     return None
@@ -419,7 +426,9 @@ def _hoist(lines):
     line, moves to loop_for as xp0, xp1, ..., or under the name of an equal
     expression hoisted before, and the line reads that name in its place.
     The parse tree keeps its shape, so the operands, their grouping and the
-    bits of every result are unchanged.
+    bits of every result are unchanged. _fold has taken M's structural
+    zeros out of the Cholesky lines before, and _number computes each value
+    the stage repeats once after.
     """
     known = {str(s) for s in PAR} | set(MAG) | MATH
     names = {}  # ast.dump of a hoisted expression -> the name it has
@@ -449,18 +458,263 @@ def _hoist(lines):
                 continue
         spans = []
         for node in _largest(stmt, known):
-            start, end = node.col_offset, node.end_col_offset
             key = ast.dump(node)
             if key not in names:
                 names[key] = next(fresh)
-                outer.append(f"{names[key]} = {text[start:end]}")
-            if text[start - 1:start] == "(" and text[end:end + 1] == ")":
-                start, end = start - 1, end + 1
-            spans.append((start, end, names[key]))
-        for start, end, name in reversed(spans):
-            text = text[:start] + name + text[end:]
-        inner.append(indent + text)
+                outer.append(f"{names[key]} = "
+                             f"{text[node.col_offset:node.end_col_offset]}")
+            spans.append((*_span(text, node), names[key]))
+        inner.append(indent + _spliced(text, spans))
     return outer, inner
+
+
+def _span(text, node):
+    """(start, end) of node in text, its line, with the parentheses around
+    it alone, not a call's, so that a name can take their place."""
+    start, end = node.col_offset, node.end_col_offset
+    if (text[start - 1:start] == "(" and text[end:end + 1] == ")"
+            and not re.match(r"[\w)\]]", text[start - 2:start - 1])):
+        return start - 1, end + 1
+    return start, end
+
+
+def _spliced(text, spans):
+    """text with each name of spans, (start, end, name) that do not
+    overlap, in place of text[start:end]."""
+    for start, end, name in sorted(spans, reverse=True):
+        text = text[:start] + name + text[end:]
+    return text
+
+
+def _zero_product(node, zeros):
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and any(isinstance(f, ast.Name) and f.id in zeros
+                    for f in (node.left, node.right)))
+
+
+def _without_zeros(node, zeros):
+    """node with each `a - z * b` or `a - b * z`, z in zeros, made `a`."""
+    if not isinstance(node, ast.BinOp):
+        return node
+    if isinstance(node.op, ast.Sub) and _zero_product(node.right, zeros):
+        return _without_zeros(node.left, zeros)
+    left = _without_zeros(node.left, zeros)
+    right = _without_zeros(node.right, zeros)
+    if left is node.left and right is node.right:
+        return node
+    return ast.BinOp(left, node.op, right)
+
+
+def _fold(lines, zeros):
+    """CHOLESKY's lines with the entries of M named in zeros, the literal
+    0.0, folded away.
+
+    Every divisor in CHOLESKY is the root of a pivot tested positive and
+    finite before it, so an L entry assigned zero / divisor is +0.0 too; it
+    joins zeros and its line goes. Each term z * b subtracted from a
+    partial sum a, z in zeros, goes: where b is finite it is +-0.0, and a -
+    (+-0.0) is a, but that -0.0 - -0.0 is +0.0. Where b is not finite, the
+    solve fails at the next pivot (b an L entry) or a later y or x, and
+    with it the new y, is not finite either (b a y or an x), so the step
+    stops where it did. A line that folds to one name goes, and the later
+    lines read that name for its target.
+    """
+    zeros, renames, out = set(zeros), {}, []
+    for line in lines:
+        for old, new in renames.items():
+            line = re.sub(rf"\b{old}\b", new, line)
+        text = line.lstrip()
+        if " = " not in text:  # a pivot test or its return
+            out.append(line)
+            continue
+        stmt = ast.parse(text).body[0]
+        [target], value = stmt.targets, stmt.value
+        if (isinstance(value, ast.BinOp) and isinstance(value.op, ast.Div)
+                and isinstance(value.left, ast.Name)
+                and value.left.id in zeros):
+            zeros.add(target.id)
+            continue
+        value = _without_zeros(value, zeros)
+        if _names(value) & zeros:
+            raise ValueError(f"{text!r} reads a zero it does not subtract")
+        if isinstance(value, ast.Name):
+            renames[target.id] = value.id
+        elif value is stmt.value:
+            out.append(line)
+        else:
+            out.append(f"{line[:len(line) - len(text)]}{target.id} = "
+                       f"{ast.unparse(value)}")
+    return out
+
+
+# the operators whose results _number numbers, with calls; an operation on
+# constants alone is not numbered, as the compiler folds it
+_ARITH = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.USub, ast.UAdd)
+
+
+def _operation(node):
+    return ((isinstance(node, (ast.BinOp, ast.UnaryOp))
+             and isinstance(node.op, _ARITH) or isinstance(node, ast.Call))
+            and any(isinstance(n, ast.Name) for n in ast.walk(node)))
+
+
+def _value(node, env):
+    """The value number of node, a tuple, under env {name: value number}.
+
+    Equal numbers are equal values: the same operations on equal operands.
+    a + b and a * b are numbered as b + a and b * a, which IEEE 754 gives
+    the same bits.
+    """
+    if isinstance(node, ast.Name):
+        return env.get(node.id, ("name", node.id))
+    if isinstance(node, ast.Constant):
+        return ("constant", repr(node.value))
+    if isinstance(node, ast.BinOp):
+        operands = [_value(node.left, env), _value(node.right, env)]
+        if isinstance(node.op, (ast.Add, ast.Mult)):
+            operands.sort(key=repr)
+        return (type(node.op).__name__, *operands)
+    if isinstance(node, ast.UnaryOp):
+        return (type(node.op).__name__, _value(node.operand, env))
+    if isinstance(node, ast.Call) and not node.keywords:
+        return ("call", _value(node.func, env),
+                *(_value(a, env) for a in node.args))
+    return ("node", id(node))  # equal to nothing else
+
+
+def _stored(node):
+    return {n.id for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+
+
+def _number(outer, lines, keep):
+    """The stage's lines with each value they repeat computed once.
+
+    outer are loop_for's lines, which give the values of the names the
+    stage reads of it; lines are the stage's, one statement each, indented
+    under their branches. The value of every operation is numbered
+    (_value) in the order Python evaluates the lines. An operation whose
+    number an earlier one has reads that one's name in its place: the
+    target of a line that computes it whole, if the stage assigns that name
+    once, or else a new name xv0, xv1, ... assigned it just before the
+    earlier line. Only an earlier operation that runs on every path to the
+    later one serves: one before it in its own branch or in a branch around
+    it, never one inside a branch that has closed. A line that computes an
+    earlier value whole goes where its target is assigned once and not in
+    keep, and the later lines read the earlier name for that target. Every
+    other operation keeps its operands and grouping, and the value it
+    reads in place of an operation is that operation's to the bit, so every
+    value the stage computes has the bits it had.
+    """
+    env = {}
+    for stmt in ast.parse("\n".join(outer)).body:
+        if isinstance(stmt, ast.Assign):
+            for name in _stored(stmt):
+                env[name] = _value(stmt.value, env)
+    tree = ast.parse("\n".join(lines))
+    assigned = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            assigned[node.id] = assigned.get(node.id, 0) + 1
+    # uses: operation -> the earlier one it reads; homes: the operations
+    # that compute their value first, in order; named: home -> the target
+    # of its line; dropped: line -> the home whose value it assigns
+    uses, homes, named, dropped = {}, [], {}, {}
+
+    def visit(node, avail):
+        value = _value(node, env) if _operation(node) else None
+        if value in avail:
+            uses[node] = avail[value]
+            return
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.expr):
+                visit(child, avail)
+        if value is not None:
+            avail[value] = node
+            homes.append(node)
+
+    def block(stmts, avail):
+        for stmt in stmts:
+            if isinstance(stmt, ast.If):
+                visit(stmt.test, avail)
+                before = dict(env)
+                for body in (stmt.body, stmt.orelse):
+                    block(body, dict(avail))
+                    env.clear()
+                    env.update(before)
+                for name in _stored(stmt):
+                    env[name] = ("joined", name, id(stmt))
+                continue
+            for child in ast.iter_child_nodes(stmt):
+                if isinstance(child, ast.expr) and not _stored(child):
+                    visit(child, avail)
+            if not isinstance(stmt, ast.Assign):
+                continue
+            value = _value(stmt.value, env)
+            for name in _stored(stmt):
+                env[name] = value
+            [target] = stmt.targets[:1]
+            if (len(stmt.targets) > 1 or not isinstance(target, ast.Name)
+                    or assigned[target.id] > 1):
+                continue
+            if stmt.value in uses:
+                if target.id not in keep:
+                    dropped[stmt] = uses[stmt.value]
+            elif _operation(stmt.value):
+                named[stmt.value] = target.id
+
+    block(tree.body, {})
+    # the new names, in the order their values are computed
+    used = set(uses.values())
+    fresh = (f"xv{i}" for i in itertools.count())
+    names = {home: named.get(home) or next(fresh)
+             for home in homes if home in used}
+    renames = {stmt.targets[0].id: names[home]
+               for stmt, home in dropped.items()}
+    text = "\n".join(lines).splitlines()
+
+    def render(node):
+        """node's text, each operation under it that reads a name, and each
+        name of a line that went, replaced by that name."""
+        line = text[node.lineno - 1]
+        spans = []
+
+        def replace(n, top):
+            if not top and n in names and n not in named:
+                spans.append((*_span(line, n), names[n]))
+            elif n in uses:
+                spans.append((*_span(line, n), names[uses[n]]))
+            elif isinstance(n, ast.Name) and n.id in renames:
+                spans.append((n.col_offset, n.end_col_offset, renames[n.id]))
+            else:
+                for child in ast.iter_child_nodes(n):
+                    replace(child, False)
+
+        replace(node, True)
+        return _spliced(line[:node.end_col_offset], spans)[node.col_offset:]
+
+    starts = {}
+    for stmt in ast.walk(tree):
+        if isinstance(stmt, ast.stmt):
+            if stmt.lineno != stmt.end_lineno and not isinstance(stmt, ast.If):
+                raise ValueError(f"line {stmt.lineno} is not one statement")
+            starts[stmt.lineno] = stmt
+    out = []
+    for i, line in enumerate(text, 1):
+        stmt = starts.get(i)
+        if stmt in dropped:
+            continue
+        if stmt is None:  # else:
+            out.append(line)
+            continue
+        expr = stmt.test if isinstance(stmt, ast.If) else stmt
+        indent = line[:len(line) - len(line.lstrip())]
+        mine = set(ast.walk(expr))
+        out += [f"{indent}{names[n]} = {render(n)}" for n in homes
+                if n in mine and n in names and n not in named]
+        out.append(line[:expr.col_offset] + render(expr)
+                   + line[expr.end_col_offset:])
+    return out
 
 
 def _reads(source):
@@ -499,16 +753,21 @@ def _loop_for(blocks, trig):
     and move last bits. The right-hand side follows in the order of the
     separate terms: tau - bias - G, then, under one test of mag's enabled,
     the tip geometry's lines that p_m needs, TIP_LAW with the others at its
-    GRADIENT line, and + t; and CHOLESKY. _hoist moves what they compute of
-    p and mag alone to loop_for, once per run, the first two pivots among
-    it; loop_for also unpacks pd's gains and targets once. loop keeps the
-    state in z0..z7 between steps. Each step copies it to the stage input,
-    runs PD_LAW on it under one test of pd and forms tau as
-    _core.torque_map does, then runs the rest once per RK4 stage in a loop,
-    after _trig_lines of every c*/s* the blocks read, and forms the next
-    stage's input, the slopes' weighted sum and the new y with the
-    expressions and grouping of tests/test_simulate.py's list RK4: k1 +
-    2.0 k2 + 2.0 k3 + k4 is summed left to right as the stages come.
+    GRADIENT line, and + t; and CHOLESKY, less what M's structural zeros
+    (the mass block's lines m01 = 0.0 and m03 = 0.0, which go) make zero
+    (_fold). _hoist moves what they compute of p and mag alone to loop_for,
+    once per run, the first two pivots among it; loop_for also unpacks pd's
+    gains and targets once. loop keeps the state in z0..z7 between steps.
+    Each step copies it to the stage input, runs PD_LAW on it under one
+    test of pd and forms tau as _core.torque_map does, then runs the rest
+    once per RK4 stage in a loop, after _trig_lines of every c*/s* the
+    blocks read, and forms the next stage's input, the slopes' weighted sum
+    and the new y with the expressions and grouping of tests/oracles.py's
+    list RK4: k1 + 2.0 k2 + 2.0 k3 + k4 is summed left to right as the
+    stages come. _number then computes each value that the stage's lines,
+    its update among them, repeat once: the repeats of the separate terms
+    (bias and G share products), and 2.0 times a rate that the bias and a
+    slope's sum both take.
 
     loop takes every value it reads of loop_for, and math's cos, sin, sqrt
     and inf, as a keyword-only default (_reads finds them), so each is a
@@ -521,7 +780,12 @@ def _loop_for(blocks, trig):
     So the loop stops after the step where a list RK4 that tests every
     stage input stops.
     """
-    body = [line for _, lines in blocks[:3] for line in lines]
+    # M's structural zeros, m01 = 0.0 and m03 = 0.0: their lines go, and
+    # _fold drops what they make zero from the Cholesky
+    zeros = [line for line in blocks[0][1]
+             if re.fullmatch(r"m\d\d = 0\.0", line)]
+    body = [line for _, lines in blocks[:3] for line in lines
+            if line not in zeros]
     body += [f"b{i} = tau{i} - bias{i} - G{i}" for i in range(4)]
     separation, gradient = _split_needed(blocks[3][1], "pm")
     law = []
@@ -532,7 +796,8 @@ def _loop_for(blocks, trig):
     body += ["coupled = enabled != 0.0", "if coupled:"]
     body += ["    " + line for line in separation + law]
     body += [f"    b{i} = b{i} + t{i}" for i in range(4)]
-    outer, inner = _hoist(body + CHOLESKY.splitlines())
+    cholesky = _fold(CHOLESKY.splitlines(), {line[:3] for line in zeros})
+    outer, inner = _hoist(body + cholesky)
 
     used = set().union(*(u for u, _ in blocks))
     y = [str(s) for s in Q + QD]
@@ -543,16 +808,17 @@ def _loop_for(blocks, trig):
     step += ["if controlled:"]
     step += ["    " + line for line in PD_LAW.splitlines()]
     step += [f"    tau{i} = {t}" for i, t in enumerate(tau)]
+    stage = _trig_lines(trig, used) + inner
+    stage += ["if stage == 4:", "    break", "if stage == 1:"]
+    stage += [f"    k{i} = {d}" for i, d in enumerate(slope)]
+    stage += ["    f = h", "else:"]
+    stage += [f"    k{i} = k{i} + 2.0 * {d}" for i, d in enumerate(slope)]
+    stage += ["    if stage == 3:", "        f = dt"]
+    stage += [f"{v} = z{i} + f * {d}"
+              for i, (v, d) in enumerate(zip(y, slope))]
     step += ["for stage in (1, 2, 3, 4):"]
     step += ["    " + line.replace("return None", "return i")
-             for line in _trig_lines(trig, used) + inner]
-    step += ["    if stage == 4:", "        break", "    if stage == 1:"]
-    step += [f"        k{i} = {d}" for i, d in enumerate(slope)]
-    step += ["        f = h", "    else:"]
-    step += [f"        k{i} = k{i} + 2.0 * {d}" for i, d in enumerate(slope)]
-    step += ["        if stage == 3:", "            f = dt"]
-    step += [f"    {v} = z{i} + f * {d}"
-             for i, (v, d) in enumerate(zip(y, slope))]
+             for line in _number(outer, stage, set(y + slope))]
     step += [f"z{i} = z{i} + w * (k{i} + {d})" for i, d in enumerate(slope)]
     step += ["if " + " + ".join(f"0.0 * {v}" for v in z) + " != 0.0:",
              "    return i",
@@ -584,7 +850,8 @@ def _loop_for(blocks, trig):
 
 
 HEADER = '''\
-# Generated by tools/gen_eom.py; do not edit. Regenerate with
+# Generated by tools/gen_eom.py with sympy {sympy}; do not edit. Regenerate
+# with
 #     python tools/gen_eom.py
 """Closed-form equations of motion M(q) qdd + bias(q, qd) + G(q) = tau.
 
@@ -616,12 +883,20 @@ tgt) or None. It returns loop(ys, n), called once per run, which takes up
 to n RK4 steps from ys[0] with the state in eight locals between steps. Each
 step computes the PD input from the step's start state by the code of
 pd_input, inline, and holds tau = (u1, u2, -u1, -u2) over the step (zero
-where pd is None). It then runs the rest of the code above line for line in
-a loop over the four RK4 stages: temporaries renamed apart, each angle sum
-named and each sine and cosine taken once, the tip geometry and the force
-law under one test of the coupling (p_m grad p_m only where the law reads
-it), (tau - bias - G) + t solved by the Cholesky inline. Its qdd at each
-stage equals the separate calls to the last bit, and the stage inputs and
+where pd is None). It then runs the rest of the code above in a loop over
+the four RK4 stages: each angle sum named and each sine and cosine taken
+once, the tip geometry and the force law under one test of the coupling
+(p_m grad p_m only where the law reads it), and (tau - bias - G) + t solved
+by the Cholesky inline, less every term that the structural zeros M01 =
+M03 = 0 make a product with +0.0. A value the stage would compute more than
+once is computed once, and the later places read its name (an xv* name
+where no line held it whole) wherever the first runs on every path to
+them; a * b and b * a count as one value, as do a + b and b + a, since
+IEEE 754 gives them the same bits. Every other operand and grouping is the
+separate functions', and a dropped term is +-0.0 wherever its other factor
+is finite, so each stage's qdd equals the separate calls to the last bit
+but for the sign of a zero; where that factor is not finite, the stage
+fails a pivot or the new y is not finite either way. The stage inputs and
 the update are those of a list-form RK4. loop reads loop_for's values and
 math's cos, sin, sqrt and inf as keyword-only defaults, locals bound once
 per call. It writes each new y to the next row of ys and returns the
@@ -664,7 +939,7 @@ def generate() -> str:
         ("tip_geometry", ("p", "q"),
          "(p_m, p_m * d p_m / dq): tip separation, scaled gradient.", TIP),
     ]
-    parts = [HEADER]
+    parts = [HEADER.format(sympy=sp.__version__)]
     for (name, args, doc, names), (used, lines) in zip(terms, blocks):
         unpack = [_unpack(s, a) for s, a in ((PAR, "p"), (Q, "q"), (QD, "qd"))
                   if a in args]
