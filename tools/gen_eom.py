@@ -40,9 +40,10 @@ functions, each angle sum is named and each sine and cosine taken once
 zeros, M01 = M03 = 0, make a product with +0.0 (_fold), and each value the
 stage's lines compute more than once is computed once and read by name
 after (_number). Moving whole parse subtrees and reading a name in place of
-an equal operation keep every operand and grouping, and a dropped term
-changes at most the sign of a zero, so each stage's qdd equals the separate
-calls to the last bit but for such a sign; the tests pin the bytes.
+an equal operation (b * a for a * b among them, which IEEE 754 rounds
+alike) keep every other operand and grouping, and a dropped term changes at
+most the sign of a zero, so each stage's qdd equals the separate calls to
+the last bit but for such a sign; the tests pin the bytes.
 The output uses only +, -, *, / and math's sin, cos and sqrt: integer
 powers are written as products, because Python's float ** raises
 OverflowError where a product overflows to inf, and the integrator reports
