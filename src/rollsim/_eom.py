@@ -24,9 +24,9 @@ elementwise arithmetic, so y may be floats or the columns of a recorded run.
 loop_for(p, variant, dt, mag, pd) builds the run loop once per run. It
 computes what the code of mass_matrix, bias, gravity and tip_geometry, the
 Cholesky of solve_spd4 and the force law of tip_law derive from p and mag
-alone: the temporaries of p alone, the first two pivots, whether mag
-couples the tips and, in the other lines, each operation of p and mag alone
-as Python parses the line. It unpacks the gains and targets of pd, (Kp, Kd,
+alone, each value once under one name: the temporaries of p alone, the
+first two pivots, whether mag couples the tips and, in the other lines,
+each operation of p and mag alone as Python parses the line. It unpacks the gains and targets of pd, (Kp, Kd,
 tgt) or None. It returns loop(ys, n), called once per run, which takes up
 to n RK4 steps from ys[0] with the state in eight locals between steps. Each
 step computes the PD input from the step's start state by the code of
@@ -36,11 +36,12 @@ the four RK4 stages: each angle sum named and each sine and cosine taken
 once, the tip geometry and the force law under one test of the coupling
 (p_m grad p_m only where the law reads it), and (tau - bias - G) + t solved
 by the Cholesky inline, less every term that the structural zeros M01 =
-M03 = 0 make a product with +0.0. A value the stage would compute more than
-once is computed once, and the later places read its name (an xv* name
-where no line held it whole) wherever the first runs on every path to
-them; a * b and b * a count as one value, as do a + b and b + a, since
-IEEE 754 gives them the same bits. Every other operand and grouping is the
+M03 = 0 make a product with +0.0. A value the stage computes again reads
+the name of its first computation wherever that runs on every path to it,
+and a first computation is named (an xv* name where no line holds it
+whole) only where a later statement reads it on every path from there; a *
+b and b * a count as one value, as do a + b and b + a, since IEEE 754
+gives them the same bits. Every other operand and grouping is the
 separate functions', and a dropped term is +-0.0 wherever its other factor
 is finite, so each stage's qdd equals the separate calls to the last bit
 but for the sign of a zero; where that factor is not finite, the stage
@@ -359,7 +360,6 @@ def loop_for(p, variant, dt, mag, pd):
     m11 = I_p + xm3
     xp0 = 3.0*xm10
     xp1 = 3.0*xm11
-    xb1 = m_p*r2
     xb2 = R1 + R2
     xp2 = -R1
     xp3 = m_p + m_s
@@ -385,11 +385,11 @@ def loop_for(p, variant, dt, mag, pd):
              kp02=kp02, kp03=kp03, kp10=kp10, kp11=kp11, kp12=kp12,
              kp13=kp13, l00=l00, l11=l11, m_p=m_p, m_s=m_s, ph1d=ph1d,
              ph2d=ph2d, r1=r1, r2=r2, sin=sin, sqrt=sqrt, th1d=th1d,
-             th2d=th2d, variant=variant, w=w, xb1=xb1, xb2=xb2, xm0=xm0,
-             xm10=xm10, xm11=xm11, xm14=xm14, xm16=xm16, xm17=xm17,
-             xm19=xm19, xm2=xm2, xm20=xm20, xm21=xm21, xm25=xm25, xm3=xm3,
-             xm8=xm8, xm9=xm9, xp0=xp0, xp1=xp1, xp2=xp2, xp3=xp3, xp4=xp4,
-             xp5=xp5, xp6=xp6, xp7=xp7):
+             th2d=th2d, variant=variant, w=w, xb2=xb2, xm0=xm0, xm10=xm10,
+             xm11=xm11, xm14=xm14, xm16=xm16, xm17=xm17, xm19=xm19, xm2=xm2,
+             xm20=xm20, xm21=xm21, xm25=xm25, xm3=xm3, xm8=xm8, xm9=xm9,
+             xp0=xp0, xp1=xp1, xp2=xp2, xp3=xp3, xp4=xp4, xp5=xp5, xp6=xp6,
+             xp7=xp7):
         """Up to n RK4 steps from y = ys[0], each new y written to the next
         row of ys, under the PD input at each step's start, held, plus the tip
         torque at each stage when mag couples the tips. Returns the number
@@ -452,7 +452,7 @@ def loop_for(p, variant, dt, mag, pd):
                     m33 = xm21 + 2.0*xm23 + 2.0*xm24 + xm25 + xm3
                     xb0 = dph1*dph1
                     xb3 = s12*xb2
-                    xb4 = xb1*xb3
+                    xb4 = xm8*xb3
                     xb5 = xb0*xb4
                     xb6 = dph2*dph2
                     xb7 = 2.0*dph2
@@ -474,9 +474,8 @@ def loop_for(p, variant, dt, mag, pd):
                     bias1 = d_th2*dth2 - xb4*xb6 - xb5 - xb9
                     xv0 = m_p*xb20
                     xv1 = m_s*xb20
-                    xv2 = 2.0*dph1
-                    bias2 = xp2*xb0*(xv0 + xv1 + xb10 + xb18 + xb19) + d_ph1*dph1 - xv2*dth1*xb11 + xb7*dth2*m_p*r2*xb16 - dth1*dth1*xb11 + xm8*xb16*xb17 - xb12*xb2*xb8*xp3 - xb6*(R2*xb18 + R2*xb19 + m_p*xb21 + m_s*xb21 - xb1*xb13 - xb1*xb14 + xb1*xb15)
-                    bias3 = d_ph2*dph2 + dth2*xb4*xb7 + xb1*xb17*xb3 - xb5 - xb9
+                    bias2 = xp2*xb0*(xv0 + xv1 + xb10 + xb18 + xb19) + d_ph1*dph1 - 2.0*dph1*dth1*xb11 + xb7*dth2*m_p*r2*xb16 - dth1*dth1*xb11 + xm8*xb16*xb17 - xb12*xb2*xb8*xp3 - xb6*(R2*xb18 + R2*xb19 + m_p*xb21 + m_s*xb21 - xm8*xb13 - xm8*xb14 + xm8*xb15)
+                    bias3 = d_ph2*dph2 + dth2*xb4*xb7 + xm8*xb17*xb3 - xb5 - xb9
                     xg1 = g*xb10
                     xg2 = xm8*s42
                     xg3 = g*xg2
@@ -501,12 +500,8 @@ def loop_for(p, variant, dt, mag, pd):
                     b2 = tau2 - bias2 - G2
                     b3 = tau3 - bias3 - G3
                     if coupled:
-                        xv3 = R1*ph1
-                        xv4 = r1*s31
-                        xv5 = xb2*s34
-                        dx = (xv3 + xv4) - ((xv3 + xv5) + r2*s42)
-                        xv6 = r2*c42
-                        dy = xp4*c31 - (xp5*c34 - xv6)
+                        dx = (R1*ph1 + r1*s31) - ((R1*ph1 + xb2*s34) + r2*s42)
+                        dy = xp4*c31 - (xp5*c34 - r2*c42)
                         pm = sqrt(dx*dx + dy*dy)
                         degenerate = pm < 1e-14
                         if pm > P_max:
@@ -520,19 +515,21 @@ def loop_for(p, variant, dt, mag, pd):
                                 dx_th1 = c31*r1
                                 dx_th2 = -c42*r2
                                 dx_ph1 = dx_th1 - c34*xb2
-                                dx_ph2 = -c34*xb2 - xv6
+                                dx_ph2 = -c34*xb2 - c42*r2
+                                dy_th1 = r1*s31
                                 dy_th2 = xp7*s42
-                                dy_ph1 = xv4 - xv5
-                                dy_ph2 = dy_th2 - xv5
-                                pg0 = dx*dx_th1 + dy*xv4
+                                xv2 = s34*xb2
+                                dy_ph1 = dy_th1 - xv2
+                                dy_ph2 = dy_th2 - xv2
+                                pg0 = dx*dx_th1 + dy*dy_th1
                                 pg1 = dx*dx_th2 + dy*dy_th2
                                 pg2 = dx*dx_ph1 + dy*dy_ph1
                                 pg3 = dx*dx_ph2 + dy*dy_ph2
-                                xv7 = -F
-                                t0 = xv7 * (pg0 / pm)
-                                t1 = xv7 * (pg1 / pm)
-                                t2 = xv7 * (pg2 / pm)
-                                t3 = xv7 * (pg3 / pm)
+                                xv3 = -F
+                                t0 = xv3 * (pg0 / pm)
+                                t1 = xv3 * (pg1 / pm)
+                                t2 = xv3 * (pg2 / pm)
+                                t3 = xv3 * (pg3 / pm)
                         b0 = b0 + t0
                         b1 = b1 + t1
                         b2 = b2 + t2
@@ -572,7 +569,7 @@ def loop_for(p, variant, dt, mag, pd):
                     else:
                         k0 = k0 + 2.0 * dth1
                         k1 = k1 + 2.0 * dth2
-                        k2 = k2 + xv2
+                        k2 = k2 + 2.0 * dph1
                         k3 = k3 + xb7
                         k4 = k4 + 2.0 * x0
                         k5 = k5 + 2.0 * x1

@@ -273,13 +273,54 @@ def operations(node):
             and any(isinstance(m, ast.Name) for m in ast.walk(n))]
 
 
+def statements(body, block=()):
+    """(statement, block, index) of each statement of body, at any depth,
+    in source order; block is the path of (index, branch) pairs from body
+    to the list that holds the statement."""
+    for i, stmt in enumerate(body):
+        yield stmt, block, i
+        if isinstance(stmt, ast.If):
+            for k, branch in enumerate((stmt.body, stmt.orelse)):
+                yield from statements(branch, (*block, (i, k)))
+
+
+def evaluated(stmt):
+    """The part of stmt that runs whenever stmt does: an if's test, or all
+    of any other statement."""
+    return stmt.test if isinstance(stmt, ast.If) else stmt
+
+
+def may_leave(stmt):
+    return any(isinstance(n, (ast.Return, ast.Break)) for n in ast.walk(stmt))
+
+
+def stage_loop(funcs):
+    """The loop over the four RK4 stages in loop_for's loop."""
+    [stage] = [n for n in ast.walk(funcs["loop_for"])
+               if isinstance(n, ast.For) and n.target.id == "stage"]
+    return stage
+
+
+def on_every_path(body, block, i):
+    """The evaluated parts of the statements that run on every path from
+    the end of the statement at (block, i) of body: the later statements
+    of its list, up to the first that may leave the stage."""
+    later = [s for s, b, j in statements(body) if b == block and j > i]
+    for n, stmt in enumerate(later):
+        if may_leave(stmt):
+            later = later[:n + 1]
+            break
+    return [evaluated(s) for s in later]
+
+
 def test_the_terms_and_the_loop_share_their_temporaries():
     # each term's cse block is printed into its function and into loop_for,
-    # where the temporaries _hoist moved whole keep their right-hand side,
+    # where the temporaries of parameters alone keep their right-hand side,
     # the solve drops the terms of M's structural zeros and the stage
-    # computes each value it would repeat once: every temporary the loop
-    # keeps has its term's value, each one it drops the value of one it
-    # keeps, and no two operations of the stage have one value
+    # computes a repeated value once wherever a name can serve: every
+    # temporary the loop keeps has its term's value, each one it drops the
+    # value of one it keeps, and no computation of the stage repeats a
+    # value that it could have read by name
     funcs = {f.name: f for f in ast.parse(inspect.getsource(_eom)).body
              if isinstance(f, ast.FunctionDef)}
     terms = {}
@@ -290,7 +331,7 @@ def test_the_terms_and_the_loop_share_their_temporaries():
     assert set(looped) <= set(terms)
     whole = temporaries(s for s in funcs["loop_for"].body
                         if isinstance(s, ast.Assign))
-    assert {"xm0", "xm21", "xb1", "xb2"} <= set(whole)
+    assert {"xm0", "xm21", "xb2"} <= set(whole)
     for name, value in whole.items():
         assert ast.dump(value) == ast.dump(terms[name]), name
 
@@ -312,14 +353,72 @@ def test_the_terms_and_the_loop_share_their_temporaries():
                 dropped.append(name)
     assert {"xg0", "xg4", "xg5"} <= set(dropped)
 
-    [stage] = [n for n in ast.walk(funcs["loop_for"])
-               if isinstance(n, ast.For) and n.target.id == "stage"]
-    values = [numbers.of(n, loop) for s in stage.body
-              for n in operations(s)]
-    repeated = {v for v in values if values.count(v) > 1}
-    assert repeated == set()
+    # the naming rule: a value is computed again only where no earlier
+    # computation of it has a name the later one could read (the target of
+    # a line that computes it whole and is assigned once, on every path to
+    # the later one) and where no later statement on every path from the
+    # earlier one computes it, which would have named it
+    stage = stage_loop(funcs)
+    places = {}
+    for stmt, block, i in statements(stage.body):
+        for n in operations(evaluated(stmt)):
+            places.setdefault(numbers.of(n, loop), []).append(
+                (n, stmt, block, i))
+    shareable = []
+    for (n1, s1, b1, i1), (n2, s2, b2, i2) in (
+            pair for found in places.values()
+            for pair in itertools.combinations(found, 2)):
+        if isinstance(s1, ast.Assign) and s1.value is n1 and (
+                s1.targets[0].id in loop):
+            # the later computation runs after the line on every path to it
+            shareable += [ast.unparse(n2)] * (
+                b2[:len(b1)] == b1 and (b2 == b1 or b2[len(b1)][0] > i1))
+        elif s1 is not s2:
+            shareable += [ast.unparse(n2)] * any(
+                n2 in ast.walk(part)
+                for part in on_every_path(stage.body, b1, i1))
+    assert shareable == []
     assert not {"l10", "l30"} & {n.id for n in ast.walk(funcs["loop_for"])
                                  if isinstance(n, ast.Name)}
+
+
+def test_loop_for_binds_one_name_per_value():
+    # a value of p and mag alone is computed once in loop_for, under one
+    # name: the mass block's xm8 and the bias block's m_p*r2 are one name
+    funcs = {f.name: f for f in ast.parse(inspect.getsource(_eom)).body
+             if isinstance(f, ast.FunctionDef)}
+    defs = assigned_once(funcs["loop_for"])
+    numbers = ValueNumbers()
+    bound = {}
+    for stmt in funcs["loop_for"].body:
+        if (isinstance(stmt, ast.Assign)
+                and isinstance(stmt.targets[0], ast.Name)
+                and stmt.targets[0].id in defs):
+            bound.setdefault(numbers.of(stmt.value, defs), []).append(
+                stmt.targets[0].id)
+    assert "xm8" in [name for names in bound.values() for name in names]
+    assert [names for names in bound.values() if len(names) > 1] == []
+
+
+def test_each_shared_name_is_read_again_on_every_path():
+    # every name the stage assigns to share a value, xv*, is read at least
+    # twice on every path from its assignment: beyond P_max the coupled
+    # branch stores no name for the gradient branch, and stage 1 none for
+    # the update of stages 2 and 3
+    funcs = {f.name: f for f in ast.parse(inspect.getsource(_eom)).body
+             if isinstance(f, ast.FunctionDef)}
+    stage = stage_loop(funcs)
+    reads = {}
+    for stmt, block, i in statements(stage.body):
+        if isinstance(stmt, ast.Assign) and re.fullmatch(
+                r"xv\d+", stmt.targets[0].id):
+            name = stmt.targets[0].id
+            reads[name] = sum(
+                isinstance(n, ast.Name) and n.id == name
+                for part in on_every_path(stage.body, block, i)
+                for n in ast.walk(part))
+    assert reads
+    assert {name: n for name, n in reads.items() if n < 2} == {}
 
 
 @pytest.mark.parametrize("y", [

@@ -30,20 +30,23 @@ variant, dt, mag, pd), which the run loop calls once per run. _def prints
 every generated function, loop_for's nested loop included. loop_for
 computes every value of the four blocks, of the Cholesky and of the force
 law that depends on p and mag alone, found on the Python parse of the
-printed lines (see _hoist), unpacks the gains and targets of pd, and
-returns loop(ys, n), the run's one call: up to n RK4 steps with the state
-in locals, each step the PD law inline on its start state, held as tau =
+printed lines, unpacks the gains and targets of pd, and returns loop(ys,
+n), the run's one call: up to n RK4 steps with the state in locals, each
+step the PD law inline on its start state, held as tau =
 _core.torque_map(u1, u2), then the rest of the blocks, the force law and
 the solve, in a loop over the four stages. There, as in the term
 functions, each angle sum is named and each sine and cosine taken once
-(_trig_lines). The stage's solve leaves out every term that M's structural
-zeros, M01 = M03 = 0, make a product with +0.0 (_fold), and each value the
-stage's lines compute more than once is computed once and read by name
-after (_number). Moving whole parse subtrees and reading a name in place of
-an equal operation (b * a for a * b among them, which IEEE 754 rounds
-alike) keep every other operand and grouping, and a dropped term changes at
-most the sign of a zero, so each stage's qdd equals the separate calls to
-the last bit but for such a sign; the tests pin the bytes.
+(_trig_lines). One pass over the stage's lines, _number, numbers every
+value once and rewrites them by four rules: a value of p and mag alone is
+computed once in loop_for, under one name; every term that M's structural
+zeros, M01 = M03 = 0, make a product with +0.0 leaves the solve; a value
+computed again reads the name of its first computation, which is named
+only where a later statement reads it on every path from there; and no
+operand is regrouped. A name read in place of an equal operation (b * a for
+a * b among them, which IEEE 754 rounds alike) holds its bits, and a
+dropped term changes at most the sign of a zero, so each stage's qdd equals
+the separate calls to the last bit but for such a sign; the tests pin the
+bytes.
 The output uses only +, -, *, / and math's sin, cos and sqrt: integer
 powers are written as products, because Python's float ** raises
 OverflowError where a product overflows to inf, and the integrator reports
@@ -271,7 +274,7 @@ def _def(name, args, doc, body, returned):
 # M x = b by Cholesky, M given as its upper triangle m00..m33 row by row,
 # into x0..x3: one text, printed whole as solve_spd4, which takes any M, and
 # inline in loop without the terms that M's structural zeros make zero
-# (_fold). A non-positive or non-finite pivot returns None; no input makes it
+# (_number). A non-positive or non-finite pivot returns None; no input makes it
 # raise. Every name is assigned once, so the pivots of p alone can move to
 # loop_for.
 CHOLESKY = """\
@@ -384,89 +387,86 @@ the new y is not finite. The keyword-only defaults are loop_for's
 values and math's, bound as locals once per call."""
 
 
-# node types of a hoisted expression: +, - and * never raise on floats
-_FIXED = (ast.BinOp, ast.UnaryOp, ast.Add, ast.Sub, ast.Mult, ast.USub,
-          ast.Constant, ast.Name, ast.Load)
-
-
-def _fixed(node, known):
-    """True if node is +, - and * of constants and the names in known."""
-    return all(isinstance(n, _FIXED)
-               and (not isinstance(n, ast.Name) or n.id in known)
-               for n in ast.walk(node))
-
-
-def _largest(node, known):
-    """The largest operations under node that are _fixed and name a value,
-    left to right."""
-    if (isinstance(node, (ast.BinOp, ast.UnaryOp)) and _fixed(node, known)
-            and any(isinstance(n, ast.Name) for n in ast.walk(node))):
-        return [node]
-    return [n for child in ast.iter_child_nodes(node)
-            for n in _largest(child, known)]
-
-
 # math's names in the generated code: fixed, like the constants
 MATH = {"cos", "inf", "sin", "sqrt"}
+
+# the operators whose results _number numbers, with calls (an operation on
+# constants alone is not numbered, as the compiler folds it); a value of
+# parameters moves to loop_for from any line by those that never raise
+_NEVER_RAISE = (ast.Add, ast.Sub, ast.Mult, ast.USub, ast.UAdd)
+_ARITH = (*_NEVER_RAISE, ast.Div)
 
 
 def _names(node):
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
-def _hoist(lines):
-    """Split the stage's lines into (loop_for's lines, the stage's lines).
+def _stored(node):
+    return {n.id for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
 
-    lines are one statement each, indented under a branch or not, and the
-    branch headers. An unindented assignment whose names are all parameters
-    (of p or mag), math's and names already hoisted moves to loop_for whole,
-    and so does an unindented pivot check of such names, its `return None`
-    made `return _failed_loop`: statements keep their order, so each check
-    still runs before the sqrt and divisions it guards. In every other line,
-    each largest operation of +, - and * of such names, as Python parses the
-    line, moves to loop_for as xp0, xp1, ..., or under the name of an equal
-    expression hoisted before, and the line reads that name in its place.
-    The parse tree keeps its shape, so the operands, their grouping and the
-    bits of every result are unchanged. _fold has taken M's structural
-    zeros out of the Cholesky lines before, and _number computes each value
-    the stage repeats once after.
+
+def _operation(node):
+    return ((isinstance(node, (ast.BinOp, ast.UnaryOp))
+             and isinstance(node.op, _ARITH) or isinstance(node, ast.Call))
+            and any(isinstance(n, ast.Name) for n in ast.walk(node)))
+
+
+def _folded(node, zeros):
+    """True if node is a - z * b or a - b * z with z in zeros."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and isinstance(node.right, ast.BinOp)
+            and isinstance(node.right.op, ast.Mult)
+            and any(isinstance(f, ast.Name) and f.id in zeros
+                    for f in (node.right.left, node.right.right)))
+
+
+def _value(node, env, zeros):
+    """The value number of node, a tuple, under env {name: value number}.
+
+    Equal numbers are equal values: the same operations on equal operands.
+    a + b and a * b are numbered as b + a and b * a, which IEEE 754 gives
+    the same bits, and a - z * b, z in zeros, as a (see _number).
     """
-    known = {str(s) for s in PAR} | set(MAG) | MATH
-    names = {}  # ast.dump of a hoisted expression -> the name it has
-    fresh = (f"xp{i}" for i in itertools.count())
-    outer, inner = [], []
-    lines = iter(lines)
-    for line in lines:
-        text = line.lstrip()
-        indent = line[:len(line) - len(text)]
-        if text.endswith(":"):
-            if (not indent and text.startswith("if not ")
-                    and _names(ast.parse(text[3:-1], mode="eval")) <= known):
-                next(lines)  # its return None
-                outer += [text, "    return _failed_loop"]
-            else:
-                inner.append(line)
-            continue
-        stmt = ast.parse(text).body[0]
-        if isinstance(stmt, ast.Assign):
-            targets = set().union(*map(_names, stmt.targets))
-            if targets & known:
-                raise ValueError(f"{text!r} assigns a hoisted name again")
-            if not indent and _names(stmt.value) <= known:
-                outer.append(text)
-                known |= targets
-                names.setdefault(ast.dump(stmt.value), stmt.targets[0].id)
-                continue
-        spans = []
-        for node in _largest(stmt, known):
-            key = ast.dump(node)
-            if key not in names:
-                names[key] = next(fresh)
-                outer.append(f"{names[key]} = "
-                             f"{text[node.col_offset:node.end_col_offset]}")
-            spans.append((*_span(text, node), names[key]))
-        inner.append(indent + _spliced(text, spans))
-    return outer, inner
+    if _folded(node, zeros):
+        return _value(node.left, env, zeros)
+    if isinstance(node, ast.Name):
+        if node.id in zeros:
+            raise ValueError(f"the zero {node.id} is read where no rule "
+                             "drops it")
+        return env.get(node.id, ("name", node.id))
+    if isinstance(node, ast.Constant):
+        return ("constant", repr(node.value))
+    if isinstance(node, ast.BinOp):
+        operands = [_value(node.left, env, zeros),
+                    _value(node.right, env, zeros)]
+        if isinstance(node.op, (ast.Add, ast.Mult)):
+            operands.sort(key=repr)
+        return (type(node.op).__name__, *operands)
+    if isinstance(node, ast.UnaryOp):
+        return (type(node.op).__name__, _value(node.operand, env, zeros))
+    if isinstance(node, ast.Compare):
+        return ("compare", _value(node.left, env, zeros),
+                *((type(op).__name__, _value(c, env, zeros))
+                  for op, c in zip(node.ops, node.comparators)))
+    if isinstance(node, ast.Call) and not node.keywords:
+        return ("call", _value(node.func, env, zeros),
+                *(_value(a, env, zeros) for a in node.args))
+    return ("node", id(node))  # equal to nothing else
+
+
+def _known(value, params):
+    """True if every leaf of the value number is a constant or a name in
+    params."""
+    kind, *operands = value
+    if kind == "name":
+        return operands[0] in params
+    return kind not in ("joined", "node") and all(
+        _known(v, params) for v in operands if isinstance(v, tuple))
+
+
+def _size(value):
+    return 1 + sum(_size(v) for v in value if isinstance(v, tuple))
 
 
 def _span(text, node):
@@ -479,243 +479,236 @@ def _span(text, node):
     return start, end
 
 
-def _spliced(text, spans):
-    """text with each name of spans, (start, end, name) that do not
-    overlap, in place of text[start:end]."""
-    for start, end, name in sorted(spans, reverse=True):
-        text = text[:start] + name + text[end:]
-    return text
+def _number(lines, params, keep):
+    """(loop_for's lines, the stage's lines): one pass over the stage.
 
-
-def _zero_product(node, zeros):
-    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
-            and any(isinstance(f, ast.Name) and f.id in zeros
-                    for f in (node.left, node.right)))
-
-
-def _without_zeros(node, zeros):
-    """node with each `a - z * b` or `a - b * z`, z in zeros, made `a`."""
-    if not isinstance(node, ast.BinOp):
-        return node
-    if isinstance(node.op, ast.Sub) and _zero_product(node.right, zeros):
-        return _without_zeros(node.left, zeros)
-    left = _without_zeros(node.left, zeros)
-    right = _without_zeros(node.right, zeros)
-    if left is node.left and right is node.right:
-        return node
-    return ast.BinOp(left, node.op, right)
-
-
-def _fold(lines, zeros):
-    """CHOLESKY's lines with the entries of M named in zeros, the literal
-    0.0, folded away.
-
-    Every divisor in CHOLESKY is the root of a pivot tested positive and
-    finite before it, so an L entry assigned zero / divisor is +0.0 too; it
-    joins zeros and its line goes. Each term z * b subtracted from a
-    partial sum a, z in zeros, goes: where b is finite it is +-0.0, and a -
-    (+-0.0) is a, but that -0.0 - -0.0 is +0.0. Where b is not finite, the
-    solve fails at the next pivot (b an L entry) or a later y or x, and
-    with it the new y, is not finite either (b a y or an x), so the step
-    stops where it did. A line that folds to one name goes, and the later
-    lines read that name for its target.
+    lines are the stage's, one statement each, indented under their
+    branches. Every operation is numbered (_value) in the order Python
+    computes it, each name read as the value assigned to it, and four rules
+    rewrite the lines:
+    - a value whose leaves are all constants or names in params is computed
+      once in loop_for, under one name. An unindented statement of such a
+      value moves there whole, or goes where an earlier name has its value,
+      and later lines read that name for its target; so does an unindented
+      pivot check of such values, with `return _failed_loop`, still ahead
+      of the sqrt and divisions it guards. In any other line each largest
+      such operation of +, - and *, which never raise, reads its value's
+      name there, a new xp0, xp1, ... where it has none;
+    - a zero is a name assigned 0.0, or zero / d, once: M's structural
+      zeros m01 and m03, and the L entries divided from them by the root d
+      of a pivot tested positive and finite. Its line goes, and so does each
+      term z * b or b * z subtracted from a partial sum: where b is finite
+      it is +-0.0, and a - (+-0.0) is a but that -0.0 - -0.0 is +0.0; where
+      b is not, the solve fails at the next pivot (b an L entry) or the new
+      y is not finite either way (b a y or an x). A zero read any other way
+      raises ValueError;
+    - a computation of a value is named where it is the whole of a line
+      whose target the stage assigns once, or where a later statement
+      computes the value again on every path from it: in the same block,
+      with no statement between that may leave the stage (a pivot check,
+      stage 4's break). Its name is then that target, or a new xv0, xv1, ...
+      assigned just before its statement. Each later computation that it
+      runs on every path to reads the name, and a line that then copies the
+      name goes where its target is assigned once and not in keep, later
+      lines reading the name for that target. Any other computation stays
+      inline, so no name is stored that every path does not read again. A
+      computation inside one that reads a name does not count;
+    - no operand is regrouped: a name read in place of an operation holds
+      that operation's bits, so each value keeps its bits but for the sign
+      of a dropped zero.
     """
-    zeros, renames, out = set(zeros), {}, []
-    for line in lines:
-        for old, new in renames.items():
-            line = re.sub(rf"\b{old}\b", new, line)
-        text = line.lstrip()
-        if " = " not in text:  # a pivot test or its return
-            out.append(line)
-            continue
-        stmt = ast.parse(text).body[0]
-        [target], value = stmt.targets, stmt.value
-        if (isinstance(value, ast.BinOp) and isinstance(value.op, ast.Div)
-                and isinstance(value.left, ast.Name)
-                and value.left.id in zeros):
-            zeros.add(target.id)
-            continue
-        value = _without_zeros(value, zeros)
-        if _names(value) & zeros:
-            raise ValueError(f"{text!r} reads a zero it does not subtract")
-        if isinstance(value, ast.Name):
-            renames[target.id] = value.id
-        elif value is stmt.value:
-            out.append(line)
-        else:
-            out.append(f"{line[:len(line) - len(text)]}{target.id} = "
-                       f"{ast.unparse(value)}")
-    return out
-
-
-# the operators whose results _number numbers, with calls; an operation on
-# constants alone is not numbered, as the compiler folds it
-_ARITH = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.USub, ast.UAdd)
-
-
-def _operation(node):
-    return ((isinstance(node, (ast.BinOp, ast.UnaryOp))
-             and isinstance(node.op, _ARITH) or isinstance(node, ast.Call))
-            and any(isinstance(n, ast.Name) for n in ast.walk(node)))
-
-
-def _value(node, env):
-    """The value number of node, a tuple, under env {name: value number}.
-
-    Equal numbers are equal values: the same operations on equal operands.
-    a + b and a * b are numbered as b + a and b * a, which IEEE 754 gives
-    the same bits.
-    """
-    if isinstance(node, ast.Name):
-        return env.get(node.id, ("name", node.id))
-    if isinstance(node, ast.Constant):
-        return ("constant", repr(node.value))
-    if isinstance(node, ast.BinOp):
-        operands = [_value(node.left, env), _value(node.right, env)]
-        if isinstance(node.op, (ast.Add, ast.Mult)):
-            operands.sort(key=repr)
-        return (type(node.op).__name__, *operands)
-    if isinstance(node, ast.UnaryOp):
-        return (type(node.op).__name__, _value(node.operand, env))
-    if isinstance(node, ast.Call) and not node.keywords:
-        return ("call", _value(node.func, env),
-                *(_value(a, env) for a in node.args))
-    return ("node", id(node))  # equal to nothing else
-
-
-def _stored(node):
-    return {n.id for n in ast.walk(node)
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
-
-
-def _number(outer, lines, keep):
-    """The stage's lines with each value they repeat computed once.
-
-    outer are loop_for's lines, which give the values of the names the
-    stage reads of it; lines are the stage's, one statement each, indented
-    under their branches. The value of every operation is numbered
-    (_value) in the order Python evaluates the lines. An operation whose
-    number an earlier one has reads that one's name in its place: the
-    target of a line that computes it whole, if the stage assigns that name
-    once, or else a new name xv0, xv1, ... assigned it just before the
-    earlier line. Only an earlier operation that runs on every path to the
-    later one serves: one before it in its own branch or in a branch around
-    it, never one inside a branch that has closed. A line that computes an
-    earlier value whole goes where its target is assigned once and not in
-    keep, and the later lines read the earlier name for that target. Every
-    other operation keeps its operands and grouping, and the value it
-    reads in place of an operation is that operation's to the bit, so every
-    value the stage computes has the bits it had.
-    """
-    env = {}
-    for stmt in ast.parse("\n".join(outer)).body:
-        if isinstance(stmt, ast.Assign):
-            for name in _stored(stmt):
-                env[name] = _value(stmt.value, env)
-    tree = ast.parse("\n".join(lines))
-    assigned = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            assigned[node.id] = assigned.get(node.id, 0) + 1
-    # uses: operation -> the earlier one it reads; homes: the operations
-    # that compute their value first, in order; named: home -> the target
-    # of its line; dropped: line -> the home whose value it assigns
-    uses, homes, named, dropped = {}, [], {}, {}
-
-    def visit(node, avail):
-        value = _value(node, env) if _operation(node) else None
-        if value in avail:
-            uses[node] = avail[value]
-            return
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.expr):
-                visit(child, avail)
-        if value is not None:
-            avail[value] = node
-            homes.append(node)
-
-    def block(stmts, avail):
-        for stmt in stmts:
-            if isinstance(stmt, ast.If):
-                visit(stmt.test, avail)
-                before = dict(env)
-                for body in (stmt.body, stmt.orelse):
-                    block(body, dict(avail))
-                    env.clear()
-                    env.update(before)
-                for name in _stored(stmt):
-                    env[name] = ("joined", name, id(stmt))
-                continue
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.expr) and not _stored(child):
-                    visit(child, avail)
-            if not isinstance(stmt, ast.Assign):
-                continue
-            value = _value(stmt.value, env)
-            for name in _stored(stmt):
-                env[name] = value
-            [target] = stmt.targets[:1]
-            if (len(stmt.targets) > 1 or not isinstance(target, ast.Name)
-                    or assigned[target.id] > 1):
-                continue
-            if stmt.value in uses:
-                if target.id not in keep:
-                    dropped[stmt] = uses[stmt.value]
-            elif _operation(stmt.value):
-                named[stmt.value] = target.id
-
-    block(tree.body, {})
-    # the new names, in the order their values are computed
-    used = set(uses.values())
-    fresh = (f"xv{i}" for i in itertools.count())
-    names = {home: named.get(home) or next(fresh)
-             for home in homes if home in used}
-    renames = {stmt.targets[0].id: names[home]
-               for stmt, home in dropped.items()}
     text = "\n".join(lines).splitlines()
-
-    def render(node):
-        """node's text, each operation under it that reads a name, and each
-        name of a line that went, replaced by that name."""
-        line = text[node.lineno - 1]
-        spans = []
-
-        def replace(n, top):
-            if not top and n in names and n not in named:
-                spans.append((*_span(line, n), names[n]))
-            elif n in uses:
-                spans.append((*_span(line, n), names[uses[n]]))
-            elif isinstance(n, ast.Name) and n.id in renames:
-                spans.append((n.col_offset, n.end_col_offset, renames[n.id]))
-            else:
-                for child in ast.iter_child_nodes(n):
-                    replace(child, False)
-
-        replace(node, True)
-        return _spliced(line[:node.end_col_offset], spans)[node.col_offset:]
-
+    tree = ast.parse("\n".join(lines))
+    stores = [n.id for n in ast.walk(tree)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    if set(stores) & params:
+        raise ValueError(f"the stage assigns {set(stores) & params}")
     starts = {}
     for stmt in ast.walk(tree):
         if isinstance(stmt, ast.stmt):
             if stmt.lineno != stmt.end_lineno and not isinstance(stmt, ast.If):
                 raise ValueError(f"line {stmt.lineno} is not one statement")
             starts[stmt.lineno] = stmt
+    env, zeros, renames = {}, set(), {}
+    outer, outer_names, hoisted = [], {}, {}
+    fresh = (f"xp{i}" for i in itertools.count())
+    # found: (value, node, statement) of each operation the stage computes,
+    # in the order Python computes them; where: statement -> (block, index)
+    # with a block the path of (index, branch) to it; leaves: the (block,
+    # index) of each statement that may leave the stage; gone: the
+    # statements that go
+    found, where, leaves, gone = [], {}, set(), set()
+    uses, names, xv = {}, {}, {}  # filled once every value is numbered
+
+    def render(node, top=False):
+        """node's text, with each operation that reads a name, each name
+        renamed and each dropped zero term replaced."""
+        if node in hoisted:
+            return hoisted[node]
+        if node in uses:
+            return names[uses[node]]
+        if node in xv and not top:
+            return xv[node]
+        if _folded(node, zeros):
+            return render(node.left)
+        if isinstance(node, ast.Name):
+            return renames.get(node.id, node.id)
+        line, spans = text[node.lineno - 1], []
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.expr):
+                new = render(child)
+                start, end = child.col_offset, child.end_col_offset
+                if new != line[start:end]:
+                    if new.isidentifier():
+                        start, end = _span(line, child)
+                    spans.append((start, end, new))
+        out = line[:node.end_col_offset]
+        for start, end, new in sorted(spans, reverse=True):
+            out = out[:start] + new + out[end:]
+        return out[node.col_offset:]
+
+    def scan(node, stmt):
+        if _folded(node, zeros):
+            return scan(node.left, stmt)
+        value = _value(node, env, zeros) if _operation(node) else None
+        if (value is not None and not isinstance(node, ast.Call)
+                and isinstance(node.op, _NEVER_RAISE)
+                and _known(value, params)):
+            if value not in outer_names:
+                outer_names[value] = next(fresh)
+                outer.append(f"{outer_names[value]} = {render(node)}")
+            hoisted[node] = outer_names[value]
+            return
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.expr):
+                scan(child, stmt)
+        if value is not None:
+            found.append((value, node, stmt))
+
+    def once(stmt):
+        return (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Name)
+                and stores.count(stmt.targets[0].id) == 1)
+
+    def block(stmts, path):
+        for i, stmt in enumerate(stmts):
+            where[stmt] = (path, i)
+            if any(isinstance(n, (ast.Return, ast.Break))
+                   for n in ast.walk(stmt)):
+                leaves.add((path, i))
+            if isinstance(stmt, ast.If):
+                if (not path and isinstance(stmt.body[0], ast.Return)
+                        and _known(_value(stmt.test, env, zeros), params)):
+                    outer.extend([f"if {render(stmt.test)}:",
+                                  "    return _failed_loop"])
+                    gone.add(stmt)
+                    continue
+                scan(stmt.test, stmt)
+                before = dict(env)
+                for k, body in enumerate((stmt.body, stmt.orelse)):
+                    block(body, (*path, (i, k)))
+                    env.clear()
+                    env.update(before)
+                for name in _stored(stmt):
+                    env[name] = ("joined", name, id(stmt))
+                continue
+            if not isinstance(stmt, ast.Assign):
+                continue
+            target, value = stmt.targets[0], stmt.value
+            if once(stmt) and (
+                    isinstance(value, ast.Constant) and value.value == 0.0
+                    or isinstance(value, ast.BinOp)
+                    and isinstance(value.op, ast.Div)
+                    and isinstance(value.left, ast.Name)
+                    and value.left.id in zeros):
+                zeros.add(target.id)
+                gone.add(stmt)
+                continue
+            number = _value(value, env, zeros)
+            if not path and _known(number, params):
+                gone.add(stmt)
+                if once(stmt) and number in outer_names:
+                    renames[target.id] = outer_names[number]
+                else:
+                    outer.append(text[stmt.lineno - 1][:value.col_offset]
+                                 + render(value))
+                    outer_names.setdefault(number, target.id)
+            else:
+                scan(value, stmt)
+            for name in _stored(stmt):
+                env[name] = number
+
+    block(tree.body, ())
+    parent = {c: n for n in ast.walk(tree) for c in ast.iter_child_nodes(n)}
+    groups = {}  # value -> [(seq, node, statement)] of its computations
+    for seq, (value, node, stmt) in enumerate(found):
+        groups.setdefault(value, []).append((seq, node, stmt))
+
+    def dominates(first, later):
+        """True if the first computation runs on every path to the later."""
+        block = where[first[2]][0]
+        return later[0] > first[0] and where[later[2]][0][:len(block)] == block
+
+    def every_path(first, later):
+        """True if a later statement holds the later computation and runs on
+        every path from the first."""
+        (block, i), (other, j) = where[first[2]], where[later[2]]
+        return (block == other and j > i
+                and not any((block, k) in leaves for k in range(i, j)))
+
+    def inside_a_use(node):
+        while node in parent:
+            node = parent[node]
+            if node in uses:
+                return True
+        return False
+
+    # the larger values first: a computation inside one that reads a name is
+    # not computed, and does not count
+    for value in sorted(groups, key=_size, reverse=True):
+        computed = [c for c in groups[value] if not inside_a_use(c[1])]
+        homes = []
+        for k, (seq, node, stmt) in enumerate(computed):
+            home = next((h for h in homes if dominates(h, computed[k])), None)
+            if home is not None:
+                uses[node] = home[1]
+                continue
+            if once(stmt) and stmt.value is node:
+                names[node] = stmt.targets[0].id
+            elif any(every_path(computed[k], c) for c in computed[k + 1:]):
+                xv[node] = seq
+            else:
+                continue
+            homes.append(computed[k])
+    order = sorted(xv, key=xv.get)
+    for i, node in enumerate(order):
+        xv[node] = names[node] = f"xv{i}"
+    for node, home in uses.items():
+        stmt = parent[node]
+        if once(stmt) and stmt.value is node and (
+                stmt.targets[0].id not in keep):
+            gone.add(stmt)
+            renames[stmt.targets[0].id] = names[home]
+
+    statement = {node: stmt for _, node, stmt in found}
+    skip = {i for stmt in gone
+            for i in range(stmt.lineno, stmt.end_lineno + 1)}
     out = []
     for i, line in enumerate(text, 1):
         stmt = starts.get(i)
-        if stmt in dropped:
+        if i in skip:
             continue
         if stmt is None:  # else:
             out.append(line)
             continue
-        expr = stmt.test if isinstance(stmt, ast.If) else stmt
         indent = line[:len(line) - len(line.lstrip())]
-        mine = set(ast.walk(expr))
-        out += [f"{indent}{names[n]} = {render(n)}" for n in homes
-                if n in mine and n in names and n not in named]
-        out.append(line[:expr.col_offset] + render(expr)
-                   + line[expr.end_col_offset:])
-    return out
+        out += [f"{indent}{xv[n]} = {render(n, top=True)}" for n in order
+                if statement[n] is stmt]
+        expr = stmt.test if isinstance(stmt, ast.If) else getattr(
+            stmt, "value", None)
+        out.append(line if expr is None else line[:expr.col_offset]
+                   + render(expr) + line[expr.end_col_offset:])
+    return outer, out
 
 
 def _reads(source):
@@ -751,24 +744,24 @@ def _loop_for(blocks, trig):
     tip_geometry, the lines their functions print: each its own sympy cse,
     its temporaries named apart (xm*, xb*, xg*, xt*) and its outputs
     assigned to names; a joint cse over them would regroup the arithmetic
-    and move last bits. The right-hand side follows in the order of the
-    separate terms: tau - bias - G, then, under one test of mag's enabled,
-    the tip geometry's lines that p_m needs, TIP_LAW with the others at its
-    GRADIENT line, and + t; and CHOLESKY, less what M's structural zeros
-    (the mass block's lines m01 = 0.0 and m03 = 0.0, which go) make zero
-    (_fold). _hoist moves what they compute of p and mag alone to loop_for,
-    once per run, the first two pivots among it; loop_for also unpacks pd's
-    gains and targets once. loop keeps the state in z0..z7 between steps.
-    Each step copies it to the stage input, runs PD_LAW on it under one
-    test of pd and forms tau as _core.torque_map does, then runs the rest
-    once per RK4 stage in a loop, after _trig_lines of every c*/s* the
-    blocks read, and forms the next stage's input, the slopes' weighted sum
-    and the new y with the expressions and grouping of tests/oracles.py's
-    list RK4: k1 + 2.0 k2 + 2.0 k3 + k4 is summed left to right as the
-    stages come. _number then computes each value that the stage's lines,
-    its update among them, repeat once: the repeats of the separate terms
-    (bias and G share products), and 2.0 times a rate that the bias and a
-    slope's sum both take.
+    and move last bits. The stage's lines are _trig_lines of every c*/s*
+    the blocks read, then the blocks, and the right-hand side in the order
+    of the separate terms: tau - bias - G, then, under one test of mag's
+    enabled, the tip geometry's lines that p_m needs, TIP_LAW with the
+    others at its GRADIENT line, and + t; then CHOLESKY whole, and the next
+    stage's input, the slopes' weighted sum and the new y with the
+    expressions and grouping of tests/oracles.py's list RK4: k1 + 2.0 k2 +
+    2.0 k3 + k4 is summed left to right as the stages come. One pass,
+    _number, rewrites them: what they compute of p and mag alone moves to
+    loop_for, once per run under one name, the first two pivots among it;
+    M's structural zeros (the mass block's lines m01 = 0.0 and m03 = 0.0)
+    and what they make zero in the solve go; and a value the lines compute
+    again reads the name of its first computation, where a later statement
+    reads that name on every path from it. loop_for also unpacks pd's gains
+    and targets once. loop keeps the state in z0..z7 between steps. Each
+    step copies it to the stage input, runs PD_LAW on it under one test of
+    pd and forms tau as _core.torque_map does, then runs the stage once per
+    RK4 stage in a loop.
 
     loop takes every value it reads of loop_for, and math's cos, sin, sqrt
     and inf, as a keyword-only default (_reads finds them), so each is a
@@ -781,35 +774,24 @@ def _loop_for(blocks, trig):
     So the loop stops after the step where a list RK4 that tests every
     stage input stops.
     """
-    # M's structural zeros, m01 = 0.0 and m03 = 0.0: their lines go, and
-    # _fold drops what they make zero from the Cholesky
-    zeros = [line for line in blocks[0][1]
-             if re.fullmatch(r"m\d\d = 0\.0", line)]
-    body = [line for _, lines in blocks[:3] for line in lines
-            if line not in zeros]
-    body += [f"b{i} = tau{i} - bias{i} - G{i}" for i in range(4)]
+    used = set().union(*(u for u, _ in blocks))
+    stage = _trig_lines(trig, used)
+    stage += [line for _, lines in blocks[:3] for line in lines]
+    stage += [f"b{i} = tau{i} - bias{i} - G{i}" for i in range(4)]
     separation, gradient = _split_needed(blocks[3][1], "pm")
     law = []
     for line in TIP_LAW.splitlines():
         text = line.lstrip()
         indent = line[:len(line) - len(text)]
         law += [indent + g for g in gradient] if text == GRADIENT else [line]
-    body += ["coupled = enabled != 0.0", "if coupled:"]
-    body += ["    " + line for line in separation + law]
-    body += [f"    b{i} = b{i} + t{i}" for i in range(4)]
-    cholesky = _fold(CHOLESKY.splitlines(), {line[:3] for line in zeros})
-    outer, inner = _hoist(body + cholesky)
+    stage += ["coupled = enabled != 0.0", "if coupled:"]
+    stage += ["    " + line for line in separation + law]
+    stage += [f"    b{i} = b{i} + t{i}" for i in range(4)]
+    stage += CHOLESKY.splitlines()
 
-    used = set().union(*(u for u, _ in blocks))
     y = [str(s) for s in Q + QD]
     z = [f"z{i}" for i in range(8)]
     slope = [str(s) for s in QD] + ["x0", "x1", "x2", "x3"]
-    tau = map(_Printer().doprint, _core.torque_map(*sp.symbols("u1 u2")))
-    step = [f"{v} = {zi}" for v, zi in zip(y, z)]
-    step += ["if controlled:"]
-    step += ["    " + line for line in PD_LAW.splitlines()]
-    step += [f"    tau{i} = {t}" for i, t in enumerate(tau)]
-    stage = _trig_lines(trig, used) + inner
     stage += ["if stage == 4:", "    break", "if stage == 1:"]
     stage += [f"    k{i} = {d}" for i, d in enumerate(slope)]
     stage += ["    f = h", "else:"]
@@ -817,9 +799,16 @@ def _loop_for(blocks, trig):
     stage += ["    if stage == 3:", "        f = dt"]
     stage += [f"{v} = z{i} + f * {d}"
               for i, (v, d) in enumerate(zip(y, slope))]
+    outer, stage = _number(stage, {str(s) for s in PAR} | set(MAG) | MATH,
+                           set(y + slope))
+    tau = map(_Printer().doprint, _core.torque_map(*sp.symbols("u1 u2")))
+    step = [f"{v} = {zi}" for v, zi in zip(y, z)]
+    step += ["if controlled:"]
+    step += ["    " + line for line in PD_LAW.splitlines()]
+    step += [f"    tau{i} = {t}" for i, t in enumerate(tau)]
     step += ["for stage in (1, 2, 3, 4):"]
     step += ["    " + line.replace("return None", "return i")
-             for line in _number(outer, stage, set(y + slope))]
+             for line in stage]
     step += [f"z{i} = z{i} + w * (k{i} + {d})" for i, d in enumerate(slope)]
     step += ["if " + " + ".join(f"0.0 * {v}" for v in z) + " != 0.0:",
              "    return i",
@@ -877,9 +866,9 @@ elementwise arithmetic, so y may be floats or the columns of a recorded run.
 loop_for(p, variant, dt, mag, pd) builds the run loop once per run. It
 computes what the code of mass_matrix, bias, gravity and tip_geometry, the
 Cholesky of solve_spd4 and the force law of tip_law derive from p and mag
-alone: the temporaries of p alone, the first two pivots, whether mag
-couples the tips and, in the other lines, each operation of p and mag alone
-as Python parses the line. It unpacks the gains and targets of pd, (Kp, Kd,
+alone, each value once under one name: the temporaries of p alone, the
+first two pivots, whether mag couples the tips and, in the other lines,
+each operation of p and mag alone as Python parses the line. It unpacks the gains and targets of pd, (Kp, Kd,
 tgt) or None. It returns loop(ys, n), called once per run, which takes up
 to n RK4 steps from ys[0] with the state in eight locals between steps. Each
 step computes the PD input from the step's start state by the code of
@@ -889,11 +878,12 @@ the four RK4 stages: each angle sum named and each sine and cosine taken
 once, the tip geometry and the force law under one test of the coupling
 (p_m grad p_m only where the law reads it), and (tau - bias - G) + t solved
 by the Cholesky inline, less every term that the structural zeros M01 =
-M03 = 0 make a product with +0.0. A value the stage would compute more than
-once is computed once, and the later places read its name (an xv* name
-where no line held it whole) wherever the first runs on every path to
-them; a * b and b * a count as one value, as do a + b and b + a, since
-IEEE 754 gives them the same bits. Every other operand and grouping is the
+M03 = 0 make a product with +0.0. A value the stage computes again reads
+the name of its first computation wherever that runs on every path to it,
+and a first computation is named (an xv* name where no line holds it
+whole) only where a later statement reads it on every path from there; a *
+b and b * a count as one value, as do a + b and b + a, since IEEE 754
+gives them the same bits. Every other operand and grouping is the
 separate functions', and a dropped term is +-0.0 wherever its other factor
 is finite, so each stage's qdd equals the separate calls to the last bit
 but for the sign of a zero; where that factor is not finite, the stage
