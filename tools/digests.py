@@ -29,6 +29,7 @@ import io
 import json
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -88,8 +89,6 @@ def produce(directory):
 
 
 def main(argv=None):
-    import tempfile
-
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=OUT)
     args = parser.parse_args(argv)
