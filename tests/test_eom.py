@@ -365,18 +365,20 @@ def test_the_terms_and_the_loop_share_their_temporaries():
             places.setdefault(numbers.of(n, loop), []).append(
                 (n, stmt, block, i))
     shareable = []
-    for (n1, s1, b1, i1), (n2, s2, b2, i2) in (
-            pair for found in places.values()
-            for pair in itertools.combinations(found, 2)):
-        if isinstance(s1, ast.Assign) and s1.value is n1 and (
-                s1.targets[0].id in loop):
-            # the later computation runs after the line on every path to it
-            shareable += [ast.unparse(n2)] * (
-                b2[:len(b1)] == b1 and (b2 == b1 or b2[len(b1)][0] > i1))
-        elif s1 is not s2:
-            shareable += [ast.unparse(n2)] * any(
-                n2 in ast.walk(part)
-                for part in on_every_path(stage.body, b1, i1))
+    for found in places.values():
+        for (n1, s1, b1, i1), (n2, s2, b2, i2) in itertools.combinations(
+                found, 2):
+            if (isinstance(s1, ast.Assign) and s1.value is n1
+                    and s1.targets[0].id in loop):
+                # a line names the value: every path to the later
+                # computation runs it
+                late = b2[:len(b1)] == b1 and (b2 == b1 or b2[len(b1)][0] > i1)
+            else:
+                late = s1 is not s2 and any(
+                    n2 in ast.walk(part)
+                    for part in on_every_path(stage.body, b1, i1))
+            if late:
+                shareable.append(ast.unparse(n2))
     assert shareable == []
     assert not {"l10", "l30"} & {n.id for n in ast.walk(funcs["loop_for"])
                                  if isinstance(n, ast.Name)}
