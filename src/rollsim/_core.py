@@ -36,14 +36,9 @@ on the parameters, the coupling and the controller alone and returns
 pd_input's code inline and runs one whole RK4 step of the rest of the code
 of M, bias, G and, when the tips couple, the tip geometry and force law,
 with the solve inline, in a loop over the four stages; it calls back into
-nothing. One pass of the generator rewrites the stage: each value of the
-parameters and coupling alone is computed once in loop_for, under one
-name; the stage leaves out the solve's products with the zero factor
-entries that M's structural zeros M01 = M03 = 0 make, which are +-0.0
-wherever the other factor is finite; and a value it computes again reads
-the name of its first computation, which is named only where a later
-statement reads it on every path. No operand is regrouped. The tests pin the states it records, byte for byte, against
-a list-form RK4 on `deriv`.
+nothing. The generator's `_number` rewrites the stage, and its docstring
+states the rules. The tests pin the states `loop` records, byte for byte,
+against a list-form RK4 on `deriv`.
 `deriv`, one state's derivative from the separate terms and `mag_torque`,
 serves `dynamics.forward_dynamics` and is the tests' oracle of `loop`. The
 array wrappers `mass_matrix`, `bias` and `gravity` run the same code
@@ -289,11 +284,9 @@ def deriv(par, mag, y, tau, variant):
     overflowing state never raises. qddot is _eom.solve_spd4 of mass_matrix
     and (tau - bias - gravity) + the magnetic torque, the separate _eom
     terms. The loop of _eom.loop_for computes each stage's qddot from the
-    same operations, less the solve's products with the zero entries L10
-    and L30 and with a repeated value read by name where the generator
-    names it, so its qddot is
-    this one to the bit but for the sign of a zero; the tests' list-form
-    RK4 on deriv is its oracle.
+    same operations as rewritten by tools/gen_eom.py's _number, whose
+    docstring says why that qddot is this one to the bit but for the sign
+    of a zero; the tests' list-form RK4 on deriv is its oracle.
     """
     if not all(map(math.isfinite, y)):
         return _ZERO8, False

@@ -25,35 +25,27 @@ loop_for(p, variant, dt, mag, pd) builds the run loop once per run. It
 computes what the code of mass_matrix, bias, gravity and tip_geometry, the
 Cholesky of solve_spd4 and the force law of tip_law derive from p and mag
 alone, each value once under one name: the temporaries of p alone, the
-first two pivots, whether mag couples the tips and, in the other lines,
-each operation of p and mag alone as Python parses the line. It unpacks the gains and targets of pd, (Kp, Kd,
-tgt) or None. It returns loop(ys, n), called once per run, which takes up
-to n RK4 steps from ys[0] with the state in eight locals between steps. Each
-step computes the PD input from the step's start state by the code of
-pd_input, inline, and holds tau = (u1, u2, -u1, -u2) over the step (zero
-where pd is None). It then runs the rest of the code above in a loop over
-the four RK4 stages: each angle sum named and each sine and cosine taken
-once, the tip geometry and the force law under one test of the coupling
-(p_m grad p_m only where the law reads it), and (tau - bias - G) + t solved
-by the Cholesky inline, less every term that the structural zeros M01 =
-M03 = 0 make a product with +0.0. A value the stage computes again reads
-the name of its first computation wherever that runs on every path to it,
-and a first computation is named (an xv* name where no line holds it
-whole) only where a later statement reads it on every path from there; a *
-b and b * a count as one value, as do a + b and b + a, since IEEE 754
-gives them the same bits. Every other operand and grouping is the
-separate functions', and a dropped term is +-0.0 wherever its other factor
-is finite, so each stage's qdd equals the separate calls to the last bit
-but for the sign of a zero; where that factor is not finite, the stage
-fails a pivot or the new y is not finite either way. The stage inputs and
-the update are those of a list-form RK4. loop reads loop_for's values and
-math's cos, sin, sqrt and inf as keyword-only defaults, locals bound once
-per call. It writes each new y to the next row of ys and returns the
-number of steps taken: it stops where solve_spd4 at some stage would
-return None, or where a stage input or the new y is not finite. Only the
-new y is tested: an inf angle makes math.cos raise ValueError, which loop
-catches and returns as its stop, a NaN angle fails a pivot, and a
-non-finite rate or qdd makes the new y non-finite.
+first two pivots and whether mag couples the tips among them. It unpacks
+the gains and targets of pd, (Kp, Kd, tgt) or None. It returns loop(ys,
+n), called once per run, which takes up to n RK4 steps from ys[0] with the
+state in eight locals between steps. Each step computes the PD input from
+the step's start state by the code of pd_input, inline, and holds tau =
+(u1, u2, -u1, -u2) over the step (zero where pd is None). It then runs the
+rest of the code above in a loop over the four RK4 stages: each angle sum
+named and each sine and cosine taken once, the tip geometry and the force
+law under one test of the coupling (p_m grad p_m only where the law reads
+it), and (tau - bias - G) + t solved by the Cholesky inline. The stage
+leaves out the solve's products with the zeros that M01 = M03 = 0 make and
+reads a repeated value by name, by the rules of _number in tools/gen_eom.py,
+so each stage's qdd equals the separate calls to the last bit but for the
+sign of a zero. The stage inputs and the update are those of a list-form
+RK4. loop reads loop_for's values and math's cos, sin, sqrt and inf as
+keyword-only defaults, locals bound once per call. It writes each new y to
+the next row of ys and returns the number of steps taken: it stops where
+solve_spd4 at some stage would return None, or where a stage input or the
+new y is not finite. Only the new y is tested: an inf angle makes math.cos
+raise ValueError, which loop catches and returns as its stop, a NaN angle
+fails a pivot, and a non-finite rate or qdd makes the new y non-finite.
 
 With floats, q and qd are 4-sequences and y is (q, qd); math.sin and
 math.cos raise ValueError on inf, so rollsim._core.deriv tests y first.
@@ -340,26 +332,26 @@ def loop_for(p, variant, dt, mag, pd):
         kp00 = kp01 = kp02 = kp03 = kp10 = kp11 = kp12 = kp13 = 0.0
         kd00 = kd01 = kd02 = kd03 = kd10 = kd11 = kd12 = kd13 = 0.0
         th1d = th2d = ph1d = ph2d = 0.0
-    xm0 = m_p*r1*r1
-    xm2 = m_p*r1
-    xm3 = m_p*r2*r2
-    xm8 = m_p*r2
-    xm9 = R1*R1
-    xm10 = m_p*xm9
-    xm11 = m_s*xm9
-    xm14 = R1*R2
-    xm15 = 2.0*xm14
-    xm16 = m_p*xm15
-    xm17 = m_s*xm15
-    xm18 = R2*R2
-    xm19 = m_p*xm18
-    xm20 = m_s*xm18
+    xm0 = m_p * r1 * r1
+    xm2 = m_p * r1
+    xm3 = m_p * r2 * r2
+    xm8 = m_p * r2
+    xm9 = R1 * R1
+    xm10 = m_p * xm9
+    xm11 = m_s * xm9
+    xm14 = R1 * R2
+    xm15 = 2.0 * xm14
+    xm16 = m_p * xm15
+    xm17 = m_s * xm15
+    xm18 = R2 * R2
+    xm19 = m_p * xm18
+    xm20 = m_s * xm18
     xm21 = I_s + xm16 + xm17 + xm19 + xm20
     xm25 = xm10 + xm11
     m00 = I_p + xm0
     m11 = I_p + xm3
-    xp0 = 3.0*xm10
-    xp1 = 3.0*xm11
+    xp0 = 3.0 * xm10
+    xp1 = 3.0 * xm11
     xb2 = R1 + R2
     xp2 = -R1
     xp3 = m_p + m_s
@@ -434,75 +426,75 @@ def loop_for(p, variant, dt, mag, pd):
                     a12 = ph1 - th2
                     c12 = cos(a12)
                     s12 = sin(a12)
-                    xm1 = R1*c31
-                    xm4 = R1*c42
-                    xm5 = R1*c12
-                    xm6 = R2*c12
+                    xm1 = R1 * c31
+                    xm4 = R1 * c42
+                    xm5 = R1 * c12
+                    xm6 = R2 * c12
                     xm7 = xm5 + xm6
-                    xm12 = c34*xm10
-                    xm13 = c34*xm11
-                    xm22 = c34*xm14
-                    xm23 = xm5*xm8
-                    xm24 = xm6*xm8
-                    m02 = xm2*(r1 + xm1)
-                    m12 = xm8*(xm4 + xm7)
-                    m13 = xm8*(r2 + xm7)
-                    m22 = c34*xm16 + c34*xm17 + xm0 + 2.0*xm1*xm2 + xp0 + xp1 + 2.0*xm12 + 2.0*xm13 + xm21
-                    m23 = m_p*xm22 + m_s*xm22 + xm12 + xm13 + xm16 + xm17 + xm19 + xm20 + xm23 + xm24 + xm25 + xm4*xm8
-                    m33 = xm21 + 2.0*xm23 + 2.0*xm24 + xm25 + xm3
-                    xb0 = dph1*dph1
-                    xb3 = s12*xb2
-                    xb4 = xm8*xb3
-                    xb5 = xb0*xb4
-                    xb6 = dph2*dph2
-                    xb7 = 2.0*dph2
-                    xb8 = dph1*xb7
-                    xb9 = xb4*xb8
-                    xb10 = xm2*s31
-                    xb11 = R1*xb10
-                    xb12 = R1*s34
-                    xb13 = R1*s12
-                    xb14 = R2*s12
-                    xb15 = R1*s42
+                    xm12 = c34 * xm10
+                    xm13 = c34 * xm11
+                    xm22 = c34 * xm14
+                    xm23 = xm5 * xm8
+                    xm24 = xm6 * xm8
+                    m02 = xm2 * (r1 + xm1)
+                    m12 = xm8 * (xm4 + xm7)
+                    m13 = xm8 * (r2 + xm7)
+                    m22 = c34 * xm16 + c34 * xm17 + xm0 + 2.0 * xm1 * xm2 + xp0 + xp1 + 2.0 * xm12 + 2.0 * xm13 + xm21
+                    m23 = m_p * xm22 + m_s * xm22 + xm12 + xm13 + xm16 + xm17 + xm19 + xm20 + xm23 + xm24 + xm25 + xm4 * xm8
+                    m33 = xm21 + 2.0 * xm23 + 2.0 * xm24 + xm25 + xm3
+                    xb0 = dph1 * dph1
+                    xb3 = s12 * xb2
+                    xb4 = xm8 * xb3
+                    xb5 = xb0 * xb4
+                    xb6 = dph2 * dph2
+                    xb7 = 2.0 * dph2
+                    xb8 = dph1 * xb7
+                    xb9 = xb4 * xb8
+                    xb10 = xm2 * s31
+                    xb11 = R1 * xb10
+                    xb12 = R1 * s34
+                    xb13 = R1 * s12
+                    xb14 = R2 * s12
+                    xb15 = R1 * s42
                     xb16 = xb13 + xb14 - xb15
-                    xb17 = dth2*dth2
-                    xb18 = m_p*xb12
-                    xb19 = m_s*xb12
-                    xb20 = R2*s34
-                    xb21 = xm9*s34
-                    bias0 = d_th1*dth1
-                    bias1 = d_th2*dth2 - xb4*xb6 - xb5 - xb9
-                    xv0 = m_p*xb20
-                    xv1 = m_s*xb20
-                    bias2 = xp2*xb0*(xv0 + xv1 + xb10 + xb18 + xb19) + d_ph1*dph1 - 2.0*dph1*dth1*xb11 + xb7*dth2*m_p*r2*xb16 - dth1*dth1*xb11 + xm8*xb16*xb17 - xb12*xb2*xb8*xp3 - xb6*(R2*xb18 + R2*xb19 + m_p*xb21 + m_s*xb21 - xm8*xb13 - xm8*xb14 + xm8*xb15)
-                    bias3 = d_ph2*dph2 + dth2*xb4*xb7 + xm8*xb17*xb3 - xb5 - xb9
-                    xg1 = g*xb10
-                    xg2 = xm8*s42
-                    xg3 = g*xg2
+                    xb17 = dth2 * dth2
+                    xb18 = m_p * xb12
+                    xb19 = m_s * xb12
+                    xb20 = R2 * s34
+                    xb21 = xm9 * s34
+                    bias0 = d_th1 * dth1
+                    bias1 = d_th2 * dth2 - xb4 * xb6 - xb5 - xb9
+                    xv0 = m_p * xb20
+                    xv1 = m_s * xb20
+                    bias2 = xp2 * xb0 * (xv0 + xv1 + xb10 + xb18 + xb19) + d_ph1 * dph1 - 2.0 * dph1 * dth1 * xb11 + xb7 * dth2 * m_p * r2 * xb16 - dth1 * dth1 * xb11 + xm8 * xb16 * xb17 - xb12 * xb2 * xb8 * xp3 - xb6 * (R2 * xb18 + R2 * xb19 + m_p * xb21 + m_s * xb21 - xm8 * xb13 - xm8 * xb14 + xm8 * xb15)
+                    bias3 = d_ph2 * dph2 + dth2 * xb4 * xb7 + xm8 * xb17 * xb3 - xb5 - xb9
+                    xg1 = g * xb10
+                    xg2 = xm8 * s42
+                    xg3 = g * xg2
                     xg6 = xb19 + xv1
                     xg7 = xb10 + xg6
                     xg8 = xb18 + xv0
                     xg9 = xg2 + xg6
-                    xg10 = c34*m_p
-                    xg11 = xp2*xg10 - R2*xg10
+                    xg10 = c34 * m_p
+                    xg11 = xp2 * xg10 - R2 * xg10
                     if variant == 1:
                         G0 = xg1
                         G1 = xg3
-                        G2 = g*(xg7 + xg8)
-                        G3 = g*(xg8 + xg9)
+                        G2 = g * (xg7 + xg8)
+                        G3 = g * (xg8 + xg9)
                     else:
                         G0 = xg1
                         G1 = xg3
-                        G2 = g*(xg11 + xg7)
-                        G3 = g*(xg11 + xg9)
+                        G2 = g * (xg11 + xg7)
+                        G3 = g * (xg11 + xg9)
                     b0 = tau0 - bias0 - G0
                     b1 = tau1 - bias1 - G1
                     b2 = tau2 - bias2 - G2
                     b3 = tau3 - bias3 - G3
                     if coupled:
-                        dx = (R1*ph1 + r1*s31) - ((R1*ph1 + xb2*s34) + r2*s42)
-                        dy = xp4*c31 - (xp5*c34 - r2*c42)
-                        pm = sqrt(dx*dx + dy*dy)
+                        dx = R1 * ph1 + r1 * s31 - (R1 * ph1 + xb2 * s34 + r2 * s42)
+                        dy = xp4 * c31 - (xp5 * c34 - r2 * c42)
+                        pm = sqrt(dx * dx + dy * dy)
                         degenerate = pm < 1e-14
                         if pm > P_max:
                             B = F = t0 = t1 = t2 = t3 = 0.0
@@ -512,19 +504,19 @@ def loop_for(p, variant, dt, mag, pd):
                             if degenerate:
                                 t0 = t1 = t2 = t3 = 0.0
                             else:
-                                dx_th1 = c31*r1
-                                dx_th2 = -c42*r2
-                                dx_ph1 = dx_th1 - c34*xb2
-                                dx_ph2 = -c34*xb2 - c42*r2
-                                dy_th1 = r1*s31
-                                dy_th2 = xp7*s42
-                                xv2 = s34*xb2
+                                dx_th1 = c31 * r1
+                                dx_th2 = -c42 * r2
+                                dx_ph1 = dx_th1 - c34 * xb2
+                                dx_ph2 = -c34 * xb2 - c42 * r2
+                                dy_th1 = r1 * s31
+                                dy_th2 = xp7 * s42
+                                xv2 = s34 * xb2
                                 dy_ph1 = dy_th1 - xv2
                                 dy_ph2 = dy_th2 - xv2
-                                pg0 = dx*dx_th1 + dy*dy_th1
-                                pg1 = dx*dx_th2 + dy*dy_th2
-                                pg2 = dx*dx_ph1 + dy*dy_ph1
-                                pg3 = dx*dx_ph2 + dy*dy_ph2
+                                pg0 = dx * dx_th1 + dy * dy_th1
+                                pg1 = dx * dx_th2 + dy * dy_th2
+                                pg2 = dx * dx_ph1 + dy * dy_ph1
+                                pg3 = dx * dx_ph2 + dy * dy_ph2
                                 xv3 = -F
                                 t0 = xv3 * (pg0 / pm)
                                 t1 = xv3 * (pg1 / pm)

@@ -14,7 +14,10 @@ import inspect
 import itertools
 import math
 import re
+import sys
+import textwrap
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +25,9 @@ import pytest
 
 from oracles import list_rk4_step, states
 from rollsim import _core, _eom
+from rollsim.config import load_scenario
 from rollsim.model import RobotParams
+from rollsim.simulate import variant_code
 
 PAR = RobotParams().packed()
 GEN_EOM = Path(__file__).resolve().parents[1] / "tools" / "gen_eom.py"
@@ -116,14 +121,20 @@ def test_generated_terms_match_fd_oracle():
     assert worst["G"] < TOL_G, worst
 
 
-def test_checked_in_module_matches_its_generator():
+@pytest.fixture(scope="module")
+def gen():
+    """tools/gen_eom.py as a module, loaded once; it needs sympy."""
+    pytest.importorskip("sympy")
+    spec = importlib.util.spec_from_file_location("gen_eom", GEN_EOM)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_checked_in_module_matches_its_generator(gen):
     # the generator differentiates _core.kinetic, _core.potential and
     # _core.separation, so this ties _eom to the runtime energies and tip
     # geometry
-    sympy = pytest.importorskip("sympy")
-    spec = importlib.util.spec_from_file_location("gen_eom", GEN_EOM)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
     text = gen.generate()
     # under the sympy that wrote it, the generator gives the checked-in text
     # byte for byte, so a hand edit of _eom.py fails here; another sympy may
@@ -132,7 +143,7 @@ def test_checked_in_module_matches_its_generator():
     wrote = re.match(r"# Generated by tools/gen_eom\.py with sympy (\S+);",
                      checked_in)
     assert wrote, "the header names no sympy version"
-    if sympy.__version__ == wrote[1]:
+    if gen.sp.__version__ == wrote[1]:
         assert text == checked_in
     fresh = {}
     exec(compile(text, "<regenerated _eom>", "exec"), fresh)
@@ -163,6 +174,85 @@ def test_checked_in_module_matches_its_generator():
         assert fresh["pd_input"](*pd, q + qd) == _eom.pd_input(*pd, q + qd)
         assert (fresh["pd_error"](pd[2], q + qd)
                 == _eom.pd_error(pd[2], q + qd))
+
+
+def numbered(gen, stage, params=(), keep=()):
+    """The parse of gen._number's (loop_for's lines, the stage's lines) for
+    the stage's text, as ast.dump strings: the rewrite, not its spacing."""
+    outer, lines = gen._number(textwrap.dedent(stage).splitlines(),
+                               set(params), set(keep))
+    return parsed("\n".join(outer), "\n".join(lines))
+
+
+def parsed(outer, stage):
+    return tuple(ast.dump(ast.parse(textwrap.dedent(text)))
+                 for text in (outer, stage))
+
+
+@pytest.mark.parametrize("stage,params,outer,out", [
+    # the largest operation of parameters alone, named once in loop_for
+    ("y = a * b + x\nw = x - b * a", "ab",
+     "xp0 = a * b", "y = xp0 + x\nw = x - xp0"),
+    # an unindented statement of parameters alone moves whole, and one of
+    # the same value goes, its reads reading the first name
+    ("c = a * b\nd = b * a\ny = c * d * x", "ab",
+     "c = a * b\nxp0 = c * c", "y = xp0 * x"),
+    # a pivot check of parameters alone moves with return _failed_loop,
+    # ahead of the sqrt it guards
+    ("""\
+     if not 0.0 < a < inf:
+         return None
+     r = sqrt(a)
+     y = x / r""", ("a", "inf", "sqrt"),
+     """\
+     if not 0.0 < a < inf:
+         return _failed_loop
+     r = sqrt(a)""", "y = x / r"),
+    # a zero's line goes, and so does each product with it subtracted from
+    # a partial sum
+    ("z = 0.0\nw = z / d\ny = (a - b * z - w * c) / e", "",
+     "", "y = a / e"),
+    # a value computed again on every path from its first computation is
+    # named there and read
+    ("u = x * y + 1.0\nv = y * x - 1.0", "",
+     "", "xv0 = x * y\nu = xv0 + 1.0\nv = xv0 - 1.0"),
+    # a line that computes a value whole names it, even for a later branch
+    ("u = x * y\nif c:\n    v = y * x - 1.0", "",
+     "", "u = x * y\nif c:\n    v = u - 1.0"),
+    # a value computed again only inside a later branch stays inline
+    ("u = x * y + 1.0\nif c:\n    v = x * y - 1.0", "",
+     "", "u = x * y + 1.0\nif c:\n    v = x * y - 1.0"),
+    # ... and so does one whose next computation a pivot check may skip
+    ("u = x * y + 1.0\nif not 0.0 < u:\n    return None\nv = x * y", "",
+     "", "u = x * y + 1.0\nif not 0.0 < u:\n    return None\nv = x * y"),
+    # a line that copies a named value goes, and later lines read the name
+    ("u = x * y\nk = y * x\nv = k + 1.0", "",
+     "", "u = x * y\nv = u + 1.0"),
+    # a statement over two lines is numbered like any other
+    ("u = (x * y\n     + 1.0)\nv = x * y - 1.0", "",
+     "", "xv0 = x * y\nu = xv0 + 1.0\nv = xv0 - 1.0"),
+], ids=["hoisted", "moved_whole", "pivot", "zero", "repeated",
+        "named_by_line", "branch_inline", "past_a_pivot", "copy_goes",
+        "two_lines"])
+def test_number_rewrites_a_stage_by_its_rules(gen, stage, params, outer,
+                                              out):
+    assert numbered(gen, stage, params) == parsed(outer, out)
+
+
+def test_number_keeps_a_name_in_keep(gen):
+    # a name the caller reads after the stage copies the shared value
+    assert numbered(gen, "u = x * y\nk = y * x\nv = k + 1.0",
+                    keep={"k"}) == parsed("", "u = x * y\nk = u\nv = k + 1.0")
+
+
+@pytest.mark.parametrize("stage,params,message", [
+    ("a = x * 2.0", "a", "the stage assigns {'a'}"),
+    ("z = 0.0\ny = a + z * b", "", "the zero z is read where no rule"),
+    ("z = 0.0\ny = z * b - a", "", "the zero z is read where no rule"),
+])
+def test_number_refuses_what_no_rule_covers(gen, stage, params, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        gen._number(stage.splitlines(), set(params), set())
 
 
 def test_accel_redoes_no_arithmetic_of_p_alone():
@@ -675,3 +765,59 @@ def test_a_nonfinite_column_is_nan_and_leaves_the_others(bad, coord):
     for a, r in zip(out, ref):
         assert np.all(np.isnan(a[..., 2]))
         assert np.array_equal(a[..., good], r)
+
+
+# opcodes loop runs per step, by the interpreter they were counted on: a
+# change that alters the stage on purpose updates them
+OPCODES_PER_STEP = {(3, 11): {"freefall": 2953, "lifting_mag": 3371}}
+
+
+def opcodes_per_step(loop_for, y0):
+    """The opcodes that loop runs in one step from y0: a 3-step call less a
+    2-step call, so the call's entry and exit cancel. Only loop's frame is
+    traced, and the trace function in force before is restored."""
+    def count(n):
+        loop, events = loop_for(), 0
+
+        def opcode(frame, event, arg):
+            nonlocal events
+            events += event == "opcode"
+            return opcode
+
+        def call(frame, event, arg):
+            if frame.f_code is not loop.__code__:
+                return None
+            frame.f_trace_opcodes = True
+            return opcode
+
+        ys = np.zeros((n + 1, 8))
+        ys[0] = y0
+        previous = sys.gettrace()
+        sys.settrace(call)
+        try:
+            taken = loop(ys, n)
+        finally:
+            sys.settrace(previous)
+        assert taken == n
+        return events
+    return count(3) - count(2)
+
+
+@pytest.mark.parametrize("workload", ["freefall", "lifting_mag"])
+def test_loop_runs_its_recorded_opcodes_per_step(workload):
+    # the work of one step, counted without timing: freefall as shipped,
+    # and the lifting preset's y0 with magnetics on at dt 2e-4, where p_m is
+    # beyond P_max, so each stage takes the coupled branch's cut-off path
+    version = sys.version_info[:2]
+    if version not in OPCODES_PER_STEP:
+        pytest.skip(f"opcodes counted on Python {sorted(OPCODES_PER_STEP)}, "
+                    f"this is {version}")
+    sc, params, mag = load_scenario(workload.split("_")[0])
+    dt = sc.dt
+    if workload == "lifting_mag":
+        mag, dt = replace(mag, enabled=True), 2e-4
+    pd = None if sc.controller is None else sc.controller.packed()
+    count = opcodes_per_step(lambda: _eom.loop_for(
+        params.packed(), variant_code(sc.potential), dt, mag.packed(), pd),
+        sc.y0)
+    assert count == OPCODES_PER_STEP[version][workload]

@@ -28,25 +28,16 @@ tip_law, the tip force law written once as the TIP_LAW text; pd_error and
 pd_input, the PD law written once as the PD_LAW text; and loop_for(p,
 variant, dt, mag, pd), which the run loop calls once per run. _def prints
 every generated function, loop_for's nested loop included. loop_for
-computes every value of the four blocks, of the Cholesky and of the force
-law that depends on p and mag alone, found on the Python parse of the
-printed lines, unpacks the gains and targets of pd, and returns loop(ys,
-n), the run's one call: up to n RK4 steps with the state in locals, each
-step the PD law inline on its start state, held as tau =
-_core.torque_map(u1, u2), then the rest of the blocks, the force law and
-the solve, in a loop over the four stages. There, as in the term
-functions, each angle sum is named and each sine and cosine taken once
-(_trig_lines). One pass over the stage's lines, _number, numbers every
-value once and rewrites them by four rules: a value of p and mag alone is
-computed once in loop_for, under one name; every term that M's structural
-zeros, M01 = M03 = 0, make a product with +0.0 leaves the solve; a value
-computed again reads the name of its first computation, which is named
-only where a later statement reads it on every path from there; and no
-operand is regrouped. A name read in place of an equal operation (b * a for
-a * b among them, which IEEE 754 rounds alike) holds its bits, and a
-dropped term changes at most the sign of a zero, so each stage's qdd equals
-the separate calls to the last bit but for such a sign; the tests pin the
-bytes.
+unpacks the gains and targets of pd and returns loop(ys, n), the run's one
+call: up to n RK4 steps with the state in locals, each step the PD law
+inline on its start state, held as tau = _core.torque_map(u1, u2), then
+the rest of the blocks, the force law and the solve, in a loop over the
+four stages. There, as in the term functions, each angle sum is named and
+each sine and cosine taken once (_trig_lines). One pass over the stage's
+syntax tree, _number, rewrites it and moves what p and mag alone determine
+into loop_for; its docstring states the rules and why each stage's qdd
+keeps the separate calls' bits but for the sign of a zero. The tests pin
+the bytes.
 The output uses only +, -, *, / and math's sin, cos and sqrt: integer
 powers are written as products, because Python's float ** raises
 OverflowError where a product overflows to inf, and the integrator reports
@@ -62,8 +53,8 @@ from __future__ import annotations
 import argparse
 import ast
 import builtins
+import copy
 import itertools
-import re
 import symtable
 import sys
 import textwrap
@@ -469,66 +460,66 @@ def _size(value):
     return 1 + sum(_size(v) for v in value if isinstance(v, tuple))
 
 
-def _span(text, node):
-    """(start, end) of node in text, its line, with the parentheses around
-    it alone, not a call's, so that a name can take their place."""
-    start, end = node.col_offset, node.end_col_offset
-    if (text[start - 1:start] == "(" and text[end:end + 1] == ")"
-            and not re.match(r"[\w)\]]", text[start - 2:start - 1])):
-        return start - 1, end + 1
-    return start, end
+def _copy(node, new):
+    """A copy of node with new(child) for each expression it holds."""
+    out = copy.copy(node)
+    for field, old in ast.iter_fields(node):
+        if isinstance(old, ast.expr):
+            setattr(out, field, new(old))
+        elif isinstance(old, list):
+            setattr(out, field, [new(x) if isinstance(x, ast.expr) else x
+                                 for x in old])
+    return out
 
 
 def _number(lines, params, keep):
     """(loop_for's lines, the stage's lines): one pass over the stage.
 
-    lines are the stage's, one statement each, indented under their
-    branches. Every operation is numbered (_value) in the order Python
-    computes it, each name read as the value assigned to it, and four rules
-    rewrite the lines:
+    lines are the stage's, indented under their branches. Every operation
+    is numbered (_value) in the order Python computes it, each name read as
+    the value assigned to it, and four rules rewrite the stage's tree, which
+    is then printed once:
     - a value whose leaves are all constants or names in params is computed
       once in loop_for, under one name. An unindented statement of such a
       value moves there whole, or goes where an earlier name has its value,
-      and later lines read that name for its target; so does an unindented
-      pivot check of such values, with `return _failed_loop`, still ahead
-      of the sqrt and divisions it guards. In any other line each largest
-      such operation of +, - and *, which never raise, reads its value's
-      name there, a new xp0, xp1, ... where it has none;
+      and later statements read that name for its target; so does an
+      unindented pivot check of such values, with `return _failed_loop`,
+      still ahead of the sqrt and divisions it guards. In any other
+      statement each largest such operation of +, - and *, which never
+      raise, reads its value's name there, a new xp0, xp1, ... where it has
+      none;
     - a zero is a name assigned 0.0, or zero / d, once: M's structural
       zeros m01 and m03, and the L entries divided from them by the root d
-      of a pivot tested positive and finite. Its line goes, and so does each
-      term z * b or b * z subtracted from a partial sum: where b is finite
-      it is +-0.0, and a - (+-0.0) is a but that -0.0 - -0.0 is +0.0; where
-      b is not, the solve fails at the next pivot (b an L entry) or the new
-      y is not finite either way (b a y or an x). A zero read any other way
-      raises ValueError;
-    - a computation of a value is named where it is the whole of a line
-      whose target the stage assigns once, or where a later statement
-      computes the value again on every path from it: in the same block,
-      with no statement between that may leave the stage (a pivot check,
-      stage 4's break). Its name is then that target, or a new xv0, xv1, ...
-      assigned just before its statement. Each later computation that it
-      runs on every path to reads the name, and a line that then copies the
-      name goes where its target is assigned once and not in keep, later
-      lines reading the name for that target. Any other computation stays
-      inline, so no name is stored that every path does not read again. A
-      computation inside one that reads a name does not count;
-    - no operand is regrouped: a name read in place of an operation holds
-      that operation's bits, so each value keeps its bits but for the sign
-      of a dropped zero.
+      of a pivot tested positive and finite. Its statement goes, and so does
+      each term z * b or b * z subtracted from a partial sum: where b is
+      finite it is +-0.0, and a - (+-0.0) is a but that -0.0 - -0.0 is
+      +0.0; where b is not, the solve fails at the next pivot (b an L entry)
+      or the new y is not finite either way (b a y or an x). A zero read any
+      other way raises ValueError;
+    - a computation of a value is named where it is the whole value of a
+      statement whose target the stage assigns once, or where a later
+      statement computes the value again on every path from it: in the same
+      block, with no statement between that may leave the stage (a pivot
+      check, stage 4's break). Its name is then that target, or a new xv0,
+      xv1, ... assigned just before its statement. Each later computation
+      that it runs on every path to reads the name, and a statement that then
+      copies the name goes where its target is assigned once and not in
+      keep, later statements reading the name for that target. Any other
+      computation stays inline, so no name is stored that every path does
+      not read again. A computation inside one that reads a name does not
+      count;
+    - no operand is regrouped: a name read in place of an equal operation
+      (b * a for a * b among them, which IEEE 754 rounds alike) holds its
+      bits, so each stage's qdd equals the separate calls' to the last bit
+      but for the sign of a dropped zero. Each dropped or named operation
+      is one node of the tree, and the printed stage parses back to the
+      rewritten tree.
     """
-    text = "\n".join(lines).splitlines()
     tree = ast.parse("\n".join(lines))
     stores = [n.id for n in ast.walk(tree)
               if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
     if set(stores) & params:
         raise ValueError(f"the stage assigns {set(stores) & params}")
-    starts = {}
-    for stmt in ast.walk(tree):
-        if isinstance(stmt, ast.stmt):
-            if stmt.lineno != stmt.end_lineno and not isinstance(stmt, ast.If):
-                raise ValueError(f"line {stmt.lineno} is not one statement")
-            starts[stmt.lineno] = stmt
     env, zeros, renames = {}, set(), {}
     outer, outer_names, hoisted = [], {}, {}
     fresh = (f"xp{i}" for i in itertools.count())
@@ -541,31 +532,20 @@ def _number(lines, params, keep):
     uses, names, xv = {}, {}, {}  # filled once every value is numbered
 
     def render(node, top=False):
-        """node's text, with each operation that reads a name, each name
-        renamed and each dropped zero term replaced."""
+        """A copy of node in which each operation that reads a name is that
+        name, each name is renamed and each dropped zero term is its left
+        operand."""
         if node in hoisted:
-            return hoisted[node]
+            return ast.Name(hoisted[node])
         if node in uses:
-            return names[uses[node]]
+            return ast.Name(names[uses[node]])
         if node in xv and not top:
-            return xv[node]
+            return ast.Name(xv[node])
         if _folded(node, zeros):
             return render(node.left)
         if isinstance(node, ast.Name):
-            return renames.get(node.id, node.id)
-        line, spans = text[node.lineno - 1], []
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.expr):
-                new = render(child)
-                start, end = child.col_offset, child.end_col_offset
-                if new != line[start:end]:
-                    if new.isidentifier():
-                        start, end = _span(line, child)
-                    spans.append((start, end, new))
-        out = line[:node.end_col_offset]
-        for start, end, new in sorted(spans, reverse=True):
-            out = out[:start] + new + out[end:]
-        return out[node.col_offset:]
+            return ast.Name(renames.get(node.id, node.id))
+        return _copy(node, render)
 
     def scan(node, stmt):
         if _folded(node, zeros):
@@ -576,7 +556,8 @@ def _number(lines, params, keep):
                 and _known(value, params)):
             if value not in outer_names:
                 outer_names[value] = next(fresh)
-                outer.append(f"{outer_names[value]} = {render(node)}")
+                outer.append(ast.Assign([ast.Name(outer_names[value])],
+                                        render(node)))
             hoisted[node] = outer_names[value]
             return
         for child in ast.iter_child_nodes(node):
@@ -599,8 +580,8 @@ def _number(lines, params, keep):
             if isinstance(stmt, ast.If):
                 if (not path and isinstance(stmt.body[0], ast.Return)
                         and _known(_value(stmt.test, env, zeros), params)):
-                    outer.extend([f"if {render(stmt.test)}:",
-                                  "    return _failed_loop"])
+                    outer.append(ast.If(render(stmt.test), [
+                        ast.Return(ast.Name("_failed_loop"))], []))
                     gone.add(stmt)
                     continue
                 scan(stmt.test, stmt)
@@ -630,8 +611,7 @@ def _number(lines, params, keep):
                 if once(stmt) and number in outer_names:
                     renames[target.id] = outer_names[number]
                 else:
-                    outer.append(text[stmt.lineno - 1][:value.col_offset]
-                                 + render(value))
+                    outer.append(_copy(stmt, render))
                     outer_names.setdefault(number, target.id)
             else:
                 scan(value, stmt)
@@ -691,24 +671,24 @@ def _number(lines, params, keep):
             renames[stmt.targets[0].id] = names[home]
 
     statement = {node: stmt for _, node, stmt in found}
-    skip = {i for stmt in gone
-            for i in range(stmt.lineno, stmt.end_lineno + 1)}
-    out = []
-    for i, line in enumerate(text, 1):
-        stmt = starts.get(i)
-        if i in skip:
-            continue
-        if stmt is None:  # else:
-            out.append(line)
-            continue
-        indent = line[:len(line) - len(line.lstrip())]
-        out += [f"{indent}{xv[n]} = {render(n, top=True)}" for n in order
-                if statement[n] is stmt]
-        expr = stmt.test if isinstance(stmt, ast.If) else getattr(
-            stmt, "value", None)
-        out.append(line if expr is None else line[:expr.col_offset]
-                   + render(expr) + line[expr.end_col_offset:])
-    return outer, out
+
+    def rewrite(stmts):
+        """The statements that stay, each after the xv* names it reads
+        first."""
+        out = []
+        for stmt in stmts:
+            if stmt in gone:
+                continue
+            out += [ast.Assign([ast.Name(xv[n])], render(n, top=True))
+                    for n in order if statement[n] is stmt]
+            out.append(_copy(stmt, render))
+            if isinstance(stmt, ast.If):
+                out[-1].body = rewrite(stmt.body)
+                out[-1].orelse = rewrite(stmt.orelse)
+        return out
+
+    return [ast.unparse(ast.fix_missing_locations(ast.Module(body, [])))
+            .splitlines() for body in (outer, rewrite(tree.body))]
 
 
 def _reads(source):
@@ -751,17 +731,14 @@ def _loop_for(blocks, trig):
     others at its GRADIENT line, and + t; then CHOLESKY whole, and the next
     stage's input, the slopes' weighted sum and the new y with the
     expressions and grouping of tests/oracles.py's list RK4: k1 + 2.0 k2 +
-    2.0 k3 + k4 is summed left to right as the stages come. One pass,
-    _number, rewrites them: what they compute of p and mag alone moves to
-    loop_for, once per run under one name, the first two pivots among it;
-    M's structural zeros (the mass block's lines m01 = 0.0 and m03 = 0.0)
-    and what they make zero in the solve go; and a value the lines compute
-    again reads the name of its first computation, where a later statement
-    reads that name on every path from it. loop_for also unpacks pd's gains
-    and targets once. loop keeps the state in z0..z7 between steps. Each
-    step copies it to the stage input, runs PD_LAW on it under one test of
-    pd and forms tau as _core.torque_map does, then runs the stage once per
-    RK4 stage in a loop.
+    2.0 k3 + k4 is summed left to right as the stages come. _number
+    rewrites them by the rules its docstring states, and loop_for computes
+    what it moves out of the stage, the first two pivots among it, once per
+    run; the mass block's m01 = 0.0 and m03 = 0.0 are the zeros it drops.
+    loop_for also unpacks pd's gains and targets once. loop keeps the state
+    in z0..z7 between steps. Each step copies it to the stage input, runs
+    PD_LAW on it under one test of pd and forms tau as _core.torque_map
+    does, then runs the stage once per RK4 stage in a loop.
 
     loop takes every value it reads of loop_for, and math's cos, sin, sqrt
     and inf, as a keyword-only default (_reads finds them), so each is a
@@ -829,8 +806,10 @@ def _loop_for(blocks, trig):
     lines_for += ["    " + line for line in PD_ARGS.splitlines()]
     lines_for += ["else:", "    # loop binds them; an uncontrolled run never "
                   "reads them"]
-    lines_for += ["    " + " = ".join(re.findall(r"\w+", line.split("=")[0]))
-                  + " = 0.0" for line in PD_ARGS.splitlines()]
+    for stmt in ast.parse(PD_ARGS).body:
+        lines_for.append("    " + " = ".join(
+            n.id for n in ast.walk(stmt.targets[0])
+            if isinstance(n, ast.Name)) + " = 0.0")
     lines_for += outer + ["h = 0.5 * dt", "w = dt / 6.0"]
     read = _reads(_def("loop", ("ys", "n"), LOOP_DOC, lines, "n"))
     loop = _def("loop", ("ys", "n", "*", *(f"{x}={x}" for x in sorted(read))),
@@ -867,35 +846,27 @@ loop_for(p, variant, dt, mag, pd) builds the run loop once per run. It
 computes what the code of mass_matrix, bias, gravity and tip_geometry, the
 Cholesky of solve_spd4 and the force law of tip_law derive from p and mag
 alone, each value once under one name: the temporaries of p alone, the
-first two pivots, whether mag couples the tips and, in the other lines,
-each operation of p and mag alone as Python parses the line. It unpacks the gains and targets of pd, (Kp, Kd,
-tgt) or None. It returns loop(ys, n), called once per run, which takes up
-to n RK4 steps from ys[0] with the state in eight locals between steps. Each
-step computes the PD input from the step's start state by the code of
-pd_input, inline, and holds tau = (u1, u2, -u1, -u2) over the step (zero
-where pd is None). It then runs the rest of the code above in a loop over
-the four RK4 stages: each angle sum named and each sine and cosine taken
-once, the tip geometry and the force law under one test of the coupling
-(p_m grad p_m only where the law reads it), and (tau - bias - G) + t solved
-by the Cholesky inline, less every term that the structural zeros M01 =
-M03 = 0 make a product with +0.0. A value the stage computes again reads
-the name of its first computation wherever that runs on every path to it,
-and a first computation is named (an xv* name where no line holds it
-whole) only where a later statement reads it on every path from there; a *
-b and b * a count as one value, as do a + b and b + a, since IEEE 754
-gives them the same bits. Every other operand and grouping is the
-separate functions', and a dropped term is +-0.0 wherever its other factor
-is finite, so each stage's qdd equals the separate calls to the last bit
-but for the sign of a zero; where that factor is not finite, the stage
-fails a pivot or the new y is not finite either way. The stage inputs and
-the update are those of a list-form RK4. loop reads loop_for's values and
-math's cos, sin, sqrt and inf as keyword-only defaults, locals bound once
-per call. It writes each new y to the next row of ys and returns the
-number of steps taken: it stops where solve_spd4 at some stage would
-return None, or where a stage input or the new y is not finite. Only the
-new y is tested: an inf angle makes math.cos raise ValueError, which loop
-catches and returns as its stop, a NaN angle fails a pivot, and a
-non-finite rate or qdd makes the new y non-finite.
+first two pivots and whether mag couples the tips among them. It unpacks
+the gains and targets of pd, (Kp, Kd, tgt) or None. It returns loop(ys,
+n), called once per run, which takes up to n RK4 steps from ys[0] with the
+state in eight locals between steps. Each step computes the PD input from
+the step's start state by the code of pd_input, inline, and holds tau =
+(u1, u2, -u1, -u2) over the step (zero where pd is None). It then runs the
+rest of the code above in a loop over the four RK4 stages: each angle sum
+named and each sine and cosine taken once, the tip geometry and the force
+law under one test of the coupling (p_m grad p_m only where the law reads
+it), and (tau - bias - G) + t solved by the Cholesky inline. The stage
+leaves out the solve's products with the zeros that M01 = M03 = 0 make and
+reads a repeated value by name, by the rules of _number in tools/gen_eom.py,
+so each stage's qdd equals the separate calls to the last bit but for the
+sign of a zero. The stage inputs and the update are those of a list-form
+RK4. loop reads loop_for's values and math's cos, sin, sqrt and inf as
+keyword-only defaults, locals bound once per call. It writes each new y to
+the next row of ys and returns the number of steps taken: it stops where
+solve_spd4 at some stage would return None, or where a stage input or the
+new y is not finite. Only the new y is tested: an inf angle makes math.cos
+raise ValueError, which loop catches and returns as its stop, a NaN angle
+fails a pivot, and a non-finite rate or qdd makes the new y non-finite.
 
 With floats, q and qd are 4-sequences and y is (q, qd); math.sin and
 math.cos raise ValueError on inf, so rollsim._core.deriv tests y first.
