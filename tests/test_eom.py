@@ -803,8 +803,10 @@ def opcodes_per_step(loop_for, y0):
     return count(3) - count(2)
 
 
-@pytest.mark.parametrize("workload", ["freefall", "lifting_mag"])
-def test_loop_runs_its_recorded_opcodes_per_step(workload):
+@pytest.mark.parametrize("workload,preset,mag_dt", [
+    ("freefall", "freefall", None), ("lifting_mag", "lifting", 2e-4)],
+    ids=["freefall", "lifting_mag"])
+def test_loop_runs_its_recorded_opcodes_per_step(workload, preset, mag_dt):
     # the work of one step, counted without timing: freefall as shipped,
     # and the lifting preset's y0 with magnetics on at dt 2e-4, where p_m is
     # beyond P_max, so each stage takes the coupled branch's cut-off path
@@ -812,10 +814,10 @@ def test_loop_runs_its_recorded_opcodes_per_step(workload):
     if version not in OPCODES_PER_STEP:
         pytest.skip(f"opcodes counted on Python {sorted(OPCODES_PER_STEP)}, "
                     f"this is {version}")
-    sc, params, mag = load_scenario(workload.split("_")[0])
+    sc, params, mag = load_scenario(preset)
     dt = sc.dt
-    if workload == "lifting_mag":
-        mag, dt = replace(mag, enabled=True), 2e-4
+    if mag_dt is not None:
+        mag, dt = replace(mag, enabled=True), mag_dt
     pd = None if sc.controller is None else sc.controller.packed()
     count = opcodes_per_step(lambda: _eom.loop_for(
         params.packed(), variant_code(sc.potential), dt, mag.packed(), pd),

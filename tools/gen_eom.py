@@ -673,8 +673,8 @@ def _number(lines, params, keep):
     statement = {node: stmt for _, node, stmt in found}
 
     def rewrite(stmts):
-        """The statements that stay, each after the xv* names it reads
-        first."""
+        """The statements of stmts that stay, rewritten, each after the xv*
+        assignments of the computations it holds."""
         out = []
         for stmt in stmts:
             if stmt in gone:
@@ -687,8 +687,11 @@ def _number(lines, params, keep):
                 out[-1].orelse = rewrite(stmt.orelse)
         return out
 
-    return [ast.unparse(ast.fix_missing_locations(ast.Module(body, [])))
-            .splitlines() for body in (outer, rewrite(tree.body))]
+    def printed(body):
+        module = ast.fix_missing_locations(ast.Module(body, []))
+        return ast.unparse(module).splitlines()
+
+    return printed(outer), printed(rewrite(tree.body))
 
 
 def _reads(source):
